@@ -68,7 +68,7 @@ fn main() {
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: report [table1|table2|table3|fig7|fig8|fig9|join|fig10|binning|consensus|snp|server|trace|scrub|backup|exec|all] [--scale N] [--clients N]");
+    eprintln!("usage: report [table1|table2|table3|fig7|fig8|fig9|join|fig10|binning|consensus|snp|server|trace|scrub|backup|all] [--scale N] [--clients N]");
     std::process::exit(2);
 }
 
@@ -124,7 +124,6 @@ fn run(experiment: &str, factor: usize) -> Result<()> {
         "server" => server_bench(factor, CLIENTS.load(std::sync::atomic::Ordering::Relaxed))?,
         "trace" => trace_bench(factor)?,
         "scrub" => scrub_bench(factor)?,
-        "exec" => exec_bench(factor)?,
         "backup" => backup_bench(factor)?,
         "all" => {
             table1(factor)?;
@@ -367,8 +366,8 @@ fn fig8(factor: usize) -> Result<()> {
         )?;
         let t = Instant::now();
         let mut groups = 0u64;
-        while it.next()?.is_some() {
-            groups += 1;
+        while let Some(batch) = it.next_batch(1024)? {
+            groups += batch.len() as u64;
         }
         let wall = t.elapsed();
         println!("  DOP {dop}: {groups} groups in {}", fmt_dur(wall));
@@ -1328,148 +1327,5 @@ fn backup_bench(factor: usize) -> Result<()> {
     println!("  wrote {}", path.display());
     std::fs::remove_dir_all(&dir).ok();
     println!();
-    Ok(())
-}
-
-// ---------------------------------------------------------------- exec --
-
-/// Vectorized batch execution vs forced row-at-a-time (`SET BATCH_SIZE`):
-/// the same scan/filter/project/aggregate/join-probe pipelines at three
-/// scales, timed in both modes over identical data with identical
-/// results. Writes `BENCH_exec.json` with per-query throughput, I/O
-/// deltas and the CI smoke gate (batch scan+filter >= 1.5x row mode).
-fn exec_bench(factor: usize) -> Result<()> {
-    println!("--- Vectorized execution: batch vs forced row-at-a-time ---");
-    struct Measure {
-        name: String,
-        wall: std::time::Duration,
-        rows_per_s: f64,
-        io: IoSnapshot,
-    }
-    let mut measures: Vec<Measure> = Vec::new();
-    // Gate speedups taken at the largest scale, where amortization is
-    // most representative of real datasets.
-    let mut gate = std::collections::HashMap::new();
-    let scales: [i64; 3] = [30_000, 60_000, 120_000];
-    for base in scales {
-        let n = base * factor.max(1) as i64;
-        let db = Database::in_memory();
-        db.set_max_dop(1); // isolate batch-vs-row from parallelism
-        db.execute_sql("CREATE TABLE reads (id INT NOT NULL, grp INT, v INT)")?;
-        db.execute_sql("CREATE TABLE lanes (g INT, name VARCHAR(16))")?;
-        let rows: Vec<Row> = (0..n)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Int(i),
-                    Value::Int(i % 64),
-                    Value::Int(i * 7 % 1000),
-                ])
-            })
-            .collect();
-        db.insert_rows("reads", &rows)?;
-        let lanes: Vec<Row> = (0..48i64)
-            .map(|g| Row::new(vec![Value::Int(g), Value::text(format!("lane{g}"))]))
-            .collect();
-        db.insert_rows("lanes", &lanes)?;
-
-        // (label, sql): every pipeline the batch protocol natively covers.
-        let queries: [(&str, &str); 4] = [
-            ("scanfilter", "SELECT id, v FROM reads WHERE v < 700"),
-            ("project", "SELECT id + v, grp FROM reads WHERE v < 700"),
-            (
-                "aggregate",
-                "SELECT COUNT(*), SUM(v) FROM reads WHERE v < 700",
-            ),
-            (
-                "joinprobe",
-                "SELECT COUNT(*) FROM reads JOIN lanes ON (reads.grp = lanes.g)",
-            ),
-        ];
-        // Best-of-N timing: each iteration is timed on its own and the
-        // minimum is kept, which is robust to scheduler interference in
-        // shared environments.
-        let iters = (720_000 / n).clamp(3, 24) as usize;
-        println!("  n={n} (best of {iters} timed iterations per mode):");
-        for (label, sql) in queries {
-            let mut walls = std::collections::HashMap::new();
-            let mut row_count = None;
-            for (mode, size) in [("row", 0usize), ("batch", 1024)] {
-                db.execute_sql(&format!("SET BATCH_SIZE = {size}"))?;
-                let check = db.query_sql(sql)?; // warmup + result capture
-                match &row_count {
-                    None => row_count = Some(check.rows.clone()),
-                    Some(prev) => {
-                        let mut a: Vec<String> = prev.iter().map(|r| r.to_string()).collect();
-                        let mut b: Vec<String> = check.rows.iter().map(|r| r.to_string()).collect();
-                        a.sort();
-                        b.sort();
-                        assert_eq!(a, b, "{label}: batch and row modes disagree");
-                    }
-                }
-                let before = IoSnapshot::now(&db);
-                let mut wall = std::time::Duration::MAX;
-                for _ in 0..iters {
-                    let (res, w) = time(|| db.query_sql(sql));
-                    res?;
-                    wall = wall.min(w);
-                }
-                let io = IoSnapshot::now(&db).delta_since(&before);
-                let rows_per_s = n as f64 / wall.as_secs_f64().max(1e-9);
-                measures.push(Measure {
-                    name: format!("n={n}/{label}/{mode}"),
-                    wall,
-                    rows_per_s,
-                    io,
-                });
-                walls.insert(mode, wall.as_secs_f64());
-            }
-            let speedup = walls["row"] / walls["batch"].max(1e-9);
-            println!(
-                "    {label:>10}: row {:>9} batch {:>9}  speedup {speedup:.2}x",
-                fmt_dur(std::time::Duration::from_secs_f64(walls["row"])),
-                fmt_dur(std::time::Duration::from_secs_f64(walls["batch"])),
-            );
-            if base == scales[scales.len() - 1] {
-                gate.insert(label, speedup);
-            }
-        }
-    }
-
-    let scanfilter = gate.get("scanfilter").copied().unwrap_or(0.0);
-    let aggregate = gate.get("aggregate").copied().unwrap_or(0.0);
-    let joinprobe = gate.get("joinprobe").copied().unwrap_or(0.0);
-    let gate_ok = scanfilter >= 1.5;
-    println!(
-        "  gate (batch scan+filter >= 1.5x row mode): {scanfilter:.2}x — {}",
-        if gate_ok { "PASS" } else { "FAIL" }
-    );
-
-    let path = seqdb_bench::workspace_dir("BENCH_exec.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, m) in measures.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"rows_per_s\": {:.0}, \
-             \"bufpool_hits\": {}, \"bufpool_misses\": {}, \"spill_files\": {}, \
-             \"spill_bytes\": {}}}{}\n",
-            m.name,
-            m.wall.as_secs_f64() * 1e3,
-            m.rows_per_s,
-            m.io.bufpool_hits,
-            m.io.bufpool_misses,
-            m.io.spill_files,
-            m.io.spill_bytes,
-            if i + 1 < measures.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"scanfilter_speedup\": {scanfilter:.3},\n  \
-         \"aggregate_speedup\": {aggregate:.3},\n  \
-         \"joinprobe_speedup\": {joinprobe:.3},\n  \"gate_ok\": {gate_ok}\n}}\n"
-    ));
-    std::fs::write(&path, json)?;
-    println!("  wrote {}\n", path.display());
     Ok(())
 }

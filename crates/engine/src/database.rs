@@ -20,7 +20,7 @@ use crate::dmv::{
     DmDbBackupStatusFn, DmDbQueryStoreFn, DmDbScrubStatusFn, DmExecQueryStatsFn,
     DmOsPerformanceCountersFn, DmOsWaitStatsFn,
 };
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, RowCursor};
 use crate::governor::QueryGovernor;
 use crate::plan::{Plan, QueryResult};
 use crate::querystore::QueryStore;
@@ -88,8 +88,8 @@ pub struct DbConfig {
     pub admission_queue_slots: usize,
     /// Join algorithm selection (`SET JOIN_STRATEGY`).
     pub join_strategy: JoinStrategy,
-    /// Rows per batch on the vectorized execution path
-    /// (`SET BATCH_SIZE`); 0 forces row-at-a-time execution.
+    /// Rows per batch pulled between operators (`SET BATCH_SIZE`); 0 is
+    /// accepted and means 1.
     pub batch_size: usize,
     /// Slow-statement threshold (`SET SLOW_QUERY_MS`, server-wide):
     /// statements running at least this long emit a `slow_statement`
@@ -408,8 +408,8 @@ impl Database {
         self.config.write().join_strategy = strategy;
     }
 
-    /// Rows per batch on the vectorized path applied to every subsequent
-    /// query; 0 forces row-at-a-time. Same knob as `SET BATCH_SIZE`.
+    /// Rows per batch applied to every subsequent query (0 means 1).
+    /// Same knob as `SET BATCH_SIZE`.
     pub fn set_batch_size(&self, rows: usize) {
         self.config.write().batch_size = rows;
     }
@@ -448,13 +448,20 @@ impl Database {
             cfg.query_timeout_ms.map(std::time::Duration::from_millis),
             cfg.query_mem_limit_kb.map(|kb| kb as usize * 1024),
         );
+        self.context_for(&cfg, gov)
+    }
+
+    /// The execution context of one statement running under `cfg` and
+    /// `gov`. Row mode is a batch size, not a code path: `BATCH_SIZE = 0`
+    /// becomes 1 here, so no operator ever sees a zero.
+    pub(crate) fn context_for(&self, cfg: &DbConfig, gov: Arc<QueryGovernor>) -> ExecContext {
         ExecContext {
             catalog: self.catalog.clone(),
             filestream: self.filestream.clone(),
             temp: self.temp.clone(),
             dop: cfg.max_dop,
             sort_budget: cfg.sort_budget,
-            batch_size: cfg.batch_size,
+            batch_size: cfg.batch_size.max(1),
             gov,
             stats: None,
             node: None,
@@ -487,7 +494,7 @@ impl Database {
     /// Run a plan and insert its output into `table`.
     pub fn run_insert(&self, table: &Arc<Table>, plan: &Plan) -> Result<QueryResult> {
         let ctx = self.exec_context();
-        let mut it = plan.open(&ctx)?;
+        let mut it = RowCursor::new(plan.open(&ctx)?, ctx.batch_size);
         let mut n = 0u64;
         while let Some(row) = it.next()? {
             table.insert(&row)?;

@@ -18,7 +18,7 @@ use seqdb_storage::{SpillTally, WaitClass};
 use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::{protect, AggState, Aggregate};
@@ -78,8 +78,8 @@ impl AggSpec {
 
     /// Batched counterpart of [`AggSpec::update`]: fold a whole run of
     /// rows into one state under a *single* panic guard, reusing one
-    /// argument scratch. The per-row `catch_unwind` and argument `Vec`
-    /// are exactly what the vectorized path amortizes away.
+    /// argument scratch, instead of a `catch_unwind` and an argument
+    /// `Vec` per row.
     fn update_run(&self, state: &mut Box<dyn AggState>, batch: &RowBatch) -> Result<()> {
         if self.args.is_empty() {
             // Argument-free runs collapse to one accumulator call
@@ -146,7 +146,7 @@ pub fn group_key(group_exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
 /// here, exhaustion fails with [`DbError::ResourceExhausted`]. The caller
 /// keeps `charge` alive for as long as the returned map exists.
 pub fn aggregate_into_map(
-    input: &mut dyn RowIterator,
+    input: &mut RowCursor,
     group_exprs: &[Expr],
     aggs: &[AggSpec],
     charge: &mut MemCharge,
@@ -240,8 +240,8 @@ impl SpillRowIter {
     }
 }
 
-impl RowIterator for SpillRowIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl SpillRowIter {
+    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
         let mut lenbuf = [0u8; 4];
         if !self.reader.read_exact(&mut lenbuf)? {
             return Ok(None);
@@ -253,6 +253,12 @@ impl RowIterator for SpillRowIter {
         }
         let mut pos = 0;
         Ok(Some(rowser::read_row(&self.payload, &mut pos)?))
+    }
+}
+
+impl RowIterator for SpillRowIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -385,15 +391,13 @@ impl OutputRows {
     pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
-}
 
-impl RowIterator for OutputRows {
-    fn next(&mut self) -> Result<Option<Row>> {
+    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
         if let Some(row) = self.in_mem.next() {
             return Ok(Some(row));
         }
         match self.spilled.as_mut() {
-            Some(s) => s.next(),
+            Some(s) => s.next_row(),
             None => Ok(None),
         }
     }
@@ -414,14 +418,16 @@ impl ChainRows {
 }
 
 impl RowIterator for ChainRows {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(part) = self.parts.get_mut(self.idx) {
-            if let Some(row) = part.next()? {
-                return Ok(Some(row));
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || {
+            while let Some(part) = self.parts.get_mut(self.idx) {
+                if let Some(row) = part.next_row()? {
+                    return Ok(Some(row));
+                }
+                self.idx += 1;
             }
-            self.idx += 1;
-        }
-        Ok(None)
+            Ok(None)
+        })
     }
 }
 
@@ -432,25 +438,10 @@ impl RowIterator for ChainRows {
 /// serialized form). After the input drains, in-memory groups are
 /// emitted, their memory released, and each partition is aggregated
 /// recursively with a re-salted hash. This is the hybrid-hash analogue
-/// of SQL Server's Hash Match spilling to tempdb.
-pub fn aggregate_governed(
-    input: &mut dyn RowIterator,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-) -> Result<Vec<Row>> {
-    let mut it = aggregate_governed_rows(input, group_exprs, aggs, ctx)?;
-    let mut rows = Vec::new();
-    while let Some(row) = it.next()? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Like [`aggregate_governed`] but keeps the finished rows inside their
-/// governed [`OutputRows`] stream: the in-memory prefix stays charged
-/// against the budget and the overflow streams from its spill file,
-/// instead of collecting everything into an unaccounted `Vec`.
+/// of SQL Server's Hash Match spilling to tempdb. The finished rows stay
+/// inside their governed [`OutputRows`] stream: the in-memory prefix
+/// stays charged against the budget and the overflow streams from its
+/// spill file.
 pub(crate) fn aggregate_governed_rows(
     input: &mut dyn RowIterator,
     group_exprs: &[Expr],
@@ -535,7 +526,7 @@ pub(crate) fn aggregate_partial_spilling(
     gov: Option<&Arc<QueryGovernor>>,
     cap: Option<usize>,
     depth: u32,
-    batch_hint: usize,
+    batch_size: usize,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
     let mut ticker = crate::governor::Ticker::new();
     let mut groups: GroupedStates = HashMap::new();
@@ -546,84 +537,61 @@ pub(crate) fn aggregate_partial_spilling(
     let mut spilling = false;
     let mut partitions: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
 
-    // With a batch hint the input is consumed through the batch protocol
-    // — one governor tick per batch instead of per row; `batch_hint == 0`
-    // keeps the scalar pull (forced row-at-a-time mode).
-    let mut buf = Vec::new().into_iter();
-    loop {
-        let row = if batch_hint > 0 {
-            match buf.next() {
-                Some(row) => row,
-                None => {
-                    let Some(batch) = input.next_batch(batch_hint)? else {
-                        break;
-                    };
-                    if let Some(gov) = gov {
-                        ticker.tick_batch(gov)?;
-                    }
-                    // No grouping: the whole run belongs to the single
-                    // global group, so probe the map and enter the panic
-                    // guard once per batch instead of once per row. The
-                    // batch is consumed through its selection vector, so
-                    // filtered-out rows are never compacted or moved.
-                    if group_exprs.is_empty() && !spilling {
-                        let cost = group_cost(&[], aggs.len());
-                        let admitted = groups.contains_key(&Vec::new())
-                            || (cap.is_none_or(|c| charge.bytes() + cost <= c)
-                                && charge.try_grow(cost));
-                        if admitted {
-                            let states = match groups.entry(Vec::new()) {
-                                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(create_states(aggs)?)
-                                }
-                            };
-                            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                                spec.update_run(state, &batch)?;
-                            }
-                            continue;
-                        }
-                    }
-                    buf = batch.into_rows().into_iter();
-                    continue;
-                }
-            }
-        } else {
-            let Some(row) = input.next()? else {
-                break;
-            };
-            if let Some(gov) = gov {
-                ticker.tick(gov)?;
-            }
-            row
-        };
-        let key = group_key(group_exprs, &row)?;
-        if let Some(states) = groups.get_mut(&key) {
-            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                spec.update(state, &row)?;
-            }
-            continue;
+    while let Some(batch) = input.next_batch(batch_size)? {
+        // One governor tick per batch instead of per row.
+        if let Some(gov) = gov {
+            ticker.tick_batch(gov)?;
         }
-        let cost = group_cost(&key, aggs.len());
-        if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost) {
-            let states = groups.entry(key).or_insert(create_states(aggs)?);
-            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                spec.update(state, &row)?;
+        // No grouping: the whole run belongs to the single global group,
+        // so probe the map and enter the panic guard once per batch
+        // instead of once per row. The batch is consumed through its
+        // selection vector, so filtered-out rows are never compacted or
+        // moved.
+        if group_exprs.is_empty() && !spilling {
+            let cost = group_cost(&[], aggs.len());
+            let admitted = groups.contains_key(&Vec::new())
+                || (cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost));
+            if admitted {
+                let states = match groups.entry(Vec::new()) {
+                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                    std::collections::hash_map::Entry::Vacant(e) => e.insert(create_states(aggs)?),
+                };
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update_run(state, &batch)?;
+                }
+                continue;
             }
-        } else {
-            if depth >= MAX_SPILL_DEPTH {
-                return Err(DbError::ResourceExhausted(format!(
-                    "hash aggregate exceeded its memory budget even after \
-                     {MAX_SPILL_DEPTH} repartition passes"
-                )));
+        }
+        for row in batch.into_rows() {
+            let key = group_key(group_exprs, &row)?;
+            if let Some(states) = groups.get_mut(&key) {
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update(state, &row)?;
+                }
+                continue;
             }
-            spilling = true;
-            let p = partition_of(&key, depth);
-            if partitions[p].is_none() {
-                partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
-            }
-            if let Some(writer) = partitions[p].as_mut() {
-                write_spill_row(writer, &row)?;
+            let cost = group_cost(&key, aggs.len());
+            if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost)
+            {
+                let states = groups.entry(key).or_insert(create_states(aggs)?);
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update(state, &row)?;
+                }
+            } else {
+                if depth >= MAX_SPILL_DEPTH {
+                    return Err(DbError::ResourceExhausted(format!(
+                        "hash aggregate exceeded its memory budget even after \
+                         {MAX_SPILL_DEPTH} repartition passes"
+                    )));
+                }
+                spilling = true;
+                let p = partition_of(&key, depth);
+                if partitions[p].is_none() {
+                    partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
+                }
+                if let Some(writer) = partitions[p].as_mut() {
+                    write_spill_row(writer, &row)?;
+                }
             }
         }
     }
@@ -655,7 +623,7 @@ fn finish_group(key: Vec<Value>, states: Vec<Box<dyn AggState>>, aggs: &[AggSpec
 
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
 /// Governed: over-budget runs degrade by spilling to tempspace (see
-/// [`aggregate_governed`]).
+/// [`aggregate_governed_rows`]).
 pub struct HashAggIter {
     input: Option<BoxedIter>,
     group_exprs: Vec<Expr>,
@@ -679,10 +647,8 @@ impl HashAggIter {
             output: None,
         }
     }
-}
 
-impl RowIterator for HashAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if let Some(mut input) = self.input.take() {
             let rows =
                 aggregate_governed_rows(input.as_mut(), &self.group_exprs, &self.aggs, &self.ctx)?;
@@ -699,9 +665,15 @@ impl RowIterator for HashAggIter {
             }
         }
         match self.output.as_mut() {
-            Some(rows) => rows.next(),
+            Some(rows) => rows.next_row(),
             None => Ok(None),
         }
+    }
+}
+
+impl RowIterator for HashAggIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -712,7 +684,7 @@ impl RowIterator for HashAggIter {
 type CurrentGroup = (Vec<Value>, Vec<Box<dyn AggState>>);
 
 pub struct StreamAggIter {
-    input: BoxedIter,
+    input: RowCursor,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
     current: Option<CurrentGroup>,
@@ -720,11 +692,6 @@ pub struct StreamAggIter {
     charge: MemCharge,
     done: bool,
     saw_rows: bool,
-    /// Rows per input batch; 0 = scalar pull (forced row-at-a-time).
-    batch_hint: usize,
-    /// Buffered remainder of the current input batch.
-    buf: std::vec::IntoIter<Row>,
-    input_done: bool,
 }
 
 impl StreamAggIter {
@@ -733,44 +700,16 @@ impl StreamAggIter {
         group_exprs: Vec<Expr>,
         aggs: Vec<AggSpec>,
         gov: Arc<QueryGovernor>,
-        batch_hint: usize,
+        batch_size: usize,
     ) -> StreamAggIter {
         StreamAggIter {
-            input,
+            input: RowCursor::new(input, batch_size),
             group_exprs,
             aggs,
             current: None,
             charge: MemCharge::new(gov),
             done: false,
             saw_rows: false,
-            batch_hint,
-            buf: Vec::new().into_iter(),
-            input_done: false,
-        }
-    }
-
-    /// Pull one input row, consuming the child through the batch
-    /// protocol when a batch hint is set — the streaming aggregate's
-    /// output stays row-by-row (one row per group boundary), but its
-    /// *input* side moves in batches.
-    fn pull(&mut self) -> Result<Option<Row>> {
-        if self.batch_hint == 0 {
-            return self.input.next();
-        }
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
-            }
-            if self.input_done {
-                return Ok(None);
-            }
-            match self.input.next_batch(self.batch_hint)? {
-                Some(batch) => self.buf = batch.into_rows().into_iter(),
-                None => {
-                    self.input_done = true;
-                    return Ok(None);
-                }
-            }
         }
     }
 
@@ -790,15 +729,13 @@ impl StreamAggIter {
         }
         Ok(Row::new(vals))
     }
-}
 
-impl RowIterator for StreamAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if self.done {
             return Ok(None);
         }
         loop {
-            match self.pull()? {
+            match self.input.next()? {
                 Some(row) => {
                     self.saw_rows = true;
                     let key = group_key(&self.group_exprs, &row)?;
@@ -844,6 +781,12 @@ impl RowIterator for StreamAggIter {
     }
 }
 
+impl RowIterator for StreamAggIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,6 +804,10 @@ mod tests {
 
     fn rows() -> Vec<Row> {
         int_rows(&[&[1, 10], &[2, 5], &[1, 30], &[2, 5], &[3, 1]])
+    }
+
+    fn cursor(rows: Vec<Row>) -> RowCursor {
+        RowCursor::new(Box::new(ValuesIter::new(rows)), 2)
     }
 
     fn normalize(mut rows: Vec<Row>) -> Vec<(i64, i64, i64)> {
@@ -886,7 +833,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 1024).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
     }
 
@@ -901,7 +848,7 @@ mod tests {
             QueryGovernor::unlimited(),
             crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 1024).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
     }
 
@@ -913,7 +860,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        let out = collect(Box::new(it)).unwrap();
+        let out = collect(Box::new(it), 1024).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Int(5));
         assert_eq!(out[0][1], Value::Int(51));
@@ -924,21 +871,22 @@ mod tests {
         for blocking in [true, false] {
             let input = Box::new(ValuesIter::new(vec![]));
             let out = if blocking {
-                collect(Box::new(HashAggIter::new(
-                    input,
-                    vec![],
-                    specs(),
-                    test_context(),
-                )))
+                collect(
+                    Box::new(HashAggIter::new(input, vec![], specs(), test_context())),
+                    1024,
+                )
                 .unwrap()
             } else {
-                collect(Box::new(StreamAggIter::new(
-                    input,
-                    vec![],
-                    specs(),
-                    QueryGovernor::unlimited(),
-                    crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
-                )))
+                collect(
+                    Box::new(StreamAggIter::new(
+                        input,
+                        vec![],
+                        specs(),
+                        QueryGovernor::unlimited(),
+                        crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
+                    )),
+                    1024,
+                )
                 .unwrap()
             };
             assert_eq!(out.len(), 1);
@@ -955,7 +903,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        assert!(collect(Box::new(it)).unwrap().is_empty());
+        assert!(collect(Box::new(it), 1024).unwrap().is_empty());
     }
 
     #[test]
@@ -965,15 +913,15 @@ mod tests {
         let mut charge = MemCharge::new(gov.clone());
         let all = rows();
         let serial = {
-            let mut it = ValuesIter::new(all.clone());
+            let mut it = cursor(all.clone());
             aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
         };
         let mut merged = {
-            let mut it = ValuesIter::new(all[..2].to_vec());
+            let mut it = cursor(all[..2].to_vec());
             aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
         };
         let part2 = {
-            let mut it = ValuesIter::new(all[2..].to_vec());
+            let mut it = cursor(all[2..].to_vec());
             aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
         };
         merge_maps(&mut merged, part2, &specs()).unwrap();
@@ -1000,7 +948,7 @@ mod tests {
             specs(),
             ctx.clone(),
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 1024).unwrap());
         assert_eq!(got.len(), 500, "each group must appear exactly once");
         for (g, cnt, total) in got {
             assert!((0..500).contains(&g));
@@ -1017,7 +965,7 @@ mod tests {
         let input: Vec<Row> = (0..100i64)
             .map(|i| Row::new(vec![Value::Int(i), Value::Int(1)]))
             .collect();
-        let mut it = ValuesIter::new(input);
+        let mut it = cursor(input);
         let err = match aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge) {
             Ok(_) => panic!("expected exhaustion"),
             Err(e) => e,

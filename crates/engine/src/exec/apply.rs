@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use seqdb_types::{DbError, Result, Row, Value};
 
-use crate::exec::{BoxedIter, ExecContext, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::udx::{protect, TableFunction, TvfCursor};
 
@@ -30,10 +30,8 @@ impl TvfScanIter {
             arity: tvf.schema().len(),
         })
     }
-}
 
-impl RowIterator for TvfScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         // Both cursor entry points run user code; a panic in either fails
         // only this query (DbError::UdxPanic).
         if !protect(&self.name, || self.cursor.move_next())? {
@@ -51,10 +49,16 @@ impl RowIterator for TvfScanIter {
     }
 }
 
+impl RowIterator for TvfScanIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 /// `input CROSS APPLY tvf(arg_exprs...)`: for each outer row, open the
 /// TVF with arguments computed from that row and emit `outer ++ tvf_row`.
 pub struct CrossApplyIter {
-    input: BoxedIter,
+    input: RowCursor,
     tvf: Arc<dyn TableFunction>,
     arg_exprs: Vec<Expr>,
     ctx: ExecContext,
@@ -72,7 +76,7 @@ impl CrossApplyIter {
     ) -> CrossApplyIter {
         let arity = tvf.schema().len();
         CrossApplyIter {
-            input,
+            input: RowCursor::new(input, ctx.batch_size),
             tvf,
             arg_exprs,
             ctx,
@@ -81,10 +85,8 @@ impl CrossApplyIter {
             arity,
         }
     }
-}
 
-impl RowIterator for CrossApplyIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
             if let Some(cursor) = &mut self.current_cursor {
                 let name = self.tvf.name();
@@ -117,6 +119,12 @@ impl RowIterator for CrossApplyIter {
                 }
             }
         }
+    }
+}
+
+impl RowIterator for CrossApplyIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -178,7 +186,7 @@ mod tests {
         let ctx = test_context();
         let tvf: Arc<dyn TableFunction> = Arc::new(Numbers);
         let it = TvfScanIter::open(&tvf, &[Value::Int(4)], &ctx).unwrap();
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(
             rows.iter()
                 .map(|r| r[0].as_int().unwrap())
@@ -198,7 +206,7 @@ mod tests {
             vec![Expr::col(0, "n")],
             ctx,
         );
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         // outer 2 -> (2,0),(2,1); outer 0 -> nothing; outer 3 -> (3,0),(3,1),(3,2)
         let pairs: Vec<(i64, i64)> = rows
             .iter()

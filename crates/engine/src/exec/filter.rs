@@ -1,8 +1,8 @@
-//! Filter, projection and limit operators, with native batch paths:
-//! the filter narrows a batch's selection vector in place (dropped rows
-//! are never moved or copied), the projection rewrites batches with
-//! recycled value buffers (no per-row allocation, no `Value` clones for
-//! single-use columns), and the limit truncates a batch's selection.
+//! Filter, projection and limit operators: the filter narrows a batch's
+//! selection vector in place (dropped rows are never moved or copied),
+//! the projection rewrites batches with recycled value buffers (no
+//! per-row allocation, no `Value` clones for single-use columns), and the
+//! limit truncates a batch's selection.
 
 use std::sync::Arc;
 
@@ -15,8 +15,8 @@ use crate::expr::{eval_project_into, take_plan, Expr, IntCmpKernel};
 pub struct FilterIter {
     input: BoxedIter,
     predicate: Expr,
-    /// Specialized form of `predicate` for the batch path, when it has a
-    /// kernel-eligible shape.
+    /// Specialized form of `predicate`, when it has a kernel-eligible
+    /// shape.
     kernel: Option<IntCmpKernel>,
 }
 
@@ -31,18 +31,9 @@ impl FilterIter {
 }
 
 impl RowIterator for FilterIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next()? {
-            if self.predicate.eval_predicate(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Native batch path: evaluate the predicate into the batch's
-    /// selection vector. Rows that fail stay where they are, unselected;
-    /// whoever materializes the batch later skips them for free.
+    /// Evaluate the predicate into the batch's selection vector. Rows
+    /// that fail stay where they are, unselected; whoever materializes
+    /// the batch later skips them for free.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         loop {
             let Some(mut batch) = self.input.next_batch(max_rows)? else {
@@ -74,7 +65,7 @@ pub struct ProjectIter {
     take: Vec<bool>,
     /// Recycled value buffer: each projected row swaps its freshly built
     /// values out of here and donates its input row's storage back, so
-    /// the steady-state batch path allocates nothing per row.
+    /// the steady state allocates nothing per row.
     scratch: Vec<Value>,
 }
 
@@ -101,23 +92,9 @@ impl ProjectIter {
 }
 
 impl RowIterator for ProjectIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        match self.input.next()? {
-            None => Ok(None),
-            Some(row) => {
-                let vals = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval(&row))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Some(Row::new(vals)))
-            }
-        }
-    }
-
-    /// Native batch path: evaluate the projection over every *selected*
-    /// row (rows a filter dropped upstream are skipped without ever
-    /// being touched) and compact the result into a fresh batch.
+    /// Evaluate the projection over every *selected* row (rows a filter
+    /// dropped upstream are skipped without ever being touched) and
+    /// compact the result into a fresh batch.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let Some(mut batch) = self.input.next_batch(max_rows)? else {
             return Ok(None);
@@ -160,24 +137,8 @@ impl LimitIter {
 }
 
 impl RowIterator for LimitIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-        }
-    }
-
-    /// Native batch path: ask the child for no more rows than remain,
-    /// then truncate the batch's selection to the limit.
+    /// Ask the child for no more rows than remain, then truncate the
+    /// batch's selection to the limit.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -281,7 +242,7 @@ mod tests {
             filt,
             vec![Expr::binary(BinOp::Mul, Expr::col(0, "k"), Expr::lit(100))],
         ));
-        let out = collect(proj).unwrap();
+        let out = collect(proj, 1024).unwrap();
         assert_eq!(
             out.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
             vec![Value::Int(200), Value::Int(300), Value::Int(400)]
@@ -292,12 +253,12 @@ mod tests {
     fn limit_stops_early() {
         let rows = int_rows(&[&[1], &[2], &[3]]);
         let it = Box::new(LimitIter::new(Box::new(ValuesIter::new(rows)), 2));
-        assert_eq!(collect(it).unwrap().len(), 2);
+        assert_eq!(collect(it, 1024).unwrap().len(), 2);
         let it = Box::new(LimitIter::new(
             Box::new(ValuesIter::new(int_rows(&[&[1]]))),
             5,
         ));
-        assert_eq!(collect(it).unwrap().len(), 1);
+        assert_eq!(collect(it, 1024).unwrap().len(), 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn pair_output_buffer(ctx: &ExecContext) -> OutputBuffer {
     let cap = ctx.gov.mem_limit().map(|l| l / 4 / SPILL_PARTITIONS);
     OutputBuffer::with_class_capped(ctx, WaitClass::JoinSpill, cap)
 }
-use crate::exec::{BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, Ticker};
 use crate::parallel::root_cause;
@@ -286,7 +286,7 @@ impl JoinEnv {
     }
 }
 
-/// Consume `input` into a resident [`BuildMap`], degrading to salted
+/// Consume `next_row` into a resident [`BuildMap`], degrading to salted
 /// hash partitions once `charge` (optionally capped at `cap`) rejects a
 /// row. Spill mode is sticky *per row*, not per key: unlike the hash
 /// aggregate, every build row costs memory, so after the first rejection
@@ -294,7 +294,7 @@ impl JoinEnv {
 /// the resident map and one partition. Correct because each build row
 /// lives in exactly one place and probe rows visit both.
 fn build_table(
-    input: &mut dyn RowIterator,
+    mut next_row: impl FnMut() -> Result<Option<Row>>,
     env: &JoinEnv,
     depth: u32,
     cap: Option<usize>,
@@ -306,7 +306,7 @@ fn build_table(
     let mut spilling = false;
     let mut parts: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = input.next()? {
+    while let Some(row) = next_row()? {
         ticker.tick(&env.ctx.gov)?;
         eval_into(&env.build_keys, &row, &mut key)?;
         if !key_joinable(&key) {
@@ -358,14 +358,15 @@ fn join_spilled(
     let gov = env.ctx.gov.clone();
     let mut charge = MemCharge::new(gov.clone());
     let mut build_rows = SpillRowIter::new(build);
-    let (table, sub_build) = build_table(&mut build_rows, env, depth, cap, &mut charge, None)?;
+    let (table, sub_build) =
+        build_table(|| build_rows.next_row(), env, depth, cap, &mut charge, None)?;
     drop(build_rows); // done with the build partition file; delete it
 
     let mut sub_probe: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut probe_rows = SpillRowIter::new(probe);
     let mut ticker = Ticker::new();
     let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = probe_rows.next()? {
+    while let Some(row) = probe_rows.next_row()? {
         ticker.tick(&gov)?;
         eval_into(&env.probe_keys, &row, &mut key)?;
         if !key_joinable(&key) {
@@ -407,7 +408,6 @@ enum JoinState {
     Probe,
     /// Draining the partition phase's joined outputs.
     Drain,
-    Done,
 }
 
 /// Inner equi hash join: hybrid Grace. Builds on the `build` input,
@@ -421,7 +421,7 @@ enum JoinState {
 /// release and all partition files delete on drop, including mid-stream
 /// cancellation.
 pub struct HashJoinIter {
-    build: Option<BoxedIter>,
+    build: Option<RowCursor>,
     probe: BoxedIter,
     env: JoinEnv,
     dop: usize,
@@ -452,7 +452,7 @@ impl HashJoinIter {
     ) -> HashJoinIter {
         let charge = MemCharge::new(ctx.gov.clone());
         HashJoinIter {
-            build: Some(build),
+            build: Some(RowCursor::new(build, ctx.batch_size)),
             probe,
             env: JoinEnv {
                 build_keys,
@@ -481,7 +481,7 @@ impl HashJoinIter {
             .expect("build input present in Build state");
         let mut tracker = BloomTracker::new();
         let (table, parts) = build_table(
-            &mut *build,
+            || build.next(),
             &self.env,
             0,
             None,
@@ -630,55 +630,31 @@ impl HashJoinIter {
         }
         Ok(slots.into_iter().flatten().collect())
     }
-}
 
-impl RowIterator for HashJoinIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if matches!(self.state, JoinState::Build) {
-            self.run_build()?;
-            self.state = JoinState::Probe;
-        }
+    /// Next joined row of the spilled partition pairs. Each pair's output
+    /// drops as soon as it is exhausted, so its charge and spill file
+    /// release before the next pair streams.
+    fn drain_row(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.ready.pop_front() {
-                return Ok(Some(row));
-            }
-            match self.state {
-                JoinState::Probe => match self.probe.next()? {
-                    Some(row) => self.probe_row(row)?,
-                    None => {
-                        self.outputs = self.run_partition_phase()?.into_iter();
-                        self.state = JoinState::Drain;
-                    }
-                },
-                JoinState::Drain => {
-                    if let Some(out) = self.current_out.as_mut() {
-                        if let Some(row) = out.next()? {
-                            return Ok(Some(row));
-                        }
-                        // Drop the finished partition's output early: its
-                        // charge and spill file release before the next
-                        // partition streams.
-                        self.current_out = None;
-                    }
-                    match self.outputs.next() {
-                        Some(out) => self.current_out = Some(out),
-                        None => self.state = JoinState::Done,
-                    }
+            if let Some(out) = self.current_out.as_mut() {
+                if let Some(row) = out.next_row()? {
+                    return Ok(Some(row));
                 }
-                JoinState::Done => return Ok(None),
-                JoinState::Build => unreachable!("build ran before the loop"),
+                self.current_out = None;
+            }
+            match self.outputs.next() {
+                Some(out) => self.current_out = Some(out),
+                None => return Ok(None),
             }
         }
     }
+}
 
-    /// Native batch path for the probe side: pull probe *batches*, run
-    /// each selected row through the unchanged per-row probe (Bloom
-    /// pre-screen, spill routing, resident lookup), and hand the joined
-    /// rows on as a batch. The child's governor tick, the probe-side
-    /// dispatch and this operator's output handling all amortize over
-    /// the batch; the spilled-partition drain falls back to the row
-    /// loop, whose semantics (early file cleanup, charge release) stay
-    /// exactly as they are.
+impl RowIterator for HashJoinIter {
+    /// Pull probe *batches*, run each selected row through the per-row
+    /// probe (Bloom pre-screen, spill routing, resident lookup), and hand
+    /// the joined rows on as a batch; once the probe side is exhausted,
+    /// stream the spilled partition pairs' output.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if matches!(self.state, JoinState::Build) {
             self.run_build()?;
@@ -709,18 +685,9 @@ impl RowIterator for HashJoinIter {
                         self.state = JoinState::Drain;
                     }
                 },
-                // The drain of spilled partition pairs reuses the row
-                // loop: it already streams each pair's output and frees
-                // its file/charge as soon as the pair finishes.
-                JoinState::Drain | JoinState::Done => {
-                    while out.len() < max {
-                        match self.next()? {
-                            Some(row) => out.push(row),
-                            None => break,
-                        }
-                    }
+                JoinState::Drain => {
                     return if out.is_empty() {
-                        Ok(None)
+                        fill_batch(max, || self.drain_row())
                     } else {
                         Ok(Some(RowBatch::from_rows(out)))
                     };
@@ -734,8 +701,8 @@ impl RowIterator for HashJoinIter {
 /// Inner merge join over inputs sorted ascending on their join keys.
 /// Handles duplicate keys on both sides by buffering the right-side group.
 pub struct MergeJoinIter {
-    left: BoxedIter,
-    right: BoxedIter,
+    left: RowCursor,
+    right: RowCursor,
     left_keys: Vec<Expr>,
     right_keys: Vec<Expr>,
     left_row: Option<(Vec<Value>, Row)>,
@@ -753,10 +720,11 @@ impl MergeJoinIter {
         right: BoxedIter,
         left_keys: Vec<Expr>,
         right_keys: Vec<Expr>,
+        batch_size: usize,
     ) -> MergeJoinIter {
         MergeJoinIter {
-            left,
-            right,
+            left: RowCursor::new(left, batch_size),
+            right: RowCursor::new(right, batch_size),
             left_keys,
             right_keys,
             left_row: None,
@@ -799,10 +767,8 @@ impl MergeJoinIter {
         }
         Ok(())
     }
-}
 
-impl RowIterator for MergeJoinIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if !self.started {
             self.started = true;
             self.advance_left()?;
@@ -859,6 +825,12 @@ impl RowIterator for MergeJoinIter {
     }
 }
 
+impl RowIterator for MergeJoinIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,9 +876,10 @@ mod tests {
                 Box::new(ValuesIter::new(right)),
                 lk,
                 rk,
+                2,
             )),
         };
-        let mut out: Vec<(i64, i64)> = collect(it)
+        let mut out: Vec<(i64, i64)> = collect(it, 1024)
             .unwrap()
             .iter()
             .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
@@ -972,7 +945,7 @@ mod tests {
             1,
             test_context(),
         );
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::Int(1), "left payload first");
         assert_eq!(rows[0][3], Value::Int(70), "right payload second");
@@ -997,7 +970,7 @@ mod tests {
             let gov = ctx.gov.clone();
             let temp = ctx.temp.clone();
             let it = hash_join(left.clone(), right.clone(), ctx, dop);
-            let mut got: Vec<(i64, i64)> = collect(Box::new(it))
+            let mut got: Vec<(i64, i64)> = collect(Box::new(it), 1024)
                 .unwrap()
                 .iter()
                 .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
@@ -1022,9 +995,7 @@ mod tests {
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let mut it = hash_join(left, right, ctx, 2);
-        for _ in 0..10 {
-            it.next().unwrap().expect("join has matches");
-        }
+        it.next_batch(10).unwrap().expect("join has matches");
         drop(it);
         assert_eq!(gov.mem_used(), 0, "charges released on drop");
         assert_eq!(temp.live_files().unwrap(), 0, "no leaked spill files");
@@ -1040,7 +1011,7 @@ mod tests {
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx, 1);
-        let err = collect(Box::new(it)).unwrap_err();
+        let err = collect(Box::new(it), 1024).unwrap_err();
         assert!(
             matches!(err, seqdb_types::DbError::ResourceExhausted(_)),
             "{err}"
@@ -1072,7 +1043,7 @@ mod tests {
         ctx.temp = isolated_temp("bloom");
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx, 1);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert!(rows.is_empty());
         assert!(temp.spill_count() > 0, "build side must have spilled");
         assert!(

@@ -1,9 +1,17 @@
-//! Physical execution: the Volcano iterator model.
+//! Physical execution: a pull-based operator tree with one contract.
 //!
-//! Every operator implements [`RowIterator`]; the query processor pulls
-//! rows one at a time (`next()`), which is the same contract SQL Server's
-//! query processor has with CLR table-valued functions (paper §4.1,
-//! Figure 5).
+//! Every operator implements [`RowIterator`], whose only method is
+//! `next_batch`: the consumer pulls a [`RowBatch`] of up to `BATCH_SIZE`
+//! rows at a time. Operators whose logic is inherently row-at-a-time fit
+//! the contract from both sides without a second protocol: they *consume*
+//! a child through a [`RowCursor`] (buffer one batch, pop one row) and
+//! *produce* through [`fill_batch`] (loop an inherent `next_row` until the
+//! batch is full). `SET BATCH_SIZE = 1` is therefore row mode — the same
+//! code, a smaller batch.
+//!
+//! The paper's Figure 5 `MoveNext`/`FillRow` contract between the query
+//! processor and CLR table-valued functions (§4.1) lives only at the
+//! [`crate::udx::TvfCursor`] boundary (see [`apply`]).
 
 pub mod agg;
 pub mod apply;
@@ -22,7 +30,7 @@ use seqdb_storage::tempspace::SpillWriter;
 use seqdb_storage::{FileStreamStore, SpillTally, TempSpace};
 
 use crate::catalog::Catalog;
-use crate::governor::{MemCharge, QueryGovernor};
+use crate::governor::QueryGovernor;
 use crate::stats::{ExecStats, NodeStats};
 
 /// Everything an operator needs at run time.
@@ -35,8 +43,7 @@ pub struct ExecContext {
     pub dop: usize,
     /// Memory budget (bytes) for blocking operators before they spill.
     pub sort_budget: usize,
-    /// Rows per [`RowBatch`] on the vectorized path (`SET BATCH_SIZE`);
-    /// 0 forces row-at-a-time execution everywhere.
+    /// Rows per [`RowBatch`] pull (`SET BATCH_SIZE`), at least 1.
     pub batch_size: usize,
     /// Per-query resource governor: cancellation, timeout, memory budget.
     /// Fresh for every query; clone the `Arc` to cancel from another
@@ -56,7 +63,7 @@ impl ExecContext {
     /// Default memory budget for blocking operators: 64 MiB.
     pub const DEFAULT_SORT_BUDGET: usize = 64 * 1024 * 1024;
 
-    /// Default rows per batch on the vectorized path.
+    /// Default rows per batch.
     pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
     /// The spill tallies every spill of this context should feed: the
@@ -86,24 +93,20 @@ impl ExecContext {
     }
 }
 
-/// A batch of rows moving through the vectorized execution path.
+/// A batch of rows moving between operators.
 ///
 /// The batch owns its rows plus an optional *selection vector*: indices
 /// of the rows still live. A filter narrows the selection in place
 /// instead of moving or dropping rows; whoever materializes the batch
-/// (projection, join probe, the root drain) compacts it then. A batch
-/// may also carry a [`MemCharge`] so buffered rows stay visible to the
-/// query's memory budget while in flight; the charge releases when the
-/// batch drops, so cancelled queries cannot leak budget through
-/// abandoned batches.
+/// (projection, join probe, a [`RowCursor`], the root drain) compacts it
+/// then.
 pub struct RowBatch {
     rows: Vec<Row>,
     /// Live row indices, ascending. `None` means every row is live.
     sel: Option<Vec<u32>>,
-    /// Budget charge covering `rows`, released on drop.
-    charge: Option<MemCharge>,
-    /// True when the batch was assembled by the default `next()`-loop
-    /// fallback rather than a native batch producer.
+    /// Origin tag, read only by the `batch_rows` / `batch_fallback_rows`
+    /// counters: true when [`fill_batch`] assembled the batch from a
+    /// row-at-a-time producer rather than a native batch producer.
     fallback: bool,
 }
 
@@ -112,25 +115,11 @@ impl RowBatch {
         RowBatch {
             rows,
             sel: None,
-            charge: None,
             fallback: false,
         }
     }
 
-    /// A batch assembled by the default row-at-a-time fallback.
-    pub fn fallback_from(rows: Vec<Row>) -> RowBatch {
-        RowBatch {
-            fallback: true,
-            ..RowBatch::from_rows(rows)
-        }
-    }
-
-    /// Attach the budget charge covering this batch's rows.
-    pub fn set_charge(&mut self, charge: MemCharge) {
-        self.charge = Some(charge);
-    }
-
-    /// Was this batch produced by the row-loop fallback?
+    /// Was this batch assembled by [`fill_batch`]?
     pub fn is_fallback(&self) -> bool {
         self.fallback
     }
@@ -220,55 +209,87 @@ impl RowBatch {
     }
 }
 
-/// A pull-based row stream.
+/// A pull-based stream of row batches: the one operator contract.
 pub trait RowIterator: Send {
-    /// Produce the next row, `None` at end-of-stream. After `None` (or an
-    /// error) the iterator must not be called again.
-    fn next(&mut self) -> Result<Option<Row>>;
-
     /// Produce the next batch of up to `max_rows` rows (a hint, not a
-    /// hard cap: expanding operators such as a join probe may overshoot;
-    /// filters return fewer). `None` at end-of-stream; a returned batch
-    /// always has at least one selected row. The default implementation
-    /// loops [`RowIterator::next`], so every operator participates in
-    /// batch execution unchanged and the long tail (sort, window, apply,
-    /// UDX) falls back transparently.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(ExecContext::DEFAULT_BATCH_SIZE));
-        while rows.len() < max {
-            match self.next()? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::fallback_from(rows)))
-        }
-    }
+    /// hard cap: a scan returns a decoded page wholesale, expanding
+    /// operators such as a join probe may overshoot, filters return
+    /// fewer). `None` at end-of-stream; a returned batch always has at
+    /// least one selected row. After an error the iterator must not be
+    /// called again.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>>;
 }
 
 /// Boxed operator, the unit plans compose.
 pub type BoxedIter = Box<dyn RowIterator>;
 
-/// Drain an iterator into a vector (tests, small results).
-pub fn collect(mut it: BoxedIter) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    while let Some(r) = it.next()? {
-        out.push(r);
+/// The producing half of a row-at-a-time operator: loop `next_row` until
+/// `max_rows` rows are gathered or the producer is exhausted. Sort, merge
+/// join, window, apply, TVF scans and the aggregate outputs implement
+/// `next_batch` as one call to this.
+pub fn fill_batch(
+    max_rows: usize,
+    mut next_row: impl FnMut() -> Result<Option<Row>>,
+) -> Result<Option<RowBatch>> {
+    let max = max_rows.max(1);
+    let mut rows = Vec::with_capacity(max.min(ExecContext::DEFAULT_BATCH_SIZE));
+    while rows.len() < max {
+        match next_row()? {
+            Some(r) => rows.push(r),
+            None => break,
+        }
     }
-    Ok(out)
+    if rows.is_empty() {
+        Ok(None)
+    } else {
+        Ok(Some(RowBatch {
+            fallback: true,
+            ..RowBatch::from_rows(rows)
+        }))
+    }
 }
 
-/// Drain an iterator through the batch protocol. `batch_size == 0` is
-/// the forced row-at-a-time mode (`SET BATCH_SIZE = 0`): the root pulls
-/// single rows and no operator ever sees a batch.
-pub fn collect_batched(mut it: BoxedIter, batch_size: usize) -> Result<Vec<Row>> {
-    if batch_size == 0 {
-        return collect(it);
+/// The consuming half of a row-at-a-time operator: pulls a batch from
+/// `input` and hands its rows out one by one. Once the input reports
+/// end-of-stream it is never pulled again.
+pub struct RowCursor {
+    input: BoxedIter,
+    batch_size: usize,
+    buf: std::vec::IntoIter<Row>,
+    done: bool,
+}
+
+impl RowCursor {
+    pub fn new(input: BoxedIter, batch_size: usize) -> RowCursor {
+        RowCursor {
+            input,
+            batch_size,
+            buf: Vec::new().into_iter(),
+            done: false,
+        }
     }
+
+    /// The next input row, `None` at end-of-stream. Fallible, so not
+    /// `Iterator::next`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<Row>> {
+        loop {
+            if let Some(row) = self.buf.next() {
+                return Ok(Some(row));
+            }
+            if self.done {
+                return Ok(None);
+            }
+            match self.input.next_batch(self.batch_size)? {
+                Some(batch) => self.buf = batch.into_rows().into_iter(),
+                None => self.done = true,
+            }
+        }
+    }
+}
+
+/// Drain an iterator into a vector, `batch_size` rows per pull.
+pub fn collect(mut it: BoxedIter, batch_size: usize) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     while let Some(batch) = it.next_batch(batch_size)? {
         out.extend(batch.into_rows());
@@ -290,8 +311,8 @@ impl ValuesIter {
 }
 
 impl RowIterator for ValuesIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || Ok(self.rows.next()))
     }
 }
 
@@ -301,8 +322,14 @@ pub(crate) mod testutil {
     use seqdb_storage::{BufferPool, MemPager};
     use seqdb_types::Value;
 
-    /// A throwaway context over in-memory storage.
+    /// A throwaway context over in-memory storage. Its spill directory
+    /// is its own: opening a `TempSpace` sweeps the directory, so a
+    /// shared one loses a sibling test's live spill files.
     pub fn test_context() -> ExecContext {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let tempdir =
+            std::env::temp_dir().join(format!("seqdb-exec-test-{}-tempdb-{n}", std::process::id()));
         let pool = BufferPool::new(Arc::new(MemPager::new()), 1024);
         let catalog = Catalog::new(pool);
         for f in crate::builtins::all_builtins() {
@@ -316,7 +343,7 @@ pub(crate) mod testutil {
         ExecContext {
             catalog,
             filestream: Arc::new(FileStreamStore::open(fsdir).unwrap()),
-            temp: TempSpace::system().unwrap(),
+            temp: TempSpace::open(tempdir).unwrap(),
             dop: 2,
             sort_budget: ExecContext::DEFAULT_SORT_BUDGET,
             batch_size: ExecContext::DEFAULT_BATCH_SIZE,

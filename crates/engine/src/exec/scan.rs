@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use seqdb_storage::page::PageId;
 use seqdb_storage::rowfmt::{self, Compression};
-use seqdb_types::{Result, Row, Value};
+use seqdb_types::{Result, Value};
 
 use crate::catalog::{Table, TableIndex};
 use crate::exec::{RowBatch, RowIterator};
@@ -18,10 +18,8 @@ use crate::expr::{Expr, IntCmpKernel};
 pub struct HeapScanIter {
     table: Arc<Table>,
     pages: std::vec::IntoIter<PageId>,
-    current: std::vec::IntoIter<Row>,
     filter: Option<Expr>,
-    /// Specialized form of `filter` for the batch path, when it has a
-    /// kernel-eligible shape.
+    /// Specialized form of `filter`, when it has a kernel-eligible shape.
     kernel: Option<IntCmpKernel>,
     projection: Option<Vec<usize>>,
     /// Columns to actually decode (`None` = all): unmasked columns come
@@ -41,7 +39,6 @@ impl HeapScanIter {
         HeapScanIter {
             table,
             pages: pages.into_iter(),
-            current: Vec::new().into_iter(),
             kernel: filter.as_ref().and_then(IntCmpKernel::compile),
             filter,
             projection,
@@ -68,7 +65,6 @@ impl HeapScanIter {
         HeapScanIter {
             table,
             pages: pages.into_iter(),
-            current: Vec::new().into_iter(),
             kernel: filter.as_ref().and_then(IntCmpKernel::compile),
             filter,
             projection,
@@ -77,70 +73,13 @@ impl HeapScanIter {
     }
 }
 
-impl HeapScanIter {
-    /// Decode the next page into `self.current`; `false` when the scan is
-    /// out of pages. One call pins the page once and materializes every
-    /// row on it — the unit of work the batch path amortizes over.
-    fn next_page(&mut self) -> Result<bool> {
-        let Some(pid) = self.pages.next() else {
-            return Ok(false);
-        };
-        let mut rows = Vec::new();
-        self.table
-            .heap
-            .page_rows_into_masked(pid, self.decode_mask.as_deref(), &mut rows)?;
-        self.current = rows.into_iter();
-        Ok(true)
-    }
-}
-
 impl RowIterator for HeapScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.current.next() {
-                if let Some(f) = &self.filter {
-                    if !f.eval_predicate(&row)? {
-                        continue;
-                    }
-                }
-                let row = match &self.projection {
-                    Some(p) => row.project(p),
-                    None => row,
-                };
-                return Ok(Some(row));
-            }
-            if !self.next_page()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Native batch path: each decoded page becomes one batch wholesale
-    /// (`max_rows` is a hint; a page holds at most a few hundred rows).
-    /// The pushed-down residual predicate narrows the *selection vector*
-    /// instead of moving or dropping rows, so a filtered scan does no
-    /// per-row copying at all — one page decode, one narrow, one return.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        let max = max_rows.max(1);
-        // Drain rows a scalar next() call may have left mid-page first.
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            let Some(row) = self.current.next() else {
-                break;
-            };
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&row)? {
-                    continue;
-                }
-            }
-            rows.push(match &self.projection {
-                Some(p) => row.project(p),
-                None => row,
-            });
-        }
-        if !rows.is_empty() {
-            return Ok(Some(RowBatch::from_rows(rows)));
-        }
+    /// Each decoded page becomes one batch wholesale (`max_rows` is a
+    /// hint; a page holds at most a few hundred rows): one pin, one
+    /// decode, one return. The pushed-down residual predicate narrows the
+    /// *selection vector* instead of moving or dropping rows, so a
+    /// filtered scan does no per-row copying at all.
+    fn next_batch(&mut self, _max_rows: usize) -> Result<Option<RowBatch>> {
         loop {
             let Some(pid) = self.pages.next() else {
                 return Ok(None);
@@ -272,35 +211,9 @@ fn prefix_bounds(prefix: &[Value]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
 }
 
 impl RowIterator for IndexScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            let Some(encoded) = self.iter.buffer.next() else {
-                if self.iter.done {
-                    return Ok(None);
-                }
-                self.iter.refill()?;
-                if self.iter.buffer.len() == 0 && self.iter.done {
-                    return Ok(None);
-                }
-                continue;
-            };
-            let row = rowfmt::decode_row(&self.schema, &encoded, Compression::Row, None)?;
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&row)? {
-                    continue;
-                }
-            }
-            return Ok(Some(match &self.projection {
-                Some(p) => row.project(p),
-                None => row,
-            }));
-        }
-    }
-
-    /// Native batch path: decode a whole run of leaf entries per
+    /// Decode a run of up to `max_rows` leaf entries per
     /// [`rowfmt::decode_rows_into`] call (`OwnedRange` pulls 1024 entries
-    /// per tree visit), so one `next_batch` amortizes the tree re-open,
-    /// the decode loop and the governor tick over the whole buffer.
+    /// per tree visit).
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let max = max_rows.max(1);
         let mut rows = Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
@@ -353,7 +266,7 @@ mod tests {
     use crate::exec::testutil::test_context;
     use crate::exec::{collect, RowIterator};
     use crate::expr::{BinOp, Expr};
-    use seqdb_types::{Column, DataType, Schema};
+    use seqdb_types::{Column, DataType, Row, Schema};
 
     fn setup() -> (crate::exec::ExecContext, Arc<Table>) {
         let ctx = test_context();
@@ -382,7 +295,7 @@ mod tests {
         let (_ctx, t) = setup();
         let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(1));
         let it = HeapScanIter::new(t, Some(filter), Some(vec![2, 0]), None);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 167); // ids 1,4,...,499
         assert_eq!(rows[0].len(), 2);
         assert_eq!(rows[0][0], Value::text("SEQ1"));
@@ -396,7 +309,7 @@ mod tests {
         let mut all = Vec::new();
         for p in 0..nparts {
             let it = HeapScanIter::partitioned(t.clone(), None, None, None, p, nparts);
-            all.extend(collect(Box::new(it)).unwrap());
+            all.extend(collect(Box::new(it), 1024).unwrap());
         }
         assert_eq!(all.len(), 500);
         let mut ids: Vec<i64> = all.iter().map(|r| r[0].as_int().unwrap()).collect();
@@ -410,7 +323,7 @@ mod tests {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let it = IndexScanIter::new(&t, idx, &[], None, None);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 500);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -437,7 +350,7 @@ mod tests {
         }
         let idx = t.index_with_prefix(&[0]).unwrap();
         let it = IndexScanIter::new(&t, idx, &[Value::Int(3)], None, None);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(rows.iter().all(|r| r[0] == Value::Int(3)));
         // Ordered by the second key column within the prefix.
@@ -450,6 +363,6 @@ mod tests {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let mut it = IndexScanIter::new(&t, idx, &[Value::Int(10_000)], None, None);
-        assert!(it.next().unwrap().is_none());
+        assert!(it.next_batch(1).unwrap().is_none());
     }
 }

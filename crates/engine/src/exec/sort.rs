@@ -13,7 +13,7 @@ use seqdb_storage::tempspace::SpillReader;
 use seqdb_types::{Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{BoxedIter, ExecContext, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::governor::MemCharge;
 
@@ -76,7 +76,8 @@ impl SortIter {
         }
     }
 
-    fn execute(input: &mut BoxedIter, keys: &[SortKey], ctx: &ExecContext) -> Result<SortState> {
+    fn execute(input: BoxedIter, keys: &[SortKey], ctx: &ExecContext) -> Result<SortState> {
+        let mut input = RowCursor::new(input, ctx.batch_size);
         let mut runs: Vec<SpillReader> = Vec::new();
         let mut buffer: Vec<(Vec<Value>, Row)> = Vec::new();
         let mut buffered_bytes = 0usize;
@@ -229,20 +230,17 @@ fn read_entry(run: &mut SpillReader) -> Result<Option<(Vec<Value>, Row)>> {
     Ok(Some((key, row)))
 }
 
-impl RowIterator for SortIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl SortIter {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
             match &mut self.state {
                 SortState::Pending { .. } => {
-                    let SortState::Pending {
-                        mut input,
-                        keys,
-                        ctx,
-                    } = std::mem::replace(&mut self.state, SortState::Done)
+                    let SortState::Pending { input, keys, ctx } =
+                        std::mem::replace(&mut self.state, SortState::Done)
                     else {
                         unreachable!()
                     };
-                    self.state = Self::execute(&mut input, &keys, &ctx)?;
+                    self.state = Self::execute(input, &keys, &ctx)?;
                 }
                 SortState::InMemory(rows, _charge) => return Ok(rows.next()),
                 SortState::Merging(m) => return m.next_row(),
@@ -252,28 +250,32 @@ impl RowIterator for SortIter {
     }
 }
 
+impl RowIterator for SortIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 /// TOP n ... ORDER BY: keeps only the best n rows in a bounded heap —
 /// never spills regardless of input size.
 pub struct TopNIter {
-    input: Option<BoxedIter>,
+    input: Option<RowCursor>,
     keys: Vec<SortKey>,
     n: usize,
     output: std::vec::IntoIter<Row>,
 }
 
 impl TopNIter {
-    pub fn new(input: BoxedIter, keys: Vec<SortKey>, n: usize) -> TopNIter {
+    pub fn new(input: BoxedIter, keys: Vec<SortKey>, n: usize, batch_size: usize) -> TopNIter {
         TopNIter {
-            input: Some(input),
+            input: Some(RowCursor::new(input, batch_size)),
             keys,
             n,
             output: Vec::new().into_iter(),
         }
     }
-}
 
-impl RowIterator for TopNIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if let Some(mut input) = self.input.take() {
             let mut best: Vec<(Vec<Value>, Row)> = Vec::with_capacity(self.n + 1);
             while let Some(row) = input.next()? {
@@ -295,6 +297,12 @@ impl RowIterator for TopNIter {
                 .into_iter();
         }
         Ok(self.output.next())
+    }
+}
+
+impl RowIterator for TopNIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -325,7 +333,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 1024).unwrap();
         assert_eq!(sorted[0][0], Value::Int(0));
         assert_eq!(sorted[99][0], Value::Int(99));
 
@@ -334,7 +342,7 @@ mod tests {
             vec![SortKey::desc(Expr::col(0, "id"))],
             ctx,
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 1024).unwrap();
         assert_eq!(sorted[0][0], Value::Int(99));
     }
 
@@ -349,7 +357,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 1024).unwrap();
         assert_eq!(sorted.len(), 5000);
         for (i, r) in sorted.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -373,7 +381,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 1024).unwrap();
         assert_eq!(sorted.len(), 5000);
         for (i, r) in sorted.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -394,7 +402,7 @@ mod tests {
             ],
             ctx,
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 1024).unwrap();
         let flat: Vec<(i64, i64)> = sorted
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
@@ -409,8 +417,9 @@ mod tests {
             Box::new(ValuesIter::new(rows)),
             vec![SortKey::desc(Expr::col(0, "id"))],
             5,
+            64,
         );
-        let top = collect(Box::new(it)).unwrap();
+        let top = collect(Box::new(it), 1024).unwrap();
         let ids: Vec<i64> = top.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, vec![999, 998, 997, 996, 995]);
     }
@@ -423,6 +432,6 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "x"))],
             ctx,
         );
-        assert!(collect(Box::new(it)).unwrap().is_empty());
+        assert!(collect(Box::new(it), 1024).unwrap().is_empty());
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use seqdb_types::{Result, Row, Value};
 
-use crate::exec::{BoxedIter, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, RowBatch, RowCursor, RowIterator};
 use crate::governor::{MemCharge, QueryGovernor};
 
 /// Rough bytes held by one buffered peer row.
@@ -30,7 +30,7 @@ fn peer_row_cost(row: &Row) -> usize {
 /// Appends a 1-based row number column to each input row. The input must
 /// already be ordered per the window's ORDER BY.
 pub struct RowNumberIter {
-    input: BoxedIter,
+    input: RowCursor,
     counter: i64,
     /// If true, the number is prepended instead of appended (Query 1
     /// selects the rank first).
@@ -50,9 +50,9 @@ pub struct RowNumberIter {
 }
 
 impl RowNumberIter {
-    pub fn new(input: BoxedIter, prepend: bool) -> RowNumberIter {
+    pub fn new(input: BoxedIter, prepend: bool, batch_size: usize) -> RowNumberIter {
         RowNumberIter {
-            input,
+            input: RowCursor::new(input, batch_size),
             counter: 0,
             prepend,
             order_cols: Vec::new(),
@@ -71,16 +71,12 @@ impl RowNumberIter {
         prepend: bool,
         order_cols: Vec<usize>,
         gov: Arc<QueryGovernor>,
+        batch_size: usize,
     ) -> RowNumberIter {
         RowNumberIter {
-            input,
-            counter: 0,
-            prepend,
             order_cols,
             charge: Some(MemCharge::new(gov)),
-            pending: Vec::new(),
-            lookahead: None,
-            done: false,
+            ..RowNumberIter::new(input, prepend, batch_size)
         }
     }
 
@@ -139,10 +135,8 @@ impl RowNumberIter {
         self.pending = frame;
         Ok(())
     }
-}
 
-impl RowIterator for RowNumberIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if self.order_cols.is_empty() {
             // Streaming mode: a Sort below already buffered the rows.
             return match self.input.next()? {
@@ -165,6 +159,12 @@ impl RowIterator for RowNumberIter {
     }
 }
 
+impl RowIterator for RowNumberIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,8 +175,8 @@ mod tests {
     #[test]
     fn numbers_rows_in_order() {
         let rows = int_rows(&[&[30], &[20], &[10]]);
-        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), false);
-        let out = collect(Box::new(it)).unwrap();
+        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), false, 2);
+        let out = collect(Box::new(it), 1024).unwrap();
         let pairs: Vec<(i64, i64)> = out
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
@@ -187,8 +187,8 @@ mod tests {
     #[test]
     fn prepend_mode() {
         let rows = int_rows(&[&[7]]);
-        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), true);
-        let out = collect(Box::new(it)).unwrap();
+        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), true, 2);
+        let out = collect(Box::new(it), 1024).unwrap();
         assert_eq!(out[0].values(), &[Value::Int(1), Value::Int(7)]);
     }
 
@@ -197,21 +197,22 @@ mod tests {
         // Ties on column 0 form frames {10,10}, {20}, {30,30,30}.
         let rows = int_rows(&[&[10, 1], &[10, 2], &[20, 3], &[30, 4], &[30, 5], &[30, 6]]);
         let gov = QueryGovernor::new(None, Some(1 << 20));
-        let mut it = RowNumberIter::with_peer_frames(
+        let it = RowNumberIter::with_peer_frames(
             Box::new(ValuesIter::new(rows)),
             false,
             vec![0],
             gov.clone(),
+            2,
         );
-        let mut nums = Vec::new();
-        while let Some(r) = it.next().unwrap() {
-            nums.push((r[0].as_int().unwrap(), r[2].as_int().unwrap()));
-        }
+        let nums: Vec<(i64, i64)> = collect(Box::new(it), 4)
+            .unwrap()
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[2].as_int().unwrap()))
+            .collect();
         assert_eq!(
             nums,
             vec![(10, 1), (10, 2), (20, 3), (30, 4), (30, 5), (30, 6)]
         );
-        drop(it);
         assert_eq!(gov.mem_used(), 0, "peer-frame charges released");
     }
 
@@ -221,21 +222,15 @@ mod tests {
         // tiny budget and fail with ResourceExhausted, not OOM.
         let rows = int_rows(&[&[1], &[1], &[1], &[1], &[1], &[1], &[1], &[1]]);
         let gov = QueryGovernor::new(None, Some(96));
-        let mut it = RowNumberIter::with_peer_frames(
+        let it = RowNumberIter::with_peer_frames(
             Box::new(ValuesIter::new(rows)),
             false,
             vec![0],
             gov.clone(),
+            2,
         );
-        let err = loop {
-            match it.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("expected the frame to exceed the budget"),
-                Err(e) => break e,
-            }
-        };
+        let err = collect(Box::new(it), 4).unwrap_err();
         assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
-        drop(it);
         assert_eq!(gov.mem_used(), 0, "charges released on failure");
     }
 }

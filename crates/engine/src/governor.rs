@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seqdb_storage::SpillTally;
-use seqdb_types::{DbError, Result, Row};
+use seqdb_types::{DbError, Result};
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
 
@@ -286,7 +286,7 @@ impl Default for Ticker {
 /// Wraps any operator with cooperative cancellation/timeout checks.
 /// `Plan::open` wraps every node it builds, so blocking operators that
 /// drain a child (sort, hash agg, hash join build) hit a check on every
-/// input row even though their own `next()` is called rarely.
+/// input batch even though they themselves are pulled rarely.
 pub struct GovernedIter {
     inner: BoxedIter,
     gov: Arc<QueryGovernor>,
@@ -304,16 +304,7 @@ impl GovernedIter {
 }
 
 impl RowIterator for GovernedIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.ticker.tick(&self.gov)?;
-        self.inner.next()
-    }
-
-    /// Batch pass-through: one full cooperative check per batch instead
-    /// of one cheap check per row, then delegate. This override is what
-    /// keeps batches intact across operator boundaries — `Plan::open`
-    /// wraps every node in a `GovernedIter`, so without it every batch
-    /// would silently degrade to the row loop here.
+    /// One full cooperative check per batch, then delegate.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         self.ticker.tick_batch(&self.gov)?;
         let batch = self.inner.next_batch(max_rows)?;
@@ -334,7 +325,7 @@ impl RowIterator for GovernedIter {
 mod tests {
     use super::*;
     use crate::exec::{collect, ValuesIter};
-    use seqdb_types::Value;
+    use seqdb_types::{Row, Value};
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| Row::new(vec![Value::Int(i)])).collect()
@@ -355,7 +346,10 @@ mod tests {
         gov.cancel();
         assert!(matches!(gov.check(), Err(DbError::Cancelled(_))));
         let it = GovernedIter::new(Box::new(ValuesIter::new(rows(10))), gov);
-        assert!(matches!(collect(Box::new(it)), Err(DbError::Cancelled(_))));
+        assert!(matches!(
+            collect(Box::new(it), 1024),
+            Err(DbError::Cancelled(_))
+        ));
     }
 
     #[test]
@@ -363,25 +357,26 @@ mod tests {
         let gov = QueryGovernor::new(Some(Duration::ZERO), None);
         std::thread::sleep(Duration::from_millis(2));
         let it = GovernedIter::new(Box::new(ValuesIter::new(rows(10))), gov.clone());
-        assert!(matches!(collect(Box::new(it)), Err(DbError::Timeout(_))));
+        assert!(matches!(
+            collect(Box::new(it), 1024),
+            Err(DbError::Timeout(_))
+        ));
         // Once timed out, plain checks report Timeout, not Cancelled.
         assert!(matches!(gov.check(), Err(DbError::Timeout(_))));
     }
 
     #[test]
-    fn timeout_fires_mid_stream_within_the_stride() {
+    fn timeout_fires_mid_stream_at_the_next_batch() {
         let gov = QueryGovernor::new(Some(Duration::from_millis(10)), None);
         let mut it = GovernedIter::new(Box::new(ValuesIter::new(rows(1_000_000))), gov);
         let mut n = 0u64;
         let err = loop {
-            match it.next() {
-                Ok(Some(_)) => n += 1,
+            match it.next_batch(512) {
+                Ok(Some(b)) => n += b.len() as u64,
                 Ok(None) => panic!("expected timeout, drained {n} rows"),
                 Err(e) => break e,
             }
-            if n.is_multiple_of(512) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            std::thread::sleep(Duration::from_millis(1));
         };
         assert!(matches!(err, DbError::Timeout(_)), "{err}");
     }

@@ -34,7 +34,7 @@ use crate::exec::agg::{
     GroupedStates, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
 };
 use crate::exec::scan::HeapScanIter;
-use crate::exec::{ExecContext, RowIterator};
+use crate::exec::{fill_batch, ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::{panic_payload, protect};
@@ -157,7 +157,7 @@ impl ParallelAggIter {
                 let aggs = self.aggs.clone();
                 let temp = temp.clone();
                 let tallies = self.ctx.spill_tallies();
-                let batch_hint = self.ctx.batch_size;
+                let batch_size = self.ctx.batch_size;
                 handles.push(scope.spawn(move || {
                     let start = Instant::now();
                     let mut scan = CountingIter {
@@ -188,7 +188,7 @@ impl ParallelAggIter {
                         Some(&gov),
                         cap,
                         0,
-                        batch_hint,
+                        batch_size,
                     );
                     if result.is_err() {
                         // Fail fast: siblings notice at their next
@@ -315,20 +315,10 @@ struct CountingIter {
 }
 
 impl RowIterator for CountingIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        // Workers run outside the plan's GovernedIter wrappers, so the
-        // cooperative check lives here.
-        self.ticker.tick(&self.gov)?;
-        let r = self.inner.next()?;
-        if r.is_some() {
-            self.rows += 1;
-        }
-        Ok(r)
-    }
-
-    /// Batch feed for the worker: one cooperative check per page-sized
-    /// batch from the partitioned heap scan instead of one per row.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<crate::exec::RowBatch>> {
+    /// Workers run outside the plan's GovernedIter wrappers, so the
+    /// cooperative check lives here: one per page-sized batch from the
+    /// partitioned heap scan.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         self.ticker.tick_batch(&self.gov)?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
@@ -339,12 +329,12 @@ impl RowIterator for CountingIter {
 }
 
 impl RowIterator for ParallelAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if self.output.is_none() {
             self.execute()?;
         }
         match self.output.as_mut() {
-            Some(rows) => rows.next(),
+            Some(rows) => fill_batch(max_rows, || rows.next_row()),
             None => Ok(None),
         }
     }
@@ -359,6 +349,15 @@ mod tests {
     use crate::udx::{AggState, Aggregate, CountAgg, SumAgg};
     use seqdb_storage::rowfmt::Compression;
     use seqdb_types::{Column, DataType, Schema, Value};
+
+    /// Drain an iterator that is still needed afterwards (worker stats).
+    fn drain(it: &mut dyn RowIterator) -> Vec<Row> {
+        let mut out = Vec::new();
+        while let Some(batch) = it.next_batch(1024).unwrap() {
+            out.extend(batch.into_rows());
+        }
+        out
+    }
 
     fn setup(nrows: i64) -> (crate::exec::ExecContext, Arc<Table>) {
         let ctx = test_context();
@@ -398,7 +397,7 @@ mod tests {
         let serial = {
             let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
             let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), _ctx.clone());
-            let mut rows = collect(Box::new(it)).unwrap();
+            let mut rows = collect(Box::new(it), 1024).unwrap();
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             rows
         };
@@ -407,10 +406,7 @@ mod tests {
             let mut par =
                 ParallelAggIter::new(t.clone(), None, group.clone(), specs(), dop, _ctx.clone())
                     .unwrap();
-            let mut rows = Vec::new();
-            while let Some(r) = par.next().unwrap() {
-                rows.push(r);
-            }
+            let mut rows = drain(&mut par);
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             assert_eq!(rows, serial, "dop={dop}");
             // Stats cover all rows exactly once.
@@ -433,9 +429,9 @@ mod tests {
             _ctx,
         )
         .unwrap();
-        let row = par.next().unwrap().unwrap();
-        assert_eq!(row[0], Value::Int(100));
-        assert!(par.next().unwrap().is_none());
+        let rows = drain(&mut par);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0], Value::Int(100));
     }
 
     #[test]
@@ -450,7 +446,7 @@ mod tests {
             _ctx,
         )
         .unwrap();
-        assert_eq!(par.next().unwrap().unwrap()[0], Value::Int(0));
+        assert_eq!(drain(&mut par)[0][0], Value::Int(0));
     }
 
     #[test]
@@ -524,7 +520,7 @@ mod tests {
             _ctx.clone(),
         )
         .unwrap();
-        let err = par.next().unwrap_err();
+        let err = par.next_batch(1024).map(|_| ()).unwrap_err();
         // The panic is caught at the UDA boundary inside the worker and
         // surfaces as a typed UdxPanic naming the aggregate.
         match &err {
@@ -546,7 +542,7 @@ mod tests {
             healthy,
         )
         .unwrap();
-        assert_eq!(ok.next().unwrap().unwrap()[0], Value::Int(5000));
+        assert_eq!(drain(&mut ok)[0][0], Value::Int(5000));
     }
 
     #[test]
@@ -558,7 +554,7 @@ mod tests {
         let serial = {
             let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
             let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), ctx.clone());
-            let mut rows = collect(Box::new(it)).unwrap();
+            let mut rows = collect(Box::new(it), 1024).unwrap();
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             rows
         };
@@ -570,10 +566,7 @@ mod tests {
         let gov = tight.gov.clone();
         tight.temp.reset_counters();
         let mut par = ParallelAggIter::new(t, None, group, specs(), 4, tight.clone()).unwrap();
-        let mut rows = Vec::new();
-        while let Some(r) = par.next().unwrap() {
-            rows.push(r);
-        }
+        let mut rows = drain(&mut par);
         rows.sort_by_key(|r| r[0].as_int().unwrap());
         assert_eq!(rows, serial);
         assert!(
@@ -603,7 +596,7 @@ mod tests {
             starved.clone(),
         )
         .unwrap();
-        let err = par.next().unwrap_err();
+        let err = par.next_batch(1024).map(|_| ()).unwrap_err();
         assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
         drop(par);
         assert_eq!(gov.mem_used(), 0, "worker charges released on failure");
@@ -624,7 +617,7 @@ mod tests {
             gov: QueryGovernor::unlimited(),
             ticker: Ticker::new(),
         };
-        while c.next().unwrap().is_some() {}
+        drain(&mut c);
         assert_eq!(c.rows, 100);
         let _ = ValuesIter::new(vec![]);
     }

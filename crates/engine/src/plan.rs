@@ -164,7 +164,7 @@ impl Plan {
 
     /// Open the plan into an executable iterator pipeline. Every node is
     /// wrapped in a [`GovernedIter`], so cancellation/timeout checks run
-    /// between rows at every operator boundary — including inside
+    /// between batches at every operator boundary — including inside
     /// blocking operators, which drain their (wrapped) children.
     ///
     /// When the context carries an [`crate::stats::ExecStats`] collector
@@ -265,6 +265,7 @@ impl Plan {
                     input.open_demanded(ctx, child.as_deref())?,
                     keys.clone(),
                     *n as usize,
+                    ctx.batch_size,
                 ))
             }
             Plan::Limit { input, n } => {
@@ -397,6 +398,7 @@ impl Plan {
                     right.open_demanded(ctx, Some(&right_d))?,
                     left_keys.clone(),
                     right_keys.clone(),
+                    ctx.batch_size,
                 ))
             }
             Plan::CrossApply {
@@ -416,13 +418,18 @@ impl Plan {
                 ..
             } => {
                 if order_cols.is_empty() {
-                    Box::new(RowNumberIter::new(input.open(ctx)?, *prepend))
+                    Box::new(RowNumberIter::new(
+                        input.open(ctx)?,
+                        *prepend,
+                        ctx.batch_size,
+                    ))
                 } else {
                     Box::new(RowNumberIter::with_peer_frames(
                         input.open(ctx)?,
                         *prepend,
                         order_cols.clone(),
                         ctx.gov.clone(),
+                        ctx.batch_size,
                     ))
                 }
             }
@@ -483,12 +490,10 @@ impl Plan {
         }
     }
 
-    /// Execute to completion and collect the rows. The root drain speaks
-    /// the batch protocol (`ctx.batch_size` rows per pull); with
-    /// `SET BATCH_SIZE = 0` it degrades to the scalar `next()` loop and
-    /// the whole plan runs row-at-a-time.
+    /// Execute to completion and collect the rows, `ctx.batch_size` rows
+    /// per pull.
     pub fn run(&self, ctx: &ExecContext) -> Result<Vec<Row>> {
-        crate::exec::collect_batched(self.open(ctx)?, ctx.batch_size)
+        crate::exec::collect(self.open(ctx)?, ctx.batch_size)
     }
 
     /// Render the plan tree (the `EXPLAIN` / showplan output used to

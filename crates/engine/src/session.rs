@@ -105,8 +105,7 @@ impl Session {
         self.settings.lock().join_strategy = Some(strategy);
     }
 
-    /// Session-scoped `SET BATCH_SIZE`; 0 forces row-at-a-time execution
-    /// for this session's statements.
+    /// Session-scoped `SET BATCH_SIZE` (0 means 1).
     pub fn set_batch_size(&self, rows: usize) {
         self.settings.lock().batch_size = Some(rows);
     }
@@ -216,18 +215,7 @@ impl Session {
         guard.registry.mark_admitted(statement_id);
         guard.slot = Some(slot);
         guard.record = true;
-        let ctx = ExecContext {
-            catalog: self.db.catalog().clone(),
-            filestream: self.db.filestream().clone(),
-            temp: self.db.temp().clone(),
-            dop: cfg.max_dop,
-            sort_budget: cfg.sort_budget,
-            batch_size: cfg.batch_size,
-            gov,
-            stats: None,
-            node: None,
-        };
-        Ok((ctx, guard))
+        Ok((self.db.context_for(&cfg, gov), guard))
     }
 }
 

@@ -9,7 +9,7 @@
 //!   through `Plan::open`. Every operator node registers one
 //!   [`NodeStats`] slot (in pre-order, matching the `EXPLAIN` rendering
 //!   order) and is wrapped in a [`StatsIter`] that records rows produced,
-//!   `next()` calls, cumulative wall time and the query-memory high-water
+//!   `next_batch` calls, cumulative wall time and the query-memory high-water
 //!   observed while the node was active. Slots are `Arc`-shared with the
 //!   collector, so the numbers survive even when the pipeline is dropped
 //!   mid-stream by a cancellation or `KILL` — nothing is flushed on
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use seqdb_storage::SpillTally;
-use seqdb_types::{Result, Row};
+use seqdb_types::Result;
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
 use crate::governor::QueryGovernor;
@@ -40,7 +40,7 @@ pub struct NodeStats {
     pub label: &'static str,
     rows: AtomicU64,
     nexts: AtomicU64,
-    /// Batches this node delivered via `next_batch` (0 = pure row path).
+    /// Non-empty batches this node delivered.
     batches: AtomicU64,
     elapsed_nanos: AtomicU64,
     peak_mem: AtomicU64,
@@ -66,19 +66,18 @@ impl NodeStats {
         self.rows.load(Ordering::Relaxed)
     }
 
-    /// `next()` calls made on this node (rows + the final end-of-stream
-    /// pull, unless the consumer stopped early).
+    /// `next_batch` calls made on this node (batches + the final
+    /// end-of-stream pull, unless the consumer stopped early).
     pub fn nexts(&self) -> u64 {
         self.nexts.load(Ordering::Relaxed)
     }
 
-    /// Batches this node delivered through the vectorized path; 0 means
-    /// every row moved through the scalar `next()` protocol.
+    /// Non-empty batches this node delivered.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Cumulative wall time spent inside this node's `next()`, children
+    /// Cumulative wall time spent inside this node's `next_batch`, children
     /// included (the SQL Server showplan convention).
     pub fn elapsed(&self) -> Duration {
         Duration::from_nanos(self.elapsed_nanos.load(Ordering::Relaxed))
@@ -161,27 +160,9 @@ impl StatsIter {
 }
 
 impl RowIterator for StatsIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        let start = Instant::now();
-        let out = self.inner.next();
-        self.node
-            .elapsed_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.node.nexts.fetch_add(1, Ordering::Relaxed);
-        if matches!(out, Ok(Some(_))) {
-            self.node.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        self.node
-            .peak_mem
-            .fetch_max(self.gov.mem_used() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// Batch pass-through: one timing read, one `nexts` bump and one
-    /// `rows += batch.len()` per batch, so actuals cost the same whether
-    /// the node moved one row or a thousand. Like `GovernedIter`, this
-    /// override is required for batches to cross the per-node wrapping in
-    /// `Plan::open` intact.
+    /// One timing read, one `nexts` bump and one `rows += batch.len()`
+    /// per batch, so actuals cost the same whether the node moved one row
+    /// or a thousand.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let start = Instant::now();
         let out = self.inner.next_batch(max_rows);
@@ -218,10 +199,10 @@ pub struct EngineCounters {
     /// batch (counted once per governed boundary, so deep plans count a
     /// row once per level — the same convention as per-node actuals).
     pub batch_rows: AtomicU64,
-    /// Rows that crossed a governed boundary in a batch assembled by the
-    /// row-at-a-time fallback loop (sort, window, apply, UDX...). A high
-    /// ratio of fallback to native rows shows where the batch path has
-    /// not reached yet.
+    /// Rows that crossed a governed boundary in a batch assembled by
+    /// `exec::fill_batch` from a row-at-a-time producer (sort, window,
+    /// apply, UDX...). A high ratio of fallback to native rows shows
+    /// where native batch production has not reached yet.
     pub batch_fallback_rows: AtomicU64,
 }
 
@@ -343,7 +324,7 @@ impl QueryStatsHistory {
 mod tests {
     use super::*;
     use crate::exec::{collect, ValuesIter};
-    use seqdb_types::Value;
+    use seqdb_types::{Row, Value};
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| Row::new(vec![Value::Int(i)])).collect()
@@ -355,10 +336,11 @@ mod tests {
         let node = stats.register("Constant Scan");
         let gov = QueryGovernor::unlimited();
         let it = StatsIter::new(Box::new(ValuesIter::new(rows(5))), node.clone(), gov);
-        let out = collect(Box::new(it)).unwrap();
+        let out = collect(Box::new(it), 2).unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(node.rows(), 5);
-        assert_eq!(node.nexts(), 6, "5 rows + 1 end-of-stream pull");
+        assert_eq!(node.batches(), 3);
+        assert_eq!(node.nexts(), 4, "3 batches + 1 end-of-stream pull");
         assert_eq!(stats.nodes().len(), 1);
     }
 
@@ -369,7 +351,7 @@ mod tests {
         let gov = QueryGovernor::unlimited();
         let mut it = StatsIter::new(Box::new(ValuesIter::new(rows(100))), node.clone(), gov);
         for _ in 0..7 {
-            it.next().unwrap();
+            it.next_batch(1).unwrap();
         }
         drop(it);
         assert_eq!(node.rows(), 7, "stats survive an early iterator drop");
@@ -387,9 +369,9 @@ mod tests {
             node.clone(),
             gov.clone(),
         );
-        it.next().unwrap();
+        it.next_batch(1).unwrap();
         gov.release(4096);
-        it.next().unwrap();
+        it.next_batch(1).unwrap();
         assert!(node.peak_mem_bytes() >= 4096);
     }
 

@@ -589,21 +589,25 @@ fn execute_watched(
 }
 
 /// Is the peer still there? `peek` returns 0 on EOF, an error on reset,
-/// and times out (SO_RCVTIMEO, the configured poll interval) when the
-/// peer is alive but quiet. Pipelined bytes stay in the socket buffer.
+/// and `WouldBlock` when the peer is alive but quiet. Pipelined bytes
+/// stay in the socket buffer. The socket is non-blocking for the probe
+/// only — a blocking `peek` would sleep the whole read-poll timeout
+/// (SO_RCVTIMEO) while the statement's finished result waits in the
+/// channel. Flipping the shared socket is safe because the connection
+/// thread, the only reader, is the caller.
 fn peer_alive(ctrl: &TcpStream) -> bool {
+    if ctrl.set_nonblocking(true).is_err() {
+        return false;
+    }
     let mut probe = [0u8; 1];
-    match ctrl.peek(&mut probe) {
+    let alive = match ctrl.peek(&mut probe) {
         Ok(0) => false,
         Ok(_) => true,
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            true
-        }
-        Err(_) => false,
-    }
+        Err(e) => e.kind() == std::io::ErrorKind::WouldBlock,
+    };
+    // A socket that cannot go back to blocking is unusable for the
+    // framed reads that follow: treat it as gone.
+    ctrl.set_nonblocking(false).is_ok() && alive
 }
 
 enum NextRequest {

@@ -26,7 +26,7 @@ pub enum Statement {
     },
     /// `EXPLAIN [ANALYZE] <select>` — returns the physical plan as text;
     /// with `ANALYZE` the statement is executed and each operator line is
-    /// annotated with its actual rows, `next()` calls, wall time, memory
+    /// annotated with its actual rows, `next_batch` calls, wall time, memory
     /// high-water and spill traffic.
     Explain {
         analyze: bool,

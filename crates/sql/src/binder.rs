@@ -5,8 +5,6 @@
 //! experiments depend on:
 //!
 //! * predicate pushdown into table scans;
-//! * index-seek extraction: equality conjuncts on a prefix of a table's
-//!   clustered key become a B+-tree seek;
 //! * merge-join selection when both join inputs are ordered by their keys
 //!   via clustered indexes (the Figure 10 plan);
 //! * stream (non-blocking) aggregation when the input is already ordered
@@ -92,7 +90,7 @@ pub fn execute_statement_on(
                         ))
                     })?,
                 ),
-                // 0 = forced row-at-a-time (batch protocol off).
+                // 0 is accepted and runs as 1 (row mode is a batch size).
                 "BATCH_SIZE" => session.set_batch_size(value as usize),
                 // Admission control is a property of the shared pool, not
                 // of one session: these stay server-wide.
@@ -267,7 +265,7 @@ pub fn execute_statement(db: &Arc<Database>, stmt: &Statement) -> Result<QueryRe
                         ))
                     })?)
                 }
-                // 0 = forced row-at-a-time (batch protocol off).
+                // 0 is accepted and runs as 1 (row mode is a batch size).
                 "BATCH_SIZE" => db.set_batch_size(value as usize),
                 "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
                 "ADMISSION_WAIT_MS" => db.set_admission_wait_ms(value as u64),

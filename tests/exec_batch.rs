@@ -1,8 +1,8 @@
-//! Vectorized-execution equivalence and robustness: batch mode must be
-//! observably identical to row-at-a-time execution (same result
-//! multisets under any batch size, DOP, or memory budget), and the
-//! governor contracts — KILL, timeouts, spill cleanup, pin accounting —
-//! must hold mid-batch exactly as they do mid-row.
+//! Batch-execution equivalence and robustness: every batch size, DOP and
+//! memory budget must return the result multiset a plain-Rust model of
+//! the query computes (`BATCH_SIZE = 1` is row mode, `0` means 1), and
+//! the governor contracts — KILL, timeouts, spill cleanup, pin
+//! accounting — must hold mid-batch.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,12 +46,81 @@ impl TableFunction for Numbers {
     }
 }
 
-/// Render a result as a sorted multiset of row strings, so two
-/// executions compare regardless of row order.
-fn sorted_rows(r: &seqdb::engine::QueryResult) -> Vec<String> {
-    let mut out: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+/// Render rows as a sorted multiset of row strings, so two results
+/// compare regardless of row order.
+fn sorted_rows(rows: &[Row]) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
     out.sort();
     out
+}
+
+fn int_or_null(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
+/// One generated row of table `t`; `id` is its position.
+struct TRow {
+    id: i64,
+    grp: Option<i64>,
+    v: Option<i64>,
+}
+
+/// `(COUNT(*), SUM(v))` over `rows`: SUM skips NULLs and is NULL when
+/// nothing was summed.
+fn count_sum<'a>(rows: impl Iterator<Item = &'a TRow>) -> (i64, Option<i64>) {
+    rows.fold((0, None), |(n, sum), r| {
+        (n + 1, r.v.map_or(sum, |v| Some(sum.unwrap_or(0) + v)))
+    })
+}
+
+/// The reference evaluation: what each of the property's seven query
+/// shapes must return over `t`, written directly from SQL semantics
+/// (comparisons with NULL are not true, NULL keys never join, NULLs sort
+/// first) and sharing no code with the executor. `s` holds `g` = 0..=5,
+/// each once.
+fn model(t: &[TRow], k: i64) -> [Vec<Row>; 7] {
+    let where_v = |keep: fn(i64, i64) -> bool| {
+        t.iter()
+            .filter(move |r| r.v.is_some_and(|v| keep(v, k)))
+            .collect::<Vec<_>>()
+    };
+    let q1 = where_v(|v, k| v < k)
+        .iter()
+        .map(|r| Row::new(vec![Value::Int(r.id), int_or_null(r.v)]))
+        .collect();
+    let q2 = where_v(|v, k| k >= v)
+        .iter()
+        .map(|r| Row::new(vec![Value::Int(r.id)]))
+        .collect();
+    let q3 = where_v(|v, k| v != k)
+        .iter()
+        .map(|r| Row::new(vec![Value::Int(r.id + r.v.unwrap()), int_or_null(r.grp)]))
+        .collect();
+    let mut groups: Vec<Option<i64>> = t.iter().map(|r| r.grp).collect();
+    groups.sort();
+    groups.dedup();
+    let q4 = groups
+        .into_iter()
+        .map(|g| {
+            let (n, sum) = count_sum(t.iter().filter(|r| r.grp == g));
+            Row::new(vec![int_or_null(g), Value::Int(n), int_or_null(sum)])
+        })
+        .collect();
+    let (n, sum) = count_sum(where_v(|v, k| v > k).into_iter());
+    let q5 = vec![Row::new(vec![Value::Int(n), int_or_null(sum)])];
+    let joined = t
+        .iter()
+        .filter(|r| r.grp.is_some_and(|g| (0..=5).contains(&g)))
+        .count();
+    let q6 = vec![Row::new(vec![Value::Int(joined as i64)])];
+    let mut by_v_id: Vec<&TRow> = t.iter().collect();
+    by_v_id.sort_by_key(|r| (r.v, r.id));
+    let q7 = by_v_id
+        .iter()
+        .take(10)
+        .map(|r| Row::new(vec![Value::Int(r.id)]))
+        .collect();
+    [q1, q2, q3, q4, q5, q6, q7]
 }
 
 fn counter(db: &Arc<Database>, name: &str) -> i64 {
@@ -64,13 +133,13 @@ fn counter(db: &Arc<Database>, name: &str) -> i64 {
 }
 
 // ----------------------------------------------------------------------
-// Property: batch execution ≡ row execution over random plans
+// Property: every batch size × DOP × budget ≡ the in-test model
 // ----------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn batch_and_row_modes_agree_on_random_plans(
+    fn every_batch_size_agrees_with_the_model_on_random_plans(
         rows in proptest::collection::vec((0i64..9, -50i64..50), 0..400),
         k in -60i64..60,
         budget_kb in 2i64..8,
@@ -81,14 +150,18 @@ proptest! {
         db.execute_sql("CREATE TABLE s (g INT, name VARCHAR(8))").unwrap();
         // grp 0 maps to NULL so predicates and join keys both see NULLs;
         // v is NULL on every 7th row to exercise the kernel's NULL rule.
-        let t_rows: Vec<Row> = rows
+        let t: Vec<TRow> = rows
             .iter()
             .enumerate()
-            .map(|(i, (g, v))| {
-                let grp = if *g == 0 { Value::Null } else { Value::Int(*g) };
-                let val = if i % 7 == 3 { Value::Null } else { Value::Int(*v) };
-                Row::new(vec![Value::Int(i as i64), grp, val])
+            .map(|(i, (g, v))| TRow {
+                id: i as i64,
+                grp: (*g != 0).then_some(*g),
+                v: (i % 7 != 3).then_some(*v),
             })
+            .collect();
+        let t_rows: Vec<Row> = t
+            .iter()
+            .map(|r| Row::new(vec![Value::Int(r.id), int_or_null(r.grp), int_or_null(r.v)]))
             .collect();
         db.insert_rows("t", &t_rows).unwrap();
         for g in 0..6i64 {
@@ -99,9 +172,11 @@ proptest! {
             .unwrap();
         }
 
-        // Shapes chosen to cover every native batch path: the scan
-        // kernel in both operand orders, filter→project, aggregation
-        // with and without GROUP BY, the hash-join probe, and TopN.
+        // Shapes chosen to cover every native batch producer and both
+        // row adapters: the scan kernel in both operand orders,
+        // filter→project, aggregation with and without GROUP BY, the
+        // hash-join build and probe, and TopN. `model` evaluates the
+        // same seven, in the same order.
         let queries = [
             format!("SELECT id, v FROM t WHERE v < {k}"),
             format!("SELECT id FROM t WHERE {k} >= v"),
@@ -112,14 +187,9 @@ proptest! {
             "SELECT TOP 10 id FROM t ORDER BY v, id".to_string(),
         ];
 
-        for sql in &queries {
-            // Baseline: forced row-at-a-time, serial, unlimited memory.
-            db.execute_sql("SET BATCH_SIZE = 0").unwrap();
-            db.execute_sql("SET MAX_DOP = 1").unwrap();
-            db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 0").unwrap();
-            let expect = sorted_rows(&db.query_sql(sql).unwrap());
-
-            for batch in [1usize, 7, 1024] {
+        for (sql, expect) in queries.iter().zip(model(&t, k)) {
+            let expect = sorted_rows(&expect);
+            for batch in [0usize, 1, 7, 1024] {
                 for (dop, budget) in [(1usize, 0i64), (4, budget_kb)] {
                     db.execute_sql(&format!("SET BATCH_SIZE = {batch}")).unwrap();
                     db.execute_sql(&format!("SET MAX_DOP = {dop}")).unwrap();
@@ -127,7 +197,7 @@ proptest! {
                         .unwrap();
                     match db.query_sql(sql) {
                         Ok(r) => prop_assert_eq!(
-                            sorted_rows(&r),
+                            sorted_rows(&r.rows),
                             expect.clone(),
                             "batch={} dop={} budget={}kb sql={}",
                             batch, dop, budget, sql
@@ -249,9 +319,34 @@ fn batched_aggregate_spills_exactly_and_releases_everything() {
 // EXPLAIN ANALYZE surfaces batch shape
 // ----------------------------------------------------------------------
 
+/// The `EXPLAIN ANALYZE` text of `sql`, one line per plan node.
+fn explain_analyze(db: &Arc<Database>, sql: &str) -> String {
+    let r = db.query_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    r.rows
+        .iter()
+        .map(|row| row[0].as_text().unwrap().to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The timing-free part of an analyzed plan: per node, how many rows
+/// moved in how many pulls and batches.
+fn batch_shape(text: &str) -> Vec<String> {
+    text.split_whitespace()
+        .map(|tok| tok.trim_matches(|c| c == '(' || c == ')'))
+        .filter(|tok| {
+            ["actual_rows=", "nexts=", "batches=", "avg_batch="]
+                .iter()
+                .any(|p| tok.starts_with(p))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
-fn explain_analyze_reports_batches_in_batch_mode() {
+fn explain_analyze_reports_batch_shape_and_zero_means_one() {
     let db = Database::in_memory();
+    db.catalog().register_table_fn(Arc::new(Numbers));
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
         .unwrap();
     let rows: Vec<Row> = (0..5000i64)
@@ -260,31 +355,20 @@ fn explain_analyze_reports_batches_in_batch_mode() {
     db.insert_rows("t", &rows).unwrap();
 
     db.execute_sql("SET BATCH_SIZE = 512").unwrap();
-    let r = db
-        .query_sql("EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE v < 7")
-        .unwrap();
-    let text = r
-        .rows
-        .iter()
-        .map(|row| row[0].as_text().unwrap().to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
+    let text = explain_analyze(&db, "SELECT COUNT(*) FROM t WHERE v < 7");
     assert!(text.contains("batches="), "batch stats missing:\n{text}");
     assert!(text.contains("avg_batch="), "batch stats missing:\n{text}");
 
-    // Row mode reports no batch shape — the stat is mode-specific.
+    // Row mode is a batch size, and 0 is accepted as a spelling of 1:
+    // under both the sort hands its 600 rows up one per pull, and 512
+    // per pull (two batches) otherwise.
+    let sql = "SELECT n FROM NUMBERS(600) ORDER BY n";
+    let wide = batch_shape(&explain_analyze(&db, sql));
+    db.execute_sql("SET BATCH_SIZE = 1").unwrap();
+    let one = batch_shape(&explain_analyze(&db, sql));
     db.execute_sql("SET BATCH_SIZE = 0").unwrap();
-    let r = db
-        .query_sql("EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE v < 7")
-        .unwrap();
-    let text = r
-        .rows
-        .iter()
-        .map(|row| row[0].as_text().unwrap().to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        !text.contains("batches="),
-        "row mode must not batch:\n{text}"
-    );
+    let zero = batch_shape(&explain_analyze(&db, sql));
+    assert_eq!(zero, one);
+    assert!(one.contains(&"batches=600".to_string()), "{one:?}");
+    assert!(wide.contains(&"batches=2".to_string()), "{wide:?}");
 }

@@ -48,6 +48,23 @@ impl TableFunction for Numbers {
     }
 }
 
+/// `SLEEP(ms)` blocks for `ms` when opened, then emits one row: a
+/// statement of known duration.
+struct Sleep;
+
+impl TableFunction for Sleep {
+    fn name(&self) -> &str {
+        "SLEEP"
+    }
+    fn schema(&self) -> Arc<Schema> {
+        Arc::new(Schema::new(vec![Column::new("n", DataType::Int)]))
+    }
+    fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
+        std::thread::sleep(Duration::from_millis(args[0].as_int()? as u64));
+        Ok(Box::new(NumbersCursor { next: 0, limit: 1 }))
+    }
+}
+
 /// 12k distinct ids: over the parallel threshold, and far more groups
 /// than a tight budget holds resident, so tiny budgets must spill.
 fn setup_db() -> Arc<Database> {
@@ -150,6 +167,46 @@ fn wire_roundtrip_dmvs_and_typed_errors() {
     let report = server.drain().unwrap();
     assert_eq!(report.killed, 0);
     assert_eq!(db.connections().active_count(), 0);
+}
+
+/// A statement that outlives the watchdog's 10 ms wait must still be
+/// answered as soon as it finishes: the liveness probe may not sleep the
+/// read-poll timeout with the result already waiting. The poll interval
+/// is raised well above scheduling noise so only a blocking probe can
+/// cross the bound.
+#[test]
+fn finished_result_does_not_wait_for_the_liveness_poll() {
+    let db = Database::in_memory();
+    db.catalog().register_table_fn(Arc::new(Sleep));
+    let poll_interval = Duration::from_millis(200);
+    let server = start(
+        &db,
+        ServerConfig {
+            poll_interval,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    // The best of several trips, so a descheduled test thread cannot
+    // fail it; a blocking probe delays every one of them by the whole
+    // poll interval.
+    let exec = Duration::from_millis(15);
+    let best = (0..5)
+        .map(|_| {
+            let sent = Instant::now();
+            let r = c.query("SELECT n FROM SLEEP(15)").unwrap();
+            assert_eq!(r.rows.len(), 1);
+            sent.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(best >= exec, "{best:?}");
+    assert!(
+        best < exec + poll_interval / 2,
+        "round trip {best:?} for a {exec:?} statement"
+    );
+    server.drain().unwrap();
 }
 
 // ----------------------------------------------------------------------

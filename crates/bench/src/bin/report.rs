@@ -356,13 +356,16 @@ fn fig8(factor: usize) -> Result<()> {
         Expr::lit(0),
     );
     for dop in [1usize, 2, 4] {
+        let (ctx, _guard) = db
+            .server_session()
+            .begin_statement("fig8 parallel aggregate")?;
         let mut it = ParallelAggIter::new(
             table.clone(),
             Some(filter.clone()),
             vec![Expr::col(seq_col, "short_read_seq")],
             vec![AggSpec::new(Arc::new(CountAgg), vec![], "cnt")],
             dop,
-            db.exec_context(),
+            ctx,
         )?;
         let t = Instant::now();
         let mut groups = 0u64;

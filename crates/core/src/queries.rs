@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use seqdb_engine::exec::agg::AggSpec;
 use seqdb_engine::plan::aggregate_schema;
-use seqdb_engine::{Database, Expr, Plan, QueryResult};
-use seqdb_sql::DatabaseSqlExt;
+use seqdb_engine::{Database, Expr, Plan, QueryResult, Session};
+use seqdb_sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb_types::{Result, Value};
 
 use crate::import::{E_ID, SG_ID, S_ID};
@@ -263,12 +263,14 @@ pub fn query3_pivot_sorted_plan(db: &Arc<Database>, suffix: &str) -> Result<Plan
     })
 }
 
-/// Run the sort-based pivot plan; returns `(chr_id, consensus)` pairs.
-pub fn run_query3_pivot_sorted(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
-    let plan = query3_pivot_sorted_plan(db, suffix)?;
-    let r = db.run_plan(&plan)?;
-    let mut out: Vec<(i64, String)> = r
-        .rows
+/// Run a hand-built consensus plan as one statement of the server-scope
+/// session, labelled `label` in the DMVs; returns `(chr_id, consensus)`
+/// pairs sorted by chromosome.
+fn run_consensus_plan(db: &Arc<Database>, label: &str, plan: &Plan) -> Result<Vec<(i64, String)>> {
+    let (ctx, mut guard) = db.server_session().begin_statement(label)?;
+    let rows = plan.run(&ctx)?;
+    guard.set_rows(rows.len() as u64);
+    let mut out: Vec<(i64, String)> = rows
         .iter()
         .map(|row| Ok((row[0].as_int()?, row[1].as_text()?.to_string())))
         .collect::<Result<_>>()?;
@@ -276,27 +278,37 @@ pub fn run_query3_pivot_sorted(db: &Arc<Database>, suffix: &str) -> Result<Vec<(
     Ok(out)
 }
 
-/// Run Query 1 and return its rows.
-pub fn run_query1(db: &Arc<Database>, suffix: &str) -> Result<QueryResult> {
-    db.query_sql(&query1_sql(suffix))
+/// Run the sort-based pivot plan; returns `(chr_id, consensus)` pairs.
+pub fn run_query3_pivot_sorted(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
+    run_consensus_plan(
+        db,
+        "query3 pivot sorted",
+        &query3_pivot_sorted_plan(db, suffix)?,
+    )
 }
 
-/// Session-scoped Query 1: runs admitted against the global pool,
-/// governed by the session's effective limits, and registered in
+/// Run Query 1 on the server-scope session and return its rows.
+pub fn run_query1(db: &Arc<Database>, suffix: &str) -> Result<QueryResult> {
+    run_query1_on(&db.server_session(), suffix)
+}
+
+/// Query 1 as a statement of `session`: admitted against the global
+/// pool, governed by the session's effective limits, and registered in
 /// `sys.dm_exec_requests` where `KILL` can reach it.
-pub fn run_query1_on(session: &seqdb_engine::Session, suffix: &str) -> Result<QueryResult> {
-    use seqdb_sql::SessionSqlExt;
+pub fn run_query1_on(session: &Session, suffix: &str) -> Result<QueryResult> {
     session.query_sql(&query1_sql(suffix))
 }
 
-/// Run Query 2 (populates `GeneExpression<suffix>`); returns rows inserted.
+/// Run Query 2 on the server-scope session; returns rows inserted.
 pub fn run_query2(db: &Arc<Database>, suffix: &str) -> Result<u64> {
-    Ok(db.execute_sql(&query2_sql(suffix))?.affected)
+    run_query2_on(&db.server_session(), suffix)
 }
 
-/// Session-scoped Query 2 (see [`run_query1_on`]).
-pub fn run_query2_on(session: &seqdb_engine::Session, suffix: &str) -> Result<u64> {
-    use seqdb_sql::SessionSqlExt;
+/// Query 2 as a statement of `session` (populates
+/// `GeneExpression<suffix>`): the whole `INSERT … SELECT` — join,
+/// aggregation and insert — runs under the session's limits like
+/// [`run_query1_on`]. Returns rows inserted.
+pub fn run_query2_on(session: &Session, suffix: &str) -> Result<u64> {
     Ok(session.execute_sql(&query2_sql(suffix))?.affected)
 }
 
@@ -312,15 +324,7 @@ pub fn run_query3_pivot(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, St
 /// Run the sliding-window consensus; returns `(chr_id, consensus)` pairs
 /// sorted by chromosome.
 pub fn run_query3_sliding(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
-    let plan = query3_sliding_plan(db, suffix)?;
-    let r = db.run_plan(&plan)?;
-    let mut out: Vec<(i64, String)> = r
-        .rows
-        .iter()
-        .map(|row| Ok((row[0].as_int()?, row[1].as_text()?.to_string())))
-        .collect::<Result<_>>()?;
-    out.sort_by_key(|(c, _)| *c);
-    Ok(out)
+    run_consensus_plan(db, "query3 sliding", &query3_sliding_plan(db, suffix)?)
 }
 
 /// Convenience for benches: result rows of the merge-join count.

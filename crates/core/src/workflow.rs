@@ -249,22 +249,13 @@ pub fn reseq_storage_report(db: &Arc<Database>, ds: &ResequencingDataset) -> Res
 /// Run the full DGE analysis in-database and validate it against the
 /// dataset's ground truth. Returns `(unique tags, genes expressed)`.
 pub fn run_dge_analysis(db: &Arc<Database>, ds: &DgeDataset) -> Result<(usize, u64)> {
-    let q1 = queries::run_query1(db, NORM)?;
-    queries::check_query1_against(&q1, &ds.unique_tags)?;
-    let inserted = queries::run_query2(db, NORM)?;
-    if inserted != ds.gene_expression.len() as u64 {
-        return Err(DbError::Execution(format!(
-            "Query 2 produced {inserted} genes, dataset has {}",
-            ds.gene_expression.len()
-        )));
-    }
-    Ok((q1.rows.len(), inserted))
+    run_dge_analysis_on(&db.server_session(), ds)
 }
 
-/// Session-scoped [`run_dge_analysis`]: the analysis queries run
-/// admitted against the global memory pool, governed by the session's
-/// effective limits, and registered where another session's `KILL` can
-/// reach them — the shape of a multi-tenant analysis server.
+/// [`run_dge_analysis`] as statements of `session`: both analysis
+/// queries run admitted against the global memory pool, governed by the
+/// session's effective limits, and registered where another session's
+/// `KILL` can reach them — the shape of a multi-tenant analysis server.
 pub fn run_dge_analysis_on(
     session: &seqdb_engine::Session,
     ds: &DgeDataset,
@@ -496,6 +487,30 @@ mod tests {
             db.temp().spill_count() > 0,
             "the session's 8 KiB budget must force spilling"
         );
+        // Query 2 is an INSERT … SELECT: it ran under the same budget
+        // (its governed peak is on record) and its output is still exact.
+        let q2 = seqdb_engine::fingerprint(&queries::query2_sql(NORM)).1;
+        let store = db.query_store().snapshot();
+        let entry = store.iter().find(|e| e.text == q2).unwrap();
+        assert!(
+            (1..=8 * 1024).contains(&entry.peak_mem_bytes),
+            "Query 2 must be charged to, and stay within, the 8 KiB budget: {entry:?}"
+        );
+        let r = s
+            .query_sql(&format!(
+                "SELECT x_g_id, total_frequency, tag_count FROM GeneExpression{NORM}
+                 ORDER BY total_frequency DESC, x_g_id"
+            ))
+            .unwrap();
+        let got: Vec<(u32, u64, u64)> = r
+            .rows
+            .iter()
+            .map(|x| {
+                let int = |i: usize| x[i].as_int().unwrap();
+                (int(0) as u32, int(1) as u64, int(2) as u64)
+            })
+            .collect();
+        assert_eq!(got, ds.gene_expression);
         assert_eq!(
             db.config().query_mem_limit_kb,
             None,

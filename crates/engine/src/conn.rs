@@ -20,8 +20,9 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
+use seqdb_types::{Column, DataType, Result, Row, Schema, Value};
 
+use crate::dmv::{no_args, RowsCursor};
 use crate::exec::ExecContext;
 use crate::udx::{TableFunction, TvfCursor};
 
@@ -212,23 +213,6 @@ impl DmExecConnectionsFn {
     }
 }
 
-struct ConnCursor {
-    rows: std::vec::IntoIter<Row>,
-    current: Option<Row>,
-}
-
-impl TvfCursor for ConnCursor {
-    fn move_next(&mut self) -> Result<bool> {
-        self.current = self.rows.next();
-        Ok(self.current.is_some())
-    }
-    fn fill_row(&mut self) -> Result<Row> {
-        self.current
-            .clone()
-            .ok_or_else(|| DbError::Execution("fill_row past end of DM_EXEC_CONNECTIONS".into()))
-    }
-}
-
 impl TableFunction for DmExecConnectionsFn {
     fn name(&self) -> &str {
         "DM_EXEC_CONNECTIONS"
@@ -243,11 +227,7 @@ impl TableFunction for DmExecConnectionsFn {
         ]))
     }
     fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        if !args.is_empty() {
-            return Err(DbError::Execution(
-                "DM_EXEC_CONNECTIONS() takes no arguments".into(),
-            ));
-        }
+        no_args(args, self.name())?;
         let rows: Vec<Row> = self
             .registry
             .snapshot()
@@ -262,10 +242,7 @@ impl TableFunction for DmExecConnectionsFn {
                 ])
             })
             .collect();
-        Ok(Box::new(ConnCursor {
-            rows: rows.into_iter(),
-            current: None,
-        }))
+        Ok(RowsCursor::boxed(rows))
     }
 }
 

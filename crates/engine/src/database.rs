@@ -20,13 +20,11 @@ use crate::dmv::{
     DmDbBackupStatusFn, DmDbQueryStoreFn, DmDbScrubStatusFn, DmExecQueryStatsFn,
     DmOsPerformanceCountersFn, DmOsWaitStatsFn,
 };
-use crate::exec::{ExecContext, RowCursor};
+use crate::exec::ExecContext;
 use crate::governor::QueryGovernor;
-use crate::plan::{Plan, QueryResult};
 use crate::querystore::QueryStore;
 use crate::scrub::ScrubState;
 use crate::session::{AdmissionController, DmExecRequestsFn, Session, StatementRegistry};
-use crate::stats::QueryStatsHistory;
 use crate::trace::DmOsRingBufferFn;
 
 /// Join algorithm selection (`SET JOIN_STRATEGY`): cost-based by default,
@@ -127,7 +125,6 @@ pub struct Database {
     statements: Arc<StatementRegistry>,
     admission: Arc<AdmissionController>,
     connections: Arc<ConnectionRegistry>,
-    query_stats: Arc<QueryStatsHistory>,
     query_store: Arc<QueryStore>,
     scrub: Arc<ScrubState>,
     backup: Arc<BackupState>,
@@ -237,10 +234,9 @@ impl Database {
         // The DMV surface: DM_EXEC_REQUESTS() lists running statements
         // straight out of the registry (so KILL targets are discoverable
         // from SQL), DM_OS_PERFORMANCE_COUNTERS()/DM_OS_WAIT_STATS()
-        // render the counter registries, and DM_EXEC_QUERY_STATS() the
-        // bounded statement history.
+        // render the counter registries, and DM_EXEC_QUERY_STATS() /
+        // DM_DB_QUERY_STORE() the query store.
         let statements = StatementRegistry::new();
-        let query_stats = QueryStatsHistory::new(QueryStatsHistory::DEFAULT_CAPACITY);
         let query_store = QueryStore::new(QueryStore::DEFAULT_CAPACITY);
         // Touching the tracer here also installs the storage→trace hook,
         // so spill/wait events flow before any SET TRACE_EVENTS arrives.
@@ -256,10 +252,7 @@ impl Database {
             connections.clone(),
         )));
         catalog.register_table_fn(Arc::new(DmOsWaitStatsFn));
-        catalog.register_table_fn(Arc::new(DmExecQueryStatsFn::new(
-            query_stats.clone(),
-            query_store.clone(),
-        )));
+        catalog.register_table_fn(Arc::new(DmExecQueryStatsFn::new(query_store.clone())));
         catalog.register_table_fn(Arc::new(DmDbQueryStoreFn::new(query_store.clone())));
         catalog.register_table_fn(Arc::new(DmOsRingBufferFn));
         catalog.register_table_fn(Arc::new(DmExecConnectionsFn::new(connections.clone())));
@@ -275,7 +268,6 @@ impl Database {
             statements,
             admission,
             connections,
-            query_stats,
             query_store,
             scrub,
             backup,
@@ -295,6 +287,15 @@ impl Database {
         )
     }
 
+    /// The server-scope session (id 0) the `Arc<Database>` entry points
+    /// run their statements on: the same admission, registry, governor
+    /// and query-store envelope as any session, but with no overlay —
+    /// its `SET`s change the server defaults. Built per call; nothing is
+    /// kept on the database.
+    pub fn server_session(self: &Arc<Self>) -> Session {
+        Session::server_scope(self.clone())
+    }
+
     /// The shared registry of running statements (DMV + `KILL` target).
     pub fn statements(&self) -> &Arc<StatementRegistry> {
         &self.statements
@@ -312,13 +313,9 @@ impl Database {
         &self.connections
     }
 
-    /// The bounded statement history behind `DM_EXEC_QUERY_STATS()`.
-    pub fn query_stats(&self) -> &Arc<QueryStatsHistory> {
-        &self.query_stats
-    }
-
     /// The persistent per-fingerprint query store behind
-    /// `DM_DB_QUERY_STORE()` (written at `CHECKPOINT`, reloaded at open).
+    /// `DM_DB_QUERY_STORE()` and `DM_EXEC_QUERY_STATS()` (written at
+    /// `CHECKPOINT`, reloaded at open).
     pub fn query_store(&self) -> &Arc<QueryStore> {
         &self.query_store
     }
@@ -438,19 +435,6 @@ impl Database {
         self.config.write().slow_query_ms = ms;
     }
 
-    /// Build an execution context snapshotting current configuration.
-    /// Each call creates a fresh [`QueryGovernor`], so every query (and
-    /// every `core::workflow` pipeline step, which all come through here)
-    /// runs under its own timeout/budget.
-    pub fn exec_context(&self) -> ExecContext {
-        let cfg = self.config.read();
-        let gov = QueryGovernor::new(
-            cfg.query_timeout_ms.map(std::time::Duration::from_millis),
-            cfg.query_mem_limit_kb.map(|kb| kb as usize * 1024),
-        );
-        self.context_for(&cfg, gov)
-    }
-
     /// The execution context of one statement running under `cfg` and
     /// `gov`. Row mode is a batch size, not a code path: `BATCH_SIZE = 0`
     /// becomes 1 here, so no operator ever sees a zero.
@@ -478,33 +462,6 @@ impl Database {
     ) -> Result<Arc<Table>> {
         self.catalog
             .create_table(name, schema, compression, primary_key)
-    }
-
-    /// Run a SELECT-shaped plan and collect its result.
-    pub fn run_plan(&self, plan: &Plan) -> Result<QueryResult> {
-        let ctx = self.exec_context();
-        let rows = plan.run(&ctx)?;
-        Ok(QueryResult {
-            schema: plan.schema(),
-            rows,
-            affected: 0,
-        })
-    }
-
-    /// Run a plan and insert its output into `table`.
-    pub fn run_insert(&self, table: &Arc<Table>, plan: &Plan) -> Result<QueryResult> {
-        let ctx = self.exec_context();
-        let mut it = RowCursor::new(plan.open(&ctx)?, ctx.batch_size);
-        let mut n = 0u64;
-        while let Some(row) = it.next()? {
-            table.insert(&row)?;
-            n += 1;
-        }
-        Ok(QueryResult {
-            schema: Arc::new(Schema::empty()),
-            rows: Vec::new(),
-            affected: n,
-        })
     }
 
     /// Bulk-insert rows into a table by name.
@@ -650,8 +607,8 @@ mod tests {
             }),
             predicate: Expr::binary(crate::expr::BinOp::GtEq, Expr::col(1, "x"), Expr::lit(49)),
         };
-        let res = db.run_plan(&plan).unwrap();
-        assert_eq!(res.rows.len(), 3); // 49, 64, 81
+        let (ctx, _guard) = db.server_session().begin_statement("filter").unwrap();
+        assert_eq!(plan.run(&ctx).unwrap().len(), 3); // 49, 64, 81
     }
 
     #[test]
@@ -677,23 +634,5 @@ mod tests {
         assert!(db.catalog().aggregate("count").is_some());
         assert!(db.catalog().aggregate("SUM").is_some());
         assert!(db.catalog().scalar_fn("CHARINDEX").is_some());
-    }
-
-    #[test]
-    fn insert_plan_counts_affected_rows() {
-        let db = Database::in_memory();
-        let t = db
-            .create_table("t", schema(), Compression::Row, None)
-            .unwrap();
-        let src = Plan::Values {
-            schema: t.schema.clone(),
-            rows: vec![
-                Row::new(vec![Value::Int(1), Value::Int(10)]),
-                Row::new(vec![Value::Int(2), Value::Int(20)]),
-            ],
-        };
-        let res = db.run_insert(&t, &src).unwrap();
-        assert_eq!(res.affected, 2);
-        assert_eq!(t.row_count(), 2);
     }
 }

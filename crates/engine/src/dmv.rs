@@ -16,9 +16,9 @@
 //!   leak checks can be written in SQL.
 //! * [`DmOsWaitStatsFn`] — per wait class, how often the engine blocked
 //!   and for how long in total.
-//! * [`DmExecQueryStatsFn`] — the bounded per-database statement history
-//!   ([`QueryStatsHistory`]), recorded by the session guard on statement
-//!   completion (including cancelled/killed statements).
+//! * [`DmExecQueryStatsFn`] / [`DmDbQueryStoreFn`] — two renderings of
+//!   the per-database [`QueryStore`], which the session guard folds every
+//!   statement into on completion (including cancelled/killed ones).
 
 use std::sync::Arc;
 
@@ -28,22 +28,22 @@ use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
 use crate::backup::BackupState;
 use crate::conn::ConnectionRegistry;
 use crate::exec::ExecContext;
-use crate::querystore::QueryStore;
+use crate::querystore::{QueryStore, QueryStoreEntry};
 use crate::scrub::ScrubState;
 use crate::session::AdmissionController;
-use crate::stats::{engine_counters, QueryStatsHistory};
+use crate::stats::engine_counters;
 use crate::trace::process_clock;
 use crate::udx::{TableFunction, TvfCursor};
 
 /// Cursor over a row set materialized at `open()` — every DMV snapshot
 /// is point-in-time, like its SQL Server counterpart.
-struct RowsCursor {
+pub(crate) struct RowsCursor {
     rows: std::vec::IntoIter<Row>,
     current: Option<Row>,
 }
 
 impl RowsCursor {
-    fn boxed(rows: Vec<Row>) -> Box<dyn TvfCursor> {
+    pub(crate) fn boxed(rows: Vec<Row>) -> Box<dyn TvfCursor> {
         Box::new(RowsCursor {
             rows: rows.into_iter(),
             current: None,
@@ -63,7 +63,7 @@ impl TvfCursor for RowsCursor {
     }
 }
 
-fn no_args(args: &[Value], name: &str) -> Result<()> {
+pub(crate) fn no_args(args: &[Value], name: &str) -> Result<()> {
     if args.is_empty() {
         Ok(())
     } else {
@@ -211,21 +211,21 @@ impl TableFunction for DmOsWaitStatsFn {
     }
 }
 
-/// `SELECT * FROM DM_EXEC_QUERY_STATS()` — the bounded statement
-/// history, least-recently-executed first, followed by the persisted
-/// query-store view. The `as_of` column tells the two apart: `memory`
-/// rows are this process's raw-text history, `persisted` rows are the
-/// normalized per-fingerprint entries of the last written
-/// `querystore.seqdb` — present even right after a restart, which is
-/// what makes this DMV restart-surviving.
+/// `SELECT * FROM DM_EXEC_QUERY_STATS()` — the query store in the shape
+/// of `sys.dm_exec_query_stats`: one row per fingerprint, `sql_text`
+/// being its normalized text. The `as_of` column tells two views apart:
+/// `memory` rows are the live entries this process has executed
+/// (`executions` counts this process's runs only; the totals of an entry
+/// reloaded from disk are lifetime totals), `persisted` rows are the
+/// entries of the last written `querystore.seqdb` — present even right
+/// after a restart, which is what makes this DMV restart-surviving.
 pub struct DmExecQueryStatsFn {
-    history: Arc<QueryStatsHistory>,
     store: Arc<QueryStore>,
 }
 
 impl DmExecQueryStatsFn {
-    pub fn new(history: Arc<QueryStatsHistory>, store: Arc<QueryStore>) -> DmExecQueryStatsFn {
-        DmExecQueryStatsFn { history, store }
+    pub fn new(store: Arc<QueryStore>) -> DmExecQueryStatsFn {
+        DmExecQueryStatsFn { store }
     }
 }
 
@@ -249,42 +249,40 @@ impl TableFunction for DmExecQueryStatsFn {
     }
     fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
         no_args(args, self.name())?;
-        let mut rows: Vec<Row> = self
-            .history
-            .snapshot()
-            .into_iter()
-            .map(|r| {
-                Row::new(vec![
-                    Value::text(r.sql),
-                    Value::Int(r.executions as i64),
-                    Value::Int(r.total_rows as i64),
-                    Value::Int(r.last_rows as i64),
-                    Value::Int(r.total_elapsed.as_millis() as i64),
-                    Value::Int(r.last_elapsed.as_millis() as i64),
-                    Value::Int(r.total_spill_files as i64),
-                    Value::Int(r.total_spill_bytes as i64),
-                    Value::Int(r.peak_mem_bytes as i64),
-                    Value::text("memory"),
-                ])
-            })
-            .collect();
-        // The persisted view aggregates across executions, so the
-        // last_* columns have no per-statement meaning there: 0.
-        rows.extend(self.store.persisted_snapshot().into_iter().map(|e| {
+        // A live row counts this process's runs and knows its last one;
+        // the file records no "last" execution, so neither does its view.
+        let row = |e: QueryStoreEntry, live: bool| {
+            let (executions, last_rows, last_micros, as_of) = if live {
+                let here = e.executions - e.persisted_executions;
+                (here, e.last_rows, e.last_elapsed_micros, "memory")
+            } else {
+                (e.executions, 0, 0, "persisted")
+            };
             Row::new(vec![
                 Value::text(e.text),
-                Value::Int(e.executions as i64),
+                Value::Int(executions as i64),
                 Value::Int(e.total_rows as i64),
-                Value::Int(0),
+                Value::Int(last_rows as i64),
                 Value::Int((e.total_elapsed_micros / 1000) as i64),
-                Value::Int(0),
+                Value::Int((last_micros / 1000) as i64),
                 Value::Int(e.spill_files as i64),
                 Value::Int(e.spill_bytes as i64),
                 Value::Int(e.peak_mem_bytes as i64),
-                Value::text("persisted"),
+                Value::text(as_of),
             ])
-        }));
-        Ok(RowsCursor::boxed(rows))
+        };
+        let live = self
+            .store
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.executions > e.persisted_executions)
+            .map(|e| row(e, true));
+        let persisted = self
+            .store
+            .persisted_snapshot()
+            .into_iter()
+            .map(|e| row(e, false));
+        Ok(RowsCursor::boxed(live.chain(persisted).collect()))
     }
 }
 
@@ -472,8 +470,7 @@ impl TableFunction for DmDbBackupStatusFn {
 mod tests {
     use super::*;
     use crate::exec::testutil::test_context;
-    use crate::stats::StatementOutcome;
-    use std::time::Duration;
+    use crate::querystore::{Disposition, StoreOutcome};
 
     fn drain(f: &dyn TableFunction) -> Vec<Row> {
         let ctx = test_context();
@@ -515,58 +512,52 @@ mod tests {
     }
 
     #[test]
-    fn query_stats_render_history() {
-        let history = QueryStatsHistory::new(8);
-        history.record(
-            "SELECT 1",
-            &StatementOutcome {
-                rows: 3,
-                elapsed: Duration::from_millis(4),
-                spill_files: 0,
-                spill_bytes: 0,
-                peak_mem_bytes: 1024,
-            },
-        );
-        let store = QueryStore::new(8);
-        let rows = drain(&DmExecQueryStatsFn::new(history, store));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][1], Value::Int(1), "executions");
-        assert_eq!(rows[0][2], Value::Int(3), "total_rows");
-        assert_eq!(rows[0][9], Value::text("memory"), "as_of");
-    }
-
-    #[test]
-    fn query_stats_append_persisted_store_rows() {
-        use crate::querystore::{Disposition, StoreOutcome};
-        let history = QueryStatsHistory::new(8);
+    fn query_stats_render_live_then_persisted_store_rows() {
         let store = QueryStore::new(8);
         store.record(
             "SELECT v FROM t WHERE id = 3",
             &StoreOutcome {
                 rows: 2,
-                elapsed_micros: 500,
+                elapsed_micros: 4500,
                 spill_files: 0,
                 spill_bytes: 0,
                 wait_admission_micros: 0,
                 wait_spill_micros: 0,
-                peak_mem_bytes: 0,
+                peak_mem_bytes: 1024,
                 disposition: Disposition::Completed,
             },
         );
-        // Nothing persisted yet: only live history (empty) is rendered.
-        assert!(drain(&DmExecQueryStatsFn::new(history.clone(), store.clone())).is_empty());
-        let _ = store.serialize();
-        let rows = drain(&DmExecQueryStatsFn::new(history, store.clone()));
+        // Nothing persisted yet: only the live entry is rendered.
+        let rows = drain(&DmExecQueryStatsFn::new(store.clone()));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0], Value::text("SELECT V FROM T WHERE ID=?"));
+        assert_eq!(rows[0][1], Value::Int(1), "executions");
+        assert_eq!(rows[0][2], Value::Int(2), "total_rows");
+        assert_eq!(rows[0][3], Value::Int(2), "last_rows");
+        assert_eq!(rows[0][5], Value::Int(4), "last_elapsed_ms");
+        assert_eq!(rows[0][9], Value::text("memory"), "as_of");
+
+        let data = store.serialize();
+        let rows = drain(&DmExecQueryStatsFn::new(store.clone()));
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1][9], Value::text("persisted"));
+        assert_eq!(rows[1][0], rows[0][0]);
+        assert_eq!(rows[1][3], Value::Int(0), "no last_rows on disk");
+
+        // After a restart only the persisted row is left: this process
+        // has executed nothing.
+        let reloaded = QueryStore::new(8);
+        reloaded.load(&data).unwrap();
+        let rows = drain(&DmExecQueryStatsFn::new(reloaded));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][9], Value::text("persisted"));
-        assert_eq!(rows[0][0], Value::text("SELECT V FROM T WHERE ID=?"));
 
         let qs = drain(&DmDbQueryStoreFn::new(store));
         assert_eq!(qs.len(), 1);
         assert_eq!(qs[0][2], Value::Int(1), "executions");
         assert_eq!(qs[0][3], Value::Int(0), "killed");
         assert!(
-            matches!(qs[0][7], Value::Int(p50) if p50 >= 500),
+            matches!(qs[0][7], Value::Int(p50) if p50 >= 4500),
             "p50 bound"
         );
     }

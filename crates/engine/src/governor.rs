@@ -4,8 +4,8 @@
 //! This is the engine-side analogue of SQL Server's CLR hosting layer
 //! (paper §2.3): user code and memory-hungry operators run *inside* the
 //! server, so a misbehaving query must be containable without killing the
-//! process. Every query gets one [`QueryGovernor`] (created by
-//! `Database::exec_context`); operators check it cooperatively between
+//! process. Every statement gets one [`QueryGovernor`] (created by
+//! `Session::begin_statement`); operators check it cooperatively between
 //! rows and charge it for buffered bytes. Operators that can degrade
 //! (sort, hash aggregate) spill to `storage::tempspace` when the budget
 //! runs out; the rest fail the query with

@@ -64,10 +64,7 @@ pub use session::{
     AdmissionController, RunningStatement, Session, SessionSettings, StatementGuard,
     StatementRegistry,
 };
-pub use stats::{
-    engine_counters, EngineCounters, ExecStats, NodeStats, QueryStatsHistory, QueryStatsRecord,
-    StatementOutcome, StatsIter,
-};
+pub use stats::{engine_counters, EngineCounters, ExecStats, NodeStats, StatsIter};
 pub use trace::{
     parse_mask, tracer, DmOsRingBufferFn, TraceClass, TraceEvent, Tracer, MASK_ALL, TRACE_CLASSES,
 };

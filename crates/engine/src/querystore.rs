@@ -1,11 +1,10 @@
-//! Persistent query store: per-fingerprint execution history that
-//! survives restarts.
+//! Persistent query store: the one statement history, per fingerprint,
+//! surviving restarts.
 //!
-//! `DM_EXEC_QUERY_STATS()` is a bounded in-memory ring keyed by raw
-//! statement text — it dies with the process, and two executions of the
-//! same pipeline with different literals land in different rows. The
-//! query store fixes both, following SQL Server 2008's Query Store /
-//! `query_hash` design:
+//! Every statement a session begins is folded in here exactly once, by
+//! its guard's drop; `DM_DB_QUERY_STORE()` and `DM_EXEC_QUERY_STATS()`
+//! are two renderings of the same entries. The design follows SQL Server
+//! 2008's Query Store / `query_hash`:
 //!
 //! * [`fingerprint`] normalizes statement text (literals → `?`, case and
 //!   whitespace folded) and hashes it (FNV-1a 64), so
@@ -277,6 +276,10 @@ pub struct QueryStoreEntry {
     /// Executions already on disk when this process loaded the store
     /// (0 for fingerprints first seen in this process lifetime).
     pub persisted_executions: u64,
+    /// Rows and elapsed time of the most recent execution in this
+    /// process (not serialized; 0 on a freshly loaded entry).
+    pub last_rows: u64,
+    pub last_elapsed_micros: u64,
 }
 
 impl QueryStoreEntry {
@@ -296,6 +299,8 @@ impl QueryStoreEntry {
             wait_spill_micros: 0,
             peak_mem_bytes: 0,
             persisted_executions: 0,
+            last_rows: 0,
+            last_elapsed_micros: 0,
         }
     }
 
@@ -314,6 +319,8 @@ impl QueryStoreEntry {
         self.wait_admission_micros += o.wait_admission_micros;
         self.wait_spill_micros += o.wait_spill_micros;
         self.peak_mem_bytes = self.peak_mem_bytes.max(o.peak_mem_bytes);
+        self.last_rows = o.rows;
+        self.last_elapsed_micros = o.elapsed_micros;
     }
 }
 
@@ -443,9 +450,7 @@ impl QueryStore {
                 DbError::Corruption(format!("query store: bad fingerprint '{}'", fields[0]))
             })?;
             let executions = num(1)?;
-            let mut e = QueryStoreEntry {
-                fingerprint,
-                text: unescape(fields[12]),
+            let e = QueryStoreEntry {
                 executions,
                 killed: num(2)?,
                 timeouts: num(3)?,
@@ -458,6 +463,7 @@ impl QueryStore {
                 wait_spill_micros: num(9)?,
                 peak_mem_bytes: num(10)?,
                 persisted_executions: executions,
+                ..QueryStoreEntry::new(fingerprint, unescape(fields[12]))
             };
             if e.executions < e.killed + e.timeouts || e.hist.count() != e.executions {
                 return Err(DbError::Corruption(format!(
@@ -465,7 +471,6 @@ impl QueryStore {
                     e.fingerprint
                 )));
             }
-            e.persisted_executions = e.executions;
             entries.push(e);
         }
         *self.persisted.lock() = entries.clone();

@@ -9,11 +9,13 @@
 //!
 //! * [`Session`] — per-connection settings overlay over the
 //!   [`Database`](crate::Database)-level defaults (`SET QUERY_TIMEOUT_MS /
-//!   QUERY_MEMORY_LIMIT_KB / MAX_DOP` scope to one session);
-//! * [`StatementRegistry`] — every statement a session executes is
-//!   registered (session id, statement id, SQL text, start time, governor
-//!   handle) for the lifetime of its execution, making it visible to
-//!   `DM_EXEC_REQUESTS()` and killable by id;
+//!   QUERY_MEMORY_LIMIT_KB / MAX_DOP / JOIN_STRATEGY / BATCH_SIZE` scope
+//!   to one session), and the only place a statement starts:
+//!   [`Session::begin_statement`];
+//! * [`StatementRegistry`] — every statement begun is registered (session
+//!   id, statement id, SQL text, start time, governor handle) for the
+//!   lifetime of its execution, making it visible to `DM_EXEC_REQUESTS()`
+//!   and killable by id;
 //! * [`AdmissionController`] — governed queries reserve their memory
 //!   budget from a global pool before starting; a query that cannot get a
 //!   reservation within a bounded wait fails with a typed
@@ -32,10 +34,11 @@ use seqdb_storage::{waits, WaitClass};
 use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
 use crate::database::{Database, DbConfig};
+use crate::dmv::{no_args, RowsCursor};
 use crate::exec::ExecContext;
 use crate::governor::QueryGovernor;
 use crate::querystore::{QueryStore, StoreOutcome};
-use crate::stats::{engine_counters, QueryStatsHistory, StatementOutcome};
+use crate::stats::engine_counters;
 use crate::trace::{self, TraceClass};
 use crate::udx::{TableFunction, TvfCursor};
 
@@ -59,12 +62,15 @@ pub struct SessionSettings {
 /// One client connection's worth of state: an id, a settings overlay,
 /// and the handles needed to admit, register and govern its statements.
 ///
-/// Sessions are cheap; `core::workflow` opens one per pipeline run and a
-/// future network front end would open one per connection.
+/// Sessions are cheap: `core::workflow` opens one per pipeline run, the
+/// wire server one per connection, and the `Arc<Database>` entry points
+/// a *server-scope* one per call ([`Database::server_session`]).
 pub struct Session {
     db: Arc<Database>,
     id: u64,
-    settings: Mutex<SessionSettings>,
+    /// `None` is the server scope: there is no overlay, so the five
+    /// overlay-able `SET`s write the server defaults themselves.
+    settings: Option<Mutex<SessionSettings>>,
 }
 
 impl Session {
@@ -72,7 +78,16 @@ impl Session {
         Session {
             db,
             id,
-            settings: Mutex::new(SessionSettings::default()),
+            settings: Some(Mutex::new(SessionSettings::default())),
+        }
+    }
+
+    /// The session behind [`Database::server_session`]: id 0, no overlay.
+    pub(crate) fn server_scope(db: Arc<Database>) -> Session {
+        Session {
+            db,
+            id: 0,
+            settings: None,
         }
     }
 
@@ -87,34 +102,52 @@ impl Session {
     /// Session-scoped `SET QUERY_TIMEOUT_MS`; `None` switches the
     /// override off for this session (0 via SQL maps to `Some(None)`).
     pub fn set_query_timeout_ms(&self, ms: Option<u64>) {
-        self.settings.lock().query_timeout_ms = Some(ms);
+        match &self.settings {
+            Some(s) => s.lock().query_timeout_ms = Some(ms),
+            None => self.db.set_query_timeout_ms(ms),
+        }
     }
 
     /// Session-scoped `SET QUERY_MEMORY_LIMIT_KB`.
     pub fn set_query_memory_limit_kb(&self, kb: Option<u64>) {
-        self.settings.lock().query_mem_limit_kb = Some(kb);
+        match &self.settings {
+            Some(s) => s.lock().query_mem_limit_kb = Some(kb),
+            None => self.db.set_query_memory_limit_kb(kb),
+        }
     }
 
     /// Session-scoped `SET MAX_DOP`.
     pub fn set_max_dop(&self, dop: usize) {
-        self.settings.lock().max_dop = Some(dop.max(1));
+        match &self.settings {
+            Some(s) => s.lock().max_dop = Some(dop.max(1)),
+            None => self.db.set_max_dop(dop),
+        }
     }
 
     /// Session-scoped `SET JOIN_STRATEGY`.
     pub fn set_join_strategy(&self, strategy: crate::database::JoinStrategy) {
-        self.settings.lock().join_strategy = Some(strategy);
+        match &self.settings {
+            Some(s) => s.lock().join_strategy = Some(strategy),
+            None => self.db.set_join_strategy(strategy),
+        }
     }
 
     /// Session-scoped `SET BATCH_SIZE` (0 means 1).
     pub fn set_batch_size(&self, rows: usize) {
-        self.settings.lock().batch_size = Some(rows);
+        match &self.settings {
+            Some(s) => s.lock().batch_size = Some(rows),
+            None => self.db.set_batch_size(rows),
+        }
     }
 
     /// The configuration this session's next statement runs under:
     /// database defaults with this session's overrides applied.
     pub fn effective_config(&self) -> DbConfig {
         let mut cfg = self.db.config();
-        let s = self.settings.lock();
+        let Some(settings) = &self.settings else {
+            return cfg;
+        };
+        let s = settings.lock();
         if let Some(ms) = s.query_timeout_ms {
             cfg.query_timeout_ms = ms;
         }
@@ -159,7 +192,6 @@ impl Session {
             registry,
             statement_id,
             slot: None,
-            history: self.db.query_stats().clone(),
             store: self.db.query_store().clone(),
             sql: sql.to_string(),
             started: Instant::now(),
@@ -171,7 +203,7 @@ impl Session {
         };
         // On admission failure the guard's drop deregisters the queued
         // statement; `record` is still false, so a statement that never
-        // ran leaves no history entry.
+        // ran leaves no query-store entry.
         let slot = match self.db.admission().admit(
             budget.unwrap_or(0),
             cfg.admission_pool_kb.map(|kb| kb as usize * 1024),
@@ -220,19 +252,20 @@ impl Session {
 }
 
 /// RAII handle for one running statement: on drop it deregisters the
-/// statement, folds its outcome into the query-stats history, and
-/// returns the admission reservation to the global pool.
+/// statement, folds its outcome into the query store, and returns the
+/// admission reservation to the global pool.
 ///
 /// Recording happens in `drop` — not on a success path — so a statement
-/// cancelled, killed or panicked mid-stream still lands in
-/// `DM_EXEC_QUERY_STATS()` with the rows/spills/peak-memory it produced
-/// before dying (its per-operator `NodeStats` are likewise `Arc`-shared
-/// and lose nothing to the early pipeline drop).
+/// cancelled, killed (by `KILL`, a dropped client or a server drain) or
+/// panicked mid-stream still lands in `DM_DB_QUERY_STORE()` /
+/// `DM_EXEC_QUERY_STATS()` with its disposition and the rows, spills and
+/// peak memory it produced before dying (its per-operator `NodeStats`
+/// are likewise `Arc`-shared and lose nothing to the early pipeline
+/// drop).
 pub struct StatementGuard {
     registry: Arc<StatementRegistry>,
     statement_id: i64,
     slot: Option<AdmissionSlot>,
-    history: Arc<QueryStatsHistory>,
     store: Arc<QueryStore>,
     sql: String,
     started: Instant,
@@ -275,20 +308,6 @@ impl Drop for StatementGuard {
             let elapsed = self.started.elapsed();
             let spill = self.gov.spill_tally();
             let disposition = self.gov.disposition();
-            self.history.record(
-                &self.sql,
-                &StatementOutcome {
-                    rows: self.rows,
-                    elapsed,
-                    spill_files: spill.files(),
-                    spill_bytes: spill.bytes(),
-                    peak_mem_bytes: self.gov.mem_peak() as u64,
-                },
-            );
-            // The persistent query store gets the same outcome plus the
-            // disposition and wait breakdown — this runs in `drop`, so
-            // statements killed by `KILL`, a dropped client or a server
-            // drain still land here (with disposition `killed`).
             self.store.record(
                 &self.sql,
                 &StoreOutcome {
@@ -741,23 +760,6 @@ impl DmExecRequestsFn {
     }
 }
 
-struct DmExecRequestsCursor {
-    rows: std::vec::IntoIter<Row>,
-    current: Option<Row>,
-}
-
-impl TvfCursor for DmExecRequestsCursor {
-    fn move_next(&mut self) -> Result<bool> {
-        self.current = self.rows.next();
-        Ok(self.current.is_some())
-    }
-    fn fill_row(&mut self) -> Result<Row> {
-        self.current
-            .clone()
-            .ok_or_else(|| DbError::Execution("fill_row past end of DM_EXEC_REQUESTS".into()))
-    }
-}
-
 impl TableFunction for DmExecRequestsFn {
     fn name(&self) -> &str {
         "DM_EXEC_REQUESTS"
@@ -774,11 +776,7 @@ impl TableFunction for DmExecRequestsFn {
         ]))
     }
     fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        if !args.is_empty() {
-            return Err(DbError::Execution(
-                "DM_EXEC_REQUESTS() takes no arguments".into(),
-            ));
-        }
+        no_args(args, self.name())?;
         let rows: Vec<Row> = self
             .registry
             .snapshot()
@@ -796,10 +794,7 @@ impl TableFunction for DmExecRequestsFn {
                 ])
             })
             .collect();
-        Ok(Box::new(DmExecRequestsCursor {
-            rows: rows.into_iter(),
-            current: None,
-        }))
+        Ok(RowsCursor::boxed(rows))
     }
 }
 

@@ -1,9 +1,9 @@
-//! Execution statistics: actual per-operator numbers, engine-level
-//! counters, and the bounded query-stats history.
+//! Execution statistics: actual per-operator numbers and engine-level
+//! counters. (The statement history lives in [`crate::querystore`].)
 //!
 //! The paper's evaluation reads SQL Server's *actual* execution plans and
 //! engine counters to attribute query time (Figures 9–10). seqdb's
-//! analogue has three pieces:
+//! analogue has two pieces:
 //!
 //! * [`ExecStats`] / [`NodeStats`] — a per-query collector threaded
 //!   through `Plan::open`. Every operator node registers one
@@ -17,9 +17,6 @@
 //! * [`engine_counters`] — process-global engine counters (admission
 //!   waits, kills, UDX panics, governed timeouts), merged with the
 //!   storage registry into `DM_OS_PERFORMANCE_COUNTERS()`.
-//! * [`QueryStatsHistory`] — a bounded per-database history keyed by
-//!   statement text, recorded on statement completion (the session
-//!   guard's drop), rendered by `DM_EXEC_QUERY_STATS()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -235,91 +232,6 @@ pub fn engine_counters() -> &'static EngineCounters {
     &ENGINE
 }
 
-/// One row of `DM_EXEC_QUERY_STATS()`.
-#[derive(Debug, Clone)]
-pub struct QueryStatsRecord {
-    pub sql: String,
-    pub executions: u64,
-    pub total_rows: u64,
-    pub last_rows: u64,
-    pub total_elapsed: Duration,
-    pub last_elapsed: Duration,
-    pub total_spill_files: u64,
-    pub total_spill_bytes: u64,
-    /// Highest governed-memory high-water across executions.
-    pub peak_mem_bytes: u64,
-}
-
-/// What one finished statement contributes to the history.
-#[derive(Debug, Clone)]
-pub struct StatementOutcome {
-    pub rows: u64,
-    pub elapsed: Duration,
-    pub spill_files: u64,
-    pub spill_bytes: u64,
-    pub peak_mem_bytes: u64,
-}
-
-/// Bounded per-database statement history keyed by statement text.
-/// Statements beyond `capacity` evict the least-recently-executed entry
-/// (SQL Server's `sys.dm_exec_query_stats` is likewise a cache, not a
-/// log).
-pub struct QueryStatsHistory {
-    capacity: usize,
-    /// Most-recently-executed last.
-    entries: Mutex<Vec<QueryStatsRecord>>,
-}
-
-impl QueryStatsHistory {
-    /// Default history size.
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    pub fn new(capacity: usize) -> Arc<QueryStatsHistory> {
-        Arc::new(QueryStatsHistory {
-            capacity: capacity.max(1),
-            entries: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Fold one finished statement into the history. Called from the
-    /// session guard's drop, so cancelled/killed/panicked statements are
-    /// recorded with whatever they produced before dying.
-    pub fn record(&self, sql: &str, outcome: &StatementOutcome) {
-        let mut entries = self.entries.lock();
-        let mut rec = match entries.iter().position(|r| r.sql == sql) {
-            Some(i) => entries.remove(i),
-            None => QueryStatsRecord {
-                sql: sql.to_string(),
-                executions: 0,
-                total_rows: 0,
-                last_rows: 0,
-                total_elapsed: Duration::ZERO,
-                last_elapsed: Duration::ZERO,
-                total_spill_files: 0,
-                total_spill_bytes: 0,
-                peak_mem_bytes: 0,
-            },
-        };
-        rec.executions += 1;
-        rec.total_rows += outcome.rows;
-        rec.last_rows = outcome.rows;
-        rec.total_elapsed += outcome.elapsed;
-        rec.last_elapsed = outcome.elapsed;
-        rec.total_spill_files += outcome.spill_files;
-        rec.total_spill_bytes += outcome.spill_bytes;
-        rec.peak_mem_bytes = rec.peak_mem_bytes.max(outcome.peak_mem_bytes);
-        if entries.len() >= self.capacity {
-            entries.remove(0);
-        }
-        entries.push(rec);
-    }
-
-    /// Every record, least-recently-executed first.
-    pub fn snapshot(&self) -> Vec<QueryStatsRecord> {
-        self.entries.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,33 +285,6 @@ mod tests {
         gov.release(4096);
         it.next_batch(1).unwrap();
         assert!(node.peak_mem_bytes() >= 4096);
-    }
-
-    #[test]
-    fn history_is_bounded_and_keyed_by_sql() {
-        let h = QueryStatsHistory::new(2);
-        let outcome = |rows| StatementOutcome {
-            rows,
-            elapsed: Duration::from_millis(2),
-            spill_files: 1,
-            spill_bytes: 100,
-            peak_mem_bytes: 64,
-        };
-        h.record("SELECT 1", &outcome(1));
-        h.record("SELECT 2", &outcome(2));
-        h.record("SELECT 1", &outcome(3));
-        let snap = h.snapshot();
-        assert_eq!(snap.len(), 2);
-        let s1 = snap.iter().find(|r| r.sql == "SELECT 1").unwrap();
-        assert_eq!(s1.executions, 2);
-        assert_eq!(s1.total_rows, 4);
-        assert_eq!(s1.last_rows, 3);
-        assert_eq!(s1.total_spill_files, 2);
-        // A third distinct statement evicts the least recently executed.
-        h.record("SELECT 3", &outcome(9));
-        let snap = h.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(snap.iter().all(|r| r.sql != "SELECT 2"));
     }
 
     #[test]

@@ -36,6 +36,7 @@ use parking_lot::Mutex;
 use seqdb_storage::{install_trace_hook, StorageEvent};
 use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
+use crate::dmv::{no_args, RowsCursor};
 use crate::exec::ExecContext;
 use crate::udx::{TableFunction, TvfCursor};
 
@@ -489,11 +490,7 @@ impl TableFunction for DmOsRingBufferFn {
         ]))
     }
     fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        if !args.is_empty() {
-            return Err(DbError::Execution(
-                "DM_OS_RING_BUFFER() takes no arguments".into(),
-            ));
-        }
+        no_args(args, self.name())?;
         let rows: Vec<Row> = tracer()
             .snapshot()
             .into_iter()
@@ -509,25 +506,7 @@ impl TableFunction for DmOsRingBufferFn {
                 ])
             })
             .collect();
-        struct Cursor {
-            rows: std::vec::IntoIter<Row>,
-            current: Option<Row>,
-        }
-        impl TvfCursor for Cursor {
-            fn move_next(&mut self) -> Result<bool> {
-                self.current = self.rows.next();
-                Ok(self.current.is_some())
-            }
-            fn fill_row(&mut self) -> Result<Row> {
-                self.current.clone().ok_or_else(|| {
-                    DbError::Execution("fill_row past end of DM_OS_RING_BUFFER".into())
-                })
-            }
-        }
-        Ok(Box::new(Cursor {
-            rows: rows.into_iter(),
-            current: None,
-        }))
+        Ok(RowsCursor::boxed(rows))
     }
 }
 

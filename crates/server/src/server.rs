@@ -86,6 +86,14 @@ pub struct ServerConfig {
     pub slow_log_file: Option<std::path::PathBuf>,
 }
 
+impl ServerConfig {
+    /// Whether trace events go to a JSONL file (and so need the tracer's
+    /// sink attached and flushed).
+    fn traces_to_file(&self) -> bool {
+        self.trace_file.is_some() || self.slow_log_file.is_some()
+    }
+}
+
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
@@ -131,10 +139,9 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    scrub_thread: Option<JoinHandle<()>>,
-    backup_thread: Option<JoinHandle<()>>,
-    trace_thread: Option<JoinHandle<()>>,
+    /// The accept thread, then the periodic ones; all exit on the drain
+    /// flag and `drain()` joins them in this order.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -152,58 +159,72 @@ impl Server {
             conn_threads: Mutex::new(Vec::new()),
         });
         let s2 = shared.clone();
-        let accept_thread = std::thread::Builder::new()
+        let mut threads = vec![std::thread::Builder::new()
             .name("seqdb-accept".into())
             .spawn(move || accept_loop(listener, s2))
-            .map_err(DbError::io)?;
-        let scrub_thread = match shared.cfg.scrub_interval {
-            Some(interval) => {
-                let s3 = shared.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name("seqdb-scrub".into())
-                        .spawn(move || scrub_loop(s3, interval))
-                        .map_err(DbError::io)?,
-                )
-            }
-            None => None,
-        };
-        let backup_thread = match (&shared.cfg.backup_interval, &shared.cfg.backup_dir) {
-            (Some(interval), Some(dir)) => {
-                let s4 = shared.clone();
-                let (interval, dir) = (*interval, dir.clone());
-                Some(
-                    std::thread::Builder::new()
-                        .name("seqdb-backup".into())
-                        .spawn(move || backup_loop(s4, interval, dir))
-                        .map_err(DbError::io)?,
-                )
-            }
-            _ => None,
-        };
+            .map_err(DbError::io)?];
+        // The periodic integrity scrub: a full `CHECK DATABASE REPAIR`
+        // pass. Scrub failures (e.g. an I/O error on a dying disk) are
+        // recorded in the scrub counters by the engine; the next pass
+        // retries.
+        if let Some(interval) = shared.cfg.scrub_interval {
+            let db = shared.db.clone();
+            threads.push(spawn_periodic(
+                &shared,
+                "seqdb-scrub",
+                interval,
+                move |draining| {
+                    if !draining {
+                        let _ = db.check_database(true);
+                    }
+                },
+            )?);
+        }
+        // The periodic online backup: a new set under `dir` — `dir/1`
+        // full, then `dir/N` incremental from `dir/N-1`. A failed pass
+        // (disk full, crash-injected clock) is recorded in
+        // `DM_DB_BACKUP_STATUS()`'s `last_outcome` by the engine and the
+        // next pass retries into the same slot.
+        if let (Some(interval), Some(dir)) = (shared.cfg.backup_interval, &shared.cfg.backup_dir) {
+            let (db, dir) = (shared.db.clone(), dir.clone());
+            let mut seq: u64 = 1;
+            threads.push(spawn_periodic(
+                &shared,
+                "seqdb-backup",
+                interval,
+                move |draining| {
+                    if draining {
+                        return;
+                    }
+                    let dest = dir.join(seq.to_string());
+                    let base = (seq > 1).then(|| dir.join((seq - 1).to_string()));
+                    if db.backup_database(&dest, base.as_deref()).is_ok() {
+                        seq += 1;
+                    } else {
+                        // Leave nothing half-written in the slot we will retry.
+                        let _ = std::fs::remove_dir_all(&dest);
+                    }
+                },
+            )?);
+        }
         // With a trace or slow-log file configured, events flow through
         // the tracer's sink buffer to disk on a dedicated flusher thread
-        // so no statement ever blocks on file I/O.
-        let trace_thread = if shared.cfg.trace_file.is_some() || shared.cfg.slow_log_file.is_some()
-        {
+        // so no statement ever blocks on file I/O. Its last tick, the one
+        // that sees the drain flag, still flushes.
+        if shared.cfg.traces_to_file() {
             seqdb_engine::tracer().attach_sink(true);
-            let s5 = shared.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("seqdb-trace".into())
-                    .spawn(move || trace_flush_loop(s5))
-                    .map_err(DbError::io)?,
-            )
-        } else {
-            None
-        };
+            let s = shared.clone();
+            threads.push(spawn_periodic(
+                &shared,
+                "seqdb-trace",
+                Duration::from_millis(50),
+                move |_draining| flush_trace_sink(&s.cfg),
+            )?);
+        }
         Ok(Server {
             shared,
             addr,
-            accept_thread: Some(accept_thread),
-            scrub_thread,
-            backup_thread,
-            trace_thread,
+            threads,
         })
     }
 
@@ -226,19 +247,10 @@ impl Server {
             format!("in_flight={}", self.shared.db.statements().running_count())
         });
         self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // The scrub thread polls the drain flag between slices and exits
-        // at the next wakeup; a scrub pass never blocks the drain past
-        // its current slice.
-        if let Some(t) = self.scrub_thread.take() {
-            let _ = t.join();
-        }
-        // Same deal for the backup thread: it polls the flag between
-        // passes and a pass in flight finishes (backups are short and
-        // rate-limited) before the thread exits.
-        if let Some(t) = self.backup_thread.take() {
+        // Every periodic thread polls the drain flag between ticks and
+        // exits at its next wakeup; a scrub or backup pass in flight
+        // finishes first (both are short and rate-limited).
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
         let deadline = started + self.shared.cfg.drain_deadline;
@@ -273,12 +285,11 @@ impl Server {
                 report.elapsed.as_millis()
             )
         });
-        // The flusher exits on the drain flag; one last synchronous
+        // The flusher exited on the drain flag; one last synchronous
         // flush catches everything emitted during the drain itself
         // (kills, statement_finish, drain_end) before the sink detaches
         // (detaching discards whatever is still buffered).
-        if let Some(t) = self.trace_thread.take() {
-            let _ = t.join();
+        if self.shared.cfg.traces_to_file() {
             flush_trace_sink(&self.shared.cfg);
             seqdb_engine::tracer().attach_sink(false);
         }
@@ -286,70 +297,35 @@ impl Server {
     }
 }
 
-/// The periodic integrity scrub: every `interval`, run a full
-/// `CHECK DATABASE REPAIR` pass. Sleeps in `poll_interval` steps so the
-/// drain flag is noticed promptly; scrub failures (e.g. an I/O error on
-/// a dying disk) are recorded in the scrub counters by the engine and
-/// must not take the thread down — the next pass retries.
-fn scrub_loop(shared: Arc<Shared>, interval: Duration) {
-    let mut next_pass = Instant::now() + interval;
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        if Instant::now() >= next_pass {
-            let _ = shared.db.check_database(true);
-            next_pass = Instant::now() + interval;
-        }
-        std::thread::sleep(shared.cfg.poll_interval.min(interval));
-    }
-}
-
-/// The periodic online backup: every `interval`, write a new set under
-/// `dir` — `dir/1` full, then `dir/N` incremental from `dir/N-1`. A
-/// failed pass (disk full, crash-injected clock) is recorded in
-/// `DM_DB_BACKUP_STATUS()`'s `last_outcome` by the engine and the next
-/// pass retries into the same slot; the thread itself never dies.
-fn backup_loop(shared: Arc<Shared>, interval: Duration, dir: std::path::PathBuf) {
-    let mut seq: u64 = 1;
-    let mut next_pass = Instant::now() + interval;
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        if Instant::now() >= next_pass {
-            let dest = dir.join(seq.to_string());
-            let base = (seq > 1).then(|| dir.join((seq - 1).to_string()));
-            let ok = shared
-                .db
-                .backup_database(&dest, base.as_deref())
-                .map(|_| ())
-                .is_ok();
-            if ok {
-                seq += 1;
-            } else {
-                // Leave nothing half-written in the slot we will retry.
-                let _ = std::fs::remove_dir_all(&dest);
+/// Run `tick` on a named thread every `interval` until the server
+/// drains. The thread sleeps in `poll_interval` steps so the drain flag
+/// is noticed promptly; the tick that notices it is passed `true`, runs
+/// whether or not it is due, and is the last. A tick must not take the
+/// thread down: it swallows its own errors and the next one retries.
+fn spawn_periodic(
+    shared: &Arc<Shared>,
+    name: &str,
+    interval: Duration,
+    mut tick: impl FnMut(bool) + Send + 'static,
+) -> Result<JoinHandle<()>> {
+    let shared = shared.clone();
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let mut next_tick = Instant::now() + interval;
+            loop {
+                let draining = shared.draining.load(Ordering::SeqCst);
+                if draining || Instant::now() >= next_tick {
+                    tick(draining);
+                    next_tick = Instant::now() + interval;
+                }
+                if draining {
+                    return;
+                }
+                std::thread::sleep(shared.cfg.poll_interval.min(interval));
             }
-            next_pass = Instant::now() + interval;
-        }
-        std::thread::sleep(shared.cfg.poll_interval.min(interval));
-    }
-}
-
-/// The trace flusher: drain the tracer's sink buffer to the configured
-/// JSONL file(s) every interval. File errors are swallowed — losing a
-/// trace line must never take the server down — and the drained events
-/// are gone either way, keeping the sink bounded.
-fn trace_flush_loop(shared: Arc<Shared>) {
-    loop {
-        let draining = shared.draining.load(Ordering::SeqCst);
-        flush_trace_sink(&shared.cfg);
-        if draining {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        })
+        .map_err(DbError::io)
 }
 
 /// One flush pass: take whatever the sink holds and append it as JSON

@@ -26,28 +26,24 @@ use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
 use crate::ast::*;
 
-/// Execute one SQL statement.
+/// Execute one SQL statement on the database's server-scope session
+/// (see [`execute_on`]): enveloped like any session statement, and `SET`
+/// changes the server defaults.
 pub fn execute(db: &Arc<Database>, sql: &str) -> Result<QueryResult> {
-    let stmt = crate::parser::parse(sql)?;
-    execute_statement(db, &stmt)
+    execute_on(&db.server_session(), sql)
 }
 
 /// Execute a script of `;`-separated statements, returning the last
 /// statement's result.
 pub fn execute_script(db: &Arc<Database>, sql: &str) -> Result<QueryResult> {
-    let stmts = crate::parser::parse_script(sql)?;
-    let mut last = QueryResult::empty();
-    for s in &stmts {
-        last = execute_statement(db, s)?;
-    }
-    Ok(last)
+    execute_script_on(&db.server_session(), sql)
 }
 
 /// Execute one SQL statement in a [`Session`]: `SET` mutates the
-/// session's own settings (not the server defaults), and queries run
-/// admitted against the global pool, governed by the session's effective
-/// limits, and registered in `sys.dm_exec_requests` where another
-/// session's `KILL` can reach them.
+/// session's own settings (not the server defaults), and everything
+/// else runs admitted against the global pool, governed by the session's
+/// effective limits, and registered in `sys.dm_exec_requests` where
+/// another session's `KILL` can reach it.
 pub fn execute_on(session: &Session, sql: &str) -> Result<QueryResult> {
     let stmt = crate::parser::parse(sql)?;
     execute_statement_on(session, &stmt, sql)
@@ -63,278 +59,61 @@ pub fn execute_script_on(session: &Session, sql: &str) -> Result<QueryResult> {
     Ok(last)
 }
 
-/// Session-scoped statement dispatch. `sql_text` is what
-/// `sys.dm_exec_requests` shows for the running statement.
+/// The statement dispatcher. `SET` and `KILL` act on the session and the
+/// registry and plain `EXPLAIN` only plans; every other arm plans under
+/// the session's effective config and runs inside one statement envelope
+/// — `begin()` to its guard's drop — which admits it against the global
+/// pool, governs it, registers it for `DM_EXEC_REQUESTS()` / `KILL`, and
+/// folds its outcome into the query store. `sql_text` is the label the
+/// envelope carries.
 pub fn execute_statement_on(
     session: &Session,
     stmt: &Statement,
     sql_text: &str,
 ) -> Result<QueryResult> {
     let db = session.database();
+    let b = Binder::with_config(db, session.effective_config());
+    let begin = || session.begin_statement(sql_text);
     match stmt {
         Statement::Set { name, value } => {
-            if let Some(result) = apply_text_set(name, value)? {
-                return Ok(result);
-            }
-            let value = set_int_value(name, value)?;
-            let v = (value != 0).then_some(value as u64);
-            match name.as_str() {
-                // Session-scoped overlays of the server defaults.
-                "QUERY_TIMEOUT_MS" => session.set_query_timeout_ms(v),
-                "QUERY_MEMORY_LIMIT_KB" => session.set_query_memory_limit_kb(v),
-                "MAX_DOP" => session.set_max_dop(value as usize),
-                "JOIN_STRATEGY" => session.set_join_strategy(
-                    JoinStrategy::from_setting(value).ok_or_else(|| {
-                        DbError::Unsupported(format!(
-                            "SET JOIN_STRATEGY: {value} (want 0=auto, 1=hash, 2=merge)"
-                        ))
-                    })?,
-                ),
-                // 0 is accepted and runs as 1 (row mode is a batch size).
-                "BATCH_SIZE" => session.set_batch_size(value as usize),
-                // Admission control is a property of the shared pool, not
-                // of one session: these stay server-wide.
-                "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
-                "ADMISSION_WAIT_MS" => db.set_admission_wait_ms(value as u64),
-                "ADMISSION_QUEUE_SLOTS" => db.set_admission_queue_slots(value as usize),
-                // The slow-statement threshold feeds the trace log, which
-                // is a server-wide sink: keep the knob server-wide too.
-                "SLOW_QUERY_MS" => db.set_slow_query_ms(v),
-                other => {
-                    return Err(DbError::Unsupported(format!("unknown SET option {other}")));
-                }
-            }
-            Ok(QueryResult::empty())
-        }
-        Statement::Select(s) => {
-            // Plan under the session's effective config (its MAX_DOP
-            // override steers the parallel-plan choice), then execute
-            // admitted + governed + registered.
-            let b = Binder::with_config(db, session.effective_config());
-            let bound = b.plan_select(s)?;
-            let (ctx, mut guard) = session.begin_statement(sql_text)?;
-            let rows = bound.plan.run(&ctx)?;
-            guard.set_rows(rows.len() as u64);
-            drop(guard);
-            Ok(QueryResult {
-                schema: bound.plan.schema(),
-                rows,
-                affected: 0,
-            })
-        }
-        Statement::Explain { analyze, inner } => {
-            // Session-scoped EXPLAIN: planned under the session's
-            // effective config; with ANALYZE the statement runs admitted
-            // + governed + registered like any other query.
-            let Statement::Select(s) = inner.as_ref() else {
-                return Err(DbError::Unsupported("EXPLAIN of non-SELECT".into()));
-            };
-            let b = Binder::with_config(db, session.effective_config());
-            let bound = b.plan_select(s)?;
-            if *analyze {
-                let (ctx, mut guard) = session.begin_statement(sql_text)?;
-                let (result, rows) = run_explain_analyze(&bound.plan, ctx)?;
-                guard.set_rows(rows);
-                Ok(result)
-            } else {
-                Ok(plan_text_result(bound.plan.explain()))
-            }
-        }
-        // DDL/DML and KILL behave identically from any session.
-        other => execute_statement(db, other),
-    }
-}
-
-/// Plan a SELECT and return the physical plan (for EXPLAIN and tests).
-pub fn plan_query(db: &Arc<Database>, sql: &str) -> Result<Plan> {
-    let stmt = crate::parser::parse(sql)?;
-    match stmt {
-        Statement::Select(s) => {
-            let b = Binder::new(db);
-            Ok(b.plan_select(&s)?.plan)
-        }
-        _ => Err(DbError::Plan("EXPLAIN requires a SELECT".into())),
-    }
-}
-
-/// Text-typed `SET` options, shared by the server-scoped and
-/// session-scoped dispatchers. Returns `Ok(Some(..))` when the option
-/// was handled here, `Ok(None)` when the caller should treat it as an
-/// integer knob.
-fn apply_text_set(name: &str, value: &SetValue) -> Result<Option<QueryResult>> {
-    if name != "TRACE_EVENTS" {
-        return Ok(None);
-    }
-    let SetValue::Str(classes) = value else {
-        return Err(DbError::Unsupported(
-            "SET TRACE_EVENTS: expected a string value ('ALL', 'OFF' or a class list)".into(),
-        ));
-    };
-    // The trace mask gates event emission process-wide: every session's
-    // events land in the same per-thread rings.
-    let mask = seqdb_engine::parse_mask(classes)?;
-    seqdb_engine::tracer().set_mask(mask);
-    Ok(Some(QueryResult::empty()))
-}
-
-/// Type-check a `SET` value as a non-negative integer.
-fn set_int_value(name: &str, value: &SetValue) -> Result<i64> {
-    match value {
-        SetValue::Int(i) if *i >= 0 => Ok(*i),
-        SetValue::Int(_) => Err(DbError::Unsupported(format!(
-            "SET {name}: value must be non-negative"
-        ))),
-        SetValue::Str(_) => Err(DbError::Unsupported(format!(
-            "SET {name}: expected an integer value"
-        ))),
-    }
-}
-
-/// Render plan text as the `[plan TEXT]` result EXPLAIN returns.
-fn plan_text_result(text: String) -> QueryResult {
-    let schema = Arc::new(Schema::new(vec![Column::new("plan", DataType::Text)]));
-    let rows = text
-        .lines()
-        .map(|l| Row::new(vec![Value::text(l)]))
-        .collect();
-    QueryResult {
-        schema,
-        rows,
-        affected: 0,
-    }
-}
-
-/// `EXPLAIN ANALYZE`: execute the plan with an actuals collector
-/// attached, then render the annotated tree plus a one-line statement
-/// summary. Returns the result and the row count the run produced (for
-/// the caller's query-stats record).
-fn run_explain_analyze(plan: &Plan, mut ctx: ExecContext) -> Result<(QueryResult, u64)> {
-    let stats = seqdb_engine::ExecStats::new();
-    ctx.stats = Some(stats.clone());
-    let started = std::time::Instant::now();
-    let rows = plan.run(&ctx)?;
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let spill = ctx.gov.spill_tally();
-    let mut text = plan.explain_analyze(&stats);
-    text.push_str(&format!(
-        "-- actual: {} rows, elapsed_ms={elapsed_ms:.3}, peak_mem_kb={}, \
-         spill_files={}, spill_kb={}\n",
-        rows.len(),
-        ctx.gov.mem_peak() / 1024,
-        spill.files(),
-        spill.bytes() / 1024
-    ));
-    Ok((plan_text_result(text), rows.len() as u64))
-}
-
-pub fn execute_statement(db: &Arc<Database>, stmt: &Statement) -> Result<QueryResult> {
-    match stmt {
-        Statement::Explain { analyze, inner } => {
-            let Statement::Select(s) = inner.as_ref() else {
-                return Err(DbError::Unsupported("EXPLAIN of non-SELECT".into()));
-            };
-            let b = Binder::new(db);
-            let bound = b.plan_select(s)?;
-            if *analyze {
-                let (result, _rows) = run_explain_analyze(&bound.plan, db.exec_context())?;
-                Ok(result)
-            } else {
-                Ok(plan_text_result(bound.plan.explain()))
-            }
-        }
-        Statement::Checkpoint => {
-            db.checkpoint()?;
-            Ok(QueryResult::empty())
-        }
-        Statement::Set { name, value } => {
-            if let Some(result) = apply_text_set(name, value)? {
-                return Ok(result);
-            }
-            // 0 switches a limit off, matching the resource-governor
-            // convention of "unlimited unless configured".
-            let value = set_int_value(name, value)?;
-            let v = (value != 0).then_some(value as u64);
-            match name.as_str() {
-                "QUERY_TIMEOUT_MS" => db.set_query_timeout_ms(v),
-                "QUERY_MEMORY_LIMIT_KB" => db.set_query_memory_limit_kb(v),
-                "MAX_DOP" => db.set_max_dop(value as usize),
-                "JOIN_STRATEGY" => {
-                    db.set_join_strategy(JoinStrategy::from_setting(value).ok_or_else(|| {
-                        DbError::Unsupported(format!(
-                            "SET JOIN_STRATEGY: {value} (want 0=auto, 1=hash, 2=merge)"
-                        ))
-                    })?)
-                }
-                // 0 is accepted and runs as 1 (row mode is a batch size).
-                "BATCH_SIZE" => db.set_batch_size(value as usize),
-                "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
-                "ADMISSION_WAIT_MS" => db.set_admission_wait_ms(value as u64),
-                "ADMISSION_QUEUE_SLOTS" => db.set_admission_queue_slots(value as usize),
-                "SLOW_QUERY_MS" => db.set_slow_query_ms(v),
-                other => {
-                    return Err(DbError::Unsupported(format!("unknown SET option {other}")));
-                }
-            }
+            apply_set(session, name, value)?;
             Ok(QueryResult::empty())
         }
         Statement::Kill(id) => {
             db.statements().kill(*id)?;
             Ok(QueryResult::empty())
         }
-        Statement::Check { table, repair } => {
-            let report = match table {
-                Some(name) => db.check_table(name, *repair)?,
-                None => db.check_database(*repair)?,
+        Statement::Explain { analyze, inner } => {
+            let Statement::Select(s) = inner.as_ref() else {
+                return Err(DbError::Unsupported("EXPLAIN of non-SELECT".into()));
             };
-            Ok(report.into_result())
+            let bound = b.plan_select(s)?;
+            if !*analyze {
+                return Ok(plan_text_result(bound.plan.explain()));
+            }
+            let (ctx, mut guard) = begin()?;
+            let (result, rows) = run_explain_analyze(&bound.plan, ctx)?;
+            guard.set_rows(rows);
+            Ok(result)
         }
-        Statement::Backup {
-            dir,
-            incremental_from,
-        } => {
-            let report = db.backup_database(
-                std::path::Path::new(dir),
-                incremental_from.as_deref().map(std::path::Path::new),
-            )?;
-            Ok(report.into_result())
+        Statement::Select(s) => {
+            let bound = b.plan_select(s)?;
+            let (ctx, mut guard) = begin()?;
+            let rows = bound.plan.run(&ctx)?;
+            guard.set_rows(rows.len() as u64);
+            Ok(QueryResult {
+                schema: bound.plan.schema(),
+                rows,
+                affected: 0,
+            })
         }
-        Statement::Restore {
-            dir,
-            to,
-            verify_only,
-        } => {
-            let backup = std::path::Path::new(dir);
-            let report = if *verify_only {
-                seqdb_engine::verify_backup(backup)?
-            } else {
-                match to {
-                    Some(target) => {
-                        seqdb_engine::restore_database(backup, std::path::Path::new(target))?
-                    }
-                    None => {
-                        return Err(DbError::Unsupported(
-                            "RESTORE DATABASE over the live database; use RESTORE ... TO \
-                             '<dir>' and open the restored directory, or VERIFY ONLY"
-                                .into(),
-                        ))
-                    }
-                }
-            };
-            Ok(report.into_result())
+        Statement::Insert(ins) => {
+            let (ctx, _guard) = begin()?;
+            insert(&b, ins, &ctx)
         }
-        Statement::CreateTable(ct) => create_table(db, ct),
-        Statement::CreateIndex(ci) => create_index(db, ci),
-        Statement::DropTable { name } => {
-            db.catalog().drop_table(name)?;
-            // The object is gone; a later table of the same name must not
-            // inherit its fence.
-            db.quarantine().clear_object(&name.to_ascii_lowercase());
-            Ok(QueryResult::empty())
-        }
-        Statement::Insert(ins) => insert(db, ins),
         Statement::Delete { table, predicate } => {
+            let _guard = begin()?;
             let t = db.resolve_table(table)?;
-            let b = Binder::new(db);
             let scope = Scope::from_schema(&t.schema, Some(&t.name));
             let bound = match predicate {
                 Some(p) => Some(b.bind_expr(p, &scope)?),
@@ -344,19 +123,15 @@ pub fn execute_statement(db: &Arc<Database>, stmt: &Statement) -> Result<QueryRe
                 Some(p) => p.eval_predicate(row),
                 None => Ok(true),
             })?;
-            Ok(QueryResult {
-                schema: Arc::new(Schema::empty()),
-                rows: Vec::new(),
-                affected: n,
-            })
+            Ok(affected_result(n))
         }
         Statement::Update {
             table,
             assignments,
             predicate,
         } => {
+            let _guard = begin()?;
             let t = db.resolve_table(table)?;
-            let b = Binder::new(db);
             let scope = Scope::from_schema(&t.schema, Some(&t.name));
             let bound_pred = match predicate {
                 Some(p) => Some(b.bind_expr(p, &scope)?),
@@ -392,24 +167,189 @@ pub fn execute_statement(db: &Arc<Database>, stmt: &Statement) -> Result<QueryRe
                 t.delete_row(*rid, row)?;
                 t.insert(&updated)?;
             }
-            Ok(QueryResult {
-                schema: Arc::new(Schema::empty()),
-                rows: Vec::new(),
-                affected: victims.len() as u64,
-            })
+            Ok(affected_result(victims.len() as u64))
         }
-        Statement::Select(s) => {
-            let b = Binder::new(db);
-            let bound = b.plan_select(s)?;
-            let ctx = db.exec_context();
-            let rows = bound.plan.run(&ctx)?;
-            Ok(QueryResult {
-                schema: bound.plan.schema(),
-                rows,
-                affected: 0,
-            })
+        Statement::CreateTable(ct) => {
+            let _guard = begin()?;
+            create_table(db, ct)
+        }
+        Statement::CreateIndex(ci) => {
+            let _guard = begin()?;
+            create_index(db, ci)
+        }
+        Statement::DropTable { name } => {
+            let _guard = begin()?;
+            db.catalog().drop_table(name)?;
+            // The object is gone; a later table of the same name must not
+            // inherit its fence.
+            db.quarantine().clear_object(&name.to_ascii_lowercase());
+            Ok(QueryResult::empty())
+        }
+        Statement::Checkpoint => {
+            let _guard = begin()?;
+            db.checkpoint()?;
+            Ok(QueryResult::empty())
+        }
+        Statement::Check { table, repair } => {
+            let _guard = begin()?;
+            let report = match table {
+                Some(name) => db.check_table(name, *repair)?,
+                None => db.check_database(*repair)?,
+            };
+            Ok(report.into_result())
+        }
+        Statement::Backup {
+            dir,
+            incremental_from,
+        } => {
+            let _guard = begin()?;
+            let report = db.backup_database(
+                std::path::Path::new(dir),
+                incremental_from.as_deref().map(std::path::Path::new),
+            )?;
+            Ok(report.into_result())
+        }
+        Statement::Restore {
+            dir,
+            to,
+            verify_only,
+        } => {
+            let _guard = begin()?;
+            let backup = std::path::Path::new(dir);
+            let report = if *verify_only {
+                seqdb_engine::verify_backup(backup)?
+            } else {
+                match to {
+                    Some(target) => {
+                        seqdb_engine::restore_database(backup, std::path::Path::new(target))?
+                    }
+                    None => {
+                        return Err(DbError::Unsupported(
+                            "RESTORE DATABASE over the live database; use RESTORE ... TO \
+                             '<dir>' and open the restored directory, or VERIFY ONLY"
+                                .into(),
+                        ))
+                    }
+                }
+            };
+            Ok(report.into_result())
         }
     }
+}
+
+/// Plan a SELECT under the server defaults and return the physical plan
+/// (for EXPLAIN and tests).
+pub fn plan_query(db: &Arc<Database>, sql: &str) -> Result<Plan> {
+    let stmt = crate::parser::parse(sql)?;
+    match stmt {
+        Statement::Select(s) => Ok(Binder::with_config(db, db.config()).plan_select(&s)?.plan),
+        _ => Err(DbError::Plan("EXPLAIN requires a SELECT".into())),
+    }
+}
+
+/// `SET <name> = <value>`. The five per-statement knobs go to the
+/// session (whose server scope writes the server defaults); the rest are
+/// properties of shared state and stay server-wide from any session.
+fn apply_set(session: &Session, name: &str, value: &SetValue) -> Result<()> {
+    let db = session.database();
+    if name == "TRACE_EVENTS" {
+        let SetValue::Str(classes) = value else {
+            return Err(DbError::Unsupported(
+                "SET TRACE_EVENTS: expected a string value ('ALL', 'OFF' or a class list)".into(),
+            ));
+        };
+        // The trace mask gates event emission process-wide: every
+        // session's events land in the same per-thread rings.
+        seqdb_engine::tracer().set_mask(seqdb_engine::parse_mask(classes)?);
+        return Ok(());
+    }
+    let value = match value {
+        SetValue::Int(i) if *i >= 0 => *i,
+        SetValue::Int(_) => {
+            return Err(DbError::Unsupported(format!(
+                "SET {name}: value must be non-negative"
+            )))
+        }
+        SetValue::Str(_) => {
+            return Err(DbError::Unsupported(format!(
+                "SET {name}: expected an integer value"
+            )))
+        }
+    };
+    // 0 switches a limit off, matching the resource-governor convention
+    // of "unlimited unless configured".
+    let v = (value != 0).then_some(value as u64);
+    match name {
+        "QUERY_TIMEOUT_MS" => session.set_query_timeout_ms(v),
+        "QUERY_MEMORY_LIMIT_KB" => session.set_query_memory_limit_kb(v),
+        "MAX_DOP" => session.set_max_dop(value as usize),
+        "JOIN_STRATEGY" => {
+            session.set_join_strategy(JoinStrategy::from_setting(value).ok_or_else(|| {
+                DbError::Unsupported(format!(
+                    "SET JOIN_STRATEGY: {value} (want 0=auto, 1=hash, 2=merge)"
+                ))
+            })?)
+        }
+        // 0 is accepted and runs as 1 (row mode is a batch size).
+        "BATCH_SIZE" => session.set_batch_size(value as usize),
+        // Admission control is a property of the shared pool, not of one
+        // session.
+        "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
+        "ADMISSION_WAIT_MS" => db.set_admission_wait_ms(value as u64),
+        "ADMISSION_QUEUE_SLOTS" => db.set_admission_queue_slots(value as usize),
+        // The slow-statement threshold feeds the trace log, a
+        // server-wide sink.
+        "SLOW_QUERY_MS" => db.set_slow_query_ms(v),
+        other => {
+            return Err(DbError::Unsupported(format!("unknown SET option {other}")));
+        }
+    }
+    Ok(())
+}
+
+/// The row-less result of a DML statement.
+fn affected_result(affected: u64) -> QueryResult {
+    QueryResult {
+        affected,
+        ..QueryResult::empty()
+    }
+}
+
+/// Render plan text as the `[plan TEXT]` result EXPLAIN returns.
+fn plan_text_result(text: String) -> QueryResult {
+    let schema = Arc::new(Schema::new(vec![Column::new("plan", DataType::Text)]));
+    let rows = text
+        .lines()
+        .map(|l| Row::new(vec![Value::text(l)]))
+        .collect();
+    QueryResult {
+        schema,
+        rows,
+        affected: 0,
+    }
+}
+
+/// `EXPLAIN ANALYZE`: execute the plan with an actuals collector
+/// attached, then render the annotated tree plus a one-line statement
+/// summary. Returns the result and the row count the run produced (for
+/// the caller's query-store record).
+fn run_explain_analyze(plan: &Plan, mut ctx: ExecContext) -> Result<(QueryResult, u64)> {
+    let stats = seqdb_engine::ExecStats::new();
+    ctx.stats = Some(stats.clone());
+    let started = std::time::Instant::now();
+    let rows = plan.run(&ctx)?;
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+    let spill = ctx.gov.spill_tally();
+    let mut text = plan.explain_analyze(&stats);
+    text.push_str(&format!(
+        "-- actual: {} rows, elapsed_ms={elapsed_ms:.3}, peak_mem_kb={}, \
+         spill_files={}, spill_kb={}\n",
+        rows.len(),
+        ctx.gov.mem_peak() / 1024,
+        spill.files(),
+        spill.bytes() / 1024
+    ));
+    Ok((plan_text_result(text), rows.len() as u64))
 }
 
 // ----------------------------------------------------------------------
@@ -470,7 +410,11 @@ fn create_index(db: &Arc<Database>, ci: &CreateIndex) -> Result<QueryResult> {
 // INSERT
 // ----------------------------------------------------------------------
 
-fn insert(db: &Arc<Database>, ins: &Insert) -> Result<QueryResult> {
+/// `INSERT … VALUES / SELECT`, run under the enclosing statement's
+/// `ctx`. The source is materialized before the first row lands,
+/// which is what keeps `INSERT INTO t SELECT … FROM t` safe.
+fn insert(b: &Binder<'_>, ins: &Insert, ctx: &ExecContext) -> Result<QueryResult> {
+    let db = b.db;
     let table = db.resolve_table(&ins.table)?;
     // Map provided columns to table positions.
     let positions: Vec<usize> = match &ins.columns {
@@ -486,7 +430,6 @@ fn insert(db: &Arc<Database>, ins: &Insert) -> Result<QueryResult> {
 
     let source_rows: Box<dyn Iterator<Item = Result<Row>>> = match &ins.source {
         InsertSource::Values(rows) => {
-            let b = Binder::new(db);
             let empty_scope = Scope::empty();
             let mut out = Vec::with_capacity(rows.len());
             for r in rows {
@@ -500,10 +443,7 @@ fn insert(db: &Arc<Database>, ins: &Insert) -> Result<QueryResult> {
             Box::new(out.into_iter())
         }
         InsertSource::Query(q) => {
-            let b = Binder::new(db);
-            let bound = b.plan_select(q)?;
-            let ctx = db.exec_context();
-            let rows = bound.plan.run(&ctx)?;
+            let rows = b.plan_select(q)?.plan.run(ctx)?;
             Box::new(rows.into_iter().map(Ok))
         }
     };
@@ -535,11 +475,7 @@ fn insert(db: &Arc<Database>, ins: &Insert) -> Result<QueryResult> {
         table.insert(&Row::new(full))?;
         affected += 1;
     }
-    Ok(QueryResult {
-        schema: Arc::new(Schema::empty()),
-        rows: Vec::new(),
-        affected,
-    })
+    Ok(affected_result(affected))
 }
 
 // ----------------------------------------------------------------------
@@ -660,11 +596,6 @@ struct Binder<'a> {
 }
 
 impl<'a> Binder<'a> {
-    fn new(db: &'a Arc<Database>) -> Binder<'a> {
-        let cfg = db.config();
-        Binder { db, cfg }
-    }
-
     fn with_config(db: &'a Arc<Database>, cfg: DbConfig) -> Binder<'a> {
         Binder { db, cfg }
     }

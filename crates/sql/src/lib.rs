@@ -22,7 +22,10 @@ use seqdb_types::Result;
 
 pub use parser::{parse, parse_script};
 
-/// Ergonomic SQL entry points on [`Database`].
+/// Ergonomic SQL entry points on [`Database`]. Statements run on its
+/// server-scope session ([`Database::server_session`]): the same
+/// lifecycle as [`SessionSqlExt`], with `SET` changing the server
+/// defaults.
 pub trait DatabaseSqlExt {
     /// Execute any single statement (DDL, DML or query).
     fn execute_sql(&self, sql: &str) -> Result<QueryResult>;
@@ -55,11 +58,11 @@ impl DatabaseSqlExt for Arc<Database> {
     }
 }
 
-/// SQL entry points on a [`Session`]. Unlike [`DatabaseSqlExt`], `SET`
-/// changes only this session's settings, and queries run admitted
-/// against the global memory pool, governed by the session's effective
-/// limits, and visible in `sys.dm_exec_requests` (hence killable from
-/// another session with `KILL <statement id>`).
+/// SQL entry points on a [`Session`]. `SET` changes only this session's
+/// settings, and every other statement runs admitted against the global
+/// memory pool, governed by the session's effective limits, and visible
+/// in `sys.dm_exec_requests` (hence killable from another session with
+/// `KILL <statement id>`).
 pub trait SessionSqlExt {
     /// Execute any single statement under this session.
     fn execute_sql(&self, sql: &str) -> Result<QueryResult>;

@@ -270,28 +270,16 @@ impl HeapFile {
         } else {
             None
         };
-        match mask {
-            None => {
-                for (_, rec) in page.iter() {
-                    out.push(decode_row(
-                        &self.schema,
-                        rec,
-                        self.compression,
-                        ctx.as_ref(),
-                    )?);
-                }
-            }
-            Some(mask) => {
-                for (_, rec) in page.iter() {
-                    out.push(rowfmt::decode_row_masked(
-                        &self.schema,
-                        rec,
-                        self.compression,
-                        ctx.as_ref(),
-                        mask,
-                    )?);
-                }
-            }
+        // An empty mask wants every column.
+        let mask = mask.unwrap_or(&[]);
+        for (_, rec) in page.iter() {
+            out.push(rowfmt::decode_row_masked(
+                &self.schema,
+                rec,
+                self.compression,
+                ctx.as_ref(),
+                mask,
+            )?);
         }
         Ok(())
     }

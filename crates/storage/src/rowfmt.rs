@@ -362,56 +362,33 @@ pub fn decode_row(
     comp: Compression,
     ctx: Option<&PageContext>,
 ) -> Result<Row> {
-    let nbitmap = schema.len().div_ceil(8);
-    if buf.len() < nbitmap {
-        return Err(DbError::Storage("record shorter than null bitmap".into()));
-    }
-    let mut pos = nbitmap;
-    let mut vals = Vec::with_capacity(schema.len());
-    for (i, col) in schema.columns().iter().enumerate() {
-        if buf[i / 8] & (1 << (i % 8)) != 0 {
-            vals.push(Value::Null);
-            continue;
+    decode_row_masked(schema, buf, comp, ctx, &[])
+}
+
+/// One FILESTREAM column value: a marker byte, then the blob's GUID
+/// reference (0) or small inline bytes (1). Unwanted values are stepped
+/// over, bounds-checked all the same, and come back as `Value::Null`.
+fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Value> {
+    let trunc = || DbError::Storage("truncated record".into());
+    let marker = *buf.get(*pos).ok_or_else(trunc)?;
+    *pos += 1;
+    let len = match marker {
+        0 => 16,
+        1 => varint::read_u64(buf, pos).ok_or_else(trunc)? as usize,
+        m => {
+            return Err(DbError::Storage(format!(
+                "unknown filestream column marker {m}"
+            )))
         }
-        if col.filestream {
-            let trunc = || DbError::Storage("truncated record".into());
-            let marker = *buf.get(pos).ok_or_else(trunc)?;
-            pos += 1;
-            let v = match marker {
-                0 => {
-                    let end = pos + 16;
-                    let raw = buf.get(pos..end).ok_or_else(trunc)?;
-                    let g = u128::from_be_bytes(raw.try_into().unwrap());
-                    pos = end;
-                    Value::Guid(g)
-                }
-                1 => {
-                    let n = varint::read_u64(buf, &mut pos).ok_or_else(trunc)? as usize;
-                    let end = pos.checked_add(n).ok_or_else(trunc)?;
-                    let b = buf.get(pos..end).ok_or_else(trunc)?;
-                    let v = Value::Bytes(Arc::from(b));
-                    pos = end;
-                    v
-                }
-                m => {
-                    return Err(DbError::Storage(format!(
-                        "unknown filestream column marker {m}"
-                    )))
-                }
-            };
-            vals.push(v);
-            continue;
-        }
-        let v = match (comp, ctx) {
-            (Compression::None, _) => decode_value_fixed(buf, &mut pos, col.dtype)?,
-            (Compression::Row, _) | (Compression::Page, None) => {
-                decode_value_row(buf, &mut pos, col.dtype)?
-            }
-            (Compression::Page, Some(ctx)) => decode_value_page(buf, &mut pos, col.dtype, ctx, i)?,
-        };
-        vals.push(v);
-    }
-    Ok(Row::new(vals))
+    };
+    let end = pos.checked_add(len).ok_or_else(trunc)?;
+    let raw = buf.get(*pos..end).ok_or_else(trunc)?;
+    *pos = end;
+    Ok(match (wanted, marker) {
+        (false, _) => Value::Null,
+        (true, 0) => Value::Guid(u128::from_be_bytes(raw.try_into().unwrap())),
+        (true, _) => Value::Bytes(Arc::from(raw)),
+    })
 }
 
 /// Advance `pos` past one encoded fixed-format value without building it.
@@ -496,8 +473,9 @@ fn skip_value_page(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     }
 }
 
-/// Like [`decode_row`], but only the columns set in `mask` are
-/// materialized; the rest are *skipped* in the byte stream and left as
+/// Decode a record, materializing only the columns set in `mask` (an
+/// entry the mask lacks counts as set, so the empty mask decodes them
+/// all); the rest are *skipped* in the byte stream and left as
 /// `Value::Null` placeholders at their original positions, so downstream
 /// expressions keep their column indexes. This is the projection-pushdown
 /// entry point for the vectorized scan: callers must ensure the mask
@@ -522,66 +500,8 @@ pub fn decode_row_masked(
         }
         let wanted = mask.get(i).copied().unwrap_or(true);
         if col.filestream {
-            if wanted {
-                // Rare enough that the unmasked decoder's logic is reused
-                // wholesale would cost a second bitmap walk; decode inline.
-                let trunc = || DbError::Storage("truncated record".into());
-                let marker = *buf.get(pos).ok_or_else(trunc)?;
-                pos += 1;
-                let v = match marker {
-                    0 => {
-                        let end = pos + 16;
-                        let raw = buf.get(pos..end).ok_or_else(trunc)?;
-                        let g = u128::from_be_bytes(raw.try_into().unwrap());
-                        pos = end;
-                        Value::Guid(g)
-                    }
-                    1 => {
-                        let n = varint::read_u64(buf, &mut pos).ok_or_else(trunc)? as usize;
-                        let end = pos.checked_add(n).ok_or_else(trunc)?;
-                        let b = buf.get(pos..end).ok_or_else(trunc)?;
-                        let v = Value::Bytes(Arc::from(b));
-                        pos = end;
-                        v
-                    }
-                    m => {
-                        return Err(DbError::Storage(format!(
-                            "unknown filestream column marker {m}"
-                        )))
-                    }
-                };
-                vals.push(v);
-            } else {
-                let trunc = || DbError::Storage("truncated record".into());
-                let marker = *buf.get(pos).ok_or_else(trunc)?;
-                pos += 1;
-                match marker {
-                    0 => {
-                        let end = pos.checked_add(16).ok_or_else(trunc)?;
-                        if end > buf.len() {
-                            return Err(trunc());
-                        }
-                        pos = end;
-                    }
-                    1 => {
-                        let n = varint::read_u64(buf, &mut pos).ok_or_else(trunc)? as usize;
-                        let end = pos.checked_add(n).ok_or_else(trunc)?;
-                        if end > buf.len() {
-                            return Err(trunc());
-                        }
-                        pos = end;
-                    }
-                    m => {
-                        return Err(DbError::Storage(format!(
-                            "unknown filestream column marker {m}"
-                        )))
-                    }
-                }
-                vals.push(Value::Null);
-            }
-            continue;
-        }
-        if wanted {
+            vals.push(filestream_value(buf, &mut pos, wanted)?);
+        } else if wanted {
             let v = match (comp, ctx) {
                 (Compression::None, _) => decode_value_fixed(buf, &mut pos, col.dtype)?,
                 (Compression::Row, _) | (Compression::Page, None) => {
@@ -715,18 +635,36 @@ mod tests {
 
     #[test]
     fn masked_decode_skips_columns_across_formats() {
-        let s = schema();
-        let r = sample_row();
-        let mask = [false, true, false, true, false, false];
+        // The sample columns plus two FILESTREAM ones, holding a GUID
+        // reference and inline bytes.
+        let mut cols = schema().columns().to_vec();
+        cols.push(Column::new("blob_ref", DataType::Bytes).filestream());
+        cols.push(Column::new("blob_inline", DataType::Bytes).filestream());
+        let s = Schema::new(cols);
+        let mut vals = sample_row().into_values();
+        vals.push(Value::Guid(0xfeed_f00d));
+        vals.push(Value::bytes(b"small inline blob"));
+        let r = Row::new(vals);
+        let mask = [false, true, false, true, false, false, true, false];
+        let flipped: Vec<bool> = mask.iter().map(|w| !w).collect();
         for comp in [Compression::None, Compression::Row] {
             let enc = encode_row(&s, &r, comp, None);
-            let dec = decode_row_masked(&s, &enc, comp, None, &mask).unwrap();
-            for i in 0..s.len() {
-                if mask[i] {
-                    assert_eq!(dec[i], r[i], "col {i} {comp:?}");
-                } else {
-                    assert_eq!(dec[i], Value::Null, "col {i} {comp:?}");
+            assert_eq!(decode_row(&s, &enc, comp, None).unwrap(), r, "{comp:?}");
+            for mask in [&mask[..], &flipped[..]] {
+                let dec = decode_row_masked(&s, &enc, comp, None, mask).unwrap();
+                for i in 0..s.len() {
+                    if mask[i] {
+                        assert_eq!(dec[i], r[i], "col {i} {comp:?}");
+                    } else {
+                        assert_eq!(dec[i], Value::Null, "col {i} {comp:?}");
+                    }
                 }
+            }
+            // A cut anywhere is an error or a shorter row, never a panic,
+            // whether the FILESTREAM columns are wanted or skipped.
+            for cut in 0..enc.len() {
+                let _ = decode_row_masked(&s, &enc[..cut], comp, None, &mask);
+                let _ = decode_row_masked(&s, &enc[..cut], comp, None, &flipped);
             }
         }
         // A mask shorter than the schema treats missing entries as wanted.

@@ -22,10 +22,8 @@ use seqdb::sql::SessionSqlExt;
 fn main() {
     let db = Database::in_memory();
     udx::register_udx(&db, None);
-    // A real session, not the raw db-scoped path: statements run
-    // admitted and governed, show up in DM_EXEC_REQUESTS(), land in the
-    // query store, and emit trace events — so the observability DMVs
-    // (DM_OS_RING_BUFFER, DM_DB_QUERY_STORE) work from the shell.
+    // The shell's own session, as a wire connection would get: `SET`
+    // tunes this session only, not the server defaults.
     let session = db.create_session();
     println!("seqdb interactive shell — statements end with ';', \\q quits");
 

@@ -264,12 +264,9 @@ fn cancelled_cross_apply_uda_query_releases_pins_and_temp_files() {
 
     // Effectively endless: ~3000 outer rows x 1e9 inner rows, grouped per
     // distinct n so the spill partitions keep growing.
-    let plan = seqdb::sql::binder::plan_query(
-        &db,
-        "SELECT n, ACC(n) FROM t CROSS APPLY NUMBERS(1000000000) GROUP BY n",
-    )
-    .unwrap();
-    let ctx = db.exec_context();
+    let sql = "SELECT n, ACC(n) FROM t CROSS APPLY NUMBERS(1000000000) GROUP BY n";
+    let plan = seqdb::sql::binder::plan_query(&db, sql).unwrap();
+    let (ctx, _guard) = db.server_session().begin_statement(sql).unwrap();
     let gov = ctx.gov.clone();
 
     let canceller = std::thread::spawn(move || {

@@ -14,6 +14,9 @@ use seqdb::sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb::storage::{FaultClock, FaultPlan};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
+mod common;
+use common::fault_seed;
+
 /// `NUMBERS(n)` emits 0..n — with a huge `n`, an effectively endless
 /// build side for the cross-session KILL test.
 struct Numbers;
@@ -312,13 +315,6 @@ fn kill_mid_spill_join_releases_files_pins_and_budget() {
 // ----------------------------------------------------------------------
 // Seeded spill-write faults: typed errors, never wrong results
 // ----------------------------------------------------------------------
-
-fn fault_seed() -> u64 {
-    std::env::var("SEQDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 #[test]
 fn spill_write_faults_fail_typed_and_never_corrupt_results() {

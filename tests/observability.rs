@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use seqdb::core::dataset::{DgeDataset, Scale};
 use seqdb::core::{queries, workflow};
-use seqdb::engine::{Database, ExecContext, TableFunction, TvfCursor};
+use seqdb::engine::{fingerprint, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb::sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
@@ -326,7 +326,7 @@ fn kill_mid_spill_shows_spilling_state_and_still_records_query_stats() {
     let row = r
         .rows
         .iter()
-        .find(|row| row[0].as_text().unwrap() == victim_sql)
+        .find(|row| row[0].as_text().unwrap() == fingerprint(victim_sql).1)
         .expect("killed statement missing from query stats");
     assert_eq!(row[1], Value::Int(1), "one execution recorded");
     assert!(
@@ -352,10 +352,9 @@ fn counters_prove_no_leaks_after_spilling_workload() {
     session
         .execute_sql("SET QUERY_MEMORY_LIMIT_KB = 8")
         .unwrap();
+    let spilling_sql = "SELECT id, COUNT(*), SUM(v) FROM t GROUP BY id";
     for _ in 0..3 {
-        let r = session
-            .query_sql("SELECT id, COUNT(*), SUM(v) FROM t GROUP BY id")
-            .unwrap();
+        let r = session.query_sql(spilling_sql).unwrap();
         assert_eq!(r.rows.len(), 12_000);
     }
 
@@ -373,7 +372,7 @@ fn counters_prove_no_leaks_after_spilling_workload() {
     let row = r
         .rows
         .iter()
-        .find(|row| row[0].as_text().unwrap().contains("GROUP BY id"))
+        .find(|row| row[0].as_text().unwrap() == fingerprint(spilling_sql).1)
         .expect("statement missing from history");
     assert_eq!(row[1], Value::Int(3), "three executions folded together");
     assert_eq!(row[2], Value::Int(36_000), "12k rows per execution");

@@ -16,6 +16,9 @@ use seqdb::storage::{
 };
 use seqdb::types::{Column, DataType, DbError, Row, Schema, Value};
 
+mod common;
+use common::fault_seed;
+
 // ----------------------------------------------------------------------
 // Failure injection
 // ----------------------------------------------------------------------
@@ -548,15 +551,6 @@ proptest! {
 // ----------------------------------------------------------------------
 // Seeded fault injection on the import path
 // ----------------------------------------------------------------------
-
-/// Seed for the fault schedules below. CI runs the suite across a matrix
-/// of seeds via `SEQDB_FAULT_SEED`; locally it defaults to 1.
-fn fault_seed() -> u64 {
-    std::env::var("SEQDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 /// The FASTQ bulk-import either completes (transient faults absorbed by
 /// the FileStream write-retry path) or fails cleanly — never a torn blob,

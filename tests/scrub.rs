@@ -14,14 +14,8 @@ use seqdb::sql::DatabaseSqlExt;
 use seqdb::storage::{rot_file, storage_counters, FaultClock, FaultPlan, PAGE_SIZE};
 use seqdb::types::{DbError, Row, Value};
 
-/// The CI fault seed, so the `scrub-robustness` matrix plants rot at
-/// different byte positions per job.
-fn fault_seed() -> u64 {
-    std::env::var("SEQDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
+mod common;
+use common::fault_seed;
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("seqdb-{tag}-{}", std::process::id()));

@@ -7,12 +7,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seqdb::engine::{Database, ExecContext, TableFunction, TvfCursor};
+use seqdb::engine::{fingerprint, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb::server::protocol::read_frame;
 use seqdb::server::{Client, Server, ServerConfig};
 use seqdb::sql::DatabaseSqlExt;
 use seqdb::storage::{FaultClock, FaultPlan, PAGE_SIZE};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
+
+mod common;
+use common::fault_seed;
 
 /// `NUMBERS(n)` emits 0..n — with a huge `n`, an effectively endless
 /// stream for the disconnect-mid-statement tests.
@@ -88,15 +91,6 @@ fn quick_cfg() -> ServerConfig {
 
 fn start(db: &Arc<Database>, cfg: ServerConfig) -> Server {
     Server::start(db.clone(), "127.0.0.1:0", cfg).unwrap()
-}
-
-/// The CI fault seed, so the `server-robustness` matrix exercises
-/// different short-read cut points per job.
-fn fault_seed() -> u64 {
-    std::env::var("SEQDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
 }
 
 // ----------------------------------------------------------------------
@@ -405,8 +399,8 @@ fn idle_connection_is_closed_with_a_typed_timeout_frame() {
 
 /// Drop the client while its statement is actively spilling, then
 /// assert from a *second connection* (per the DMV contract) that the
-/// statement died and nothing leaked: zero live temp files, zero
-/// admission bytes, pins back to baseline.
+/// statement died, is on record as killed, and leaked nothing: zero
+/// live temp files, zero admission bytes, pins back to baseline.
 fn disconnect_during(sql: &str) {
     let db = setup_db();
     db.set_admission_pool_kb(Some(256));
@@ -461,6 +455,16 @@ fn disconnect_during(sql: &str) {
         std::thread::sleep(Duration::from_millis(5));
     }
 
+    let r = probe
+        .query("SELECT query_text, killed FROM DM_DB_QUERY_STORE()")
+        .unwrap();
+    let row = r
+        .rows
+        .iter()
+        .find(|row| row[0].as_text().unwrap() == fingerprint(sql).1)
+        .expect("killed statement missing from the query store");
+    assert_eq!(row[1], Value::Int(1), "disposition killed");
+
     // Leak gauges, read over the wire from the second connection.
     let r = probe
         .query("SELECT counter_name, value FROM DM_OS_PERFORMANCE_COUNTERS()")
@@ -503,6 +507,15 @@ fn disconnect_during_spilling_hash_aggregate_leaks_nothing() {
 #[test]
 fn disconnect_during_spilling_grace_join_leaks_nothing() {
     disconnect_during("SELECT COUNT(*) FROM t a JOIN NUMBERS(1000000000) n ON (a.id = n.n)");
+}
+
+/// The source is materialized before the first row lands, so the target
+/// can be the scanned table itself and stays untouched.
+#[test]
+fn disconnect_during_spilling_insert_select_leaks_nothing() {
+    disconnect_during(
+        "INSERT INTO t (id, grp) SELECT n, COUNT(*) FROM t CROSS APPLY NUMBERS(1000000000) GROUP BY n",
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use seqdb::engine::{Database, ExecContext, TableFunction, TvfCursor};
+use seqdb::engine::{fingerprint, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb::sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
@@ -217,6 +217,93 @@ fn kill_from_another_session_stops_a_spilling_query_without_leaks() {
 }
 
 // ----------------------------------------------------------------------
+// INSERT ... SELECT is a statement like any other: it runs under its
+// session's budget and timeout, shows in the DMV, and dies to KILL
+// ----------------------------------------------------------------------
+
+#[test]
+fn insert_select_is_governed_visible_and_killable() {
+    let db = setup_db();
+    db.set_admission_pool_kb(Some(64));
+    db.execute_sql("CREATE TABLE dst (id INT NOT NULL, n INT)")
+        .unwrap();
+    let pins_before = db.pool().pinned_frames();
+    let dst_rows = |db: &Arc<Database>| db.query_sql("SELECT id, n FROM dst ORDER BY id").unwrap();
+
+    // Budget: the GROUP BY feeding the insert spills, and what lands in
+    // dst is exactly what the SELECT alone returns.
+    let s = db.create_session();
+    s.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 8").unwrap();
+    db.temp().reset_counters();
+    let r = s
+        .execute_sql("INSERT INTO dst SELECT id, COUNT(*) FROM t GROUP BY id")
+        .unwrap();
+    assert_eq!(r.affected, 12_000);
+    assert!(
+        db.temp().spill_count() > 0,
+        "the insert's source must run under the session's 8 KiB budget"
+    );
+    let expected = db
+        .query_sql("SELECT id, COUNT(*) FROM t GROUP BY id ORDER BY id")
+        .unwrap();
+    assert_eq!(dst_rows(&db).rows, expected.rows);
+    s.execute_sql("DELETE FROM dst").unwrap();
+
+    // Timeout: an endless source fails typed and nothing is inserted.
+    let endless =
+        "INSERT INTO dst SELECT n, COUNT(*) FROM t CROSS APPLY NUMBERS(1000000000) GROUP BY n";
+    s.execute_sql("SET QUERY_TIMEOUT_MS = 50").unwrap();
+    let err = s.execute_sql(endless).unwrap_err();
+    assert!(matches!(err, DbError::Timeout(_)), "{err}");
+    assert!(dst_rows(&db).rows.is_empty());
+
+    // KILL: a second session finds the running insert in the DMV by its
+    // session id and text, and kills it.
+    s.execute_sql("SET QUERY_TIMEOUT_MS = 0").unwrap();
+    let victim_sid = s.id() as i64;
+    let runner = std::thread::spawn(move || s.execute_sql(endless).unwrap_err());
+    let killer = db.create_session();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let statement_id = loop {
+        assert!(
+            Instant::now() < deadline,
+            "INSERT ... SELECT never showed up in DM_EXEC_REQUESTS()"
+        );
+        let r = killer
+            .query_sql("SELECT statement_id, session_id, sql_text FROM DM_EXEC_REQUESTS()")
+            .unwrap();
+        let found = r.rows.iter().find_map(|row| {
+            (row[1] == Value::Int(victim_sid) && row[2].as_text().unwrap() == endless)
+                .then(|| row[0].as_int().unwrap())
+        });
+        match found {
+            Some(id) => break id,
+            None => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    killer.execute_sql(&format!("KILL {statement_id}")).unwrap();
+    let err = runner.join().unwrap();
+    assert!(matches!(err, DbError::Cancelled(_)), "{err}");
+    assert_eq!(db.pool().pinned_frames(), pins_before, "leaked buffer pins");
+    assert_eq!(db.temp().live_files().unwrap(), 0, "leaked spill files");
+    assert_eq!(db.admission().reserved(), 0, "leaked admission bytes");
+    assert_eq!(db.statements().running_count(), 0);
+    assert!(dst_rows(&db).rows.is_empty());
+
+    // Both failed runs are in the one statement history, by disposition.
+    let r = killer
+        .query_sql("SELECT query_text, killed, timeouts FROM DM_DB_QUERY_STORE()")
+        .unwrap();
+    let row = r
+        .rows
+        .iter()
+        .find(|row| row[0].as_text().unwrap() == fingerprint(endless).1)
+        .expect("INSERT ... SELECT missing from the query store");
+    assert_eq!(row[1], Value::Int(1), "killed");
+    assert_eq!(row[2], Value::Int(1), "timeouts");
+}
+
+// ----------------------------------------------------------------------
 // SET isolation across concurrently open sessions
 // ----------------------------------------------------------------------
 
@@ -270,4 +357,13 @@ fn set_in_one_session_leaves_concurrent_sessions_untouched() {
         b.effective_config().query_mem_limit_kb,
         db.config().query_mem_limit_kb
     );
+
+    // The same SET through the database handle runs on the server-scope
+    // session, the one place it writes the defaults sessions inherit.
+    let dop = db.config().max_dop + 1;
+    a.execute_sql(&format!("SET MAX_DOP = {dop}")).unwrap();
+    assert_ne!(db.config().max_dop, dop);
+    db.execute_sql(&format!("SET MAX_DOP = {dop}")).unwrap();
+    assert_eq!(db.config().max_dop, dop);
+    assert_eq!(b.effective_config().max_dop, dop);
 }

@@ -390,11 +390,9 @@ mod tests {
     use super::*;
     use crate::dataset::{bin_unique_tags, DgeDataset, Scale};
 
-    fn dataset() -> DgeDataset {
-        let d = std::env::temp_dir().join(format!("seqdb-base-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+    fn dataset(test: &str) -> DgeDataset {
         DgeDataset::generate(
-            &d,
+            &crate::test_dir(test),
             &Scale {
                 genome_bp: 50_000,
                 n_chromosomes: 3,
@@ -407,7 +405,7 @@ mod tests {
 
     #[test]
     fn binning_script_matches_ground_truth() {
-        let ds = dataset();
+        let ds = dataset("binning_script_matches_ground_truth");
         let out = ds.dir.join("script_tags.txt");
         let (ranked, trace) = binning_script(&ds.fastq_path, &out).unwrap();
         let expected = bin_unique_tags(&ds.reads);
@@ -424,7 +422,7 @@ mod tests {
 
     #[test]
     fn gene_expression_script_matches_dataset() {
-        let ds = dataset();
+        let ds = dataset("gene_expression_script_matches_dataset");
         let out = ds.dir.join("script_expr.txt");
         let (result, _) =
             gene_expression_script(&ds.alignments_path, &ds.genes_path, &out).unwrap();
@@ -439,7 +437,7 @@ mod tests {
 
     #[test]
     fn interpreted_binning_matches_compiled_script() {
-        let ds = dataset();
+        let ds = dataset("interpreted_binning_matches_compiled_script");
         let out_a = ds.dir.join("a.txt");
         let out_b = ds.dir.join("b.txt");
         let (a, _) = binning_script(&ds.fastq_path, &out_a).unwrap();
@@ -455,7 +453,7 @@ mod tests {
 
     #[test]
     fn interpreted_count_agrees_with_parser() {
-        let ds = dataset();
+        let ds = dataset("interpreted_count_agrees_with_parser");
         let n = interpreted_count(&ds.fastq_path).unwrap();
         assert_eq!(n, 1200);
         std::fs::remove_dir_all(&ds.dir).unwrap();
@@ -464,8 +462,7 @@ mod tests {
     #[test]
     fn consensus_script_produces_chromosome_sequences() {
         use crate::dataset::ResequencingDataset;
-        let d = std::env::temp_dir().join(format!("seqdb-base-cons-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+        let d = crate::test_dir("consensus_script_produces_chromosome_sequences");
         let ds = ResequencingDataset::generate(
             &d,
             &Scale {

@@ -329,12 +329,6 @@ impl ResequencingDataset {
 mod tests {
     use super::*;
 
-    fn dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("seqdb-ds-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
     fn small() -> Scale {
         Scale {
             genome_bp: 60_000,
@@ -346,7 +340,7 @@ mod tests {
 
     #[test]
     fn dge_dataset_is_consistent() {
-        let d = dir("dge");
+        let d = crate::test_dir("dataset-dge");
         let ds = DgeDataset::generate(&d, &small()).unwrap();
         assert_eq!(ds.reads.len(), 2000);
         // Tags repeat: far fewer unique tags than reads.
@@ -385,7 +379,7 @@ mod tests {
 
     #[test]
     fn resequencing_dataset_aligns_most_reads() {
-        let d = dir("reseq");
+        let d = crate::test_dir("dataset-reseq");
         let ds = ResequencingDataset::generate(&d, &small()).unwrap();
         assert_eq!(ds.reads.len(), 2000);
         // Re-sequencing: alignments ≈ reads (paper: "order of magnitude

@@ -372,11 +372,9 @@ mod tests {
     use crate::dataset::Scale;
     use seqdb_sql::DatabaseSqlExt;
 
-    fn small_dge() -> DgeDataset {
-        let d = std::env::temp_dir().join(format!("seqdb-imp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+    fn small_dge(test: &str) -> DgeDataset {
         DgeDataset::generate(
-            &d,
+            &crate::test_dir(test),
             &Scale {
                 genome_bp: 50_000,
                 n_chromosomes: 3,
@@ -389,7 +387,7 @@ mod tests {
 
     #[test]
     fn normalized_import_row_counts_match_dataset() {
-        let ds = small_dge();
+        let ds = small_dge("normalized_import_row_counts_match_dataset");
         let db = Database::in_memory();
         import_dge_normalized(&db, "", Compression::Row, &ds).unwrap();
         assert_eq!(
@@ -416,7 +414,7 @@ mod tests {
 
     #[test]
     fn file_image_and_filestream_imports() {
-        let ds = small_dge();
+        let ds = small_dge("file_image_and_filestream_imports");
         let db = Database::in_memory();
         import_dge_file_image(&db, "", Compression::None, &ds).unwrap();
         import_filestream(&db, "", &ds.fastq_path, 855, 1).unwrap();

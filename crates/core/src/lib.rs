@@ -33,6 +33,16 @@ pub mod sizing;
 pub mod udx;
 pub mod workflow;
 
+/// A directory of its own for the test called `name`: tests of one
+/// process run in parallel and each begins by clearing its directory, so
+/// no two may share one.
+#[cfg(test)]
+pub(crate) fn test_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("seqdb-core-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 pub use dataset::{DgeDataset, ResequencingDataset};
 pub use schema::create_normalized_schema;
 pub use udx::register_udx;

@@ -377,15 +377,9 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("seqdb-wf-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
     #[test]
     fn dge_end_to_end_with_table1_shape() {
-        let dir = tmp("dge");
+        let dir = crate::test_dir("workflow-dge");
         let ds = DgeDataset::generate(&dir, &scale()).unwrap();
         let db = Database::in_memory();
         load_dge_designs(&db, &ds).unwrap();
@@ -420,7 +414,7 @@ mod tests {
 
     #[test]
     fn workflow_queries_run_under_the_governor() {
-        let dir = tmp("governed");
+        let dir = crate::test_dir("workflow-governed");
         let ds = DgeDataset::generate(&dir, &scale()).unwrap();
         let db = Database::in_memory();
         load_dge_designs(&db, &ds).unwrap();
@@ -447,7 +441,7 @@ mod tests {
 
     #[test]
     fn measure_io_attributes_spill_traffic() {
-        let dir = tmp("measure-io");
+        let dir = crate::test_dir("workflow-measure-io");
         let ds = DgeDataset::generate(&dir, &scale()).unwrap();
         let db = Database::in_memory();
         load_dge_designs(&db, &ds).unwrap();
@@ -469,7 +463,7 @@ mod tests {
     fn workflow_analysis_runs_under_a_session() {
         use seqdb_sql::SessionSqlExt;
 
-        let dir = tmp("session");
+        let dir = crate::test_dir("workflow-session");
         let ds = DgeDataset::generate(&dir, &scale()).unwrap();
         let db = Database::in_memory();
         load_dge_designs(&db, &ds).unwrap();
@@ -521,7 +515,7 @@ mod tests {
 
     #[test]
     fn snp_discovery_recovers_planted_variants() {
-        let dir = tmp("snp");
+        let dir = crate::test_dir("workflow-snp");
         // Higher coverage so most planted SNPs are recallable: 8000
         // 36-bp reads over 25 kbp ≈ 11x.
         let ds = ResequencingDataset::generate(
@@ -556,7 +550,7 @@ mod tests {
 
     #[test]
     fn reseq_consensus_agrees_between_plans() {
-        let dir = tmp("reseq");
+        let dir = crate::test_dir("workflow-reseq");
         let ds = ResequencingDataset::generate(
             &dir,
             &Scale {

@@ -7,6 +7,8 @@
 //! user extensions.
 
 use std::collections::HashMap;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -26,13 +28,47 @@ pub struct TableIndex {
     pub columns: Vec<usize>,
     pub unique: bool,
     pub btree: BTree,
+    /// The next suffix of a non-unique index's keys (see [`Self::add`]).
+    /// It only grows: a suffix freed by a delete is never handed out again.
+    seq: AtomicU64,
 }
 
 impl TableIndex {
+    /// An index over `btree`; the suffix sequence of a non-unique one
+    /// resumes after the largest suffix the tree holds.
+    fn new(name: String, columns: Vec<usize>, unique: bool, btree: BTree) -> Result<TableIndex> {
+        let mut seq = 0;
+        if !unique && !btree.is_empty() {
+            let mut entries = btree.range(Bound::Unbounded, Bound::Unbounded)?;
+            while let Some(entry) = entries.next_entry() {
+                if let Some(suffix) = entry?.0.last_chunk::<8>() {
+                    seq = seq.max(u64::from_be_bytes(*suffix) + 1);
+                }
+            }
+        }
+        Ok(TableIndex {
+            name,
+            columns,
+            unique,
+            btree,
+            seq: AtomicU64::new(seq),
+        })
+    }
+
     /// Encode the index key for a row.
     pub fn key_of(&self, row: &Row) -> Vec<u8> {
         let vals: Vec<Value> = self.columns.iter().map(|&c| row[c].clone()).collect();
         keycode::encode_key(&vals)
+    }
+
+    /// Store a row's encoded bytes under its `key_of` key.
+    fn add(&self, mut key: Vec<u8>, encoded: &[u8]) -> Result<()> {
+        if !self.unique {
+            // Disambiguate duplicate keys with a sequence suffix so
+            // non-unique indexes keep every row.
+            key.extend_from_slice(&self.seq.fetch_add(1, Ordering::Relaxed).to_be_bytes());
+        }
+        self.btree.insert(&key, encoded).map(drop)
     }
 }
 
@@ -53,30 +89,21 @@ impl Table {
         let mut row = row.clone();
         self.schema.coerce_row(&mut row);
         self.schema.check_row(&row)?;
-        // Uniqueness checks before any mutation.
-        {
-            let indexes = self.indexes.read();
-            for idx in indexes.iter().filter(|i| i.unique) {
-                let key = idx.key_of(&row);
-                if idx.btree.get(&key)?.is_some() {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key in unique index {} of table {}",
-                        idx.name, self.name
-                    )));
-                }
+        let indexes = self.indexes.read();
+        // Each key once; uniqueness checks before any mutation.
+        let keys: Vec<Vec<u8>> = indexes.iter().map(|idx| idx.key_of(&row)).collect();
+        for (idx, key) in indexes.iter().zip(&keys) {
+            if idx.unique && idx.btree.contains_key(key)? {
+                return Err(DbError::Constraint(format!(
+                    "duplicate key in unique index {} of table {}",
+                    idx.name, self.name
+                )));
             }
         }
         self.heap.insert(&row)?;
         let encoded = rowfmt::encode_row(&self.schema, &row, Compression::Row, None);
-        let indexes = self.indexes.read();
-        for idx in indexes.iter() {
-            let mut key = idx.key_of(&row);
-            if !idx.unique {
-                // Disambiguate duplicate keys with a sequence suffix so
-                // non-unique indexes keep every row.
-                key.extend_from_slice(&idx.btree.len().to_be_bytes());
-            }
-            idx.btree.insert(&key, &encoded)?;
+        for (idx, key) in indexes.iter().zip(keys) {
+            idx.add(key, &encoded)?;
         }
         Ok(())
     }
@@ -106,26 +133,18 @@ impl Table {
         let encoded = rowfmt::encode_row(&self.schema, &row, Compression::Row, None);
         let indexes = self.indexes.read();
         for idx in indexes.iter() {
-            let key = idx.key_of(&row);
-            if idx.unique {
-                idx.btree.delete(&key)?;
-            } else {
+            let mut key = idx.key_of(&row);
+            if !idx.unique {
                 // Prefix scan: suffixed duplicates share the prefix.
-                let mut hi = key.clone();
-                hi.push(0xff);
-                let matching: Option<Vec<u8>> = idx
+                let hi = [key.as_slice(), &[0xff]].concat();
+                let matching = idx
                     .btree
-                    .range(
-                        std::ops::Bound::Included(key.as_slice()),
-                        std::ops::Bound::Excluded(hi.as_slice()),
-                    )?
-                    .filter_map(|e| e.ok())
-                    .find(|(_, v)| *v == encoded)
-                    .map(|(k, _)| k);
-                if let Some(full_key) = matching {
-                    idx.btree.delete(&full_key)?;
-                }
+                    .range(Bound::Included(&key), Bound::Excluded(&hi))?
+                    .find(|e| e.as_ref().map_or(true, |(_, v)| *v == encoded));
+                let Some(entry) = matching else { continue };
+                key = entry?.0;
             }
+            idx.btree.delete(&key)?;
         }
         Ok(())
     }
@@ -229,12 +248,12 @@ impl Catalog {
         )?);
         let mut indexes = Vec::new();
         if let Some(pk) = &primary_key {
-            indexes.push(Arc::new(TableIndex {
-                name: format!("PK_{name}"),
-                columns: pk.clone(),
-                unique: true,
-                btree: BTree::create(self.pool.clone())?,
-            }));
+            indexes.push(Arc::new(TableIndex::new(
+                format!("PK_{name}"),
+                pk.clone(),
+                true,
+                BTree::create(self.pool.clone())?,
+            )?));
         }
         let table = Arc::new(Table {
             name: name.to_string(),
@@ -256,26 +275,22 @@ impl Catalog {
         unique: bool,
     ) -> Result<Arc<TableIndex>> {
         let table = self.table(table)?;
-        let idx = Arc::new(TableIndex {
-            name: index_name.to_string(),
+        let idx = Arc::new(TableIndex::new(
+            index_name.to_string(),
             columns,
             unique,
-            btree: BTree::create(self.pool.clone())?,
-        });
+            BTree::create(self.pool.clone())?,
+        )?);
         for item in table.heap.scan() {
             let (_, row) = item?;
-            let mut key = idx.key_of(&row);
-            if idx.unique {
-                if idx.btree.get(&key)?.is_some() {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key while building unique index {index_name}"
-                    )));
-                }
-            } else {
-                key.extend_from_slice(&idx.btree.len().to_be_bytes());
+            let key = idx.key_of(&row);
+            if idx.unique && idx.btree.contains_key(&key)? {
+                return Err(DbError::Constraint(format!(
+                    "duplicate key while building unique index {index_name}"
+                )));
             }
             let encoded = rowfmt::encode_row(&table.schema, &row, Compression::Row, None);
-            idx.btree.insert(&key, &encoded)?;
+            idx.add(key, &encoded)?;
         }
         table.indexes.write().push(idx.clone());
         Ok(idx)
@@ -476,12 +491,12 @@ impl Catalog {
                 )?);
                 let mut indexes = Vec::new();
                 for (name, columns, unique, root) in &p.indexes {
-                    indexes.push(Arc::new(TableIndex {
-                        name: name.clone(),
-                        columns: columns.clone(),
-                        unique: *unique,
-                        btree: BTree::open(self.pool.clone(), *root)?,
-                    }));
+                    indexes.push(Arc::new(TableIndex::new(
+                        name.clone(),
+                        columns.clone(),
+                        *unique,
+                        BTree::open(self.pool.clone(), *root)?,
+                    )?));
                 }
                 Ok(Arc::new(Table {
                     name: p.name.clone(),
@@ -658,6 +673,48 @@ mod tests {
         t.insert(&Row::new(vec![Value::Int(0), Value::text("S0")]))
             .unwrap();
         assert_eq!(t.row_count(), 26);
+    }
+
+    #[test]
+    fn non_unique_index_keeps_every_row_after_a_delete() {
+        let cat = catalog();
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int).not_null(),
+            Column::new("grp", DataType::Int),
+        ]);
+        let t = cat
+            .create_table("t", schema, Compression::Row, Some(vec![0]))
+            .unwrap();
+        cat.create_index("t", "ix_grp", vec![1], false).unwrap();
+        let insert = |t: &Table, id: i64| t.insert(&Row::new(vec![Value::Int(id), Value::Int(5)]));
+        let ids_by_grp = |t: &Arc<Table>| -> Vec<i64> {
+            let scan = crate::exec::scan::IndexScanIter::new(
+                t,
+                t.index_named("ix_grp").unwrap(),
+                &[Value::Int(5)],
+                None,
+                None,
+            );
+            let rows = crate::exec::collect(Box::new(scan), 1024).unwrap();
+            rows.iter().map(|r| r[0].as_int().unwrap()).collect()
+        };
+        insert(&t, 1).unwrap();
+        insert(&t, 2).unwrap();
+        // Deleting row 1 frees its suffix; the entry count falls to 1,
+        // which is the suffix row 2 holds.
+        assert_eq!(t.delete_where(|r| Ok(r[0] == Value::Int(1))).unwrap(), 1);
+        insert(&t, 3).unwrap();
+        assert_eq!(ids_by_grp(&t), vec![2, 3]);
+        assert_eq!(t.index_named("ix_grp").unwrap().btree.len(), 2);
+        // A reopened index resumes after the largest suffix it holds.
+        let reopened = Catalog::new(cat.pool().clone());
+        reopened.load_tables(&cat.serialize_tables()).unwrap();
+        let t = reopened.table("t").unwrap();
+        assert_eq!(t.delete_where(|r| Ok(r[0] == Value::Int(2))).unwrap(), 1);
+        insert(&t, 4).unwrap();
+        insert(&t, 5).unwrap();
+        assert_eq!(ids_by_grp(&t), vec![3, 4, 5]);
+        assert_eq!(t.row_count(), 3);
     }
 
     #[test]

@@ -126,10 +126,9 @@ pub struct IndexScanIter {
 struct OwnedRange {
     index: Arc<TableIndex>,
     buffer: std::vec::IntoIter<Vec<u8>>,
-    done: bool,
-    lower: Bound<Vec<u8>>,
+    /// Where the next refill starts; `None` once the range is exhausted.
+    resume: Option<Bound<Vec<u8>>>,
     upper: Bound<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
 }
 
 impl OwnedRange {
@@ -138,31 +137,22 @@ impl OwnedRange {
         // range from just after the last seen key; this keeps the borrow
         // on the tree short-lived and the iterator `Send`.
         const BATCH: usize = 1024;
-        let start: Bound<&[u8]> = match &self.last_key {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.lower {
-                Bound::Included(k) => Bound::Included(k.as_slice()),
-                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
+        let Some(start) = self.resume.take() else {
+            return Ok(());
         };
-        let end: Bound<&[u8]> = match &self.upper {
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        let start = start.as_ref().map(Vec::as_slice);
+        let end = self.upper.as_ref().map(Vec::as_slice);
         let mut vals = Vec::with_capacity(BATCH);
-        let mut last = None;
-        for entry in self.index.btree.range(start, end)?.take(BATCH) {
+        let mut entries = self.index.btree.range(start, end)?;
+        while let Some(entry) = entries.next_entry() {
             let (k, v) = entry?;
-            last = Some(k);
-            vals.push(v);
-        }
-        if vals.len() < BATCH {
-            self.done = true;
-        }
-        if let Some(k) = last {
-            self.last_key = Some(k);
+            vals.push(v.to_vec());
+            if vals.len() == BATCH {
+                // Only a full batch is followed by another refill, and
+                // only then is the key it ended on needed.
+                self.resume = Some(Bound::Excluded(k.to_vec()));
+                break;
+            }
         }
         self.buffer = vals.into_iter();
         Ok(())
@@ -184,10 +174,8 @@ impl IndexScanIter {
             iter: OwnedRange {
                 index,
                 buffer: Vec::new().into_iter(),
-                done: false,
-                lower,
+                resume: Some(lower),
                 upper,
-                last_key: None,
             },
             schema: table.schema.clone(),
             filter,
@@ -243,11 +231,8 @@ impl RowIterator for IndexScanIter {
                 break;
             }
             if self.iter.buffer.len() == 0 {
-                if self.iter.done {
-                    break;
-                }
                 self.iter.refill()?;
-                if self.iter.buffer.len() == 0 && self.iter.done {
+                if self.iter.buffer.len() == 0 {
                     break;
                 }
             }

@@ -1,9 +1,13 @@
-//! Buffer pool: an LRU cache of page frames over a [`PageStore`].
+//! Buffer pool: an exact-LRU cache of page frames over a [`PageStore`].
 //!
 //! Frames are shared via `Arc`; a frame whose `Arc` is held by an operator
-//! is effectively pinned (never evicted). Hit/miss counters support the
-//! "warm buffer pool" measurements of the paper's §5.3.3 (the 7-second
-//! warm merge join).
+//! is pinned: eviction takes the least recently used frame nobody else
+//! references and skips pinned ones. Recency is an intrusive doubly
+//! linked list threaded through a slab of slots ([`FrameTable`]), so a
+//! hit, an eviction and a removal each cost O(1) under the one
+//! frame-table mutex (an eviction also steps over the pinned frames ahead
+//! of its victim). Hit/miss counters support the "warm buffer pool"
+//! measurements of the paper's §5.3.3 (the 7-second warm merge join).
 //!
 //! When the pool is built with a [`WriteAheadLog`]
 //! ([`BufferPool::with_wal`]), every in-place page write follows the
@@ -62,10 +66,85 @@ pub struct BufferPool {
     pub stats: PoolStats,
 }
 
+/// One slab slot: a cached frame and its neighbours in recency order.
+#[derive(Default)]
+struct Slot {
+    frame: Option<Arc<Frame>>,
+    prev: usize,
+    next: usize,
+}
+
+/// The cached frames in exact LRU order: a circular list threaded through
+/// `slots`. Slot 0 anchors it and holds no frame; its `next` is the least
+/// recently used slot, its `prev` the most recent. `map` holds exactly
+/// the linked slots; vacated ones are chained from `free` through `next`,
+/// 0 ending the chain.
 struct FrameTable {
-    map: HashMap<PageId, Arc<Frame>>,
-    /// LRU order: front = least recently used. Contains only ids in `map`.
-    lru: Vec<PageId>,
+    map: HashMap<PageId, usize>,
+    slots: Vec<Slot>,
+    free: usize,
+}
+
+impl FrameTable {
+    fn frame(&self, slot: usize) -> &Arc<Frame> {
+        let frame = self.slots[slot].frame.as_ref();
+        frame.expect("a linked slot holds a frame")
+    }
+
+    /// Linked slots, least recently used first.
+    fn lru(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.slots[0].next), |&s| Some(self.slots[s].next))
+            .take_while(|&s| s != 0)
+    }
+
+    /// Whether anybody besides the pool references `slot`'s frame.
+    fn pinned(&self, slot: usize) -> bool {
+        Arc::strong_count(self.frame(slot)) > 1
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        self.slots[prev].next = next;
+        self.slots[next].prev = prev;
+    }
+
+    fn link_most_recent(&mut self, slot: usize) {
+        let tail = self.slots[0].prev;
+        (self.slots[slot].prev, self.slots[slot].next) = (tail, 0);
+        self.slots[tail].next = slot;
+        self.slots[0].prev = slot;
+    }
+
+    /// Mark `slot` most recently used.
+    fn touch(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.link_most_recent(slot);
+    }
+
+    /// Cache `frame`, whose page must not be cached, as most recently used.
+    fn push(&mut self, frame: Arc<Frame>) -> usize {
+        let mut slot = self.free;
+        if slot == 0 {
+            slot = self.slots.len();
+            self.slots.push(Slot::default());
+        } else {
+            self.free = self.slots[slot].next;
+        }
+        self.map.insert(frame.id, slot);
+        self.slots[slot].frame = Some(frame);
+        self.link_most_recent(slot);
+        slot
+    }
+
+    /// Drop `slot` from the cache and hand its frame back.
+    fn remove(&mut self, slot: usize) -> Arc<Frame> {
+        self.unlink(slot);
+        let frame = self.slots[slot].frame.take();
+        let frame = frame.expect("a linked slot holds a frame");
+        self.slots[slot].next = std::mem::replace(&mut self.free, slot);
+        self.map.remove(&frame.id);
+        frame
+    }
 }
 
 impl BufferPool {
@@ -97,7 +176,8 @@ impl BufferPool {
             wal,
             frames: Mutex::new(FrameTable {
                 map: HashMap::new(),
-                lru: Vec::new(),
+                slots: vec![Slot::default()],
+                free: 0,
             }),
             capacity: capacity.max(8),
             stats: PoolStats::default(),
@@ -120,10 +200,10 @@ impl BufferPool {
     pub fn fetch(&self, id: PageId) -> Result<Arc<Frame>> {
         {
             let mut t = self.frames.lock();
-            if let Some(f) = t.map.get(&id).cloned() {
-                touch(&mut t.lru, id);
+            if let Some(&slot) = t.map.get(&id) {
+                t.touch(slot);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(f);
+                return Ok(t.frame(slot).clone());
             }
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -160,23 +240,23 @@ impl BufferPool {
         let out;
         {
             let mut t = self.frames.lock();
-            let f = t.map.entry(id).or_insert_with(|| frame).clone();
-            touch(&mut t.lru, id);
+            // A racing fetch of the same page may have cached it first.
+            let slot = match t.map.get(&id) {
+                Some(&slot) => {
+                    t.touch(slot);
+                    slot
+                }
+                None => t.push(frame),
+            };
+            out = t.frame(slot).clone();
             // Evict LRU frames that nobody references.
             while t.map.len() > self.capacity {
-                let Some(pos) = t
-                    .lru
-                    .iter()
-                    .position(|pid| Arc::strong_count(&t.map[pid]) == 1)
-                else {
+                let Some(victim) = t.lru().find(|&s| !t.pinned(s)) else {
                     break; // everything pinned
                 };
-                let victim = t.lru.remove(pos);
-                let vf = t.map.remove(&victim).expect("lru entry has a frame");
-                evict.push(vf);
+                evict.push(t.remove(victim));
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            out = f;
         }
         for (i, vf) in evict.iter().enumerate() {
             if let Err(e) = self.writeback(vf) {
@@ -186,8 +266,12 @@ impl BufferPool {
                 // surface the error.
                 let mut t = self.frames.lock();
                 for vf in &evict[i..] {
-                    t.map.insert(vf.id, vf.clone());
-                    touch(&mut t.lru, vf.id);
+                    // The victim's image is the newest: it replaces a copy
+                    // a racing fetch may have read back meanwhile.
+                    if let Some(&stale) = t.map.get(&vf.id) {
+                        t.remove(stale);
+                    }
+                    t.push(vf.clone());
                 }
                 return Err(e);
             }
@@ -224,7 +308,7 @@ impl BufferPool {
     pub fn checkpoint(&self) -> Result<()> {
         let frames: Vec<Arc<Frame>> = {
             let t = self.frames.lock();
-            t.map.values().cloned().collect()
+            t.lru().map(|s| t.frame(s).clone()).collect()
         };
         let Some(wal) = &self.wal else {
             for f in frames {
@@ -281,9 +365,10 @@ impl BufferPool {
     pub fn clear_cache(&self) -> Result<()> {
         self.flush_all()?;
         let mut t = self.frames.lock();
-        t.map.retain(|_, f| Arc::strong_count(f) > 1);
-        let keep: std::collections::HashSet<PageId> = t.map.keys().copied().collect();
-        t.lru.retain(|id| keep.contains(id));
+        let unpinned: Vec<usize> = t.lru().filter(|&s| !t.pinned(s)).collect();
+        for slot in unpinned {
+            t.remove(slot);
+        }
         Ok(())
     }
 
@@ -298,7 +383,7 @@ impl BufferPool {
     pub fn rewrite_from_cache(&self, id: PageId) -> Result<bool> {
         let frame = {
             let t = self.frames.lock();
-            t.map.get(&id).cloned()
+            t.map.get(&id).map(|&slot| t.frame(slot).clone())
         };
         let Some(frame) = frame else {
             return Ok(false);
@@ -332,13 +417,10 @@ impl BufferPool {
         self.store.write_page(id, image)?;
         self.store.sync()?;
         let mut t = self.frames.lock();
-        let drop_it = t
-            .map
-            .get(&id)
-            .is_some_and(|f| !f.is_dirty() && Arc::strong_count(f) == 1);
-        if drop_it {
-            t.map.remove(&id);
-            t.lru.retain(|&pid| pid != id);
+        if let Some(&slot) = t.map.get(&id) {
+            if !t.frame(slot).is_dirty() && !t.pinned(slot) {
+                t.remove(slot);
+            }
         }
         Ok(())
     }
@@ -352,20 +434,9 @@ impl BufferPool {
     /// must drop every pin it took; leak tests assert this returns to its
     /// pre-query value.
     pub fn pinned_frames(&self) -> usize {
-        self.frames
-            .lock()
-            .map
-            .values()
-            .filter(|f| Arc::strong_count(f) > 1)
-            .count()
+        let t = self.frames.lock();
+        t.lru().filter(|&s| t.pinned(s)).count()
     }
-}
-
-fn touch(lru: &mut Vec<PageId>, id: PageId) {
-    if let Some(pos) = lru.iter().position(|&p| p == id) {
-        lru.remove(pos);
-    }
-    lru.push(id);
 }
 
 #[cfg(test)]
@@ -533,5 +604,123 @@ mod tests {
         let _ = pool.fetch(id).unwrap(); // hit
         assert_eq!(pool.stats.misses.load(Ordering::Relaxed), 1);
         assert_eq!(pool.stats.hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// The replacement policy as the `Vec` it used to be, kept as the
+    /// model the slab list is held to: linear search to touch, first
+    /// unpinned entry from the front to evict.
+    #[derive(Default)]
+    struct VecLru {
+        order: Vec<PageId>,
+        dirty: std::collections::HashSet<PageId>,
+    }
+
+    impl VecLru {
+        /// Cache or touch `id`, then evict down to `capacity`; returns the
+        /// dirty victims in eviction order (the pool writes those back).
+        fn admit(&mut self, id: PageId, capacity: usize, pinned: &[PageId]) -> Vec<PageId> {
+            self.order.retain(|&p| p != id);
+            self.order.push(id);
+            let mut written = Vec::new();
+            while self.order.len() > capacity {
+                let evictable = |p: &PageId| *p != id && !pinned.contains(p);
+                let Some(pos) = self.order.iter().position(evictable) else {
+                    break;
+                };
+                let victim = self.order.remove(pos);
+                if self.dirty.remove(&victim) {
+                    written.push(victim);
+                }
+            }
+            written
+        }
+    }
+
+    /// A store that remembers which pages were written, in order.
+    #[derive(Default)]
+    struct RecordingStore {
+        inner: MemPager,
+        written: Mutex<Vec<PageId>>,
+    }
+
+    impl PageStore for RecordingStore {
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.written.lock().push(id);
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn evicts_what_the_vec_lru_evicted_in_the_same_order(
+            trace in proptest::collection::vec((0..10u8, proptest::strategy::any::<usize>()), 1..400)
+        ) {
+            const CAPACITY: usize = 8;
+            let store = Arc::new(RecordingStore::default());
+            let pool = BufferPool::new(store.clone(), CAPACITY);
+            let mut model = VecLru::default();
+            let mut pins: Vec<Arc<Frame>> = Vec::new();
+            let image = Page::new(PageType::Heap).to_bytes();
+            for (kind, pick) in trace {
+                let pages = store.num_pages();
+                let pinned: Vec<PageId> = pins.iter().map(|f| f.id).collect();
+                let id = pick as u64 % pages.max(1);
+                let mut expect_written = Vec::new();
+                match kind {
+                    // Allocate while there are few pages, fetch otherwise.
+                    0..=5 => {
+                        let frame = if pages < 4 || (kind == 0 && pages < 40) {
+                            let (id, frame) = pool.allocate(PageType::Heap).unwrap();
+                            expect_written = model.admit(id, CAPACITY, &pinned);
+                            model.dirty.insert(id);
+                            frame
+                        } else {
+                            let frame = pool.fetch(id).unwrap();
+                            expect_written = model.admit(id, CAPACITY, &pinned);
+                            frame
+                        };
+                        match kind {
+                            1 => {
+                                frame.mark_dirty();
+                                model.dirty.insert(frame.id);
+                            }
+                            2 => pins.push(frame),
+                            _ => {}
+                        }
+                    }
+                    6 | 7 if !pins.is_empty() => drop(pins.swap_remove(pick % pins.len())),
+                    8 if pages > 0 => {
+                        pool.restore_page(id, &image).unwrap();
+                        store.written.lock().clear();
+                        if !model.dirty.contains(&id) && !pinned.contains(&id) {
+                            model.order.retain(|&p| p != id);
+                        }
+                    }
+                    9 => {
+                        pool.clear_cache().unwrap();
+                        store.written.lock().clear();
+                        model.dirty.clear();
+                        model.order.retain(|p| pinned.contains(p));
+                    }
+                    _ => {}
+                }
+                let t = pool.frames.lock();
+                let order: Vec<PageId> = t.lru().map(|slot| t.frame(slot).id).collect();
+                proptest::prop_assert_eq!(&order, &model.order);
+                proptest::prop_assert_eq!(t.map.len(), order.len());
+                proptest::prop_assert_eq!(std::mem::take(&mut *store.written.lock()), expect_written);
+                drop(t);
+                proptest::prop_assert_eq!(pool.pinned_frames(), pins.iter().map(|f| f.id).collect::<std::collections::HashSet<_>>().len());
+            }
+        }
     }
 }

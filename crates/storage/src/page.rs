@@ -256,6 +256,31 @@ impl Page {
         Some(slot)
     }
 
+    /// Overwrite the page's only record — slot 0, first in the record area —
+    /// with `record`, zeroing what a shorter one leaves behind, so the
+    /// image equals a fresh page holding `record` alone. Returns `false`,
+    /// leaving the page intact, if the page is not shaped so or `record`
+    /// does not fit. This is how a B+-tree node is edited in place.
+    pub fn replace_sole_record(&mut self, record: &[u8]) -> bool {
+        let start = HEADER_LEN + self.ci_len();
+        let end = start + record.len();
+        if self.slot_count() != 1 || record.is_empty() || end > PAGE_SIZE - SLOT_LEN {
+            return false;
+        }
+        let (off, len) = self.read_slot(0);
+        let old_end = start + len as usize;
+        if off as usize != start || len == 0 || old_end > PAGE_SIZE - SLOT_LEN {
+            return false;
+        }
+        self.buf[start..end].copy_from_slice(record);
+        if end < old_end {
+            self.buf[end..old_end].fill(0);
+        }
+        self.write_slot(0, off, record.len() as u16);
+        self.set_free_start(end as u16);
+        true
+    }
+
     /// Record bytes in `slot`, or `None` if out of range or deleted.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
         if (slot as usize) >= self.slot_count() {

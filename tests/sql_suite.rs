@@ -185,6 +185,54 @@ fn create_index_accelerates_ordered_scans() {
 }
 
 #[test]
+fn update_keeps_every_row_in_a_non_unique_index() {
+    // Every heap row must come back through the index on `grp`, which is
+    // what an ordered ROW_NUMBER reads.
+    fn via_index(db: &std::sync::Arc<Database>) -> Vec<i64> {
+        let sql = "SELECT id, ROW_NUMBER() OVER (ORDER BY grp) FROM t";
+        let plan = db.explain_sql(sql).unwrap();
+        assert!(plan.contains("Clustered Index Scan"), "{plan}");
+        let mut ids: Vec<i64> = db
+            .query_sql(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        ids.sort();
+        ids
+    }
+    let dir = std::env::temp_dir().join(format!("seqdb-sql-ixupd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = Database::open(&dir).unwrap();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, grp INT, note VARCHAR(16))")
+            .unwrap();
+        db.execute_sql("CREATE INDEX ix_grp ON t (grp)").unwrap();
+        for id in 1..=4 {
+            db.execute_sql(&format!("INSERT INTO t VALUES ({id}, 5, 'new')"))
+                .unwrap();
+        }
+        // An UPDATE deletes and reinserts: the reinserted row shares `grp`
+        // with the three rows before it.
+        db.execute_sql("UPDATE t SET note = 'seen' WHERE id = 1")
+            .unwrap();
+        assert_eq!(via_index(&db), vec![1, 2, 3, 4]);
+        db.checkpoint().unwrap();
+    }
+    let db = Database::open(&dir).unwrap();
+    db.execute_sql("UPDATE t SET note = 'again' WHERE id = 2")
+        .unwrap();
+    db.execute_sql("INSERT INTO t VALUES (5, 5, 'late')")
+        .unwrap();
+    assert_eq!(via_index(&db), vec![1, 2, 3, 4, 5]);
+    let n = db.query_sql("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(n.rows[0][0], Value::Int(5));
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn drop_table_removes_it() {
     let db = db();
     db.execute_sql("CREATE TABLE gone (x INT)").unwrap();

@@ -1,6 +1,8 @@
 //! Criterion benches behind §5.3.2 and Figures 7–9: script baselines vs
 //! the engine's Query 1, and the parallel-aggregate DOP sweep.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use seqdb_core::baseline;

@@ -2,6 +2,8 @@
 //! throughput and the three consensus plans (hash-grouped pivot,
 //! sort-based pivot with tempdb spills, sliding-window UDA).
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use seqdb_core::dataset::{ResequencingDataset, Scale};

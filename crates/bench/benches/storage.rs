@@ -3,6 +3,8 @@
 //! sequence-packing ablation the paper proposes in §6.1, plus the cost of
 //! the write-ahead log on the insert+checkpoint path.
 
+#![deny(unsafe_code)]
+
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,6 +1,8 @@
 //! Criterion benches behind §5.2 (Table 3): the file-wrapping rungs of
 //! `SELECT COUNT(*)` over a FASTQ lane.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use seqdb_bio::fastq::{ChunkedFastqParser, IoChunkSource, SimpleFastqReader};

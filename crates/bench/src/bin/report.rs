@@ -9,6 +9,8 @@
 //! `join`, `fig10`, `binning` (§5.3.2), `consensus` (§5.3.3), `all`,
 //! plus the wire-server overload experiment `server` (`--clients N`).
 
+#![deny(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -5,6 +5,8 @@
 //! the Criterion benches in `benches/` cover the same code paths with
 //! statistical rigor at a smaller scale.
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

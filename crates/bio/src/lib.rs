@@ -22,6 +22,8 @@
 //!   blocking pileup and as the sliding-window streaming algorithm the
 //!   paper proposes for its `AssembleConsensus` aggregate.
 
+#![deny(unsafe_code)]
+
 pub mod align;
 pub mod consensus;
 pub mod dna;

@@ -24,6 +24,8 @@
 //! * [`workflow`] — end-to-end drivers tying the phases together,
 //!   including workflow provenance rows.
 
+#![deny(unsafe_code)]
+
 pub mod baseline;
 pub mod dataset;
 pub mod import;

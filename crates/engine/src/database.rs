@@ -135,6 +135,10 @@ pub struct Database {
     /// needs every data-file write since its first page copy to stay
     /// replayable from the log.
     ckpt_lock: Mutex<()>,
+    /// What `querystore.seqdb` holds, as last written or loaded by this
+    /// handle (`None`: not known to exist): a checkpoint that would write
+    /// the same bytes again skips the write and its fsync.
+    query_store_file: Mutex<Option<String>>,
     session_seq: AtomicU64,
 }
 
@@ -199,7 +203,9 @@ impl Database {
         let qstore = dir.join("querystore.seqdb");
         if qstore.exists() {
             let text = std::fs::read_to_string(&qstore)?;
-            let _ = db.query_store.load(&text);
+            if db.query_store.load(&text).is_ok() {
+                *db.query_store_file.lock() = Some(text);
+            }
         }
         Ok(db)
     }
@@ -273,6 +279,7 @@ impl Database {
             backup,
             root,
             ckpt_lock: Mutex::new(()),
+            query_store_file: Mutex::new(None),
             session_seq: AtomicU64::new(1),
         }))
     }
@@ -486,7 +493,8 @@ impl Database {
     /// Write the query store to `<root>/querystore.seqdb` via tmp +
     /// fsync + rename (fsync matters here: unlike the catalog, the store
     /// has no WAL backing it — the rename must only land a fully-written
-    /// file). No-op for in-memory databases.
+    /// file). No-op for in-memory databases, and when no statement was
+    /// recorded since the file was last written or loaded.
     pub(crate) fn persist_query_store(&self) -> Result<()> {
         use std::io::Write;
         let Some(root) = &self.root else {
@@ -495,12 +503,17 @@ impl Database {
         let path = root.join("querystore.seqdb");
         let tmp = root.join("querystore.seqdb.tmp");
         let data = self.query_store.serialize();
+        let mut on_disk = self.query_store_file.lock();
+        if on_disk.as_deref() == Some(data.as_str()) {
+            return Ok(());
+        }
         let mut f = std::fs::File::create(&tmp).map_err(seqdb_types::DbError::io_write)?;
         f.write_all(data.as_bytes())
             .map_err(seqdb_types::DbError::io_write)?;
         f.sync_all().map_err(seqdb_types::DbError::io_write)?;
         drop(f);
         std::fs::rename(&tmp, &path)?;
+        *on_disk = Some(data);
         Ok(())
     }
 

@@ -19,6 +19,7 @@
 //! depends on this one); programs can also build [`plan::Plan`]s
 //! directly.
 
+#![deny(unsafe_code)]
 // A hosted engine must not die on a recoverable error: every fallible
 // path propagates `DbError` instead of unwrapping. Tests may unwrap.
 #![warn(clippy::unwrap_used)]

@@ -13,6 +13,7 @@
 //! * [`client`] — the matching blocking client, used by `report
 //!   server` and the integration suite.
 
+#![deny(unsafe_code)]
 // A server must not die on a recoverable error: every fallible path
 // propagates `DbError` instead of unwrapping. Tests may unwrap.
 #![warn(clippy::unwrap_used)]

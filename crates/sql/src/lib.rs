@@ -10,6 +10,8 @@
 //!
 //! `EXPLAIN SELECT …` returns the physical plan as text (Figures 9–10).
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod binder;
 pub mod lexer;

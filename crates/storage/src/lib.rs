@@ -17,6 +17,8 @@
 //!   which makes the "huge intermediate result on the temporary tablespace"
 //!   of §5.3.3 measurable.
 
+#![deny(unsafe_code)]
+
 pub mod btree;
 pub mod buffer;
 pub mod counters;

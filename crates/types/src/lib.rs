@@ -5,6 +5,8 @@
 //! type system of the engine (the analogue of SQL Server's scalar types in
 //! the paper), rows, table schemas and the common error type.
 
+#![deny(unsafe_code)]
+
 mod datatype;
 mod error;
 mod row;

@@ -29,6 +29,8 @@
 //! assert_eq!(rows.rows[0][0], seqdb::types::Value::Int(2));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use seqdb_bio as bio;
 pub use seqdb_core as core;
 pub use seqdb_engine as engine;

@@ -353,6 +353,51 @@ fn query_store_survives_restart_through_both_dmvs() {
 }
 
 // ----------------------------------------------------------------------
+// A checkpoint writes querystore.seqdb only when a statement was
+// recorded since the file was last written or loaded
+// ----------------------------------------------------------------------
+
+#[test]
+fn checkpoint_rewrites_the_query_store_only_after_a_statement() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmp("qs-unchanged");
+    let file = dir.join("querystore.seqdb");
+    // Every write lands a new file by rename, so the inode tells them apart.
+    let stamp = || {
+        let meta = std::fs::metadata(&file).expect("querystore.seqdb");
+        (meta.ino(), meta.modified().unwrap())
+    };
+    let db = Database::open(&dir).unwrap();
+    assert!(!file.exists());
+    // The first checkpoint of a fresh directory creates the file.
+    db.checkpoint().unwrap();
+    let created = stamp();
+    db.checkpoint().unwrap();
+    assert_eq!(stamp(), created, "rewritten with nothing recorded");
+
+    let sql = "CREATE TABLE q (id INT NOT NULL, v INT)";
+    db.execute_sql(sql).unwrap();
+    db.checkpoint().unwrap();
+    let rewritten = stamp();
+    assert_ne!(rewritten.0, created.0, "a recorded statement not persisted");
+    drop(db);
+
+    let db = Database::open(&dir).unwrap();
+    let texts: Vec<String> = db
+        .query_store()
+        .persisted_snapshot()
+        .into_iter()
+        .map(|e| e.text)
+        .collect();
+    assert_eq!(texts, vec![fingerprint(sql).1]);
+    // What was just loaded is what the file holds.
+    db.checkpoint().unwrap();
+    assert_eq!(stamp(), rewritten, "rewritten right after a reload");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ----------------------------------------------------------------------
 // Statements killed by drain still land in the query store (the
 // statement-guard Drop path), visible over the wire afterwards
 // ----------------------------------------------------------------------

@@ -5,9 +5,7 @@
 //! cargo run -p seqdb-bench --release --bin report -- table1 --scale 4
 //! ```
 //!
-//! Experiments: `table1`, `table2`, `table3`, `fig7`, `fig8`, `fig9`,
-//! `join`, `fig10`, `binning` (§5.3.2), `consensus` (§5.3.3), `all`,
-//! plus the wire-server overload experiment `server` (`--clients N`).
+//! `report` with an unknown experiment lists the known ones (`EXPERIMENTS`).
 
 #![deny(unsafe_code)]
 
@@ -15,9 +13,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use seqdb_bench::{
-    dge_database, dge_dataset, fmt_dur, fmt_io, reseq_database, reseq_dataset, time,
-    write_bench_json, BenchEntry, IoSnapshot,
+    dge_database, dge_dataset, fmt_dur, fmt_io, reseq_database, reseq_dataset, time, IoSnapshot,
 };
+use seqdb_bio::dna::PackedSeq;
 use seqdb_bio::fastq::{ChunkedFastqParser, IoChunkSource, SimpleFastqReader};
 use seqdb_core::baseline;
 use seqdb_core::queries;
@@ -32,11 +30,29 @@ use seqdb_engine::{Database, JoinStrategy};
 use seqdb_sql::DatabaseSqlExt;
 use seqdb_types::{Result, Row, Value};
 
+type Experiment = fn(usize) -> Result<()>;
+
+/// Every experiment by its command-line name, in the order `all` runs
+/// them (the paper's §5 order, then the SNP extension). Dispatch, `all`
+/// and the usage line are all read from this one table.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("join", join_bench),
+    ("fig10", fig10),
+    ("binning", binning),
+    ("consensus", consensus),
+    ("snp", snp),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment = "all".to_string();
     let mut scale_factor = 1usize;
-    let mut clients = 120usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -47,13 +63,6 @@ fn main() {
                     .unwrap_or_else(|| die("--scale needs a number"));
                 i += 2;
             }
-            "--clients" => {
-                clients = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--clients needs a number"));
-                i += 2;
-            }
             other if !other.starts_with('-') => {
                 experiment = other.to_string();
                 i += 1;
@@ -61,7 +70,6 @@ fn main() {
             other => die(&format!("unknown flag {other}")),
         }
     }
-    CLIENTS.store(clients, std::sync::atomic::Ordering::Relaxed);
     if let Err(e) = run(&experiment, scale_factor) {
         eprintln!("report failed: {e}");
         std::process::exit(1);
@@ -69,14 +77,26 @@ fn main() {
 }
 
 fn die(msg: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!("{msg}");
-    eprintln!("usage: report [table1|table2|table3|fig7|fig8|fig9|join|fig10|binning|consensus|snp|server|trace|scrub|backup|all] [--scale N] [--clients N]");
+    eprintln!("usage: report [{}|all] [--scale N]", names.join("|"));
     std::process::exit(2);
 }
 
-/// `--clients` for the `server` experiment, stashed so `run`'s
-/// signature stays shared with the paper experiments.
-static CLIENTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(120);
+fn run(experiment: &str, factor: usize) -> Result<()> {
+    let selected = |name: &str| experiment == "all" || experiment == name;
+    if !EXPERIMENTS.iter().any(|(name, _)| selected(name)) {
+        die(&format!("unknown experiment {experiment}"));
+    }
+    println!("== seqdb evaluation report (scale factor {factor}) ==");
+    println!("   reproducing Röhm & Blakeley, CIDR 2009, section 5\n");
+    for (name, experiment) in EXPERIMENTS {
+        if selected(name) {
+            experiment(factor)?;
+        }
+    }
+    Ok(())
+}
 
 // ------------------------------------------------------------ SNP ext --
 
@@ -108,43 +128,6 @@ fn snp(factor: usize) -> Result<()> {
     Ok(())
 }
 
-fn run(experiment: &str, factor: usize) -> Result<()> {
-    println!("== seqdb evaluation report (scale factor {factor}) ==");
-    println!("   reproducing Röhm & Blakeley, CIDR 2009, section 5\n");
-    match experiment {
-        "table1" => table1(factor)?,
-        "table2" => table2(factor)?,
-        "table3" => table3(factor)?,
-        "fig7" => fig7(factor)?,
-        "fig8" => fig8(factor)?,
-        "fig9" => fig9(factor)?,
-        "join" => join_bench(factor)?,
-        "fig10" => fig10(factor)?,
-        "binning" => binning(factor)?,
-        "consensus" => consensus(factor)?,
-        "snp" => snp(factor)?,
-        "server" => server_bench(factor, CLIENTS.load(std::sync::atomic::Ordering::Relaxed))?,
-        "trace" => trace_bench(factor)?,
-        "scrub" => scrub_bench(factor)?,
-        "backup" => backup_bench(factor)?,
-        "all" => {
-            table1(factor)?;
-            table2(factor)?;
-            table3(factor)?;
-            fig7(factor)?;
-            fig8(factor)?;
-            fig9(factor)?;
-            join_bench(factor)?;
-            fig10(factor)?;
-            binning(factor)?;
-            consensus(factor)?;
-            snp(factor)?;
-        }
-        other => die(&format!("unknown experiment {other}")),
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------- T1 --
 
 fn table1(factor: usize) -> Result<()> {
@@ -169,6 +152,16 @@ fn table1(factor: usize) -> Result<()> {
         }
         println!();
     }
+    // §6.1's proposed sequence type: the payload alone, text vs bit-packed.
+    let text: usize = ds.reads.iter().map(|r| r.seq.len()).sum();
+    let mut packed = 0usize;
+    for r in &ds.reads {
+        packed += PackedSeq::from_str(&r.seq)?.packed_bytes();
+    }
+    println!(
+        "sequence payload: text {text} B, 2-bit packed {packed} B = {:.2}x smaller (paper: \"about a quarter\")",
+        text as f64 / packed.max(1) as f64
+    );
     println!();
     Ok(())
 }
@@ -417,12 +410,11 @@ fn fig9(factor: usize) -> Result<()> {
 
 /// Hybrid Grace hash join vs forced Sort+MergeJoin on unsorted heaps,
 /// at three scales and four execution shapes. Every variant computes
-/// the same COUNT; the JSON keeps the timing + I/O trajectory.
+/// the same COUNT.
 fn join_bench(factor: usize) -> Result<()> {
     println!("--- Join strategies: hybrid Grace hash vs Sort+MergeJoin ---");
     const Q: &str = "SELECT COUNT(*) FROM big a JOIN small b ON (a.k = b.k)";
     const BUDGET_KB: u64 = 256;
-    let mut entries = Vec::new();
     for base in [30_000i64, 60_000, 120_000] {
         let n = base * factor.max(1) as i64;
         let db = Database::in_memory();
@@ -461,11 +453,6 @@ fn join_bench(factor: usize) -> Result<()> {
             assert_eq!(r?.rows[0][0], expect, "{name} returned a wrong count");
             println!("    {name:>13}: {:>10}  {}", fmt_dur(wall), fmt_io(&io));
             walls.insert(name, wall);
-            entries.push(BenchEntry {
-                name: format!("n={n}/{name}"),
-                wall,
-                io,
-            });
         }
         let merge = walls["merge-forced"].as_secs_f64();
         let hash = walls["hash-resident"].as_secs_f64().max(1e-9);
@@ -474,8 +461,7 @@ fn join_bench(factor: usize) -> Result<()> {
             merge / hash
         );
     }
-    let json = write_bench_json("join", &entries)?;
-    println!("  wrote {}\n", json.display());
+    println!();
     Ok(())
 }
 
@@ -552,15 +538,6 @@ fn binning(factor: usize) -> Result<()> {
     );
     println!("  this host has 1 core — see EXPERIMENTS.md for the compiled-script caveat)");
     println!("  SQL Query 1 I/O: {}\n", fmt_io(&sql_io));
-    let json = write_bench_json(
-        "binning",
-        &[BenchEntry {
-            name: "sql_query1".into(),
-            wall: sql_time,
-            io: sql_io,
-        }],
-    )?;
-    println!("  wrote {}\n", json.display());
     Ok(())
 }
 
@@ -635,702 +612,6 @@ fn consensus(factor: usize) -> Result<()> {
     println!("  I/O (pivot+hash)    : {}", fmt_io(&pivot_io));
     println!("  I/O (pivot+sort)    : {}", fmt_io(&sorted_io));
     println!("  I/O (sliding window): {}", fmt_io(&sliding_io));
-    let json = write_bench_json(
-        "consensus",
-        &[
-            BenchEntry {
-                name: "pivot_hash".into(),
-                wall: pivot_time,
-                io: pivot_io,
-            },
-            BenchEntry {
-                name: "pivot_sort".into(),
-                wall: sorted_time,
-                io: sorted_io,
-            },
-            BenchEntry {
-                name: "sliding_window".into(),
-                wall: sliding_time,
-                io: sliding_io,
-            },
-        ],
-    )?;
-    println!("  wrote {}\n", json.display());
-    Ok(())
-}
-
-// ------------------------------------------------------ wire server --
-
-/// The wire-server overload experiment: hundreds of concurrent clients
-/// driving mixed import/query/KILL traffic through the network front
-/// end, with admission queueing soaking the bursts, then a graceful
-/// drain under load. Reported: throughput, p50/p99 statement latency,
-/// peak admission-queue depth and connection gauge — all read over the
-/// wire from the DMVs, the way an operator would watch a shared
-/// genomics server.
-fn server_bench(factor: usize, clients: usize) -> Result<()> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    use seqdb_server::{Client, Server, ServerConfig};
-
-    println!("--- Extension: wire server under {clients} concurrent clients ---");
-    let db = Database::in_memory();
-    db.execute_sql("CREATE TABLE reads (id INT NOT NULL, grp INT, v INT)")?;
-    let rows: Vec<Row> = (0..12_000i64)
-        .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(i)]))
-        .collect();
-    db.insert_rows("reads", &rows)?;
-    // A pool four heavy statements fill, with a deep queue behind it:
-    // bursts wait their turn instead of failing or oversubscribing.
-    db.set_admission_pool_kb(Some(256));
-    db.set_admission_wait_ms(30_000);
-    db.set_admission_queue_slots(2 * clients);
-
-    let server = Server::start(
-        db.clone(),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: clients + 8,
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.addr();
-    let run_for = Duration::from_millis(3_000 * factor as u64);
-    let stop = Arc::new(AtomicBool::new(false));
-    let errors = Arc::new(AtomicUsize::new(0));
-
-    // Worker fleet: 1 in 4 clients is "heavy" (a governed, spilling
-    // aggregate that contends for the admission pool); the rest mix
-    // short queries, single-row imports and bogus KILLs (which must
-    // come back typed, not as dropped connections).
-    let mut workers = Vec::new();
-    for who in 0..clients {
-        let stop = stop.clone();
-        let errors = errors.clone();
-        workers.push(std::thread::spawn(move || -> Vec<f64> {
-            let mut lat_ms = Vec::new();
-            let Ok(mut c) = Client::connect(addr) else {
-                return lat_ms;
-            };
-            let _ = c.set_read_timeout(Some(Duration::from_secs(60)));
-            let heavy = who % 4 == 0;
-            if heavy && c.query("SET QUERY_MEMORY_LIMIT_KB = 64").is_err() {
-                return lat_ms;
-            }
-            let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                i += 1;
-                let sql = if heavy {
-                    "SELECT id, COUNT(*) FROM reads GROUP BY id"
-                } else if i.is_multiple_of(11) {
-                    "INSERT INTO reads VALUES (99999, 0, 1)"
-                } else if i.is_multiple_of(17) {
-                    "KILL 987654321"
-                } else {
-                    "SELECT COUNT(*) FROM reads"
-                };
-                let t = Instant::now();
-                match c.query(sql) {
-                    Ok(_) => lat_ms.push(t.elapsed().as_secs_f64() * 1e3),
-                    Err(e) => {
-                        // The bogus KILL must fail typed; anything else
-                        // failing counts against the server.
-                        if sql.starts_with("KILL") {
-                            lat_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                            if !matches!(e, seqdb_types::DbError::NoSuchStatement(_)) {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                        } else {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            }
-            lat_ms
-        }));
-    }
-
-    // Operator thread: watches queue depth and connection count through
-    // the DMVs over its own connection, like a DBA dashboard would.
-    let sampler_stop = stop.clone();
-    let sampler = std::thread::spawn(move || -> (i64, i64) {
-        let (mut max_queue, mut max_conns) = (0i64, 0i64);
-        let Ok(mut c) = Client::connect(addr) else {
-            return (0, 0);
-        };
-        let _ = c.set_read_timeout(Some(Duration::from_secs(10)));
-        while !sampler_stop.load(Ordering::Relaxed) {
-            let Ok(r) = c.query("SELECT counter_name, value FROM DM_OS_PERFORMANCE_COUNTERS()")
-            else {
-                break;
-            };
-            for row in &r.rows {
-                let name = row[0].as_text().unwrap_or_default();
-                let v = row[1].as_int().unwrap_or(0);
-                if name == "admission_queue_depth" {
-                    max_queue = max_queue.max(v);
-                } else if name == "active_connections" {
-                    max_conns = max_conns.max(v);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        (max_queue, max_conns)
-    });
-
-    let bench_start = Instant::now();
-    std::thread::sleep(run_for);
-    stop.store(true, Ordering::Relaxed);
-    let mut lat_ms: Vec<f64> = Vec::new();
-    for w in workers {
-        lat_ms.extend(w.join().unwrap_or_default());
-    }
-    let elapsed = bench_start.elapsed();
-    let (max_queue, max_conns) = sampler.join().unwrap_or((0, 0));
-
-    // Drain while the last stragglers are still connected.
-    let drain_start = Instant::now();
-    let report = server.drain()?;
-    let drain_ms = drain_start.elapsed().as_secs_f64() * 1e3;
-
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pct = |p: f64| -> f64 {
-        if lat_ms.is_empty() {
-            return 0.0;
-        }
-        let idx = ((lat_ms.len() as f64 - 1.0) * p).round() as usize;
-        lat_ms[idx]
-    };
-    let done = lat_ms.len();
-    let throughput = done as f64 / elapsed.as_secs_f64();
-    println!(
-        "  {done} statements from {clients} clients in {} — {throughput:.0}/s",
-        fmt_dur(elapsed)
-    );
-    println!(
-        "  latency p50 {:.2} ms, p99 {:.2} ms; peak queue depth {max_queue}, peak connections {max_conns}",
-        pct(0.50),
-        pct(0.99)
-    );
-    println!(
-        "  drain: {} finished, {} killed, {:.0} ms; client-visible errors {}",
-        report.finished,
-        report.killed,
-        drain_ms,
-        errors.load(std::sync::atomic::Ordering::Relaxed)
-    );
-
-    let path = seqdb_bench::workspace_dir("BENCH_server.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = format!(
-        "{{\n  \"clients\": {clients},\n  \"duration_ms\": {:.0},\n  \"statements_ok\": {done},\n  \
-         \"client_errors\": {},\n  \"throughput_per_s\": {throughput:.1},\n  \"p50_ms\": {:.3},\n  \
-         \"p99_ms\": {:.3},\n  \"max_admission_queue_depth\": {max_queue},\n  \
-         \"max_active_connections\": {max_conns},\n  \"drain_finished\": {},\n  \
-         \"drain_killed\": {},\n  \"drain_ms\": {drain_ms:.0}\n}}\n",
-        elapsed.as_secs_f64() * 1e3,
-        errors.load(std::sync::atomic::Ordering::Relaxed),
-        pct(0.50),
-        pct(0.99),
-        report.finished,
-        report.killed,
-    );
-    std::fs::write(&path, json)?;
-    println!("  wrote {}\n", path.display());
-    Ok(())
-}
-
-// ------------------------------------------------------- trace cost --
-
-/// Extension: the cost of leaving tracing on. The same 32-client wire
-/// workload runs untraced, then with `SET TRACE_EVENTS = 'ALL'`, then
-/// untraced again (the second baseline cancels machine drift), and the
-/// overhead gate asserts the traced run keeps ≥95% of the untraced
-/// throughput — the "cheap enough to leave on" budget from DESIGN.md.
-fn trace_bench(factor: usize) -> Result<()> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    use seqdb_server::{Client, Server, ServerConfig};
-
-    const TRACE_CLIENTS: usize = 32;
-    println!("--- Extension: tracing overhead at {TRACE_CLIENTS} wire clients ---");
-    let db = Database::in_memory();
-    db.execute_sql("CREATE TABLE reads (id INT NOT NULL, grp INT, v INT)")?;
-    let rows: Vec<Row> = (0..12_000i64)
-        .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(i)]))
-        .collect();
-    db.insert_rows("reads", &rows)?;
-
-    let server = Server::start(
-        db.clone(),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: TRACE_CLIENTS + 8,
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.addr();
-    let run_for = Duration::from_millis(2_000 * factor as u64);
-
-    // One measured phase: a fleet of clients looping the short-query /
-    // group-by mix, returning total statements completed.
-    let phase = |label: &str, dur: Duration| -> Result<f64> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let errors = Arc::new(AtomicUsize::new(0));
-        let mut workers = Vec::new();
-        for who in 0..TRACE_CLIENTS {
-            let stop = stop.clone();
-            let errors = errors.clone();
-            workers.push(std::thread::spawn(move || -> usize {
-                let Ok(mut c) = Client::connect(addr) else {
-                    return 0;
-                };
-                let _ = c.set_read_timeout(Some(Duration::from_secs(30)));
-                let mut done = 0usize;
-                let mut i = who;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    let sql = if i.is_multiple_of(7) {
-                        "SELECT grp, COUNT(*) FROM reads GROUP BY grp"
-                    } else {
-                        "SELECT COUNT(*) FROM reads"
-                    };
-                    match c.query(sql) {
-                        Ok(_) => done += 1,
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                done
-            }));
-        }
-        let start = Instant::now();
-        std::thread::sleep(dur);
-        stop.store(true, Ordering::Relaxed);
-        let done: usize = workers.into_iter().map(|w| w.join().unwrap_or(0)).sum();
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = done as f64 / elapsed;
-        println!(
-            "  {label}: {done} statements in {elapsed:.2}s — {rate:.0}/s ({} client errors)",
-            errors.load(Ordering::Relaxed)
-        );
-        Ok(rate)
-    };
-
-    let mut ctl = Client::connect(addr)?;
-    ctl.query("SET TRACE_EVENTS = 'OFF'")?;
-    let _ = phase("warmup", run_for / 4)?;
-    let untraced_1 = phase("untraced", run_for)?;
-    ctl.query("SET TRACE_EVENTS = 'ALL'")?;
-    let traced = phase("traced (ALL)", run_for)?;
-    ctl.query("SET TRACE_EVENTS = 'OFF'")?;
-    let untraced_2 = phase("untraced (again)", run_for)?;
-    let untraced = (untraced_1 + untraced_2) / 2.0;
-
-    let overhead_pct = if untraced > 0.0 {
-        ((untraced - traced) / untraced * 100.0).max(0.0)
-    } else {
-        0.0
-    };
-    let gate_ok = overhead_pct <= 5.0;
-    let dropped = seqdb_engine::tracer().dropped();
-    println!(
-        "  tracing overhead {overhead_pct:.2}% (gate <= 5%: {}); ring events dropped {dropped}",
-        if gate_ok { "PASS" } else { "FAIL" }
-    );
-    server.drain()?;
-
-    let path = seqdb_bench::workspace_dir("BENCH_trace.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = format!(
-        "{{\n  \"clients\": {TRACE_CLIENTS},\n  \"phase_ms\": {:.0},\n  \
-         \"untraced_per_s\": {untraced:.1},\n  \"traced_all_per_s\": {traced:.1},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"gate_ok\": {gate_ok},\n  \
-         \"ring_events_dropped\": {dropped}\n}}\n",
-        run_for.as_secs_f64() * 1e3,
-    );
-    std::fs::write(&path, json)?;
-    println!("  wrote {}\n", path.display());
-    Ok(())
-}
-
-// --------------------------------------------------------------- scrub --
-
-/// The integrity-scrub experiment: how fast does a full `CHECK DATABASE`
-/// pass walk a checkpointed database, and what does a continuous scrub
-/// do to query latency under a 32-client read load? Reported: scrub
-/// throughput in pages/s, blobs verified, and p50/p99 statement latency
-/// with and without the scrubber running.
-fn scrub_bench(factor: usize) -> Result<()> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    use seqdb_server::{Client, Server, ServerConfig};
-
-    const CLIENTS: usize = 32;
-    println!("--- Extension: scrub throughput vs query latency ({CLIENTS} clients) ---");
-    let dir = std::env::temp_dir().join(format!("seqdb-bench-scrub-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
-    let db = Database::open(&dir)?;
-    db.execute_sql("CREATE TABLE reads (id INT NOT NULL, grp INT, seq VARCHAR(64))")?;
-    let n = 120_000usize * factor.max(1);
-    let rows: Vec<Row> = (0..n as i64)
-        .map(|i| {
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(i % 10),
-                Value::text(format!("ACGTACGTACGTACGTACGTACGT-{i:08}")),
-            ])
-        })
-        .collect();
-    db.insert_rows("reads", &rows)?;
-    for lane in 0..4u8 {
-        db.filestream().insert(&vec![lane; 256 * 1024])?;
-    }
-    db.checkpoint()?;
-
-    let server = Server::start(
-        db.clone(),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: CLIENTS + 8,
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let scrubbing = Arc::new(AtomicBool::new(false));
-    let errors = Arc::new(AtomicUsize::new(0));
-
-    // Reader fleet: point lookups and a grouped aggregate, tagged by
-    // whether the scrubber was running when the statement started.
-    let mut workers = Vec::new();
-    for who in 0..CLIENTS {
-        let (stop, scrubbing, errors) = (stop.clone(), scrubbing.clone(), errors.clone());
-        workers.push(std::thread::spawn(move || -> (Vec<f64>, Vec<f64>) {
-            let (mut quiet, mut under) = (Vec::new(), Vec::new());
-            let Ok(mut c) = Client::connect(addr) else {
-                return (quiet, under);
-            };
-            let _ = c.set_read_timeout(Some(Duration::from_secs(60)));
-            let mut i = who;
-            while !stop.load(Ordering::Relaxed) {
-                i += 1;
-                let sql = if i.is_multiple_of(5) {
-                    "SELECT grp, COUNT(*) FROM reads GROUP BY grp".to_string()
-                } else {
-                    format!("SELECT COUNT(*) FROM reads WHERE grp = {}", i % 10)
-                };
-                let during_scrub = scrubbing.load(Ordering::Relaxed);
-                let t = Instant::now();
-                match c.query(&sql) {
-                    Ok(_) => {
-                        let ms = t.elapsed().as_secs_f64() * 1e3;
-                        if during_scrub {
-                            under.push(ms);
-                        } else {
-                            quiet.push(ms);
-                        }
-                    }
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            (quiet, under)
-        }));
-    }
-
-    // Phase 1: quiet baseline. Phase 2: continuous CHECK DATABASE passes
-    // on this thread while the fleet keeps querying.
-    let phase = Duration::from_millis(1_500 * factor as u64);
-    std::thread::sleep(phase);
-    scrubbing.store(true, Ordering::Relaxed);
-    let scrub_start = Instant::now();
-    let (mut passes, mut pages, mut blobs) = (0u64, 0u64, 0u64);
-    while scrub_start.elapsed() < phase || passes == 0 {
-        let report = db.check_database(false)?;
-        assert_eq!(report.unhealthy(), 0, "bench database must scrub clean");
-        passes += 1;
-        pages += report.pages_checked;
-        blobs += report.blobs_checked;
-    }
-    let scrub_wall = scrub_start.elapsed();
-    scrubbing.store(false, Ordering::Relaxed);
-    stop.store(true, Ordering::Relaxed);
-
-    let (mut quiet, mut under) = (Vec::new(), Vec::new());
-    for w in workers {
-        let (q, u) = w.join().unwrap_or_default();
-        quiet.extend(q);
-        under.extend(u);
-    }
-    server.drain()?;
-
-    let sortf = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    };
-    sortf(&mut quiet);
-    sortf(&mut under);
-    let pct = |v: &[f64], p: f64| -> f64 {
-        if v.is_empty() {
-            return 0.0;
-        }
-        v[((v.len() as f64 - 1.0) * p).round() as usize]
-    };
-    let pages_per_s = pages as f64 / scrub_wall.as_secs_f64().max(1e-9);
-    println!(
-        "  scrub: {passes} full passes, {pages} pages + {blobs} blobs in {} — {pages_per_s:.0} pages/s",
-        fmt_dur(scrub_wall)
-    );
-    println!(
-        "  query latency quiet   : {} stmts, p50 {:.2} ms, p99 {:.2} ms",
-        quiet.len(),
-        pct(&quiet, 0.50),
-        pct(&quiet, 0.99)
-    );
-    println!(
-        "  query latency w/ scrub: {} stmts, p50 {:.2} ms, p99 {:.2} ms; client errors {}",
-        under.len(),
-        pct(&under, 0.50),
-        pct(&under, 0.99),
-        errors.load(Ordering::Relaxed)
-    );
-
-    let path = seqdb_bench::workspace_dir("BENCH_scrub.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = format!(
-        "{{\n  \"clients\": {CLIENTS},\n  \"scrub_passes\": {passes},\n  \"pages_checked\": {pages},\n  \
-         \"blobs_checked\": {blobs},\n  \"scrub_wall_ms\": {:.0},\n  \"pages_per_s\": {pages_per_s:.1},\n  \
-         \"quiet_stmts\": {},\n  \"quiet_p50_ms\": {:.3},\n  \"quiet_p99_ms\": {:.3},\n  \
-         \"scrub_stmts\": {},\n  \"scrub_p50_ms\": {:.3},\n  \"scrub_p99_ms\": {:.3},\n  \
-         \"client_errors\": {}\n}}\n",
-        scrub_wall.as_secs_f64() * 1e3,
-        quiet.len(),
-        pct(&quiet, 0.50),
-        pct(&quiet, 0.99),
-        under.len(),
-        pct(&under, 0.50),
-        pct(&under, 0.99),
-        errors.load(Ordering::Relaxed)
-    );
-    std::fs::write(&path, json)?;
-    println!("  wrote {}", path.display());
-    std::fs::remove_dir_all(&dir).ok();
-    println!();
-    Ok(())
-}
-
-/// Extension: online backup — query latency impact while a backup runs,
-/// plus full vs incremental set size and wall time.
-fn backup_bench(factor: usize) -> Result<()> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    use seqdb_server::{Client, Server, ServerConfig};
-
-    const CLIENTS: usize = 32;
-    println!("--- Extension: online backup vs query latency ({CLIENTS} clients) ---");
-    let dir = std::env::temp_dir().join(format!("seqdb-bench-backup-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
-    let db = Database::open(&dir.join("db"))?;
-    db.execute_sql("CREATE TABLE reads (id INT NOT NULL, grp INT, seq VARCHAR(64))")?;
-    let n = 120_000usize * factor.max(1);
-    let rows: Vec<Row> = (0..n as i64)
-        .map(|i| {
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(i % 10),
-                Value::text(format!("ACGTACGTACGTACGTACGTACGT-{i:08}")),
-            ])
-        })
-        .collect();
-    db.insert_rows("reads", &rows)?;
-    for lane in 0..4u8 {
-        db.filestream().insert(&vec![lane; 256 * 1024])?;
-    }
-    db.checkpoint()?;
-
-    let server = Server::start(
-        db.clone(),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: CLIENTS + 8,
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let backing_up = Arc::new(AtomicBool::new(false));
-    let errors = Arc::new(AtomicUsize::new(0));
-
-    // Reader fleet, latencies tagged by whether a backup was in flight
-    // when the statement started.
-    let mut workers = Vec::new();
-    for who in 0..CLIENTS {
-        let (stop, backing_up, errors) = (stop.clone(), backing_up.clone(), errors.clone());
-        workers.push(std::thread::spawn(move || -> (Vec<f64>, Vec<f64>) {
-            let (mut quiet, mut under) = (Vec::new(), Vec::new());
-            let Ok(mut c) = Client::connect(addr) else {
-                return (quiet, under);
-            };
-            let _ = c.set_read_timeout(Some(Duration::from_secs(60)));
-            c.set_retry_attempts(5);
-            let mut i = who;
-            while !stop.load(Ordering::Relaxed) {
-                i += 1;
-                let sql = if i.is_multiple_of(5) {
-                    "SELECT grp, COUNT(*) FROM reads GROUP BY grp".to_string()
-                } else {
-                    format!("SELECT COUNT(*) FROM reads WHERE grp = {}", i % 10)
-                };
-                let during = backing_up.load(Ordering::Relaxed);
-                let t = Instant::now();
-                match c.query(&sql) {
-                    Ok(_) => {
-                        let ms = t.elapsed().as_secs_f64() * 1e3;
-                        if during {
-                            under.push(ms);
-                        } else {
-                            quiet.push(ms);
-                        }
-                    }
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            (quiet, under)
-        }));
-    }
-
-    // Phase 1: quiet baseline. Phase 2: full backup under load.
-    let phase = Duration::from_millis(1_500 * factor as u64);
-    std::thread::sleep(phase);
-    backing_up.store(true, Ordering::Relaxed);
-    let full_dir = dir.join("full");
-    let t = Instant::now();
-    let full = db.backup_database(&full_dir, None)?;
-    let full_wall = t.elapsed();
-    backing_up.store(false, Ordering::Relaxed);
-
-    // Mutate ~2% of the data, then take an incremental under load.
-    let delta: Vec<Row> = (n as i64..n as i64 + n as i64 / 50)
-        .map(|i| {
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(i % 10),
-                Value::text(format!("ACGTACGTACGTACGTACGTACGT-{i:08}")),
-            ])
-        })
-        .collect();
-    db.insert_rows("reads", &delta)?;
-    backing_up.store(true, Ordering::Relaxed);
-    let incr_dir = dir.join("incr");
-    let t = Instant::now();
-    let incr = db.backup_database(&incr_dir, Some(&full_dir))?;
-    let incr_wall = t.elapsed();
-    backing_up.store(false, Ordering::Relaxed);
-    stop.store(true, Ordering::Relaxed);
-
-    let (mut quiet, mut under) = (Vec::new(), Vec::new());
-    for w in workers {
-        let (q, u) = w.join().unwrap_or_default();
-        quiet.extend(q);
-        under.extend(u);
-    }
-    server.drain()?;
-
-    // The restored set must verify — a backup benchmark over an
-    // unrestorable set would be measuring garbage.
-    seqdb_engine::verify_backup(&incr_dir)?;
-
-    let sortf = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    };
-    sortf(&mut quiet);
-    sortf(&mut under);
-    let pct = |v: &[f64], p: f64| -> f64 {
-        if v.is_empty() {
-            return 0.0;
-        }
-        v[((v.len() as f64 - 1.0) * p).round() as usize]
-    };
-    // Compare actual bytes copied, not directory sizes: the skipped
-    // pages of an incremental set are holes in a sparse data file.
-    let (full_bytes, incr_bytes) = (full.bytes_written, incr.bytes_written);
-    let fmt_b = |b: u64| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0));
-    println!(
-        "  full backup       : {} pages, {} in {}",
-        full.pages_copied,
-        fmt_b(full_bytes),
-        fmt_dur(full_wall)
-    );
-    println!(
-        "  incremental backup: {} pages copied, {} skipped, {} in {} ({:.1}% of full size)",
-        incr.pages_copied,
-        incr.pages_skipped,
-        fmt_b(incr_bytes),
-        fmt_dur(incr_wall),
-        incr_bytes as f64 / full_bytes.max(1) as f64 * 100.0
-    );
-    println!(
-        "  query latency quiet    : {} stmts, p50 {:.2} ms, p99 {:.2} ms",
-        quiet.len(),
-        pct(&quiet, 0.50),
-        pct(&quiet, 0.99)
-    );
-    println!(
-        "  query latency w/ backup: {} stmts, p50 {:.2} ms, p99 {:.2} ms; client errors {}",
-        under.len(),
-        pct(&under, 0.50),
-        pct(&under, 0.99),
-        errors.load(Ordering::Relaxed)
-    );
-
-    let path = seqdb_bench::workspace_dir("BENCH_backup.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = format!(
-        "{{\n  \"clients\": {CLIENTS},\n  \"full_pages\": {},\n  \"full_bytes\": {full_bytes},\n  \
-         \"full_wall_ms\": {:.0},\n  \"incr_pages\": {},\n  \"incr_pages_skipped\": {},\n  \
-         \"incr_bytes\": {incr_bytes},\n  \"incr_wall_ms\": {:.0},\n  \
-         \"quiet_stmts\": {},\n  \"quiet_p50_ms\": {:.3},\n  \"quiet_p99_ms\": {:.3},\n  \
-         \"backup_stmts\": {},\n  \"backup_p50_ms\": {:.3},\n  \"backup_p99_ms\": {:.3},\n  \
-         \"client_errors\": {}\n}}\n",
-        full.pages_copied,
-        full_wall.as_secs_f64() * 1e3,
-        incr.pages_copied,
-        incr.pages_skipped,
-        incr_wall.as_secs_f64() * 1e3,
-        quiet.len(),
-        pct(&quiet, 0.50),
-        pct(&quiet, 0.99),
-        under.len(),
-        pct(&under, 0.50),
-        pct(&under, 0.99),
-        errors.load(Ordering::Relaxed)
-    );
-    std::fs::write(&path, json)?;
-    println!("  wrote {}", path.display());
-    std::fs::remove_dir_all(&dir).ok();
     println!();
     Ok(())
 }

@@ -1,13 +1,12 @@
-//! Shared setup for the benchmark harness and the `report` binary.
+//! Shared setup for the `report` binary.
 //!
 //! Every table/figure of the paper's §5 is regenerated by
-//! `cargo run -p seqdb-bench --release --bin report -- <experiment>`;
-//! the Criterion benches in `benches/` cover the same code paths with
-//! statistical rigor at a smaller scale.
+//! `cargo run -p seqdb-bench --release --bin report -- <experiment>`.
+//! Speed is measured elsewhere: `perfbench/` (see `BENCHMARK.json`).
 
 #![deny(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,18 +15,18 @@ use seqdb_core::workflow;
 use seqdb_engine::Database;
 use seqdb_types::Result;
 
-/// Where generated datasets live (under the target dir so `cargo clean`
-/// removes them).
+/// Where generated datasets live: `$CARGO_TARGET_DIR/seqdb-bench/<name>`,
+/// or else the workspace's own `target/seqdb-bench/<name>` — never
+/// relative to the cwd, which is `crates/bench` under `cargo test`.
 pub fn workspace_dir(name: &str) -> PathBuf {
-    let base = std::env::var("CARGO_TARGET_DIR")
+    let base = std::env::var_os("CARGO_TARGET_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target"));
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"));
     base.join("seqdb-bench").join(name)
 }
 
 /// Scale presets. `factor` multiplies the default workload (1 = the
-/// quick default used by `cargo bench`; the paper's lane would be
-/// roughly factor 300).
+/// quick default; the paper's lane would be roughly factor 300).
 pub fn scale(factor: usize) -> Scale {
     let f = factor.max(1);
     Scale {
@@ -73,7 +72,7 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (v, t.elapsed())
 }
 
-/// Point-in-time I/O counters a benchmark tracks alongside wall clock:
+/// Point-in-time I/O counters `report` prints alongside wall clock:
 /// WAL traffic, buffer-pool hit behavior and spill volume. Taken from
 /// the process-global storage registries plus the database's pool.
 #[derive(Debug, Default, Clone, Copy)]
@@ -113,45 +112,6 @@ impl IoSnapshot {
     }
 }
 
-/// One measurement destined for a `BENCH_<experiment>.json` trajectory
-/// file: a name, a wall time and the I/O the step caused.
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    pub name: String,
-    pub wall: Duration,
-    pub io: IoSnapshot,
-}
-
-/// Write `BENCH_<experiment>.json` under the bench workspace so repeated
-/// runs accumulate an I/O trajectory next to the timing one. The format
-/// is flat and hand-rolled (no serde in the dependency set).
-pub fn write_bench_json(experiment: &str, entries: &[BenchEntry]) -> Result<PathBuf> {
-    let path = workspace_dir(&format!("BENCH_{experiment}.json"));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = String::from("{\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"wal_records\": {}, \
-             \"wal_fsyncs\": {}, \"bufpool_hits\": {}, \"bufpool_misses\": {}, \
-             \"spill_files\": {}, \"spill_bytes\": {}}}{}\n",
-            e.name.replace('"', "'"),
-            e.wall.as_secs_f64() * 1e3,
-            e.io.wal_records,
-            e.io.wal_fsyncs,
-            e.io.bufpool_hits,
-            e.io.bufpool_misses,
-            e.io.spill_files,
-            e.io.spill_bytes,
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
 /// Pretty-print an I/O delta for report tables.
 pub fn fmt_io(io: &IoSnapshot) -> String {
     format!(
@@ -182,25 +142,6 @@ mod tests {
     fn scale_presets_grow() {
         assert!(scale(2).n_reads > scale(1).n_reads);
         assert_eq!(scale(0).n_reads, scale(1).n_reads);
-    }
-
-    #[test]
-    fn bench_json_tracks_io_counters() {
-        let db = Database::in_memory();
-        let a = IoSnapshot::now(&db);
-        let b = IoSnapshot::now(&db);
-        let d = b.delta_since(&a);
-        let entries = [BenchEntry {
-            name: "noop \"quoted\"".into(),
-            wall: Duration::from_millis(5),
-            io: d,
-        }];
-        let path = write_bench_json("unit-test", &entries).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"wal_fsyncs\""), "{text}");
-        assert!(text.contains("\"bufpool_misses\""), "{text}");
-        assert!(!text.contains("\"quoted\" "), "quotes must be escaped");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -93,6 +93,17 @@ fn start(db: &Arc<Database>, cfg: ServerConfig) -> Server {
     Server::start(db.clone(), "127.0.0.1:0", cfg).unwrap()
 }
 
+/// One counter or gauge, read over the wire the way an operator would.
+fn perf_counter(c: &mut Client, name: &str) -> i64 {
+    let r = c
+        .query("SELECT counter_name, value FROM DM_OS_PERFORMANCE_COUNTERS()")
+        .unwrap();
+    let row = r.rows.iter().find(|row| row[0].as_text().unwrap() == name);
+    row.unwrap_or_else(|| panic!("{name} counter missing"))[1]
+        .as_int()
+        .unwrap()
+}
+
 // ----------------------------------------------------------------------
 // Roundtrips, DMVs over the wire, typed statement errors
 // ----------------------------------------------------------------------
@@ -148,15 +159,7 @@ fn wire_roundtrip_dmvs_and_typed_errors() {
         .all(|row| row[1].as_text().unwrap().contains("127.0.0.1")));
 
     // ...and the gauge agrees.
-    let r = probe
-        .query("SELECT counter_name, value FROM DM_OS_PERFORMANCE_COUNTERS()")
-        .unwrap();
-    let gauge = r
-        .rows
-        .iter()
-        .find(|row| row[0].as_text().unwrap() == "active_connections")
-        .expect("active_connections gauge missing");
-    assert_eq!(gauge[1], Value::Int(2));
+    assert_eq!(perf_counter(&mut probe, "active_connections"), 2);
 
     let report = server.drain().unwrap();
     assert_eq!(report.killed, 0);
@@ -466,17 +469,7 @@ fn disconnect_during(sql: &str) {
     assert_eq!(row[1], Value::Int(1), "disposition killed");
 
     // Leak gauges, read over the wire from the second connection.
-    let r = probe
-        .query("SELECT counter_name, value FROM DM_OS_PERFORMANCE_COUNTERS()")
-        .unwrap();
-    let gauge = |name: &str| -> i64 {
-        r.rows
-            .iter()
-            .find(|row| row[0].as_text().unwrap() == name)
-            .unwrap_or_else(|| panic!("{name} gauge missing"))[1]
-            .as_int()
-            .unwrap()
-    };
+    let mut gauge = |name: &str| perf_counter(&mut probe, name);
     assert_eq!(gauge("tempspace_live_files"), 0, "leaked spill files");
     assert_eq!(gauge("admission_reserved_bytes"), 0, "leaked admission");
     assert_eq!(
@@ -799,6 +792,92 @@ fn queued_admission_holds_a_wire_statement_then_runs_it() {
     assert_eq!(r.rows.len(), 12_000);
     assert_eq!(db.admission().queue_depth(), 0);
     server.drain().unwrap();
+}
+
+/// 32 connections of mixed traffic against a pool four governed
+/// statements fill, with a deep queue behind it: bursts wait their turn
+/// instead of failing, the only errors a client ever sees are the typed
+/// ones it asked for, and nothing is left reserved, pinned or spilled.
+#[test]
+fn many_mixed_clients_see_only_typed_errors_and_drain_clean() {
+    const CLIENTS: usize = 32;
+    const STATEMENTS: usize = 6;
+    const HEAVY: &str = "SELECT id, COUNT(*) FROM t GROUP BY id";
+    const INSERT: &str = "INSERT INTO t VALUES (99999, 0, 1)";
+    const KILL: &str = "KILL 987654321";
+    const COUNT: &str = "SELECT COUNT(*) FROM t";
+
+    let db = setup_db();
+    db.set_admission_pool_kb(Some(256));
+    db.set_admission_wait_ms(60_000);
+    db.set_admission_queue_slots(64);
+    let pins_before = db.pool().pinned_frames();
+    let server = start(&db, quick_cfg());
+    let addr = server.addr();
+
+    // A direct engine session holds the whole pool until the queue has
+    // been seen over the wire, so every governed statement must queue
+    // first — no sleep decides whether contention happened.
+    let holder = db.create_session();
+    holder.set_query_memory_limit_kb(Some(256));
+    let guard = holder.begin_statement("hold the pool").unwrap();
+
+    // One client in four is heavy (a governed, spilling aggregate that
+    // reserves a quarter of the pool); the rest cycle ungoverned counts,
+    // single-row inserts and KILLs of a statement that does not exist.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|who| {
+            std::thread::spawn(move || -> std::result::Result<(), String> {
+                let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+                c.set_read_timeout(Some(Duration::from_secs(120)))
+                    .map_err(|e| e.to_string())?;
+                let heavy = who % 4 == 0;
+                if heavy {
+                    c.query("SET QUERY_MEMORY_LIMIT_KB = 64")
+                        .map_err(|e| format!("client {who} SET: {e}"))?;
+                }
+                for i in 0..STATEMENTS {
+                    let sql = match (heavy, i % 3) {
+                        (true, _) => HEAVY,
+                        (false, 1) => INSERT,
+                        (false, 2) => KILL,
+                        (false, _) => COUNT,
+                    };
+                    match (c.query(sql), sql == KILL) {
+                        (Ok(_), false) | (Err(DbError::NoSuchStatement(_)), true) => {}
+                        (Ok(_), true) => return Err(format!("client {who}: bogus KILL succeeded")),
+                        (Err(e), _) => return Err(format!("client {who} `{sql}`: {e}")),
+                    }
+                }
+                Ok(())
+            })
+        })
+        .collect();
+
+    // The operator's view, over a connection of its own.
+    let mut probe = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while perf_counter(&mut probe, "admission_queue_depth") == 0 {
+        assert!(Instant::now() < deadline, "no statement ever queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(guard);
+
+    for c in clients {
+        c.join().unwrap().unwrap();
+    }
+    // Every insert landed exactly once: light clients send one per
+    // three statements.
+    let inserts = (CLIENTS - CLIENTS / 4) * (STATEMENTS / 3);
+    let r = probe.query(COUNT).unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(12_000 + inserts as i64));
+
+    server.drain().unwrap();
+    assert_eq!(db.statements().running_count(), 0);
+    assert_eq!(db.admission().queue_depth(), 0);
+    assert_eq!(db.admission().reserved(), 0, "leaked admission");
+    assert_eq!(db.temp().live_files().unwrap(), 0, "leaked spill files");
+    assert_eq!(db.pool().pinned_frames(), pins_before, "leaked buffer pins");
 }
 
 // ----------------------------------------------------------------------

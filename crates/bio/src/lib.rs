@@ -13,7 +13,7 @@
 //!   the 1:1-import blow-up of Tables 1–2;
 //! * FASTQ and FASTA I/O ([`fastq`], [`fasta`]), including the chunked
 //!   buffer-paging parser of §4.1;
-//! * synthetic reference genomes and read simulators ([`reference`],
+//! * synthetic reference genomes and read simulators ([`reference`](mod@reference),
 //!   [`simulate`]) standing in for the Sanger Institute lane data;
 //! * a MAQ-like seed-and-extend short-read aligner ([`align`]) usable
 //!   in-process or as a file-centric external tool with proprietary

@@ -13,50 +13,6 @@ use crate::queries;
 use crate::sizing::StorageReport;
 use crate::udx;
 
-/// Storage-counter deltas across one workflow step: the I/O half of the
-/// paper's resource accounting (Figure 7 tracks CPU; WAL, buffer-pool
-/// and tempspace traffic tell the rest of the story). Read from the
-/// global counter registries, so it sees every pool and spill file the
-/// step touched.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StepIo {
-    pub wal_records: u64,
-    pub wal_fsyncs: u64,
-    pub bufpool_misses: u64,
-    pub spill_files: u64,
-    pub spill_bytes: u64,
-}
-
-/// Run one workflow step and report the storage I/O it caused alongside
-/// its result. Deltas are process-global: concurrent steps will blend,
-/// which is fine for the sequential pipelines these drivers run.
-pub fn measure_io<T>(db: &Arc<Database>, f: impl FnOnce() -> Result<T>) -> Result<(T, StepIo)> {
-    let snap = |db: &Arc<Database>| -> StepIo {
-        let relaxed = std::sync::atomic::Ordering::Relaxed;
-        let s = seqdb_storage::storage_counters();
-        StepIo {
-            wal_records: s.wal_records.load(relaxed),
-            wal_fsyncs: s.wal_fsyncs.load(relaxed),
-            bufpool_misses: db.pool().stats.misses.load(relaxed),
-            spill_files: s.spill_files.load(relaxed),
-            spill_bytes: s.spill_bytes.load(relaxed),
-        }
-    };
-    let before = snap(db);
-    let value = f()?;
-    let after = snap(db);
-    Ok((
-        value,
-        StepIo {
-            wal_records: after.wal_records - before.wal_records,
-            wal_fsyncs: after.wal_fsyncs - before.wal_fsyncs,
-            bufpool_misses: after.bufpool_misses - before.bufpool_misses,
-            spill_files: after.spill_files - before.spill_files,
-            spill_bytes: after.spill_bytes - before.spill_bytes,
-        },
-    ))
-}
-
 /// Design suffixes used throughout the workflows and benches.
 pub const NORM: &str = "";
 pub const NORM_ROW: &str = "_rowc";
@@ -436,26 +392,6 @@ mod tests {
             db.temp().spill_count() > 0,
             "an 8 KiB budget must force the aggregate to spill"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn measure_io_attributes_spill_traffic() {
-        let dir = crate::test_dir("workflow-measure-io");
-        let ds = DgeDataset::generate(&dir, &scale()).unwrap();
-        let db = Database::in_memory();
-        load_dge_designs(&db, &ds).unwrap();
-        db.set_query_memory_limit_kb(Some(8));
-        let (q1, io) = measure_io(&db, || queries::run_query1(&db, NORM)).unwrap();
-        queries::check_query1_against(&q1, &ds.unique_tags).unwrap();
-        assert!(
-            io.spill_files > 0 && io.spill_bytes > 0,
-            "the 8 KiB budget must show up as spill I/O: {io:?}"
-        );
-        // A second, unbudgeted run reports no spill delta.
-        db.set_query_memory_limit_kb(None);
-        let (_, io2) = measure_io(&db, || queries::run_query1(&db, NORM)).unwrap();
-        assert_eq!(io2.spill_files, 0, "{io2:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,7 +34,7 @@
 //!   without writing a byte.
 //!
 //! The whole path is fault-injectable on the shared
-//! [`FaultClock`](seqdb_storage::FaultClock): every backup-set write goes
+//! [`FaultClock`]: every backup-set write goes
 //! through `inject_write` (I/O errors, ENOSPC) and every durability point
 //! through `inject_sync` (crash-at-sync). A crash mid-backup leaves the
 //! *source* untouched and the backup set detectably incomplete (the

@@ -1,4 +1,4 @@
-//! The connection registry and its DMV, `DM_EXEC_CONNECTIONS()`.
+//! The connection registry behind `DM_EXEC_CONNECTIONS()`.
 //!
 //! The wire server registers every accepted connection here so the
 //! question "who is connected, and what are they doing?" is answerable
@@ -19,12 +19,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-
-use seqdb_types::{Column, DataType, Result, Row, Schema, Value};
-
-use crate::dmv::{no_args, RowsCursor};
-use crate::exec::ExecContext;
-use crate::udx::{TableFunction, TvfCursor};
 
 /// Where a connection is in its lifecycle, as shown by the DMV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,56 +190,6 @@ impl Drop for ConnectionHandle {
     }
 }
 
-// ---------------------------------------------------------------------
-// DM_EXEC_CONNECTIONS() — the DMV as a table-valued function
-// ---------------------------------------------------------------------
-
-/// `SELECT * FROM DM_EXEC_CONNECTIONS()` — one row per live client
-/// connection: id, peer address, the session serving it, lifecycle
-/// state, and how long since it last made progress.
-pub struct DmExecConnectionsFn {
-    registry: Arc<ConnectionRegistry>,
-}
-
-impl DmExecConnectionsFn {
-    pub fn new(registry: Arc<ConnectionRegistry>) -> DmExecConnectionsFn {
-        DmExecConnectionsFn { registry }
-    }
-}
-
-impl TableFunction for DmExecConnectionsFn {
-    fn name(&self) -> &str {
-        "DM_EXEC_CONNECTIONS"
-    }
-    fn schema(&self) -> Arc<Schema> {
-        Arc::new(Schema::new(vec![
-            Column::new("connection_id", DataType::Int).not_null(),
-            Column::new("peer_addr", DataType::Text).not_null(),
-            Column::new("session_id", DataType::Int).not_null(),
-            Column::new("state", DataType::Text).not_null(),
-            Column::new("idle_ms", DataType::Int).not_null(),
-        ]))
-    }
-    fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        no_args(args, self.name())?;
-        let rows: Vec<Row> = self
-            .registry
-            .snapshot()
-            .into_iter()
-            .map(|c| {
-                Row::new(vec![
-                    Value::Int(c.connection_id as i64),
-                    Value::text(c.peer),
-                    Value::Int(c.session_id as i64),
-                    Value::text(c.state.name()),
-                    Value::Int(c.idle.as_millis() as i64),
-                ])
-            })
-            .collect();
-        Ok(RowsCursor::boxed(rows))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,21 +224,5 @@ mod tests {
         h.touch();
         let after = reg.snapshot()[0].idle;
         assert!(after < before, "touch must reset the idle clock");
-    }
-
-    #[test]
-    fn dmv_renders_connection_rows() {
-        let reg = ConnectionRegistry::new();
-        let _h = reg.register("10.0.0.9:4242", 3);
-        let f = DmExecConnectionsFn::new(reg.clone());
-        let ctx = crate::exec::testutil::test_context();
-        let mut cursor = f.open(&[], &ctx).unwrap();
-        assert!(cursor.move_next().unwrap());
-        let row = cursor.fill_row().unwrap();
-        assert_eq!(row[1], Value::text("10.0.0.9:4242"));
-        assert_eq!(row[2], Value::Int(3));
-        assert_eq!(row[3], Value::text("idle"));
-        assert!(!cursor.move_next().unwrap());
-        assert!(f.open(&[Value::Int(1)], &ctx).is_err(), "no args allowed");
     }
 }

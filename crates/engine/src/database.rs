@@ -15,17 +15,12 @@ use seqdb_types::{Result, Row, Schema};
 
 use crate::backup::BackupState;
 use crate::catalog::{Catalog, Table};
-use crate::conn::{ConnectionRegistry, DmExecConnectionsFn};
-use crate::dmv::{
-    DmDbBackupStatusFn, DmDbQueryStoreFn, DmDbScrubStatusFn, DmExecQueryStatsFn,
-    DmOsPerformanceCountersFn, DmOsWaitStatsFn,
-};
+use crate::conn::ConnectionRegistry;
 use crate::exec::ExecContext;
 use crate::governor::QueryGovernor;
 use crate::querystore::QueryStore;
 use crate::scrub::ScrubState;
-use crate::session::{AdmissionController, DmExecRequestsFn, Session, StatementRegistry};
-use crate::trace::DmOsRingBufferFn;
+use crate::session::{AdmissionController, Session, StatementRegistry};
 
 /// Join algorithm selection (`SET JOIN_STRATEGY`): cost-based by default,
 /// forcible for benchmarks and plan-shape tests.
@@ -220,8 +215,7 @@ impl Database {
         for f in crate::builtins::all_builtins() {
             catalog.register_scalar(f);
         }
-        for (name, agg) in builtin_aggregates() {
-            let _ = name;
+        for agg in builtin_aggregates() {
             catalog.register_aggregate(agg);
         }
         let filestream = Arc::new(FileStreamStore::open(base.join("filestream"))?);
@@ -237,51 +231,31 @@ impl Database {
         catalog.register_scalar(Arc::new(FsDataLengthFn {
             store: filestream.clone(),
         }));
-        // The DMV surface: DM_EXEC_REQUESTS() lists running statements
-        // straight out of the registry (so KILL targets are discoverable
-        // from SQL), DM_OS_PERFORMANCE_COUNTERS()/DM_OS_WAIT_STATS()
-        // render the counter registries, and DM_EXEC_QUERY_STATS() /
-        // DM_DB_QUERY_STORE() the query store.
-        let statements = StatementRegistry::new();
-        let query_store = QueryStore::new(QueryStore::DEFAULT_CAPACITY);
         // Touching the tracer here also installs the storage→trace hook,
         // so spill/wait events flow before any SET TRACE_EVENTS arrives.
         let _ = crate::trace::tracer();
-        let temp = TempSpace::open(base.join("tempdb"))?;
-        let admission = AdmissionController::new();
-        let connections = ConnectionRegistry::new();
-        catalog.register_table_fn(Arc::new(DmExecRequestsFn::new(statements.clone())));
-        catalog.register_table_fn(Arc::new(DmOsPerformanceCountersFn::new(
-            pool.clone(),
-            temp.clone(),
-            admission.clone(),
-            connections.clone(),
-        )));
-        catalog.register_table_fn(Arc::new(DmOsWaitStatsFn));
-        catalog.register_table_fn(Arc::new(DmExecQueryStatsFn::new(query_store.clone())));
-        catalog.register_table_fn(Arc::new(DmDbQueryStoreFn::new(query_store.clone())));
-        catalog.register_table_fn(Arc::new(DmOsRingBufferFn));
-        catalog.register_table_fn(Arc::new(DmExecConnectionsFn::new(connections.clone())));
-        catalog.register_table_fn(Arc::new(DmDbScrubStatusFn::new(scrub.clone())));
-        let backup = BackupState::new();
-        catalog.register_table_fn(Arc::new(DmDbBackupStatusFn::new(backup.clone())));
-        Ok(Arc::new(Database {
+        let db = Arc::new(Database {
             pool,
             catalog,
             filestream,
-            temp,
+            temp: TempSpace::open(base.join("tempdb"))?,
             config: RwLock::new(DbConfig::default()),
-            statements,
-            admission,
-            connections,
-            query_store,
+            statements: StatementRegistry::new(),
+            admission: AdmissionController::new(),
+            connections: ConnectionRegistry::new(),
+            query_store: QueryStore::new(QueryStore::DEFAULT_CAPACITY),
             scrub,
-            backup,
+            backup: BackupState::new(),
             root,
             ckpt_lock: Mutex::new(()),
             query_store_file: Mutex::new(None),
             session_seq: AtomicU64::new(1),
-        }))
+        });
+        // The DMV surface, each view over one of the handles above.
+        for dmv in crate::dmv::all(&db) {
+            db.catalog.register_table_fn(Arc::new(dmv));
+        }
+        Ok(db)
     }
 
     /// Open a new session: a settings overlay over this database's
@@ -576,14 +550,14 @@ impl crate::udx::ScalarUdf for FsDataLengthFn {
     }
 }
 
-fn builtin_aggregates() -> Vec<(&'static str, Arc<dyn crate::udx::Aggregate>)> {
+fn builtin_aggregates() -> [Arc<dyn crate::udx::Aggregate>; 5] {
     use crate::udx::{AvgAgg, CountAgg, MaxAgg, MinAgg, SumAgg};
-    vec![
-        ("COUNT", Arc::new(CountAgg)),
-        ("SUM", Arc::new(SumAgg)),
-        ("MIN", Arc::new(MinAgg)),
-        ("MAX", Arc::new(MaxAgg)),
-        ("AVG", Arc::new(AvgAgg)),
+    [
+        Arc::new(CountAgg),
+        Arc::new(SumAgg),
+        Arc::new(MinAgg),
+        Arc::new(MaxAgg),
+        Arc::new(AvgAgg),
     ]
 }
 

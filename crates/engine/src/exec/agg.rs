@@ -623,7 +623,7 @@ fn finish_group(key: Vec<Value>, states: Vec<Box<dyn AggState>>, aggs: &[AggSpec
 
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
 /// Governed: over-budget runs degrade by spilling to tempspace (see
-/// [`aggregate_governed_rows`]).
+/// `aggregate_governed_rows`).
 pub struct HashAggIter {
     input: Option<BoxedIter>,
     group_exprs: Vec<Expr>,

@@ -11,7 +11,7 @@
 //! joins routinely outgrow a query's workspace grant it degrades the same
 //! way the hash aggregate does: once the build side exhausts its
 //! [`MemCharge`], further build rows partition to `storage::tempspace`
-//! with the salted hash of [`crate::exec::agg::partition_of`]. Probe rows
+//! with the salted hash of `exec::agg::partition_of`. Probe rows
 //! stream against the resident table and are routed to the matching spill
 //! partition; partition pairs then join recursively with a re-salted
 //! hash, optionally in parallel (one worker per partition pair, the

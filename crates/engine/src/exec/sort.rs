@@ -1,8 +1,9 @@
 //! Sorting: external merge sort with spill accounting, plus Top-N.
 //!
 //! The sort operator is blocking; when its input exceeds the memory
-//! budget it sorts and spills runs to the [`TempSpace`] and k-way merges
-//! them. Spilled bytes are globally accounted, which is how the consensus
+//! budget it sorts and spills runs to the
+//! [`TempSpace`](seqdb_storage::TempSpace) and k-way merges them. Spilled
+//! bytes are globally accounted, which is how the consensus
 //! experiment (§5.3.3) quantifies the "huge intermediate result on the
 //! temporary tablespace" of the pivot-based plan.
 

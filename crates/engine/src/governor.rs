@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seqdb_storage::SpillTally;
+use seqdb_storage::{storage_counters, SpillTally};
 use seqdb_types::{DbError, Result};
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
@@ -93,7 +93,7 @@ impl QueryGovernor {
     }
 
     /// Full cooperative check: cancel flag plus wall-clock deadline.
-    /// Called every [`DEADLINE_STRIDE`] rows to amortize `Instant::now`.
+    /// Called every `DEADLINE_STRIDE` (64) rows to amortize `Instant::now`.
     pub fn check_deadline(&self) -> Result<()> {
         self.check()?;
         if let Some(d) = self.deadline {
@@ -104,9 +104,7 @@ impl QueryGovernor {
                     .is_ok()
                 {
                     // First transition only: one timed-out query, one count.
-                    crate::stats::engine_counters()
-                        .timeouts
-                        .fetch_add(1, Ordering::Relaxed);
+                    storage_counters().timeouts.fetch_add(1, Ordering::Relaxed);
                 }
                 return Err(self.timeout_error());
             }
@@ -245,7 +243,7 @@ impl Drop for MemCharge {
 }
 
 /// Stride counter for cooperative checks: cancel flag every call, the
-/// deadline every [`DEADLINE_STRIDE`] calls (the first call included, so
+/// deadline every `DEADLINE_STRIDE` calls (the first call included, so
 /// an already-expired query fails before producing a row).
 pub struct Ticker {
     n: u32,
@@ -309,7 +307,7 @@ impl RowIterator for GovernedIter {
         self.ticker.tick_batch(&self.gov)?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
-            let counters = crate::stats::engine_counters();
+            let counters = storage_counters();
             let bucket = if b.is_fallback() {
                 &counters.batch_fallback_rows
             } else {

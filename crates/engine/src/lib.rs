@@ -49,10 +49,6 @@ pub use backup::{
 pub use catalog::{Catalog, Table, TableIndex};
 pub use conn::{ConnState, ConnectionHandle, ConnectionInfo, ConnectionRegistry};
 pub use database::{Database, DbConfig, JoinStrategy};
-pub use dmv::{
-    DmDbBackupStatusFn, DmDbQueryStoreFn, DmDbScrubStatusFn, DmExecQueryStatsFn,
-    DmOsPerformanceCountersFn, DmOsWaitStatsFn,
-};
 pub use exec::{BoxedIter, ExecContext, RowIterator};
 pub use expr::{BinOp, Expr};
 pub use governor::{GovernedIter, MemCharge, QueryGovernor};
@@ -61,12 +57,14 @@ pub use querystore::{
     fingerprint, Disposition, LatencyHistogram, QueryStore, QueryStoreEntry, StoreOutcome,
 };
 pub use scrub::{ScrubFinding, ScrubReport, ScrubState, ScrubStatus};
+/// The process counter registry under its old engine-side name, kept
+/// only because the frozen `perfbench` calls it; the next `benchmark` PR
+/// reads `seqdb_storage::storage_counters` and deletes this.
+pub use seqdb_storage::storage_counters as engine_counters;
 pub use session::{
     AdmissionController, RunningStatement, Session, SessionSettings, StatementGuard,
     StatementRegistry,
 };
-pub use stats::{engine_counters, EngineCounters, ExecStats, NodeStats, StatsIter};
-pub use trace::{
-    parse_mask, tracer, DmOsRingBufferFn, TraceClass, TraceEvent, Tracer, MASK_ALL, TRACE_CLASSES,
-};
+pub use stats::{ExecStats, NodeStats, StatsIter};
+pub use trace::{parse_mask, tracer, TraceClass, TraceEvent, Tracer, MASK_ALL, TRACE_CLASSES};
 pub use udx::{AggState, Aggregate, ScalarUdf, TableFunction, TvfCursor};

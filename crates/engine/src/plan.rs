@@ -1,5 +1,5 @@
 //! Physical plans: a tree of operators that can be opened into a
-//! [`RowIterator`] pipeline and pretty-printed for `EXPLAIN` (the query
+//! [`RowIterator`](crate::exec::RowIterator) pipeline and pretty-printed for `EXPLAIN` (the query
 //! plans of the paper's Figures 9 and 10).
 
 use std::sync::Arc;

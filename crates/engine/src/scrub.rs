@@ -8,7 +8,7 @@
 //! * pages are verified straight from the durable store, never through
 //!   the buffer pool, so a scan neither evicts the working set nor gets
 //!   fooled by a cached good copy of a rotted disk image;
-//! * the walk yields between slices ([`PAGES_PER_SLICE`]) so a
+//! * the walk yields between slices (`PAGES_PER_SLICE`) so a
 //!   multi-gigabyte table does not monopolize the I/O path;
 //! * repairs go through the buffer pool's WAL-before-data rewrite, so
 //!   readers only ever observe the old good image or the restored one;

@@ -8,7 +8,7 @@
 //! equivalent:
 //!
 //! * [`Session`] — per-connection settings overlay over the
-//!   [`Database`](crate::Database)-level defaults (`SET QUERY_TIMEOUT_MS /
+//!   [`Database`]-level defaults (`SET QUERY_TIMEOUT_MS /
 //!   QUERY_MEMORY_LIMIT_KB / MAX_DOP / JOIN_STRATEGY / BATCH_SIZE` scope
 //!   to one session), and the only place a statement starts:
 //!   [`Session::begin_statement`];
@@ -30,17 +30,14 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use seqdb_storage::{waits, WaitClass};
-use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
+use seqdb_storage::{storage_counters, waits, WaitClass};
+use seqdb_types::{DbError, Result};
 
 use crate::database::{Database, DbConfig};
-use crate::dmv::{no_args, RowsCursor};
 use crate::exec::ExecContext;
 use crate::governor::QueryGovernor;
 use crate::querystore::{QueryStore, StoreOutcome};
-use crate::stats::engine_counters;
 use crate::trace::{self, TraceClass};
-use crate::udx::{TableFunction, TvfCursor};
 
 // ---------------------------------------------------------------------
 // Session
@@ -454,7 +451,7 @@ impl StatementRegistry {
         match running.get(&id) {
             Some(info) => {
                 info.gov.cancel();
-                engine_counters().kills.fetch_add(1, Ordering::Relaxed);
+                storage_counters().kills.fetch_add(1, Ordering::Relaxed);
                 trace::emit(TraceClass::Kill, "kill", info.session_id, id, || {
                     format!("sql={}", trace_sql(&info.sql))
                 });
@@ -477,7 +474,7 @@ impl StatementRegistry {
         for (&id, info) in running.iter() {
             if info.session_id == session_id && !info.gov.is_aborted() {
                 info.gov.cancel();
-                engine_counters().kills.fetch_add(1, Ordering::Relaxed);
+                storage_counters().kills.fetch_add(1, Ordering::Relaxed);
                 trace::emit(TraceClass::Kill, "kill_session", session_id, id, || {
                     format!("sql={}", trace_sql(&info.sql))
                 });
@@ -655,7 +652,7 @@ impl AdmissionController {
             if wait_start.is_none() {
                 wait_start = Some(now);
                 state.waiting += 1;
-                engine_counters()
+                storage_counters()
                     .admission_waits
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -740,61 +737,6 @@ impl Drop for AdmissionSlot {
         if let Some(ctrl) = self.ctrl.take() {
             ctrl.release(self.bytes);
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// DM_EXEC_REQUESTS() — the DMV as a table-valued function
-// ---------------------------------------------------------------------
-
-/// `SELECT * FROM DM_EXEC_REQUESTS()` — seqdb's `sys.dm_exec_requests`:
-/// one row per running statement, including the statement issuing the
-/// query itself.
-pub struct DmExecRequestsFn {
-    registry: Arc<StatementRegistry>,
-}
-
-impl DmExecRequestsFn {
-    pub fn new(registry: Arc<StatementRegistry>) -> DmExecRequestsFn {
-        DmExecRequestsFn { registry }
-    }
-}
-
-impl TableFunction for DmExecRequestsFn {
-    fn name(&self) -> &str {
-        "DM_EXEC_REQUESTS"
-    }
-    fn schema(&self) -> Arc<Schema> {
-        Arc::new(Schema::new(vec![
-            Column::new("statement_id", DataType::Int).not_null(),
-            Column::new("session_id", DataType::Int).not_null(),
-            Column::new("sql_text", DataType::Text).not_null(),
-            Column::new("elapsed_ms", DataType::Int).not_null(),
-            Column::new("mem_used_bytes", DataType::Int).not_null(),
-            Column::new("status", DataType::Text).not_null(),
-            Column::new("wait_state", DataType::Text).not_null(),
-        ]))
-    }
-    fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        no_args(args, self.name())?;
-        let rows: Vec<Row> = self
-            .registry
-            .snapshot()
-            .into_iter()
-            .map(|s| {
-                let wait_state = s.wait_state();
-                Row::new(vec![
-                    Value::Int(s.statement_id),
-                    Value::Int(s.session_id as i64),
-                    Value::text(s.sql.clone()),
-                    Value::Int(s.elapsed.as_millis() as i64),
-                    Value::Int(s.mem_used as i64),
-                    Value::text(if s.aborted { "aborted" } else { "running" }),
-                    Value::text(wait_state),
-                ])
-            })
-            .collect();
-        Ok(RowsCursor::boxed(rows))
     }
 }
 

@@ -1,22 +1,18 @@
-//! Execution statistics: actual per-operator numbers and engine-level
-//! counters. (The statement history lives in [`crate::querystore`].)
+//! Execution statistics: actual per-operator numbers. (Engine counters
+//! live in the one process registry, `seqdb_storage::storage_counters`;
+//! the statement history in [`crate::querystore`].)
 //!
-//! The paper's evaluation reads SQL Server's *actual* execution plans and
-//! engine counters to attribute query time (Figures 9–10). seqdb's
-//! analogue has two pieces:
-//!
-//! * [`ExecStats`] / [`NodeStats`] — a per-query collector threaded
-//!   through `Plan::open`. Every operator node registers one
-//!   [`NodeStats`] slot (in pre-order, matching the `EXPLAIN` rendering
-//!   order) and is wrapped in a [`StatsIter`] that records rows produced,
-//!   `next_batch` calls, cumulative wall time and the query-memory high-water
-//!   observed while the node was active. Slots are `Arc`-shared with the
-//!   collector, so the numbers survive even when the pipeline is dropped
-//!   mid-stream by a cancellation or `KILL` — nothing is flushed on
-//!   close, because nothing ever lived only inside the iterator.
-//! * [`engine_counters`] — process-global engine counters (admission
-//!   waits, kills, UDX panics, governed timeouts), merged with the
-//!   storage registry into `DM_OS_PERFORMANCE_COUNTERS()`.
+//! The paper's evaluation reads SQL Server's *actual* execution plans to
+//! attribute query time (Figures 9–10). seqdb's analogue is
+//! [`ExecStats`] / [`NodeStats`], a per-query collector threaded through
+//! `Plan::open`. Every operator node registers one [`NodeStats`] slot (in
+//! pre-order, matching the `EXPLAIN` rendering order) and is wrapped in a
+//! [`StatsIter`] that records rows produced, `next_batch` calls,
+//! cumulative wall time and the query-memory high-water observed while
+//! the node was active. Slots are `Arc`-shared with the collector, so the
+//! numbers survive even when the pipeline is dropped mid-stream by a
+//! cancellation or `KILL` — nothing is flushed on close, because nothing
+//! ever lived only inside the iterator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -178,58 +174,6 @@ impl RowIterator for StatsIter {
             .fetch_max(self.gov.mem_used() as u64, Ordering::Relaxed);
         out
     }
-}
-
-/// Process-global engine counters (`DM_OS_PERFORMANCE_COUNTERS()` rows
-/// beyond what the storage layer tracks).
-#[derive(Default)]
-pub struct EngineCounters {
-    /// Statements that had to wait in the admission controller.
-    pub admission_waits: AtomicU64,
-    /// Statements killed via `KILL` / `StatementRegistry::kill`.
-    pub kills: AtomicU64,
-    /// UDX invocations that panicked and were isolated.
-    pub udx_panics: AtomicU64,
-    /// Queries stopped by the governor's wall-clock timeout.
-    pub timeouts: AtomicU64,
-    /// Rows that crossed an operator boundary inside a natively produced
-    /// batch (counted once per governed boundary, so deep plans count a
-    /// row once per level — the same convention as per-node actuals).
-    pub batch_rows: AtomicU64,
-    /// Rows that crossed a governed boundary in a batch assembled by
-    /// `exec::fill_batch` from a row-at-a-time producer (sort, window,
-    /// apply, UDX...). A high ratio of fallback to native rows shows
-    /// where native batch production has not reached yet.
-    pub batch_fallback_rows: AtomicU64,
-}
-
-impl EngineCounters {
-    /// Render as `(name, value)` pairs in a stable order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        vec![
-            ("admission_waits", ld(&self.admission_waits)),
-            ("statement_kills", ld(&self.kills)),
-            ("udx_panics", ld(&self.udx_panics)),
-            ("governed_timeouts", ld(&self.timeouts)),
-            ("batch_rows", ld(&self.batch_rows)),
-            ("batch_fallback_rows", ld(&self.batch_fallback_rows)),
-        ]
-    }
-}
-
-static ENGINE: EngineCounters = EngineCounters {
-    admission_waits: AtomicU64::new(0),
-    kills: AtomicU64::new(0),
-    udx_panics: AtomicU64::new(0),
-    timeouts: AtomicU64::new(0),
-    batch_rows: AtomicU64::new(0),
-    batch_fallback_rows: AtomicU64::new(0),
-};
-
-/// The process-global engine-counter registry.
-pub fn engine_counters() -> &'static EngineCounters {
-    &ENGINE
 }
 
 #[cfg(test)]

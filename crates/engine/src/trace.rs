@@ -1,5 +1,4 @@
-//! Structured event tracing: lock-light per-thread ring buffers of
-//! typed engine events.
+//! Structured event tracing: one bounded ring of typed engine events.
 //!
 //! The paper's operational story (multi-hour genomics pipelines living
 //! *inside* the database) needs the SQL Server answer to "what did the
@@ -9,36 +8,32 @@
 //! * a process-global [`Tracer`] with an **enabled-class bitmask** — the
 //!   per-event cost while tracing is off is one relaxed atomic load, and
 //!   detail strings are built lazily (closure) only when the class is on;
-//! * **per-thread ring buffers**: each emitting thread appends to its own
-//!   bounded ring behind an uncontended mutex, so hot paths never fight
-//!   over one global lock. When a thread exits (the wire server runs one
-//!   worker thread per statement) its ring is *retired* into a shared
-//!   bounded overflow ring so recent events survive the thread;
+//! * **one ring**: a bounded deque behind one mutex. Each event's
+//!   sequence number is assigned under that lock, so the ring is in
+//!   sequence order and a full ring drops its oldest event (counted in
+//!   [`Tracer::dropped`]);
 //! * `SET TRACE_EVENTS = 'STATEMENT,WAIT,...'` / `'ALL'` / `'OFF'`
 //!   controls the mask from SQL (server-wide, like the admission knobs);
-//! * [`DmOsRingBufferFn`] (`DM_OS_RING_BUFFER()`) snapshots every ring,
-//!   merged and ordered by sequence number — the `sys.dm_os_ring_buffers`
-//!   analogue;
-//! * an optional **sink buffer** the wire server drains to a JSONL trace
-//!   file and slow-statement log (events are copied there only while a
-//!   sink is attached).
+//! * `DM_OS_RING_BUFFER()` renders the ring — the
+//!   `sys.dm_os_ring_buffers` analogue;
+//! * an optional **sink cursor** for the wire server's JSONL trace file
+//!   and slow-statement log: while attached, [`Tracer::drain_sink`]
+//!   returns the ring's events newer than the last one drained, and
+//!   counts any the ring overwrote before the sink read them as dropped.
 //!
 //! Wait events are recorded at the *end* of the blocked interval with
 //! their duration, so the begin time is derivable (`ts_us - wait_us`)
 //! without paying for two events per wait.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use seqdb_storage::{install_trace_hook, StorageEvent};
-use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
-
-use crate::dmv::{no_args, RowsCursor};
-use crate::exec::ExecContext;
-use crate::udx::{TableFunction, TvfCursor};
+use seqdb_types::{DbError, Result};
 
 /// Classes of traced events, one bit each in the tracer mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,9 +138,9 @@ pub fn parse_mask(s: &str) -> Result<u32> {
 /// One traced event.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Process-wide monotonic sequence number (the merge order).
+    /// Process-wide monotonic sequence number (the ring order).
     pub seq: u64,
-    /// Microseconds since process start (see [`process_start`]).
+    /// Microseconds since process start (see [`Tracer::start_unix_ms`]).
     pub ts_us: u64,
     pub class: TraceClass,
     /// Event kind within the class (`statement_finish`, `wait`, ...).
@@ -192,37 +187,33 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Events kept per emitting thread before the oldest is dropped.
-const RING_CAPACITY: usize = 512;
-/// Events kept in the shared retired ring (rings of exited threads).
-const RETIRED_CAPACITY: usize = 8192;
-/// Events buffered for the server sink before the oldest is dropped.
-const SINK_CAPACITY: usize = 65536;
+/// Events the ring holds before the oldest is dropped. With every class
+/// on, 32 wire clients of mixed traffic (`tests/server.rs`'s
+/// `many_mixed_clients_…`, release build) emit ≈ 34 events per statement,
+/// most of them the spilling aggregates' `spill_file`s, and at most ≈ 310
+/// between two 50 ms ticks of the server's trace flusher: under a tenth
+/// of the ring, so the sink does not fall behind it.
+const RING_CAPACITY: usize = 8192;
 
-struct ThreadRing {
-    buf: Mutex<std::collections::VecDeque<TraceEvent>>,
-}
-
-impl ThreadRing {
-    fn new() -> Arc<ThreadRing> {
-        Arc::new(ThreadRing {
-            buf: Mutex::new(std::collections::VecDeque::with_capacity(16)),
-        })
-    }
+/// The ring and the sink cursor, under one lock so sequence order, ring
+/// order and what the sink has read cannot disagree.
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    /// The sequence number of the next event.
+    next_seq: u64,
+    /// The last sequence number the sink drained; `None` while detached.
+    sink: Option<u64>,
+    /// Events the ring overwrote, plus those the attached sink had not
+    /// read yet when they were overwritten (the honesty counter).
+    dropped: u64,
 }
 
 /// The process-global tracer. Obtain via [`tracer`].
 pub struct Tracer {
     mask: AtomicU32,
-    seq: AtomicU64,
-    /// Events lost to ring/sink overflow (the honesty counter).
-    dropped: AtomicU64,
     epoch: Instant,
     start_unix_ms: u64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
-    retired: Mutex<std::collections::VecDeque<TraceEvent>>,
-    sink_attached: AtomicBool,
-    sink: Mutex<Vec<TraceEvent>>,
+    ring: Mutex<Ring>,
 }
 
 impl Tracer {
@@ -270,77 +261,69 @@ impl Tracer {
         statement_id: i64,
         detail: String,
     ) {
-        let ev = TraceEvent {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+        let mut ring = self.ring.lock();
+        if ring.events.len() >= RING_CAPACITY {
+            ring.events.pop_front();
+            ring.dropped += 1;
+        }
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        ring.events.push_back(TraceEvent {
+            seq,
             ts_us: self.epoch.elapsed().as_micros() as u64,
             class,
             name,
             session_id,
             statement_id,
             detail,
-        };
-        if self.sink_attached.load(Ordering::Relaxed) {
-            let mut sink = self.sink.lock();
-            if sink.len() < SINK_CAPACITY {
-                sink.push(ev.clone());
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        RING.with(|handle| {
-            let mut buf = handle.ring.buf.lock();
-            if buf.len() >= RING_CAPACITY {
-                buf.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            buf.push_back(ev);
         });
     }
 
-    /// Point-in-time view of every ring (live threads + retired), merged
-    /// and ordered by sequence number. Non-destructive: the rings keep
-    /// their events, like `sys.dm_os_ring_buffers`.
+    /// Point-in-time copy of the ring, in sequence order. Non-destructive,
+    /// like `sys.dm_os_ring_buffers`.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.retired.lock().iter().cloned().collect();
-        for ring in self.rings.lock().iter() {
-            out.extend(ring.buf.lock().iter().cloned());
-        }
-        out.sort_by_key(|e| e.seq);
-        out
+        self.ring.lock().events.iter().cloned().collect()
     }
 
-    /// Events lost to ring or sink overflow since the last [`clear`].
-    ///
-    /// [`clear`]: Tracer::clear
+    /// Events lost since the last [`clear`](Tracer::clear).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
     /// Drop every buffered event (benchmarks isolate phases with this).
     pub fn clear(&self) {
-        for ring in self.rings.lock().iter() {
-            ring.buf.lock().clear();
+        let mut ring = self.ring.lock();
+        ring.events.clear();
+        if ring.sink.is_some() {
+            ring.sink = Some(ring.next_seq - 1);
         }
-        self.retired.lock().clear();
-        self.sink.lock().clear();
-        self.dropped.store(0, Ordering::Relaxed);
+        ring.dropped = 0;
     }
 
-    /// Attach/detach the sink buffer: while attached, every emitted
-    /// event is also copied for [`drain_sink`] (the server's JSONL trace
-    /// file consumes from there without racing the DMV snapshot).
+    /// Attach/detach the sink: while attached, [`drain_sink`] hands out
+    /// each event emitted since attaching exactly once (the server's
+    /// JSONL trace file reads from there without disturbing the DMV).
     ///
     /// [`drain_sink`]: Tracer::drain_sink
     pub fn attach_sink(&self, on: bool) {
-        self.sink_attached.store(on, Ordering::Relaxed);
-        if !on {
-            self.sink.lock().clear();
-        }
+        let mut ring = self.ring.lock();
+        let read = ring.sink.unwrap_or(ring.next_seq - 1);
+        ring.sink = on.then_some(read);
     }
 
-    /// Take everything buffered for the sink since the last drain.
+    /// The ring's events newer than the last drain, oldest first. Events
+    /// the ring overwrote before this drain could read them are counted
+    /// in [`dropped`](Tracer::dropped).
     pub fn drain_sink(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.sink.lock())
+        let mut ring = self.ring.lock();
+        let Some(read) = ring.sink else {
+            return Vec::new();
+        };
+        let oldest = ring.events.front().map_or(ring.next_seq, |e| e.seq);
+        ring.dropped += oldest.saturating_sub(read + 1);
+        ring.sink = Some(ring.next_seq - 1);
+        let unread = ring.events.partition_point(|e| e.seq <= read);
+        ring.events.range(unread..).cloned().collect()
     }
 
     /// Wall-clock milliseconds since the Unix epoch at process start
@@ -353,43 +336,6 @@ impl Tracer {
     pub fn uptime_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
-
-    fn register_ring(&self, ring: &Arc<ThreadRing>) {
-        self.rings.lock().push(ring.clone());
-    }
-
-    /// Move an exiting thread's events into the shared retired ring and
-    /// forget its per-thread ring.
-    fn retire_ring(&self, ring: &Arc<ThreadRing>) {
-        let events: Vec<TraceEvent> = ring.buf.lock().drain(..).collect();
-        self.rings.lock().retain(|r| !Arc::ptr_eq(r, ring));
-        let mut retired = self.retired.lock();
-        for ev in events {
-            if retired.len() >= RETIRED_CAPACITY {
-                retired.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            retired.push_back(ev);
-        }
-    }
-}
-
-struct RingHandle {
-    ring: Arc<ThreadRing>,
-}
-
-impl Drop for RingHandle {
-    fn drop(&mut self) {
-        tracer().retire_ring(&self.ring);
-    }
-}
-
-thread_local! {
-    static RING: RingHandle = {
-        let ring = ThreadRing::new();
-        tracer().register_ring(&ring);
-        RingHandle { ring }
-    };
 }
 
 static TRACER: OnceLock<Tracer> = OnceLock::new();
@@ -403,26 +349,19 @@ pub fn tracer() -> &'static Tracer {
         install_trace_hook(storage_hook);
         Tracer {
             mask: AtomicU32::new(0),
-            seq: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             start_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
-            rings: Mutex::new(Vec::new()),
-            retired: Mutex::new(std::collections::VecDeque::new()),
-            sink_attached: AtomicBool::new(false),
-            sink: Mutex::new(Vec::new()),
+            ring: Mutex::new(Ring {
+                events: VecDeque::new(),
+                next_seq: 1,
+                sink: None,
+                dropped: 0,
+            }),
         }
     })
-}
-
-/// `(uptime_ms, process_start_unix_ms)` for the performance-counter
-/// gauges: rates can be computed from one DMV snapshot instead of two.
-pub fn process_clock() -> (u64, u64) {
-    let t = tracer();
-    (t.uptime_ms(), t.start_unix_ms())
 }
 
 /// Waits shorter than this never become trace events. Spill writes
@@ -464,55 +403,11 @@ pub fn emit(
     tracer().emit(class, name, session_id, statement_id, detail);
 }
 
-// ---------------------------------------------------------------------
-// DM_OS_RING_BUFFER() — the drained-ring DMV
-// ---------------------------------------------------------------------
-
-/// `SELECT * FROM DM_OS_RING_BUFFER()` — every buffered trace event,
-/// ordered by sequence number. Non-destructive; bounded by the ring
-/// capacities, with overflow counted in the `trace_events_dropped`
-/// performance counter.
-pub struct DmOsRingBufferFn;
-
-impl TableFunction for DmOsRingBufferFn {
-    fn name(&self) -> &str {
-        "DM_OS_RING_BUFFER"
-    }
-    fn schema(&self) -> Arc<Schema> {
-        Arc::new(Schema::new(vec![
-            Column::new("seq", DataType::Int).not_null(),
-            Column::new("ts_us", DataType::Int).not_null(),
-            Column::new("class", DataType::Text).not_null(),
-            Column::new("event", DataType::Text).not_null(),
-            Column::new("session_id", DataType::Int).not_null(),
-            Column::new("statement_id", DataType::Int).not_null(),
-            Column::new("detail", DataType::Text).not_null(),
-        ]))
-    }
-    fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
-        no_args(args, self.name())?;
-        let rows: Vec<Row> = tracer()
-            .snapshot()
-            .into_iter()
-            .map(|e| {
-                Row::new(vec![
-                    Value::Int(e.seq as i64),
-                    Value::Int(e.ts_us as i64),
-                    Value::text(e.class.name()),
-                    Value::text(e.name),
-                    Value::Int(e.session_id as i64),
-                    Value::Int(e.statement_id),
-                    Value::text(e.detail),
-                ])
-            })
-            .collect();
-        Ok(RowsCursor::boxed(rows))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     /// Tracer state is process-global; tests that mutate the mask share
     /// one lock so they do not observe each other's classes.
@@ -563,8 +458,8 @@ mod tests {
         t.emit(TraceClass::Kill, "k_main2", 1, 11, String::new);
         let snap = t.snapshot();
         let names: Vec<&str> = snap.iter().map(|e| e.name).collect();
-        // The worker thread's ring was retired at thread exit; its event
-        // still shows up, and the merge is seq-ordered.
+        // Every thread appends to the one ring; the worker's event
+        // outlives the worker, in seq order.
         assert_eq!(names, vec!["k_main", "k_worker", "k_main2"]);
         assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
         t.set_mask(0);
@@ -584,8 +479,8 @@ mod tests {
         .join()
         .unwrap();
         let snap = t.snapshot();
-        // The thread emitted capacity+50 events; its ring kept the last
-        // RING_CAPACITY, which were then retired wholesale.
+        // The thread emitted capacity+50 events; the ring kept the last
+        // RING_CAPACITY.
         assert_eq!(snap.len(), RING_CAPACITY);
         assert!(t.dropped() >= 50);
         assert_eq!(
@@ -612,6 +507,73 @@ mod tests {
         let json = drained[0].to_json(t.start_unix_ms());
         assert!(json.contains("\"class\":\"BACKUP\""), "{json}");
         assert!(json.contains("\"event\":\"during\""), "{json}");
+        t.attach_sink(false);
+        t.set_mask(0);
+        t.clear();
+    }
+
+    #[test]
+    fn one_ring_orders_and_drains_every_event_once() {
+        let _g = MASK_LOCK.lock();
+        let t = tracer();
+        t.set_mask(TraceClass::Quarantine.bit());
+        t.clear();
+        t.attach_sink(true);
+        // 8 emitters x 500 events, drained every millisecond meanwhile.
+        let done = AtomicBool::new(false);
+        let mut drained = std::thread::scope(|s| {
+            let drainer = s.spawn(|| {
+                let mut got = Vec::new();
+                while !done.load(Ordering::Relaxed) {
+                    got.extend(t.drain_sink());
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                got
+            });
+            let emitters: Vec<_> = (0..8u64)
+                .map(|w| {
+                    s.spawn(move || {
+                        (0..500).for_each(|i| emit(TraceClass::Quarantine, "q", w, i, String::new))
+                    })
+                })
+                .collect();
+            for e in emitters {
+                e.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            drainer.join().unwrap()
+        });
+        drained.extend(t.drain_sink());
+        // Strictly increasing: no seq twice, none out of order.
+        assert!(drained.windows(2).all(|w| w[0].seq < w[1].seq));
+        let mut mine: Vec<(u64, i64)> = drained
+            .iter()
+            .filter(|e| e.name == "q")
+            .map(|e| (e.session_id, e.statement_id))
+            .collect();
+        mine.sort_unstable();
+        let every: Vec<(u64, i64)> = (0..8u64)
+            .flat_map(|w| (0..500).map(move |i| (w, i)))
+            .collect();
+        assert_eq!(mine, every, "every event drained exactly once");
+        assert_eq!(t.dropped(), 0);
+
+        // Overflow with no drain: the ring keeps the newest events and
+        // the sink resumes past the gap without repeating one.
+        let read = drained.last().unwrap().seq;
+        for i in 0..RING_CAPACITY + 100 {
+            emit(TraceClass::Quarantine, "over", 0, i as i64, String::new);
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.len(), RING_CAPACITY);
+        assert_eq!(
+            snap.last().unwrap().statement_id,
+            (RING_CAPACITY + 99) as i64
+        );
+        assert!(t.dropped() >= 100, "{}", t.dropped());
+        let after = t.drain_sink();
+        assert!(after.first().unwrap().seq > read);
+        assert!(after.windows(2).all(|w| w[0].seq < w[1].seq));
         t.attach_sink(false);
         t.set_mask(0);
         t.clear();

@@ -134,7 +134,7 @@ pub fn protect<T>(name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => r,
         Err(p) => {
-            crate::stats::engine_counters()
+            seqdb_storage::storage_counters()
                 .udx_panics
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Err(DbError::UdxPanic {

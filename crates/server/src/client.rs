@@ -3,8 +3,9 @@
 //! One blocking request/response exchange per [`Client::query`] call.
 //! Typed engine errors come back as the same [`DbError`] variants the
 //! server raised (see [`crate::protocol`]); transport failures surface
-//! as [`DbError::Io`] / [`DbError::Protocol`]. Used by `report server`
-//! and the integration suite; small enough to embed anywhere.
+//! as [`DbError::Io`] / [`DbError::Protocol`]. Used by the integration
+//! suite and `perf`'s `wire-oltp` workload; small enough to embed
+//! anywhere.
 //!
 //! With [`Client::set_retry_attempts`] the client absorbs *admission*
 //! refusals — the typed [`DbError::ServerBusy`] / [`DbError::ServerDraining`]

@@ -29,7 +29,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -46,8 +46,8 @@ use crate::protocol::{
     decode_query, encode_error, write_frame, write_result, MAX_FRAME, REQ_QUERY,
 };
 
-/// Server tunables. The defaults suit tests; `report server` raises the
-/// connection bound into the hundreds.
+/// Server tunables. The defaults suit tests; a server expecting hundreds
+/// of clients raises `max_connections`.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Hard cap on concurrent connections; the next accept is rejected
@@ -128,9 +128,6 @@ struct Shared {
     db: Arc<Database>,
     cfg: ServerConfig,
     draining: AtomicBool,
-    /// Statements completed over the server's lifetime (throughput
-    /// numerator for `report server`).
-    statements_done: AtomicUsize,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -155,7 +152,6 @@ impl Server {
             db,
             cfg,
             draining: AtomicBool::new(false),
-            statements_done: AtomicUsize::new(0),
             conn_threads: Mutex::new(Vec::new()),
         });
         let s2 = shared.clone();
@@ -207,10 +203,10 @@ impl Server {
                 },
             )?);
         }
-        // With a trace or slow-log file configured, events flow through
-        // the tracer's sink buffer to disk on a dedicated flusher thread
-        // so no statement ever blocks on file I/O. Its last tick, the one
-        // that sees the drain flag, still flushes.
+        // With a trace or slow-log file configured, a dedicated flusher
+        // thread drains the tracer's sink cursor to disk so no statement
+        // ever blocks on file I/O. Its last tick, the one that sees the
+        // drain flag, still flushes.
         if shared.cfg.traces_to_file() {
             seqdb_engine::tracer().attach_sink(true);
             let s = shared.clone();
@@ -231,11 +227,6 @@ impl Server {
     /// The bound address (port resolved when binding `:0`).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Statements completed since startup.
-    pub fn statements_done(&self) -> usize {
-        self.shared.statements_done.load(Ordering::Relaxed)
     }
 
     /// Graceful shutdown: stop accepting, let in-flight statements
@@ -288,7 +279,7 @@ impl Server {
         // The flusher exited on the drain flag; one last synchronous
         // flush catches everything emitted during the drain itself
         // (kills, statement_finish, drain_end) before the sink detaches
-        // (detaching discards whatever is still buffered).
+        // (events emitted after that never reach the file).
         if self.shared.cfg.traces_to_file() {
             flush_trace_sink(&self.shared.cfg);
             seqdb_engine::tracer().attach_sink(false);
@@ -328,9 +319,9 @@ fn spawn_periodic(
         .map_err(DbError::io)
 }
 
-/// One flush pass: take whatever the sink holds and append it as JSON
-/// lines. `slow_statement` events are additionally copied to the slow
-/// log so an operator can tail just the offenders.
+/// One flush pass: take the events the sink has not read yet and append
+/// them as JSON lines. `slow_statement` events are additionally copied to
+/// the slow log so an operator can tail just the offenders.
 fn flush_trace_sink(cfg: &ServerConfig) {
     let tracer = seqdb_engine::tracer();
     let events = tracer.drain_sink();
@@ -491,7 +482,6 @@ fn connection_main(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
             // and fully unwound. Nothing to write to.
             return;
         };
-        shared.statements_done.fetch_add(1, Ordering::Relaxed);
         conn.touch();
         let written = match &result {
             Ok(res) => write_result(&mut *io, res),

@@ -259,7 +259,7 @@ fn apply_set(session: &Session, name: &str, value: &SetValue) -> Result<()> {
             ));
         };
         // The trace mask gates event emission process-wide: every
-        // session's events land in the same per-thread rings.
+        // session's events land in the one ring.
         seqdb_engine::tracer().set_mask(seqdb_engine::parse_mask(classes)?);
         return Ok(());
     }

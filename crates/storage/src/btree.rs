@@ -11,17 +11,17 @@
 //! `count` × (varint length + key, varint length + value) in key order,
 //! its right sibling in the page header's `next_page`; for an internal
 //! node `count` × (varint length + key), then `count + 1` little-endian
-//! `u64` child ids. A node whose record outgrows [`SPLIT_THRESHOLD`]
+//! `u64` child ids. A node whose record outgrows `SPLIT_THRESHOLD`
 //! splits at entry `len / 2`, or, when that would leave a half too large
 //! for a page (few long entries next to many short ones), at the entry
 //! that leaves the larger half smallest.
 //!
-//! Nodes are read and edited in place. A [`NodeView`] borrows the record
+//! Nodes are read and edited in place. A `NodeView` borrows the record
 //! from the frame's page and lives no longer than the page guard it was
 //! taken under; lookups and descents walk its entries without allocating.
 //! A leaf insert, replace or delete splices the entry into the record
 //! through the tree's one edit buffer and writes the page once; only a
-//! split materialises an owned [`Node`]. Concurrency is a coarse tree
+//! split materialises an owned `Node`. Concurrency is a coarse tree
 //! latch, shared for reads and exclusive for writes — adequate for
 //! seqdb's bulk-load-then-query workloads and simple to reason about.
 

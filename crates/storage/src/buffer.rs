@@ -3,7 +3,7 @@
 //! Frames are shared via `Arc`; a frame whose `Arc` is held by an operator
 //! is pinned: eviction takes the least recently used frame nobody else
 //! references and skips pinned ones. Recency is an intrusive doubly
-//! linked list threaded through a slab of slots ([`FrameTable`]), so a
+//! linked list threaded through a slab of slots (`FrameTable`), so a
 //! hit, an eviction and a removal each cost O(1) under the one
 //! frame-table mutex (an eviction also steps over the pinned frames ahead
 //! of its victim). Hit/miss counters support the "warm buffer pool"

@@ -5,10 +5,13 @@
 //! exactly those views to attribute query time to I/O vs compute. seqdb
 //! mirrors the design with two registries:
 //!
-//! * [`storage_counters`] — monotonic activity counters for the WAL,
-//!   FileStream store, and temp space. Buffer-pool counters stay on the
-//!   per-pool [`crate::buffer::PoolStats`]; the engine merges both sets
-//!   when it renders `DM_OS_PERFORMANCE_COUNTERS()`.
+//! * [`storage_counters`] — every monotonic activity counter of the
+//!   process: WAL, FileStream store, temp space, scrub and backup here,
+//!   and the engine's admission waits, kills, UDX panics, timeouts and
+//!   batch rows (they live here because `storage` cannot depend on the
+//!   engine). Buffer-pool counters stay on the per-pool
+//!   [`crate::buffer::PoolStats`]; the engine renders both in
+//!   `DM_OS_PERFORMANCE_COUNTERS()`.
 //! * [`waits`] — per-wait-class occurrence count and cumulative wall time,
 //!   recorded at every point where a query thread blocks on a shared
 //!   resource (admission queue, buffer-pool page reads, spill I/O,
@@ -208,7 +211,7 @@ pub fn waits() -> &'static WaitStats {
     &WAITS
 }
 
-/// Monotonic storage-activity counters (WAL, FileStream, temp space).
+/// Monotonic activity counters of the storage layer and the engine.
 #[derive(Default)]
 pub struct StorageCounters {
     /// WAL records appended (page images + commit markers).
@@ -254,6 +257,23 @@ pub struct StorageCounters {
     pub backup_bytes: AtomicU64,
     /// Pages verified during `RESTORE DATABASE` (including `VERIFY ONLY`).
     pub restore_pages_verified: AtomicU64,
+    /// Statements that had to wait in the engine's admission controller.
+    pub admission_waits: AtomicU64,
+    /// Statements killed via `KILL` or a session kill (`statement_kills`).
+    pub kills: AtomicU64,
+    /// UDX invocations that panicked and were isolated.
+    pub udx_panics: AtomicU64,
+    /// Queries stopped by the governor's wall-clock timeout
+    /// (`governed_timeouts`).
+    pub timeouts: AtomicU64,
+    /// Rows that crossed a governed operator boundary inside a natively
+    /// produced batch (once per boundary, so deep plans count a row once
+    /// per level — the convention of per-node actuals).
+    pub batch_rows: AtomicU64,
+    /// Rows that crossed a governed boundary in a batch assembled from a
+    /// row-at-a-time producer (sort, window, apply, UDX...): where native
+    /// batch production has not reached yet.
+    pub batch_fallback_rows: AtomicU64,
 }
 
 impl StorageCounters {
@@ -287,6 +307,12 @@ impl StorageCounters {
             ("backup_pages_copied", ld(&self.backup_pages_copied)),
             ("backup_bytes", ld(&self.backup_bytes)),
             ("restore_pages_verified", ld(&self.restore_pages_verified)),
+            ("admission_waits", ld(&self.admission_waits)),
+            ("statement_kills", ld(&self.kills)),
+            ("udx_panics", ld(&self.udx_panics)),
+            ("governed_timeouts", ld(&self.timeouts)),
+            ("batch_rows", ld(&self.batch_rows)),
+            ("batch_fallback_rows", ld(&self.batch_fallback_rows)),
         ]
     }
 }
@@ -311,6 +337,12 @@ static STORAGE: StorageCounters = StorageCounters {
     backup_pages_copied: AtomicU64::new(0),
     backup_bytes: AtomicU64::new(0),
     restore_pages_verified: AtomicU64::new(0),
+    admission_waits: AtomicU64::new(0),
+    kills: AtomicU64::new(0),
+    udx_panics: AtomicU64::new(0),
+    timeouts: AtomicU64::new(0),
+    batch_rows: AtomicU64::new(0),
+    batch_fallback_rows: AtomicU64::new(0),
 };
 
 /// The process-global storage-counter registry.

@@ -1,5 +1,5 @@
 //! Page-compression context: the per-page column-prefix table and value
-//! dictionary of SQL Server 2008 page compression (paper §2.3.5, [11]).
+//! dictionary of SQL Server 2008 page compression (paper §2.3.5, \[11\]).
 //!
 //! When a heap page fills up on a `DATA_COMPRESSION = PAGE` table, the heap
 //! decodes the page's rows, builds a [`PageContext`] from them (longest

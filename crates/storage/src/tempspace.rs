@@ -1,7 +1,7 @@
 //! Spill-accounted temporary storage for blocking operators.
 //!
 //! §5.3.3 of the paper observes that the conceptually-clean pivot/group
-//! consensus plan "produce[s] a huge intermediate result on the temporary
+//! consensus plan "produce\[s\] a huge intermediate result on the temporary
 //! tablespace ... and large amounts of disk writes for the intermediate
 //! results. Hence it is not practical." To *measure* that claim rather
 //! than assert it, every blocking operator in seqdb (external sort, spool)

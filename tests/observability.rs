@@ -379,6 +379,141 @@ fn counters_prove_no_leaks_after_spilling_workload() {
 }
 
 // ----------------------------------------------------------------------
+// The DMV surface: every view's columns and counter names, pinned
+// ----------------------------------------------------------------------
+
+/// Each DMV's `SELECT *` schema as `Schema`'s `Display` renders it:
+/// column names, SQL types and nullability, in order.
+const DMV_SCHEMAS: &[(&str, &str)] = &[
+    (
+        "DM_EXEC_REQUESTS",
+        "statement_id BIGINT NOT NULL, session_id BIGINT NOT NULL, \
+         sql_text VARCHAR NOT NULL, elapsed_ms BIGINT NOT NULL, \
+         mem_used_bytes BIGINT NOT NULL, status VARCHAR NOT NULL, \
+         wait_state VARCHAR NOT NULL",
+    ),
+    (
+        "DM_OS_PERFORMANCE_COUNTERS",
+        "counter_name VARCHAR NOT NULL, value BIGINT NOT NULL",
+    ),
+    (
+        "DM_OS_WAIT_STATS",
+        "wait_class VARCHAR NOT NULL, wait_count BIGINT NOT NULL, \
+         total_wait_ms BIGINT NOT NULL, max_wait_ms BIGINT NOT NULL",
+    ),
+    (
+        "DM_EXEC_QUERY_STATS",
+        "sql_text VARCHAR NOT NULL, executions BIGINT NOT NULL, \
+         total_rows BIGINT NOT NULL, last_rows BIGINT NOT NULL, \
+         total_elapsed_ms BIGINT NOT NULL, last_elapsed_ms BIGINT NOT NULL, \
+         total_spill_files BIGINT NOT NULL, total_spill_bytes BIGINT NOT NULL, \
+         peak_mem_bytes BIGINT NOT NULL, as_of VARCHAR NOT NULL",
+    ),
+    (
+        "DM_DB_QUERY_STORE",
+        "fingerprint VARCHAR NOT NULL, query_text VARCHAR NOT NULL, \
+         executions BIGINT NOT NULL, killed BIGINT NOT NULL, \
+         timeouts BIGINT NOT NULL, total_rows BIGINT NOT NULL, \
+         total_elapsed_ms BIGINT NOT NULL, p50_us BIGINT NOT NULL, \
+         p99_us BIGINT NOT NULL, spill_files BIGINT NOT NULL, \
+         spill_bytes BIGINT NOT NULL, wait_admission_ms BIGINT NOT NULL, \
+         wait_spill_ms BIGINT NOT NULL, peak_mem_bytes BIGINT NOT NULL, \
+         persisted_executions BIGINT NOT NULL",
+    ),
+    (
+        "DM_OS_RING_BUFFER",
+        "seq BIGINT NOT NULL, ts_us BIGINT NOT NULL, class VARCHAR NOT NULL, \
+         event VARCHAR NOT NULL, session_id BIGINT NOT NULL, \
+         statement_id BIGINT NOT NULL, detail VARCHAR NOT NULL",
+    ),
+    (
+        "DM_EXEC_CONNECTIONS",
+        "connection_id BIGINT NOT NULL, peer_addr VARCHAR NOT NULL, \
+         session_id BIGINT NOT NULL, state VARCHAR NOT NULL, \
+         idle_ms BIGINT NOT NULL",
+    ),
+    (
+        "DM_DB_SCRUB_STATUS",
+        "state VARCHAR NOT NULL, object VARCHAR, page BIGINT, \
+         pages_checked BIGINT, blobs_checked BIGINT, \
+         corruptions_found BIGINT, pages_repaired BIGINT",
+    ),
+    (
+        "DM_DB_BACKUP_STATUS",
+        "state VARCHAR NOT NULL, destination VARCHAR, \
+         pages_copied BIGINT NOT NULL, pages_skipped BIGINT NOT NULL, \
+         blobs_copied BIGINT NOT NULL, bytes_written BIGINT NOT NULL, \
+         last_outcome VARCHAR",
+    ),
+];
+
+/// Every `counter_name` of `DM_OS_PERFORMANCE_COUNTERS()`, in order.
+const COUNTER_NAMES: &[&str] = &[
+    "bufferpool_hits",
+    "bufferpool_misses",
+    "bufferpool_evictions",
+    "bufferpool_writebacks",
+    "bufferpool_pinned_frames",
+    "bufferpool_cached_frames",
+    "tempspace_live_files",
+    "admission_reserved_bytes",
+    "admission_queue_depth",
+    "active_connections",
+    "uptime_ms",
+    "process_start",
+    "trace_events_dropped",
+    "wal_records",
+    "wal_bytes",
+    "wal_fsyncs",
+    "filestream_bytes_read",
+    "filestream_bytes_written",
+    "filestream_read_retries",
+    "filestream_write_retries",
+    "spill_files",
+    "spill_bytes",
+    "join_spill_files",
+    "join_spill_bytes",
+    "scrub_pages_checked",
+    "scrub_blobs_checked",
+    "corruptions_found",
+    "pages_repaired",
+    "startup_orphans_removed",
+    "backup_pages_copied",
+    "backup_bytes",
+    "restore_pages_verified",
+    "admission_waits",
+    "statement_kills",
+    "udx_panics",
+    "governed_timeouts",
+    "batch_rows",
+    "batch_fallback_rows",
+];
+
+#[test]
+fn every_dmv_answers_sql_with_its_columns() {
+    let db = Database::in_memory();
+    for &(name, schema) in DMV_SCHEMAS {
+        let declared = db.catalog().table_fn(name).expect(name).schema();
+        assert_eq!(declared.to_string(), schema, "{name}() declared columns");
+        // SQL's projection reports every output column as nullable.
+        let r = db
+            .query_sql(&format!("SELECT * FROM {name}()"))
+            .unwrap_or_else(|e| panic!("{name}(): {e}"));
+        assert_eq!(
+            r.schema.to_string(),
+            schema.replace(" NOT NULL", ""),
+            "{name}() columns over SQL"
+        );
+        let err = db
+            .query_sql(&format!("SELECT * FROM {name}(1)"))
+            .unwrap_err();
+        assert!(matches!(err, DbError::Execution(_)), "{name}(1): {err}");
+    }
+    let names: Vec<String> = counter_snapshot(&db).into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, COUNTER_NAMES, "DM_OS_PERFORMANCE_COUNTERS() names");
+}
+
+// ----------------------------------------------------------------------
 // Counter monotonicity under arbitrary small workloads
 // ----------------------------------------------------------------------
 

@@ -15,8 +15,8 @@ use parking_lot::RwLock;
 
 use seqdb_types::{DbError, Result, Row, Schema, Value};
 
-use seqdb_storage::keycode;
 use seqdb_storage::rowfmt::{self, Compression};
+use seqdb_storage::{btree, keycode};
 use seqdb_storage::{BTree, BufferPool, HeapFile};
 
 use crate::udx::{Aggregate, ScalarUdf, TableFunction};
@@ -61,6 +61,13 @@ impl TableIndex {
         keycode::encode_key(&vals)
     }
 
+    /// Refuse a row whose entry — `key`, a non-unique index's 8-byte
+    /// suffix (see [`Self::add`]) and the `encoded` row — no node holds.
+    fn check_entry(&self, key: &[u8], encoded: &[u8]) -> Result<()> {
+        let suffix = if self.unique { 0 } else { size_of::<u64>() };
+        btree::check_entry(key.len() + suffix + encoded.len())
+    }
+
     /// Store a row's encoded bytes under its `key_of` key.
     fn add(&self, mut key: Vec<u8>, encoded: &[u8]) -> Result<()> {
         if !self.unique {
@@ -90,9 +97,12 @@ impl Table {
         self.schema.coerce_row(&mut row);
         self.schema.check_row(&row)?;
         let indexes = self.indexes.read();
-        // Each key once; uniqueness checks before any mutation.
+        // Each key once; entry sizes and uniqueness checked before any
+        // mutation, so a refused row leaves nothing behind.
         let keys: Vec<Vec<u8>> = indexes.iter().map(|idx| idx.key_of(&row)).collect();
+        let encoded = rowfmt::encode_row(&self.schema, &row, Compression::Row, None);
         for (idx, key) in indexes.iter().zip(&keys) {
+            idx.check_entry(key, &encoded)?;
             if idx.unique && idx.btree.contains_key(key)? {
                 return Err(DbError::Constraint(format!(
                     "duplicate key in unique index {} of table {}",
@@ -101,7 +111,6 @@ impl Table {
             }
         }
         self.heap.insert(&row)?;
-        let encoded = rowfmt::encode_row(&self.schema, &row, Compression::Row, None);
         for (idx, key) in indexes.iter().zip(keys) {
             idx.add(key, &encoded)?;
         }
@@ -116,6 +125,23 @@ impl Table {
             n += 1;
         }
         Ok(n)
+    }
+
+    /// Replace row `rid`, holding `old`, with `new`: a delete and an
+    /// insert that leave `old` in place when `new` is refused. `new` is
+    /// coerced and checked before anything changes; an insert refused
+    /// after the delete (a duplicate key, an oversized index entry) puts
+    /// `old` back, under a new record id, before the error is returned.
+    pub fn update(&self, rid: seqdb_storage::RecordId, old: &Row, new: &Row) -> Result<()> {
+        let mut new = new.clone();
+        self.schema.coerce_row(&mut new);
+        self.schema.check_row(&new)?;
+        self.delete_row(rid, old)?;
+        if let Err(e) = self.insert(&new) {
+            self.insert(old)?;
+            return Err(e);
+        }
+        Ok(())
     }
 
     /// Delete one row (by its record id and current contents),

@@ -164,8 +164,10 @@ pub fn execute_statement_on(
                 for (idx, e) in &sets {
                     updated.0[*idx] = e.eval(row)?;
                 }
-                t.delete_row(*rid, row)?;
-                t.insert(&updated)?;
+                // A refused row stays as it was; rows this statement
+                // already updated stay updated, for there is no statement
+                // rollback.
+                t.update(*rid, row, &updated)?;
             }
             Ok(affected_result(victims.len() as u64))
         }

@@ -12,9 +12,30 @@
 //! its right sibling in the page header's `next_page`; for an internal
 //! node `count` × (varint length + key), then `count + 1` little-endian
 //! `u64` child ids. A node whose record outgrows `SPLIT_THRESHOLD`
-//! splits at entry `len / 2`, or, when that would leave a half too large
-//! for a page (few long entries next to many short ones), at the entry
-//! that leaves the larger half smallest.
+//! splits. Where it is cut is the tree's choice, not the format's: an
+//! *append* — a new entry past the last one of a leaf with no right
+//! sibling, or a separator past the last key of an internal node reached
+//! through the last child at every level — is cut just before the new
+//! item, so the left node keeps every entry it had and the right one
+//! starts with the new item. Any other split cuts at entry `len / 2`, or,
+//! when either cut would leave a half too large for a page (few long
+//! entries next to many short ones), at the entry that leaves the larger
+//! half smallest. A load in key order therefore leaves full nodes behind
+//! it, and trees cut either way read the same.
+//!
+//! **Appends skip the descent.** Every keyed loader in seqdb assigns ids in
+//! ascending order, so the tree remembers a hint: the last leaf found
+//! with no right sibling. `insert`, `get` and `contains_key` go straight
+//! to it when it is still a leaf with no right sibling, holds an entry,
+//! and the key sorts after its first key — the key then provably belongs
+//! there, since leaves only ever gain siblings and every key of a leaf is
+//! at least the separator above it. Otherwise, or when an insert must
+//! split (the split needs the path), they descend from the root as usual,
+//! and the descent refreshes the hint. The hint is a page id, checked on
+//! every use and never trusted; a key whose first eight bytes sort below
+//! those of the leaf's first key, as it was when hinted, descends without
+//! reading the leaf, so lookups in random order pay nothing for it. Both
+//! paths edit the leaf and split it through the same code.
 //!
 //! Nodes are read and edited in place. A `NodeView` borrows the record
 //! from the frame's page and lives no longer than the page guard it was
@@ -41,7 +62,7 @@ use crate::varint;
 /// header and slot entry.
 const SPLIT_THRESHOLD: usize = 7600;
 /// A single key+value entry may not exceed this (it must fit a node).
-const MAX_ENTRY: usize = 3500;
+pub const MAX_ENTRY: usize = 3500;
 /// The largest record a node page holds: a page less its header and the
 /// one slot entry.
 const NODE_CAPACITY: usize = PAGE_SIZE - 36;
@@ -54,6 +75,18 @@ pub struct BTree {
     pool: Arc<BufferPool>,
     latch: RwLock<Latched>,
     len: AtomicU64,
+    /// The last leaf a descent reached, or a split created, with no right
+    /// sibling; `NO_PAGE` before the first. Only a hint: see
+    /// [`BTree::hinted`].
+    hint: AtomicU64,
+    /// The [`prefix`] of that leaf's first key when it was hinted (0 if
+    /// it had none): a key whose prefix is smaller sorts below that key,
+    /// so it descends without the leaf being fetched. Stale either way,
+    /// it costs a fetch or a descent, never a wrong leaf. Both are read
+    /// and written under the latch, `Relaxed` (lookups share the latch):
+    /// they publish nothing, and the page they name is read through the
+    /// pool and checked.
+    floor: AtomicU64,
 }
 
 /// What the tree latch guards.
@@ -69,6 +102,26 @@ type Split = Option<(Vec<u8>, PageId)>;
 
 fn corrupt() -> DbError {
     DbError::Storage("corrupt b+tree node".into())
+}
+
+/// Refuse an index entry of `bytes` of key and value that no node could
+/// hold: more than [`MAX_ENTRY`].
+pub fn check_entry(bytes: usize) -> Result<()> {
+    if bytes > MAX_ENTRY {
+        return Err(DbError::Storage(format!(
+            "index entry of {bytes} bytes exceeds the {MAX_ENTRY}-byte limit"
+        )));
+    }
+    Ok(())
+}
+
+/// The first eight bytes of `key`, zero-padded, as a big-endian number:
+/// `prefix(a) < prefix(b)` implies `a < b`.
+fn prefix(key: &[u8]) -> u64 {
+    let mut bytes = [0; 8];
+    let n = key.len().min(8);
+    bytes[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(bytes)
 }
 
 /// Append `bytes` behind their varint length.
@@ -165,11 +218,12 @@ impl<'a> NodeView<'a> {
             .map(|raw| PageId::from_le_bytes(raw.try_into().expect("8-byte chunk"))))
     }
 
-    /// The child to descend into for `key`: subtree `i` holds the keys
-    /// below separator `i` and not below separator `i - 1`. Walks every
-    /// key, the ones past the answer without comparing, so that a record
-    /// whose keys do not end where its child ids begin is never followed.
-    fn child_for(&self, key: &[u8]) -> Result<PageId> {
+    /// The child to descend into for `key`, and whether it is the last:
+    /// subtree `i` holds the keys below separator `i` and not below
+    /// separator `i - 1`. Walks every key, the ones past the answer
+    /// without comparing, so that a record whose keys do not end where its
+    /// child ids begin is never followed.
+    fn child_for(&self, key: &[u8]) -> Result<(PageId, bool)> {
         let (mut pos, mut idx) = (self.first, self.count);
         for i in 0..self.count {
             let separator = read_bytes(self.rec, &mut pos)?;
@@ -181,7 +235,14 @@ impl<'a> NodeView<'a> {
         if pos + (self.count + 1) * 8 != self.rec.len() {
             return Err(corrupt());
         }
-        children.nth(idx).ok_or_else(corrupt)
+        let child = children.nth(idx).ok_or_else(corrupt)?;
+        Ok((child, idx == self.count))
+    }
+
+    /// The first key of a leaf; an error for an empty one.
+    fn first_key(&self) -> Result<&'a [u8]> {
+        let mut pos = self.first;
+        read_bytes(self.rec, &mut pos)
     }
 
     /// Find `key` in a leaf.
@@ -293,6 +354,8 @@ impl BTree {
                 edit: Vec::new(),
             }),
             len: AtomicU64::new(0),
+            hint: AtomicU64::new(NO_PAGE),
+            floor: AtomicU64::new(0),
         }
     }
 
@@ -360,25 +423,46 @@ impl BTree {
 
     /// Insert or replace. Returns the previous value under `key`, if any.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        if key.len() + value.len() > MAX_ENTRY {
-            return Err(DbError::Storage(format!(
-                "index entry of {} bytes exceeds the {MAX_ENTRY}-byte limit",
-                key.len() + value.len()
-            )));
-        }
+        check_entry(key.len() + value.len())?;
         let mut latch = self.latch.write();
         let Latched { root, edit } = &mut *latch;
+        // An append that fits the hinted leaf is done. One that overflows
+        // it leaves the page untouched and descends like any other insert,
+        // for the path its split needs.
+        let appended = self
+            .hinted(key)?
+            .map(|leaf| edit_leaf(&leaf, edit, key, Some(value)))
+            .transpose()?;
+        let old = match appended {
+            Some((old, true)) => old,
+            _ => self.insert_from(root, edit, key, value)?,
+        };
+        if old.is_none() {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(old)
+    }
+
+    /// Insert by descending from `root`, splitting what overflows and
+    /// growing a new root if the old one splits.
+    fn insert_from(
+        &self,
+        root: &mut PageId,
+        edit: &mut Vec<u8>,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
         // The internal nodes descended through, root first.
         let mut path = Vec::new();
-        let (pid, leaf) = self.leaf_for(*root, key, Some(&mut path))?;
+        let (_, leaf) = self.leaf_for(*root, key, Some(&mut path))?;
         let (old, fits) = edit_leaf(&leaf, edit, key, Some(value))?;
         // An overfull leaf splits, and so may every ancestor in turn.
         let mut split = match fits {
             true => None,
-            false => Some(self.split_leaf(pid, &leaf, edit)?),
+            false => Some(self.split_leaf(&leaf, edit, key, old.is_none())?),
         };
         while let Some((sep, right)) = split {
-            let Some(parent) = path.pop() else {
+            let Some((parent, edge)) = path.pop() else {
                 // Grow a new root.
                 let (new_root, frame) = self.pool.allocate(PageType::BTreeInternal)?;
                 let node = Node::Internal {
@@ -389,18 +473,23 @@ impl BTree {
                 *root = new_root;
                 break;
             };
-            split = self.add_child(parent, sep, right)?;
-        }
-        if old.is_none() {
-            self.len.fetch_add(1, Ordering::Relaxed);
+            split = self.add_child(parent, edge, sep, right)?;
         }
         Ok(old)
     }
 
-    /// Split the leaf `pid` whose overfull record `edit_leaf` left in
-    /// `record`: the upper half of the entries moves to a new right
-    /// sibling. Returns the separator key and the new page.
-    fn split_leaf(&self, pid: PageId, leaf: &Frame, record: &[u8]) -> Result<(Vec<u8>, PageId)> {
+    /// Split `leaf`, whose overfull record `edit_leaf` left in `record`
+    /// after putting `key` in it (`fresh` if it was not there before):
+    /// the entries past the cut move to a new right sibling, which becomes
+    /// the hint if it is the last leaf. Returns the separator key and the
+    /// new page.
+    fn split_leaf(
+        &self,
+        leaf: &Frame,
+        record: &[u8],
+        key: &[u8],
+        fresh: bool,
+    ) -> Result<(Vec<u8>, PageId)> {
         let next = leaf.page.read().next_page();
         let Node::Leaf { mut entries, .. } = Node::deserialize(NodeView::of(record, true, next)?)?
         else {
@@ -410,30 +499,36 @@ impl BTree {
             .iter()
             .map(|(k, v)| put_len(k) + put_len(v))
             .collect();
+        let append = fresh && next == NO_PAGE && entries.last().is_some_and(|(k, _)| k == key);
         // Nothing is allocated before the cut is known to fit.
-        let right = entries.split_off(split_point(&sizes, false)?);
+        let right = entries.split_off(split_point(&sizes, false, append)?);
         let sep = right[0].0.clone();
         let (right_id, right_frame) = self.pool.allocate(PageType::BTreeLeaf)?;
         let entries_of = |entries, next| Node::Leaf { entries, next };
         write_node(&right_frame, &entries_of(right, next))?;
-        write_node(&*self.pool.fetch(pid)?, &entries_of(entries, right_id))?;
+        write_node(leaf, &entries_of(entries, right_id))?;
+        if next == NO_PAGE {
+            self.set_hint(right_id, &sep);
+        }
         Ok((sep, right_id))
     }
 
     /// Give internal node `pid` the separator and right page of a child
     /// that split; if that overfills it, split it too and return its own
-    /// promoted key and new right page.
-    fn add_child(&self, pid: PageId, sep: Vec<u8>, right: PageId) -> Result<Split> {
-        let mut node = self.view(pid, Node::deserialize)?;
+    /// promoted key and new right page. `edge` says whether `pid` lies on
+    /// the right edge of the tree.
+    fn add_child(&self, pid: PageId, edge: bool, sep: Vec<u8>, right: PageId) -> Result<Split> {
+        let frame = self.pool.fetch(pid)?;
+        let mut node = Node::deserialize(NodeView::new(&frame.page.read())?)?;
         let Node::Internal { keys, children } = &mut node else {
             return Err(corrupt());
         };
         let idx = keys.partition_point(|k| k.as_slice() <= sep.as_slice());
+        let append = edge && idx == keys.len();
         keys.insert(idx, sep);
         children.insert(idx + 1, right);
         let record = node.serialize();
         if record.len() <= SPLIT_THRESHOLD {
-            let frame = self.pool.fetch(pid)?;
             write_record(&frame, PageType::BTreeInternal, NO_PAGE, &record)?;
             return Ok(None);
         }
@@ -441,7 +536,7 @@ impl BTree {
             unreachable!("checked above")
         };
         let sizes: Vec<usize> = keys.iter().map(|k| put_len(k) + 8).collect();
-        let mid = split_point(&sizes, true)?;
+        let mid = split_point(&sizes, true, append)?;
         let right_node = Node::Internal {
             keys: keys.split_off(mid + 1),
             children: children.split_off(mid + 1),
@@ -449,7 +544,7 @@ impl BTree {
         let promoted = keys.pop().expect("the key at `mid`");
         let (right_id, right_frame) = self.pool.allocate(PageType::BTreeInternal)?;
         write_node(&right_frame, &right_node)?;
-        write_node(&*self.pool.fetch(pid)?, &node)?;
+        write_node(&frame, &node)?;
         Ok(Some((promoted, right_id)))
     }
 
@@ -465,10 +560,40 @@ impl BTree {
 
     fn lookup<T>(&self, key: &[u8], found: impl FnOnce(Option<&[u8]>) -> T) -> Result<T> {
         let latch = self.latch.read();
-        let (_, leaf) = self.leaf_for(latch.root, key, None)?;
+        let leaf = match self.hinted(key)? {
+            Some(leaf) => leaf,
+            None => self.leaf_for(latch.root, key, None)?.1,
+        };
         let page = leaf.page.read();
         let slot = NodeView::new(&page)?.seek(key)?;
         Ok(found(slot.hit.map(|(value, _)| value)))
+    }
+
+    /// The hinted leaf, if `key` provably belongs in it: the page is still
+    /// a leaf with no right sibling, so the last leaf of the tree, and its
+    /// first key sorts before `key`, so no separator above it is larger
+    /// than `key`. `None` — descend — for no hint, a stale one, an emptied
+    /// leaf or a smaller key, which the floor often shows without the
+    /// fetch. A hinted page that does not parse is an error, as it would
+    /// be at the end of a descent.
+    fn hinted(&self, key: &[u8]) -> Result<Option<Arc<Frame>>> {
+        let pid = self.hint.load(Ordering::Relaxed);
+        if pid == NO_PAGE || prefix(key) < self.floor.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let frame = self.pool.fetch(pid)?;
+        let belongs = {
+            let page = frame.page.read();
+            let node = NodeView::new(&page)?;
+            node.leaf && node.next == NO_PAGE && node.count > 0 && key > node.first_key()?
+        };
+        Ok(belongs.then_some(frame))
+    }
+
+    /// Hint leaf `pid`, whose first key is `first`.
+    fn set_hint(&self, pid: PageId, first: &[u8]) {
+        self.floor.store(prefix(first), Ordering::Relaxed);
+        self.hint.store(pid, Ordering::Relaxed);
     }
 
     /// Remove `key`, returning its value. Leaves may underflow (no
@@ -524,26 +649,35 @@ impl BTree {
 
     /// Descend from `pid` to the leaf that holds, or would hold, `key`:
     /// one fetch per level, the leaf's frame handed back for the caller to
-    /// read or edit, the internal nodes passed pushed on `path`.
+    /// read or edit, the internal nodes passed pushed on `path` with
+    /// whether each lies on the right edge (reached through the last child
+    /// at every level). A leaf with no right sibling becomes the hint.
     fn leaf_for(
         &self,
         mut pid: PageId,
         key: &[u8],
-        mut path: Option<&mut Vec<PageId>>,
+        mut path: Option<&mut Vec<(PageId, bool)>>,
     ) -> Result<(PageId, Arc<Frame>)> {
+        let mut edge = true;
         for _ in 0..MAX_HEIGHT {
             let frame = self.pool.fetch(pid)?;
             let child = {
                 let page = frame.page.read();
                 let node = NodeView::new(&page)?;
+                if node.leaf && node.next == NO_PAGE {
+                    // An empty leaf, or an unreadable first key, floors
+                    // nothing; a wrong floor costs a fetch or a descent.
+                    self.set_hint(pid, node.first_key().unwrap_or_default());
+                }
                 (!node.leaf).then(|| node.child_for(key)).transpose()?
             };
-            let Some(child) = child else {
+            let Some((child, last)) = child else {
                 return Ok((pid, frame));
             };
             if let Some(path) = path.as_deref_mut() {
-                path.push(pid);
+                path.push((pid, edge));
             }
+            edge &= last;
             pid = child;
         }
         Err(corrupt())
@@ -595,12 +729,16 @@ fn edit_leaf(
 /// child id. In an internal node the key at the cut is promoted, so it
 /// goes to neither half, and each half has one more child id than keys.
 ///
-/// The cut is `len / 2` — the frozen format's rule — whenever both halves
-/// then fit a page. Halving by count can fail that when a few long items
-/// sit among many short ones; the cut is then the one that leaves the
-/// larger half smallest, which fits for any node of entries up to
-/// [`MAX_ENTRY`] that overflowed by one insert.
-fn split_point(sizes: &[usize], internal: bool) -> Result<usize> {
+/// An `append` put the last item there: the cut is just before it, so
+/// the left half is the node as it was and the right half starts with
+/// the new item (in an internal node, whose new key is promoted, the
+/// right half is that key's child alone). Any other cut is `len / 2`.
+/// Either is taken whenever both halves then fit a page. Halving by count
+/// can fail that when a few long items sit among many short ones; the
+/// cut is then the one that leaves the larger half smallest, which fits
+/// for any node of entries up to [`MAX_ENTRY`] that overflowed by one
+/// insert.
+fn split_point(sizes: &[usize], internal: bool, append: bool) -> Result<usize> {
     let (promoted, fixed) = if internal { (1, 8) } else { (0, 0) };
     let total: usize = sizes.iter().sum();
     // The record of the larger half when `left` bytes of items stay.
@@ -609,9 +747,12 @@ fn split_point(sizes: &[usize], internal: bool) -> Result<usize> {
         let record = |items: usize, bytes| varint::len_u64(items as u64) + bytes + fixed;
         record(cut, left).max(record(sizes.len() - cut - promoted, right))
     };
-    let mid = sizes.len() / 2;
-    if larger(mid, sizes[..mid].iter().sum()) <= NODE_CAPACITY {
-        return Ok(mid);
+    let first = match append {
+        true => sizes.len() - 1,
+        false => sizes.len() / 2,
+    };
+    if larger(first, sizes[..first].iter().sum()) <= NODE_CAPACITY {
+        return Ok(first);
     }
     let mut left = 0;
     (1..sizes.len() - promoted)
@@ -820,13 +961,15 @@ mod tests {
     fn delete_from_a_leaf_over_the_split_threshold() {
         // Halving a leaf by entry count can leave a half that is over
         // SPLIT_THRESHOLD yet fits its page; a delete from it is written.
+        // The overflowing insert goes between two keys: past the last one
+        // it would be an append, which halves nothing.
         let t = tree();
         for i in 0..60u8 {
             t.insert(&[0, i], b"v").unwrap();
         }
         t.insert(&[1, 0], &[7; 3450]).unwrap();
-        t.insert(&[1, 1], &[7; 3450]).unwrap();
         t.insert(&[1, 2], &[7; 600]).unwrap();
+        t.insert(&[1, 1], &[7; 3450]).unwrap();
         let (_, leaf) = t.leaf_for(t.root_page(), &[0, 50], None).unwrap();
         assert!(leaf.page.read().get(0).unwrap().len() > SPLIT_THRESHOLD);
         drop(leaf);
@@ -842,7 +985,7 @@ mod tests {
         assert_eq!(t.len(), 62);
         // The same delete, page for page against the old write path.
         let mut ops: Vec<Op> = (0..60).map(|i| Op::Insert(vec![0, i], 1)).collect();
-        ops.extend([(0, 3450), (1, 3450), (2, 600)].map(|(i, len)| Op::Insert(vec![1, i], len)));
+        ops.extend([(0, 3450), (2, 600), (1, 3450)].map(|(i, len)| Op::Insert(vec![1, i], len)));
         ops.extend([Op::Delete(50), Op::Replace(61, 5)]);
         run_model(&ops).unwrap();
     }
@@ -927,9 +1070,14 @@ mod tests {
     /// The write path of the commit before nodes were edited in place,
     /// kept as the format oracle: every visited node is deserialised into
     /// an owned [`Node`], changed, and written back whole by `write_node`.
-    /// It cuts a node where that commit did, and only where that commit
-    /// refused the insert — a half too large for a page — at the cut found
-    /// by serialising both halves of every candidate.
+    /// It cuts a node where that commit did — at `len / 2` — except in two
+    /// cases. An append (a new last entry of a leaf with no right sibling,
+    /// or a new last key of an internal node reached through last children
+    /// only) is cut before the new item, the rule the tree adopted with its
+    /// append path, written here from the rule rather than from the tree's
+    /// code. And where that commit refused the insert — a half too large
+    /// for a page — it cuts where serialising both halves of every
+    /// candidate finds the larger one smallest.
     struct Oracle {
         pool: Arc<BufferPool>,
         root: PageId,
@@ -964,9 +1112,9 @@ mod tests {
             Ok(pid)
         }
 
-        /// `len / 2` if `halves` of that cut both fit a page, else the cut
+        /// `first` if `halves` of that cut both fit a page, else the cut
         /// of `cuts` whose larger half is smallest.
-        fn cut(len: usize, cuts: Range<usize>, halves: impl Fn(usize) -> [Node; 2]) -> usize {
+        fn cut(first: usize, cuts: Range<usize>, halves: impl Fn(usize) -> [Node; 2]) -> usize {
             let larger = |cut| {
                 halves(cut)
                     .map(|half| half.serialize().len())
@@ -974,14 +1122,14 @@ mod tests {
                     .max()
             };
             let capacity = Page::new(PageType::BTreeLeaf).free_space();
-            match larger(len / 2) <= Some(capacity) {
-                true => len / 2,
+            match larger(first) <= Some(capacity) {
+                true => first,
                 false => cuts.min_by_key(|&cut| larger(cut)).unwrap(),
             }
         }
 
         fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-            if let Some((sep, right)) = self.insert_rec(self.root, key, value)? {
+            if let Some((sep, right)) = self.insert_rec(self.root, key, value, true)? {
                 self.root = self.allocate(&Node::Internal {
                     keys: vec![sep],
                     children: vec![self.root, right],
@@ -990,17 +1138,23 @@ mod tests {
             Ok(())
         }
 
+        /// Insert under node `pid`, on the right edge if `edge`.
         fn insert_rec(
             &self,
             pid: PageId,
             key: &[u8],
             value: &[u8],
+            edge: bool,
         ) -> Result<Option<(Vec<u8>, PageId)>> {
             Ok(match self.read(pid) {
                 Node::Leaf { mut entries, next } => {
+                    let mut append = false;
                     match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
                         Ok(i) => entries[i].1 = value.to_vec(),
-                        Err(i) => entries.insert(i, (key.to_vec(), value.to_vec())),
+                        Err(i) => {
+                            append = next == NO_PAGE && i == entries.len();
+                            entries.insert(i, (key.to_vec(), value.to_vec()));
+                        }
                     }
                     let node = Node::Leaf { entries, next };
                     if node.serialize().len() <= SPLIT_THRESHOLD {
@@ -1010,7 +1164,11 @@ mod tests {
                     let Node::Leaf { mut entries, next } = node else {
                         unreachable!()
                     };
-                    let cut = Oracle::cut(entries.len(), 1..entries.len(), |cut| {
+                    let first = match append {
+                        true => entries.len() - 1,
+                        false => entries.len() / 2,
+                    };
+                    let cut = Oracle::cut(first, 1..entries.len(), |cut| {
                         let (left, right) = entries.split_at(cut);
                         [left, right].map(|half| Node::Leaf {
                             entries: half.to_vec(),
@@ -1038,9 +1196,13 @@ mod tests {
                         Ok(i) => i + 1,
                         Err(i) => i,
                     };
-                    let Some((sep, right)) = self.insert_rec(children[idx], key, value)? else {
+                    let last = idx == keys.len();
+                    let Some((sep, right)) =
+                        self.insert_rec(children[idx], key, value, edge && last)?
+                    else {
                         return Ok(None);
                     };
+                    let append = edge && last;
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
                     let node = Node::Internal { keys, children };
@@ -1061,7 +1223,11 @@ mod tests {
                             half(&keys[mid + 1..], &children[mid + 1..]),
                         ]
                     };
-                    let mid = Oracle::cut(keys.len(), 1..keys.len() - 1, halves);
+                    let first = match append {
+                        true => keys.len() - 1,
+                        false => keys.len() / 2,
+                    };
+                    let mid = Oracle::cut(first, 1..keys.len() - 1, halves);
                     let [left, right] = halves(mid);
                     let right_id = self.allocate(&right)?;
                     self.write(pid, &left)?;
@@ -1108,6 +1274,8 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         Insert(Vec<u8>, usize),
+        /// Insert a key above every key the model holds.
+        Append(usize),
         /// Replace, delete or look up the `n`-th key the model holds.
         Replace(usize, usize),
         Delete(usize),
@@ -1121,7 +1289,9 @@ mod tests {
         // Mostly small values (leaves past 127 entries), one in seven as
         // large as an entry may be (two-entry leaves, so that internal
         // nodes split too, and leaves of many short entries and a few
-        // long ones, which cannot be halved by entry count).
+        // long ones, which cannot be halved by entry count). Random keys
+        // almost never land past the last one, so appends are an op of
+        // their own.
         let vlen = (0..7u8, 0..48usize, 0..=MAX_ENTRY - 64).prop_map(|(pick, small, large)| {
             if pick == 0 {
                 large
@@ -1132,7 +1302,8 @@ mod tests {
         let flags = (any::<bool>(), any::<bool>());
         (0..20u8, key(), key(), (any::<usize>(), vlen), flags).prop_map(
             |(kind, a, b, (n, vlen), (ia, ib))| match kind {
-                0..=9 => Op::Insert(a, vlen),
+                0..=6 => Op::Insert(a, vlen),
+                7..=9 => Op::Append(vlen),
                 10..=12 => Op::Replace(n, vlen),
                 13..=15 => Op::Delete(n),
                 16..=17 => Op::Get(n),
@@ -1140,6 +1311,19 @@ mod tests {
                 _ => Op::Reopen,
             },
         )
+    }
+
+    /// A short key above `max`: its last byte below 0xff raised by one,
+    /// the bytes after it dropped.
+    fn above(max: Option<&Vec<u8>>) -> Vec<u8> {
+        let Some(max) = max else { return vec![0x80] };
+        let mut key = max.clone();
+        while key.pop_if(|b| *b == 0xff).is_some() {}
+        match key.last_mut() {
+            Some(b) => *b += 1,
+            None => key = [&max[..], &[0]].concat(),
+        }
+        key
     }
 
     fn bound(key: &[u8], inclusive: bool) -> Bound<&[u8]> {
@@ -1164,9 +1348,10 @@ mod tests {
         let mut internal_splits = false;
         for (step, op) in ops.iter().enumerate() {
             match op {
-                Op::Insert(..) | Op::Replace(..) => {
+                Op::Insert(..) | Op::Append(..) | Op::Replace(..) => {
                     let (key, vlen) = match op {
                         Op::Insert(key, vlen) => (key.clone(), *vlen),
+                        Op::Append(vlen) => (above(model.keys().next_back()), *vlen),
                         Op::Replace(n, vlen) => match nth(&model, *n) {
                             Some(key) => (key, *vlen),
                             None => continue,
@@ -1269,6 +1454,19 @@ mod tests {
     }
 
     #[test]
+    fn only_the_right_edge_splits_as_an_append() {
+        // Ascending, two entries to a leaf: the root fills at 103 keys and
+        // splits as an append, so its left half stays full. A key between
+        // the two of that half's last leaf splits the leaf, and its
+        // separator lands past the half's last key — an insert at the end
+        // of a node off the right edge, which is halved.
+        let wide_key = |i: u32| [k(i), vec![7; 60]].concat();
+        let mut ops: Vec<Op> = (0..220).map(|i| Op::Insert(wide_key(i), 3400)).collect();
+        ops.push(Op::Insert([wide_key(206), vec![0]].concat(), 3400));
+        assert!(run_model(&ops).unwrap(), "no internal node split");
+    }
+
+    #[test]
     fn leaf_count_varint_grows_from_one_byte_to_two() {
         let ops: Vec<Op> = (0..300u32).map(|i| Op::Insert(k(i * 7 % 300), 3)).collect();
         run_model(&ops).unwrap();
@@ -1290,16 +1488,203 @@ mod tests {
         );
     }
 
-    /// A two-level tree, its root and first leaf: the nodes to damage.
-    fn two_level_tree() -> (BTree, PageId, PageId) {
+    /// How many pages `f` fetched from the pool.
+    fn fetches(t: &BTree, f: impl FnOnce(&BTree)) -> u64 {
+        let stats = &t.pool.stats;
+        let count = || stats.hits.load(Ordering::Relaxed) + stats.misses.load(Ordering::Relaxed);
+        let before = count();
+        f(t);
+        count() - before
+    }
+
+    /// The internal nodes reached through the last child at every level.
+    fn right_edge(t: &BTree) -> Vec<PageId> {
+        let mut edge = Vec::new();
+        let mut pid = t.root_page();
+        while let Some(last) = t
+            .view(pid, |node| match node.leaf {
+                true => Ok(None),
+                false => Ok(node.children()?.last()),
+            })
+            .unwrap()
+        {
+            edge.push(pid);
+            pid = last;
+        }
+        edge
+    }
+
+    #[test]
+    fn an_ascending_load_skips_the_descent_and_leaves_full_nodes() {
+        // Leaves of 62 entries under one root, then keys so wide that the
+        // internal nodes fill and split too.
+        for (klen, vlen, n) in [(9, 110, 20_000u64), (200, 10, 5_000)] {
+            let t = tree();
+            let key = |i: u64| [&[1][..], &i.to_be_bytes(), &vec![7; klen - 9]].concat();
+            let fetched = fetches(&t, |t| {
+                for i in 0..n {
+                    assert_eq!(t.insert(&key(i), &vec![i as u8; vlen]).unwrap(), None);
+                }
+            });
+            if klen == 9 {
+                // An insert fetches its leaf alone, but at a split.
+                let per_insert = fetched as f64 / n as f64;
+                assert!(per_insert <= 1.1, "{per_insert} fetches per insert");
+            }
+            // Every node left behind the load is within one item of full.
+            let entry = put_len(&key(0)) + put_len(&vec![0; vlen]);
+            let edge = right_edge(&t);
+            let (mut leaves, mut internal) = (0, 0);
+            for pid in t.pages() {
+                t.view(pid, |node| {
+                    let (item, behind) = match node.leaf {
+                        true => (entry, node.next != NO_PAGE),
+                        false => (put_len(&key(0)) + 8, !edge.contains(&pid)),
+                    };
+                    match node.leaf {
+                        true => leaves += 1,
+                        false => internal += 1,
+                    }
+                    let full = node.rec.len() + item > SPLIT_THRESHOLD;
+                    assert!(full || !behind, "page {pid} holds {} bytes", node.rec.len());
+                    Ok(())
+                })
+                .unwrap();
+            }
+            assert_eq!(leaves as u64, n.div_ceil((SPLIT_THRESHOLD / entry) as u64));
+            assert!(klen == 9 || internal > edge.len(), "no internal node split");
+            let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+            assert!(all.map(|e| e.unwrap().0).eq((0..n).map(key)));
+        }
+    }
+
+    #[test]
+    fn what_the_hint_cannot_prove_takes_the_descent() {
+        // The hinted leaf alone; the root and the leaf; both, when the
+        // hinted leaf had to be read to be refused.
+        const APPEND: u64 = 1;
+        const DESCENT: u64 = 2;
+        const FALLBACK: u64 = APPEND + DESCENT;
+        let t = tree();
+        let mut model = BTreeMap::new();
+        let value = |i: u32| vec![i as u8; 100];
+        // Fill two leaves: the second split leaves a last leaf of one entry.
+        let mut next = 0u32;
+        while t.page_count().unwrap() < 4 {
+            model.insert(k(next), value(next));
+            t.insert(&k(next), &value(next)).unwrap();
+            next += 1;
+        }
+        let max = k(next - 1);
+        // Insert or replace `key`, or delete it, in the tree and the model.
+        let mut put = |t: &BTree, key: Vec<u8>, value: Option<&[u8]>| match value {
+            Some(v) => assert_eq!(t.insert(&key, v).unwrap(), model.insert(key, v.to_vec())),
+            None => assert_eq!(t.delete(&key).unwrap(), model.remove(&key)),
+        };
+        // The maximum is that leaf's first key: replacing it descends.
+        assert_eq!(fetches(&t, |t| put(t, max.clone(), Some(b"new"))), FALLBACK);
+        // Past it, inserts, a lookup and a miss take the hint.
+        for key in [k(next), k(next + 1)] {
+            assert_eq!(fetches(&t, |t| put(t, key, Some(b"v"))), APPEND);
+        }
+        let get = |t: &BTree| assert_eq!(t.get(&k(next + 1)).unwrap(), Some(b"v".to_vec()));
+        assert_eq!(fetches(&t, get), APPEND);
+        let miss = |t: &BTree| assert!(!t.contains_key(&k(next + 2)).unwrap());
+        assert_eq!(fetches(&t, miss), APPEND);
+        // So does a replace of the maximum once it is not the first key.
+        assert_eq!(fetches(&t, |t| put(t, k(next + 1), Some(b"w"))), APPEND);
+        // A key below the last leaf's first key descends, and one whose
+        // first eight bytes already sort below that key's does not even
+        // read the hinted leaf.
+        let below = |t: &BTree| assert_eq!(t.get(&k(1)).unwrap(), Some(value(1)));
+        assert_eq!(fetches(&t, below), DESCENT);
+        assert_eq!(fetches(&t, |t| put(t, k(1), Some(b"x"))), DESCENT);
+        // An emptied last leaf proves nothing: the next append descends,
+        // and the one after takes the hint again.
+        for key in [max, k(next), k(next + 1)] {
+            put(&t, key, None);
+        }
+        assert_eq!(fetches(&t, |t| put(t, k(next + 5), Some(b"y"))), FALLBACK);
+        assert_eq!(fetches(&t, |t| put(t, k(next + 6), Some(b"z"))), APPEND);
+        // A stale hint, at a leaf that has a right sibling, descends.
+        let (first, _) = t.leaf_for(t.root_page(), &[], None).unwrap();
+        t.set_hint(first, &[]);
+        assert_eq!(fetches(&t, |t| put(t, k(next + 9), Some(b"c"))), FALLBACK);
+        // A reopened tree has no hint: its first append descends.
+        let t = BTree::open(t.pool.clone(), t.root_page()).unwrap();
+        assert_eq!(fetches(&t, |t| put(t, k(next + 10), Some(b"a"))), DESCENT);
+        assert_eq!(fetches(&t, |t| put(t, k(next + 11), Some(b"b"))), APPEND);
+        assert_eq!(t.len(), model.len() as u64);
+        let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(all.map(Result::unwrap).eq(model));
+    }
+
+    #[test]
+    fn a_tree_cut_at_half_opens_reads_and_takes_appends() {
+        // An ascending load under the old rule: every leaf was cut at
+        // `len / 2`, so all but the last hold 33 of the 65 entries of 116
+        // bytes that fit.
+        let pool = BufferPool::new(Arc::new(MemPager::new()), 256);
+        let entry = |i: u32| (k(i), vec![i as u8; 110]);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = (0..1000).map(entry).collect();
+        let loaded: Vec<_> = model.clone().into_iter().collect();
+        let leaves: Vec<_> = loaded.chunks(33).collect();
+        let ids: Vec<PageId> = leaves
+            .iter()
+            .map(|_| pool.allocate(PageType::BTreeLeaf).unwrap().0)
+            .collect();
+        for (n, entries) in leaves.iter().enumerate() {
+            let node = Node::Leaf {
+                entries: entries.to_vec(),
+                next: ids.get(n + 1).copied().unwrap_or(NO_PAGE),
+            };
+            write_node(&pool.fetch(ids[n]).unwrap(), &node).unwrap();
+        }
+        let (root, frame) = pool.allocate(PageType::BTreeInternal).unwrap();
+        let keys = leaves[1..].iter().map(|leaf| leaf[0].0.clone()).collect();
+        let children = ids.clone();
+        write_node(&frame, &Node::Internal { keys, children }).unwrap();
+        drop(frame);
+
+        let t = BTree::open(pool.clone(), root).unwrap();
+        assert_eq!(t.len(), 1000);
+        for (key, value) in [entry(0), entry(32), entry(33), entry(999)] {
+            assert_eq!(t.get(&key).unwrap(), Some(value));
+        }
+        for i in 1000..3000 {
+            let (key, value) = entry(i);
+            assert_eq!(t.insert(&key, &value).unwrap(), None);
+            model.insert(key, value);
+        }
+        // The old leaves are as they were; the last of them and the new
+        // ones fill up.
+        let old = leaves.len() - 1;
+        for (n, entries) in leaves.iter().enumerate().take(old) {
+            let node = t.view(ids[n], Node::deserialize).unwrap();
+            assert!(matches!(node, Node::Leaf { entries: e, .. } if e == *entries));
+        }
+        let filled = (3000 - 33 * old).div_ceil(65);
+        assert_eq!(t.page_count().unwrap(), (1 + old + filled) as u64);
+        let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(all.map(Result::unwrap).eq(model));
+    }
+
+    /// A two-level tree, its root, first leaf and last leaf: the nodes to
+    /// damage. The load fills the first leaf; seven keys in eight are
+    /// deleted again, so that the records to damage stay short.
+    fn two_level_tree() -> (BTree, [PageId; 3]) {
         let t = tree();
         for i in 0..600u32 {
             t.insert(&k(i), format!("value-{i}").as_bytes()).unwrap();
         }
+        for i in (0..600u32).filter(|i| i % 8 != 0) {
+            t.delete(&k(i)).unwrap();
+        }
         let root = t.root_page();
-        let (leaf, _) = t.leaf_for(root, &[], None).unwrap();
-        assert_ne!(root, leaf);
-        (t, root, leaf)
+        let (first, _) = t.leaf_for(root, &[], None).unwrap();
+        let (last, _) = t.leaf_for(root, &k(u32::MAX), None).unwrap();
+        assert!(root != first && first != last);
+        (t, [root, first, last])
     }
 
     /// A tree to damage one node of, again and again: every trial starts
@@ -1323,15 +1708,21 @@ mod tests {
         }
 
         /// Run every read and write path over the tree with `damaged` as
-        /// the record of page `pid`; they may fail but must return. Gives
-        /// back what the full scan and the lookup of `probe` made of it.
+        /// the record of page `pid` — after a lookup past the last key has
+        /// hinted the last leaf, if `warm` — and gives back what the full
+        /// scan and the lookup of `probe` made of it. Every path may fail
+        /// but must return.
         fn exercise(
             &self,
             pid: PageId,
             damaged: &[u8],
             probe: &[u8],
+            warm: bool,
         ) -> (Result<usize>, Result<Option<Vec<u8>>>) {
             let t = self.reset();
+            if warm {
+                assert!(!t.contains_key(&k(u32::MAX)).unwrap());
+            }
             let page = &self.intact[pid as usize];
             let frame = self.pool.fetch(pid).unwrap();
             write_record(&frame, page.page_type(), page.next_page(), damaged).unwrap();
@@ -1341,21 +1732,25 @@ mod tests {
                 .map(|entries| entries.len());
             let got = t.get(probe);
             let _ = t.contains_key(&k(0));
+            let _ = t.contains_key(&k(u32::MAX));
             let _ = t.range(Bound::Excluded(probe), Bound::Included(&k(u32::MAX)));
             let _ = BTree::open(self.pool.clone(), self.root);
             let _ = t.page_count();
             let _ = t.pages();
             let _ = t.delete(probe);
             let _ = t.insert(probe, b"x");
-            // Large enough to overflow the leaf: the split path.
-            let _ = t.insert(&k(0), &[7; 3400]);
+            // Two of these overflow each leaf: the split paths, the last
+            // two through the hint.
+            for key in [0, 1, u32::MAX - 1, u32::MAX] {
+                let _ = t.insert(&k(key), &[7; 3400]);
+            }
             (scanned, got)
         }
     }
 
     #[test]
     fn damaged_nodes_fail_cleanly() {
-        let (t, root, leaf) = two_level_tree();
+        let (t, [root, first, last]) = two_level_tree();
         let victim = Victim {
             intact: (0..t.pool.store().num_pages())
                 .map(|pid| t.pool.fetch(pid).unwrap().page.read().clone())
@@ -1363,18 +1758,34 @@ mod tests {
             pool: t.pool.clone(),
             root,
         };
-        let Node::Leaf { entries, .. } = t.view(leaf, Node::deserialize).unwrap() else {
-            panic!("the first leaf is a leaf")
+        let last_key = |pid| {
+            let Node::Leaf { entries, .. } = t.view(pid, Node::deserialize).unwrap() else {
+                panic!("page {pid} is a leaf")
+            };
+            entries.last().unwrap().0.clone()
         };
-        let last_in_leaf = &entries.last().unwrap().0;
-        for pid in [root, leaf] {
+        // The root is probed below it, away from the hinted leaf; each
+        // leaf at its own last key. A warm hint changes no outcome: a
+        // damaged hinted leaf fails as it does at the end of a descent,
+        // and a damaged node elsewhere is still found by the descent.
+        let in_first = last_key(first);
+        for (pid, probe) in [
+            (root, &in_first),
+            (first, &in_first),
+            (last, &last_key(last)),
+        ] {
+            let exercise = |damaged: &[u8]| {
+                let cold = victim.exercise(pid, damaged, probe, false);
+                assert_eq!(victim.exercise(pid, damaged, probe, true), cold);
+                cold
+            };
             let intact = victim.record(pid);
             // Every truncation: the strict parse rejects it, and so does
             // every walk that reaches the cut.
             for cut in 1..intact.len() {
-                let view = NodeView::of(&intact[..cut], pid == leaf, NO_PAGE);
+                let view = NodeView::of(&intact[..cut], pid != root, NO_PAGE);
                 assert!(view.and_then(Node::deserialize).is_err(), "cut at {cut}");
-                let (scanned, got) = victim.exercise(pid, &intact[..cut], last_in_leaf);
+                let (scanned, got) = exercise(&intact[..cut]);
                 assert!(scanned.is_err(), "scan over page {pid} cut at {cut}");
                 assert!(got.is_err(), "get through page {pid} cut at {cut}");
             }
@@ -1384,7 +1795,7 @@ mod tests {
                 for mask in [0x01, 0x80, 0xff] {
                     let mut damaged = intact.to_vec();
                     damaged[at] ^= mask;
-                    let (scanned, _) = victim.exercise(pid, &damaged, last_in_leaf);
+                    let (scanned, _) = exercise(&damaged);
                     // A wrong entry count never goes unnoticed.
                     assert!(
                         at > 0 || scanned.is_err(),
@@ -1394,29 +1805,39 @@ mod tests {
             }
         }
         let t = victim.reset();
-        assert_eq!(t.len(), 600);
+        assert_eq!(t.len(), 75);
         assert_eq!(
             t.range(Bound::Unbounded, Bound::Unbounded).unwrap().count(),
-            600
+            75
         );
     }
 
     #[test]
     fn a_cycle_of_child_ids_is_an_error_not_a_loop() {
-        let (t, root, _) = two_level_tree();
-        let Node::Internal { keys, mut children } = t.view(root, Node::deserialize).unwrap() else {
-            panic!("root is internal")
-        };
-        children.fill(root);
-        write_node(
-            &t.pool.fetch(root).unwrap(),
-            &Node::Internal { keys, children },
-        )
-        .unwrap();
-        assert!(t.get(&k(1)).is_err());
-        assert!(t.insert(&k(1), b"v").is_err());
-        assert!(t.delete(&k(1)).is_err());
-        assert!(t.range(Bound::Unbounded, Bound::Unbounded).is_err());
-        assert!(BTree::open(t.pool.clone(), root).is_err());
+        // Once reopened, with no hint, and once after a lookup past the
+        // last key has hinted the last leaf: a key below that leaf's still
+        // descends into the cycle.
+        for warm in [false, true] {
+            let (t, [root, ..]) = two_level_tree();
+            let t = BTree::open(t.pool.clone(), root).unwrap();
+            if warm {
+                assert!(!t.contains_key(&k(u32::MAX)).unwrap());
+            }
+            let Node::Internal { keys, mut children } = t.view(root, Node::deserialize).unwrap()
+            else {
+                panic!("root is internal")
+            };
+            children.fill(root);
+            write_node(
+                &t.pool.fetch(root).unwrap(),
+                &Node::Internal { keys, children },
+            )
+            .unwrap();
+            assert!(t.get(&k(1)).is_err());
+            assert!(t.insert(&k(1), b"v").is_err());
+            assert!(t.delete(&k(1)).is_err());
+            assert!(t.range(Bound::Unbounded, Bound::Unbounded).is_err());
+            assert!(BTree::open(t.pool.clone(), root).is_err());
+        }
     }
 }

@@ -232,6 +232,66 @@ fn update_keeps_every_row_in_a_non_unique_index() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+fn count(db: &std::sync::Arc<Database>, table: &str) -> Value {
+    let r = db
+        .query_sql(&format!("SELECT COUNT(*) FROM {table}"))
+        .unwrap();
+    r.rows[0][0].clone()
+}
+
+#[test]
+fn a_refused_insert_leaves_no_row_behind() {
+    let db = db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL PRIMARY KEY, s VARCHAR(8000))")
+        .unwrap();
+    // The row fits its heap page but not an index entry.
+    let s = "A".repeat(4000);
+    let e = db
+        .execute_sql(&format!("INSERT INTO t VALUES (1, '{s}')"))
+        .unwrap_err();
+    assert!(e.to_string().contains("3500-byte limit"), "{e}");
+    assert_eq!(count(&db, "t"), Value::Int(0));
+    let hit = db.query_sql("SELECT id FROM t WHERE id = 1").unwrap();
+    assert!(hit.rows.is_empty());
+    db.execute_sql("INSERT INTO t VALUES (1, 'short')").unwrap();
+    assert_eq!(count(&db, "t"), Value::Int(1));
+}
+
+#[test]
+fn a_failed_update_keeps_the_row_it_was_updating() {
+    let db = db();
+    db.execute_sql_script(
+        "CREATE TABLE u (id INT NOT NULL PRIMARY KEY, s VARCHAR(16) NOT NULL);
+         INSERT INTO u VALUES (1, 'a'), (2, 'b');",
+    )
+    .unwrap();
+    let rows = |db: &std::sync::Arc<Database>| -> Vec<(i64, String)> {
+        let r = db.query_sql("SELECT id, s FROM u ORDER BY id").unwrap();
+        r.rows
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_text().unwrap().to_string()))
+            .collect()
+    };
+    let before = rows(&db);
+    // Refused on re-insert, after the delete: the original goes back.
+    let e = db
+        .execute_sql("UPDATE u SET id = 2 WHERE id = 1")
+        .unwrap_err();
+    assert!(matches!(e, DbError::Constraint(_)), "{e}");
+    assert_eq!(rows(&db), before);
+    // Refused by the schema before anything changes.
+    let e = db
+        .execute_sql("UPDATE u SET s = NULL WHERE id = 2")
+        .unwrap_err();
+    assert!(matches!(e, DbError::Constraint(_)), "{e}");
+    assert_eq!(rows(&db), before);
+    assert_eq!(count(&db, "u"), Value::Int(2));
+    // Both rows are still found through the key, and still update.
+    db.execute_sql("UPDATE u SET s = 'c' WHERE id = 1").unwrap();
+    let hit = db.query_sql("SELECT s FROM u WHERE id = 1").unwrap();
+    assert_eq!(hit.rows[0][0], Value::text("c"));
+}
+
 #[test]
 fn drop_table_removes_it() {
     let db = db();

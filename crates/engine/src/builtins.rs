@@ -28,18 +28,30 @@ macro_rules! scalar_fn {
     };
 }
 
+/// 1-based character position of the first `needle` in `haystack`, 0 if
+/// absent or if the needle is empty (T-SQL `CHARINDEX`). The builtin and
+/// the compiled WHERE leaf ([`crate::expr`]'s kernel) both call this.
+pub(crate) fn charindex(needle: &str, haystack: &str) -> i64 {
+    let mut chars = needle.chars();
+    let found = match (chars.next(), chars.next()) {
+        (None, _) => return 0,
+        // One character (Query 1's `'N'`) is a memchr-backed search.
+        (Some(c), None) => haystack.find(c),
+        _ => haystack.find(needle),
+    };
+    found.map_or(0, |byte_pos| {
+        haystack[..byte_pos].chars().count() as i64 + 1
+    })
+}
+
 // CHARINDEX(needle, haystack) -> 1-based position, 0 if absent (T-SQL).
 scalar_fn!(CharIndexFn, "CHARINDEX", |args| {
     match args {
         [Value::Null, _] | [_, Value::Null] => Ok(Value::Null),
-        [needle, haystack] => {
-            let n = needle.as_text()?;
-            let h = haystack.as_text()?;
-            Ok(Value::Int(match h.find(n) {
-                Some(byte_pos) => (h[..byte_pos].chars().count() + 1) as i64,
-                None => 0,
-            }))
-        }
+        [needle, haystack] => Ok(Value::Int(charindex(
+            needle.as_text()?,
+            haystack.as_text()?,
+        ))),
         _ => Err(wrong_args("CHARINDEX", "(needle, haystack)")),
     }
 });
@@ -72,9 +84,21 @@ scalar_fn!(SubstringFn, "SUBSTRING", |args| {
         [Value::Null, _, _] => Ok(Value::Null),
         [text, start, len] => {
             let t = text.as_text()?;
-            let start = start.as_int()?.max(1) as usize - 1;
-            let len = len.as_int()?.max(0) as usize;
-            let s: String = t.chars().skip(start).take(len).collect();
+            let (start, len) = (start.as_int()?, len.as_int()?);
+            if len < 0 {
+                return Err(DbError::Execution(format!(
+                    "SUBSTRING length must not be negative, got {len}"
+                )));
+            }
+            // The window is [start, start + len) even when it begins
+            // before the first character; only its part from 1 on returns.
+            let first = start.max(1);
+            let take = start.saturating_add(len).saturating_sub(first).max(0);
+            let s: String = t
+                .chars()
+                .skip(usize::try_from(first - 1).unwrap_or(usize::MAX))
+                .take(usize::try_from(take).unwrap_or(usize::MAX))
+                .collect();
             Ok(Value::text(s))
         }
         _ => Err(wrong_args("SUBSTRING", "(text, start, length)")),
@@ -259,16 +283,36 @@ mod tests {
             f.invoke(&[Value::Null, Value::text("x")]).unwrap(),
             Value::Null
         );
+        // An empty needle is never found.
+        assert_eq!(
+            f.invoke(&[Value::text(""), Value::text("ACGT")]).unwrap(),
+            Value::Int(0)
+        );
+        // Positions count characters, single- and multi-char needles alike.
+        assert_eq!(
+            f.invoke(&[Value::text("β"), Value::text("αβγ")]).unwrap(),
+            Value::Int(2)
+        );
+        assert_eq!(
+            f.invoke(&[Value::text("TA"), Value::text("GATTACA")])
+                .unwrap(),
+            Value::Int(4)
+        );
     }
 
     #[test]
     fn substring_is_one_based() {
         let f = SubstringFn;
-        assert_eq!(
-            f.invoke(&[Value::text("GATTACA"), Value::Int(2), Value::Int(3)])
-                .unwrap(),
-            Value::text("ATT")
-        );
+        let sub = |start: i64, len: i64| {
+            f.invoke(&[Value::text("GATTACA"), Value::Int(start), Value::Int(len)])
+        };
+        assert_eq!(sub(2, 3).unwrap(), Value::text("ATT"));
+        // A start below 1 still counts its window from `start`.
+        assert_eq!(sub(0, 3).unwrap(), Value::text("GA"));
+        assert_eq!(sub(-1, 3).unwrap(), Value::text("G"));
+        assert_eq!(sub(-5, 3).unwrap(), Value::text(""));
+        assert_eq!(sub(6, 10).unwrap(), Value::text("CA"));
+        assert!(sub(2, -1).is_err(), "a negative length is an error");
     }
 
     #[test]

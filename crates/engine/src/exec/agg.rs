@@ -19,7 +19,7 @@ use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::rowser;
 use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
-use crate::expr::Expr;
+use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::{protect, AggState, Aggregate};
 
@@ -76,40 +76,50 @@ impl AggSpec {
         }
     }
 
-    /// Batched counterpart of [`AggSpec::update`]: fold a whole run of
-    /// rows into one state under a *single* panic guard, reusing one
-    /// argument scratch, instead of a `catch_unwind` and an argument
-    /// `Vec` per row.
-    fn update_run(&self, state: &mut Box<dyn AggState>, batch: &RowBatch) -> Result<()> {
-        if self.args.is_empty() {
-            // Argument-free runs collapse to one accumulator call
-            // (`COUNT(*)` over a batch adds the run length).
-            return protect(self.factory.name(), || {
-                state.update_n(&[], batch.len() as u64)
-            });
-        }
-        // A single bare-column argument feeds the stored value straight to
-        // the accumulator: no expression dispatch, no per-row clone.
-        if let [Expr::Column { index, name }] = self.args.as_slice() {
-            let col = *index;
-            return protect(self.factory.name(), || {
-                for row in batch.iter() {
-                    let v = row.get(col).ok_or_else(|| {
+    /// Fold a batch into its groups under one panic guard, so a panic
+    /// still names this aggregate: the `i`-th selected row of `batch`
+    /// updates aggregate `agg` of group `slots[i]`, a row slotted
+    /// [`SPILLED`] nothing. An argument-free aggregate (`COUNT(*)`) takes
+    /// each run of rows of one group as a single `update_n`, so a global
+    /// aggregate costs one call per batch.
+    fn update_batch(
+        &self,
+        agg: usize,
+        groups: &mut GroupedStates,
+        batch: &RowBatch,
+        slots: &[usize],
+    ) -> Result<()> {
+        let states = &mut groups.states;
+        protect(self.factory.name(), || {
+            if self.args.is_empty() {
+                for run in slots.chunk_by(|a, b| a == b) {
+                    if run[0] != SPILLED {
+                        states[run[0]][agg].update_n(&[], run.len() as u64)?;
+                    }
+                }
+                return Ok(());
+            }
+            // Allocated only if some row needs a non-column argument.
+            let mut vals: Vec<Value> = Vec::new();
+            for (row, &slot) in batch.iter().zip(slots) {
+                if slot == SPILLED {
+                    continue;
+                }
+                let state = &mut states[slot][agg];
+                // A single bare-column argument feeds the stored value
+                // straight to the accumulator: no dispatch, no clone.
+                if let [Expr::Column { index, name }] = self.args.as_slice() {
+                    let v = row.get(*index).ok_or_else(|| {
                         DbError::Execution(format!(
-                            "column {name} (#{col}) out of range for row of {} values",
+                            "column {name} (#{index}) out of range for row of {} values",
                             row.len()
                         ))
                     })?;
                     state.update(std::slice::from_ref(v))?;
+                } else {
+                    eval_into(&self.args, row, &mut vals)?;
+                    state.update(&vals)?;
                 }
-                Ok(())
-            });
-        }
-        let mut vals: Vec<Value> = Vec::with_capacity(self.args.len());
-        protect(self.factory.name(), || {
-            for row in batch.iter() {
-                crate::expr::eval_into(&self.args, row, &mut vals)?;
-                state.update(&vals)?;
             }
             Ok(())
         })
@@ -131,70 +141,145 @@ pub(crate) fn group_cost(key: &[Value], naggs: usize) -> usize {
     key_bytes(key) + naggs * STATE_OVERHEAD + GROUP_OVERHEAD
 }
 
-/// Grouped aggregation state: group key -> one state per aggregate.
-pub type GroupedStates = HashMap<Vec<Value>, Vec<Box<dyn AggState>>>;
+/// Multiply-rotate hasher (the well-known Fx scheme) for the executor's
+/// per-query hash tables — the join's build map and [`GroupedStates`]:
+/// far cheaper than SipHash on `Value` keys. Not DoS-resistant, which is
+/// fine for a table that dies with its operator. Spill partitioning and
+/// the join's Bloom filter stay on `DefaultHasher`.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
 
-/// Evaluate the grouping key of a row.
-pub fn group_key(group_exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
-    group_exprs.iter().map(|e| e.eval(row)).collect()
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-/// Build and run a hash-aggregation over an entire input, returning the
-/// grouped states. Shared by the parallel partial plan in
-/// [`crate::parallel`] and the recursion base of the governed serial
-/// operator. New groups are charged against `charge`; with no spill path
-/// here, exhaustion fails with [`DbError::ResourceExhausted`]. The caller
-/// keeps `charge` alive for as long as the returned map exists.
-pub fn aggregate_into_map(
-    input: &mut RowCursor,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    charge: &mut MemCharge,
-) -> Result<GroupedStates> {
-    let mut groups: GroupedStates = HashMap::new();
-    while let Some(row) = input.next()? {
-        let key = group_key(group_exprs, &row)?;
-        let states = match groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                charge.grow(group_cost(e.key(), aggs.len()))?;
-                e.insert(create_states(aggs)?)
+impl Hasher for FxHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Xor-shift avalanche: `Value::Int` hashes through f64 bit
+        // patterns whose differences sit in the HIGH bits, and the
+        // multiply in `add` only propagates differences upward — without
+        // this mix every sequential-int key lands in one bucket.
+        let mut h = self.0;
+        h ^= h >> 32;
+        h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
+        h ^= h >> 32;
+        h
+    }
+    #[inline]
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((chunk, rest)) = bytes.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*chunk));
+            bytes = rest;
+        }
+        if !bytes.is_empty() {
+            let mut tail = 0u64;
+            for (i, &b) in bytes.iter().enumerate() {
+                tail |= (b as u64) << (8 * i);
             }
-        };
-        for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-            spec.update(state, &row)?;
+            self.add(tail);
         }
     }
-    Ok(groups)
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_i64(&mut self, n: i64) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_isize(&mut self, n: isize) {
+        self.add(n as u64);
+    }
+}
+
+pub(crate) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
+
+/// Slot of a row whose group went to a spill partition.
+const SPILLED: usize = usize::MAX;
+
+/// Grouped aggregation state: each group key owns a slot holding one
+/// state per aggregate. The batch loop looks a row's slot up once and then
+/// folds each aggregate over the batch by slot.
+#[derive(Default)]
+pub(crate) struct GroupedStates {
+    slots: HashMap<Vec<Value>, usize, FxBuild>,
+    states: Vec<Vec<Box<dyn AggState>>>,
+}
+
+impl GroupedStates {
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &Vec<Value>> {
+        self.slots.keys()
+    }
+
+    fn get_mut(&mut self, key: &[Value]) -> Option<&mut Vec<Box<dyn AggState>>> {
+        let slot = *self.slots.get(key)?;
+        Some(&mut self.states[slot])
+    }
+
+    /// Add a group whose key is not present yet; returns its slot.
+    fn insert(&mut self, key: Vec<Value>, states: Vec<Box<dyn AggState>>) -> usize {
+        let slot = self.states.len();
+        self.slots.insert(key, slot);
+        self.states.push(states);
+        slot
+    }
+
+    /// Every group with its states, in no particular order.
+    pub(crate) fn into_groups(self) -> impl Iterator<Item = (Vec<Value>, Vec<Box<dyn AggState>>)> {
+        let mut states = self.states;
+        self.slots
+            .into_iter()
+            .map(move |(key, slot)| (key, std::mem::take(&mut states[slot])))
+    }
+}
+
+/// Evaluate the grouping key of a row.
+fn group_key(group_exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
+    group_exprs.iter().map(|e| e.eval(row)).collect()
 }
 
 /// Merge a partial aggregation map into an accumulator map (the "final"
 /// side of a parallel aggregate). UDA `Merge` runs under panic
 /// protection; `aggs` supplies the function names for error reporting.
-pub fn merge_maps(into: &mut GroupedStates, from: GroupedStates, aggs: &[AggSpec]) -> Result<()> {
-    for (key, states) in from {
-        match into.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for ((acc, part), spec) in e.get_mut().iter_mut().zip(states).zip(aggs) {
-                    protect(spec.factory.name(), || acc.merge(part))?;
-                }
+pub(crate) fn merge_maps(
+    into: &mut GroupedStates,
+    from: GroupedStates,
+    aggs: &[AggSpec],
+) -> Result<()> {
+    for (key, states) in from.into_groups() {
+        match into.get_mut(&key) {
+            Some(acc) => merge_group(acc, states, aggs)?,
+            None => {
+                into.insert(key, states);
             }
         }
     }
     Ok(())
-}
-
-/// Turn a finished group map into output rows (group values then
-/// aggregate results). UDA `Terminate` runs under panic protection.
-pub fn finish_map(groups: GroupedStates, aggs: &[AggSpec]) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
-        out.push(finish_group(key, states, aggs)?);
-    }
-    Ok(out)
 }
 
 /// Hash a group key for spill partitioning. `depth` salts the hash so
@@ -449,7 +534,7 @@ pub(crate) fn aggregate_governed_rows(
     ctx: &ExecContext,
 ) -> Result<OutputRows> {
     let mut out = OutputBuffer::new(ctx);
-    let mut resident = GroupedStates::new();
+    let mut resident = GroupedStates::default();
     aggregate_level(input, group_exprs, aggs, ctx, 0, &mut resident, &mut out)?;
     out.into_rows()
 }
@@ -471,7 +556,7 @@ pub(crate) fn aggregate_level(
     out: &mut OutputBuffer,
 ) -> Result<()> {
     let mut charge = MemCharge::new(ctx.gov.clone());
-    let (mut groups, partitions) = aggregate_partial_spilling(
+    let (groups, partitions) = aggregate_partial_spilling(
         input,
         group_exprs,
         aggs,
@@ -486,7 +571,7 @@ pub(crate) fn aggregate_level(
 
     // Emit this level's finished groups — except keys the coordinator is
     // still accumulating in its resident map, which merge there instead.
-    for (key, states) in groups.drain() {
+    for (key, states) in groups.into_groups() {
         if let Some(acc) = resident.get_mut(&key) {
             merge_group(acc, states, aggs)?;
         } else {
@@ -529,55 +614,48 @@ pub(crate) fn aggregate_partial_spilling(
     batch_size: usize,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
     let mut ticker = crate::governor::Ticker::new();
-    let mut groups: GroupedStates = HashMap::new();
+    let mut groups = GroupedStates::default();
     // Once the budget rejects one group, *all* further new groups go to
     // the spill. Without this the budget could free up mid-stream and
     // admit a key whose earlier rows were already spilled, emitting that
     // group twice.
     let mut spilling = false;
     let mut partitions: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
+    // Reused across rows and batches: a row's evaluated group key, and
+    // each selected row's group slot in the current batch.
+    let mut key: Vec<Value> = Vec::with_capacity(group_exprs.len());
+    let mut slots: Vec<usize> = Vec::new();
 
     while let Some(batch) = input.next_batch(batch_size)? {
         // One governor tick per batch instead of per row.
         if let Some(gov) = gov {
             ticker.tick_batch(gov)?;
         }
-        // No grouping: the whole run belongs to the single global group,
-        // so probe the map and enter the panic guard once per batch
-        // instead of once per row. The batch is consumed through its
-        // selection vector, so filtered-out rows are never compacted or
-        // moved.
-        if group_exprs.is_empty() && !spilling {
-            let cost = group_cost(&[], aggs.len());
-            let admitted = groups.contains_key(&Vec::new())
-                || (cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost));
-            if admitted {
-                let states = match groups.entry(Vec::new()) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => e.insert(create_states(aggs)?),
-                };
-                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                    spec.update_run(state, &batch)?;
+        // The batch is read through its selection vector, so
+        // filtered-out rows are never compacted or moved.
+        slots.clear();
+        if group_exprs.is_empty() && groups.len() == 1 {
+            // No GROUP BY and the one global group is resident.
+            slots.resize(batch.len(), 0);
+        } else {
+            for row in batch.iter() {
+                eval_into(group_exprs, row, &mut key)?;
+                if let Some(&slot) = groups.slots.get(key.as_slice()) {
+                    slots.push(slot);
+                    continue;
                 }
-                continue;
-            }
-        }
-        for row in batch.into_rows() {
-            let key = group_key(group_exprs, &row)?;
-            if let Some(states) = groups.get_mut(&key) {
-                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                    spec.update(state, &row)?;
+                let cost = group_cost(&key, aggs.len());
+                if !spilling
+                    && cap.is_none_or(|c| charge.bytes() + cost <= c)
+                    && charge.try_grow(cost)
+                {
+                    // Room for the results too: the key becomes the
+                    // group's output row.
+                    let mut owned = Vec::with_capacity(key.len() + aggs.len());
+                    owned.extend_from_slice(&key);
+                    slots.push(groups.insert(owned, create_states(aggs)?));
+                    continue;
                 }
-                continue;
-            }
-            let cost = group_cost(&key, aggs.len());
-            if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost)
-            {
-                let states = groups.entry(key).or_insert(create_states(aggs)?);
-                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                    spec.update(state, &row)?;
-                }
-            } else {
                 if depth >= MAX_SPILL_DEPTH {
                     return Err(DbError::ResourceExhausted(format!(
                         "hash aggregate exceeded its memory budget even after \
@@ -590,9 +668,13 @@ pub(crate) fn aggregate_partial_spilling(
                     partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
                 }
                 if let Some(writer) = partitions[p].as_mut() {
-                    write_spill_row(writer, &row)?;
+                    write_spill_row(writer, row)?;
                 }
+                slots.push(SPILLED);
             }
+        }
+        for (agg, spec) in aggs.iter().enumerate() {
+            spec.update_batch(agg, &mut groups, &batch, &slots)?;
         }
     }
     Ok((groups, partitions))
@@ -613,7 +695,11 @@ fn merge_group(
 
 /// Finish one group into an output row (UDA `Terminate` under panic
 /// protection).
-fn finish_group(key: Vec<Value>, states: Vec<Box<dyn AggState>>, aggs: &[AggSpec]) -> Result<Row> {
+pub(crate) fn finish_group(
+    key: Vec<Value>,
+    states: Vec<Box<dyn AggState>>,
+    aggs: &[AggSpec],
+) -> Result<Row> {
     let mut vals = key;
     for (mut s, spec) in states.into_iter().zip(aggs) {
         vals.push(protect(spec.factory.name(), || s.finish())?);
@@ -806,8 +892,33 @@ mod tests {
         int_rows(&[&[1, 10], &[2, 5], &[1, 30], &[2, 5], &[3, 1]])
     }
 
-    fn cursor(rows: Vec<Row>) -> RowCursor {
-        RowCursor::new(Box::new(ValuesIter::new(rows)), 2)
+    /// One pass of the batch group loop over `rows` (grouped on column 0,
+    /// two rows per batch) at spill depth `depth`, charging `charge`.
+    fn partial(
+        ctx: &ExecContext,
+        rows: Vec<Row>,
+        charge: &mut MemCharge,
+        depth: u32,
+    ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
+        aggregate_partial_spilling(
+            &mut ValuesIter::new(rows),
+            &[Expr::col(0, "g")],
+            &specs(),
+            charge,
+            &ctx.temp,
+            &ctx.spill_tallies(),
+            Some(&ctx.gov),
+            None,
+            depth,
+            2,
+        )
+    }
+
+    fn finish(groups: GroupedStates) -> Vec<Row> {
+        groups
+            .into_groups()
+            .map(|(key, states)| finish_group(key, states, &specs()).unwrap())
+            .collect()
     }
 
     fn normalize(mut rows: Vec<Row>) -> Vec<(i64, i64, i64)> {
@@ -909,27 +1020,16 @@ mod tests {
     #[test]
     fn partial_final_split_equals_single_pass() {
         // The invariant the parallel aggregate relies on.
-        let gov = QueryGovernor::unlimited();
-        let mut charge = MemCharge::new(gov.clone());
+        let ctx = test_context();
+        let mut charge = MemCharge::new(ctx.gov.clone());
         let all = rows();
-        let serial = {
-            let mut it = cursor(all.clone());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
-        };
-        let mut merged = {
-            let mut it = cursor(all[..2].to_vec());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
-        };
-        let part2 = {
-            let mut it = cursor(all[2..].to_vec());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
-        };
+        let (serial, _) = partial(&ctx, all.clone(), &mut charge, 0).unwrap();
+        let (mut merged, _) = partial(&ctx, all[..2].to_vec(), &mut charge, 0).unwrap();
+        let (part2, _) = partial(&ctx, all[2..].to_vec(), &mut charge, 0).unwrap();
         merge_maps(&mut merged, part2, &specs()).unwrap();
-        let a = normalize(finish_map(serial, &specs()).unwrap());
-        let b = normalize(finish_map(merged, &specs()).unwrap());
-        assert_eq!(a, b);
+        assert_eq!(normalize(finish(serial)), normalize(finish(merged)));
         drop(charge);
-        assert_eq!(gov.mem_used(), 0);
+        assert_eq!(ctx.gov.mem_used(), 0);
     }
 
     #[test]
@@ -959,14 +1059,21 @@ mod tests {
     }
 
     #[test]
-    fn ungoverned_aggregate_into_map_errors_when_exhausted() {
-        let gov = QueryGovernor::new(None, Some(256));
-        let mut charge = MemCharge::new(gov);
+    fn a_pass_at_max_spill_depth_fails_typed_instead_of_spilling() {
+        let mut ctx = test_context();
+        ctx.gov = QueryGovernor::new(None, Some(256));
+        let mut charge = MemCharge::new(ctx.gov.clone());
         let input: Vec<Row> = (0..100i64)
             .map(|i| Row::new(vec![Value::Int(i), Value::Int(1)]))
             .collect();
-        let mut it = cursor(input);
-        let err = match aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge) {
+        // One level above the bound, groups the budget rejects spill...
+        let (groups, parts) =
+            partial(&ctx, input.clone(), &mut charge, MAX_SPILL_DEPTH - 1).unwrap();
+        assert!(groups.len() < 100 && parts.iter().any(Option::is_some));
+        drop((groups, parts));
+        charge.release_all();
+        // ...at the bound, the first rejected group fails the query typed.
+        let err = match partial(&ctx, input, &mut charge, MAX_SPILL_DEPTH) {
             Ok(_) => panic!("expected exhaustion"),
             Err(e) => e,
         };

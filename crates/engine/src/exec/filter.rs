@@ -9,22 +9,21 @@ use std::sync::Arc;
 use seqdb_types::{Result, Row, Schema, Value};
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
-use crate::expr::{eval_project_into, take_plan, Expr, IntCmpKernel};
+use crate::expr::{eval_project_into, passes, take_plan, Expr, Kernel};
 
 /// WHERE: passes rows whose predicate evaluates to TRUE (NULL = drop).
 pub struct FilterIter {
     input: BoxedIter,
     predicate: Expr,
-    /// Specialized form of `predicate`, when it has a kernel-eligible
-    /// shape.
-    kernel: Option<IntCmpKernel>,
+    /// Compiled form of `predicate`, when it has one.
+    kernel: Option<Kernel>,
 }
 
 impl FilterIter {
     pub fn new(input: BoxedIter, predicate: Expr) -> Self {
         FilterIter {
             input,
-            kernel: IntCmpKernel::compile(&predicate),
+            kernel: Kernel::compile(&predicate),
             predicate,
         }
     }
@@ -39,14 +38,7 @@ impl RowIterator for FilterIter {
             let Some(mut batch) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
-            let pred = &self.predicate;
-            match &self.kernel {
-                Some(k) => batch.narrow(|row| match k.eval(row) {
-                    Some(pass) => Ok(pass),
-                    None => pred.eval_predicate(row),
-                })?,
-                None => batch.narrow(|row| pred.eval_predicate(row))?,
-            }
+            batch.narrow(|row| passes(&self.predicate, self.kernel.as_ref(), row))?;
             // A fully-filtered batch is not end-of-stream: pull the next
             // one rather than returning an empty batch.
             if !batch.is_empty() {

@@ -30,7 +30,8 @@ use seqdb_storage::WaitClass;
 use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::agg::{
-    partition_of, write_spill_row, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
+    partition_of, write_spill_row, FxBuild, OutputBuffer, OutputRows, SpillRowIter,
+    SPILL_PARTITIONS,
 };
 
 /// Output buffer for one partition pair, capped at its share of the
@@ -171,87 +172,6 @@ impl BloomTracker {
             bloom.insert(bloom_hash(key));
         }
         Some(bloom)
-    }
-}
-
-/// Multiply-rotate hasher for the resident build table (the well-known
-/// Fx scheme): far cheaper than SipHash on short `Vec<Value>` keys. Not
-/// DoS-resistant, which is fine for a per-query table that dies with
-/// the operator. The partition/Bloom hashes stay on `DefaultHasher`.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Xor-shift avalanche: `Value::Int` hashes through f64 bit
-        // patterns whose differences sit in the HIGH bits, and the
-        // multiply in `add` only propagates differences upward — without
-        // this mix every sequential-int key lands in one bucket.
-        let mut h = self.0;
-        h ^= h >> 32;
-        h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-        h ^= h >> 32;
-        h
-    }
-    #[inline]
-    fn write(&mut self, mut bytes: &[u8]) {
-        while let Some((chunk, rest)) = bytes.split_first_chunk::<8>() {
-            self.add(u64::from_le_bytes(*chunk));
-            bytes = rest;
-        }
-        if !bytes.is_empty() {
-            let mut tail = 0u64;
-            for (i, &b) in bytes.iter().enumerate() {
-                tail |= (b as u64) << (8 * i);
-            }
-            self.add(tail);
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_i64(&mut self, n: i64) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_isize(&mut self, n: isize) {
-        self.add(n as u64);
-    }
-}
-
-#[derive(Default, Clone)]
-struct FxBuild;
-
-impl std::hash::BuildHasher for FxBuild {
-    type Hasher = FxHasher;
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
     }
 }
 

@@ -10,7 +10,7 @@ use seqdb_types::{Result, Value};
 
 use crate::catalog::{Table, TableIndex};
 use crate::exec::{RowBatch, RowIterator};
-use crate::expr::{Expr, IntCmpKernel};
+use crate::expr::{passes, Expr, Kernel};
 
 /// Sequential heap scan with an optional residual predicate and
 /// projection pushed into the scan (the paper's parallel plans push both
@@ -19,8 +19,8 @@ pub struct HeapScanIter {
     table: Arc<Table>,
     pages: std::vec::IntoIter<PageId>,
     filter: Option<Expr>,
-    /// Specialized form of `filter`, when it has a kernel-eligible shape.
-    kernel: Option<IntCmpKernel>,
+    /// Compiled form of `filter`, when it has one.
+    kernel: Option<Kernel>,
     projection: Option<Vec<usize>>,
     /// Columns to actually decode (`None` = all): unmasked columns come
     /// back as `Value::Null` placeholders, so the caller must guarantee
@@ -39,7 +39,7 @@ impl HeapScanIter {
         HeapScanIter {
             table,
             pages: pages.into_iter(),
-            kernel: filter.as_ref().and_then(IntCmpKernel::compile),
+            kernel: filter.as_ref().and_then(Kernel::compile),
             filter,
             projection,
             decode_mask,
@@ -65,7 +65,7 @@ impl HeapScanIter {
         HeapScanIter {
             table,
             pages: pages.into_iter(),
-            kernel: filter.as_ref().and_then(IntCmpKernel::compile),
+            kernel: filter.as_ref().and_then(Kernel::compile),
             filter,
             projection,
             decode_mask,
@@ -90,13 +90,7 @@ impl RowIterator for HeapScanIter {
                 .page_rows_into_masked(pid, self.decode_mask.as_deref(), &mut rows)?;
             let mut batch = RowBatch::from_rows(rows);
             if let Some(f) = &self.filter {
-                match &self.kernel {
-                    Some(k) => batch.narrow(|row| match k.eval(row) {
-                        Some(pass) => Ok(pass),
-                        None => f.eval_predicate(row),
-                    })?,
-                    None => batch.narrow(|row| f.eval_predicate(row))?,
-                }
+                batch.narrow(|row| passes(f, self.kernel.as_ref(), row))?;
             }
             if let Some(p) = &self.projection {
                 let mut out = Vec::with_capacity(batch.len());
@@ -118,6 +112,8 @@ pub struct IndexScanIter {
     iter: OwnedRange,
     schema: Arc<seqdb_types::Schema>,
     filter: Option<Expr>,
+    /// Compiled form of `filter`, when it has one.
+    kernel: Option<Kernel>,
     projection: Option<Vec<usize>>,
 }
 
@@ -178,6 +174,7 @@ impl IndexScanIter {
                 upper,
             },
             schema: table.schema.clone(),
+            kernel: filter.as_ref().and_then(Kernel::compile),
             filter,
             projection,
         }
@@ -218,7 +215,7 @@ impl RowIterator for IndexScanIter {
             )?;
             for row in decoded.drain(..) {
                 if let Some(f) = &self.filter {
-                    if !f.eval_predicate(&row)? {
+                    if !passes(f, self.kernel.as_ref(), &row)? {
                         continue;
                     }
                 }

@@ -50,6 +50,39 @@ impl BinOp {
             BinOp::Or => "OR",
         }
     }
+
+    fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
+        )
+    }
+
+    /// Whether comparison `self` holds between two values that compare
+    /// as `ord`.
+    #[inline]
+    fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinOp::Eq => ord == Ordering::Equal,
+            BinOp::NotEq => ord != Ordering::Equal,
+            BinOp::Lt => ord == Ordering::Less,
+            BinOp::LtEq => ord != Ordering::Greater,
+            BinOp::Gt => ord == Ordering::Greater,
+            BinOp::GtEq => ord != Ordering::Less,
+            _ => unreachable!("{self:?} is not a comparison"),
+        }
+    }
+
+    /// The comparison with its operands swapped: `a < b` ⇔ `b > a`.
+    fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            other => other,
+        }
+    }
 }
 
 /// A scalar expression over an input row.
@@ -205,75 +238,162 @@ pub fn eval_into(exprs: &[Expr], row: &Row, out: &mut Vec<Value>) -> Result<()> 
     Ok(())
 }
 
-/// A type-specialized comparison kernel for the vectorized path:
-/// `column <op> integer-literal` predicates (either operand order)
-/// evaluate directly against the stored value instead of walking the
-/// expression tree per row. Rows whose stored value is neither `Int` nor
-/// `Null` return `None` so the caller can fall back to the interpreter —
-/// kernel and interpreter are observably identical.
-#[derive(Clone, Copy, Debug)]
-pub struct IntCmpKernel {
-    col: usize,
-    op: BinOp,
-    k: i64,
+/// A WHERE clause compiled once per operator instead of walked per row.
+///
+/// Leaves are `column <cmp> int-literal`, `column IS [NOT] NULL` and the
+/// engine's own `CHARINDEX(text-literal, column) <cmp> int-literal`, the
+/// comparisons in either operand order; `AND` / `OR` combine leaves.
+/// `NOT` does not compose this way under three-valued logic and stays
+/// interpreted. [`Kernel::compile`] succeeds only when the whole predicate
+/// has this shape.
+#[derive(Clone, Debug)]
+pub(crate) enum Kernel {
+    IntCmp {
+        col: usize,
+        op: BinOp,
+        k: i64,
+    },
+    IsNull {
+        col: usize,
+        negated: bool,
+    },
+    CharIndex {
+        col: usize,
+        needle: Arc<str>,
+        op: BinOp,
+        k: i64,
+    },
+    /// Nested `AND`s flattened, in the interpreter's left-to-right order.
+    And(Vec<Kernel>),
+    /// Nested `OR`s flattened likewise.
+    Or(Vec<Kernel>),
 }
 
-impl IntCmpKernel {
-    /// Recognize a kernel-eligible predicate shape, normalizing
-    /// `literal <op> column` by flipping the comparison.
-    pub fn compile(expr: &Expr) -> Option<IntCmpKernel> {
-        let Expr::Binary { op, left, right } = expr else {
-            return None;
-        };
-        if !matches!(
-            op,
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        ) {
-            return None;
-        }
-        match (left.as_ref(), right.as_ref()) {
-            (Expr::Column { index, .. }, Expr::Literal(Value::Int(k))) => Some(IntCmpKernel {
-                col: *index,
-                op: *op,
-                k: *k,
-            }),
-            (Expr::Literal(Value::Int(k)), Expr::Column { index, .. }) => {
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::LtEq => BinOp::GtEq,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::GtEq => BinOp::LtEq,
-                    other => *other,
-                };
-                Some(IntCmpKernel {
-                    col: *index,
-                    op: flipped,
-                    k: *k,
+/// A SQL truth value (`None` is NULL), as a kernel node computes it.
+type Truth = Option<bool>;
+
+impl Kernel {
+    /// Compile `expr`, normalising `literal <cmp> x` to `x <flipped> literal`.
+    pub(crate) fn compile(expr: &Expr) -> Option<Kernel> {
+        match expr {
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => {
+                let mut parts = Vec::new();
+                for side in [left, right] {
+                    match (op, Kernel::compile(side)?) {
+                        (BinOp::And, Kernel::And(inner)) | (BinOp::Or, Kernel::Or(inner)) => {
+                            parts.extend(inner)
+                        }
+                        (_, leaf) => parts.push(leaf),
+                    }
+                }
+                Some(match op {
+                    BinOp::And => Kernel::And(parts),
+                    _ => Kernel::Or(parts),
                 })
             }
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                let (x, op, k) = match (left.as_ref(), right.as_ref()) {
+                    (x, Expr::Literal(Value::Int(k))) => (x, *op, *k),
+                    (Expr::Literal(Value::Int(k)), x) => (x, op.flipped(), *k),
+                    _ => return None,
+                };
+                match x {
+                    Expr::Column { index, .. } => Some(Kernel::IntCmp { col: *index, op, k }),
+                    Expr::Func { udf, args } => match args.as_slice() {
+                        // Only the builtin: a user function registered as
+                        // CHARINDEX replaced it and may mean anything.
+                        [Expr::Literal(Value::Text(needle)), Expr::Column { index, .. }]
+                            if (udf.as_ref() as &dyn std::any::Any)
+                                .is::<crate::builtins::CharIndexFn>() =>
+                        {
+                            Some(Kernel::CharIndex {
+                                col: *index,
+                                needle: needle.clone(),
+                                op,
+                                k,
+                            })
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                }
+            }
+            Expr::IsNull { expr, negated } => match expr.as_ref() {
+                Expr::Column { index, .. } => Some(Kernel::IsNull {
+                    col: *index,
+                    negated: *negated,
+                }),
+                _ => None,
+            },
             _ => None,
         }
     }
 
-    /// Evaluate against one row; `None` means the row is outside the
-    /// kernel's domain (missing column or non-integer value) and must go
-    /// through the interpreter. `Null` compares to `Null`, which a
-    /// predicate position treats as false.
+    /// Whether `row` passes; NULL and FALSE both reject. `None` when a
+    /// leaf meets a value outside its domain — a missing column, a
+    /// non-integer compared with an integer, a non-text haystack — where
+    /// the interpreter might convert or fail: the caller re-runs the row
+    /// through [`Expr::eval_predicate`], so results and errors are the
+    /// interpreter's.
     #[inline]
-    pub fn eval(&self, row: &Row) -> Option<bool> {
-        match row.get(self.col) {
-            Some(Value::Int(v)) => Some(match self.op {
-                BinOp::Eq => *v == self.k,
-                BinOp::NotEq => *v != self.k,
-                BinOp::Lt => *v < self.k,
-                BinOp::LtEq => *v <= self.k,
-                BinOp::Gt => *v > self.k,
-                BinOp::GtEq => *v >= self.k,
-                _ => unreachable!("compile admits only comparisons"),
-            }),
-            Some(Value::Null) => Some(false),
-            _ => None,
+    pub(crate) fn eval(&self, row: &Row) -> Option<bool> {
+        Some(self.truth(row)? == Some(true))
+    }
+
+    /// Visits the leaves the interpreter would, in its order and with its
+    /// short-circuits (an `AND` stops at FALSE, an `OR` at TRUE, NULL
+    /// stops neither), so every leaf it would fail on is a leaf seen here.
+    fn truth(&self, row: &Row) -> Option<Truth> {
+        match self {
+            Kernel::And(parts) | Kernel::Or(parts) => {
+                // The value that decides the whole: FALSE for AND, TRUE for OR.
+                let decides = matches!(self, Kernel::Or(_));
+                let mut acc = Some(!decides);
+                for p in parts {
+                    match p.node_truth(row)? {
+                        Some(b) if b == decides => return Some(Some(decides)),
+                        None => acc = None,
+                        Some(_) => {}
+                    }
+                }
+                Some(acc)
+            }
+            leaf => leaf.node_truth(row),
         }
+    }
+
+    /// A leaf evaluated in place (inlined into the `AND` / `OR` loops);
+    /// a nested `AND` / `OR` recurses.
+    #[inline(always)]
+    fn node_truth(&self, row: &Row) -> Option<Truth> {
+        Some(match self {
+            Kernel::IntCmp { col, op, k } => match row.get(*col)? {
+                Value::Int(v) => Some(op.holds(v.cmp(k))),
+                Value::Null => None,
+                _ => return None,
+            },
+            Kernel::IsNull { col, negated } => Some(row.get(*col)?.is_null() != *negated),
+            Kernel::CharIndex { col, needle, op, k } => match row.get(*col)? {
+                Value::Text(s) => Some(op.holds(crate::builtins::charindex(needle, s).cmp(k))),
+                Value::Null => None,
+                _ => return None,
+            },
+            Kernel::And(_) | Kernel::Or(_) => return self.truth(row),
+        })
+    }
+}
+
+/// Evaluate a WHERE predicate on one row through its compiled kernel,
+/// re-running the rows the kernel declines through the interpreter.
+#[inline]
+pub(crate) fn passes(pred: &Expr, kernel: Option<&Kernel>, row: &Row) -> Result<bool> {
+    match kernel.and_then(|k| k.eval(row)) {
+        Some(pass) => Ok(pass),
+        None => pred.eval_predicate(row),
     }
 }
 
@@ -382,16 +502,7 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value>
                     r.type_name()
                 )));
             }
-            let ord = l.total_cmp(&r);
-            Ok(Value::Bool(match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::NotEq => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::LtEq => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::GtEq => ord != Ordering::Less,
-                _ => unreachable!(),
-            }))
+            Ok(Value::Bool(op.holds(l.total_cmp(&r))))
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => match (&l, &r) {
             (Value::Int(a), Value::Int(b)) => {
@@ -480,6 +591,8 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn row() -> Row {
         Row::new(vec![Value::Int(10), Value::text("ACGTN"), Value::Null])
@@ -577,5 +690,116 @@ mod tests {
     fn incomparable_types_error() {
         let e = Expr::binary(BinOp::Lt, Expr::lit("a"), Expr::lit(1));
         assert!(e.eval(&Row::empty()).is_err());
+    }
+
+    /// A random predicate over a three-column row: kernel leaves (column
+    /// 3 does not exist) under AND / OR / NOT, `depth` levels deep.
+    fn random_predicate(rng: &mut StdRng, depth: u32) -> Expr {
+        if depth > 0 && rng.gen_bool(0.6) {
+            let left = random_predicate(rng, depth - 1);
+            return match rng.gen_range(0..5u32) {
+                0 => Expr::Not(Box::new(left)),
+                1 | 2 => Expr::binary(BinOp::And, left, random_predicate(rng, depth - 1)),
+                _ => Expr::binary(BinOp::Or, left, random_predicate(rng, depth - 1)),
+            };
+        }
+        let col = rng.gen_range(0..4usize);
+        let c = Expr::col(col, format!("c{col}"));
+        let x = match rng.gen_range(0..3u32) {
+            0 => c,
+            1 => Expr::Func {
+                udf: Arc::new(crate::builtins::CharIndexFn),
+                args: vec![Expr::lit(["N", "", "AC", "β"][rng.gen_range(0..4usize)]), c],
+            },
+            _ => {
+                return Expr::IsNull {
+                    expr: Box::new(c),
+                    negated: rng.gen_bool(0.5),
+                }
+            }
+        };
+        let op = [
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ][rng.gen_range(0..6usize)];
+        let k = Expr::lit(rng.gen_range(-1..3i64));
+        if rng.gen_bool(0.5) {
+            Expr::binary(op, x, k)
+        } else {
+            Expr::binary(op, k, x)
+        }
+    }
+
+    fn random_value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..4u32) {
+            0 => Value::Null,
+            1 => Value::Int(rng.gen_range(-1..3i64)),
+            2 => Value::Float(rng.gen_range(-1..3i64) as f64 + 0.5),
+            _ => {
+                let len = rng.gen_range(0..4usize);
+                Value::text(
+                    (0..len)
+                        .map(|_| ['A', 'C', 'N', 'β'][rng.gen_range(0..4usize)])
+                        .collect::<String>(),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn a_compiled_kernel_agrees_with_the_interpreter_or_declines() {
+        let (mut compiled, mut decided, mut declined_errors) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pred = random_predicate(&mut rng, 3);
+            let Some(kernel) = Kernel::compile(&pred) else {
+                continue;
+            };
+            compiled += 1;
+            for _ in 0..64 {
+                let row = Row::new((0..3).map(|_| random_value(&mut rng)).collect());
+                match (kernel.eval(&row), pred.eval_predicate(&row)) {
+                    (Some(pass), Ok(want)) => {
+                        decided += 1;
+                        assert_eq!(pass, want, "{pred} on {row:?}");
+                    }
+                    (Some(pass), Err(e)) => {
+                        panic!("kernel said {pass} where the interpreter fails ({e}): {pred} on {row:?}")
+                    }
+                    (None, Err(_)) => declined_errors += 1,
+                    (None, Ok(_)) => {}
+                }
+            }
+        }
+        // The sample reached every case the property speaks of.
+        assert!(compiled > 50, "{compiled} of 400 predicates compiled");
+        assert!(decided > 1000 && declined_errors > 100);
+    }
+
+    #[test]
+    fn not_and_foreign_functions_stay_interpreted() {
+        let lt = Expr::binary(BinOp::Lt, Expr::col(0, "x"), Expr::lit(1));
+        assert!(Kernel::compile(&lt).is_some());
+        assert!(Kernel::compile(&Expr::Not(Box::new(lt.clone()))).is_none());
+        assert!(Kernel::compile(&Expr::binary(BinOp::And, lt, Expr::lit(true))).is_none());
+        // A user function named CHARINDEX is not the builtin.
+        struct UserCharIndex;
+        impl ScalarUdf for UserCharIndex {
+            fn name(&self) -> &str {
+                "CHARINDEX"
+            }
+            fn invoke(&self, _args: &[Value]) -> Result<Value> {
+                Ok(Value::Int(1))
+            }
+        }
+        let user = Expr::Func {
+            udf: Arc::new(UserCharIndex),
+            args: vec![Expr::lit("N"), Expr::col(0, "s")],
+        };
+        assert!(Kernel::compile(&Expr::binary(BinOp::Eq, user, Expr::lit(0))).is_none());
     }
 }

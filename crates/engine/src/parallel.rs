@@ -30,8 +30,8 @@ use seqdb_types::{DbError, Result, Row};
 
 use crate::catalog::Table;
 use crate::exec::agg::{
-    aggregate_level, aggregate_partial_spilling, group_cost, merge_maps, AggSpec, ChainRows,
-    GroupedStates, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
+    aggregate_level, aggregate_partial_spilling, finish_group, group_cost, merge_maps, AggSpec,
+    ChainRows, GroupedStates, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
 };
 use crate::exec::scan::HeapScanIter;
 use crate::exec::{fill_batch, ExecContext, RowBatch, RowIterator};
@@ -279,12 +279,8 @@ impl ParallelAggIter {
         }
 
         // Emit the resident groups last — only now are they complete.
-        for (key, states) in resident.drain() {
-            let mut vals = key;
-            for (mut s, spec) in states.into_iter().zip(&self.aggs) {
-                vals.push(protect(spec.factory.name(), || s.finish())?);
-            }
-            out.push(Row::new(vals))?;
+        for (key, states) in resident.into_groups() {
+            out.push(finish_group(key, states, &self.aggs)?)?;
         }
         drop(resident_charge);
 

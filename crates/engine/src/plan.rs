@@ -15,7 +15,7 @@ use crate::exec::scan::{HeapScanIter, IndexScanIter};
 use crate::exec::sort::{SortIter, SortKey, TopNIter};
 use crate::exec::window::RowNumberIter;
 use crate::exec::{BoxedIter, ExecContext, ValuesIter};
-use crate::expr::Expr;
+use crate::expr::{Expr, Kernel};
 use crate::governor::GovernedIter;
 use crate::parallel::ParallelAggIter;
 use crate::stats::StatsIter;
@@ -537,7 +537,7 @@ impl Plan {
             Plan::TableScan { table, filter, .. } => {
                 out.push_str(&format!("{pad}Table Scan [{}]", table.name));
                 if let Some(f) = filter {
-                    out.push_str(&format!(" WHERE {f}"));
+                    out.push_str(&format!(" WHERE {f}{}", kernel_marker(f)));
                 }
                 self.end_header(out, ann);
             }
@@ -557,7 +557,7 @@ impl Plan {
                     out.push_str(&format!(" SEEK prefix=({})", p.join(", ")));
                 }
                 if let Some(f) = filter {
-                    out.push_str(&format!(" WHERE {f}"));
+                    out.push_str(&format!(" WHERE {f}{}", kernel_marker(f)));
                 }
                 self.end_header(out, ann);
             }
@@ -575,7 +575,10 @@ impl Plan {
                 self.end_header(out, ann);
             }
             Plan::Filter { input, predicate } => {
-                out.push_str(&format!("{pad}Filter [{predicate}]"));
+                out.push_str(&format!(
+                    "{pad}Filter [{predicate}]{}",
+                    kernel_marker(predicate)
+                ));
                 self.end_header(out, ann);
                 input.explain_into(out, depth + 1, ann);
             }
@@ -660,7 +663,7 @@ impl Plan {
                 let pad4 = "  ".repeat(depth + 4);
                 out.push_str(&format!("{pad4}Table Scan [{}] (parallel", table.name));
                 if let Some(f) = filter {
-                    out.push_str(&format!(", WHERE {f}"));
+                    out.push_str(&format!(", WHERE {f}{}", kernel_marker(f)));
                 }
                 out.push_str(")\n");
             }
@@ -828,6 +831,15 @@ fn scan_decode_mask(
         None
     } else {
         Some(mask)
+    }
+}
+
+/// EXPLAIN's mark on a WHERE that runs as a compiled [`Kernel`].
+fn kernel_marker(predicate: &Expr) -> &'static str {
+    if Kernel::compile(predicate).is_some() {
+        " [kernel]"
+    } else {
+        ""
     }
 }
 

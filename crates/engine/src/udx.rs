@@ -25,7 +25,9 @@ use seqdb_types::{DbError, Result, Row, Schema, Value};
 use crate::exec::ExecContext;
 
 /// A scalar user-defined function (`CHARINDEX`, `LEN`, user extensions).
-pub trait ScalarUdf: Send + Sync {
+/// `Any` lets the WHERE compiler recognise the engine's own builtins by
+/// type: a user function registered under a builtin's name replaces it.
+pub trait ScalarUdf: Any + Send + Sync {
     /// Function name as referenced from SQL (case-insensitive).
     fn name(&self) -> &str;
     /// Evaluate the function on already-evaluated arguments.

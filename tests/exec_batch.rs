@@ -63,6 +63,11 @@ struct TRow {
     id: i64,
     grp: Option<i64>,
     v: Option<i64>,
+    s: Option<String>,
+}
+
+fn text_or_null(s: &Option<String>) -> Value {
+    s.as_deref().map_or(Value::Null, Value::text)
 }
 
 /// `(COUNT(*), SUM(v))` over `rows`: SUM skips NULLs and is NULL when
@@ -73,12 +78,12 @@ fn count_sum<'a>(rows: impl Iterator<Item = &'a TRow>) -> (i64, Option<i64>) {
     })
 }
 
-/// The reference evaluation: what each of the property's seven query
+/// The reference evaluation: what each of the property's eleven query
 /// shapes must return over `t`, written directly from SQL semantics
 /// (comparisons with NULL are not true, NULL keys never join, NULLs sort
-/// first) and sharing no code with the executor. `s` holds `g` = 0..=5,
-/// each once.
-fn model(t: &[TRow], k: i64) -> [Vec<Row>; 7] {
+/// first, `CHARINDEX` of NULL is NULL) and sharing no code with the
+/// executor. Table `s` holds `g` = 0..=5, each once.
+fn model(t: &[TRow], k: i64) -> [Vec<Row>; 11] {
     let where_v = |keep: fn(i64, i64) -> bool| {
         t.iter()
             .filter(move |r| r.v.is_some_and(|v| keep(v, k)))
@@ -120,7 +125,31 @@ fn model(t: &[TRow], k: i64) -> [Vec<Row>; 7] {
         .take(10)
         .map(|r| Row::new(vec![Value::Int(r.id)]))
         .collect();
-    [q1, q2, q3, q4, q5, q6, q7]
+    let ids = |keep: &dyn Fn(&TRow) -> bool| -> Vec<Row> {
+        t.iter()
+            .filter(|r| keep(r))
+            .map(|r| Row::new(vec![Value::Int(r.id)]))
+            .collect()
+    };
+    let n_free = |r: &TRow| r.s.as_deref().is_some_and(|s| !s.contains('N'));
+    let q8 = ids(&|r| r.grp == Some(k.rem_euclid(9)) && n_free(r));
+    let q9 = ids(&|r| r.v.is_some_and(|v| v < k) || r.s.is_none());
+    let q10 = ids(&|r| r.v.is_some_and(|v| v >= k));
+    let mut tags: Vec<&str> = t
+        .iter()
+        .filter(|r| n_free(r))
+        .filter_map(|r| r.s.as_deref())
+        .collect();
+    tags.sort();
+    tags.dedup();
+    let q11 = tags
+        .into_iter()
+        .map(|tag| {
+            let (n, sum) = count_sum(t.iter().filter(|r| r.s.as_deref() == Some(tag)));
+            Row::new(vec![Value::text(tag), Value::Int(n), int_or_null(sum)])
+        })
+        .collect();
+    [q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11]
 }
 
 fn counter(db: &Arc<Database>, name: &str) -> i64 {
@@ -140,28 +169,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn every_batch_size_agrees_with_the_model_on_random_plans(
-        rows in proptest::collection::vec((0i64..9, -50i64..50), 0..400),
+        rows in proptest::collection::vec((0i64..9, -50i64..50, "[ACGTN]{0,6}"), 0..400),
         k in -60i64..60,
         budget_kb in 2i64..8,
     ) {
         let db = Database::in_memory();
-        db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT, v INT)")
+        db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT, v INT, s VARCHAR(8))")
             .unwrap();
         db.execute_sql("CREATE TABLE s (g INT, name VARCHAR(8))").unwrap();
         // grp 0 maps to NULL so predicates and join keys both see NULLs;
-        // v is NULL on every 7th row to exercise the kernel's NULL rule.
+        // v is NULL on every 7th row and s on every 5th to exercise the
+        // kernel's NULL rules.
         let t: Vec<TRow> = rows
             .iter()
             .enumerate()
-            .map(|(i, (g, v))| TRow {
+            .map(|(i, (g, v, s))| TRow {
                 id: i as i64,
                 grp: (*g != 0).then_some(*g),
                 v: (i % 7 != 3).then_some(*v),
+                s: (i % 5 != 4).then(|| s.clone()),
             })
             .collect();
         let t_rows: Vec<Row> = t
             .iter()
-            .map(|r| Row::new(vec![Value::Int(r.id), int_or_null(r.grp), int_or_null(r.v)]))
+            .map(|r| {
+                Row::new(vec![
+                    Value::Int(r.id),
+                    int_or_null(r.grp),
+                    int_or_null(r.v),
+                    text_or_null(&r.s),
+                ])
+            })
             .collect();
         db.insert_rows("t", &t_rows).unwrap();
         for g in 0..6i64 {
@@ -173,10 +211,12 @@ proptest! {
         }
 
         // Shapes chosen to cover every native batch producer and both
-        // row adapters: the scan kernel in both operand orders,
-        // filter→project, aggregation with and without GROUP BY, the
+        // row adapters: the scan kernel in both operand orders, with
+        // AND / OR / IS NULL / CHARINDEX leaves and (NOT) interpreted,
+        // filter→project, aggregation with and without GROUP BY (on an
+        // int and on a text key, spilling under the small budgets), the
         // hash-join build and probe, and TopN. `model` evaluates the
-        // same seven, in the same order.
+        // same eleven, in the same order.
         let queries = [
             format!("SELECT id, v FROM t WHERE v < {k}"),
             format!("SELECT id FROM t WHERE {k} >= v"),
@@ -185,6 +225,10 @@ proptest! {
             format!("SELECT COUNT(*), SUM(v) FROM t WHERE v > {k}"),
             "SELECT COUNT(*) FROM t JOIN s ON (t.grp = s.g)".to_string(),
             "SELECT TOP 10 id FROM t ORDER BY v, id".to_string(),
+            format!("SELECT id FROM t WHERE grp = {} AND CHARINDEX('N', s) = 0", k.rem_euclid(9)),
+            format!("SELECT id FROM t WHERE v < {k} OR s IS NULL"),
+            format!("SELECT id FROM t WHERE NOT (v < {k})"),
+            "SELECT s, COUNT(*), SUM(v) FROM t WHERE CHARINDEX('N', s) = 0 GROUP BY s".to_string(),
         ];
 
         for (sql, expect) in queries.iter().zip(model(&t, k)) {

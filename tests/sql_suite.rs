@@ -382,3 +382,55 @@ fn explain_of_serial_and_parallel_aggregate() {
         .unwrap();
     assert!(parallel.contains("Gather Streams"), "{parallel}");
 }
+
+#[test]
+fn explain_marks_a_where_that_compiled() {
+    let db = db();
+    seqdb::core::create_normalized_schema(&db, "", seqdb::storage::rowfmt::Compression::None)
+        .unwrap();
+    db.execute_sql("INSERT INTO Read VALUES (1, 1, 1, 1, 1, 1, 0, 0, 'ACGT', 'IIII')")
+        .unwrap();
+    let mut cfg = db.config();
+    cfg.parallel_threshold = 1;
+    cfg.max_dop = 4;
+    db.set_config(cfg);
+    // Query 1's Figure 9 plan: the pushed-down WHERE runs compiled.
+    let fig9 = db
+        .explain_sql(&seqdb::core::queries::query1_sql(""))
+        .unwrap();
+    let scan = fig9
+        .lines()
+        .find(|l| l.contains("(parallel, WHERE"))
+        .unwrap_or_else(|| panic!("no parallel scan line:\n{fig9}"));
+    assert!(scan.ends_with(" [kernel])"), "{scan}");
+    // NOT stays interpreted, and says so by saying nothing.
+    let not = db
+        .explain_sql("SELECT r_id FROM Read WHERE NOT (r_id < 1)")
+        .unwrap();
+    assert!(not.contains("WHERE NOT"), "{not}");
+    assert!(!not.contains("[kernel]"), "{not}");
+}
+
+#[test]
+fn a_user_charindex_decides_a_where_over_the_builtin() {
+    use seqdb::engine::ScalarUdf;
+    struct AlwaysOne;
+    impl ScalarUdf for AlwaysOne {
+        fn name(&self) -> &str {
+            "CHARINDEX"
+        }
+        fn invoke(&self, _args: &[Value]) -> seqdb::types::Result<Value> {
+            Ok(Value::Int(1))
+        }
+    }
+    let db = db();
+    db.execute_sql("CREATE TABLE r (seq VARCHAR(16))").unwrap();
+    db.execute_sql("INSERT INTO r VALUES ('ACGT'), ('ACNT')")
+        .unwrap();
+    let n_free = "SELECT COUNT(*) FROM r WHERE CHARINDEX('N', seq) = 0";
+    assert_eq!(db.query_sql(n_free).unwrap().rows[0][0], Value::Int(1));
+    db.catalog().register_scalar(std::sync::Arc::new(AlwaysOne));
+    assert_eq!(db.query_sql(n_free).unwrap().rows[0][0], Value::Int(0));
+    let plan = db.explain_sql(n_free).unwrap();
+    assert!(!plan.contains("[kernel]"), "{plan}");
+}

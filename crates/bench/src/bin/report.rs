@@ -466,12 +466,20 @@ fn join_bench(factor: usize) -> Result<()> {
 }
 
 fn fig10(factor: usize) -> Result<()> {
-    println!("--- Figure 10: parallel merge-join plan for consensus (Query 3) ---");
+    println!("--- Figure 10: merge-join plan for consensus (Query 3) ---");
     let ds = reseq_dataset(factor.min(1))?;
     let db = reseq_database(&ds)?;
     db.set_max_dop(4);
-    let plan = db.plan_sql(&queries::merge_join_sql(NORM))?;
+    let sql = queries::merge_join_sql(NORM);
+    let plan = db.plan_sql(&sql)?;
     println!("{}", plan.explain());
+    // The same join run warm, with its actuals.
+    queries::run_merge_join(&db, NORM)?;
+    println!("actual execution plan (EXPLAIN ANALYZE):");
+    for row in db.query_sql(&format!("EXPLAIN ANALYZE {sql}"))?.rows {
+        println!("{row}");
+    }
+    println!();
     println!("sliding-window consensus plan (programmatic, section 5.3.3):");
     let plan = queries::query3_sliding_plan(&db, NORM)?;
     println!("{}", plan.explain());

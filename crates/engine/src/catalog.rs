@@ -717,7 +717,8 @@ mod tests {
             let scan = crate::exec::scan::IndexScanIter::new(
                 t,
                 t.index_named("ix_grp").unwrap(),
-                &[Value::Int(5)],
+                crate::exec::scan::KeyRange::prefix(&[Value::Int(5)]),
+                None,
                 None,
                 None,
             );

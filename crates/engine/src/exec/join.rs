@@ -4,8 +4,8 @@
 //! The paper's consensus query (§5.3.3) joins `Alignment` with `Read` via
 //! a *parallel merge join* enabled by clustered indexes — "about 1.6
 //! million alignments per second" on warm buffers. [`MergeJoinIter`] is
-//! that operator; the planner picks it whenever both sides come from
-//! index scans with compatible key prefixes.
+//! that operator, run on one thread; the planner picks it whenever both
+//! sides come from index scans with compatible key prefixes.
 //!
 //! [`HashJoinIter`] covers the unordered case, and since large genomic
 //! joins routinely outgrow a query's workspace grant it degrades the same
@@ -48,10 +48,6 @@ use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, Ticker};
 use crate::parallel::root_cause;
 use crate::udx::panic_payload;
-
-fn eval_all(exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
-    exprs.iter().map(|e| e.eval(row)).collect()
-}
 
 fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
@@ -620,13 +616,18 @@ impl RowIterator for HashJoinIter {
 
 /// Inner merge join over inputs sorted ascending on their join keys.
 /// Handles duplicate keys on both sides by buffering the right-side group.
+/// Each side's current key is evaluated into a buffer reused row after
+/// row, and right rows move into the group rather than being copied.
 pub struct MergeJoinIter {
     left: RowCursor,
     right: RowCursor,
     left_keys: Vec<Expr>,
     right_keys: Vec<Expr>,
-    left_row: Option<(Vec<Value>, Row)>,
-    right_row: Option<(Vec<Value>, Row)>,
+    /// The current row of each side (`None` at its end) and its key.
+    left_row: Option<Row>,
+    left_key: Vec<Value>,
+    right_row: Option<Row>,
+    right_key: Vec<Value>,
     /// Buffered right rows sharing the current key (for left dups).
     right_group: Vec<Row>,
     right_group_key: Vec<Value>,
@@ -648,7 +649,9 @@ impl MergeJoinIter {
             left_keys,
             right_keys,
             left_row: None,
+            left_key: Vec::new(),
             right_row: None,
+            right_key: Vec::new(),
             right_group: Vec::new(),
             right_group_key: Vec::new(),
             emit_idx: 0,
@@ -657,33 +660,31 @@ impl MergeJoinIter {
     }
 
     fn advance_left(&mut self) -> Result<()> {
-        self.left_row = match self.left.next()? {
-            Some(r) => Some((eval_all(&self.left_keys, &r)?, r)),
-            None => None,
-        };
+        self.left_row = self.left.next()?;
+        if let Some(row) = &self.left_row {
+            eval_into(&self.left_keys, row, &mut self.left_key)?;
+        }
         Ok(())
     }
 
     fn advance_right(&mut self) -> Result<()> {
-        self.right_row = match self.right.next()? {
-            Some(r) => Some((eval_all(&self.right_keys, &r)?, r)),
-            None => None,
-        };
+        self.right_row = self.right.next()?;
+        if let Some(row) = &self.right_row {
+            eval_into(&self.right_keys, row, &mut self.right_key)?;
+        }
         Ok(())
     }
 
-    /// Fill `right_group` with every right row matching `key` (the right
-    /// cursor is already positioned at the first such row).
-    fn gather_right_group(&mut self, key: &[Value]) -> Result<()> {
+    /// Move into `right_group` every right row whose key equals the
+    /// current one (the right cursor is positioned at the first such row).
+    fn gather_right_group(&mut self) -> Result<()> {
         self.right_group.clear();
-        self.right_group_key = key.to_vec();
-        while let Some((rk, row)) = &self.right_row {
-            if cmp_keys(rk, key) == Ordering::Equal {
-                self.right_group.push(row.clone());
-                self.advance_right()?;
-            } else {
-                break;
-            }
+        self.right_group_key.clone_from(&self.right_key);
+        while self.right_row.is_some()
+            && cmp_keys(&self.right_key, &self.right_group_key) == Ordering::Equal
+        {
+            self.right_group.extend(self.right_row.take());
+            self.advance_right()?;
         }
         Ok(())
     }
@@ -698,7 +699,7 @@ impl MergeJoinIter {
             // Emit pending cross-products of the current left row with
             // the buffered right group.
             if self.emit_idx < self.right_group.len() {
-                let (_, lrow) = self.left_row.as_ref().expect("left row during emit");
+                let lrow = self.left_row.as_ref().expect("left row during emit");
                 let out = lrow.concat(&self.right_group[self.emit_idx]);
                 self.emit_idx += 1;
                 return Ok(Some(out));
@@ -707,37 +708,32 @@ impl MergeJoinIter {
             // if it matches the same buffered group.
             if !self.right_group.is_empty() {
                 self.advance_left()?;
-                match &self.left_row {
-                    Some((lk, _))
-                        if key_joinable(lk)
-                            && cmp_keys(lk, &self.right_group_key) == Ordering::Equal =>
-                    {
-                        self.emit_idx = 0;
-                        continue;
-                    }
-                    _ => {
-                        self.right_group.clear();
-                        self.emit_idx = 0;
-                    }
+                if self.left_row.is_some()
+                    && key_joinable(&self.left_key)
+                    && cmp_keys(&self.left_key, &self.right_group_key) == Ordering::Equal
+                {
+                    self.emit_idx = 0;
+                    continue;
                 }
+                self.right_group.clear();
+                self.emit_idx = 0;
             }
-            let (Some((lk, _)), Some((rk, _))) = (&self.left_row, &self.right_row) else {
+            if self.left_row.is_none() || self.right_row.is_none() {
                 return Ok(None);
-            };
-            if !key_joinable(lk) {
+            }
+            if !key_joinable(&self.left_key) {
                 self.advance_left()?;
                 continue;
             }
-            if !key_joinable(rk) {
+            if !key_joinable(&self.right_key) {
                 self.advance_right()?;
                 continue;
             }
-            match cmp_keys(lk, rk) {
+            match cmp_keys(&self.left_key, &self.right_key) {
                 Ordering::Less => self.advance_left()?,
                 Ordering::Greater => self.advance_right()?,
                 Ordering::Equal => {
-                    let key = lk.clone();
-                    self.gather_right_group(&key)?;
+                    self.gather_right_group()?;
                     self.emit_idx = 0;
                 }
             }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use seqdb_storage::page::PageId;
 use seqdb_storage::rowfmt::{self, Compression};
-use seqdb_types::{Result, Value};
+use seqdb_types::{Result, Row, Value};
 
 use crate::catalog::{Table, TableIndex};
 use crate::exec::{RowBatch, RowIterator};
@@ -106,133 +106,140 @@ impl RowIterator for HeapScanIter {
     }
 }
 
-/// Ordered scan of a B+-tree index, decoding full rows. Supports an
-/// equality prefix (`key_prefix`) that narrows the scan to one key range.
+/// A range of encoded index keys: `lower` and `upper` bound the keys
+/// themselves, as [`seqdb_storage::BTree::range`] takes them.
+#[derive(Debug, Clone)]
+pub struct KeyRange {
+    pub lower: Bound<Vec<u8>>,
+    pub upper: Bound<Vec<u8>>,
+}
+
+impl KeyRange {
+    /// Every key.
+    pub fn all() -> KeyRange {
+        KeyRange {
+            lower: Bound::Unbounded,
+            upper: Bound::Unbounded,
+        }
+    }
+
+    /// Every composite key whose leading values equal `prefix` (all keys
+    /// for an empty prefix): an equality seek.
+    pub fn prefix(prefix: &[Value]) -> KeyRange {
+        if prefix.is_empty() {
+            return KeyRange::all();
+        }
+        let lo = seqdb_storage::keycode::encode_key(prefix);
+        // The upper bound is the prefix with a 0xFF sentinel appended:
+        // every continuation of the prefix encoding sorts below it because
+        // keycode type tags are all < 0xFF.
+        let mut hi = lo.clone();
+        hi.push(0xff);
+        KeyRange {
+            lower: Bound::Included(lo),
+            upper: Bound::Excluded(hi),
+        }
+    }
+}
+
+/// Ordered scan of a B+-tree index over one [`KeyRange`], decoding the
+/// rows stored in its leaves — only the columns of `decode_mask`, like
+/// [`HeapScanIter`].
 pub struct IndexScanIter {
-    iter: OwnedRange,
+    index: Arc<TableIndex>,
     schema: Arc<seqdb_types::Schema>,
     filter: Option<Expr>,
     /// Compiled form of `filter`, when it has one.
     kernel: Option<Kernel>,
     projection: Option<Vec<usize>>,
-}
-
-/// The B+-tree range iterator materialized leaf-by-leaf; holding the
-/// index `Arc` keeps the tree alive for the scan's lifetime.
-struct OwnedRange {
-    index: Arc<TableIndex>,
-    buffer: std::vec::IntoIter<Vec<u8>>,
+    decode_mask: Option<Vec<bool>>,
+    /// Rows decoded by the last refill, filtered and projected.
+    buffer: std::vec::IntoIter<Row>,
     /// Where the next refill starts; `None` once the range is exhausted.
     resume: Option<Bound<Vec<u8>>>,
     upper: Bound<Vec<u8>>,
 }
 
-impl OwnedRange {
+impl IndexScanIter {
+    /// Scan the rows whose index key lies in `range`, in key order.
+    pub fn new(
+        table: &Arc<Table>,
+        index: Arc<TableIndex>,
+        range: KeyRange,
+        filter: Option<Expr>,
+        projection: Option<Vec<usize>>,
+        decode_mask: Option<Vec<bool>>,
+    ) -> Self {
+        IndexScanIter {
+            index,
+            schema: table.schema.clone(),
+            kernel: filter.as_ref().and_then(Kernel::compile),
+            filter,
+            projection,
+            decode_mask,
+            buffer: Vec::new().into_iter(),
+            resume: Some(range.lower),
+            upper: range.upper,
+        }
+    }
+
+    /// Decode the next run of up to 1024 entries straight from the tree's
+    /// leaf into `buffer`. The range is re-opened from just after the last
+    /// key seen, which keeps the borrow on the tree short-lived and the
+    /// iterator `Send`.
     fn refill(&mut self) -> Result<()> {
-        // Pull the next batch of entries from the tree. We re-open the
-        // range from just after the last seen key; this keeps the borrow
-        // on the tree short-lived and the iterator `Send`.
         const BATCH: usize = 1024;
         let Some(start) = self.resume.take() else {
             return Ok(());
         };
         let start = start.as_ref().map(Vec::as_slice);
         let end = self.upper.as_ref().map(Vec::as_slice);
-        let mut vals = Vec::with_capacity(BATCH);
+        let mask = self.decode_mask.as_deref().unwrap_or(&[]);
+        let mut rows = Vec::with_capacity(BATCH);
         let mut entries = self.index.btree.range(start, end)?;
+        let mut seen = 0;
         while let Some(entry) = entries.next_entry() {
             let (k, v) = entry?;
-            vals.push(v.to_vec());
-            if vals.len() == BATCH {
-                // Only a full batch is followed by another refill, and
-                // only then is the key it ended on needed.
-                self.resume = Some(Bound::Excluded(k.to_vec()));
-                break;
-            }
-        }
-        self.buffer = vals.into_iter();
-        Ok(())
-    }
-}
-
-impl IndexScanIter {
-    /// Scan rows whose index key starts with `prefix` (empty = full scan),
-    /// in key order.
-    pub fn new(
-        table: &Arc<Table>,
-        index: Arc<TableIndex>,
-        prefix: &[Value],
-        filter: Option<Expr>,
-        projection: Option<Vec<usize>>,
-    ) -> Self {
-        let (lower, upper) = prefix_bounds(prefix);
-        IndexScanIter {
-            iter: OwnedRange {
-                index,
-                buffer: Vec::new().into_iter(),
-                resume: Some(lower),
-                upper,
-            },
-            schema: table.schema.clone(),
-            kernel: filter.as_ref().and_then(Kernel::compile),
-            filter,
-            projection,
-        }
-    }
-}
-
-/// Key-range bounds covering every composite key beginning with `prefix`.
-fn prefix_bounds(prefix: &[Value]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
-    if prefix.is_empty() {
-        return (Bound::Unbounded, Bound::Unbounded);
-    }
-    let lo = seqdb_storage::keycode::encode_key(prefix);
-    // The upper bound is the prefix with a 0xFF sentinel appended: every
-    // continuation of the prefix encoding sorts below it because keycode
-    // type tags are all < 0xFF.
-    let mut hi = lo.clone();
-    hi.push(0xff);
-    (Bound::Included(lo), Bound::Excluded(hi))
-}
-
-impl RowIterator for IndexScanIter {
-    /// Decode a run of up to `max_rows` leaf entries per
-    /// [`rowfmt::decode_rows_into`] call (`OwnedRange` pulls 1024 entries
-    /// per tree visit).
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
-        let mut decoded = Vec::new();
-        loop {
-            let want = max - rows.len();
-            decoded.clear();
-            rowfmt::decode_rows_into(
-                &self.schema,
-                (&mut self.iter.buffer).take(want),
-                Compression::Row,
-                None,
-                &mut decoded,
-            )?;
-            for row in decoded.drain(..) {
-                if let Some(f) = &self.filter {
-                    if !passes(f, self.kernel.as_ref(), &row)? {
-                        continue;
-                    }
-                }
+            let row = rowfmt::decode_row_masked(&self.schema, v, Compression::Row, None, mask)?;
+            let kernel = self.kernel.as_ref();
+            if self
+                .filter
+                .as_ref()
+                .map_or(Ok(true), |f| passes(f, kernel, &row))?
+            {
                 rows.push(match &self.projection {
                     Some(p) => row.project(p),
                     None => row,
                 });
             }
-            if rows.len() >= max {
+            seen += 1;
+            if seen == BATCH {
+                // Only a full run is followed by another refill, and only
+                // then is the key it ended on needed.
+                self.resume = Some(Bound::Excluded(k.to_vec()));
                 break;
             }
-            if self.iter.buffer.len() == 0 {
-                self.iter.refill()?;
-                if self.iter.buffer.len() == 0 {
+        }
+        self.buffer = rows.into_iter();
+        Ok(())
+    }
+}
+
+impl RowIterator for IndexScanIter {
+    /// Up to `max_rows` rows of the buffered run, refilling it (one tree
+    /// visit per 1024 entries) as it empties.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        let max = max_rows.max(1);
+        let mut rows = Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
+        while rows.len() < max {
+            if self.buffer.len() == 0 {
+                if self.resume.is_none() {
                     break;
                 }
+                self.refill()?;
+                continue;
             }
+            rows.extend((&mut self.buffer).take(max - rows.len()));
         }
         if rows.is_empty() {
             Ok(None)
@@ -304,11 +311,41 @@ mod tests {
     fn index_scan_is_ordered() {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let it = IndexScanIter::new(&t, idx, &[], None, None);
+        let it = IndexScanIter::new(&t, idx, KeyRange::all(), None, None, None);
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 500);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
+        }
+    }
+
+    #[test]
+    fn index_scan_over_a_key_range_decodes_only_the_mask() {
+        let (_ctx, t) = setup();
+        let idx = t.index_with_prefix(&[0]).unwrap();
+        let key = |i: i64| seqdb_storage::keycode::encode_key(&[Value::Int(i)]);
+        let range = KeyRange {
+            lower: Bound::Included(key(100)),
+            upper: Bound::Excluded(key(350)),
+        };
+        let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(0));
+        let mask = Some(vec![true, true, false]);
+        // One row per pull crosses the 1024-entry refills of a wider range
+        // the same way: a batch size of 1 is the row-mode oracle.
+        for batch in [1, 7, 1024] {
+            let it = IndexScanIter::new(
+                &t,
+                idx.clone(),
+                range.clone(),
+                Some(filter.clone()),
+                None,
+                mask.clone(),
+            );
+            let rows = collect(Box::new(it), batch).unwrap();
+            let ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+            let expect: Vec<i64> = (100..350).filter(|i| i % 3 == 0).collect();
+            assert_eq!(ids, expect, "batch {batch}");
+            assert!(rows.iter().all(|r| r[2] == Value::Null), "seq was decoded");
         }
     }
 
@@ -331,7 +368,14 @@ mod tests {
             }
         }
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let it = IndexScanIter::new(&t, idx, &[Value::Int(3)], None, None);
+        let it = IndexScanIter::new(
+            &t,
+            idx,
+            KeyRange::prefix(&[Value::Int(3)]),
+            None,
+            None,
+            None,
+        );
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(rows.iter().all(|r| r[0] == Value::Int(3)));
@@ -344,7 +388,14 @@ mod tests {
     fn empty_prefix_range_is_empty() {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let mut it = IndexScanIter::new(&t, idx, &[Value::Int(10_000)], None, None);
+        let mut it = IndexScanIter::new(
+            &t,
+            idx,
+            KeyRange::prefix(&[Value::Int(10_000)]),
+            None,
+            None,
+            None,
+        );
         assert!(it.next_batch(1).unwrap().is_none());
     }
 }

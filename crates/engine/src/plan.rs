@@ -11,7 +11,7 @@ use crate::exec::agg::{AggSpec, HashAggIter, StreamAggIter};
 use crate::exec::apply::{CrossApplyIter, TvfScanIter};
 use crate::exec::filter::{FilterIter, LimitIter, ProjectIter};
 use crate::exec::join::{HashJoinIter, MergeJoinIter};
-use crate::exec::scan::{HeapScanIter, IndexScanIter};
+use crate::exec::scan::{HeapScanIter, IndexScanIter, KeyRange};
 use crate::exec::sort::{SortIter, SortKey, TopNIter};
 use crate::exec::window::RowNumberIter;
 use crate::exec::{BoxedIter, ExecContext, ValuesIter};
@@ -115,9 +115,6 @@ pub enum Plan {
         left_keys: Vec<Expr>,
         right_keys: Vec<Expr>,
         schema: Arc<Schema>,
-        /// Degree of parallelism this join *would* run at on a machine
-        /// with that many schedulers; annotated in EXPLAIN (Figure 10).
-        dop_hint: usize,
     },
     CrossApply {
         input: Box<Plan>,
@@ -180,8 +177,8 @@ impl Plan {
     /// [`Plan::open`] with a column-demand pass: `demand` marks which of
     /// this node's *output* columns its consumer will read (`None` = all
     /// of them). Demand is narrowed top-down through filters, projections,
-    /// aggregates, sorts and joins, and lands on heap scans as a decode
-    /// mask — columns nothing reads are skipped in the byte stream
+    /// aggregates, sorts and joins, and lands on heap and index scans as a
+    /// decode mask — columns nothing reads are skipped in the byte stream
     /// instead of being materialized.
     fn open_demanded(&self, ctx: &ExecContext, demand: Option<&[bool]>) -> Result<BoxedIter> {
         let mut local = ctx.clone();
@@ -215,13 +212,22 @@ impl Plan {
                 filter,
                 projection,
                 ..
-            } => Box::new(IndexScanIter::new(
-                table,
-                index.clone(),
-                prefix,
-                filter.clone(),
-                projection.clone(),
-            )),
+            } => {
+                let decode_mask = scan_decode_mask(
+                    &table.schema,
+                    filter.as_ref(),
+                    projection.as_deref(),
+                    demand,
+                );
+                Box::new(IndexScanIter::new(
+                    table,
+                    index.clone(),
+                    KeyRange::prefix(prefix),
+                    filter.clone(),
+                    projection.clone(),
+                    decode_mask,
+                ))
+            }
             Plan::TvfScan { tvf, args } => Box::new(TvfScanIter::open(tvf, args, ctx)?),
             Plan::Values { rows, .. } => Box::new(ValuesIter::new(rows.clone())),
             Plan::Filter { input, predicate } => {
@@ -696,32 +702,16 @@ impl Plan {
                 right,
                 left_keys,
                 right_keys,
-                dop_hint,
                 ..
             } => {
-                if *dop_hint > 1 {
-                    out.push_str(&format!(
-                        "{pad}Parallelism (Gather Streams) [DOP={dop_hint}]"
-                    ));
-                    self.end_header(out, ann);
-                    let pad1 = "  ".repeat(depth + 1);
-                    out.push_str(&format!(
-                        "{pad1}Merge Join (Inner Join) [{} = {}] (parallel, key-range partitioned)\n",
-                        fmt_exprs(left_keys),
-                        fmt_exprs(right_keys)
-                    ));
-                    left.explain_into(out, depth + 2, ann);
-                    right.explain_into(out, depth + 2, ann);
-                } else {
-                    out.push_str(&format!(
-                        "{pad}Merge Join (Inner Join) [{} = {}]",
-                        fmt_exprs(left_keys),
-                        fmt_exprs(right_keys)
-                    ));
-                    self.end_header(out, ann);
-                    left.explain_into(out, depth + 1, ann);
-                    right.explain_into(out, depth + 1, ann);
-                }
+                out.push_str(&format!(
+                    "{pad}Merge Join (Inner Join) [{} = {}]",
+                    fmt_exprs(left_keys),
+                    fmt_exprs(right_keys)
+                ));
+                self.end_header(out, ann);
+                left.explain_into(out, depth + 1, ann);
+                right.explain_into(out, depth + 1, ann);
             }
             Plan::CrossApply {
                 input, tvf, args, ..

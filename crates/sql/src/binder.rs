@@ -1354,7 +1354,6 @@ impl Binder<'_> {
                                 left_keys,
                                 right_keys,
                                 schema,
-                                dop_hint: self.cfg.max_dop,
                             }
                         }
                         _ => {
@@ -1376,7 +1375,6 @@ impl Binder<'_> {
                                     left_keys,
                                     right_keys,
                                     schema,
-                                    dop_hint: self.cfg.max_dop,
                                 }
                             } else {
                                 // Hash join, building on the estimated-

@@ -100,50 +100,43 @@ pub(crate) fn encode_value_row(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Decode one fixed-format value, borrowing its bytes from `buf`: a
+/// number is read in place and a string copied once, into its `Arc`.
 fn decode_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Value> {
-    let trunc = || DbError::Storage("truncated record".into());
-    let take = |buf: &[u8], pos: &mut usize, n: usize| -> Result<Vec<u8>> {
+    fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+        let trunc = || DbError::Storage("truncated record".into());
         let end = pos.checked_add(n).ok_or_else(trunc)?;
-        let s = buf.get(*pos..end).ok_or_else(trunc)?.to_vec();
+        let s = buf.get(*pos..end).ok_or_else(trunc)?;
         *pos = end;
         Ok(s)
+    }
+    fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+        Ok(take(buf, pos, N)?.try_into().expect("take returns N bytes"))
+    }
+    let len = |buf: &[u8], pos: &mut usize| -> Result<usize> {
+        Ok(u32::from_le_bytes(take_array(buf, pos)?) as usize)
     };
     Ok(match dtype {
-        DataType::Bool => {
-            let b = take(buf, pos, 1)?;
-            Value::Bool(b[0] != 0)
-        }
+        DataType::Bool => Value::Bool(take(buf, pos, 1)?[0] != 0),
         DataType::Int => {
-            let w = take(buf, pos, 1)?;
-            if w[0] == 0 {
-                let b = take(buf, pos, 4)?;
-                Value::Int(i32::from_le_bytes(b.try_into().unwrap()) as i64)
+            if take(buf, pos, 1)?[0] == 0 {
+                Value::Int(i32::from_le_bytes(take_array(buf, pos)?) as i64)
             } else {
-                let b = take(buf, pos, 8)?;
-                Value::Int(i64::from_le_bytes(b.try_into().unwrap()))
+                Value::Int(i64::from_le_bytes(take_array(buf, pos)?))
             }
         }
-        DataType::Float => {
-            let b = take(buf, pos, 8)?;
-            Value::Float(f64::from_le_bytes(b.try_into().unwrap()))
-        }
+        DataType::Float => Value::Float(f64::from_le_bytes(take_array(buf, pos)?)),
         DataType::Text => {
-            let l = take(buf, pos, 4)?;
-            let n = u32::from_le_bytes(l.try_into().unwrap()) as usize;
-            let b = take(buf, pos, n)?;
-            let s = String::from_utf8(b)
+            let n = len(buf, pos)?;
+            let s = std::str::from_utf8(take(buf, pos, n)?)
                 .map_err(|_| DbError::Storage("non-utf8 text in record".into()))?;
-            Value::Text(Arc::from(s.as_str()))
+            Value::Text(Arc::from(s))
         }
         DataType::Bytes => {
-            let l = take(buf, pos, 4)?;
-            let n = u32::from_le_bytes(l.try_into().unwrap()) as usize;
-            Value::Bytes(Arc::from(take(buf, pos, n)?.as_slice()))
+            let n = len(buf, pos)?;
+            Value::Bytes(Arc::from(take(buf, pos, n)?))
         }
-        DataType::Guid => {
-            let b = take(buf, pos, 16)?;
-            Value::Guid(u128::from_be_bytes(b.try_into().unwrap()))
-        }
+        DataType::Guid => Value::Guid(u128::from_be_bytes(take_array(buf, pos)?)),
     })
 }
 
@@ -526,22 +519,6 @@ pub fn decode_row_masked(
     Ok(Row::new(vals))
 }
 
-/// Decode a run of records into `out` in one call — the batch-scan entry
-/// point, so vectorized readers pay the schema walk set-up and virtual
-/// dispatch once per run instead of once per row.
-pub fn decode_rows_into<B: AsRef<[u8]>>(
-    schema: &Schema,
-    records: impl IntoIterator<Item = B>,
-    comp: Compression,
-    ctx: Option<&PageContext>,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    for buf in records {
-        out.push(decode_row(schema, buf.as_ref(), comp, ctx)?);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,16 +598,69 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_matches_row_by_row() {
+    fn none_and_row_decode_the_same_rows_and_fail_the_same_way() {
         let s = schema();
-        let rows: Vec<Row> = (0..7).map(|_| sample_row()).collect();
-        let encoded: Vec<Vec<u8>> = rows
-            .iter()
-            .map(|r| encode_row(&s, r, Compression::Row, None))
+        let rows = [
+            sample_row(),
+            Row::new(vec![
+                Value::Int(i64::MIN),
+                Value::text(""),
+                Value::Null,
+                Value::Bool(false),
+                Value::bytes(b""),
+                Value::Null,
+            ]),
+            Row::new(vec![
+                Value::Int(i32::MAX as i64 + 1),
+                Value::text("ACGTNACGT\u{e9}"),
+                Value::Float(-0.0),
+                Value::Null,
+                Value::Null,
+                Value::Guid(u128::MAX),
+            ]),
+        ];
+        let masks: [&[bool]; 3] = [
+            &[],
+            &[true, false, true, false, true, false],
+            &[false, true, false, true, false, true],
+        ];
+        let decode = |comp, buf: &[u8], mask| decode_row_masked(&s, buf, comp, None, mask);
+        for r in &rows {
+            let none = encode_row(&s, r, Compression::None, None);
+            let row = encode_row(&s, r, Compression::Row, None);
+            for mask in masks {
+                assert_eq!(
+                    decode(Compression::None, &none, mask).unwrap(),
+                    decode(Compression::Row, &row, mask).unwrap(),
+                    "{r} mask {mask:?}"
+                );
+            }
+            // Every cut short of the whole record is a storage error in
+            // either format, whatever the mask skips.
+            for (comp, enc) in [(Compression::None, &none), (Compression::Row, &row)] {
+                for cut in 0..enc.len() {
+                    for mask in masks {
+                        let err = decode(comp, &enc[..cut], mask).unwrap_err();
+                        assert!(matches!(err, DbError::Storage(_)), "{comp:?} {cut}: {err}");
+                    }
+                }
+            }
+        }
+        // Bytes that are not UTF-8, read back as a TEXT column.
+        let bytes = Schema::new(vec![Column::new("s", DataType::Bytes)]);
+        let text = Schema::new(vec![Column::new("s", DataType::Text)]);
+        let bad = Row::new(vec![Value::bytes(b"AC\xffGT")]);
+        let errors: Vec<String> = [Compression::None, Compression::Row]
+            .into_iter()
+            .map(|comp| {
+                let enc = encode_row(&bytes, &bad, comp, None);
+                match decode_row(&text, &enc, comp, None).unwrap_err() {
+                    DbError::Storage(msg) => msg,
+                    other => panic!("{comp:?}: expected a storage error, got {other}"),
+                }
+            })
             .collect();
-        let mut out = Vec::new();
-        decode_rows_into(&s, &encoded, Compression::Row, None, &mut out).unwrap();
-        assert_eq!(out, rows);
+        assert_eq!(errors[0], errors[1]);
     }
 
     #[test]

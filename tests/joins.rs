@@ -2,8 +2,9 @@
 //! selection and `SET JOIN_STRATEGY` forcing, exact results under
 //! budgets that force multi-level partition recursion, `EXPLAIN
 //! ANALYZE` spill attribution on the join node, parallel partition
-//! joins, mid-flight `KILL` cleanliness, and seeded spill-write faults
-//! that must fail typed without ever corrupting results.
+//! joins, mid-flight `KILL` cleanliness, seeded spill-write faults
+//! that must fail typed without ever corrupting results, and merge joins
+//! of two index scans that must give the hash join's answers.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -397,5 +398,169 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error {:?}", other),
         }
         prop_assert_eq!(db.temp().live_files().unwrap(), 0, "leaked partition files");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Merge join of two index scans (masked decode) ≡ hash join
+// ----------------------------------------------------------------------
+
+/// Wide enough that a few hundred rows span several index leaves; no
+/// query reads it, so the masked index scans skip it.
+const PAD: usize = 200;
+
+const MQ: &str = "SELECT l.k, l.pay, r.pay FROM l JOIN r ON (l.k = r.k)";
+const MQ_COUNT: &str = "SELECT COUNT(*) FROM l JOIN r ON (l.k = r.k)";
+const MQ_GROUPED: &str =
+    "SELECT l.k, COUNT(*), SUM(r.pay) FROM l JOIN r ON (l.k = r.k) GROUP BY l.k";
+
+/// Tables `l` and `r`, each `(k INT, pay INT, pad VARCHAR(256))` under
+/// a non-unique index on `k`, holding `(k, pay)` pairs; key 0 is NULL.
+fn merge_db(left: &[(i64, i64)], right: &[(i64, i64)]) -> Arc<Database> {
+    let db = Database::in_memory();
+    for t in ["l", "r"] {
+        db.execute_sql(&format!(
+            "CREATE TABLE {t} (k INT, pay INT, pad VARCHAR(256))"
+        ))
+        .unwrap();
+        db.execute_sql(&format!("CREATE INDEX ix_{t} ON {t} (k)"))
+            .unwrap();
+    }
+    insert_pairs(&db, "l", left);
+    insert_pairs(&db, "r", right);
+    db
+}
+
+fn insert_pairs(db: &Arc<Database>, table: &str, pairs: &[(i64, i64)]) {
+    let rows: Vec<Row> = pairs
+        .iter()
+        .map(|&(k, pay)| {
+            let key = if k == 0 { Value::Null } else { Value::Int(k) };
+            Row::new(vec![key, Value::Int(pay), Value::text("x".repeat(PAD))])
+        })
+        .collect();
+    db.insert_rows(table, &rows).unwrap();
+}
+
+/// Join `strategy` under `budget_kb`, with every parallel plan allowed.
+fn set_join(db: &Arc<Database>, strategy: seqdb::engine::JoinStrategy, budget_kb: Option<u64>) {
+    let mut cfg = db.config();
+    cfg.join_strategy = strategy;
+    cfg.max_dop = 4;
+    cfg.parallel_threshold = 0;
+    cfg.query_mem_limit_kb = budget_kb;
+    db.set_config(cfg);
+}
+
+/// The three queries' answers by hash join: the reference.
+fn hash_answers(db: &Arc<Database>) -> [Vec<Vec<Option<i64>>>; 3] {
+    set_join(db, seqdb::engine::JoinStrategy::Hash, None);
+    [MQ, MQ_COUNT, MQ_GROUPED].map(|q| key_rows(&db.query_sql(q).unwrap()))
+}
+
+/// Run the three queries as merge joins of the two index scans under
+/// `budget_kb` and hold them to the hash join's answers and to left-key
+/// order.
+fn check_merge_against(
+    db: &Arc<Database>,
+    expect: &[Vec<Vec<Option<i64>>>; 3],
+    budget_kb: Option<u64>,
+) -> std::result::Result<(), String> {
+    set_join(db, seqdb::engine::JoinStrategy::Auto, budget_kb);
+    let plan = db.explain_sql(MQ_GROUPED).unwrap();
+    let planned = plan.contains("Merge Join (Inner Join) [l.k = r.k]")
+        && plan.contains("Index Scan [l.ix_l]")
+        && plan.contains("Index Scan [r.ix_r]")
+        && plan.contains("Stream Aggregate")
+        && !plan.contains("Gather Streams");
+    if !planned {
+        return Err(format!("planned:\n{plan}"));
+    }
+    let rows = db.query_sql(MQ).map_err(|e| e.to_string())?;
+    let keys: Vec<i64> = rows.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+    if keys.windows(2).any(|w| w[0] > w[1]) {
+        return Err("output out of left-key order".into());
+    }
+    for (q, want) in [MQ, MQ_COUNT, MQ_GROUPED].iter().zip(expect) {
+        let got = key_rows(&db.query_sql(q).map_err(|e| e.to_string())?);
+        if got != *want {
+            return Err(format!(
+                "budget {budget_kb:?}: {q} differs from the hash join"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One actual of the `EXPLAIN ANALYZE` line containing `node`.
+fn actual(plan: &str, node: &str, name: &str) -> u64 {
+    let line = plan
+        .lines()
+        .find(|l| l.contains(node))
+        .unwrap_or_else(|| panic!("no {node} in:\n{plan}"));
+    line.split(&format!("{name}="))
+        .nth(1)
+        .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} on {line}"))
+}
+
+#[test]
+fn merge_join_moves_a_run_of_equal_keys_across_leaves_whole() {
+    // Eight rows per key on the left; on the right, 300 rows of key 20 —
+    // a run across several leaves of the non-unique index — among single
+    // rows of every other key, a NULL key and keys the left lacks.
+    let left: Vec<(i64, i64)> = (0..320).map(|i| (1 + i / 8, i)).collect();
+    let mut right: Vec<(i64, i64)> = (0..300).map(|i| (20, 1000 + i)).collect();
+    right.extend((1..=45).filter(|&k| k != 20).map(|k| (k, k)));
+    right.push((0, -1));
+    let db = merge_db(&left, &right);
+
+    let expect = hash_answers(&db);
+    assert_eq!(expect[1], vec![vec![Some(8 * 300 + 8 * 39)]]);
+    for budget in [None, Some(4), Some(8)] {
+        check_merge_against(&db, &expect, budget).unwrap();
+    }
+    set_join(&db, seqdb::engine::JoinStrategy::Auto, None);
+    let p = plan_text(
+        &db.query_sql(&format!("EXPLAIN ANALYZE {MQ_COUNT}"))
+            .unwrap(),
+    );
+    assert_eq!(actual(&p, "[l.ix_l]", "actual_rows"), 320, "{p}");
+    assert_eq!(
+        actual(&p, "[r.ix_r]", "actual_rows"),
+        right.len() as u64,
+        "{p}"
+    );
+}
+
+#[test]
+fn merge_join_with_an_empty_side_or_no_common_key_is_empty() {
+    let some: Vec<(i64, i64)> = (0..300).map(|i| (i % 50, i)).collect();
+    let disjoint: Vec<(i64, i64)> = (0..300).map(|i| (100 + i % 50, i)).collect();
+    for (left, right) in [(&some, &vec![]), (&vec![], &some), (&some, &disjoint)] {
+        let db = merge_db(left, right);
+        let expect = hash_answers(&db);
+        assert_eq!(expect[1], vec![vec![Some(0)]]);
+        for budget in [None, Some(4)] {
+            check_merge_against(&db, &expect, budget).unwrap();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
+    fn merge_join_of_index_scans_agrees_with_hash(
+        left in proptest::collection::vec((0i64..24, -1000i64..1000), 0..300),
+        right in proptest::collection::vec((0i64..24, -1000i64..1000), 0..300),
+        budget_kb in 4u64..9,
+    ) {
+        let db = merge_db(&left, &right);
+        let expect = hash_answers(&db);
+        for budget in [None, Some(budget_kb)] {
+            let checked = check_merge_against(&db, &expect, budget);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
     }
 }

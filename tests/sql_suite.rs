@@ -384,6 +384,33 @@ fn explain_of_serial_and_parallel_aggregate() {
 }
 
 #[test]
+fn explain_of_a_merge_join_shows_no_exchange_it_does_not_run() {
+    let db = db();
+    db.execute_sql_script(
+        "CREATE TABLE l (k INT PRIMARY KEY, v INT);
+         CREATE TABLE r (k INT PRIMARY KEY, w INT);
+         INSERT INTO l VALUES (1, 10), (2, 20);
+         INSERT INTO r VALUES (1, 5);",
+    )
+    .unwrap();
+    // Past the parallel threshold at DOP 4 the merge join still runs on
+    // one thread, and EXPLAIN says so: no Gather above it.
+    let mut cfg = db.config();
+    cfg.parallel_threshold = 1;
+    cfg.max_dop = 4;
+    db.set_config(cfg);
+    const Q: &str = "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k";
+    let plan = db.explain_sql(Q).unwrap();
+    assert!(
+        plan.contains("Merge Join (Inner Join) [l.k = r.k]\n"),
+        "{plan}"
+    );
+    assert!(!plan.contains("Gather Streams"), "{plan}");
+    assert!(!plan.contains("parallel"), "{plan}");
+    assert_eq!(db.query_sql(Q).unwrap().rows[0][0], Value::Int(1));
+}
+
+#[test]
 fn explain_marks_a_where_that_compiled() {
     let db = db();
     seqdb::core::create_normalized_schema(&db, "", seqdb::storage::rowfmt::Compression::None)

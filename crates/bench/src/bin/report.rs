@@ -409,7 +409,7 @@ fn fig9(factor: usize) -> Result<()> {
 }
 
 /// Hybrid Grace hash join vs forced Sort+MergeJoin on unsorted heaps,
-/// at three scales and four execution shapes. Every variant computes
+/// at three scales and three execution shapes. Every variant computes
 /// the same COUNT.
 fn join_bench(factor: usize) -> Result<()> {
     println!("--- Join strategies: hybrid Grace hash vs Sort+MergeJoin ---");
@@ -434,19 +434,17 @@ fn join_bench(factor: usize) -> Result<()> {
         db.insert_rows("small", &rows)?;
         let expect = Value::Int(n / 2);
 
-        // (strategy, budget_kb, dop) per variant.
-        let variants: [(&str, JoinStrategy, Option<u64>, usize); 4] = [
-            ("merge-forced", JoinStrategy::Merge, None, 4),
-            ("hash-resident", JoinStrategy::Auto, None, 4),
-            ("hash-spilled", JoinStrategy::Hash, Some(BUDGET_KB), 1),
-            ("hash-parallel", JoinStrategy::Hash, Some(BUDGET_KB), 4),
+        // (strategy, budget_kb) per variant.
+        let variants: [(&str, JoinStrategy, Option<u64>); 3] = [
+            ("merge-forced", JoinStrategy::Merge, None),
+            ("hash-resident", JoinStrategy::Auto, None),
+            ("hash-spilled", JoinStrategy::Hash, Some(BUDGET_KB)),
         ];
         println!("  n={n} (distinct keys, {} output rows):", n / 2);
         let mut walls = std::collections::HashMap::new();
-        for (name, strategy, budget, dop) in variants {
+        for (name, strategy, budget) in variants {
             db.set_join_strategy(strategy);
             db.set_query_memory_limit_kb(budget);
-            db.set_max_dop(dop);
             let before = IoSnapshot::now(&db);
             let (r, wall) = time(|| db.query_sql(Q));
             let io = IoSnapshot::now(&db).delta_since(&before);
@@ -457,7 +455,7 @@ fn join_bench(factor: usize) -> Result<()> {
         let merge = walls["merge-forced"].as_secs_f64();
         let hash = walls["hash-resident"].as_secs_f64().max(1e-9);
         println!(
-            "    cost-based hash vs forced sort+merge: {:.2}x (unsorted input, DOP 4)",
+            "    cost-based hash vs forced sort+merge: {:.2}x (unsorted input)",
             merge / hash
         );
     }
@@ -480,9 +478,8 @@ fn fig10(factor: usize) -> Result<()> {
         println!("{row}");
     }
     println!();
-    println!("sliding-window consensus plan (programmatic, section 5.3.3):");
-    let plan = queries::query3_sliding_plan(&db, NORM)?;
-    println!("{}", plan.explain());
+    println!("sliding-window consensus plan (planned from SQL, section 5.3.3):");
+    println!("{}", queries::query3_sliding_plan(&db, NORM)?.explain());
     Ok(())
 }
 

@@ -6,7 +6,7 @@ use seqdb_engine::exec::agg::AggSpec;
 use seqdb_engine::plan::aggregate_schema;
 use seqdb_engine::{Database, Expr, Plan, QueryResult, Session};
 use seqdb_sql::{DatabaseSqlExt, SessionSqlExt};
-use seqdb_types::{Result, Value};
+use seqdb_types::{Result, Row, Value};
 
 use crate::import::{E_ID, SG_ID, S_ID};
 
@@ -62,90 +62,25 @@ pub fn merge_join_sql(suffix: &str) -> String {
     )
 }
 
-/// Query 3 (sliding-window variant): the optimized plan the paper
-/// proposes — scan alignments in `(chromosome, position)` order through
-/// the clustered index, join reads, and fold the ordered stream through
-/// the non-mergeable `AssembleConsensus` UDA with a stream aggregate.
-/// No pivoted intermediate, no blocking sort.
-///
-/// Built programmatically: the plan shape (ordered index scan feeding a
-/// streaming aggregate) is exactly what §5.3.3 says the optimizer must
-/// be coaxed into producing.
+/// Query 3 (sliding-window variant, §4.2.3/§5.3.3): the order-dependent
+/// `AssembleConsensus` UDA over every alignment joined with its read.
+/// The aggregate declares that it needs `a_pos` ascending within each
+/// chromosome, so the binder plans the paper's optimized shape: a
+/// resident hash join that builds on `Read` and probes with alignments
+/// in `(chromosome, position)` order through the clustered index,
+/// feeding a stream aggregate. No pivoted intermediate, no blocking sort.
+pub fn query3_sliding_sql(suffix: &str) -> String {
+    format!(
+        "SELECT a_chr_id, AssembleConsensus(a_pos, short_read_seq, quals, a_strand)
+         FROM Read{suffix} JOIN Alignment{suffix} ON (a_t_id = r_id)
+         GROUP BY a_chr_id"
+    )
+}
+
+/// The plan the binder picks for [`query3_sliding_sql`] under the server
+/// defaults.
 pub fn query3_sliding_plan(db: &Arc<Database>, suffix: &str) -> Result<Plan> {
-    let read = db.catalog().table(&format!("Read{suffix}"))?;
-    let alignment = db.catalog().table(&format!("Alignment{suffix}"))?;
-    let ix = alignment
-        .index_named(&format!("ix_Alignment{suffix}_pos"))
-        .ok_or_else(|| {
-            seqdb_types::DbError::Plan(format!("missing clustered index ix_Alignment{suffix}_pos"))
-        })?;
-
-    let rs = &read.schema;
-    let r_id = rs.resolve("r_id")?;
-    let r_seq = rs.resolve("short_read_seq")?;
-    let r_quals = rs.resolve("quals")?;
-    let als = &alignment.schema;
-    let a_t_id = als.resolve("a_t_id")?;
-    let a_chr = als.resolve("a_chr_id")?;
-    let a_pos = als.resolve("a_pos")?;
-    let a_strand = als.resolve("a_strand")?;
-
-    // Build side: the Read table (hashed on r_id).
-    let build = Plan::TableScan {
-        table: read.clone(),
-        filter: None,
-        projection: None,
-        schema: rs.clone(),
-    };
-    // Probe side: alignments in (chr, pos) order via the index.
-    let probe = Plan::IndexScan {
-        table: alignment.clone(),
-        index: ix,
-        prefix: Vec::new(),
-        filter: None,
-        projection: None,
-        schema: als.clone(),
-    };
-    let joint = Arc::new(rs.concat(als));
-    let rlen = rs.len();
-    let join = Plan::HashJoin {
-        build: Box::new(build),
-        probe: Box::new(probe),
-        build_keys: vec![Expr::col(r_id, "r_id")],
-        probe_keys: vec![Expr::col(a_t_id, "a_t_id")],
-        probe_first: false,
-        dop: 1,
-        schema: joint.clone(),
-    };
-    // A resident hash join preserves probe order, so the joined stream is
-    // still in (chr, pos) order; stream-aggregate per chromosome. (This
-    // hand-built plan runs without a memory budget, so the join never
-    // degrades to the order-breaking spill path.)
-    let group_exprs = vec![Expr::col(rlen + a_chr, "a_chr_id")];
-    let agg = AggSpec::new(
-        db.catalog()
-            .aggregate("AssembleConsensus")
-            .ok_or_else(|| seqdb_types::DbError::NotFound("AssembleConsensus".into()))?,
-        vec![
-            Expr::col(rlen + a_pos, "a_pos"),
-            Expr::col(r_seq, "short_read_seq"),
-            Expr::col(r_quals, "quals"),
-            Expr::col(rlen + a_strand, "a_strand"),
-        ],
-        "consensus",
-    );
-    let schema = aggregate_schema(
-        &joint,
-        &group_exprs,
-        &["a_chr_id".to_string()],
-        std::slice::from_ref(&agg),
-    )?;
-    Ok(Plan::StreamAggregate {
-        input: Box::new(join),
-        group_exprs,
-        aggs: vec![agg],
-        schema,
-    })
+    db.plan_sql(&query3_sliding_sql(suffix))
 }
 
 /// Query 3 (pivot variant, *sort-based grouping*): the plan SQL Server
@@ -180,7 +115,6 @@ pub fn query3_pivot_sorted_plan(db: &Arc<Database>, suffix: &str) -> Result<Plan
         build_keys: vec![Expr::col(rs.resolve("r_id")?, "r_id")],
         probe_keys: vec![Expr::col(als.resolve("a_t_id")?, "a_t_id")],
         probe_first: false,
-        dop: 1,
         schema: Arc::new(rs.concat(als)),
     };
     let joint = join.schema();
@@ -263,13 +197,9 @@ pub fn query3_pivot_sorted_plan(db: &Arc<Database>, suffix: &str) -> Result<Plan
     })
 }
 
-/// Run a hand-built consensus plan as one statement of the server-scope
-/// session, labelled `label` in the DMVs; returns `(chr_id, consensus)`
-/// pairs sorted by chromosome.
-fn run_consensus_plan(db: &Arc<Database>, label: &str, plan: &Plan) -> Result<Vec<(i64, String)>> {
-    let (ctx, mut guard) = db.server_session().begin_statement(label)?;
-    let rows = plan.run(&ctx)?;
-    guard.set_rows(rows.len() as u64);
+/// `(chr_id, consensus)` pairs of a consensus result, sorted by
+/// chromosome.
+fn consensus_pairs(rows: &[Row]) -> Result<Vec<(i64, String)>> {
     let mut out: Vec<(i64, String)> = rows
         .iter()
         .map(|row| Ok((row[0].as_int()?, row[1].as_text()?.to_string())))
@@ -278,13 +208,13 @@ fn run_consensus_plan(db: &Arc<Database>, label: &str, plan: &Plan) -> Result<Ve
     Ok(out)
 }
 
-/// Run the sort-based pivot plan; returns `(chr_id, consensus)` pairs.
+/// Run the sort-based pivot plan as one statement of the server-scope
+/// session; returns `(chr_id, consensus)` pairs.
 pub fn run_query3_pivot_sorted(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
-    run_consensus_plan(
-        db,
-        "query3 pivot sorted",
-        &query3_pivot_sorted_plan(db, suffix)?,
-    )
+    let (ctx, mut guard) = db.server_session().begin_statement("query3 pivot sorted")?;
+    let rows = query3_pivot_sorted_plan(db, suffix)?.run(&ctx)?;
+    guard.set_rows(rows.len() as u64);
+    consensus_pairs(&rows)
 }
 
 /// Run Query 1 on the server-scope session and return its rows.
@@ -314,17 +244,13 @@ pub fn run_query2_on(session: &Session, suffix: &str) -> Result<u64> {
 
 /// Run the pivot consensus; returns `(chr_id, consensus)` pairs.
 pub fn run_query3_pivot(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
-    let r = db.query_sql(&query3_pivot_sql(suffix))?;
-    r.rows
-        .iter()
-        .map(|row| Ok((row[0].as_int()?, row[1].as_text()?.to_string())))
-        .collect()
+    consensus_pairs(&db.query_sql(&query3_pivot_sql(suffix))?.rows)
 }
 
 /// Run the sliding-window consensus; returns `(chr_id, consensus)` pairs
 /// sorted by chromosome.
 pub fn run_query3_sliding(db: &Arc<Database>, suffix: &str) -> Result<Vec<(i64, String)>> {
-    run_consensus_plan(db, "query3 sliding", &query3_sliding_plan(db, suffix)?)
+    consensus_pairs(&db.query_sql(&query3_sliding_sql(suffix))?.rows)
 }
 
 /// Convenience for benches: result rows of the merge-join count.

@@ -10,9 +10,10 @@
 //!   consensus string;
 //! * [`AssembleConsensusAgg`] — the optimized sliding-window UDA of
 //!   §4.2.3/§5.3.3: consumes `(pos, seq, quals)` in ascending position
-//!   order and never materializes the pivoted intermediate. Deliberately
-//!   `mergeable() == false`: the paper notes the optimizer must respect
-//!   the ordered stream, so parallel plans are rejected for it;
+//!   order and never materializes the pivoted intermediate. Its
+//!   `order_arg()` names `pos`: the binder orders the input by (group
+//!   keys, `pos`) — through the `(a_chr_id, a_pos)` index when it can,
+//!   with a Sort when it cannot — and never plans it in parallel;
 //! * [`AlignReadsTvf`] — in-database alignment (the §6.1 future-work
 //!   item), wrapping the seqdb-bio aligner.
 //!
@@ -526,8 +527,10 @@ impl Aggregate for AssembleConsensusAgg {
     fn create(&self) -> Box<dyn AggState> {
         Box::new(AssembleConsensusState::default())
     }
-    fn mergeable(&self) -> bool {
-        false // ordered-stream aggregate: no parallel partial/final plan
+    /// `pos`: the planner feeds each chromosome's alignments in position
+    /// order (and never splits them across parallel partials).
+    fn order_arg(&self) -> Option<usize> {
+        Some(0)
     }
 }
 
@@ -756,19 +759,16 @@ mod tests {
         db.execute_sql_script(&format!(
             "CREATE TABLE al2 (chrom INT, pos INT, seq VARCHAR(64), quals VARCHAR(64));
              INSERT INTO al2 VALUES
+               (1, 9, 'AAAA', '{q}'),
                (1, 0, 'ACGT', '{q}'),
-               (1, 2, 'GTTT', '{q}'),
-               (1, 9, 'AAAA', '{q}');",
+               (1, 2, 'GTTT', '{q}');",
             q = qstr(30, 4),
         ))
         .unwrap();
-        // Input already ordered by pos (single chromosome).
+        // Rows inserted out of position order: the binder orders the
+        // input by (chrom, pos) for the order-sensitive aggregate.
         let slide = db
-            .query_sql(
-                "SELECT chrom, AssembleConsensus(pos, seq, quals)
-                 FROM (SELECT chrom, pos, seq, quals FROM al2 ORDER BY pos) x
-                 GROUP BY chrom",
-            )
+            .query_sql("SELECT chrom, AssembleConsensus(pos, seq, quals) FROM al2 GROUP BY chrom")
             .unwrap();
         let pivot = db
             .query_sql(
@@ -793,7 +793,7 @@ mod tests {
         // Merge (parallel partials) is refused.
         let other = AssembleConsensusAgg.create();
         assert!(st.merge(other).is_err());
-        assert!(!AssembleConsensusAgg.mergeable());
+        assert_eq!(AssembleConsensusAgg.order_arg(), Some(0));
     }
 
     #[test]

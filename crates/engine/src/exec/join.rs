@@ -13,9 +13,10 @@
 //! [`MemCharge`], further build rows partition to `storage::tempspace`
 //! with the salted hash of `exec::agg::partition_of`. Probe rows
 //! stream against the resident table and are routed to the matching spill
-//! partition; partition pairs then join recursively with a re-salted
-//! hash, optionally in parallel (one worker per partition pair, the
-//! fail-fast/panic-capture discipline of [`crate::parallel`]). A compact
+//! partition; partition pairs then join one after another, recursively
+//! with a re-salted hash. A join that never spills emits its rows in
+//! probe order, which the planner relies on for order-sensitive
+//! aggregates. A compact
 //! Bloom filter over every build key lets probe rows that cannot match
 //! skip both the lookup and the partition write, so a spilling join does
 //! no I/O for probe rows that would never find a partner.
@@ -34,20 +35,18 @@ use crate::exec::agg::{
     SPILL_PARTITIONS,
 };
 
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
+use crate::expr::{eval_into, Expr};
+use crate::governor::{MemCharge, Ticker};
+
 /// Output buffer for one partition pair, capped at its share of the
 /// output quarter of the query budget: up to [`SPILL_PARTITIONS`] pairs
-/// hold finished output concurrently, so each gets `limit / 4 / pairs` —
-/// the build tables' half of the budget stays unstarved (the exact
-/// failure mode would be spurious depth exhaustion under parallel dop).
+/// hold finished output at once, so each gets `limit / 4 / pairs` — the
+/// build tables' half of the budget stays unstarved.
 fn pair_output_buffer(ctx: &ExecContext) -> OutputBuffer {
     let cap = ctx.gov.mem_limit().map(|l| l / 4 / SPILL_PARTITIONS);
     OutputBuffer::with_class_capped(ctx, WaitClass::JoinSpill, cap)
 }
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
-use crate::expr::{eval_into, Expr};
-use crate::governor::{MemCharge, Ticker};
-use crate::parallel::root_cause;
-use crate::udx::panic_payload;
 
 fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
@@ -178,10 +177,9 @@ impl BloomTracker {
 /// output queue instead).
 type BuildMap = HashMap<Vec<Value>, Vec<Arc<Row>>, FxBuild>;
 
-/// Everything the recursive/parallel partition phase needs, cloneable
-/// into worker threads. The context is the one the join node was opened
-/// with, so worker spills attribute to the join's stats slot.
-#[derive(Clone)]
+/// Everything the recursive partition phase needs. The context is the
+/// one the join node was opened with, so its spills attribute to the
+/// join's stats slot.
 struct JoinEnv {
     build_keys: Vec<Expr>,
     probe_keys: Vec<Expr>,
@@ -332,15 +330,13 @@ enum JoinState {
 ///
 /// The resident build table is charged byte-for-byte against the query's
 /// memory budget; on exhaustion the operator degrades to spilled
-/// partition pairs joined recursively after the probe drains — in
-/// parallel when `dop > 1` and more than one pair exists. All charges
-/// release and all partition files delete on drop, including mid-stream
-/// cancellation.
+/// partition pairs joined recursively after the probe drains. All
+/// charges release and all partition files delete on drop, including
+/// mid-stream cancellation.
 pub struct HashJoinIter {
     build: Option<RowCursor>,
     probe: BoxedIter,
     env: JoinEnv,
-    dop: usize,
     state: JoinState,
     table: BuildMap,
     charge: MemCharge,
@@ -363,7 +359,6 @@ impl HashJoinIter {
         build_keys: Vec<Expr>,
         probe_keys: Vec<Expr>,
         probe_first: bool,
-        dop: usize,
         ctx: ExecContext,
     ) -> HashJoinIter {
         let charge = MemCharge::new(ctx.gov.clone());
@@ -376,7 +371,6 @@ impl HashJoinIter {
                 probe_first,
                 ctx,
             },
-            dop: dop.max(1),
             state: JoinState::Build,
             table: BuildMap::default(),
             charge,
@@ -450,8 +444,8 @@ impl HashJoinIter {
     }
 
     /// After the probe drains: free the resident table, pair up the
-    /// partition files and join each pair — `min(dop, pairs)` workers
-    /// when parallel. Returns the per-pair governed outputs.
+    /// partition files and join each pair in turn. Returns the per-pair
+    /// governed outputs.
     fn run_partition_phase(&mut self) -> Result<Vec<OutputRows>> {
         self.table = BuildMap::default();
         self.bloom = None;
@@ -469,82 +463,14 @@ impl HashJoinIter {
                 pairs.push((bw.finish()?, pw.finish()?));
             }
         }
-        if pairs.is_empty() {
-            return Ok(Vec::new());
+        let cap = self.env.ctx.gov.mem_limit().map(|l| l / 2);
+        let mut outs = Vec::with_capacity(pairs.len());
+        for (b, p) in pairs {
+            let mut out = pair_output_buffer(&self.env.ctx);
+            join_spilled(b, p, &self.env, 1, cap, &mut out)?;
+            outs.push(out.into_rows()?);
         }
-
-        let dop = self.dop.min(pairs.len());
-        if dop <= 1 {
-            let cap = self.env.ctx.gov.mem_limit().map(|l| l / 2);
-            let mut outs = Vec::with_capacity(pairs.len());
-            for (b, p) in pairs {
-                let mut out = pair_output_buffer(&self.env.ctx);
-                join_spilled(b, p, &self.env, 1, cap, &mut out)?;
-                outs.push(out.into_rows()?);
-            }
-            return Ok(outs);
-        }
-
-        // Partition-parallel: deal pairs round-robin to `dop` workers.
-        // Same discipline as the parallel aggregate: workers share the
-        // governor (fail-fast via cancel), each is capped at its share of
-        // half the budget so output buffers keep the other half, and the
-        // coordinator joins every handle before reporting.
-        let gov = self.env.ctx.gov.clone();
-        let cap = gov.mem_limit().map(|l| l / 2 / dop);
-        let npairs = pairs.len();
-        let mut assigned: Vec<Vec<(usize, (SpillReader, SpillReader))>> =
-            (0..dop).map(|_| Vec::new()).collect();
-        for (i, pair) in pairs.into_iter().enumerate() {
-            assigned[i % dop].push((i, pair));
-        }
-        let mut slots: Vec<Option<OutputRows>> = (0..npairs).map(|_| None).collect();
-        let mut errors: Vec<DbError> = Vec::new();
-        let env = &self.env;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(dop);
-            for work in assigned {
-                let env = env.clone();
-                let gov = gov.clone();
-                handles.push(scope.spawn(move || {
-                    let run = move || -> Result<Vec<(usize, OutputRows)>> {
-                        let mut done = Vec::new();
-                        for (i, (b, p)) in work {
-                            let mut out = pair_output_buffer(&env.ctx);
-                            join_spilled(b, p, &env, 1, cap, &mut out)?;
-                            done.push((i, out.into_rows()?));
-                        }
-                        Ok(done)
-                    };
-                    let result = run();
-                    if result.is_err() {
-                        gov.cancel();
-                    }
-                    result
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(done)) => {
-                        for (i, rows) in done {
-                            slots[i] = Some(rows);
-                        }
-                    }
-                    Ok(Err(e)) => errors.push(e),
-                    Err(p) => {
-                        gov.cancel();
-                        errors.push(DbError::Execution(format!(
-                            "parallel join worker panicked: {}",
-                            panic_payload(p)
-                        )));
-                    }
-                }
-            }
-        });
-        if !errors.is_empty() {
-            return Err(root_cause(&errors));
-        }
-        Ok(slots.into_iter().flatten().collect())
+        Ok(outs)
     }
 
     /// Next joined row of the spilled partition pairs. Each pair's output
@@ -770,14 +696,13 @@ mod tests {
             .collect()
     }
 
-    fn hash_join(left: Vec<Row>, right: Vec<Row>, ctx: ExecContext, dop: usize) -> HashJoinIter {
+    fn hash_join(left: Vec<Row>, right: Vec<Row>, ctx: ExecContext) -> HashJoinIter {
         HashJoinIter::new(
             Box::new(ValuesIter::new(left)),
             Box::new(ValuesIter::new(right)),
             vec![Expr::col(0, "k")],
             vec![Expr::col(0, "k")],
             false,
-            dop,
             ctx,
         )
     }
@@ -786,7 +711,7 @@ mod tests {
         let lk = vec![Expr::col(0, "k")];
         let rk = vec![Expr::col(0, "k")];
         let it: BoxedIter = match kind {
-            "hash" => Box::new(hash_join(left, right, test_context(), 1)),
+            "hash" => Box::new(hash_join(left, right, test_context())),
             _ => Box::new(MergeJoinIter::new(
                 Box::new(ValuesIter::new(left)),
                 Box::new(ValuesIter::new(right)),
@@ -858,7 +783,6 @@ mod tests {
             vec![Expr::col(0, "k")],
             vec![Expr::col(0, "k")],
             true,
-            1,
             test_context(),
         );
         let rows = collect(Box::new(it), 1024).unwrap();
@@ -879,24 +803,22 @@ mod tests {
         sorted_right.sort_by_key(|r| r[0].as_int().unwrap());
         let expected = join_all("merge", sorted_left, sorted_right);
 
-        for dop in [1usize, 4] {
-            let mut ctx = test_context();
-            ctx.gov = QueryGovernor::new(None, Some(16 * 1024));
-            ctx.temp = isolated_temp(&format!("spill-dop{dop}"));
-            let gov = ctx.gov.clone();
-            let temp = ctx.temp.clone();
-            let it = hash_join(left.clone(), right.clone(), ctx, dop);
-            let mut got: Vec<(i64, i64)> = collect(Box::new(it), 1024)
-                .unwrap()
-                .iter()
-                .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
-                .collect();
-            got.sort();
-            assert_eq!(got, expected, "dop={dop}");
-            assert!(temp.spill_count() > 0, "budget must have forced spilling");
-            assert_eq!(gov.mem_used(), 0, "all charges released");
-            assert_eq!(temp.live_files().unwrap(), 0, "no leaked spill files");
-        }
+        let mut ctx = test_context();
+        ctx.gov = QueryGovernor::new(None, Some(16 * 1024));
+        ctx.temp = isolated_temp("spill");
+        let gov = ctx.gov.clone();
+        let temp = ctx.temp.clone();
+        let it = hash_join(left, right, ctx);
+        let mut got: Vec<(i64, i64)> = collect(Box::new(it), 1024)
+            .unwrap()
+            .iter()
+            .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
+            .collect();
+        got.sort();
+        assert_eq!(got, expected);
+        assert!(temp.spill_count() > 0, "budget must have forced spilling");
+        assert_eq!(gov.mem_used(), 0, "all charges released");
+        assert_eq!(temp.live_files().unwrap(), 0, "no leaked spill files");
     }
 
     #[test]
@@ -910,7 +832,7 @@ mod tests {
         ctx.temp = isolated_temp("kill");
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
-        let mut it = hash_join(left, right, ctx, 2);
+        let mut it = hash_join(left, right, ctx);
         it.next_batch(10).unwrap().expect("join has matches");
         drop(it);
         assert_eq!(gov.mem_used(), 0, "charges released on drop");
@@ -926,7 +848,7 @@ mod tests {
         ctx.temp = isolated_temp("starved");
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
-        let it = hash_join(left, right, ctx, 1);
+        let it = hash_join(left, right, ctx);
         let err = collect(Box::new(it), 1024).unwrap_err();
         assert!(
             matches!(err, seqdb_types::DbError::ResourceExhausted(_)),
@@ -958,7 +880,7 @@ mod tests {
         ctx.gov = QueryGovernor::new(None, Some(1024));
         ctx.temp = isolated_temp("bloom");
         let temp = ctx.temp.clone();
-        let it = hash_join(left, right, ctx, 1);
+        let it = hash_join(left, right, ctx);
         let rows = collect(Box::new(it), 1024).unwrap();
         assert!(rows.is_empty());
         assert!(temp.spill_count() > 0, "build side must have spilled");

@@ -4,9 +4,9 @@
 //! extensibility surface of the paper's platform (SQL Server 2008 + CLR
 //! hosting, *Röhm & Blakeley, CIDR 2009*):
 //!
-//! * scalar UDFs, pull-model table-valued functions and mergeable
-//!   user-defined aggregates ([`udx`]) — built-ins and user extensions go
-//!   through the same contracts;
+//! * scalar UDFs, pull-model table-valued functions and user-defined
+//!   aggregates, mergeable or order-sensitive ([`udx`]) — built-ins and
+//!   user extensions go through the same contracts;
 //! * physical operators ([`exec`]): heap/index scans, filter, project,
 //!   external sort (spill-accounted), hash/stream aggregation, hash/merge
 //!   joins, CROSS APPLY, ROW_NUMBER, TOP;

@@ -41,9 +41,8 @@ use crate::udx::{panic_payload, protect};
 
 /// Pick the error a failed parallel phase should surface: the first
 /// non-`Cancelled` error is the root cause — siblings that were told to
-/// stop because of it report `Cancelled` and would mask it. Shared by the
-/// parallel aggregate and the partition-parallel hash join.
-pub(crate) fn root_cause(errors: &[DbError]) -> DbError {
+/// stop because of it report `Cancelled` and would mask it.
+fn root_cause(errors: &[DbError]) -> DbError {
     errors
         .iter()
         .find(|e| !matches!(e, DbError::Cancelled(_)))
@@ -85,9 +84,9 @@ impl ParallelAggIter {
             return Err(DbError::Plan("degree of parallelism must be >= 1".into()));
         }
         for a in &aggs {
-            if !a.factory.mergeable() {
+            if a.factory.order_arg().is_some() {
                 return Err(DbError::Plan(format!(
-                    "aggregate {} does not support Merge() and cannot run in a parallel plan",
+                    "aggregate {} is order-sensitive and cannot run in a parallel plan",
                     a.factory.name()
                 )));
             }
@@ -455,8 +454,8 @@ mod tests {
             fn create(&self) -> Box<dyn AggState> {
                 unreachable!("plan construction should fail first")
             }
-            fn mergeable(&self) -> bool {
-                false
+            fn order_arg(&self) -> Option<usize> {
+                Some(0)
             }
         }
         let (_ctx, t) = setup(1);

@@ -104,9 +104,6 @@ pub enum Plan {
         /// binder puts the estimated-smaller side on the build); the
         /// operator then restores `left ++ right` output order.
         probe_first: bool,
-        /// Workers for the spilled partition phase (1 = serial). Only
-        /// reached when the build side overflows its memory grant.
-        dop: usize,
         schema: Arc<Schema>,
     },
     MergeJoin {
@@ -327,7 +324,6 @@ impl Plan {
                 build_keys,
                 probe_keys,
                 probe_first,
-                dop,
                 ..
             } => {
                 // Output is left ++ right (left = probe side when the
@@ -372,7 +368,6 @@ impl Plan {
                     build_keys.clone(),
                     probe_keys.clone(),
                     *probe_first,
-                    (*dop).max(1).min(effective_dop(ctx)),
                     ctx.clone(),
                 ))
             }
@@ -679,7 +674,6 @@ impl Plan {
                 build_keys,
                 probe_keys,
                 probe_first,
-                dop,
                 ..
             } => {
                 out.push_str(&format!(
@@ -689,9 +683,6 @@ impl Plan {
                 ));
                 if *probe_first {
                     out.push_str(" (build=right)");
-                }
-                if *dop > 1 {
-                    out.push_str(&format!(" [DOP={dop}]"));
                 }
                 self.end_header(out, ann);
                 build.explain_into(out, depth + 1, ann);

@@ -13,9 +13,9 @@
 //!   copy as "the biggest performance bottleneck" (§5.2), and seqdb's
 //!   benchmarks reproduce that comparison;
 //! * [`Aggregate`] / [`AggState`] — CLR user-defined aggregates with
-//!   init/accumulate/merge/terminate, where supporting `merge` is what
-//!   makes an aggregate parallelizable "just like built-in aggregates"
-//!   (§2.3.4).
+//!   init/accumulate/merge/terminate; an order-invariant aggregate is
+//!   parallelizable "just like built-in aggregates" (§2.3.4), and an
+//!   order-sensitive one names the argument the planner must order by.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -63,11 +63,16 @@ pub trait Aggregate: Send + Sync {
     fn name(&self) -> &str;
     /// Fresh accumulator (the CLR `Init()`).
     fn create(&self) -> Box<dyn AggState>;
-    /// Whether partial states can be merged. Mergeable aggregates can be
-    /// computed with a parallel partial/final plan (paper §2.3.4: UDAs
-    /// "can be parallelized by the system just like built-in aggregates").
-    fn mergeable(&self) -> bool {
-        true
+    /// The argument whose ascending order within each group this
+    /// aggregate requires (the CLR contract's `IsInvariantToOrder =
+    /// false`), or `None` for an order-invariant aggregate. The planner
+    /// orders the input by the group keys followed by this argument. An
+    /// aggregate that declares one cannot merge partial states, so only
+    /// order-invariant aggregates get a parallel partial/final plan
+    /// (paper §2.3.4: UDAs "can be parallelized by the system just like
+    /// built-in aggregates").
+    fn order_arg(&self) -> Option<usize> {
+        None
     }
 }
 

@@ -7,10 +7,11 @@
 //! * predicate pushdown into table scans;
 //! * merge-join selection when both join inputs are ordered by their keys
 //!   via clustered indexes (the Figure 10 plan);
-//! * stream (non-blocking) aggregation when the input is already ordered
-//!   by the GROUP BY columns — the sliding-window consensus plan;
+//! * stream (non-blocking) aggregation when the input is ordered by the
+//!   GROUP BY columns, and input ordered through an index for an
+//!   order-sensitive aggregate — the sliding-window consensus plan;
 //! * exchange-parallel aggregation when the input is a large base-table
-//!   scan and every aggregate is mergeable (the Figure 9 plan).
+//!   scan and every aggregate is order-invariant (the Figure 9 plan).
 
 use std::sync::Arc;
 
@@ -49,12 +50,12 @@ pub fn execute_on(session: &Session, sql: &str) -> Result<QueryResult> {
     execute_statement_on(session, &stmt, sql)
 }
 
-/// Session-scoped variant of [`execute_script`].
+/// Session-scoped variant of [`execute_script`]. Each statement is
+/// labelled with its own text in the DMVs, the query store and traces.
 pub fn execute_script_on(session: &Session, sql: &str) -> Result<QueryResult> {
-    let stmts = crate::parser::parse_script(sql)?;
     let mut last = QueryResult::empty();
-    for s in &stmts {
-        last = execute_statement_on(session, s, sql)?;
+    for (stmt, text) in crate::parser::parse_script(sql)? {
+        last = execute_statement_on(session, &stmt, text)?;
     }
     Ok(last)
 }
@@ -684,20 +685,15 @@ fn plan_ordering(plan: &Plan) -> Vec<usize> {
                 out
             }
         },
-        Plan::MergeJoin {
-            left, left_keys, ..
-        } => {
-            // Output is ordered by the left join keys (left columns keep
-            // their positions in the concatenated row).
-            let _ = left;
-            left_keys
-                .iter()
-                .filter_map(|e| match e {
-                    Expr::Column { index, .. } => Some(*index),
-                    _ => None,
-                })
-                .collect()
-        }
+        // Output is ordered by the left join keys (left columns keep their
+        // positions in the concatenated row).
+        Plan::MergeJoin { left_keys, .. } => left_keys
+            .iter()
+            .filter_map(|e| match e {
+                Expr::Column { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect(),
         Plan::Filter { input, .. } | Plan::Limit { input, .. } => plan_ordering(input),
         Plan::Sort { input: _, keys } => keys
             .iter()
@@ -787,31 +783,23 @@ impl Binder<'_> {
 
         if let Some((win_pos, win_order)) = window {
             let win_keys = self.bind_order(&win_order, &scope)?;
-            // If the input is already ordered by the window keys (e.g. a
-            // clustered index scan), skip the Sort: ROW_NUMBER then runs
-            // directly over the scan, buffering (and budget-charging) its
-            // own peer frames instead of relying on the Sort's accounting.
-            let covering_cols: Option<Vec<usize>> = win_keys
+            // If the input can be ordered by the window keys without a
+            // Sort (e.g. a clustered index scan), ROW_NUMBER runs directly
+            // over it, buffering (and budget-charging) its own peer
+            // frames instead of relying on the Sort's accounting.
+            let ascending: Vec<Expr> = win_keys
                 .iter()
-                .map(|k| match (&k.expr, k.desc) {
-                    (Expr::Column { index, .. }, false) => Some(*index),
-                    _ => None,
-                })
+                .filter(|k| !k.desc)
+                .map(|k| k.expr.clone())
                 .collect();
-            let mut presorted = false;
-            if let Some(cols) = &covering_cols {
-                if !cols.is_empty() {
-                    presorted = ordering_covers(&plan_ordering(&plan), cols);
-                    if !presorted {
-                        if let Some(ordered) = try_index_order(&plan, cols) {
-                            plan = ordered;
-                            presorted = true;
-                        }
-                    }
-                }
-            }
+            let (ordered, presorted) = if ascending.len() == win_keys.len() {
+                self.order_input(plan, &ascending)
+            } else {
+                (plan, false)
+            };
+            plan = ordered;
             let order_cols = if presorted {
-                covering_cols.unwrap_or_default()
+                column_indexes(&ascending).unwrap_or_default()
             } else {
                 plan = Plan::Sort {
                     input: Box::new(plan),
@@ -958,19 +946,28 @@ impl Binder<'_> {
             }
         };
 
+        // An order-sensitive aggregate needs its input ascending by the
+        // group keys, then its order argument: ordered without a Sort
+        // where the input allows, sorted where it does not.
+        let order_arg = order_argument(&aggs)?;
+        let mut ordering = plan_ordering(&plan);
+        let plan = match &order_arg {
+            None => plan,
+            Some(arg) => {
+                let keys: Vec<Expr> = group_exprs.iter().chain([arg]).cloned().collect();
+                ordering = column_indexes(&keys).unwrap_or_default();
+                match self.order_input(plan, &keys) {
+                    (plan, true) => plan,
+                    (plan, false) => sort_on_keys(plan, &keys),
+                }
+            }
+        };
+
         // Choose the aggregation strategy.
         let in_schema = plan.schema();
         let agg_schema = aggregate_schema(&in_schema, &group_exprs, &group_names, &aggs)?;
         let cfg = self.cfg.clone();
-        let all_mergeable = aggs.iter().all(|a| a.factory.mergeable());
-        let ordering = plan_ordering(&plan);
-        let group_cols: Option<Vec<usize>> = group_exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Column { index, .. } => Some(*index),
-                _ => None,
-            })
-            .collect();
+        let group_cols = column_indexes(&group_exprs);
         let grouped_by_order = match (&group_cols, group_exprs.is_empty()) {
             (_, true) => false,
             (Some(cols), _) if cols.len() <= ordering.len() => {
@@ -995,7 +992,8 @@ impl Binder<'_> {
             ..
         } = &plan
         {
-            if all_mergeable && cfg.max_dop > 1 && table.row_count() >= cfg.parallel_threshold {
+            if order_arg.is_none() && cfg.max_dop > 1 && table.row_count() >= cfg.parallel_threshold
+            {
                 Plan::ParallelAggregate {
                     table: table.clone(),
                     filter: filter.clone(),
@@ -1268,6 +1266,28 @@ impl Binder<'_> {
             .collect()
     }
 
+    /// Order `plan` ascending by `keys` without a Sort where it can be:
+    /// as it is when it already is, as an ordered index scan of a bare
+    /// table scan, or — with no memory budget and no forced merge join —
+    /// as a join that probes in index order ([`probe_in_order`]).
+    /// `presorted` is false when none applies: the caller sorts.
+    fn order_input(&self, plan: Plan, keys: &[Expr]) -> (Plan, bool) {
+        let Some(cols) = column_indexes(keys).filter(|c| !c.is_empty()) else {
+            return (plan, false);
+        };
+        if ordering_covers(&plan_ordering(&plan), &cols) {
+            return (plan, true);
+        }
+        let resident =
+            self.cfg.query_mem_limit_kb.is_none() && self.cfg.join_strategy != JoinStrategy::Merge;
+        let ordered = try_index_order(&plan, &cols)
+            .or_else(|| resident.then(|| probe_in_order(&plan, &cols)).flatten());
+        match ordered {
+            Some(ordered) => (ordered, true),
+            None => (plan, false),
+        }
+    }
+
     // ---- FROM ----
 
     fn plan_from(&self, from: &FromClause) -> Result<(Plan, Scope)> {
@@ -1295,67 +1315,35 @@ impl Binder<'_> {
                         })
                         .collect();
 
-                    // Try a merge join: both sides ordered on their keys.
-                    let left_cols: Option<Vec<usize>> = left_keys
-                        .iter()
-                        .map(|e| match e {
-                            Expr::Column { index, .. } => Some(*index),
-                            _ => None,
-                        })
-                        .collect();
-                    let right_cols: Option<Vec<usize>> = right_keys
-                        .iter()
-                        .map(|e| match e {
-                            Expr::Column { index, .. } => Some(*index),
-                            _ => None,
-                        })
-                        .collect();
-                    let schema = Arc::new(plan.schema().concat(&right_plan.schema()));
-                    let merged = match (&left_cols, &right_cols) {
+                    // Try a merge join: both sides ordered on their keys,
+                    // as they are or through an index (`Some(None)` keeps
+                    // the side as it is).
+                    let ordered_side = |p: &Plan, cols: &[usize]| {
+                        if ordering_covers(&plan_ordering(p), cols) {
+                            Some(None)
+                        } else {
+                            try_index_order(p, cols).map(Some)
+                        }
+                    };
+                    let merged = match (column_indexes(&left_keys), column_indexes(&right_keys)) {
                         (Some(lc), Some(rc)) => {
-                            let lsorted = ordering_covers(&plan_ordering(&plan), lc);
-                            let rsorted = ordering_covers(&plan_ordering(&right_plan), rc);
-                            let (lplan, lok) = if lsorted {
-                                (None, true)
-                            } else {
-                                (try_index_order(&plan, lc), false)
-                            };
-                            let (rplan, rok) = if rsorted {
-                                (None, true)
-                            } else {
-                                (try_index_order(&right_plan, rc), false)
-                            };
-                            let l_final = if lok { Some(None) } else { lplan.map(Some) };
-                            let r_final = if rok { Some(None) } else { rplan.map(Some) };
-                            match (l_final, r_final) {
-                                (Some(l), Some(r)) => Some((l, r)),
-                                _ => None,
-                            }
+                            ordered_side(&plan, &lc).zip(ordered_side(&right_plan, &rc))
                         }
                         _ => None,
                     };
+                    let schema = Arc::new(plan.schema().concat(&right_plan.schema()));
                     let strategy = self.cfg.join_strategy;
                     plan = match merged {
                         // Pre-ordered inputs: a merge join moves the
                         // fewest bytes, so the cost model never beats it
                         // — unless the user forced hashing.
-                        Some((l, r)) if strategy != JoinStrategy::Hash => {
-                            let left_plan = match l {
-                                None => plan,
-                                Some(p) => p,
-                            };
-                            let right_plan2 = match r {
-                                None => right_plan,
-                                Some(p) => p,
-                            };
-                            Plan::MergeJoin {
-                                left: Box::new(left_plan),
-                                right: Box::new(right_plan2),
-                                left_keys,
-                                right_keys,
-                                schema,
-                            }
-                        }
+                        Some((l, r)) if strategy != JoinStrategy::Hash => Plan::MergeJoin {
+                            left: Box::new(l.unwrap_or(plan)),
+                            right: Box::new(r.unwrap_or(right_plan)),
+                            left_keys,
+                            right_keys,
+                            schema,
+                        },
                         _ => {
                             let l_est = estimated_size(&plan);
                             let r_est = estimated_size(&right_plan);
@@ -1378,34 +1366,20 @@ impl Binder<'_> {
                                 }
                             } else {
                                 // Hash join, building on the estimated-
-                                // smaller side; parallel partition phase
-                                // only pays off past the same row
-                                // threshold as parallel aggregation.
-                                let dop = if l_est.0 + r_est.0 >= self.cfg.parallel_threshold {
-                                    self.cfg.max_dop
+                                // smaller side.
+                                let build_right = r_est.1 < l_est.1;
+                                let (build, probe, build_keys, probe_keys) = if build_right {
+                                    (right_plan, plan, right_keys, left_keys)
                                 } else {
-                                    1
+                                    (plan, right_plan, left_keys, right_keys)
                                 };
-                                if r_est.1 < l_est.1 {
-                                    Plan::HashJoin {
-                                        build: Box::new(right_plan),
-                                        probe: Box::new(plan),
-                                        build_keys: right_keys,
-                                        probe_keys: left_keys,
-                                        probe_first: true,
-                                        dop,
-                                        schema,
-                                    }
-                                } else {
-                                    Plan::HashJoin {
-                                        build: Box::new(plan),
-                                        probe: Box::new(right_plan),
-                                        build_keys: left_keys,
-                                        probe_keys: right_keys,
-                                        probe_first: false,
-                                        dop,
-                                        schema,
-                                    }
+                                Plan::HashJoin {
+                                    build: Box::new(build),
+                                    probe: Box::new(probe),
+                                    build_keys,
+                                    probe_keys,
+                                    probe_first: build_right,
+                                    schema,
                                 }
                             }
                         }
@@ -1676,6 +1650,121 @@ fn try_index_order(plan: &Plan, cols: &[usize]) -> Option<Plan> {
         }
     }
     None
+}
+
+/// The one ordering rewrite across a join. In a two-table equi-join, as
+/// `plan_from` built it and under any filter, whose key columns `cols`
+/// all come from one side, where that side's table has an index prefixed
+/// by them, the join becomes a hash join that builds on the other
+/// table's heap scan and probes with the ordered index scan.
+/// `probe_first` keeps every output column where the join had it. A hash
+/// join emits in probe order only while it never spills, so the caller
+/// must rule out a memory budget.
+fn probe_in_order(plan: &Plan, cols: &[usize]) -> Option<Plan> {
+    let (left, right, left_keys, right_keys, schema) = match plan {
+        Plan::Filter { input, predicate } => {
+            return probe_in_order(input, cols).map(|p| Plan::Filter {
+                input: Box::new(p),
+                predicate: predicate.clone(),
+            })
+        }
+        Plan::MergeJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            schema,
+        } => (left, right, left_keys, right_keys, schema),
+        Plan::HashJoin {
+            build,
+            probe,
+            build_keys,
+            probe_keys,
+            probe_first,
+            schema,
+        } => match probe_first {
+            false => (build, probe, build_keys, probe_keys, schema),
+            true => (probe, build, probe_keys, build_keys, schema),
+        },
+        _ => return None,
+    };
+    let left_len = left.schema().len();
+    let (ordered, ordered_keys, other, other_keys, side_cols, probe_first) =
+        if cols.iter().all(|&c| c < left_len) {
+            (left, left_keys, right, right_keys, cols.to_vec(), true)
+        } else if cols.iter().all(|&c| c >= left_len) {
+            let side_cols = cols.iter().map(|&c| c - left_len).collect();
+            (right, right_keys, left, left_keys, side_cols, false)
+        } else {
+            return None;
+        };
+    Some(Plan::HashJoin {
+        build: Box::new(bare_table_scan(other)?),
+        probe: Box::new(try_index_order(&bare_table_scan(ordered)?, &side_cols)?),
+        build_keys: other_keys.clone(),
+        probe_keys: ordered_keys.clone(),
+        probe_first,
+        schema: schema.clone(),
+    })
+}
+
+/// A whole-table scan, in heap or index order, as a plain heap scan
+/// keeping its pushed filter.
+fn bare_table_scan(plan: &Plan) -> Option<Plan> {
+    let (table, filter) = match plan {
+        Plan::TableScan {
+            table,
+            filter,
+            projection: None,
+            ..
+        } => (table, filter),
+        Plan::IndexScan {
+            table,
+            prefix,
+            filter,
+            projection: None,
+            ..
+        } if prefix.is_empty() => (table, filter),
+        _ => return None,
+    };
+    Some(Plan::TableScan {
+        table: table.clone(),
+        filter: filter.clone(),
+        projection: None,
+        schema: table.schema.clone(),
+    })
+}
+
+/// Column positions of `exprs` when every one is a bare column reference.
+fn column_indexes(exprs: &[Expr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Column { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The argument the order-sensitive aggregates among `aggs` need their
+/// input ascending by within each group, or `None` when every aggregate
+/// is order-invariant. Two different ones cannot both be met.
+fn order_argument(aggs: &[AggSpec]) -> Result<Option<Expr>> {
+    let mut found: Option<Expr> = None;
+    for a in aggs {
+        let Some(arg) = a.factory.order_arg().and_then(|i| a.args.get(i)) else {
+            continue;
+        };
+        match &found {
+            Some(f) if f.to_string() != arg.to_string() => {
+                return Err(DbError::Plan(format!(
+                    "order-sensitive aggregates need their input ordered by both {f} and {arg}"
+                )))
+            }
+            _ => found = Some(arg.clone()),
+        }
+    }
+    Ok(found)
 }
 
 /// Split an ON condition into equi-join key pairs (left expr, right expr

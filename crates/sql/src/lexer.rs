@@ -56,13 +56,16 @@ impl Token {
     }
 }
 
-/// Tokenize a SQL string.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+/// Tokenize a SQL string into its tokens and each token's start offset
+/// in `sql` (parallel vectors).
+pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
     let bytes = sql.as_bytes();
     let mut i = 0;
     let mut out = Vec::new();
+    let mut starts = Vec::new();
     while i < bytes.len() {
         let c = bytes[i] as char;
+        let (at, before) = (i, out.len());
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
             '-' if bytes.get(i + 1) == Some(&b'-') => {
@@ -260,8 +263,12 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 )))
             }
         }
+        // Each arm adds at most one token.
+        if out.len() > before {
+            starts.push(at);
+        }
     }
-    Ok(out)
+    Ok((out, starts))
 }
 
 #[cfg(test)]
@@ -270,7 +277,7 @@ mod tests {
 
     #[test]
     fn basic_select_tokens() {
-        let toks = tokenize("SELECT COUNT(*), seq FROM [Read] WHERE id >= 10").unwrap();
+        let (toks, _) = tokenize("SELECT COUNT(*), seq FROM [Read] WHERE id >= 10").unwrap();
         assert!(toks[0].is_kw("select"));
         assert!(toks.contains(&Token::Star));
         assert!(toks.contains(&Token::QuotedIdent("Read".into())));
@@ -280,14 +287,18 @@ mod tests {
 
     #[test]
     fn strings_with_escapes_and_comments() {
-        let toks = tokenize("-- comment\nSELECT 'it''s' /* block */ , 1.5e2").unwrap();
+        let sql = "-- comment\nSELECT 'it''s' /* block */ , 1.5e2";
+        let (toks, starts) = tokenize(sql).unwrap();
         assert_eq!(toks[1], Token::Str("it's".into()));
         assert_eq!(toks[3], Token::Float(150.0));
+        // Offsets skip comments and point at each token's first byte.
+        assert_eq!(&sql[starts[0]..starts[1]], "SELECT ");
+        assert_eq!(&sql[starts[3]..], "1.5e2");
     }
 
     #[test]
     fn operators() {
-        let toks = tokenize("a <> b != c <= d >= e < f > g").unwrap();
+        let (toks, _) = tokenize("a <> b != c <= d >= e < f > g").unwrap();
         let ops: Vec<&Token> = toks
             .iter()
             .filter(|t| !matches!(t, Token::Ident(_)))
@@ -315,7 +326,7 @@ mod tests {
 
     #[test]
     fn qualified_names_and_method_calls() {
-        let toks = tokenize("reads.PathName()").unwrap();
+        let (toks, _) = tokenize("reads.PathName()").unwrap();
         assert_eq!(toks[1], Token::Dot);
         assert!(toks[2].is_kw("pathname"));
     }

@@ -7,7 +7,7 @@ use crate::lexer::{tokenize, Token};
 
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
+    let (tokens, _) = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.eat_if(&Token::Semi);
@@ -17,16 +17,20 @@ pub fn parse(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parse a script of `;`-separated statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = tokenize(sql)?;
+/// Parse a script of `;`-separated statements, each with its own source
+/// text: from its first token up to its terminating `;`, trimmed.
+pub fn parse_script(sql: &str) -> Result<Vec<(Statement, &str)>> {
+    let (tokens, starts) = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut out = Vec::new();
     while !p.at_end() {
         if p.eat_if(&Token::Semi) {
             continue;
         }
-        out.push(p.statement()?);
+        let from = starts[p.pos];
+        let stmt = p.statement()?;
+        let to = starts.get(p.pos).copied().unwrap_or(sql.len());
+        out.push((stmt, sql[from..to].trim()));
         if !p.at_end() && !p.eat_if(&Token::Semi) {
             return Err(p.unexpected("';' between statements"));
         }
@@ -1222,9 +1226,17 @@ mod tests {
     #[test]
     fn script_splits_on_semicolons() {
         let stmts =
-            parse_script("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+            parse_script("CREATE TABLE t (a INT); INSERT INTO t VALUES (1);\n  SELECT * FROM t ;;")
                 .unwrap();
-        assert_eq!(stmts.len(), 3);
+        let texts: Vec<&str> = stmts.iter().map(|(_, text)| *text).collect();
+        assert_eq!(
+            texts,
+            [
+                "CREATE TABLE t (a INT)",
+                "INSERT INTO t VALUES (1)",
+                "SELECT * FROM t"
+            ]
+        );
     }
 
     #[test]

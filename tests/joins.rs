@@ -1,8 +1,8 @@
 //! End-to-end tests for the hybrid Grace hash join: cost-based join
 //! selection and `SET JOIN_STRATEGY` forcing, exact results under
 //! budgets that force multi-level partition recursion, `EXPLAIN
-//! ANALYZE` spill attribution on the join node, parallel partition
-//! joins, mid-flight `KILL` cleanliness, seeded spill-write faults
+//! ANALYZE` spill attribution on the join node, mid-flight `KILL`
+//! cleanliness, seeded spill-write faults
 //! that must fail typed without ever corrupting results, and merge joins
 //! of two index scans that must give the hash join's answers.
 
@@ -152,6 +152,16 @@ fn spilled_join_is_exact_and_attributes_spill_to_the_join_node() {
     assert_eq!(expect.len(), 12_000, "1500 keys x 4 big x 2 small");
     db.execute_sql("SET JOIN_STRATEGY = 0").unwrap();
 
+    // The spilled partition pairs join one after another: with every
+    // parallel plan allowed, EXPLAIN advertises no join workers.
+    let mut cfg = db.config();
+    cfg.max_dop = 4;
+    cfg.parallel_threshold = 0;
+    db.set_config(cfg);
+    let p = plan_text(&db.query_sql(&format!("EXPLAIN {Q}")).unwrap());
+    let join_line = p.lines().find(|l| l.contains("Hash Match")).unwrap();
+    assert!(!join_line.contains("[DOP="), "{p}");
+
     // The 3000-row build side is well over 4x a 16 KiB budget, so the
     // hash join must partition to disk — and still be exact.
     db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 16").unwrap();
@@ -190,36 +200,6 @@ fn spilled_join_is_exact_and_attributes_spill_to_the_join_node() {
         waits[1].as_int().unwrap() > 0,
         "no JOIN_SPILL waits recorded"
     );
-}
-
-// ----------------------------------------------------------------------
-// Parallel partition joins agree with serial and merge
-// ----------------------------------------------------------------------
-
-#[test]
-fn parallel_spilled_join_matches_serial_and_merge() {
-    let db = join_db(8000, 2000, 4000, 2000);
-    db.set_max_dop(4);
-
-    // 12k combined input rows cross the parallel threshold, so the plan
-    // advertises the partition-phase DOP.
-    let p = plan_text(&db.query_sql(&format!("EXPLAIN {Q}")).unwrap());
-    assert!(p.contains("[DOP=4]"), "{p}");
-
-    db.execute_sql("SET JOIN_STRATEGY = 2").unwrap();
-    let expect = key_rows(&db.query_sql(Q).unwrap());
-    db.execute_sql("SET JOIN_STRATEGY = 0").unwrap();
-
-    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 32").unwrap();
-    db.temp().reset_counters();
-    assert_eq!(key_rows(&db.query_sql(Q).unwrap()), expect);
-    assert!(db.temp().spill_count() > 0, "parallel join never spilled");
-    assert_eq!(db.temp().live_files().unwrap(), 0, "leaked partition files");
-
-    // Dropping to DOP 1 takes the serial partition path, same answer.
-    db.set_max_dop(1);
-    assert_eq!(key_rows(&db.query_sql(Q).unwrap()), expect);
-    assert_eq!(db.temp().live_files().unwrap(), 0);
 }
 
 // ----------------------------------------------------------------------
@@ -365,7 +345,6 @@ proptest! {
         left in proptest::collection::vec((0i64..16, -1000i64..1000), 0..150),
         right in proptest::collection::vec((0i64..16, -1000i64..1000), 0..150),
         budget_kb in 2i64..8,
-        dop in 1usize..5,
     ) {
         let db = Database::in_memory();
         db.execute_sql("CREATE TABLE big (k INT, pay INT)").unwrap();
@@ -381,14 +360,10 @@ proptest! {
         db.execute_sql("SET JOIN_STRATEGY = 2").unwrap();
         let expect = key_rows(&db.query_sql(Q).unwrap());
 
-        // Force hash with a budget small enough to spill most cases,
-        // and drop the parallel threshold so the partition phase also
-        // exercises the chosen DOP.
+        // Force hash with a budget small enough to spill most cases.
         let mut cfg = db.config();
         cfg.join_strategy = seqdb::engine::JoinStrategy::Hash;
         cfg.query_mem_limit_kb = Some(budget_kb as u64);
-        cfg.parallel_threshold = 0;
-        cfg.max_dop = dop;
         db.set_config(cfg);
         match db.query_sql(Q) {
             Ok(r) => prop_assert_eq!(key_rows(&r), expect),

@@ -461,3 +461,197 @@ fn a_user_charindex_decides_a_where_over_the_builtin() {
     let plan = db.explain_sql(n_free).unwrap();
     assert!(!plan.contains("[kernel]"), "{plan}");
 }
+
+// ----------------------------------------------------------------------
+// Order-sensitive aggregates: Query 3's sliding-window consensus from SQL
+// ----------------------------------------------------------------------
+
+const RS: &str = "_rs";
+
+/// A small re-sequencing lane `Read_rs` / `Alignment_rs` (with the
+/// `(a_chr_id, a_pos)` index) and the paper's UDXs registered.
+fn reseq_lane(tag: &str) -> (std::sync::Arc<Database>, std::path::PathBuf) {
+    use seqdb::core::dataset::{ResequencingDataset, Scale};
+    let dir = std::env::temp_dir().join(format!("seqdb-sql-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let scale = Scale {
+        genome_bp: 20_000,
+        n_chromosomes: 2,
+        n_reads: 1_000,
+        seed: 26,
+    };
+    let ds = ResequencingDataset::generate(&dir, &scale).unwrap();
+    let db = db();
+    seqdb::core::udx::register_udx(&db, None);
+    seqdb::core::import::import_reseq_normalized(
+        &db,
+        RS,
+        seqdb::storage::rowfmt::Compression::None,
+        &ds,
+    )
+    .unwrap();
+    (db, dir)
+}
+
+#[test]
+fn query3_from_sql_streams_through_the_position_index_at_server_defaults() {
+    use seqdb::core::queries;
+    let (db, dir) = reseq_lane("q3");
+    let sql = queries::query3_sliding_sql(RS);
+    let pivot = queries::run_query3_pivot(&db, RS).unwrap();
+    assert!(!pivot.is_empty());
+
+    // No Sort: alignments probe a resident hash join over Read in
+    // (chromosome, position) order, straight into a stream aggregate.
+    let plan = db.explain_sql(&sql).unwrap();
+    let lines: Vec<&str> = plan.lines().collect();
+    assert_eq!(lines.len(), 5, "{plan}");
+    assert!(lines[0].starts_with("Compute Scalar ["), "{plan}");
+    assert!(
+        lines[1].starts_with("  Stream Aggregate [GROUP BY a_chr_id; AssembleConsensus("),
+        "{plan}"
+    );
+    assert_eq!(lines[2], "    Hash Match (Inner Join) [r_id = a_t_id]");
+    assert_eq!(lines[3], "      Table Scan [Read_rs]");
+    assert_eq!(
+        lines[4],
+        "      Clustered Index Scan [Alignment_rs.ix_Alignment_rs_pos] (ordered)"
+    );
+    assert_eq!(queries::run_query3_sliding(&db, RS).unwrap(), pivot);
+
+    // A WHERE over the join keeps the plan: the filter sits above the
+    // rewritten join, every column where it was.
+    let filtered = sql.replace("GROUP BY", "WHERE a_mapq >= 0 AND r_id > 0 GROUP BY");
+    let plan = db.explain_sql(&filtered).unwrap();
+    assert!(
+        plan.contains("Filter [") && !plan.contains("Sort ["),
+        "{plan}"
+    );
+    assert!(plan.contains("ix_Alignment_rs_pos] (ordered)"), "{plan}");
+    let got: Vec<(i64, String)> = db
+        .query_sql(&filtered)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_text().unwrap().to_string()))
+        .collect();
+    assert_eq!(got, pivot);
+
+    // A budget the hash join could spill under would break probe order:
+    // the binder sorts instead, and the external sort spills correctly.
+    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 64").unwrap();
+    let plan = db.explain_sql(&sql).unwrap();
+    assert!(plan.contains("Sort [a_chr_id, a_pos]"), "{plan}");
+    db.temp().reset_counters();
+    assert_eq!(queries::run_query3_sliding(&db, RS).unwrap(), pivot);
+    assert!(db.temp().spill_count() > 0, "the sort never spilled");
+    assert_eq!(db.temp().live_files().unwrap(), 0);
+    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 0").unwrap();
+
+    // Forced merge sorts; forced hash keeps the index-ordered probe; row
+    // mode changes nothing.
+    for (set, sorted) in [("JOIN_STRATEGY = 2", true), ("JOIN_STRATEGY = 1", false)] {
+        db.execute_sql(&format!("SET {set}")).unwrap();
+        let plan = db.explain_sql(&sql).unwrap();
+        assert_eq!(plan.contains("Sort ["), sorted, "{set}:\n{plan}");
+        assert_eq!(
+            queries::run_query3_sliding(&db, RS).unwrap(),
+            pivot,
+            "{set}"
+        );
+    }
+    db.execute_sql("SET JOIN_STRATEGY = 0").unwrap();
+    db.execute_sql("SET BATCH_SIZE = 1").unwrap();
+    assert_eq!(queries::run_query3_sliding(&db, RS).unwrap(), pivot);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn query3_without_a_position_index_sorts_and_agrees() {
+    use seqdb::core::queries;
+    let (db, dir) = reseq_lane("noix");
+    db.execute_sql_script(
+        "CREATE TABLE Read_nx (r_id INT NOT NULL PRIMARY KEY,
+                               short_read_seq VARCHAR(512), quals VARCHAR(512));
+         CREATE TABLE Alignment_nx (a_id INT NOT NULL PRIMARY KEY, a_t_id INT,
+                                    a_chr_id INT, a_pos INT, a_strand VARCHAR(1));
+         INSERT INTO Read_nx SELECT r_id, short_read_seq, quals FROM Read_rs;
+         INSERT INTO Alignment_nx
+           SELECT a_id, a_t_id, a_chr_id, a_pos, a_strand FROM Alignment_rs;",
+    )
+    .unwrap();
+    let plan = db.explain_sql(&queries::query3_sliding_sql("_nx")).unwrap();
+    assert!(plan.contains("Sort [a_chr_id, a_pos]"), "{plan}");
+    assert!(plan.contains("Stream Aggregate"), "{plan}");
+    assert_eq!(
+        queries::run_query3_sliding(&db, "_nx").unwrap(),
+        queries::run_query3_pivot(&db, RS).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_order_sensitive_aggregate_streams_through_an_index_of_one_table() {
+    let db = db();
+    seqdb::core::udx::register_udx(&db, None);
+    let q = seqdb::core::udx::DB_QUAL_ENCODING.encode(&[seqdb::bio::quality::Phred(30); 4]);
+    db.execute_sql_script(&format!(
+        "CREATE TABLE al (chrom INT, pos INT, seq VARCHAR(8), quals VARCHAR(8));
+         CREATE INDEX ix_al ON al (chrom, pos);
+         INSERT INTO al VALUES (2, 3, 'CCCC', '{q}'), (1, 9, 'AAAA', '{q}'),
+                               (1, 0, 'ACGT', '{q}'), (1, 2, 'GTTT', '{q}');"
+    ))
+    .unwrap();
+    let sql = "SELECT chrom, AssembleConsensus(pos, seq, quals) FROM al GROUP BY chrom";
+    let plan = db.explain_sql(sql).unwrap();
+    assert!(plan.contains("Stream Aggregate"), "{plan}");
+    assert!(
+        plan.contains("Clustered Index Scan [al.ix_al] (ordered)"),
+        "{plan}"
+    );
+    assert!(!plan.contains("Sort ["), "{plan}");
+    let r = db.query_sql(sql).unwrap();
+    let got: Vec<(Value, Value)> = r
+        .rows
+        .iter()
+        .map(|x| (x[0].clone(), x[1].clone()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (Value::Int(1), Value::text("ACGTTTNNNAAAA")),
+            (Value::Int(2), Value::text("CCCC"))
+        ]
+    );
+
+    // Two order-sensitive aggregates over different arguments cannot
+    // both be fed in order.
+    let err = db
+        .query_sql(
+            "SELECT AssembleConsensus(pos, seq, quals), AssembleConsensus(chrom, seq, quals)
+             FROM al",
+        )
+        .unwrap_err();
+    assert!(matches!(err, DbError::Plan(_)), "{err}");
+}
+
+#[test]
+fn a_script_files_each_statement_under_its_own_text() {
+    use seqdb::engine::fingerprint;
+    let db = db();
+    let statements = [
+        "CREATE TABLE s (a INT)",
+        "INSERT INTO s VALUES (1)",
+        "SELECT a FROM s",
+    ];
+    db.execute_sql_script(&format!("{};\n", statements.join(";\n  ")))
+        .unwrap();
+    let r = db
+        .query_sql("SELECT query_text FROM DM_DB_QUERY_STORE()")
+        .unwrap();
+    let texts: Vec<&str> = r.rows.iter().map(|x| x[0].as_text().unwrap()).collect();
+    for s in statements {
+        let want = fingerprint(s).1;
+        assert!(texts.contains(&want.as_str()), "{s} missing: {texts:?}");
+    }
+}

@@ -63,19 +63,33 @@ impl QualityEncoding {
 
     /// Decode an ASCII quality line into scores.
     pub fn decode(self, line: &str) -> Result<Vec<Phred>> {
-        let off = self.offset();
-        line.bytes()
-            .map(|b| {
-                if b < off || b > 126 {
-                    Err(DbError::InvalidData(format!(
-                        "quality character {:?} out of range for {self:?}",
-                        b as char
-                    )))
-                } else {
-                    Ok(Phred(b - off))
-                }
-            })
-            .collect()
+        line.bytes().map(|b| self.score(b)).collect()
+    }
+
+    /// Check a quality line without decoding it: the error is the one
+    /// [`QualityEncoding::decode`] reports for the same line.
+    pub fn check(self, line: &[u8]) -> Result<()> {
+        match line.iter().find(|&&b| !self.in_range(b)) {
+            Some(&b) => self.score(b).map(drop),
+            None => Ok(()),
+        }
+    }
+
+    #[inline]
+    fn in_range(self, b: u8) -> bool {
+        (self.offset()..=126).contains(&b)
+    }
+
+    #[inline]
+    fn score(self, b: u8) -> Result<Phred> {
+        if self.in_range(b) {
+            Ok(Phred(b - self.offset()))
+        } else {
+            Err(DbError::InvalidData(format!(
+                "quality character {:?} out of range for {self:?}",
+                b as char
+            )))
+        }
     }
 
     /// Encode scores as an ASCII quality line (clamped to

@@ -21,7 +21,6 @@
 //! quality strings (offset 33), like the FASTQ they came from.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use seqdb_bio::align::Aligner;
@@ -47,34 +46,61 @@ fn base_index(b: u8) -> Option<usize> {
 
 const BASE_CHARS: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
-/// Orient a read for pileup: reads aligned to the reverse strand must be
-/// reverse-complemented (with their qualities reversed) before their
-/// bases can vote at forward-strand positions. `strand` follows the
-/// mapview convention: `"+"` or `"-"`.
-fn orient(seq: Vec<u8>, quals: Vec<Phred>, strand: &str) -> Result<(Vec<u8>, Vec<Phred>)> {
+/// Vote slot of every byte for [`AssembleConsensusState`]: 0–3 for A, C,
+/// G, T in either case (`base_index`), 4 — a slot [`call`] never reads
+/// — for anything else. With `complement` each base takes its
+/// complement's slot, which is how a '-' read votes.
+const fn vote_slots(complement: bool) -> [u8; 256] {
+    let mut slots = [4u8; 256];
+    let mut i = 0;
+    while i < 4 {
+        let slot = if complement { 3 - i } else { i } as u8;
+        slots[BASE_CHARS[i] as usize] = slot;
+        slots[BASE_CHARS[i].to_ascii_lowercase() as usize] = slot;
+        i += 1;
+    }
+    slots
+}
+
+const FORWARD_SLOTS: [u8; 256] = vote_slots(false);
+const COMPLEMENT_SLOTS: [u8; 256] = vote_slots(true);
+
+/// Whether a read aligned to `strand` (the mapview convention: `"+"` or
+/// `"-"`; empty means `"+"`) is on the reverse strand.
+fn is_reverse(strand: &str) -> Result<bool> {
     match strand {
-        "+" | "" => Ok((seq, quals)),
-        "-" => {
-            let seq = seq
-                .into_iter()
-                .rev()
-                .map(|b| match b.to_ascii_uppercase() {
-                    b'A' => b'T',
-                    b'T' => b'A',
-                    b'C' => b'G',
-                    b'G' => b'C',
-                    other => other,
-                })
-                .collect();
-            Ok((seq, quals.into_iter().rev().collect()))
-        }
+        "+" | "" => Ok(false),
+        "-" => Ok(true),
         other => Err(DbError::Execution(format!(
             "strand must be '+' or '-', got '{other}'"
         ))),
     }
 }
 
-fn call(sums: &[u32; 4]) -> u8 {
+/// Orient a read for pileup: reads aligned to the reverse strand must be
+/// reverse-complemented (with their qualities reversed) before their
+/// bases can vote at forward-strand positions.
+fn orient(seq: Vec<u8>, quals: Vec<Phred>, strand: &str) -> Result<(Vec<u8>, Vec<Phred>)> {
+    if !is_reverse(strand)? {
+        return Ok((seq, quals));
+    }
+    let seq = seq
+        .into_iter()
+        .rev()
+        .map(|b| match b.to_ascii_uppercase() {
+            b'A' => b'T',
+            b'T' => b'A',
+            b'C' => b'G',
+            b'G' => b'C',
+            other => other,
+        })
+        .collect();
+    Ok((seq, quals.into_iter().rev().collect()))
+}
+
+/// The called base of one position's A, C, G, T quality sums (the
+/// first four of `sums`).
+fn call(sums: &[u32]) -> u8 {
     let mut best = 0usize;
     for i in 1..4 {
         if sums[i] > sums[best] {
@@ -433,7 +459,9 @@ pub struct AssembleConsensusAgg;
 
 #[derive(Default)]
 pub struct AssembleConsensusState {
-    window: VecDeque<[u32; 4]>,
+    /// Per-slot quality sums of the positions from `window_start` on
+    /// that are not called yet: at most one read long.
+    window: Vec<[u32; 5]>,
     window_start: i64,
     out: Vec<u8>,
     first_pos: Option<i64>,
@@ -443,14 +471,30 @@ pub struct AssembleConsensusState {
 }
 
 impl AssembleConsensusState {
+    /// Call every position below `pos`; uncovered ones are `N`.
     fn flush_below(&mut self, pos: i64) {
-        while self.window_start < pos {
-            match self.window.pop_front() {
-                Some(sums) => self.out.push(call(&sums)),
-                None => self.out.push(b'N'),
-            }
-            self.window_start += 1;
+        if self.window_start >= pos {
+            return;
         }
+        let behind = (pos - self.window_start) as usize;
+        let called = behind.min(self.window.len());
+        self.out
+            .extend(self.window.drain(..called).map(|sums| call(&sums)));
+        self.out.resize(self.out.len() + (behind - called), b'N');
+        self.window_start = pos;
+    }
+}
+
+/// Add one oriented read's (base, quality) votes into its window cells.
+/// Branch-free: a byte that is no base votes into the ignored slot.
+fn vote<'a>(
+    cells: &mut [[u32; 5]],
+    bases: impl Iterator<Item = (&'a u8, &'a u8)>,
+    slots: &[u8; 256],
+) {
+    let off = DB_QUAL_ENCODING.offset();
+    for (cell, (&b, &q)) in cells.iter_mut().zip(bases) {
+        cell[slots[b as usize] as usize] += (q - off) as u32;
     }
 }
 
@@ -465,17 +509,19 @@ impl AggState for AssembleConsensusState {
                 ))
             }
         };
+        // The read votes straight from its borrowed text. The checks keep
+        // this order, each with its own error: quality range, length,
+        // strand, position order.
         let pos = pos.as_int()?;
-        let quals_v = DB_QUAL_ENCODING.decode(quals.as_text()?)?;
-        let seq_v = seq.as_text()?.as_bytes().to_vec();
-        if quals_v.len() != seq_v.len() {
+        let quals = quals.as_text()?.as_bytes();
+        DB_QUAL_ENCODING.check(quals)?;
+        let seq = seq.as_text()?.as_bytes();
+        if quals.len() != seq.len() {
             return Err(DbError::InvalidData(
                 "AssembleConsensus: sequence/quality length mismatch".into(),
             ));
         }
-        let (seq_v, quals_v) = orient(seq_v, quals_v, strand)?;
-        let seq = &seq_v[..];
-        let quals = quals_v;
+        let reverse = is_reverse(strand)?;
         if pos < self.last_pos {
             return Err(DbError::Execution(format!(
                 "AssembleConsensus requires input ordered by position ({pos} after {})",
@@ -488,16 +534,18 @@ impl AggState for AssembleConsensusState {
         }
         self.last_pos = pos;
         self.flush_below(pos);
-        let need = pos + seq.len() as i64 - self.window_start;
-        while (self.window.len() as i64) < need {
-            self.window.push_back([0; 4]);
+        if self.window.len() < seq.len() {
+            self.window.resize(seq.len(), [0; 5]);
         }
         self.max_window = self.max_window.max(self.window.len());
-        for (i, &b) in seq.iter().enumerate() {
-            if let Some(bi) = base_index(b) {
-                let cell = &mut self.window[(pos - self.window_start) as usize + i];
-                cell[bi] += quals[i].0 as u32;
-            }
+        // A '-' read votes as its reverse complement: oriented base `i`
+        // is the complement of base `n - 1 - i`, with that base's quality.
+        let cells = &mut self.window[..seq.len()];
+        if reverse {
+            let back = seq.iter().rev().zip(quals.iter().rev());
+            vote(cells, back, &COMPLEMENT_SLOTS);
+        } else {
+            vote(cells, seq.iter().zip(quals), &FORWARD_SLOTS);
         }
         Ok(())
     }
@@ -509,9 +557,8 @@ impl AggState for AssembleConsensusState {
     }
 
     fn finish(&mut self) -> Result<Value> {
-        while let Some(sums) = self.window.pop_front() {
-            self.out.push(call(&sums));
-        }
+        self.out
+            .extend(self.window.drain(..).map(|sums| call(&sums)));
         Ok(Value::text(String::from_utf8_lossy(&self.out)))
     }
 
@@ -794,6 +841,109 @@ mod tests {
         let other = AssembleConsensusAgg.create();
         assert!(st.merge(other).is_err());
         assert_eq!(AssembleConsensusAgg.order_arg(), Some(0));
+    }
+
+    /// One fresh `AssembleConsensus` state fed `(pos, seq, quals,
+    /// strand)` reads in order.
+    fn consensus(reads: &[(i64, &str, &str, &str)]) -> Result<Value> {
+        let mut st = AssembleConsensusAgg.create();
+        for &(pos, seq, quals, strand) in reads {
+            st.update(&[
+                Value::Int(pos),
+                Value::text(seq),
+                Value::text(quals),
+                Value::text(strand),
+            ])?;
+        }
+        st.finish()
+    }
+
+    #[test]
+    fn assemble_consensus_votes_oriented_reads() {
+        let q = |scores: &[u8]| {
+            DB_QUAL_ENCODING.encode(&scores.iter().map(|&s| Phred(s)).collect::<Vec<_>>())
+        };
+        // A '-' read votes reverse-complemented, its qualities reversed:
+        // GGGG → CCCC, the read's first quality on the last position.
+        let reads = [(0, "AAAA", q(&[10; 4])), (0, "GGGG", q(&[40, 0, 0, 0]))];
+        let got = consensus(&[
+            (reads[0].0, reads[0].1, &reads[0].2, "+"),
+            (reads[1].0, reads[1].1, &reads[1].2, "-"),
+        ]);
+        assert_eq!(got, Ok(Value::text("AAAC")));
+        assert_eq!(
+            consensus(&[(0, "AACGT", &qstr(30, 5), "-")]),
+            Ok(Value::text("ACGTT"))
+        );
+        // Lowercase bases vote on both strands; a non-base votes for none.
+        assert_eq!(
+            consensus(&[(0, "acgtn", &qstr(30, 5), "+")]),
+            Ok(Value::text("ACGTN"))
+        );
+        assert_eq!(
+            consensus(&[(0, "aacgt", &qstr(30, 5), "-")]),
+            Ok(Value::text("ACGTT"))
+        );
+    }
+
+    #[test]
+    fn assemble_consensus_errors_keep_their_messages_and_order() {
+        let good = qstr(30, 2);
+        let bad_qual = DbError::InvalidData("quality character ' ' out of range for Sanger".into());
+        let mismatch =
+            DbError::InvalidData("AssembleConsensus: sequence/quality length mismatch".into());
+        let strand = DbError::Execution("strand must be '+' or '-', got '*'".into());
+        let backwards = DbError::Execution(
+            "AssembleConsensus requires input ordered by position (5 after 10)".into(),
+        );
+        // The range check is decode's, with decode's error.
+        assert_eq!(DB_QUAL_ENCODING.decode("I ").unwrap_err(), bad_qual);
+        assert_eq!(consensus(&[(0, "AC", "I ", "+")]), Err(bad_qual.clone()));
+        assert_eq!(consensus(&[(0, "ACG", &good, "+")]), Err(mismatch.clone()));
+        assert_eq!(consensus(&[(0, "AC", &good, "*")]), Err(strand.clone()));
+        let late = |strand| consensus(&[(10, "AC", &good, "+"), (5, "AC", &good, strand)]);
+        assert_eq!(late("+"), Err(backwards));
+        // Each check fires before the next: quality, length, strand, order.
+        assert_eq!(consensus(&[(0, "ACG", "I ", "*")]), Err(bad_qual));
+        assert_eq!(consensus(&[(0, "ACG", &good, "*")]), Err(mismatch));
+        assert_eq!(late("*"), Err(strand));
+    }
+
+    #[test]
+    fn sliding_window_matches_pivot_on_both_strands() {
+        let db = Database::in_memory();
+        register_udx(&db, None);
+        let q = qstr(30, 6);
+        let q_hi = qstr(40, 6);
+        db.execute_sql_script(&format!(
+            "CREATE TABLE al3 (chrom INT, pos INT, seq VARCHAR(64), quals VARCHAR(64),
+                               strand VARCHAR(1));
+             INSERT INTO al3 VALUES
+               (1, 0, 'ACGTAC', '{q}', '+'),
+               (1, 2, 'GTACGG', '{q_hi}', '-'),
+               (1, 3, 'ttacga', '{q}', '-'),
+               (1, 12, 'CCNNAA', '{q}', '+'),
+               (2, 4, 'GATTAC', '{q}', '-'),
+               (2, 5, 'ATTACA', '{q_hi}', '+');"
+        ))
+        .unwrap();
+        let slide = db
+            .query_sql(
+                "SELECT chrom, AssembleConsensus(pos, seq, quals, strand) FROM al3
+                 GROUP BY chrom ORDER BY chrom",
+            )
+            .unwrap();
+        let pivot = db
+            .query_sql(
+                "SELECT chrom, AssembleSequence(position, b)
+                 FROM (SELECT chrom, position, CallBase(base, qual) b
+                       FROM al3 CROSS APPLY PivotAlignment(pos, seq, quals, strand)
+                       GROUP BY chrom, position) x
+                 GROUP BY chrom ORDER BY chrom",
+            )
+            .unwrap();
+        assert_eq!(slide.rows.len(), 2);
+        assert_eq!(slide.rows, pivot.rows);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use seqdb_storage::{SpillTally, WaitClass};
 use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowIterator};
 use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::{protect, AggState, Aggregate};
@@ -63,33 +63,20 @@ impl AggSpec {
         protect(self.factory.name(), || Ok(self.factory.create()))
     }
 
-    fn update(&self, state: &mut Box<dyn AggState>, row: &Row) -> Result<()> {
-        if self.args.is_empty() {
-            protect(self.factory.name(), || state.update(&[]))
-        } else {
-            let vals: Vec<Value> = self
-                .args
-                .iter()
-                .map(|e| e.eval(row))
-                .collect::<Result<_>>()?;
-            protect(self.factory.name(), || state.update(&vals))
-        }
-    }
-
     /// Fold a batch into its groups under one panic guard, so a panic
     /// still names this aggregate: the `i`-th selected row of `batch`
-    /// updates aggregate `agg` of group `slots[i]`, a row slotted
-    /// [`SPILLED`] nothing. An argument-free aggregate (`COUNT(*)`) takes
-    /// each run of rows of one group as a single `update_n`, so a global
-    /// aggregate costs one call per batch.
+    /// updates aggregate `agg` of group `states[slots[i]]`, a row slotted
+    /// [`SPILLED`] nothing. The one fold of both the hash and the stream
+    /// aggregate. An argument-free aggregate (`COUNT(*)`) takes each run
+    /// of rows of one group as a single `update_n`, so a global aggregate
+    /// costs one call per batch.
     fn update_batch(
         &self,
         agg: usize,
-        groups: &mut GroupedStates,
+        states: &mut [Vec<Box<dyn AggState>>],
         batch: &RowBatch,
         slots: &[usize],
     ) -> Result<()> {
-        let states = &mut groups.states;
         protect(self.factory.name(), || {
             if self.args.is_empty() {
                 for run in slots.chunk_by(|a, b| a == b) {
@@ -256,11 +243,6 @@ impl GroupedStates {
             .into_iter()
             .map(move |(key, slot)| (key, std::mem::take(&mut states[slot])))
     }
-}
-
-/// Evaluate the grouping key of a row.
-fn group_key(group_exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
-    group_exprs.iter().map(|e| e.eval(row)).collect()
 }
 
 /// Merge a partial aggregation map into an accumulator map (the "final"
@@ -674,7 +656,7 @@ pub(crate) fn aggregate_partial_spilling(
             }
         }
         for (agg, spec) in aggs.iter().enumerate() {
-            spec.update_batch(agg, &mut groups, &batch, &slots)?;
+            spec.update_batch(agg, &mut groups.states, &batch, &slots)?;
         }
     }
     Ok((groups, partitions))
@@ -705,6 +687,12 @@ pub(crate) fn finish_group(
         vals.push(protect(spec.factory.name(), || s.finish())?);
     }
     Ok(Row::new(vals))
+}
+
+/// What a global aggregate (no GROUP BY) over empty input still yields:
+/// one row of fresh states' results.
+fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
+    finish_group(Vec::new(), create_states(aggs)?, aggs)
 }
 
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
@@ -739,13 +727,8 @@ impl HashAggIter {
             let rows =
                 aggregate_governed_rows(input.as_mut(), &self.group_exprs, &self.aggs, &self.ctx)?;
             if rows.is_empty() && self.group_exprs.is_empty() {
-                // Global aggregate over empty input still yields one row.
-                let mut vals = Vec::new();
-                for a in &self.aggs {
-                    let mut s = a.create_state()?;
-                    vals.push(protect(a.factory.name(), || s.finish())?);
-                }
-                self.output = Some(OutputRows::from_vec(vec![Row::new(vals)]));
+                let row = empty_global_row(&self.aggs)?;
+                self.output = Some(OutputRows::from_vec(vec![row]));
             } else {
                 self.output = Some(rows);
             }
@@ -766,14 +749,25 @@ impl RowIterator for HashAggIter {
 /// Streaming aggregate over input already sorted by the group
 /// expressions. Non-blocking: emits each group as soon as the key
 /// changes, holding only one group's state.
-/// One in-flight group of a streaming aggregate.
-type CurrentGroup = (Vec<Value>, Vec<Box<dyn AggState>>);
-
+///
+/// It folds whole input batches, allocating nothing per row: each row's
+/// key is evaluated into one reused buffer, each run of equal keys gets
+/// one slot, and every aggregate folds the batch by slot through the hash
+/// aggregate's fold, `AggSpec::update_batch`.
 pub struct StreamAggIter {
-    input: RowCursor,
+    input: BoxedIter,
+    batch_size: usize,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
-    current: Option<CurrentGroup>,
+    /// Keys and states of the groups the current batch touches, in input
+    /// order. Between batches it holds only the in-flight group, which
+    /// the next batch's first run continues.
+    keys: Vec<Vec<Value>>,
+    states: Vec<Vec<Box<dyn AggState>>>,
+    /// Reused across rows and batches: a row's evaluated group key, and
+    /// each selected row's slot in `keys` / `states`.
+    key: Vec<Value>,
+    slots: Vec<usize>,
     /// Accounts the single in-flight group; re-charged at each boundary.
     charge: MemCharge,
     done: bool,
@@ -789,94 +783,82 @@ impl StreamAggIter {
         batch_size: usize,
     ) -> StreamAggIter {
         StreamAggIter {
-            input: RowCursor::new(input, batch_size),
+            input,
+            batch_size,
             group_exprs,
             aggs,
-            current: None,
+            keys: Vec::new(),
+            states: Vec::new(),
+            key: Vec::new(),
+            slots: Vec::new(),
             charge: MemCharge::new(gov),
             done: false,
             saw_rows: false,
         }
     }
 
-    /// Start a new in-flight group, accounting its state against the
-    /// budget (one group at a time — this is what keeps the stream
-    /// aggregate non-blocking and near-constant-space).
-    fn open_group(&mut self, key: &[Value]) -> Result<Vec<Box<dyn AggState>>> {
-        self.charge.release_all();
-        self.charge.grow(group_cost(key, self.aggs.len()))?;
-        create_states(&self.aggs)
-    }
-
-    fn emit(&mut self, key: Vec<Value>, states: Vec<Box<dyn AggState>>) -> Result<Row> {
-        let mut vals = key;
-        for (mut s, spec) in states.into_iter().zip(&self.aggs) {
-            vals.push(protect(spec.factory.name(), || s.finish())?);
-        }
-        Ok(Row::new(vals))
-    }
-
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            match self.input.next()? {
-                Some(row) => {
-                    self.saw_rows = true;
-                    let key = group_key(&self.group_exprs, &row)?;
-                    let same_group = matches!(&self.current, Some((ckey, _)) if *ckey == key);
-                    if same_group {
-                        if let Some((_, states)) = &mut self.current {
-                            for (spec, state) in self.aggs.iter().zip(states.iter_mut()) {
-                                spec.update(state, &row)?;
-                            }
-                        }
-                    } else {
-                        // Group boundary (or very first group): start the
-                        // new group, then emit the finished one if any.
-                        let prev = self.current.take();
-                        let mut states = self.open_group(&key)?;
-                        for (spec, state) in self.aggs.iter().zip(states.iter_mut()) {
-                            spec.update(state, &row)?;
-                        }
-                        self.current = Some((key, states));
-                        if let Some((okey, ostates)) = prev {
-                            return Ok(Some(self.emit(okey, ostates)?));
-                        }
-                    }
-                }
-                None => {
-                    self.done = true;
-                    self.charge.release_all();
-                    if let Some((key, states)) = self.current.take() {
-                        return Ok(Some(self.emit(key, states)?));
-                    }
-                    if !self.saw_rows && self.group_exprs.is_empty() {
-                        let mut vals = Vec::new();
-                        for a in &self.aggs {
-                            let mut s = a.create_state()?;
-                            vals.push(protect(a.factory.name(), || s.finish())?);
-                        }
-                        return Ok(Some(Row::new(vals)));
-                    }
-                    return Ok(None);
-                }
+    /// Fold one input batch, then finish into `out` every group the batch
+    /// completed: all but the last, which stays in flight.
+    fn fold_batch(&mut self, batch: &RowBatch, out: &mut Vec<Row>) -> Result<()> {
+        self.slots.clear();
+        for row in batch.iter() {
+            eval_into(&self.group_exprs, row, &mut self.key)?;
+            if self.keys.last() != Some(&self.key) {
+                // Group boundary (or very first group): the new group's
+                // charge replaces the finished one's — one group at a
+                // time keeps the operator near-constant-space.
+                self.charge.release_all();
+                self.charge.grow(group_cost(&self.key, self.aggs.len()))?;
+                self.states.push(create_states(&self.aggs)?);
+                self.keys.push(self.key.clone());
             }
+            self.slots.push(self.keys.len() - 1);
         }
+        for (agg, spec) in self.aggs.iter().enumerate() {
+            spec.update_batch(agg, &mut self.states, batch, &self.slots)?;
+        }
+        let finished = self.keys.len().saturating_sub(1);
+        for (key, states) in self
+            .keys
+            .drain(..finished)
+            .zip(self.states.drain(..finished))
+        {
+            out.push(finish_group(key, states, &self.aggs)?);
+        }
+        Ok(())
     }
 }
 
 impl RowIterator for StreamAggIter {
+    /// Pull input batches until `max_rows` groups have finished or the
+    /// input ends; a batch that completes many groups may overshoot.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        fill_batch(max_rows, || self.next_row())
+        let mut out = Vec::new();
+        while !self.done && out.len() < max_rows.max(1) {
+            match self.input.next_batch(self.batch_size)? {
+                Some(batch) => {
+                    self.saw_rows = true;
+                    self.fold_batch(&batch, &mut out)?;
+                }
+                None => {
+                    self.done = true;
+                    self.charge.release_all();
+                    if let (Some(key), Some(states)) = (self.keys.pop(), self.states.pop()) {
+                        out.push(finish_group(key, states, &self.aggs)?);
+                    } else if !self.saw_rows && self.group_exprs.is_empty() {
+                        out.push(empty_global_row(&self.aggs)?);
+                    }
+                }
+            }
+        }
+        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::testutil::{int_rows, test_context};
+    use crate::exec::testutil::{int_rows, test_context, PanicAgg};
     use crate::exec::{collect, ValuesIter};
     use crate::udx::{CountAgg, SumAgg};
     use std::sync::Arc;
@@ -961,6 +943,31 @@ mod tests {
         );
         let got = normalize(collect(Box::new(it), 1024).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
+    }
+
+    #[test]
+    fn a_panicking_uda_under_a_stream_aggregate_fails_typed() {
+        // One group of five rows folded two rows per batch: the panic
+        // lands inside the second batch's fold, and surfaces as a typed
+        // error that names the aggregate.
+        let input = int_rows(&[&[1, 1], &[1, 2], &[1, 3], &[1, 4], &[1, 5]]);
+        let it = StreamAggIter::new(
+            Box::new(ValuesIter::new(input)),
+            vec![Expr::col(0, "g")],
+            vec![
+                AggSpec::new(Arc::new(CountAgg), vec![], "cnt"),
+                AggSpec::new(Arc::new(PanicAgg), vec![Expr::col(1, "v")], "boom"),
+            ],
+            QueryGovernor::unlimited(),
+            2,
+        );
+        match collect(Box::new(it), 1024) {
+            Err(DbError::UdxPanic { name, payload }) => {
+                assert_eq!(name, "PANIC_AGG");
+                assert!(payload.contains("synthetic UDA failure"), "{payload}");
+            }
+            other => panic!("expected UdxPanic, got {other:?}"),
+        }
     }
 
     #[test]

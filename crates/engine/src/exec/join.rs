@@ -24,7 +24,6 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use seqdb_storage::tempspace::{SpillReader, SpillWriter};
 use seqdb_storage::WaitClass;
@@ -67,9 +66,13 @@ fn key_joinable(k: &[Value]) -> bool {
 /// aggregate's: beyond this the budget is simply too small for the data
 /// and the query fails with `ResourceExhausted`.
 const MAX_JOIN_SPILL_DEPTH: u32 = 6;
-/// Estimated heap overhead per resident build entry (hash-map slot,
-/// key Vec, `Arc<Row>` headers).
-const JOIN_ENTRY_OVERHEAD: usize = 48;
+/// Heap held per resident build row beyond its values: its `Row` header
+/// in the arena and its `next` link, plus one map entry (key `Vec`
+/// header and first/last indices). Only a row that opens a new key adds
+/// a map entry, so duplicate keys are charged conservatively.
+const JOIN_ENTRY_OVERHEAD: usize = std::mem::size_of::<Row>()
+    + std::mem::size_of::<usize>()
+    + std::mem::size_of::<(Vec<Value>, (usize, usize))>();
 /// Above this many spilled build rows the Bloom filter is abandoned:
 /// it must stay conservative (no false negatives), and an unbounded
 /// hash list would defeat the point of spilling.
@@ -170,12 +173,51 @@ impl BloomTracker {
     }
 }
 
-/// Build rows grouped by join key. Rows are shared via `Arc` so the
-/// spilled partition phase and the resident map can hold the same row
-/// without copying it (duplicate-heavy joins used to clone the whole
-/// match vector per probe row; matches now emit straight into a reused
-/// output queue instead).
-type BuildMap = HashMap<Vec<Value>, Vec<Arc<Row>>, FxBuild>;
+/// End of a [`BuildTable`] key chain.
+const CHAIN_END: usize = usize::MAX;
+
+/// The resident build side as an arena: every row in one `Vec`, in
+/// build-input order, and per join key the arena indices of its first
+/// and last row. `next` chains each row to the following row of its key,
+/// so a key's matches come back in build-input order without a `Vec`
+/// per key or an allocation per row. The resident join, the spilled
+/// partition pairs and the Bloom filter's key pass all use it.
+#[derive(Default)]
+struct BuildTable {
+    rows: Vec<Row>,
+    next: Vec<usize>,
+    heads: HashMap<Vec<Value>, (usize, usize), FxBuild>,
+}
+
+impl BuildTable {
+    fn insert(&mut self, key: &[Value], row: Row) {
+        let idx = self.rows.len();
+        self.rows.push(row);
+        self.next.push(CHAIN_END);
+        // get_mut-first: duplicate keys (the common case in fact tables)
+        // skip the owned-key clone entirely.
+        if let Some((_, last)) = self.heads.get_mut(key) {
+            self.next[*last] = idx;
+            *last = idx;
+        } else {
+            self.heads.insert(key.to_vec(), (idx, idx));
+        }
+    }
+
+    /// The build rows with join key `key`, in build-input order.
+    fn matches(&self, key: &[Value]) -> impl Iterator<Item = &Row> + '_ {
+        let mut at = self.heads.get(key).map_or(CHAIN_END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let row = self.rows.get(at)?;
+            at = self.next[at];
+            Some(row)
+        })
+    }
+
+    fn keys(&self) -> impl ExactSizeIterator<Item = &Vec<Value>> {
+        self.heads.keys()
+    }
+}
 
 /// Everything the recursive partition phase needs. The context is the
 /// one the join node was opened with, so its spills attribute to the
@@ -200,7 +242,7 @@ impl JoinEnv {
     }
 }
 
-/// Consume `next_row` into a resident [`BuildMap`], degrading to salted
+/// Consume `next_row` into a resident [`BuildTable`], degrading to salted
 /// hash partitions once `charge` (optionally capped at `cap`) rejects a
 /// row. Spill mode is sticky *per row*, not per key: unlike the hash
 /// aggregate, every build row costs memory, so after the first rejection
@@ -214,9 +256,9 @@ fn build_table(
     cap: Option<usize>,
     charge: &mut MemCharge,
     mut bloom: Option<&mut BloomTracker>,
-) -> Result<(BuildMap, Vec<Option<SpillWriter>>)> {
+) -> Result<(BuildTable, Vec<Option<SpillWriter>>)> {
     let mut ticker = Ticker::new();
-    let mut table = BuildMap::default();
+    let mut table = BuildTable::default();
     let mut spilling = false;
     let mut parts: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut key: Vec<Value> = Vec::new();
@@ -228,13 +270,7 @@ fn build_table(
         }
         let cost = join_entry_cost(&key, &row);
         if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost) {
-            // get_mut-first: duplicate keys (the common case in fact
-            // tables) skip the owned-key clone entirely.
-            if let Some(rows) = table.get_mut(key.as_slice()) {
-                rows.push(Arc::new(row));
-            } else {
-                table.insert(key.clone(), vec![Arc::new(row)]);
-            }
+            table.insert(&key, row);
         } else {
             if depth >= MAX_JOIN_SPILL_DEPTH {
                 return Err(DbError::ResourceExhausted(format!(
@@ -286,10 +322,8 @@ fn join_spilled(
         if !key_joinable(&key) {
             continue;
         }
-        if let Some(matches) = table.get(key.as_slice()) {
-            for b in matches {
-                out.push(env.emit(b, &row))?;
-            }
+        for b in table.matches(&key) {
+            out.push(env.emit(b, &row))?;
         }
         let p = partition_of(&key, depth);
         if sub_build[p].is_some() {
@@ -338,7 +372,7 @@ pub struct HashJoinIter {
     probe: BoxedIter,
     env: JoinEnv,
     state: JoinState,
-    table: BuildMap,
+    table: BuildTable,
     charge: MemCharge,
     bloom: Option<Bloom>,
     build_parts: Vec<Option<SpillWriter>>,
@@ -372,7 +406,7 @@ impl HashJoinIter {
                 ctx,
             },
             state: JoinState::Build,
-            table: BuildMap::default(),
+            table: BuildTable::default(),
             charge,
             bloom: None,
             build_parts: Vec::new(),
@@ -435,10 +469,8 @@ impl HashJoinIter {
                 }
             }
         }
-        if let Some(matches) = self.table.get(key.as_slice()) {
-            for b in matches {
-                self.ready.push_back(self.env.emit(b, &row));
-            }
+        for b in self.table.matches(key) {
+            self.ready.push_back(self.env.emit(b, &row));
         }
         Ok(())
     }
@@ -447,7 +479,7 @@ impl HashJoinIter {
     /// partition files and join each pair in turn. Returns the per-pair
     /// governed outputs.
     fn run_partition_phase(&mut self) -> Result<Vec<OutputRows>> {
-        self.table = BuildMap::default();
+        self.table = BuildTable::default();
         self.bloom = None;
         self.charge.release_all();
 
@@ -680,6 +712,7 @@ mod tests {
     use crate::exec::{collect, ValuesIter};
     use crate::governor::QueryGovernor;
     use seqdb_storage::TempSpace;
+    use std::sync::Arc;
 
     /// A private temp space so spill-count and leak assertions can't race
     /// with other tests sharing the process-wide system temp dir.
@@ -743,6 +776,39 @@ mod tests {
         let expected = vec![(200, 20), (200, 21), (201, 20), (201, 21), (400, 40)];
         assert_eq!(join_all("hash", left_rows(), right_rows()), expected);
         assert_eq!(join_all("merge", left_rows(), right_rows()), expected);
+    }
+
+    #[test]
+    fn duplicate_build_keys_emit_in_build_input_order() {
+        // Two keys interleaved on the build side: each probe row meets
+        // its key's build rows in the order they arrived, at any batch
+        // size.
+        let build = int_rows(&[&[1, 10], &[2, 20], &[1, 11], &[1, 12], &[2, 21]]);
+        let probe = int_rows(&[&[2, 100], &[1, 101], &[3, 102], &[1, 103]]);
+        for batch in [1, 2, 1024] {
+            let mut ctx = test_context();
+            ctx.batch_size = batch;
+            let it = hash_join(build.clone(), probe.clone(), ctx);
+            let got: Vec<(i64, i64)> = collect(Box::new(it), batch)
+                .unwrap()
+                .iter()
+                .map(|r| (r[3].as_int().unwrap(), r[1].as_int().unwrap()))
+                .collect();
+            assert_eq!(
+                got,
+                vec![
+                    (100, 20),
+                    (100, 21),
+                    (101, 10),
+                    (101, 11),
+                    (101, 12),
+                    (103, 10),
+                    (103, 11),
+                    (103, 12),
+                ],
+                "batch={batch}"
+            );
+        }
     }
 
     #[test]

@@ -319,6 +319,7 @@ impl RowIterator for ValuesIter {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use crate::udx::{AggState, Aggregate};
     use seqdb_storage::{BufferPool, MemPager};
     use seqdb_types::Value;
 
@@ -350,6 +351,39 @@ pub(crate) mod testutil {
             gov: QueryGovernor::unlimited(),
             stats: None,
             node: None,
+        }
+    }
+
+    /// A UDA that panics after a few rows, exercising the error paths
+    /// that must surface it as a typed `UdxPanic` naming it.
+    pub struct PanicAgg;
+    struct PanicState {
+        n: i64,
+    }
+    impl Aggregate for PanicAgg {
+        fn name(&self) -> &str {
+            "PANIC_AGG"
+        }
+        fn create(&self) -> Box<dyn AggState> {
+            Box::new(PanicState { n: 0 })
+        }
+    }
+    impl AggState for PanicState {
+        fn update(&mut self, _args: &[Value]) -> Result<()> {
+            self.n += 1;
+            if self.n > 3 {
+                panic!("synthetic UDA failure");
+            }
+            Ok(())
+        }
+        fn merge(&mut self, _other: Box<dyn AggState>) -> Result<()> {
+            Ok(())
+        }
+        fn finish(&mut self) -> Result<Value> {
+            Ok(Value::Int(self.n))
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
         }
     }
 

@@ -338,7 +338,7 @@ impl RowIterator for ParallelAggIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::testutil::test_context;
+    use crate::exec::testutil::{test_context, PanicAgg};
     use crate::exec::{collect, ValuesIter};
     use crate::expr::BinOp;
     use crate::udx::{AggState, Aggregate, CountAgg, SumAgg};
@@ -468,39 +468,6 @@ mod tests {
             _ctx,
         );
         assert!(matches!(res, Err(DbError::Plan(_))));
-    }
-
-    /// A UDA that panics after a few rows, exercising the worker
-    /// error-propagation path.
-    struct PanicAgg;
-    struct PanicState {
-        n: i64,
-    }
-    impl Aggregate for PanicAgg {
-        fn name(&self) -> &str {
-            "PANIC_AGG"
-        }
-        fn create(&self) -> Box<dyn AggState> {
-            Box::new(PanicState { n: 0 })
-        }
-    }
-    impl AggState for PanicState {
-        fn update(&mut self, _args: &[Value]) -> Result<()> {
-            self.n += 1;
-            if self.n > 3 {
-                panic!("synthetic UDA failure");
-            }
-            Ok(())
-        }
-        fn merge(&mut self, _other: Box<dyn AggState>) -> Result<()> {
-            Ok(())
-        }
-        fn finish(&mut self) -> Result<Value> {
-            Ok(Value::Int(self.n))
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
     }
 
     #[test]

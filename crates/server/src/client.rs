@@ -113,16 +113,18 @@ impl Client {
             // A send failure is always safe to retry: the request never
             // reached the server, so nothing executed. It happens when a
             // refused-then-closed socket RSTs before our write lands —
-            // EPIPE/ECONNRESET at write time instead of a readable busy
-            // frame. Response errors retry only on the typed refusals;
+            // EPIPE/ECONNRESET at write time, often between the frame's
+            // length prefix and its payload. The refusal frame the server
+            // wrote before closing is still buffered, and it is the
+            // answer. Response errors retry only on the typed refusals;
             // an I/O error mid-response may follow a statement that ran.
             let retriable = match self.send_query(sql) {
                 Ok(()) => match self.read_response() {
                     Ok(r) => return Ok(r),
-                    Err(e @ (DbError::ServerBusy(_) | DbError::ServerDraining(_))) => e,
+                    Err(e) if is_refusal(&e) => e,
                     Err(other) => return Err(other),
                 },
-                Err(e @ DbError::Io(_)) => e,
+                Err(e @ DbError::Io(_)) => self.buffered_refusal().unwrap_or(e),
                 Err(other) => return Err(other),
             };
             if attempt >= self.retry_attempts {
@@ -138,15 +140,28 @@ impl Client {
             // answered and then the socket is closed; reconnect before
             // retrying. A queue-full refusal keeps the connection open,
             // in which case the probe below is a no-op. A *send* failure
-            // forces the redial: the unread refusal frame still buffered
-            // on the dead socket would make the peek probe report it
-            // alive, and writes would hit the same broken pipe forever.
+            // forces the redial: an unread frame still buffered on the
+            // dead socket would make the peek probe report it alive, and
+            // writes would hit the same broken pipe forever.
             self.reconnect_if_closed(matches!(retriable, DbError::Io(_)));
         }
     }
 
     fn send_query(&mut self, sql: &str) -> Result<()> {
         write_frame(&mut self.stream, &encode_query(sql))
+    }
+
+    /// After a failed send: the typed refusal the server wrote before it
+    /// closed the socket, if one is buffered. Read without blocking — a
+    /// socket whose send failed has nothing more coming.
+    fn buffered_refusal(&mut self) -> Option<DbError> {
+        self.stream.set_nonblocking(true).ok()?;
+        let found = match self.read_response() {
+            Err(e) if is_refusal(&e) => Some(e),
+            _ => None,
+        };
+        let _ = self.stream.set_nonblocking(false);
+        found
     }
 
     fn read_response(&mut self) -> Result<QueryResult> {
@@ -204,4 +219,9 @@ impl Client {
             }
         }
     }
+}
+
+/// The typed admission refusals a retry may absorb.
+fn is_refusal(e: &DbError) -> bool {
+    matches!(e, DbError::ServerBusy(_) | DbError::ServerDraining(_))
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use seqdb::engine::{Database, ExecContext, TableFunction, TvfCursor};
+use seqdb::engine::{AggState, Aggregate, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb::sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
@@ -46,6 +46,43 @@ impl TableFunction for Numbers {
     }
 }
 
+/// `ORDERED_IDS(id)`: a group's ids, comma-joined in arrival order. It
+/// declares itself order-sensitive on `id`, so the binder feeds each
+/// group ascending by id — through an index when one leads with the
+/// group key and `id` — into a stream aggregate.
+struct OrderedIds;
+
+#[derive(Default)]
+struct OrderedIdsState(Vec<String>);
+
+impl Aggregate for OrderedIds {
+    fn name(&self) -> &str {
+        "ORDERED_IDS"
+    }
+    fn create(&self) -> Box<dyn AggState> {
+        Box::<OrderedIdsState>::default()
+    }
+    fn order_arg(&self) -> Option<usize> {
+        Some(0)
+    }
+}
+
+impl AggState for OrderedIdsState {
+    fn update(&mut self, args: &[Value]) -> Result<()> {
+        self.0.push(args[0].as_int()?.to_string());
+        Ok(())
+    }
+    fn merge(&mut self, _other: Box<dyn AggState>) -> Result<()> {
+        Err(DbError::Execution("ORDERED_IDS cannot merge".into()))
+    }
+    fn finish(&mut self) -> Result<Value> {
+        Ok(Value::text(self.0.join(",")))
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
 /// Render rows as a sorted multiset of row strings, so two results
 /// compare regardless of row order.
 fn sorted_rows(rows: &[Row]) -> Vec<String> {
@@ -78,12 +115,12 @@ fn count_sum<'a>(rows: impl Iterator<Item = &'a TRow>) -> (i64, Option<i64>) {
     })
 }
 
-/// The reference evaluation: what each of the property's eleven query
+/// The reference evaluation: what each of the property's thirteen query
 /// shapes must return over `t`, written directly from SQL semantics
 /// (comparisons with NULL are not true, NULL keys never join, NULLs sort
 /// first, `CHARINDEX` of NULL is NULL) and sharing no code with the
 /// executor. Table `s` holds `g` = 0..=5, each once.
-fn model(t: &[TRow], k: i64) -> [Vec<Row>; 11] {
+fn model(t: &[TRow], k: i64) -> [Vec<Row>; 13] {
     let where_v = |keep: fn(i64, i64) -> bool| {
         t.iter()
             .filter(move |r| r.v.is_some_and(|v| keep(v, k)))
@@ -105,7 +142,8 @@ fn model(t: &[TRow], k: i64) -> [Vec<Row>; 11] {
     groups.sort();
     groups.dedup();
     let q4 = groups
-        .into_iter()
+        .iter()
+        .copied()
         .map(|g| {
             let (n, sum) = count_sum(t.iter().filter(|r| r.grp == g));
             Row::new(vec![int_or_null(g), Value::Int(n), int_or_null(sum)])
@@ -149,7 +187,27 @@ fn model(t: &[TRow], k: i64) -> [Vec<Row>; 11] {
             Row::new(vec![Value::text(tag), Value::Int(n), int_or_null(sum)])
         })
         .collect();
-    [q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11]
+    // `t` is generated in id order, so each group's ids are ascending.
+    let q12 = groups
+        .into_iter()
+        .map(|g| {
+            let ids: Vec<String> = t
+                .iter()
+                .filter(|r| r.grp == g)
+                .map(|r| r.id.to_string())
+                .collect();
+            Row::new(vec![int_or_null(g), Value::text(ids.join(","))])
+        })
+        .collect();
+    let q13 = t
+        .iter()
+        .flat_map(|a| {
+            t.iter()
+                .filter(move |b| a.grp.is_some() && b.v == a.grp)
+                .map(move |b| Row::new(vec![Value::Int(a.id), Value::Int(b.id)]))
+        })
+        .collect();
+    [q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13]
 }
 
 fn counter(db: &Arc<Database>, name: &str) -> i64 {
@@ -202,6 +260,10 @@ proptest! {
             })
             .collect();
         db.insert_rows("t", &t_rows).unwrap();
+        db.execute_sql("CREATE INDEX ix_t_grp_id ON t (grp, id)").unwrap();
+        db.catalog().register_aggregate(Arc::new(OrderedIds));
+        // Every join runs as a hash join, under every budget below.
+        db.execute_sql("SET JOIN_STRATEGY = 1").unwrap();
         for g in 0..6i64 {
             db.insert_rows(
                 "s",
@@ -215,8 +277,10 @@ proptest! {
         // AND / OR / IS NULL / CHARINDEX leaves and (NOT) interpreted,
         // filter→project, aggregation with and without GROUP BY (on an
         // int and on a text key, spilling under the small budgets), the
-        // hash-join build and probe, and TopN. `model` evaluates the
-        // same eleven, in the same order.
+        // hash-join build and probe, and TopN; then a stream aggregate
+        // over the (grp, id) index whose groups straddle batch edges, and
+        // a hash join whose build side repeats its keys. `model`
+        // evaluates the same thirteen, in the same order.
         let queries = [
             format!("SELECT id, v FROM t WHERE v < {k}"),
             format!("SELECT id FROM t WHERE {k} >= v"),
@@ -229,7 +293,19 @@ proptest! {
             format!("SELECT id FROM t WHERE v < {k} OR s IS NULL"),
             format!("SELECT id FROM t WHERE NOT (v < {k})"),
             "SELECT s, COUNT(*), SUM(v) FROM t WHERE CHARINDEX('N', s) = 0 GROUP BY s".to_string(),
+            "SELECT grp, ORDERED_IDS(id) FROM t GROUP BY grp".to_string(),
+            "SELECT a.id, b.id FROM t a JOIN t b ON (a.grp = b.v)".to_string(),
         ];
+        let plan = |sql: &str| {
+            let r = db.query_sql(&format!("EXPLAIN {sql}")).unwrap();
+            r.rows.iter().map(|row| format!("{}\n", row[0].as_text().unwrap())).collect::<String>()
+        };
+        let stream = plan(&queries[11]);
+        prop_assert!(
+            stream.contains("Stream Aggregate") && stream.contains("Index Scan [t.ix_t_grp_id]"),
+            "{}", stream
+        );
+        prop_assert!(plan(&queries[12]).contains("Hash Match (Inner Join)"), "{}", plan(&queries[12]));
 
         for (sql, expect) in queries.iter().zip(model(&t, k)) {
             let expect = sorted_rows(&expect);

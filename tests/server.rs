@@ -282,6 +282,48 @@ fn connection_cap_rejects_typed_and_recovers() {
     server.drain().unwrap();
 }
 
+/// Block until the server's refusal frame is buffered on `c`, then give
+/// the close that follows it time to land as well.
+fn wait_until_refused_and_closed(c: &Client) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut buf = [0u8; 512];
+    loop {
+        let n = c.stream().peek(&mut buf).unwrap();
+        if n >= 4 && n >= 4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no refusal frame arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+}
+
+#[test]
+fn refusal_on_an_already_closed_socket_stays_typed() {
+    // By the time the client sends, the refused socket is closed: the
+    // reset can fail the send between the frame's length prefix and its
+    // payload. The refusal is still buffered, and it is the answer.
+    let db = setup_db();
+    let server = start(
+        &db,
+        ServerConfig {
+            max_connections: 1,
+            ..quick_cfg()
+        },
+    );
+    let mut c1 = Client::connect(server.addr()).unwrap();
+    c1.query("SELECT COUNT(*) FROM t").unwrap();
+    for _ in 0..20 {
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        wait_until_refused_and_closed(&c);
+        let err = c.query("SELECT COUNT(*) FROM t").unwrap_err();
+        assert!(matches!(err, DbError::ServerBusy(_)), "{err}");
+    }
+    drop(c1);
+    server.drain().unwrap();
+}
+
 // ----------------------------------------------------------------------
 // Opt-in client retry absorbs busy refusals with backoff + reconnect
 // ----------------------------------------------------------------------

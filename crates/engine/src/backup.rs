@@ -750,6 +750,7 @@ fn restore_inner(backup: &Path, target: Option<&Path>) -> Result<RestoreReport> 
                 object: format!("catalog.seqdb in {}", dir.display()),
             });
         }
+        crate::catalog::check_snapshot_format(&fs::read_to_string(dir.join("catalog.seqdb"))?)?;
         let wal = WriteAheadLog::open_file(&dir.join("seqdb.wal"))?;
         let outcome = wal.replay()?;
         let mut wal_images = HashMap::new();

@@ -21,6 +21,36 @@ use seqdb_storage::{BTree, BufferPool, HeapFile};
 
 use crate::udx::{Aggregate, ScalarUdf, TableFunction};
 
+/// The header of the catalog snapshots this version writes: `v2`, whose
+/// index roots are B+-trees of slotted nodes.
+const CATALOG_V2: &str = "seqdb-catalog v2";
+/// The header of the snapshots written before B+-tree nodes were slotted.
+const CATALOG_V1: &str = "seqdb-catalog v1";
+
+/// Refuse, with [`DbError::Unsupported`], a catalog snapshot whose
+/// indexes this version cannot read: a `v1` snapshot that lists an index,
+/// whose tree is in the node format before slotted nodes. There is no
+/// upgrade path. A `v1` snapshot of heaps alone is accepted — the heap
+/// format is unchanged — and the next checkpoint writes it as `v2`. The
+/// reopen of a database directory and the restore of a backup set both
+/// pass through here, before any page is read.
+pub fn check_snapshot_format(text: &str) -> Result<()> {
+    let mut lines = text.lines();
+    if lines.next() != Some(CATALOG_V1) {
+        return Ok(());
+    }
+    match lines.find_map(|line| line.strip_prefix("index\t")) {
+        Some(index) => {
+            let name = index.split('\t').next().unwrap_or_default();
+            Err(DbError::Unsupported(format!(
+                "catalog snapshot is {CATALOG_V1}: its index {name} is a B+-tree in the \
+                 node format before {CATALOG_V2}, which this version neither reads nor upgrades"
+            )))
+        }
+        None => Ok(()),
+    }
+}
+
 /// A secondary (or clustered-key) B+-tree index over a table.
 pub struct TableIndex {
     pub name: String,
@@ -363,7 +393,7 @@ impl Catalog {
     /// or reopened directory can rebuild its tables with
     /// [`Catalog::load_tables`].
     pub fn serialize_tables(&self) -> String {
-        let mut out = String::from("seqdb-catalog v1\n");
+        let mut out = format!("{CATALOG_V2}\n");
         let tables = self.tables.read();
         let mut names: Vec<&String> = tables.keys().collect();
         names.sort();
@@ -424,8 +454,9 @@ impl Catalog {
     /// tables.
     pub fn load_tables(&self, text: &str) -> Result<(usize, Vec<(String, u64)>)> {
         let bad = |m: &str| DbError::Corruption(format!("catalog snapshot: {m}"));
+        check_snapshot_format(text)?;
         let mut lines = text.lines();
-        if lines.next() != Some("seqdb-catalog v1") {
+        if !matches!(lines.next(), Some(CATALOG_V1 | CATALOG_V2)) {
             return Err(bad("missing or unrecognized header"));
         }
         // Parse into per-table groups first so a malformed snapshot loads

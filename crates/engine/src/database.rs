@@ -464,48 +464,57 @@ impl Database {
         self.persist_query_store()
     }
 
-    /// Write the query store to `<root>/querystore.seqdb` via tmp +
-    /// fsync + rename (fsync matters here: unlike the catalog, the store
-    /// has no WAL backing it — the rename must only land a fully-written
-    /// file). No-op for in-memory databases, and when no statement was
-    /// recorded since the file was last written or loaded.
+    /// Write the query store to `<root>/querystore.seqdb` with
+    /// [`durable_replace`]. No-op for in-memory databases, and when no
+    /// statement was recorded since the file was last written or loaded.
     pub(crate) fn persist_query_store(&self) -> Result<()> {
-        use std::io::Write;
         let Some(root) = &self.root else {
             return Ok(());
         };
-        let path = root.join("querystore.seqdb");
-        let tmp = root.join("querystore.seqdb.tmp");
         let data = self.query_store.serialize();
         let mut on_disk = self.query_store_file.lock();
         if on_disk.as_deref() == Some(data.as_str()) {
             return Ok(());
         }
-        let mut f = std::fs::File::create(&tmp).map_err(seqdb_types::DbError::io_write)?;
-        f.write_all(data.as_bytes())
-            .map_err(seqdb_types::DbError::io_write)?;
-        f.sync_all().map_err(seqdb_types::DbError::io_write)?;
-        drop(f);
-        std::fs::rename(&tmp, &path)?;
+        durable_replace(root, "querystore.seqdb", data.as_bytes())?;
         *on_disk = Some(data);
         Ok(())
     }
 
-    /// Write the catalog snapshot to `<root>/catalog.seqdb` via tmp +
-    /// rename. No-op for in-memory databases. `pub(crate)` because the
-    /// backup path runs it directly while already holding the
-    /// checkpoint lock.
+    /// Write the catalog snapshot to `<root>/catalog.seqdb` with
+    /// [`durable_replace`]. No WAL stands behind the snapshot: it is
+    /// written after the checkpoint truncated the log, and it names the
+    /// index roots the checkpointed pages hang from. No-op for in-memory
+    /// databases. `pub(crate)` because the backup path runs it directly
+    /// while already holding the checkpoint lock.
     pub(crate) fn persist_catalog(&self) -> Result<()> {
         let Some(root) = &self.root else {
             return Ok(());
         };
-        let path = root.join("catalog.seqdb");
-        let tmp = root.join("catalog.seqdb.tmp");
-        std::fs::write(&tmp, self.catalog.serialize_tables())
-            .map_err(seqdb_types::DbError::io_write)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        durable_replace(
+            root,
+            "catalog.seqdb",
+            self.catalog.serialize_tables().as_bytes(),
+        )
     }
+}
+
+/// Replace `dir/name` with `data` so that a crash leaves the old file or
+/// the new one, whole, and a return means the new one is on disk: write
+/// `name.tmp`, fsync it, rename it over `name`, fsync `dir` so the rename
+/// itself is durable.
+fn durable_replace(dir: &Path, name: &str, data: &[u8]) -> Result<()> {
+    use seqdb_types::DbError;
+    use std::io::Write;
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut f = std::fs::File::create(&tmp).map_err(DbError::io_write)?;
+    f.write_all(data).map_err(DbError::io_write)?;
+    f.sync_all().map_err(DbError::io_write)?;
+    drop(f);
+    std::fs::rename(&tmp, dir.join(name)).map_err(DbError::io_write)?;
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(DbError::io_write)
 }
 
 /// `column.PathName()` on a FILESTREAM column: the blob's filesystem path.
@@ -612,6 +621,103 @@ mod tests {
             db.checkpoint().unwrap();
         }
         assert!(dir.join("seqdb.data").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("seqdb-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A database at `dir` with a table `t` of `rows` rows, keyed on its
+    /// first column if `keyed`, checkpointed.
+    fn table_db(dir: &Path, rows: i64, keyed: bool) -> Arc<Database> {
+        let db = Database::open(dir).unwrap();
+        let key = keyed.then(|| vec![0]);
+        let t = db
+            .create_table("t", schema(), Compression::Row, key)
+            .unwrap();
+        for i in 0..rows {
+            t.insert(&Row::new(vec![Value::Int(i), Value::Int(i)]))
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        db
+    }
+
+    #[test]
+    fn a_failed_snapshot_write_fails_the_checkpoint_and_keeps_the_old_one() {
+        // Whether the fsyncs reach the disk is not observable without
+        // cutting the power; that a failed write is reported, and leaves
+        // the previous snapshot whole, is.
+        let dir = scratch_dir("snapshot-write");
+        let db = table_db(&dir, 10, true);
+        let t = db.catalog().table("t").unwrap();
+        for i in 10..20 {
+            t.insert(&Row::new(vec![Value::Int(i), Value::Int(i)]))
+                .unwrap();
+        }
+        std::fs::create_dir(dir.join("catalog.seqdb.tmp")).unwrap();
+        let err = db.checkpoint().unwrap_err();
+        assert!(matches!(err, seqdb_types::DbError::Io(_)), "{err:?}");
+        drop((t, db));
+        std::fs::remove_dir(dir.join("catalog.seqdb.tmp")).unwrap();
+        let db = Database::open(&dir).unwrap();
+        let t = db.catalog().table("t").unwrap();
+        assert_eq!(t.indexes.read()[0].btree.len(), 20);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_quarantine_list_that_cannot_be_read_fails_the_open() {
+        let dir = scratch_dir("quarantine-open");
+        drop(table_db(&dir, 3, true));
+        let list = dir.join("quarantine.list");
+        std::fs::write(&list, "t\t5\ngarbage\n").unwrap();
+        let err = Database::open(&dir).err();
+        assert!(
+            matches!(err, Some(seqdb_types::DbError::Corruption(_))),
+            "{err:?}"
+        );
+        std::fs::remove_file(&list).unwrap();
+        std::fs::create_dir(&list).unwrap();
+        let err = Database::open(&dir).err();
+        assert!(matches!(err, Some(seqdb_types::DbError::Io(_))), "{err:?}");
+        std::fs::remove_dir(&list).unwrap();
+        assert!(Database::open(&dir).unwrap().quarantine().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_catalog_with_an_index_is_refused_and_one_without_is_upgraded() {
+        let to_v1 = |dir: &Path| {
+            let snapshot = dir.join("catalog.seqdb");
+            let v2 = std::fs::read_to_string(&snapshot).unwrap();
+            assert!(v2.starts_with("seqdb-catalog v2\n"));
+            let v1 = v2.replacen("seqdb-catalog v2", "seqdb-catalog v1", 1);
+            std::fs::write(&snapshot, v1).unwrap();
+        };
+        let dir = scratch_dir("catalog-v1-keyed");
+        drop(table_db(&dir, 3, true));
+        to_v1(&dir);
+        match Database::open(&dir).err() {
+            Some(seqdb_types::DbError::Unsupported(msg)) => assert!(msg.contains("v1"), "{msg}"),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // A heap's format did not change: it opens, and the next
+        // checkpoint writes the snapshot as v2.
+        let dir = scratch_dir("catalog-v1-heap");
+        drop(table_db(&dir, 3, false));
+        to_v1(&dir);
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.catalog().table("t").unwrap().row_count(), 3);
+        db.checkpoint().unwrap();
+        let rewritten = std::fs::read_to_string(dir.join("catalog.seqdb")).unwrap();
+        assert!(rewritten.starts_with("seqdb-catalog v2\n"));
+        drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

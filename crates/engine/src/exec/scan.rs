@@ -195,7 +195,8 @@ impl IndexScanIter {
         let start = start.as_ref().map(Vec::as_slice);
         let end = self.upper.as_ref().map(Vec::as_slice);
         let mask = self.decode_mask.as_deref().unwrap_or(&[]);
-        let mut rows = Vec::with_capacity(BATCH);
+        // Grown to the rows the run yields: a point seek holds one.
+        let mut rows = Vec::new();
         let mut entries = self.index.btree.range(start, end)?;
         let mut seen = 0;
         while let Some(entry) = entries.next_entry() {
@@ -230,7 +231,7 @@ impl RowIterator for IndexScanIter {
     /// visit per 1024 entries) as it empties.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
+        let mut rows = Vec::new();
         while rows.len() < max {
             if self.buffer.len() == 0 {
                 if self.resume.is_none() {

@@ -6,22 +6,32 @@
 //! a disk-resident B+-tree over [`crate::keycode`]-encoded keys, with a
 //! right-sibling chain on the leaves for ordered range scans.
 //!
-//! **The node format is frozen.** A node is the one record in slot 0 of a
-//! `BTreeLeaf`/`BTreeInternal` page: a varint count, then for a leaf
-//! `count` × (varint length + key, varint length + value) in key order,
-//! its right sibling in the page header's `next_page`; for an internal
-//! node `count` × (varint length + key), then `count + 1` little-endian
-//! `u64` child ids. A node whose record outgrows `SPLIT_THRESHOLD`
-//! splits. Where it is cut is the tree's choice, not the format's: an
-//! *append* — a new entry past the last one of a leaf with no right
-//! sibling, or a separator past the last key of an internal node reached
-//! through the last child at every level — is cut just before the new
-//! item, so the left node keeps every entry it had and the right one
-//! starts with the new item. Any other split cuts at entry `len / 2`, or,
-//! when either cut would leave a half too large for a page (few long
-//! entries next to many short ones), at the entry that leaves the larger
-//! half smallest. A load in key order therefore leaves full nodes behind
-//! it, and trees cut either way read the same.
+//! **Nodes are slotted pages.** A node is a `BTreeLeaf` or
+//! `BTreeInternal` page whose slot array holds one entry per slot, in key
+//! order. A leaf slot is a varint key length, the key and the value; the
+//! leaf's right sibling is the header's `next_page`. An internal slot is
+//! a little-endian `u64` child id and then the separator key: the child
+//! holds the keys from that separator up to the next one. The leftmost
+//! child, below the first separator, is the header's `next_page`. Every
+//! search in a node — a descent, `get`, `contains_key`, the ends of a
+//! `range` — halves the slots and compares keys where they lie, and every
+//! slot it reads is bounds-checked against the page's record area, so a
+//! damaged node fails with a typed [`DbError::Corruption`]. An edit
+//! inserts or removes one slot ([`Page::insert_at`], [`Page::remove_at`]);
+//! the page compacts itself when the bytes removed entries left behind
+//! are needed.
+//!
+//! **Splits.** An insert or replace that would leave a node's entries and
+//! slots over `SPLIT_THRESHOLD` bytes splits the node instead. Where it
+//! is cut is the tree's choice: an *append* — a new entry past the last
+//! one of a leaf with no right sibling, or a separator past the last key
+//! of an internal node reached through the last child at every level — is
+//! cut just before the new item, so the left node keeps every entry it
+//! had and the right one starts with the new item. Any other split cuts at
+//! entry `len / 2`, or, when either cut would leave a half too large for a
+//! page (few long entries next to many short ones), at the entry that
+//! leaves the larger half smallest. A load in key order therefore leaves
+//! full nodes behind it.
 //!
 //! **Appends skip the descent.** Every keyed loader in seqdb assigns ids in
 //! ascending order, so the tree remembers a hint: the last leaf found
@@ -35,18 +45,18 @@
 //! every use and never trusted; a key whose first eight bytes sort below
 //! those of the leaf's first key, as it was when hinted, descends without
 //! reading the leaf, so lookups in random order pay nothing for it. Both
-//! paths edit the leaf and split it through the same code.
+//! paths edit the leaf and split it through the same code; an append that
+//! fits is one `insert_at` past the last slot.
 //!
-//! Nodes are read and edited in place. A `NodeView` borrows the record
-//! from the frame's page and lives no longer than the page guard it was
-//! taken under; lookups and descents walk its entries without allocating.
-//! A leaf insert, replace or delete splices the entry into the record
-//! through the tree's one edit buffer and writes the page once; only a
-//! split materialises an owned `Node`. Concurrency is a coarse tree
-//! latch, shared for reads and exclusive for writes — adequate for
-//! seqdb's bulk-load-then-query workloads and simple to reason about.
+//! Nodes are read in place: a `NodeView` borrows the page and lives no
+//! longer than the page guard it was taken under. Only a split or a
+//! compaction copies a node, and a [`BTreeRange`] copies the entries it
+//! returns from each leaf. Concurrency is a coarse tree latch, shared for reads and
+//! exclusive for writes — adequate for seqdb's bulk-load-then-query
+//! workloads and simple to reason about.
 
-use std::ops::{Bound, Range};
+use std::cmp::Ordering::{Equal, Greater, Less};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,14 +68,20 @@ use crate::buffer::{BufferPool, Frame};
 use crate::page::{Page, PageId, PageType, NO_PAGE, PAGE_SIZE};
 use crate::varint;
 
-/// Node records above this size trigger a split. Leaves room for the page
-/// header and slot entry.
+/// An insert or replace that would leave a node's records and slots over
+/// this many bytes splits the node.
 const SPLIT_THRESHOLD: usize = 7600;
-/// A single key+value entry may not exceed this (it must fit a node).
+/// A single key+value entry may not exceed this (it must fit a node). A
+/// stored entry adds at most 12 bytes to it — a two-byte key length and
+/// a slot in a leaf, a child id and a slot in an internal node — so a node
+/// that one insert took over the split threshold always has a cut whose
+/// halves fit a page.
 pub const MAX_ENTRY: usize = 3500;
-/// The largest record a node page holds: a page less its header and the
-/// one slot entry.
-const NODE_CAPACITY: usize = PAGE_SIZE - 36;
+/// The bytes a node page holds for records and slots: a page less its
+/// 32-byte header.
+const NODE_CAPACITY: usize = PAGE_SIZE - 32;
+/// The bytes of one slot-array entry.
+const SLOT_LEN: usize = 4;
 /// No tree over 2^64 pages is this tall: a longer descent is a cycle of
 /// damaged child ids, reported instead of followed forever.
 const MAX_HEIGHT: usize = 32;
@@ -73,7 +89,8 @@ const MAX_HEIGHT: usize = 32;
 /// A disk-resident B+-tree mapping byte keys to byte values.
 pub struct BTree {
     pool: Arc<BufferPool>,
-    latch: RwLock<Latched>,
+    /// The root page.
+    latch: RwLock<PageId>,
     len: AtomicU64,
     /// The last leaf a descent reached, or a split created, with no right
     /// sibling; `NO_PAGE` before the first. Only a hint: see
@@ -89,19 +106,16 @@ pub struct BTree {
     floor: AtomicU64,
 }
 
-/// What the tree latch guards.
-struct Latched {
-    root: PageId,
-    /// The record a leaf edit is assembled in before it replaces the old one.
-    edit: Vec<u8>,
-}
-
 /// What a node that split hands its parent: the separator key and the
 /// new right page.
 type Split = Option<(Vec<u8>, PageId)>;
 
 fn corrupt() -> DbError {
-    DbError::Storage("corrupt b+tree node".into())
+    DbError::Corruption("corrupt b+tree node".into())
+}
+
+fn too_large() -> DbError {
+    DbError::Storage("b+tree node payload exceeds page".into())
 }
 
 /// Refuse an index entry of `bytes` of key and value that no node could
@@ -124,52 +138,36 @@ fn prefix(key: &[u8]) -> u64 {
     u64::from_be_bytes(bytes)
 }
 
-/// Append `bytes` behind their varint length.
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    varint::write_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// How many bytes [`put_bytes`] appends for `bytes`.
-fn put_len(bytes: &[u8]) -> usize {
-    varint::len_u64(bytes.len() as u64) + bytes.len()
-}
-
-/// The varint-length-prefixed byte string at `rec[*pos..]`.
-fn read_bytes<'a>(rec: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = varint::read_u64(rec, pos).ok_or_else(corrupt)?;
+/// A leaf record's key and value.
+fn leaf_entry(rec: &[u8]) -> Result<(&[u8], &[u8])> {
+    let mut pos = 0;
+    let len = varint::read_u64(rec, &mut pos).ok_or_else(corrupt)?;
     let end = usize::try_from(len)
         .ok()
         .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= rec.len())
         .ok_or_else(corrupt)?;
-    let bytes = rec.get(*pos..end).ok_or_else(corrupt)?;
-    *pos = end;
-    Ok(bytes)
+    Ok((&rec[pos..end], &rec[end..]))
 }
 
-/// A node read in place: a borrowed view of a node record, normally the
-/// one in slot 0 of a page, in which case it must not outlive the page
-/// guard. Every walk is bounds-checked as far as it goes; a record that
-/// does not parse yields the "corrupt b+tree node" error.
+/// An internal record's separator and the child to its right.
+fn separator(rec: &[u8]) -> Result<(&[u8], PageId)> {
+    let (child, key) = rec.split_first_chunk::<8>().ok_or_else(corrupt)?;
+    Ok((key, PageId::from_le_bytes(*child)))
+}
+
+/// A node read in place: a view of a node page, which must not outlive
+/// the page guard it was taken under. A page whose header does not
+/// describe a readable slot array is refused when the view is taken, and
+/// every slot is bounds-checked when read.
 #[derive(Clone, Copy)]
 struct NodeView<'a> {
-    rec: &'a [u8],
+    page: &'a Page,
     leaf: bool,
-    /// Entries of a leaf, separator keys of an internal node.
-    count: usize,
-    /// Offset of the first entry, just past the count.
-    first: usize,
-    /// Right sibling of a leaf.
+    /// Entries of a leaf, separators of an internal node: its slots.
+    len: usize,
+    /// A leaf's right sibling; an internal node's leftmost child.
     next: PageId,
-}
-
-/// Where a key is, or would go, in a leaf record: the offset of the first
-/// entry with a key `>=` it (the end of the entries if none), how many
-/// entries precede that one, and on equality its value and end offset.
-struct Slot<'a> {
-    at: usize,
-    index: usize,
-    hit: Option<(&'a [u8], usize)>,
 }
 
 impl<'a> NodeView<'a> {
@@ -178,181 +176,109 @@ impl<'a> NodeView<'a> {
             PageType::BTreeLeaf => true,
             PageType::BTreeInternal => false,
             other => {
-                return Err(DbError::Storage(format!(
+                return Err(DbError::Corruption(format!(
                     "page type {other:?} is not a b+tree node"
                 )))
             }
         };
-        NodeView::of(page.get(0).ok_or_else(corrupt)?, leaf, page.next_page())
-    }
-
-    fn of(rec: &'a [u8], leaf: bool, next: PageId) -> Result<NodeView<'a>> {
-        let mut first = 0;
-        let count = varint::read_u64(rec, &mut first).ok_or_else(corrupt)?;
-        // Every entry takes at least a byte, so a larger count is damage.
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&n| n <= rec.len())
-            .ok_or_else(corrupt)?;
+        if !page.layout_ok() {
+            return Err(corrupt());
+        }
         Ok(NodeView {
-            rec,
+            page,
             leaf,
-            count,
-            first,
-            next,
+            len: page.slot_count(),
+            next: page.next_page(),
         })
     }
 
-    /// The child ids of an internal node. They close the record, so they
-    /// are found without walking the keys before them.
-    fn children(&self) -> Result<impl Iterator<Item = PageId> + 'a> {
-        let ids = self
-            .rec
-            .len()
-            .checked_sub((self.count + 1) * 8)
-            .filter(|&start| !self.leaf && start >= self.first)
-            .map(|start| &self.rec[start..])
-            .ok_or_else(corrupt)?;
-        Ok(ids
-            .chunks_exact(8)
-            .map(|raw| PageId::from_le_bytes(raw.try_into().expect("8-byte chunk"))))
+    /// The record in slot `i`.
+    fn record(&self, i: usize) -> Result<&'a [u8]> {
+        u16::try_from(i)
+            .ok()
+            .and_then(|i| self.page.get(i))
+            .ok_or_else(corrupt)
+    }
+
+    /// Every record, in slot order.
+    fn records(&self) -> Result<Vec<&'a [u8]>> {
+        (0..self.len).map(|i| self.record(i)).collect()
+    }
+
+    /// A leaf's entry `i`.
+    fn entry(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
+        leaf_entry(self.record(i)?)
+    }
+
+    /// The key in slot `i`: an entry's key or a separator.
+    fn key(&self, i: usize) -> Result<&'a [u8]> {
+        match self.leaf {
+            true => Ok(self.entry(i)?.0),
+            false => Ok(separator(self.record(i)?)?.0),
+        }
+    }
+
+    /// Child `i` of an internal node: the leftmost for 0, else the one
+    /// right of separator `i - 1`.
+    fn child(&self, i: usize) -> Result<PageId> {
+        let child = match i {
+            0 => self.next,
+            _ => separator(self.record(i - 1)?)?.1,
+        };
+        match self.leaf || child == NO_PAGE {
+            true => Err(corrupt()),
+            false => Ok(child),
+        }
+    }
+
+    /// Where `key` is among the node's keys: `Ok(i)` if slot `i` holds
+    /// it, else `Err(i)` for the slot it would take. Halves the slots,
+    /// comparing keys in place.
+    fn search(&self, key: &[u8]) -> Result<std::result::Result<usize, usize>> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            #[cfg(test)]
+            tests::COMPARES.with(|n| n.set(n.get() + 1));
+            match self.key(mid)?.cmp(key) {
+                Less => lo = mid + 1,
+                Greater => hi = mid,
+                Equal => return Ok(Ok(mid)),
+            }
+        }
+        Ok(Err(lo))
+    }
+
+    /// How many keys sort below `key`, or at most equal to it if
+    /// `inclusive`: the slot where the keys past that bound start.
+    fn rank(&self, key: &[u8], inclusive: bool) -> Result<usize> {
+        Ok(match self.search(key)? {
+            Ok(i) => i + usize::from(inclusive),
+            Err(i) => i,
+        })
     }
 
     /// The child to descend into for `key`, and whether it is the last:
-    /// subtree `i` holds the keys below separator `i` and not below
-    /// separator `i - 1`. Walks every key, the ones past the answer
-    /// without comparing, so that a record whose keys do not end where its
-    /// child ids begin is never followed.
+    /// subtree `i` holds the keys from separator `i - 1` up to, not
+    /// including, separator `i`.
     fn child_for(&self, key: &[u8]) -> Result<(PageId, bool)> {
-        let (mut pos, mut idx) = (self.first, self.count);
-        for i in 0..self.count {
-            let separator = read_bytes(self.rec, &mut pos)?;
-            if idx == self.count && separator > key {
-                idx = i;
-            }
-        }
-        let mut children = self.children()?;
-        if pos + (self.count + 1) * 8 != self.rec.len() {
-            return Err(corrupt());
-        }
-        let child = children.nth(idx).ok_or_else(corrupt)?;
-        Ok((child, idx == self.count))
-    }
-
-    /// The first key of a leaf; an error for an empty one.
-    fn first_key(&self) -> Result<&'a [u8]> {
-        let mut pos = self.first;
-        read_bytes(self.rec, &mut pos)
-    }
-
-    /// Find `key` in a leaf.
-    fn seek(&self, key: &[u8]) -> Result<Slot<'a>> {
-        let mut pos = self.first;
-        for index in 0..self.count {
-            let at = pos;
-            let k = read_bytes(self.rec, &mut pos)?;
-            let v = read_bytes(self.rec, &mut pos)?;
-            if k >= key {
-                let hit = (k == key).then_some((v, pos));
-                return Ok(Slot { at, index, hit });
-            }
-        }
-        if pos != self.rec.len() {
-            return Err(corrupt());
-        }
-        Ok(Slot {
-            at: pos,
-            index: self.count,
-            hit: None,
-        })
-    }
-}
-
-/// An owned node: what a split works on, and the format's reference
-/// (de)serialiser for the tests.
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-        next: PageId,
-    },
-    Internal {
-        /// `keys.len() + 1 == children.len()`; subtree `children[i]` holds
-        /// keys `< keys[i]`, subtree `children[i+1]` holds keys `>= keys[i]`.
-        keys: Vec<Vec<u8>>,
-        children: Vec<PageId>,
-    },
-}
-
-impl Node {
-    fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Node::Leaf { entries, .. } => {
-                varint::write_u64(&mut out, entries.len() as u64);
-                for (k, v) in entries {
-                    put_bytes(&mut out, k);
-                    put_bytes(&mut out, v);
-                }
-            }
-            Node::Internal { keys, children } => {
-                varint::write_u64(&mut out, keys.len() as u64);
-                for k in keys {
-                    put_bytes(&mut out, k);
-                }
-                for c in children {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    fn deserialize(view: NodeView<'_>) -> Result<Node> {
-        let mut pos = view.first;
-        if view.leaf {
-            let mut entries = Vec::with_capacity(view.count);
-            for _ in 0..view.count {
-                let k = read_bytes(view.rec, &mut pos)?.to_vec();
-                entries.push((k, read_bytes(view.rec, &mut pos)?.to_vec()));
-            }
-            if pos != view.rec.len() {
-                return Err(corrupt());
-            }
-            Ok(Node::Leaf {
-                entries,
-                next: view.next,
-            })
-        } else {
-            let mut keys = Vec::with_capacity(view.count);
-            for _ in 0..view.count {
-                keys.push(read_bytes(view.rec, &mut pos)?.to_vec());
-            }
-            let children: Vec<PageId> = view.children()?.collect();
-            if pos + children.len() * 8 != view.rec.len() {
-                return Err(corrupt());
-            }
-            Ok(Node::Internal { keys, children })
-        }
+        let i = self.rank(key, true)?;
+        Ok((self.child(i)?, i == self.len))
     }
 }
 
 impl BTree {
     /// Create an empty tree.
     pub fn create(pool: Arc<BufferPool>) -> Result<BTree> {
-        let (root, frame) = pool.allocate(PageType::BTreeLeaf)?;
-        // An empty leaf is its entry count alone.
-        write_record(&frame, PageType::BTreeLeaf, NO_PAGE, &[0])?;
+        // An empty leaf is a fresh page: no slots, no sibling.
+        let (root, _) = pool.allocate(PageType::BTreeLeaf)?;
         Ok(BTree::at(pool, root))
     }
 
     fn at(pool: Arc<BufferPool>, root: PageId) -> BTree {
         BTree {
             pool,
-            latch: RwLock::new(Latched {
-                root,
-                edit: Vec::new(),
-            }),
+            latch: RwLock::new(root),
             len: AtomicU64::new(0),
             hint: AtomicU64::new(NO_PAGE),
             floor: AtomicU64::new(0),
@@ -360,22 +286,28 @@ impl BTree {
     }
 
     /// Re-open a tree given its root page. Counts the entries from the
-    /// leaves' own counts, walking the leaf chain without reading entries.
+    /// leaves' slot counts, walking the leaf chain without reading
+    /// entries.
     pub fn open(pool: Arc<BufferPool>, root: PageId) -> Result<BTree> {
         let tree = BTree::at(pool, root);
-        let mut leaves = tree.range(Bound::Unbounded, Bound::Unbounded)?;
-        let mut len = leaves.left as u64;
-        while leaves.next != NO_PAGE {
-            leaves.load(leaves.next)?;
-            len += leaves.left as u64;
+        let (mut pid, _) = tree.leaf_for(root, &[], None)?;
+        let mut len = 0;
+        while pid != NO_PAGE {
+            pid = tree.view(pid, |node| match node.leaf {
+                true => {
+                    len += node.len as u64;
+                    Ok(node.next)
+                }
+                // A sibling link must lead to a leaf.
+                false => Err(corrupt()),
+            })?;
         }
-        drop(leaves);
         tree.len.store(len, Ordering::Relaxed);
         Ok(tree)
     }
 
     pub fn root_page(&self) -> PageId {
-        self.latch.read().root
+        *self.latch.read()
     }
 
     pub fn len(&self) -> u64 {
@@ -404,14 +336,14 @@ impl BTree {
     /// The pages under the root, child ids read off each internal node's
     /// view, and the first error met on the way.
     fn reachable(&self) -> (Vec<PageId>, Result<()>) {
-        let latch = self.latch.read();
+        let root = self.latch.read();
         let (mut out, mut readable) = (Vec::new(), Ok(()));
-        let mut stack = vec![latch.root];
+        let mut stack = vec![*root];
         while let Some(pid) = stack.pop() {
             out.push(pid);
             let children = self.view(pid, |node| match node.leaf {
                 true => Ok(Vec::new()),
-                false => Ok(node.children()?.collect()),
+                false => (0..=node.len).map(|i| node.child(i)).collect(),
             });
             match children {
                 Ok(children) => stack.extend(children),
@@ -424,18 +356,17 @@ impl BTree {
     /// Insert or replace. Returns the previous value under `key`, if any.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
         check_entry(key.len() + value.len())?;
-        let mut latch = self.latch.write();
-        let Latched { root, edit } = &mut *latch;
+        let mut root = self.latch.write();
         // An append that fits the hinted leaf is done. One that overflows
         // it leaves the page untouched and descends like any other insert,
         // for the path its split needs.
         let appended = self
             .hinted(key)?
-            .map(|leaf| edit_leaf(&leaf, edit, key, Some(value)))
+            .map(|leaf| edit_leaf(&leaf, key, Some(value)))
             .transpose()?;
         let old = match appended {
             Some((old, true)) => old,
-            _ => self.insert_from(root, edit, key, value)?,
+            _ => self.insert_from(&mut root, key, value)?,
         };
         if old.is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
@@ -445,69 +376,60 @@ impl BTree {
 
     /// Insert by descending from `root`, splitting what overflows and
     /// growing a new root if the old one splits.
-    fn insert_from(
-        &self,
-        root: &mut PageId,
-        edit: &mut Vec<u8>,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
+    fn insert_from(&self, root: &mut PageId, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
         // The internal nodes descended through, root first.
         let mut path = Vec::new();
         let (_, leaf) = self.leaf_for(*root, key, Some(&mut path))?;
-        let (old, fits) = edit_leaf(&leaf, edit, key, Some(value))?;
+        let (old, fits) = edit_leaf(&leaf, key, Some(value))?;
         // An overfull leaf splits, and so may every ancestor in turn.
         let mut split = match fits {
             true => None,
-            false => Some(self.split_leaf(&leaf, edit, key, old.is_none())?),
+            false => Some(self.split_leaf(&leaf, key, value)?),
         };
         while let Some((sep, right)) = split {
             let Some((parent, edge)) = path.pop() else {
                 // Grow a new root.
                 let (new_root, frame) = self.pool.allocate(PageType::BTreeInternal)?;
-                let node = Node::Internal {
-                    keys: vec![sep],
-                    children: vec![*root, right],
-                };
-                write_node(&frame, &node)?;
+                write_node(&frame, *root, &[&[&right.to_le_bytes()[..], &sep].concat()])?;
                 *root = new_root;
                 break;
             };
-            split = self.add_child(parent, edge, sep, right)?;
+            split = self.add_child(parent, edge, &sep, right)?;
         }
         Ok(old)
     }
 
-    /// Split `leaf`, whose overfull record `edit_leaf` left in `record`
-    /// after putting `key` in it (`fresh` if it was not there before):
-    /// the entries past the cut move to a new right sibling, which becomes
-    /// the hint if it is the last leaf. Returns the separator key and the
-    /// new page.
-    fn split_leaf(
-        &self,
-        leaf: &Frame,
-        record: &[u8],
-        key: &[u8],
-        fresh: bool,
-    ) -> Result<(Vec<u8>, PageId)> {
-        let next = leaf.page.read().next_page();
-        let Node::Leaf { mut entries, .. } = Node::deserialize(NodeView::of(record, true, next)?)?
-        else {
-            unreachable!("a leaf view materialises a leaf")
+    /// Split `leaf`, which `edit_leaf` found too full to take `key` and
+    /// `value`: the node they make is cut in two, the entries past the cut
+    /// moving to a new right sibling, which becomes the hint if it is the
+    /// last leaf. Returns the separator key and the new page.
+    fn split_leaf(&self, leaf: &Frame, key: &[u8], value: &[u8]) -> Result<(Vec<u8>, PageId)> {
+        // A copy to cut, so that no page guard is held while the pool
+        // allocates.
+        let page = leaf.page.read().clone();
+        let node = NodeView::new(&page)?;
+        let mut len = [0; 10];
+        let len = varint::encode_u64(key.len() as u64, &mut len);
+        let record = [len, key, value].concat();
+        let mut records = node.records()?;
+        let append = match node.search(key)? {
+            Ok(i) => {
+                records[i] = &record;
+                false
+            }
+            Err(i) => {
+                records.insert(i, &record);
+                node.next == NO_PAGE && i == node.len
+            }
         };
-        let sizes: Vec<usize> = entries
-            .iter()
-            .map(|(k, v)| put_len(k) + put_len(v))
-            .collect();
-        let append = fresh && next == NO_PAGE && entries.last().is_some_and(|(k, _)| k == key);
+        let sizes: Vec<usize> = records.iter().map(|r| r.len() + SLOT_LEN).collect();
         // Nothing is allocated before the cut is known to fit.
-        let right = entries.split_off(split_point(&sizes, false, append)?);
-        let sep = right[0].0.clone();
+        let cut = split_point(&sizes, false, append)?;
+        let sep = leaf_entry(records[cut])?.0.to_vec();
         let (right_id, right_frame) = self.pool.allocate(PageType::BTreeLeaf)?;
-        let entries_of = |entries, next| Node::Leaf { entries, next };
-        write_node(&right_frame, &entries_of(right, next))?;
-        write_node(leaf, &entries_of(entries, right_id))?;
-        if next == NO_PAGE {
+        write_node(&right_frame, node.next, &records[cut..])?;
+        write_node(leaf, right_id, &records[..cut])?;
+        if node.next == NO_PAGE {
             self.set_hint(right_id, &sep);
         }
         Ok((sep, right_id))
@@ -517,35 +439,41 @@ impl BTree {
     /// that split; if that overfills it, split it too and return its own
     /// promoted key and new right page. `edge` says whether `pid` lies on
     /// the right edge of the tree.
-    fn add_child(&self, pid: PageId, edge: bool, sep: Vec<u8>, right: PageId) -> Result<Split> {
+    fn add_child(&self, pid: PageId, edge: bool, sep: &[u8], right: PageId) -> Result<Split> {
         let frame = self.pool.fetch(pid)?;
-        let mut node = Node::deserialize(NodeView::new(&frame.page.read())?)?;
-        let Node::Internal { keys, children } = &mut node else {
-            return Err(corrupt());
+        let child = right.to_le_bytes();
+        let (index, append) = {
+            let mut page = frame.page.write();
+            let node = NodeView::new(&page)?;
+            if node.leaf {
+                return Err(corrupt());
+            }
+            let index = node.rank(sep, true)?;
+            let append = edge && index == node.len;
+            if page.occupied() + child.len() + sep.len() + SLOT_LEN <= SPLIT_THRESHOLD {
+                if !page.insert_at(index, &[&child, sep]) {
+                    return Err(corrupt());
+                }
+                drop(page);
+                frame.mark_dirty();
+                return Ok(None);
+            }
+            (index, append)
         };
-        let idx = keys.partition_point(|k| k.as_slice() <= sep.as_slice());
-        let append = edge && idx == keys.len();
-        keys.insert(idx, sep);
-        children.insert(idx + 1, right);
-        let record = node.serialize();
-        if record.len() <= SPLIT_THRESHOLD {
-            write_record(&frame, PageType::BTreeInternal, NO_PAGE, &record)?;
-            return Ok(None);
-        }
-        let Node::Internal { keys, children } = &mut node else {
-            unreachable!("checked above")
-        };
-        let sizes: Vec<usize> = keys.iter().map(|k| put_len(k) + 8).collect();
+        let page = frame.page.read().clone();
+        let node = NodeView::new(&page)?;
+        let record = [&child, sep].concat();
+        let mut records = node.records()?;
+        records.insert(index, &record);
+        let sizes: Vec<usize> = records.iter().map(|r| r.len() + SLOT_LEN).collect();
         let mid = split_point(&sizes, true, append)?;
-        let right_node = Node::Internal {
-            keys: keys.split_off(mid + 1),
-            children: children.split_off(mid + 1),
-        };
-        let promoted = keys.pop().expect("the key at `mid`");
+        // The separator at the cut moves up; its child becomes the right
+        // node's leftmost.
+        let (promoted, leftmost) = separator(records[mid])?;
         let (right_id, right_frame) = self.pool.allocate(PageType::BTreeInternal)?;
-        write_node(&right_frame, &right_node)?;
-        write_node(&frame, &node)?;
-        Ok(Some((promoted, right_id)))
+        write_node(&right_frame, leftmost, &records[mid + 1..])?;
+        write_node(&frame, node.next, &records[..mid])?;
+        Ok(Some((promoted.to_vec(), right_id)))
     }
 
     /// Point lookup.
@@ -559,14 +487,18 @@ impl BTree {
     }
 
     fn lookup<T>(&self, key: &[u8], found: impl FnOnce(Option<&[u8]>) -> T) -> Result<T> {
-        let latch = self.latch.read();
+        let root = self.latch.read();
         let leaf = match self.hinted(key)? {
             Some(leaf) => leaf,
-            None => self.leaf_for(latch.root, key, None)?.1,
+            None => self.leaf_for(*root, key, None)?.1,
         };
         let page = leaf.page.read();
-        let slot = NodeView::new(&page)?.seek(key)?;
-        Ok(found(slot.hit.map(|(value, _)| value)))
+        let node = NodeView::new(&page)?;
+        let hit = match node.search(key)? {
+            Ok(i) => Some(node.entry(i)?.1),
+            Err(_) => None,
+        };
+        Ok(found(hit))
     }
 
     /// The hinted leaf, if `key` provably belongs in it: the page is still
@@ -574,19 +506,17 @@ impl BTree {
     /// first key sorts before `key`, so no separator above it is larger
     /// than `key`. `None` — descend — for no hint, a stale one, an emptied
     /// leaf or a smaller key, which the floor often shows without the
-    /// fetch. A hinted page that does not parse is an error, as it would
-    /// be at the end of a descent.
+    /// fetch. A hinted page that does not parse proves nothing either:
+    /// the descent decides, and fails if it meets the damage.
     fn hinted(&self, key: &[u8]) -> Result<Option<Arc<Frame>>> {
         let pid = self.hint.load(Ordering::Relaxed);
         if pid == NO_PAGE || prefix(key) < self.floor.load(Ordering::Relaxed) {
             return Ok(None);
         }
         let frame = self.pool.fetch(pid)?;
-        let belongs = {
-            let page = frame.page.read();
-            let node = NodeView::new(&page)?;
-            node.leaf && node.next == NO_PAGE && node.count > 0 && key > node.first_key()?
-        };
+        let belongs = NodeView::new(&frame.page.read()).is_ok_and(|node| {
+            node.leaf && node.next == NO_PAGE && node.key(0).is_ok_and(|first| key > first)
+        });
         Ok(belongs.then_some(frame))
     }
 
@@ -599,9 +529,9 @@ impl BTree {
     /// Remove `key`, returning its value. Leaves may underflow (no
     /// rebalancing); ordered iteration remains correct.
     pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut latch = self.latch.write();
-        let (_, leaf) = self.leaf_for(latch.root, key, None)?;
-        let (old, _written) = edit_leaf(&leaf, &mut latch.edit, key, None)?;
+        let root = self.latch.write();
+        let (_, leaf) = self.leaf_for(*root, key, None)?;
+        let (old, _written) = edit_leaf(&leaf, key, None)?;
         if old.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -609,19 +539,19 @@ impl BTree {
     }
 
     /// Ordered scan over `[start, end)` bounds (inclusive/exclusive per
-    /// `Bound`). Copies one leaf record at a time.
+    /// `Bound`). Copies, from one leaf at a time, the entries it returns.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<BTreeRange<'_>> {
-        let latch = self.latch.read();
+        let root = self.latch.read();
         let seek_key: &[u8] = match start {
             Bound::Included(k) | Bound::Excluded(k) => k,
             Bound::Unbounded => &[],
         };
-        let (pid, _) = self.leaf_for(latch.root, seek_key, None)?;
+        let (_, leaf) = self.leaf_for(*root, seek_key, None)?;
         let mut range = BTreeRange {
             tree: self,
-            leaf: Vec::new(),
-            pos: 0,
-            left: 0,
+            buf: Vec::new(),
+            bounds: vec![0],
+            at: 0,
             next: NO_PAGE,
             end: match end {
                 Bound::Unbounded => None,
@@ -629,14 +559,15 @@ impl BTree {
                 Bound::Excluded(k) => Some((k.to_vec(), false)),
             },
         };
-        range.load(pid)?;
+        let page = leaf.page.read();
+        let node = NodeView::new(&page)?;
         // Skip what precedes the start bound in the first leaf.
-        let slot = NodeView::of(&range.leaf, true, range.next)?.seek(seek_key)?;
-        let (pos, skipped) = match slot.hit {
-            Some((_, end)) if matches!(start, Bound::Excluded(_)) => (end, slot.index + 1),
-            _ => (slot.at, slot.index),
+        let from = match start {
+            Bound::Included(k) => node.rank(k, false)?,
+            Bound::Excluded(k) => node.rank(k, true)?,
+            Bound::Unbounded => 0,
         };
-        (range.pos, range.left) = (pos, range.left - skipped);
+        range.copy(node, from)?;
         Ok(range)
     }
 
@@ -667,7 +598,7 @@ impl BTree {
                 if node.leaf && node.next == NO_PAGE {
                     // An empty leaf, or an unreadable first key, floors
                     // nothing; a wrong floor costs a fetch or a descent.
-                    self.set_hint(pid, node.first_key().unwrap_or_default());
+                    self.set_hint(pid, node.key(0).unwrap_or_default());
                 }
                 (!node.leaf).then(|| node.child_for(key)).transpose()?
             };
@@ -685,67 +616,68 @@ impl BTree {
 }
 
 /// Insert or replace (`value` given) or delete (`None`) `key` in the leaf
-/// on `frame`: the new record is spliced together in `edit` and replaces
-/// the old one — one page write — unless an insert or replace left it
-/// over [`SPLIT_THRESHOLD`]. Returns the key's previous value and whether
-/// the record was written; when not, the page is untouched and `edit`
-/// holds the record to split. A delete only shrinks the record, so it is
-/// always written.
-fn edit_leaf(
-    frame: &Frame,
-    edit: &mut Vec<u8>,
-    key: &[u8],
-    value: Option<&[u8]>,
-) -> Result<(Option<Vec<u8>>, bool)> {
+/// on `frame`, one slot of the page inserted or removed, unless an insert
+/// or replace would take the node over [`SPLIT_THRESHOLD`]. Returns the
+/// key's previous value and whether the page was edited; when not, it is
+/// untouched and must be split. A delete only shrinks the node, so it is
+/// always done.
+fn edit_leaf(frame: &Frame, key: &[u8], value: Option<&[u8]>) -> Result<(Option<Vec<u8>>, bool)> {
     let mut page = frame.page.write();
     let node = NodeView::new(&page)?;
-    let slot = node.seek(key)?;
-    let (old, end) = match slot.hit {
-        Some((old, end)) => (Some(old.to_vec()), end),
-        None if value.is_none() => return Ok((None, true)),
-        None => (None, slot.at),
-    };
-    let count = node.count + usize::from(value.is_some()) - usize::from(old.is_some());
-    edit.clear();
-    varint::write_u64(edit, count as u64);
-    edit.extend_from_slice(&node.rec[node.first..slot.at]);
-    if let Some(value) = value {
-        put_bytes(edit, key);
-        put_bytes(edit, value);
-    }
-    edit.extend_from_slice(&node.rec[end..]);
-    if value.is_some() && edit.len() > SPLIT_THRESHOLD {
-        return Ok((old, false));
-    }
-    if !page.replace_sole_record(edit) {
+    if !node.leaf {
         return Err(corrupt());
     }
+    let (index, old, freed) = match node.search(key)? {
+        Ok(i) => {
+            let record = node.record(i)?;
+            let old = leaf_entry(record)?.1.to_vec();
+            (i, Some(old), record.len() + SLOT_LEN)
+        }
+        Err(_) if value.is_none() => return Ok((None, true)),
+        Err(i) => (i, None, 0),
+    };
+    let mut len = [0; 10];
+    let len = varint::encode_u64(key.len() as u64, &mut len);
+    if let Some(value) = value {
+        let grown = len.len() + key.len() + value.len() + SLOT_LEN;
+        if page.occupied().saturating_sub(freed) + grown > SPLIT_THRESHOLD {
+            return Ok((old, false));
+        }
+    }
+    if old.is_some() && !page.remove_at(index) {
+        return Err(corrupt());
+    }
+    if let Some(value) = value {
+        if !page.insert_at(index, &[len, key, value]) {
+            return Err(corrupt());
+        }
+    }
+    drop(page);
     frame.mark_dirty();
     Ok((old, true))
 }
 
-/// Where an overfull node is cut. `sizes` are the serialised sizes of its
-/// items: a leaf's entries, or an `internal` node's keys, each with one
-/// child id. In an internal node the key at the cut is promoted, so it
-/// goes to neither half, and each half has one more child id than keys.
+/// Where an overfull node is cut. `sizes` are the bytes its items take in
+/// a page, slots included: a leaf's entries, or an `internal` node's
+/// separators with their children. In an internal node the separator at
+/// the cut is promoted: it goes to neither half, and its child becomes
+/// the right half's leftmost.
 ///
 /// An `append` put the last item there: the cut is just before it, so
 /// the left half is the node as it was and the right half starts with
-/// the new item (in an internal node, whose new key is promoted, the
-/// right half is that key's child alone). Any other cut is `len / 2`.
-/// Either is taken whenever both halves then fit a page. Halving by count
-/// can fail that when a few long items sit among many short ones; the
-/// cut is then the one that leaves the larger half smallest, which fits
-/// for any node of entries up to [`MAX_ENTRY`] that overflowed by one
-/// insert.
+/// the new item (in an internal node, whose new separator is promoted,
+/// the right half is that separator's child alone). Any other cut is
+/// `len / 2`. Either is taken whenever both halves then fit a page.
+/// Halving by count can fail that when a few long items sit among many
+/// short ones; the cut is then the one that leaves the larger half
+/// smallest, which fits for any node of entries up to [`MAX_ENTRY`] that
+/// overflowed by one insert.
 fn split_point(sizes: &[usize], internal: bool, append: bool) -> Result<usize> {
-    let (promoted, fixed) = if internal { (1, 8) } else { (0, 0) };
+    let promoted = usize::from(internal);
     let total: usize = sizes.iter().sum();
-    // The record of the larger half when `left` bytes of items stay.
+    // The larger half when `left` bytes of items stay.
     let larger = |cut: usize, left: usize| {
-        let right = total - left - sizes[cut..cut + promoted].iter().sum::<usize>();
-        let record = |items: usize, bytes| varint::len_u64(items as u64) + bytes + fixed;
-        record(cut, left).max(record(sizes.len() - cut - promoted, right))
+        left.max(total - left - sizes[cut..cut + promoted].iter().sum::<usize>())
     };
     let first = match append {
         true => sizes.len() - 1,
@@ -763,88 +695,86 @@ fn split_point(sizes: &[usize], internal: bool, append: bool) -> Result<usize> {
         .min()
         .filter(|&(larger, _)| larger <= NODE_CAPACITY)
         .map(|(_, cut)| cut)
-        .ok_or_else(|| DbError::Storage("b+tree node payload exceeds page".into()))
+        .ok_or_else(too_large)
 }
 
-fn write_node(frame: &Frame, node: &Node) -> Result<()> {
-    let (ptype, next) = match node {
-        Node::Leaf { next, .. } => (PageType::BTreeLeaf, *next),
-        Node::Internal { .. } => (PageType::BTreeInternal, NO_PAGE),
-    };
-    write_record(frame, ptype, next, &node.serialize())
-}
-
-/// Format `frame`'s page afresh as a node: `record` alone, in slot 0.
-fn write_record(frame: &Frame, ptype: PageType, next: PageId, record: &[u8]) -> Result<()> {
-    let mut fresh = Page::new(ptype);
-    fresh.set_next_page(next);
-    fresh
-        .insert(record)
-        .ok_or_else(|| DbError::Storage("b+tree node payload exceeds page".into()))?;
-    *frame.page.write() = fresh;
+/// Make `frame`'s page the node of `records`, in slot order, with `next`
+/// as its right sibling (a leaf) or leftmost child (an internal node).
+fn write_node(frame: &Frame, next: PageId, records: &[&[u8]]) -> Result<()> {
+    let mut page = frame.page.write();
+    if !page.rebuild(&[], records) {
+        return Err(too_large());
+    }
+    page.set_next_page(next);
+    drop(page);
     frame.mark_dirty();
     Ok(())
 }
 
-/// Ordered iterator over a key range. Holds a copy of one leaf record at
-/// a time; [`BTreeRange::next_entry`] lends entries out of it.
+/// Ordered iterator over a key range. Holds a copy of the entries it
+/// returns from one leaf at a time, taken under that leaf's page guard
+/// and lent out by [`BTreeRange::next_entry`]; no latch or guard is held
+/// between calls.
 pub struct BTreeRange<'a> {
     tree: &'a BTree,
-    leaf: Vec<u8>,
-    /// Offset of the next entry in `leaf` and how many entries are left.
-    pos: usize,
-    left: usize,
+    /// The current leaf's entries in range, keys and values back to back.
+    buf: Vec<u8>,
+    /// Where they start and end in `buf`: entry `i`'s key is
+    /// `bounds[2i]..bounds[2i + 1]`, its value runs on to `bounds[2i + 2]`.
+    bounds: Vec<usize>,
+    /// The next entry to return.
+    at: usize,
+    /// The leaf to copy next; `NO_PAGE` once the range ends in the
+    /// current one.
     next: PageId,
     end: Option<(Vec<u8>, bool)>,
 }
 
 impl BTreeRange<'_> {
-    /// Make leaf `pid` the current one.
-    fn load(&mut self, pid: PageId) -> Result<()> {
-        self.tree.view(pid, |node| {
-            // A sibling link must lead to a leaf.
-            if !node.leaf {
-                return Err(corrupt());
-            }
-            self.leaf.clear();
-            self.leaf.extend_from_slice(node.rec);
-            (self.pos, self.left, self.next) = (node.first, node.count, node.next);
-            Ok(())
-        })
+    /// Make leaf `node`'s entries from slot `from` up to the end bound the
+    /// current ones; its sibling is next only if the bound lies past it.
+    fn copy(&mut self, node: NodeView<'_>, from: usize) -> Result<()> {
+        // A sibling link must lead to a leaf.
+        if !node.leaf {
+            return Err(corrupt());
+        }
+        let to = match &self.end {
+            Some((key, inclusive)) => node.rank(key, *inclusive)?,
+            None => node.len,
+        };
+        (self.at, self.next) = (0, NO_PAGE);
+        self.buf.clear();
+        self.bounds.truncate(1);
+        for i in from..to {
+            let (key, value) = node.entry(i)?;
+            self.buf.extend_from_slice(key);
+            self.bounds.push(self.buf.len());
+            self.buf.extend_from_slice(value);
+            self.bounds.push(self.buf.len());
+        }
+        if to == node.len {
+            self.next = node.next;
+        }
+        Ok(())
     }
 
-    /// The next `(key, value)`, borrowed from the iterator's leaf copy.
-    /// After an error the iterator is exhausted.
+    /// The next `(key, value)`, borrowed from the iterator's copy. After
+    /// an error the iterator is exhausted.
     pub fn next_entry(&mut self) -> Option<Result<(&[u8], &[u8])>> {
-        let step = self.advance();
-        if step.is_err() {
-            (self.pos, self.left, self.next) = (self.leaf.len(), 0, NO_PAGE);
-        }
-        let entry = step.transpose()?;
-        Some(entry.map(|(k, v)| (&self.leaf[k], &self.leaf[v])))
-    }
-
-    /// Step over the next entry: where its key and value lie in `leaf`.
-    fn advance(&mut self) -> Result<Option<(Range<usize>, Range<usize>)>> {
-        while self.left == 0 {
-            if self.pos != self.leaf.len() {
-                return Err(corrupt());
-            } else if self.next == NO_PAGE {
-                return Ok(None);
+        while 2 * self.at + 1 == self.bounds.len() {
+            if self.next == NO_PAGE {
+                return None;
             }
-            self.load(self.next)?;
-        }
-        let mut pos = self.pos;
-        let key = read_bytes(&self.leaf, &mut pos)?;
-        let k = pos - key.len()..pos;
-        let value_len = read_bytes(&self.leaf, &mut pos)?.len();
-        if let Some((end, inclusive)) = &self.end {
-            if key > end.as_slice() || (key == end.as_slice() && !inclusive) {
-                return Ok(None);
+            let loaded = self.tree.view(self.next, |node| self.copy(node, 0));
+            if let Err(e) = loaded {
+                (self.at, self.next) = (0, NO_PAGE);
+                self.bounds.truncate(1);
+                return Some(Err(e));
             }
         }
-        (self.pos, self.left) = (pos, self.left - 1);
-        Ok(Some((k, pos - value_len..pos)))
+        let b = &self.bounds[2 * self.at..2 * self.at + 3];
+        self.at += 1;
+        Some(Ok((&self.buf[b[0]..b[1]], &self.buf[b[1]..b[2]])))
     }
 }
 
@@ -861,6 +791,12 @@ impl Iterator for BTreeRange<'_> {
 mod tests {
     use super::*;
     use crate::pager::MemPager;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Key comparisons made by [`NodeView::search`] on this thread.
+        pub(super) static COMPARES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn tree() -> BTree {
         let pool = BufferPool::new(Arc::new(MemPager::new()), 256);
@@ -869,6 +805,63 @@ mod tests {
 
     fn k(i: u32) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    /// The bytes a leaf entry of `key` and a `vlen`-byte value takes in
+    /// its page, slot included.
+    fn entry_size(key: &[u8], vlen: usize) -> usize {
+        varint::len_u64(key.len() as u64) + key.len() + vlen + SLOT_LEN
+    }
+
+    /// Write a leaf of `entries` with right sibling `next` on `frame`.
+    fn write_leaf(frame: &Frame, entries: &[(Vec<u8>, Vec<u8>)], next: PageId) {
+        let records: Vec<Vec<u8>> = entries
+            .iter()
+            .map(|(key, value)| {
+                let mut rec = Vec::new();
+                varint::write_u64(&mut rec, key.len() as u64);
+                [rec, key.clone(), value.clone()].concat()
+            })
+            .collect();
+        let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+        write_node(frame, next, &records).unwrap();
+    }
+
+    /// Write an internal node of `keys` over `children` on `frame`.
+    fn write_internal(frame: &Frame, keys: &[Vec<u8>], children: &[PageId]) {
+        assert_eq!(keys.len() + 1, children.len());
+        let records: Vec<Vec<u8>> = keys
+            .iter()
+            .zip(&children[1..])
+            .map(|(key, child)| [&child.to_le_bytes()[..], key].concat())
+            .collect();
+        let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+        write_node(frame, children[0], &records).unwrap();
+    }
+
+    /// A leaf's entries.
+    fn entries(t: &BTree, pid: PageId) -> Vec<(Vec<u8>, Vec<u8>)> {
+        t.view(pid, |node| {
+            assert!(node.leaf, "page {pid} is a leaf");
+            (0..node.len)
+                .map(|i| node.entry(i).map(|(k, v)| (k.to_vec(), v.to_vec())))
+                .collect()
+        })
+        .unwrap()
+    }
+
+    /// An internal node's separators and children.
+    fn separators(t: &BTree, pid: PageId) -> (Vec<Vec<u8>>, Vec<PageId>) {
+        t.view(pid, |node| {
+            assert!(!node.leaf, "page {pid} is internal");
+            let keys = (0..node.len).map(|i| node.key(i).map(<[u8]>::to_vec));
+            let children = (0..=node.len).map(|i| node.child(i));
+            Ok((
+                keys.collect::<Result<_>>()?,
+                children.collect::<Result<_>>()?,
+            ))
+        })
+        .unwrap()
     }
 
     #[test]
@@ -935,6 +928,7 @@ mod tests {
             (11..=20).collect::<Vec<_>>()
         );
         assert_eq!(collect(Bound::Unbounded, Bound::Excluded(&k10)).len(), 10);
+        assert!(collect(Bound::Included(&k20), Bound::Excluded(&k10)).is_empty());
     }
 
     #[test]
@@ -960,7 +954,7 @@ mod tests {
     #[test]
     fn delete_from_a_leaf_over_the_split_threshold() {
         // Halving a leaf by entry count can leave a half that is over
-        // SPLIT_THRESHOLD yet fits its page; a delete from it is written.
+        // SPLIT_THRESHOLD yet fits its page; a delete from it is done.
         // The overflowing insert goes between two keys: past the last one
         // it would be an append, which halves nothing.
         let t = tree();
@@ -971,7 +965,7 @@ mod tests {
         t.insert(&[1, 2], &[7; 600]).unwrap();
         t.insert(&[1, 1], &[7; 3450]).unwrap();
         let (_, leaf) = t.leaf_for(t.root_page(), &[0, 50], None).unwrap();
-        assert!(leaf.page.read().get(0).unwrap().len() > SPLIT_THRESHOLD);
+        assert!(leaf.page.read().occupied() > SPLIT_THRESHOLD);
         drop(leaf);
         assert_eq!(t.delete(&[0, 50]).unwrap(), Some(b"v".to_vec()));
         assert_eq!(t.get(&[0, 50]).unwrap(), None);
@@ -979,15 +973,32 @@ mod tests {
         assert_eq!(t.len(), 62);
         let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert_eq!(all.count(), 62);
-        // So is a replace that brings the record back under the threshold.
+        // So is a replace that brings the node back under the threshold.
         assert!(t.insert(&[1, 2], b"small").unwrap().is_some());
         assert_eq!(t.get(&[1, 2]).unwrap(), Some(b"small".to_vec()));
         assert_eq!(t.len(), 62);
-        // The same delete, page for page against the old write path.
+        // The same operations against the model and the structure checks.
         let mut ops: Vec<Op> = (0..60).map(|i| Op::Insert(vec![0, i], 1)).collect();
         ops.extend([(0, 3450), (2, 600), (1, 3450)].map(|(i, len)| Op::Insert(vec![1, i], len)));
         ops.extend([Op::Delete(50), Op::Replace(61, 5)]);
         run_model(&ops).unwrap();
+    }
+
+    #[test]
+    fn edits_reuse_the_space_of_removed_entries() {
+        // Replacing one entry again and again leaves dead bytes behind;
+        // the page compacts instead of splitting.
+        let t = tree();
+        for i in 0..20u32 {
+            t.insert(&k(i), &[1; 300]).unwrap();
+        }
+        for round in 0..200u32 {
+            let value = vec![round as u8; 300 + round as usize % 7];
+            assert!(t.insert(&k(round % 20), &value).unwrap().is_some());
+            assert_eq!(t.get(&k(round % 20)).unwrap(), Some(value));
+        }
+        assert_eq!(t.page_count().unwrap(), 1);
+        assert_eq!(t.len(), 20);
     }
 
     /// Every key of `t` in order, after checking that no page the pool
@@ -1036,9 +1047,14 @@ mod tests {
 
     #[test]
     fn node_capacity_is_what_a_fresh_page_holds() {
-        let mut page = Page::new(PageType::BTreeLeaf);
-        assert_eq!(page.free_space(), NODE_CAPACITY);
-        assert!(page.insert(&vec![1; NODE_CAPACITY]).is_some());
+        for len in [NODE_CAPACITY - SLOT_LEN, NODE_CAPACITY - SLOT_LEN + 1] {
+            let mut page = Page::new(PageType::BTreeLeaf);
+            let fits = page.insert_at(0, &[&vec![1; len]]);
+            assert_eq!(fits, len + SLOT_LEN <= NODE_CAPACITY);
+        }
+        // A node one insert took over the threshold has halves that fit.
+        let largest = entry_size(&[0; MAX_ENTRY], 0).max(8 + MAX_ENTRY + SLOT_LEN);
+        assert!((SPLIT_THRESHOLD + 2 * largest) / 2 <= NODE_CAPACITY);
     }
 
     #[test]
@@ -1046,6 +1062,8 @@ mod tests {
         let t = tree();
         let big = vec![0u8; 8000];
         assert!(t.insert(b"k", &big).is_err());
+        assert!(t.insert(&[1; MAX_ENTRY], b"").is_ok());
+        assert!(t.insert(&[2; MAX_ENTRY], b"v").is_err());
     }
 
     #[test]
@@ -1062,213 +1080,68 @@ mod tests {
         assert_eq!(t2.get(&k(4999)).unwrap(), Some(b"v".to_vec()));
     }
 
-    // -- model, format-oracle and corruption tests ----------------------
+    // -- model, structure and corruption tests --------------------------
 
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// The write path of the commit before nodes were edited in place,
-    /// kept as the format oracle: every visited node is deserialised into
-    /// an owned [`Node`], changed, and written back whole by `write_node`.
-    /// It cuts a node where that commit did — at `len / 2` — except in two
-    /// cases. An append (a new last entry of a leaf with no right sibling,
-    /// or a new last key of an internal node reached through last children
-    /// only) is cut before the new item, the rule the tree adopted with its
-    /// append path, written here from the rule rather than from the tree's
-    /// code. And where that commit refused the insert — a half too large
-    /// for a page — it cuts where serialising both halves of every
-    /// candidate finds the larger one smallest.
-    struct Oracle {
-        pool: Arc<BufferPool>,
-        root: PageId,
-    }
-
-    impl Oracle {
-        fn create(pool: Arc<BufferPool>) -> Oracle {
-            let (root, frame) = pool.allocate(PageType::BTreeLeaf).unwrap();
-            let empty = Node::Leaf {
-                entries: Vec::new(),
-                next: NO_PAGE,
-            };
-            write_node(&frame, &empty).unwrap();
-            Oracle { pool, root }
+    /// Walk the tree under `pid`, whose keys must lie in `[lo, hi)`: check
+    /// that every node's keys ascend within those bounds and every leaf is
+    /// at the same `depth`, and push the leaves, left to right, on
+    /// `leaves`.
+    fn check_subtree(
+        t: &BTree,
+        pid: PageId,
+        (lo, hi): (&[u8], Option<&[u8]>),
+        depth: usize,
+        leaves: &mut Vec<(PageId, usize)>,
+    ) {
+        let within = |key: &[u8]| lo <= key && hi.is_none_or(|hi| key < hi);
+        let leaf = t.view(pid, |node| Ok(node.leaf)).unwrap();
+        if leaf {
+            let keys: Vec<Vec<u8>> = entries(t, pid).into_iter().map(|(k, _)| k).collect();
+            assert!(keys.is_sorted_by(|a, b| a < b), "leaf {pid} out of order");
+            assert!(keys.iter().all(|k| within(k)), "leaf {pid} out of bounds");
+            leaves.push((pid, depth));
+            return;
         }
-
-        fn read(&self, pid: PageId) -> Node {
-            let frame = self.pool.fetch(pid).unwrap();
-            let page = frame.page.read();
-            Node::deserialize(NodeView::new(&page).unwrap()).unwrap()
-        }
-
-        fn write(&self, pid: PageId, node: &Node) -> Result<()> {
-            let frame = self.pool.fetch(pid)?;
-            write_node(&frame, node)
-        }
-
-        fn allocate(&self, node: &Node) -> Result<PageId> {
-            // `write_node` formats the page by the node's kind.
-            let (pid, frame) = self.pool.allocate(PageType::BTreeLeaf)?;
-            write_node(&frame, node)?;
-            Ok(pid)
-        }
-
-        /// `first` if `halves` of that cut both fit a page, else the cut
-        /// of `cuts` whose larger half is smallest.
-        fn cut(first: usize, cuts: Range<usize>, halves: impl Fn(usize) -> [Node; 2]) -> usize {
-            let larger = |cut| {
-                halves(cut)
-                    .map(|half| half.serialize().len())
-                    .into_iter()
-                    .max()
-            };
-            let capacity = Page::new(PageType::BTreeLeaf).free_space();
-            match larger(first) <= Some(capacity) {
-                true => first,
-                false => cuts.min_by_key(|&cut| larger(cut)).unwrap(),
-            }
-        }
-
-        fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-            if let Some((sep, right)) = self.insert_rec(self.root, key, value, true)? {
-                self.root = self.allocate(&Node::Internal {
-                    keys: vec![sep],
-                    children: vec![self.root, right],
-                })?;
-            }
-            Ok(())
-        }
-
-        /// Insert under node `pid`, on the right edge if `edge`.
-        fn insert_rec(
-            &self,
-            pid: PageId,
-            key: &[u8],
-            value: &[u8],
-            edge: bool,
-        ) -> Result<Option<(Vec<u8>, PageId)>> {
-            Ok(match self.read(pid) {
-                Node::Leaf { mut entries, next } => {
-                    let mut append = false;
-                    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => entries[i].1 = value.to_vec(),
-                        Err(i) => {
-                            append = next == NO_PAGE && i == entries.len();
-                            entries.insert(i, (key.to_vec(), value.to_vec()));
-                        }
-                    }
-                    let node = Node::Leaf { entries, next };
-                    if node.serialize().len() <= SPLIT_THRESHOLD {
-                        self.write(pid, &node)?;
-                        return Ok(None);
-                    }
-                    let Node::Leaf { mut entries, next } = node else {
-                        unreachable!()
-                    };
-                    let first = match append {
-                        true => entries.len() - 1,
-                        false => entries.len() / 2,
-                    };
-                    let cut = Oracle::cut(first, 1..entries.len(), |cut| {
-                        let (left, right) = entries.split_at(cut);
-                        [left, right].map(|half| Node::Leaf {
-                            entries: half.to_vec(),
-                            next,
-                        })
-                    });
-                    let right = entries.split_off(cut);
-                    let sep = right[0].0.clone();
-                    let right_id = self.allocate(&Node::Leaf {
-                        entries: right,
-                        next,
-                    })?;
-                    let left = Node::Leaf {
-                        entries,
-                        next: right_id,
-                    };
-                    self.write(pid, &left)?;
-                    Some((sep, right_id))
-                }
-                Node::Internal {
-                    mut keys,
-                    mut children,
-                } => {
-                    let idx = match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    let last = idx == keys.len();
-                    let Some((sep, right)) =
-                        self.insert_rec(children[idx], key, value, edge && last)?
-                    else {
-                        return Ok(None);
-                    };
-                    let append = edge && last;
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    let node = Node::Internal { keys, children };
-                    if node.serialize().len() <= SPLIT_THRESHOLD {
-                        self.write(pid, &node)?;
-                        return Ok(None);
-                    }
-                    let Node::Internal { keys, children } = node else {
-                        unreachable!()
-                    };
-                    let halves = |mid: usize| {
-                        let half = |keys: &[Vec<u8>], children: &[PageId]| Node::Internal {
-                            keys: keys.to_vec(),
-                            children: children.to_vec(),
-                        };
-                        [
-                            half(&keys[..mid], &children[..=mid]),
-                            half(&keys[mid + 1..], &children[mid + 1..]),
-                        ]
-                    };
-                    let first = match append {
-                        true => keys.len() - 1,
-                        false => keys.len() / 2,
-                    };
-                    let mid = Oracle::cut(first, 1..keys.len() - 1, halves);
-                    let [left, right] = halves(mid);
-                    let right_id = self.allocate(&right)?;
-                    self.write(pid, &left)?;
-                    Some((keys[mid].clone(), right_id))
-                }
-            })
-        }
-
-        fn delete(&self, key: &[u8]) {
-            let mut pid = self.root;
-            loop {
-                match self.read(pid) {
-                    Node::Internal { keys, children } => {
-                        pid = children[keys.partition_point(|k| k.as_slice() <= key)];
-                    }
-                    Node::Leaf { mut entries, next } => {
-                        if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                            entries.remove(i);
-                            self.write(pid, &Node::Leaf { entries, next }).unwrap();
-                        }
-                        return;
-                    }
-                }
-            }
+        let (keys, children) = separators(t, pid);
+        assert!(!keys.is_empty(), "internal node {pid} without separators");
+        assert!(keys.is_sorted_by(|a, b| a < b), "node {pid} out of order");
+        assert!(keys.iter().all(|k| within(k)), "node {pid} out of bounds");
+        for (i, &child) in children.iter().enumerate() {
+            let lo = if i == 0 { lo } else { &keys[i - 1] };
+            let hi = keys.get(i).map(Vec::as_slice).or(hi);
+            check_subtree(t, child, (lo, hi), depth + 1, leaves);
         }
     }
 
-    /// Type, sibling and node record of every page of `pool`'s store; with
-    /// `sealed`, the whole sealed image instead.
-    fn images(pool: &BufferPool, pages: u64, sealed: bool) -> Vec<(PageType, PageId, Vec<u8>)> {
-        (0..pages)
-            .map(|pid| {
-                let frame = pool.fetch(pid).unwrap();
-                let page = frame.page.read();
-                let bytes = match sealed {
-                    true => page.to_bytes().to_vec(),
-                    false => page.get(0).unwrap().to_vec(),
-                };
-                (page.page_type(), page.next_page(), bytes)
-            })
-            .collect()
+    /// Check `t` against `model`: the same entries in order, through the
+    /// leaf chain; every key within the separators above it; leaves all
+    /// at one depth, chained left to right; every node within its page;
+    /// no page the pool handed out left unreachable. Returns the height.
+    fn check_tree(t: &BTree, model: &BTreeMap<Vec<u8>, Vec<u8>>) -> usize {
+        let mut leaves = Vec::new();
+        check_subtree(t, t.root_page(), (&[], None), 1, &mut leaves);
+        let height = leaves[0].1;
+        assert!(leaves.iter().all(|&(_, d)| d == height), "uneven leaves");
+        for (i, &(pid, _)) in leaves.iter().enumerate() {
+            let next = leaves.get(i + 1).map_or(NO_PAGE, |&(next, _)| next);
+            let (sibling, occupied) = t
+                .view(pid, |node| Ok((node.next, node.page.occupied())))
+                .unwrap();
+            assert_eq!(sibling, next, "leaf {pid} chains to the wrong sibling");
+            assert!(occupied <= NODE_CAPACITY);
+        }
+        let all: Vec<_> = t
+            .range(Bound::Unbounded, Bound::Unbounded)
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
+        assert!(all.into_iter().eq(model.clone()));
+        assert_eq!(t.len(), model.len() as u64);
+        assert_eq!(t.page_count().unwrap(), t.pool.store().num_pages());
+        height
     }
 
     #[derive(Debug, Clone)]
@@ -1333,19 +1206,17 @@ mod tests {
         }
     }
 
-    /// Drive the tree, the oracle and a `BTreeMap` through `ops`; after
-    /// every mutation the two stores must hold the same node records.
-    /// Returns whether an internal node split on the way.
-    fn run_model(ops: &[Op]) -> std::result::Result<bool, TestCaseError> {
+    /// Drive the tree and a `BTreeMap` through `ops`, checking the tree's
+    /// structure against the map after every mutation. Returns the
+    /// tree's greatest height on the way.
+    fn run_model(ops: &[Op]) -> std::result::Result<usize, TestCaseError> {
         let pool = BufferPool::new(Arc::new(MemPager::new()), 4096);
-        let oracle_pool = BufferPool::new(Arc::new(MemPager::new()), 4096);
         let mut tree = BTree::create(pool.clone()).unwrap();
-        let mut oracle = Oracle::create(oracle_pool.clone());
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         let nth = |model: &BTreeMap<Vec<u8>, Vec<u8>>, n: usize| {
             model.keys().nth(n % model.len().max(1)).cloned()
         };
-        let mut internal_splits = false;
+        let mut height = 1;
         for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::Insert(..) | Op::Append(..) | Op::Replace(..) => {
@@ -1361,14 +1232,12 @@ mod tests {
                     let value = vec![step as u8; vlen];
                     // Tiny and huge entries mix, so some leaves cannot be
                     // halved by entry count; no insert is refused for it.
-                    oracle.insert(&key, &value).unwrap();
                     prop_assert_eq!(tree.insert(&key, &value).unwrap(), model.insert(key, value));
                 }
                 Op::Delete(n) => {
                     let Some(key) = nth(&model, *n) else { continue };
                     prop_assert_eq!(tree.delete(&key).unwrap(), model.remove(&key));
                     prop_assert_eq!(tree.delete(&key).unwrap(), None);
-                    oracle.delete(&key);
                 }
                 Op::Get(n) => {
                     let Some(key) = nth(&model, *n) else { continue };
@@ -1401,91 +1270,63 @@ mod tests {
                     tree = BTree::open(pool.clone(), tree.root_page()).unwrap();
                 }
             }
-            prop_assert_eq!(tree.len(), model.len() as u64);
-            prop_assert_eq!(tree.root_page(), oracle.root);
-            let pages = pool.store().num_pages();
-            prop_assert_eq!(pages, oracle_pool.store().num_pages());
-            prop_assert_eq!(
-                images(&pool, pages, false),
-                images(&oracle_pool, pages, false)
-            );
-            internal_splits |= matches!(oracle.read(oracle.root), Node::Internal { ref children, .. }
-                if matches!(oracle.read(children[0]), Node::Internal { .. }));
+            height = height.max(check_tree(&tree, &model));
         }
-        // The stores are the same to the last sealed byte, and the view
-        // reads the tree the oracle's `write_node` built.
-        let pages = pool.store().num_pages();
-        prop_assert_eq!(
-            images(&pool, pages, true),
-            images(&oracle_pool, pages, true)
-        );
-        let by_oracle = BTree::open(oracle_pool, oracle.root).unwrap();
-        prop_assert_eq!(by_oracle.len(), model.len() as u64);
-        let all: Vec<_> = by_oracle
-            .range(Bound::Unbounded, Bound::Unbounded)
-            .unwrap()
-            .map(|e| e.unwrap())
-            .collect();
-        prop_assert_eq!(all, model.into_iter().collect::<Vec<_>>());
-        prop_assert_eq!(tree.page_count().unwrap(), by_oracle.page_count().unwrap());
-        Ok(internal_splits)
+        Ok(height)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
         #[test]
-        fn matches_btreemap_and_the_old_write_path_byte_for_byte(
+        fn matches_btreemap_and_stays_a_sound_tree(
             ops in proptest::collection::vec(op_strategy(), 1000..2000)
         ) {
             run_model(&ops)?;
         }
     }
 
+    /// 64-byte keys in an order given by `i`.
+    fn wide_key(i: u32) -> Vec<u8> {
+        [k(i), vec![7; 60]].concat()
+    }
+
     #[test]
     fn internal_nodes_split_and_the_root_grows_twice() {
-        // Two or three entries to a leaf and 64-byte separators: some 120
-        // leaves fill the root, and the tree gains its third level.
-        let wide_key = |i: u32| [k(i.wrapping_mul(0x9e37_79b9)), vec![7; 60]].concat();
-        let mut ops: Vec<Op> = (0..400).map(|i| Op::Insert(wide_key(i), 3400)).collect();
+        // Two entries to a leaf and 76-byte separators: some 100 leaves
+        // fill the root, and the tree gains its third level.
+        let wide = |i: u32| wide_key(i.wrapping_mul(0x9e37_79b9));
+        let mut ops: Vec<Op> = (0..400).map(|i| Op::Insert(wide(i), 3400)).collect();
         ops.extend((0..400).step_by(3).map(Op::Delete));
         ops.push(Op::Reopen);
-        ops.extend((400..500).map(|i| Op::Insert(wide_key(i), 3400)));
-        assert!(run_model(&ops).unwrap(), "no internal node split");
+        ops.extend((400..500).map(|i| Op::Insert(wide(i), 3400)));
+        assert!(run_model(&ops).unwrap() >= 3, "no internal node split");
     }
 
     #[test]
     fn only_the_right_edge_splits_as_an_append() {
-        // Ascending, two entries to a leaf: the root fills at 103 keys and
-        // splits as an append, so its left half stays full. A key between
-        // the two of that half's last leaf splits the leaf, and its
-        // separator lands past the half's last key — an insert at the end
-        // of a node off the right edge, which is halved.
-        let wide_key = |i: u32| [k(i), vec![7; 60]].concat();
-        let mut ops: Vec<Op> = (0..220).map(|i| Op::Insert(wide_key(i), 3400)).collect();
-        ops.push(Op::Insert([wide_key(206), vec![0]].concat(), 3400));
-        assert!(run_model(&ops).unwrap(), "no internal node split");
-    }
-
-    #[test]
-    fn leaf_count_varint_grows_from_one_byte_to_two() {
-        let ops: Vec<Op> = (0..300u32).map(|i| Op::Insert(k(i * 7 % 300), 3)).collect();
-        run_model(&ops).unwrap();
+        // Ascending, two entries to a leaf: leaf `j` holds keys 2j and
+        // 2j + 1, and the root fills at 100 separators. The 101st splits
+        // it as an append, so its left half keeps all 100. A key between
+        // the two of that half's last leaf (keys 200 and 201) splits the
+        // leaf, and its separator lands past the half's last key — an
+        // insert at the end of a node off the right edge, which is halved.
         let t = tree();
-        for i in 0..128u32 {
-            t.insert(&k(i), b"v").unwrap();
-            let frame = t.pool.fetch(t.root_page()).unwrap();
-            let page = frame.page.read();
-            let node = NodeView::new(&page).unwrap();
-            assert_eq!(
-                (node.count, node.first),
-                (i as usize + 1, 1 + usize::from(i == 127))
-            );
+        let mut model = BTreeMap::new();
+        let mut keys: Vec<Vec<u8>> = (0..220).map(wide_key).collect();
+        keys.push([wide_key(200), vec![0]].concat());
+        for key in keys {
+            t.insert(&key, &[1; 3400]).unwrap();
+            model.insert(key, vec![1; 3400]);
         }
-        assert_eq!(t.delete(&k(5)).unwrap(), Some(b"v".to_vec()));
-        assert_eq!(
-            t.range(Bound::Unbounded, Bound::Unbounded).unwrap().count(),
-            127
-        );
+        assert_eq!(check_tree(&t, &model), 3);
+        let (_, children) = separators(&t, t.root_page());
+        let sizes: Vec<usize> = children
+            .iter()
+            .map(|&child| separators(&t, child).0.len())
+            .collect();
+        // The root's append split left 100 separators and 8; the halving
+        // one cut 101 into 50, the one promoted and 50.
+        assert_eq!(sizes, [50, 50, 8]);
     }
 
     /// How many pages `f` fetched from the pool.
@@ -1504,7 +1345,7 @@ mod tests {
         while let Some(last) = t
             .view(pid, |node| match node.leaf {
                 true => Ok(None),
-                false => Ok(node.children()?.last()),
+                false => node.child(node.len).map(Some),
             })
             .unwrap()
         {
@@ -1516,7 +1357,7 @@ mod tests {
 
     #[test]
     fn an_ascending_load_skips_the_descent_and_leaves_full_nodes() {
-        // Leaves of 62 entries under one root, then keys so wide that the
+        // Leaves of 61 entries under one root, then keys so wide that the
         // internal nodes fill and split too.
         for (klen, vlen, n) in [(9, 110, 20_000u64), (200, 10, 5_000)] {
             let t = tree();
@@ -1532,21 +1373,22 @@ mod tests {
                 assert!(per_insert <= 1.1, "{per_insert} fetches per insert");
             }
             // Every node left behind the load is within one item of full.
-            let entry = put_len(&key(0)) + put_len(&vec![0; vlen]);
+            let entry = entry_size(&key(0), vlen);
             let edge = right_edge(&t);
             let (mut leaves, mut internal) = (0, 0);
             for pid in t.pages() {
                 t.view(pid, |node| {
                     let (item, behind) = match node.leaf {
                         true => (entry, node.next != NO_PAGE),
-                        false => (put_len(&key(0)) + 8, !edge.contains(&pid)),
+                        false => (8 + klen + SLOT_LEN, !edge.contains(&pid)),
                     };
                     match node.leaf {
                         true => leaves += 1,
                         false => internal += 1,
                     }
-                    let full = node.rec.len() + item > SPLIT_THRESHOLD;
-                    assert!(full || !behind, "page {pid} holds {} bytes", node.rec.len());
+                    let occupied = node.page.occupied();
+                    let full = occupied + item > SPLIT_THRESHOLD;
+                    assert!(full || !behind, "page {pid} holds {occupied} bytes");
                     Ok(())
                 })
                 .unwrap();
@@ -1621,9 +1463,8 @@ mod tests {
 
     #[test]
     fn a_tree_cut_at_half_opens_reads_and_takes_appends() {
-        // An ascending load under the old rule: every leaf was cut at
-        // `len / 2`, so all but the last hold 33 of the 65 entries of 116
-        // bytes that fit.
+        // An ascending load as halving splits leave it: every leaf but the
+        // last holds 33 entries, about half of what fits.
         let pool = BufferPool::new(Arc::new(MemPager::new()), 256);
         let entry = |i: u32| (k(i), vec![i as u8; 110]);
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = (0..1000).map(entry).collect();
@@ -1634,16 +1475,12 @@ mod tests {
             .map(|_| pool.allocate(PageType::BTreeLeaf).unwrap().0)
             .collect();
         for (n, entries) in leaves.iter().enumerate() {
-            let node = Node::Leaf {
-                entries: entries.to_vec(),
-                next: ids.get(n + 1).copied().unwrap_or(NO_PAGE),
-            };
-            write_node(&pool.fetch(ids[n]).unwrap(), &node).unwrap();
+            let next = ids.get(n + 1).copied().unwrap_or(NO_PAGE);
+            write_leaf(&pool.fetch(ids[n]).unwrap(), entries, next);
         }
         let (root, frame) = pool.allocate(PageType::BTreeInternal).unwrap();
-        let keys = leaves[1..].iter().map(|leaf| leaf[0].0.clone()).collect();
-        let children = ids.clone();
-        write_node(&frame, &Node::Internal { keys, children }).unwrap();
+        let keys: Vec<Vec<u8>> = leaves[1..].iter().map(|leaf| leaf[0].0.clone()).collect();
+        write_internal(&frame, &keys, &ids);
         drop(frame);
 
         let t = BTree::open(pool.clone(), root).unwrap();
@@ -1659,19 +1496,133 @@ mod tests {
         // The old leaves are as they were; the last of them and the new
         // ones fill up.
         let old = leaves.len() - 1;
-        for (n, entries) in leaves.iter().enumerate().take(old) {
-            let node = t.view(ids[n], Node::deserialize).unwrap();
-            assert!(matches!(node, Node::Leaf { entries: e, .. } if e == *entries));
+        for (n, loaded) in leaves.iter().enumerate().take(old) {
+            assert_eq!(entries(&t, ids[n]), *loaded);
         }
-        let filled = (3000 - 33 * old).div_ceil(65);
+        let per_leaf = SPLIT_THRESHOLD / entry_size(&k(0), 110);
+        let filled = (3000 - 33 * old).div_ceil(per_leaf);
         assert_eq!(t.page_count().unwrap(), (1 + old + filled) as u64);
         let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert!(all.map(Result::unwrap).eq(model));
     }
 
+    /// A tree of two internal levels whose full internal nodes hold 475
+    /// separators each, over leaves of two entries: the even keys
+    /// `0..2 * n` with 3 400-byte values.
+    fn wide_tree(n: u32) -> (BTree, BTreeMap<Vec<u8>, Vec<u8>>) {
+        let t = tree();
+        let mut model = BTreeMap::new();
+        for i in 0..n {
+            let value = vec![i as u8; 3400];
+            t.insert(&k(2 * i), &value).unwrap();
+            model.insert(k(2 * i), value);
+        }
+        (t, model)
+    }
+
+    /// Every separator of every internal node of `t`.
+    fn all_separators(t: &BTree) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for pid in t.pages() {
+            if !t.view(pid, |node| Ok(node.leaf)).unwrap() {
+                out.extend(separators(t, pid).0);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lookups_at_every_separator_match_the_model() {
+        // Three full-width level-one nodes of at least 300 separators.
+        let (t, model) = wide_tree(2 * (2 * 476 + 320));
+        assert_eq!(check_tree(&t, &model), 3);
+        let (_, level_one) = separators(&t, t.root_page());
+        for &pid in &level_one {
+            assert!(separators(&t, pid).0.len() >= 300, "node {pid} is narrow");
+        }
+        // At every separator, one key below and one above it (the keys
+        // are even, so both are absent), and the least and greatest keys.
+        let seps: Vec<u32> = all_separators(&t)
+            .iter()
+            .map(|s| u32::from_be_bytes(s[..].try_into().unwrap()))
+            .collect();
+        let (min, max) = (0, 2 * (model.len() as u32 - 1));
+        let mut probes: Vec<u32> = seps.iter().flat_map(|&s| [s - 1, s, s + 1]).collect();
+        probes.extend([min, max, max + 1]);
+        // Cold, every lookup descends; warm, the hint holds the last leaf
+        // and the keys in it skip the descent.
+        let hint = |warm: bool| match warm {
+            true => assert!(!t.contains_key(&k(u32::MAX)).unwrap()),
+            false => t.hint.store(NO_PAGE, Ordering::Relaxed),
+        };
+        for warm in [false, true] {
+            for &p in &probes {
+                let key = k(p);
+                hint(warm);
+                assert_eq!(t.get(&key).unwrap().as_ref(), model.get(&key), "get {p}");
+                hint(warm);
+                assert_eq!(t.contains_key(&key).unwrap(), model.contains_key(&key));
+                for (lo, hi) in [(true, true), (false, true), (true, false)] {
+                    let upper = k(p + 4);
+                    let got: Vec<Vec<u8>> = t
+                        .range(bound(&key, lo), bound(&upper, hi))
+                        .unwrap()
+                        .map(|e| e.unwrap().0)
+                        .collect();
+                    let want: Vec<Vec<u8>> = model
+                        .range::<[u8], _>((bound(&key, lo), bound(&upper, hi)))
+                        .map(|(k, _)| k.clone())
+                        .collect();
+                    assert_eq!(got, want, "range from {p}");
+                }
+            }
+        }
+        let tail: Vec<_> = t
+            .range(Bound::Excluded(&k(max - 1)), Bound::Unbounded)
+            .unwrap()
+            .map(|e| e.unwrap().0)
+            .collect();
+        assert_eq!(tail, [k(max)]);
+    }
+
+    #[test]
+    fn a_lookup_halves_every_node_on_its_path() {
+        let (t, model) = wide_tree(2 * (2 * 476 + 320));
+        let bound = |slots: usize| slots.max(1).next_power_of_two().trailing_zeros() as u64 + 1;
+        let compares = |f: &mut dyn FnMut()| {
+            COMPARES.with(|n| n.set(0));
+            f();
+            COMPARES.with(Cell::get)
+        };
+        for (i, key) in model.keys().enumerate().step_by(97) {
+            // Level by level, with no hint.
+            let mut pid = t.root_page();
+            let mut budget = 0;
+            loop {
+                let (slots, child) = t
+                    .view(pid, |node| {
+                        let mut child = None;
+                        let n = compares(&mut || child = Some(node.child_for(key)));
+                        assert!(n <= bound(node.len), "{n} compares in {} slots", node.len);
+                        Ok((node.len, child.unwrap()))
+                    })
+                    .unwrap();
+                budget += bound(slots);
+                match child {
+                    Ok((next, _)) => pid = next,
+                    Err(_) => break,
+                }
+            }
+            t.hint.store(NO_PAGE, Ordering::Relaxed);
+            let n = compares(&mut || assert!(t.get(key).unwrap().is_some(), "key {i}"));
+            assert!(n <= budget, "get made {n} compares, more than {budget}");
+        }
+    }
+
     /// A two-level tree, its root, first leaf and last leaf: the nodes to
     /// damage. The load fills the first leaf; seven keys in eight are
-    /// deleted again, so that the records to damage stay short.
+    /// deleted again, and every page is compacted, so that the nodes to
+    /// damage are short.
     fn two_level_tree() -> (BTree, [PageId; 3]) {
         let t = tree();
         for i in 0..600u32 {
@@ -1680,12 +1631,26 @@ mod tests {
         for i in (0..600u32).filter(|i| i % 8 != 0) {
             t.delete(&k(i)).unwrap();
         }
+        for pid in t.pages() {
+            let frame = t.pool.fetch(pid).unwrap();
+            let mut page = frame.page.write();
+            let records: Vec<Vec<u8>> = page.iter().map(|(_, r)| r.to_vec()).collect();
+            assert!(page.rebuild(&[], &records));
+        }
         let root = t.root_page();
         let (first, _) = t.leaf_for(root, &[], None).unwrap();
         let (last, _) = t.leaf_for(root, &k(u32::MAX), None).unwrap();
         assert!(root != first && first != last);
         (t, [root, first, last])
     }
+
+    /// The header fields of a node page that a damaged byte can reach:
+    /// the slot count, where the record area ends, and for an internal
+    /// node the leftmost child. (A leaf's sibling link is not: damaged, it
+    /// can chain a leaf to itself, which no reader of a chain detects.)
+    const SLOT_COUNT: std::ops::Range<usize> = 6..8;
+    const FREE_START: std::ops::Range<usize> = 8..10;
+    const NEXT: std::ops::Range<usize> = 12..20;
 
     /// A tree to damage one node of, again and again: every trial starts
     /// from the same page images.
@@ -1696,8 +1661,18 @@ mod tests {
     }
 
     impl Victim {
-        fn record(&self, pid: PageId) -> &[u8] {
-            self.intact[pid as usize].get(0).unwrap()
+        /// The offsets of page `pid` a damaged byte is tried at: header
+        /// fields, record area and slot array.
+        fn bytes(&self, pid: PageId) -> Vec<usize> {
+            let page = &self.intact[pid as usize];
+            let end = u16::from_le_bytes(page.bytes()[FREE_START].try_into().unwrap());
+            let slots = PAGE_SIZE - page.slot_count() * SLOT_LEN;
+            let mut at: Vec<usize> = SLOT_COUNT.chain(FREE_START).collect();
+            if pid == self.root {
+                at.extend(NEXT);
+            }
+            at.extend((32..end as usize).chain(slots..PAGE_SIZE));
+            at
         }
 
         fn reset(&self) -> BTree {
@@ -1707,15 +1682,15 @@ mod tests {
             BTree::open(self.pool.clone(), self.root).unwrap()
         }
 
-        /// Run every read and write path over the tree with `damaged` as
-        /// the record of page `pid` — after a lookup past the last key has
-        /// hinted the last leaf, if `warm` — and gives back what the full
+        /// Run every read and write path over the tree with page `pid`
+        /// replaced by `damaged` — after a lookup past the last key has
+        /// hinted the last leaf, if `warm` — and give back what the full
         /// scan and the lookup of `probe` made of it. Every path may fail
         /// but must return.
         fn exercise(
             &self,
             pid: PageId,
-            damaged: &[u8],
+            damaged: &Page,
             probe: &[u8],
             warm: bool,
         ) -> (Result<usize>, Result<Option<Vec<u8>>>) {
@@ -1723,9 +1698,7 @@ mod tests {
             if warm {
                 assert!(!t.contains_key(&k(u32::MAX)).unwrap());
             }
-            let page = &self.intact[pid as usize];
-            let frame = self.pool.fetch(pid).unwrap();
-            write_record(&frame, page.page_type(), page.next_page(), damaged).unwrap();
+            *self.pool.fetch(pid).unwrap().page.write() = damaged.clone();
             let scanned = t
                 .range(Bound::Unbounded, Bound::Unbounded)
                 .and_then(|entries| entries.map(|e| e.map(drop)).collect::<Result<Vec<()>>>())
@@ -1758,12 +1731,7 @@ mod tests {
             pool: t.pool.clone(),
             root,
         };
-        let last_key = |pid| {
-            let Node::Leaf { entries, .. } = t.view(pid, Node::deserialize).unwrap() else {
-                panic!("page {pid} is a leaf")
-            };
-            entries.last().unwrap().0.clone()
-        };
+        let last_key = |pid| entries(&t, pid).last().unwrap().0.clone();
         // The root is probed below it, away from the hinted leaf; each
         // leaf at its own last key. A warm hint changes no outcome: a
         // damaged hinted leaf fails as it does at the end of a descent,
@@ -1774,32 +1742,35 @@ mod tests {
             (first, &in_first),
             (last, &last_key(last)),
         ] {
-            let exercise = |damaged: &[u8]| {
+            let exercise = |damaged: &Page| {
                 let cold = victim.exercise(pid, damaged, probe, false);
                 assert_eq!(victim.exercise(pid, damaged, probe, true), cold);
                 cold
             };
-            let intact = victim.record(pid);
-            // Every truncation: the strict parse rejects it, and so does
-            // every walk that reaches the cut.
-            for cut in 1..intact.len() {
-                let view = NodeView::of(&intact[..cut], pid != root, NO_PAGE);
-                assert!(view.and_then(Node::deserialize).is_err(), "cut at {cut}");
-                let (scanned, got) = exercise(&intact[..cut]);
+            let intact = &victim.intact[pid as usize];
+            let end = u16::from_le_bytes(intact.bytes()[FREE_START].try_into().unwrap());
+            // Every truncation of the record area: the last record, the
+            // probe's (or for the root, the separator it passes), no
+            // longer fits it, and the scan and the lookup both say so.
+            for cut in 32..end {
+                let mut damaged = intact.clone();
+                damaged.bytes_mut()[FREE_START].copy_from_slice(&cut.to_le_bytes());
+                let (scanned, got) = exercise(&damaged);
                 assert!(scanned.is_err(), "scan over page {pid} cut at {cut}");
                 assert!(got.is_err(), "get through page {pid} cut at {cut}");
             }
-            // Every single-byte flip, three ways, so that length and count
-            // varints lose, gain and change continuation bits.
-            for at in 0..intact.len() {
+            // Every single-byte flip, three ways, so that lengths, counts
+            // and offsets lose, gain and change high bits.
+            for at in victim.bytes(pid) {
                 for mask in [0x01, 0x80, 0xff] {
-                    let mut damaged = intact.to_vec();
-                    damaged[at] ^= mask;
+                    let mut damaged = intact.clone();
+                    damaged.bytes_mut()[at] ^= mask;
                     let (scanned, _) = exercise(&damaged);
-                    // A wrong entry count never goes unnoticed.
+                    // A slot count raised past the slot array reads slots
+                    // that are not there, and never goes unnoticed.
                     assert!(
-                        at > 0 || scanned.is_err(),
-                        "count ^ {mask:#x} on page {pid}"
+                        damaged.slot_count() <= intact.slot_count() || scanned.is_err(),
+                        "slot count ^ {mask:#x} on page {pid}"
                     );
                 }
             }
@@ -1823,16 +1794,9 @@ mod tests {
             if warm {
                 assert!(!t.contains_key(&k(u32::MAX)).unwrap());
             }
-            let Node::Internal { keys, mut children } = t.view(root, Node::deserialize).unwrap()
-            else {
-                panic!("root is internal")
-            };
+            let (keys, mut children) = separators(&t, root);
             children.fill(root);
-            write_node(
-                &t.pool.fetch(root).unwrap(),
-                &Node::Internal { keys, children },
-            )
-            .unwrap();
+            write_internal(&t.pool.fetch(root).unwrap(), &keys, &children);
             assert!(t.get(&k(1)).is_err());
             assert!(t.insert(&k(1), b"v").is_err());
             assert!(t.delete(&k(1)).is_err());

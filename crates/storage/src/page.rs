@@ -19,6 +19,12 @@
 //! compressed pages. Records grow upward from the end of the CI area; the
 //! slot array (4 bytes per slot: `u16 offset`, `u16 len`) grows downward
 //! from the end of the page. A slot with `len == 0` is a deleted record.
+//!
+//! Heap pages only ever append slots and mark them deleted. B+-tree nodes
+//! keep their slot array in key order instead: [`Page::insert_at`] and
+//! [`Page::remove_at`] shift the slots behind the edited one, the record
+//! bytes of a removed slot are counted as *dead* in the header until the
+//! page is compacted through [`Page::rebuild`].
 
 use seqdb_types::{DbError, Result};
 
@@ -47,7 +53,8 @@ const OFF_CI_LEN: usize = 10;
 const OFF_NEXT: usize = 12;
 const OFF_AUX: usize = 20; // u32 auxiliary field (B+-tree rightmost child low bits etc.)
 const OFF_CHECKSUM: usize = 24; // u32 CRC-32C over the page, checksum field zeroed
-                                // bytes 28..32 are reserved (always zero)
+const OFF_DEAD: usize = 28; // u16 record bytes of slots `remove_at` dropped
+                            // bytes 30..32 are reserved (always zero)
 
 /// Kind of page; stored in the header so a pager can be inspected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,6 +228,21 @@ impl Page {
         self.read_u16(OFF_CI_LEN) as usize
     }
 
+    /// Where the record area starts: past the header and the CI area.
+    fn records_start(&self) -> usize {
+        HEADER_LEN + self.ci_len()
+    }
+
+    /// Record bytes no slot refers to since `remove_at` dropped them.
+    fn dead(&self) -> usize {
+        self.read_u16(OFF_DEAD) as usize
+    }
+
+    /// Contiguous free bytes between the record area and the slot array.
+    fn gap(&self) -> usize {
+        PAGE_SIZE - self.slot_count() * SLOT_LEN - self.free_start()
+    }
+
     fn set_ci_len(&mut self, v: u16) {
         self.write_u16(OFF_CI_LEN, v);
     }
@@ -256,41 +278,105 @@ impl Page {
         Some(slot)
     }
 
-    /// Overwrite the page's only record — slot 0, first in the record area —
-    /// with `record`, zeroing what a shorter one leaves behind, so the
-    /// image equals a fresh page holding `record` alone. Returns `false`,
-    /// leaving the page intact, if the page is not shaped so or `record`
-    /// does not fit. This is how a B+-tree node is edited in place.
-    pub fn replace_sole_record(&mut self, record: &[u8]) -> bool {
-        let start = HEADER_LEN + self.ci_len();
-        let end = start + record.len();
-        if self.slot_count() != 1 || record.is_empty() || end > PAGE_SIZE - SLOT_LEN {
+    /// Insert a record as slot `index`, moving the slots from `index` on up
+    /// by one, so a slot array kept in order stays in order. The record is
+    /// the concatenation of `parts`, so a caller need not assemble it. A
+    /// page too fragmented for it is compacted first. Returns `false`,
+    /// leaving the page intact, if the record is empty, `index` is past
+    /// the last slot, the page's layout is damaged or it cannot hold the
+    /// record even compacted.
+    pub fn insert_at(&mut self, index: usize, parts: &[&[u8]]) -> bool {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let n = self.slot_count();
+        if len == 0 || len > u16::MAX as usize || index > n || !self.layout_ok() {
             return false;
         }
-        let (off, len) = self.read_slot(0);
-        let old_end = start + len as usize;
-        if off as usize != start || len == 0 || old_end > PAGE_SIZE - SLOT_LEN {
-            return false;
+        if self.gap() < len + SLOT_LEN {
+            if self.occupied() + len + SLOT_LEN > PAGE_SIZE - self.records_start() {
+                return false;
+            }
+            self.compact();
         }
-        self.buf[start..end].copy_from_slice(record);
-        if end < old_end {
-            self.buf[end..old_end].fill(0);
+        let mut off = self.free_start();
+        for part in parts {
+            self.buf[off..off + part.len()].copy_from_slice(part);
+            off += part.len();
         }
-        self.write_slot(0, off, record.len() as u16);
-        self.set_free_start(end as u16);
+        // Slots `index..n` lie below slot `index - 1`; each moves one
+        // entry further down.
+        let top = PAGE_SIZE - index * SLOT_LEN;
+        self.buf.copy_within(
+            PAGE_SIZE - n * SLOT_LEN..top,
+            PAGE_SIZE - (n + 1) * SLOT_LEN,
+        );
+        self.write_slot(index as u16, (off - len) as u16, len as u16);
+        self.set_slot_count(n as u16 + 1);
+        self.set_free_start(off as u16);
         true
     }
 
-    /// Record bytes in `slot`, or `None` if out of range or deleted.
+    /// Remove slot `index`, moving the slots after it down by one. Its
+    /// record bytes count as dead until the next compaction. Returns
+    /// `false`, leaving the page intact, if there is no such live slot or
+    /// the page's layout is damaged.
+    pub fn remove_at(&mut self, index: usize) -> bool {
+        let n = self.slot_count();
+        let live = u16::try_from(index).ok().and_then(|i| self.get(i));
+        let Some(len) = live.map(<[u8]>::len) else {
+            return false;
+        };
+        if !self.layout_ok() {
+            return false;
+        }
+        let base = PAGE_SIZE - n * SLOT_LEN;
+        self.buf
+            .copy_within(base..PAGE_SIZE - (index + 1) * SLOT_LEN, base + SLOT_LEN);
+        self.buf[base..base + SLOT_LEN].fill(0);
+        self.set_slot_count(n as u16 - 1);
+        self.write_u16(OFF_DEAD, (self.dead() + len) as u16);
+        true
+    }
+
+    /// Bytes the page's records and slots take, less what is dead: what a
+    /// compacted copy of it would use past its CI area. Meaningful on a
+    /// page whose layout [`Page::layout_ok`] accepts.
+    pub fn occupied(&self) -> usize {
+        self.free_start() - self.records_start() - self.dead() + self.slot_count() * SLOT_LEN
+    }
+
+    /// Whether the header's record area, dead bytes and slot array are
+    /// consistent, so that every slot can be read and bounds-checked: the
+    /// record area starts after the CI area and ends at or before the slot
+    /// array, which itself ends at the page's end.
+    pub fn layout_ok(&self) -> bool {
+        let (start, free) = (self.records_start(), self.free_start());
+        start <= free
+            && free + self.slot_count() * SLOT_LEN <= PAGE_SIZE
+            && self.dead() <= free - start
+    }
+
+    /// Rewrite the page with its live records in slot order and no dead
+    /// bytes: the same slots, on a page whose slots are all live.
+    fn compact(&mut self) {
+        let old = self.clone();
+        let records: Vec<&[u8]> = old.iter().map(|(_, r)| r).collect();
+        let rebuilt = self.rebuild(old.ci_area(), &records);
+        debug_assert!(rebuilt, "live records fit the page they came from");
+    }
+
+    /// Record bytes in `slot`, or `None` if out of range, deleted, or not
+    /// inside the record area (a damaged page).
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        if (slot as usize) >= self.slot_count() {
+        let slot = slot as usize;
+        if slot >= self.slot_count() || (slot + 1) * SLOT_LEN > PAGE_SIZE - HEADER_LEN {
             return None;
         }
-        let (off, len) = self.read_slot(slot);
-        if len == 0 {
+        let (off, len) = self.read_slot(slot as u16);
+        let (off, end) = (off as usize, off as usize + len as usize);
+        if len == 0 || off < self.records_start() || end > self.free_start() {
             return None;
         }
-        Some(&self.buf[off as usize..off as usize + len as usize])
+        Some(&self.buf[off..end])
     }
 
     /// Mark `slot` deleted. Space is reclaimed by [`Page::rebuild`].
@@ -319,7 +405,7 @@ impl Page {
     /// Rewrite the page with a new CI area and record set, preserving type,
     /// flags and sibling pointer. Returns `false` (leaving `self` intact)
     /// if the records do not fit.
-    pub fn rebuild(&mut self, ci: &[u8], records: &[Vec<u8>]) -> bool {
+    pub fn rebuild(&mut self, ci: &[u8], records: &[impl AsRef<[u8]>]) -> bool {
         let mut fresh = Page::new(self.page_type());
         fresh.buf[OFF_FLAGS] = self.buf[OFF_FLAGS];
         fresh.set_next_page(self.next_page());
@@ -331,7 +417,7 @@ impl Page {
         fresh.set_ci_len(ci.len() as u16);
         fresh.set_free_start((HEADER_LEN + ci.len()) as u16);
         for r in records {
-            if fresh.insert(r).is_none() {
+            if fresh.insert(r.as_ref()).is_none() {
                 return false;
             }
         }
@@ -489,7 +575,69 @@ mod tests {
         assert_eq!(p.bytes(), &via_buf[..]);
     }
 
+    #[test]
+    fn a_damaged_layout_refuses_edits() {
+        let mut p = Page::new(PageType::BTreeLeaf);
+        assert!(p.insert_at(0, &[b"a"]));
+        // The record area claimed to run into the slot array.
+        p.set_free_start((PAGE_SIZE - 2) as u16);
+        assert!(!p.layout_ok());
+        assert!(!p.insert_at(1, &[b"b"]));
+        assert!(!p.remove_at(0));
+        // A slot pointing past the record area is not read.
+        p.set_free_start(HEADER_LEN as u16);
+        assert!(p.layout_ok());
+        assert_eq!(p.get(0), None);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Insert(usize, Vec<u8>),
+        Remove(usize),
+    }
+
     proptest! {
+        #[test]
+        fn ordered_edits_match_a_vector(edits in proptest::collection::vec(
+            prop_oneof![
+                (any::<usize>(), proptest::collection::vec(any::<u8>(), 1..900))
+                    .prop_map(|(i, r)| Edit::Insert(i, r)),
+                any::<usize>().prop_map(Edit::Remove),
+            ],
+            1..200,
+        )) {
+            let mut p = Page::new(PageType::BTreeLeaf);
+            p.set_next_page(7);
+            let mut model: Vec<Vec<u8>> = Vec::new();
+            for edit in edits {
+                match edit {
+                    Edit::Insert(i, rec) => {
+                        let i = i % (model.len() + 1);
+                        let (head, tail) = rec.split_at(rec.len() / 2);
+                        let fits = model.iter().map(|r| r.len() + SLOT_LEN).sum::<usize>()
+                            + rec.len() + SLOT_LEN <= PAGE_SIZE - HEADER_LEN;
+                        prop_assert_eq!(p.insert_at(i, &[head, tail]), fits);
+                        if fits {
+                            model.insert(i, rec);
+                        }
+                    }
+                    Edit::Remove(i) => {
+                        let i = i % (model.len() + 1);
+                        prop_assert_eq!(p.remove_at(i), i < model.len());
+                        if i < model.len() {
+                            model.remove(i);
+                        }
+                    }
+                }
+                prop_assert!(p.layout_ok());
+                let live: Vec<&[u8]> = p.iter().map(|(_, r)| r).collect();
+                prop_assert_eq!(&live, &model);
+                let used = model.iter().map(|r| r.len() + SLOT_LEN).sum::<usize>();
+                prop_assert_eq!(p.occupied(), used);
+                prop_assert_eq!(p.next_page(), 7);
+            }
+        }
+
         #[test]
         fn records_roundtrip(recs in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..200), 1..40)) {

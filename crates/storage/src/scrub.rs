@@ -64,20 +64,35 @@ impl Quarantine {
 
     /// Open (or create) a persisted list at `path`, loading any entries a
     /// previous process left behind — quarantine must survive restarts or
-    /// a reboot would silently un-fence known-bad data.
+    /// a reboot would silently un-fence known-bad data. So only a missing
+    /// file is an empty list: a file that cannot be read, or a line that is
+    /// not `object<TAB>page`, fails the open with a typed error.
     pub fn open(path: impl Into<PathBuf>) -> Result<Arc<Quarantine>> {
         let path = path.into();
         let mut entries: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.lines() {
-                let Some((object, page)) = line.split_once('\t') else {
-                    continue;
-                };
-                let Ok(page) = page.trim().parse::<u64>() else {
-                    continue;
-                };
-                entries.entry(object.to_string()).or_default().insert(page);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => {
+                return Err(DbError::Io(format!(
+                    "quarantine list {}: {e}",
+                    path.display()
+                )))
             }
+        };
+        for (n, line) in text.lines().enumerate() {
+            let entry = line
+                .split_once('\t')
+                .and_then(|(object, page)| Some((object, page.trim().parse::<u64>().ok()?)))
+                .filter(|(object, _)| !object.is_empty());
+            let Some((object, page)) = entry else {
+                return Err(DbError::Corruption(format!(
+                    "quarantine list {} line {}: {line:?} is not `object<TAB>page`",
+                    path.display(),
+                    n + 1
+                )));
+            };
+            entries.entry(object.to_string()).or_default().insert(page);
         }
         Ok(Arc::new(Quarantine {
             path: Some(path),
@@ -291,6 +306,35 @@ mod tests {
         let q = Quarantine::open(&path).unwrap();
         assert!(q.check("reads").is_ok());
         assert!(q.check("filestream:abc-def").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_a_missing_quarantine_list_opens_empty() {
+        let dir = std::env::temp_dir().join(format!("seqdb-quar-open-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("quarantine.list");
+        assert!(Quarantine::open(&path).unwrap().is_empty());
+        // A list that cannot be read un-fences nothing: the open fails.
+        std::fs::create_dir(&path).unwrap();
+        assert!(matches!(Quarantine::open(&path), Err(DbError::Io(_))));
+        std::fs::remove_dir(&path).unwrap();
+        // Nor is a line that does not parse skipped.
+        for garbled in [
+            "reads\t12\nreads 13\n",
+            "reads\tseven\n",
+            "\t4\n",
+            "reads\n",
+        ] {
+            std::fs::write(&path, garbled).unwrap();
+            let err = Quarantine::open(&path).err();
+            assert!(
+                matches!(err, Some(DbError::Corruption(_))),
+                "{garbled:?}: {err:?}"
+            );
+        }
+        std::fs::write(&path, "reads\t12\nfilestream:abc\t0\n").unwrap();
+        assert_eq!(Quarantine::open(&path).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

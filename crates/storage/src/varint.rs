@@ -17,6 +17,22 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// `v` as an unsigned LEB128 varint in `buf`: the bytes [`write_u64`]
+/// appends, without a vector to append them to.
+pub fn encode_u64(mut v: u64, buf: &mut [u8; 10]) -> &[u8] {
+    let mut n = 0;
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf[n] = byte;
+            return &buf[..=n];
+        }
+        buf[n] = byte | 0x80;
+        n += 1;
+    }
+}
+
 /// Append `v` with zigzag + LEB128.
 pub fn write_i64(out: &mut Vec<u8>, v: i64) {
     write_u64(out, zigzag(v));
@@ -97,6 +113,7 @@ mod tests {
             let mut out = Vec::new();
             write_u64(&mut out, v);
             assert_eq!(out.len(), len_u64(v), "v={v}");
+            assert_eq!(encode_u64(v, &mut [0; 10]), out, "v={v}");
         }
     }
 

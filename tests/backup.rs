@@ -336,6 +336,48 @@ fn rotted_backup_set_fails_restore_typed() {
 }
 
 // ----------------------------------------------------------------------
+// A set written before B+-tree nodes were slotted: its catalog snapshot
+// says `v1`, and a restore of one that holds an index refuses it typed,
+// before a page is read — not as rot, and not as a fence.
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_v1_backup_set_with_an_index_is_refused_typed() {
+    let dir = fresh_dir("backup-v1");
+    let db = Database::open(&dir.join("db")).unwrap();
+    db.execute_sql("CREATE TABLE k (id INT PRIMARY KEY, tag VARCHAR(16))")
+        .unwrap();
+    db.execute_sql("INSERT INTO k VALUES (1, 'a'), (2, 'b')")
+        .unwrap();
+    let set = dir.join("b1");
+    db.backup_database(&set, None).unwrap();
+    // Rewrite the snapshot as v1, and its hash in the manifest with it,
+    // so that nothing but the version is wrong.
+    let catalog = set.join("catalog.seqdb");
+    let v2 = std::fs::read_to_string(&catalog).unwrap();
+    let v1 = v2.replacen("seqdb-catalog v2", "seqdb-catalog v1", 1);
+    assert_ne!(v1, v2);
+    std::fs::write(&catalog, &v1).unwrap();
+    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+    let manifest = set.join("backup.manifest");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let (old, new) = (hex(&sha256(v2.as_bytes())), hex(&sha256(v1.as_bytes())));
+    assert!(text.contains(&old));
+    std::fs::write(&manifest, text.replace(&old, &new)).unwrap();
+
+    let err = verify_backup(&set).unwrap_err();
+    assert!(
+        matches!(&err, DbError::Unsupported(m) if m.contains("v1")),
+        "{err:?}"
+    );
+    let target = dir.join("restored");
+    let err = restore_database(&set, &target).unwrap_err();
+    assert!(matches!(&err, DbError::Unsupported(_)), "{err:?}");
+    assert!(!target.join("seqdb.data").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ----------------------------------------------------------------------
 // Disk full mid-backup: typed error, partial set cleaned up.
 // ----------------------------------------------------------------------
 

@@ -76,6 +76,13 @@ fn main() {
     }
 }
 
+/// Cores this process may run on (what `max_dop` defaults to).
+fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 fn die(msg: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!("{msg}");
@@ -382,9 +389,7 @@ fn fig8(factor: usize) -> Result<()> {
     }
     println!(
         "  note: this host has {} hardware core(s); worker busy time shows the",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        host_cores()
     );
     println!("  even work distribution a multi-core host would exploit (see EXPERIMENTS.md).\n");
     Ok(())
@@ -541,7 +546,10 @@ fn binning(factor: usize) -> Result<()> {
         "  SQL vs interpreted script: {:.1}x (paper: Perl 10 min vs SQL 44 s = 13.6x on 4 cores;",
         interp_time.as_secs_f64() / sql_time.as_secs_f64().max(1e-9)
     );
-    println!("  this host has 1 core — see EXPERIMENTS.md for the compiled-script caveat)");
+    println!(
+        "  this host has {} core(s) — see EXPERIMENTS.md for the compiled-script caveat)",
+        host_cores()
+    );
     println!("  SQL Query 1 I/O: {}\n", fmt_io(&sql_io));
     Ok(())
 }
@@ -552,11 +560,6 @@ fn consensus(factor: usize) -> Result<()> {
     println!("--- Section 5.3.3: consensus calling, pivot vs sliding window ---");
     let ds = reseq_dataset(factor)?;
     let db = reseq_database(&ds)?;
-    // A tight memory grant so the sort-based pivot plan visibly spills
-    // its intermediate (the paper's tempdb traffic).
-    let mut cfg = db.config();
-    cfg.sort_budget = 8 * 1024 * 1024;
-    db.set_config(cfg);
 
     // Warm merge-join throughput (run twice, report the warm run).
     let _ = queries::run_merge_join(&db, NORM)?;
@@ -575,7 +578,11 @@ fn consensus(factor: usize) -> Result<()> {
 
     db.temp().reset_counters();
     let before = IoSnapshot::now(&db);
+    // An 8 MiB query grant so the sort-based pivot plan visibly spills
+    // its intermediate (the paper's tempdb traffic).
+    db.set_query_memory_limit_kb(Some(8192));
     let (sorted, sorted_time) = time(|| queries::run_query3_pivot_sorted(&db, NORM));
+    db.set_query_memory_limit_kb(None);
     let sorted = sorted?;
     let sorted_io = IoSnapshot::now(&db).delta_since(&before);
     let spill = db.temp().bytes_written();

@@ -57,8 +57,6 @@ pub struct DbConfig {
     /// Row-count threshold below which the planner does not bother with a
     /// parallel plan.
     pub parallel_threshold: u64,
-    /// Memory budget for blocking operators before spilling.
-    pub sort_budget: usize,
     /// Per-query wall-clock timeout (`SET QUERY_TIMEOUT_MS`); `None` = no
     /// timeout.
     pub query_timeout_ms: Option<u64>,
@@ -97,7 +95,6 @@ impl Default for DbConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             parallel_threshold: 10_000,
-            sort_budget: ExecContext::DEFAULT_SORT_BUDGET,
             query_timeout_ms: None,
             query_mem_limit_kb: None,
             admission_pool_kb: None,
@@ -425,7 +422,6 @@ impl Database {
             filestream: self.filestream.clone(),
             temp: self.temp.clone(),
             dop: cfg.max_dop,
-            sort_budget: cfg.sort_budget,
             batch_size: cfg.batch_size.max(1),
             gov,
             stats: None,

@@ -20,7 +20,7 @@ use seqdb_types::{DbError, Result, Row, Value};
 use crate::exec::rowser;
 use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowIterator};
 use crate::expr::{eval_into, Expr};
-use crate::governor::{MemCharge, QueryGovernor};
+use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::{protect, AggState, Aggregate};
 
 /// Estimated heap overhead per aggregate state (box + accumulator).
@@ -31,7 +31,8 @@ const GROUP_OVERHEAD: usize = 48;
 pub(crate) const SPILL_PARTITIONS: usize = 4;
 /// Recursion bound for repartitioning; beyond this the budget is simply
 /// too small for the data and the query fails with `ResourceExhausted`.
-const MAX_SPILL_DEPTH: u32 = 6;
+/// The parallel workers, which have no spill path, run at this depth.
+pub(crate) const MAX_SPILL_DEPTH: u32 = 6;
 /// Estimated heap overhead per buffered output row (Vec + Row headers).
 const ROW_OVERHEAD: usize = 32;
 
@@ -124,7 +125,7 @@ fn key_bytes(key: &[Value]) -> usize {
 }
 
 /// Memory cost charged for admitting one new group.
-pub(crate) fn group_cost(key: &[Value], naggs: usize) -> usize {
+fn group_cost(key: &[Value], naggs: usize) -> usize {
     key_bytes(key) + naggs * STATE_OVERHEAD + GROUP_OVERHEAD
 }
 
@@ -219,10 +220,6 @@ impl GroupedStates {
         self.slots.len()
     }
 
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &Vec<Value>> {
-        self.slots.keys()
-    }
-
     fn get_mut(&mut self, key: &[Value]) -> Option<&mut Vec<Box<dyn AggState>>> {
         let slot = *self.slots.get(key)?;
         Some(&mut self.states[slot])
@@ -279,7 +276,7 @@ pub(crate) fn partition_of(key: &[Value], depth: u32) -> usize {
 /// framing as the external sort's runs).
 pub(crate) fn write_spill_row(w: &mut SpillWriter, row: &Row) -> Result<()> {
     thread_local! {
-        // One frame buffer per worker thread: spilling a row allocates
+        // One frame buffer per thread: spilling a row allocates
         // nothing in the steady state.
         static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
     }
@@ -316,7 +313,7 @@ impl SpillRowIter {
         let len = u32::from_le_bytes(lenbuf) as usize;
         self.payload.resize(len, 0);
         if !self.reader.read_exact(&mut self.payload)? {
-            return Err(DbError::Storage("truncated aggregate spill".into()));
+            return Err(DbError::Storage("truncated row spill".into()));
         }
         let mut pos = 0;
         Ok(Some(rowser::read_row(&self.payload, &mut pos)?))
@@ -351,10 +348,10 @@ pub(crate) struct OutputBuffer {
     tallies: Vec<Arc<SpillTally>>,
     spill: Option<SpillWriter>,
     total: usize,
-    // Phase budgeting: the buffer takes at most a quarter of the query
-    // budget, so it can never starve the hash tables of the repartition
-    // passes that still have rows to aggregate (which would turn a
-    // spillable query into a depth-exhaustion failure).
+    /// The buffer takes at most a quarter of the query budget, so it
+    /// never starves the hash tables of the repartition passes that still
+    /// have rows to aggregate or join (which would turn a spillable query
+    /// into a depth-exhaustion failure).
     cap: Option<usize>,
     /// Wait class for overflow spill I/O (`SpillIo` for aggregates,
     /// `JoinSpill` when buffering joined rows).
@@ -367,18 +364,6 @@ impl OutputBuffer {
     }
 
     pub(crate) fn with_class(ctx: &ExecContext, class: WaitClass) -> OutputBuffer {
-        let cap = ctx.gov.mem_limit().map(|l| l / 4);
-        OutputBuffer::with_class_capped(ctx, class, cap)
-    }
-
-    /// Like [`OutputBuffer::with_class`] but with an explicit memory cap:
-    /// concurrent buffers (one per parallel join partition) must split
-    /// the output quarter of the budget between them.
-    pub(crate) fn with_class_capped(
-        ctx: &ExecContext,
-        class: WaitClass,
-        cap: Option<usize>,
-    ) -> OutputBuffer {
         OutputBuffer {
             rows: Vec::new(),
             charge: MemCharge::new(ctx.gov.clone()),
@@ -386,7 +371,7 @@ impl OutputBuffer {
             tallies: ctx.spill_tallies(),
             spill: None,
             total: 0,
-            cap,
+            cap: ctx.gov.mem_limit().map(|l| l / 4),
             class,
         }
     }
@@ -454,7 +439,8 @@ impl OutputRows {
         }
     }
 
-    /// Total rows this stream will yield (including already-yielded).
+    /// Whether the stream was built from no rows at all; rows already
+    /// yielded still count.
     pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
@@ -467,34 +453,6 @@ impl OutputRows {
             Some(s) => s.next_row(),
             None => Ok(None),
         }
-    }
-}
-
-/// Chain several spill partitions into one row stream (the parallel
-/// coordinator reads the same partition index from every worker as one
-/// logical partition).
-pub(crate) struct ChainRows {
-    parts: Vec<SpillRowIter>,
-    idx: usize,
-}
-
-impl ChainRows {
-    pub(crate) fn new(parts: Vec<SpillRowIter>) -> ChainRows {
-        ChainRows { parts, idx: 0 }
-    }
-}
-
-impl RowIterator for ChainRows {
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        fill_batch(max_rows, || {
-            while let Some(part) = self.parts.get_mut(self.idx) {
-                if let Some(row) = part.next_row()? {
-                    return Ok(Some(row));
-                }
-                self.idx += 1;
-            }
-            Ok(None)
-        })
     }
 }
 
@@ -516,86 +474,52 @@ pub(crate) fn aggregate_governed_rows(
     ctx: &ExecContext,
 ) -> Result<OutputRows> {
     let mut out = OutputBuffer::new(ctx);
-    let mut resident = GroupedStates::default();
-    aggregate_level(input, group_exprs, aggs, ctx, 0, &mut resident, &mut out)?;
+    aggregate_level(input, group_exprs, aggs, ctx, 0, &mut out)?;
     out.into_rows()
 }
 
 /// One pass of the hybrid hash aggregation. Groups that fit the budget
 /// aggregate in memory; overflow rows partition to tempspace and recurse
-/// with a re-salted hash. `resident` is the parallel coordinator's merged
-/// worker map: a spilled key that *also* lives there (one worker kept it
-/// in memory while another spilled it) must merge into the resident
-/// states instead of being emitted — emitting both would double that
-/// group. The serial path passes an empty resident map.
-pub(crate) fn aggregate_level(
+/// with a re-salted hash.
+fn aggregate_level(
     input: &mut dyn RowIterator,
     group_exprs: &[Expr],
     aggs: &[AggSpec],
     ctx: &ExecContext,
     depth: u32,
-    resident: &mut GroupedStates,
     out: &mut OutputBuffer,
 ) -> Result<()> {
     let mut charge = MemCharge::new(ctx.gov.clone());
-    let (groups, partitions) = aggregate_partial_spilling(
-        input,
-        group_exprs,
-        aggs,
-        &mut charge,
-        &ctx.temp,
-        &ctx.spill_tallies(),
-        Some(&ctx.gov),
-        None,
-        depth,
-        ctx.batch_size,
-    )?;
-
-    // Emit this level's finished groups — except keys the coordinator is
-    // still accumulating in its resident map, which merge there instead.
+    let (groups, partitions) =
+        aggregate_partial_spilling(input, group_exprs, aggs, &mut charge, ctx, depth)?;
     for (key, states) in groups.into_groups() {
-        if let Some(acc) = resident.get_mut(&key) {
-            merge_group(acc, states, aggs)?;
-        } else {
-            out.push(finish_group(key, states, aggs)?)?;
-        }
+        out.push(finish_group(key, states, aggs)?)?;
     }
     charge.release_all();
 
     for writer in partitions.into_iter().flatten() {
         let mut part = SpillRowIter::new(writer.finish()?);
-        aggregate_level(&mut part, group_exprs, aggs, ctx, depth + 1, resident, out)?;
+        aggregate_level(&mut part, group_exprs, aggs, ctx, depth + 1, out)?;
     }
     Ok(())
 }
 
 /// Hash-aggregate an input into a map, spilling rows for new groups to
-/// hash partitions once the budget is exhausted instead of failing. This
-/// is the budget-respecting core shared by [`aggregate_level`] and the
-/// parallel workers (which run it at depth 0 and hand their partitions
-/// to the coordinator). At [`MAX_SPILL_DEPTH`] the budget is simply too
-/// small and the query fails typed. The caller keeps `charge` alive for
-/// as long as the returned map exists.
-///
-/// `cap` bounds this call's own charge below the governor limit. The
-/// parallel workers pass their per-worker share of half the budget so
-/// that the coordinator's final phase (which must hold the merged worker
-/// map while it re-aggregates the spills) is never starved; recursion
-/// levels pass `None` and use whatever the governor still has.
-#[allow(clippy::too_many_arguments)]
+/// hash partitions once the budget is exhausted instead of failing. The
+/// one group loop of both [`aggregate_level`] and the parallel workers.
+/// At [`MAX_SPILL_DEPTH`] there is no pass left, so the first group the
+/// budget rejects fails the query typed; the workers run at that depth
+/// because a parallel aggregate never spills. The caller keeps `charge`
+/// alive for as long as the returned map exists.
 pub(crate) fn aggregate_partial_spilling(
     input: &mut dyn RowIterator,
     group_exprs: &[Expr],
     aggs: &[AggSpec],
     charge: &mut MemCharge,
-    temp: &Arc<TempSpace>,
-    tallies: &[Arc<SpillTally>],
-    gov: Option<&Arc<QueryGovernor>>,
-    cap: Option<usize>,
+    ctx: &ExecContext,
     depth: u32,
-    batch_size: usize,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
-    let mut ticker = crate::governor::Ticker::new();
+    let mut ticker = Ticker::new();
     let mut groups = GroupedStates::default();
     // Once the budget rejects one group, *all* further new groups go to
     // the spill. Without this the budget could free up mid-stream and
@@ -608,11 +532,9 @@ pub(crate) fn aggregate_partial_spilling(
     let mut key: Vec<Value> = Vec::with_capacity(group_exprs.len());
     let mut slots: Vec<usize> = Vec::new();
 
-    while let Some(batch) = input.next_batch(batch_size)? {
+    while let Some(batch) = input.next_batch(ctx.batch_size)? {
         // One governor tick per batch instead of per row.
-        if let Some(gov) = gov {
-            ticker.tick_batch(gov)?;
-        }
+        ticker.tick_batch(&ctx.gov)?;
         // The batch is read through its selection vector, so
         // filtered-out rows are never compacted or moved.
         slots.clear();
@@ -627,10 +549,7 @@ pub(crate) fn aggregate_partial_spilling(
                     continue;
                 }
                 let cost = group_cost(&key, aggs.len());
-                if !spilling
-                    && cap.is_none_or(|c| charge.bytes() + cost <= c)
-                    && charge.try_grow(cost)
-                {
+                if !spilling && charge.try_grow(cost) {
                     // Room for the results too: the key becomes the
                     // group's output row.
                     let mut owned = Vec::with_capacity(key.len() + aggs.len());
@@ -640,14 +559,14 @@ pub(crate) fn aggregate_partial_spilling(
                 }
                 if depth >= MAX_SPILL_DEPTH {
                     return Err(DbError::ResourceExhausted(format!(
-                        "hash aggregate exceeded its memory budget even after \
-                         {MAX_SPILL_DEPTH} repartition passes"
+                        "hash aggregate exceeded its memory budget with no \
+                         repartition pass left (at most {MAX_SPILL_DEPTH})"
                     )));
                 }
                 spilling = true;
                 let p = partition_of(&key, depth);
                 if partitions[p].is_none() {
-                    partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
+                    partitions[p] = Some(ctx.create_spill()?);
                 }
                 if let Some(writer) = partitions[p].as_mut() {
                     write_spill_row(writer, row)?;
@@ -691,7 +610,7 @@ pub(crate) fn finish_group(
 
 /// What a global aggregate (no GROUP BY) over empty input still yields:
 /// one row of fresh states' results.
-fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
+pub(crate) fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
     finish_group(Vec::new(), create_states(aggs)?, aggs)
 }
 
@@ -882,17 +801,15 @@ mod tests {
         charge: &mut MemCharge,
         depth: u32,
     ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
+        let mut ctx = ctx.clone();
+        ctx.batch_size = 2;
         aggregate_partial_spilling(
             &mut ValuesIter::new(rows),
             &[Expr::col(0, "g")],
             &specs(),
             charge,
-            &ctx.temp,
-            &ctx.spill_tallies(),
-            Some(&ctx.gov),
-            None,
+            &ctx,
             depth,
-            2,
         )
     }
 

@@ -38,15 +38,6 @@ use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIt
 use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, Ticker};
 
-/// Output buffer for one partition pair, capped at its share of the
-/// output quarter of the query budget: up to [`SPILL_PARTITIONS`] pairs
-/// hold finished output at once, so each gets `limit / 4 / pairs` — the
-/// build tables' half of the budget stays unstarved.
-fn pair_output_buffer(ctx: &ExecContext) -> OutputBuffer {
-    let cap = ctx.gov.mem_limit().map(|l| l / 4 / SPILL_PARTITIONS);
-    OutputBuffer::with_class_capped(ctx, WaitClass::JoinSpill, cap)
-}
-
 fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
         let o = x.total_cmp(y);
@@ -243,17 +234,16 @@ impl JoinEnv {
 }
 
 /// Consume `next_row` into a resident [`BuildTable`], degrading to salted
-/// hash partitions once `charge` (optionally capped at `cap`) rejects a
-/// row. Spill mode is sticky *per row*, not per key: unlike the hash
-/// aggregate, every build row costs memory, so after the first rejection
-/// all further rows spill — a key's rows may therefore be split between
-/// the resident map and one partition. Correct because each build row
-/// lives in exactly one place and probe rows visit both.
+/// hash partitions once `charge` rejects a row. Spill mode is sticky *per
+/// row*, not per key: unlike the hash aggregate, every build row costs
+/// memory, so after the first rejection all further rows spill — a key's
+/// rows may therefore be split between the resident map and one
+/// partition. Correct because each build row lives in exactly one place
+/// and probe rows visit both.
 fn build_table(
     mut next_row: impl FnMut() -> Result<Option<Row>>,
     env: &JoinEnv,
     depth: u32,
-    cap: Option<usize>,
     charge: &mut MemCharge,
     mut bloom: Option<&mut BloomTracker>,
 ) -> Result<(BuildTable, Vec<Option<SpillWriter>>)> {
@@ -269,7 +259,7 @@ fn build_table(
             continue;
         }
         let cost = join_entry_cost(&key, &row);
-        if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost) {
+        if !spilling && charge.try_grow(cost) {
             table.insert(&key, row);
         } else {
             if depth >= MAX_JOIN_SPILL_DEPTH {
@@ -295,21 +285,20 @@ fn build_table(
 }
 
 /// Join one spilled partition pair, recursing on sub-partitions when the
-/// build side still doesn't fit. Matches push into `out`, which spills
-/// its own overflow under the query budget.
+/// build side still doesn't fit. The build takes whatever the governor
+/// has left; matches push into `out`, which spills its own overflow once
+/// it holds a quarter of the query budget.
 fn join_spilled(
     build: SpillReader,
     probe: SpillReader,
     env: &JoinEnv,
     depth: u32,
-    cap: Option<usize>,
     out: &mut OutputBuffer,
 ) -> Result<()> {
     let gov = env.ctx.gov.clone();
     let mut charge = MemCharge::new(gov.clone());
     let mut build_rows = SpillRowIter::new(build);
-    let (table, sub_build) =
-        build_table(|| build_rows.next_row(), env, depth, cap, &mut charge, None)?;
+    let (table, sub_build) = build_table(|| build_rows.next_row(), env, depth, &mut charge, None)?;
     drop(build_rows); // done with the build partition file; delete it
 
     let mut sub_probe: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
@@ -341,7 +330,7 @@ fn join_spilled(
 
     for (bw, pw) in sub_build.into_iter().zip(sub_probe) {
         if let (Some(bw), Some(pw)) = (bw, pw) {
-            join_spilled(bw.finish()?, pw.finish()?, env, depth + 1, cap, out)?;
+            join_spilled(bw.finish()?, pw.finish()?, env, depth + 1, out)?;
         }
         // An unpaired build partition has no probe rows hashing into it
         // (or vice versa): dropping the writer deletes the file.
@@ -354,7 +343,7 @@ enum JoinState {
     Build,
     /// Streaming probe rows against the resident table, routing overflow.
     Probe,
-    /// Draining the partition phase's joined outputs.
+    /// Draining the partition phase's joined output.
     Drain,
 }
 
@@ -382,8 +371,8 @@ pub struct HashJoinIter {
     ready: VecDeque<Row>,
     /// Reused probe-key buffer (one evaluation per probe row, no alloc).
     key_scratch: Vec<Value>,
-    outputs: std::vec::IntoIter<OutputRows>,
-    current_out: Option<OutputRows>,
+    /// Every spilled pair's joined rows, in one governed stream.
+    output: Option<OutputRows>,
 }
 
 impl HashJoinIter {
@@ -413,8 +402,7 @@ impl HashJoinIter {
             probe_parts: Vec::new(),
             ready: VecDeque::new(),
             key_scratch: Vec::new(),
-            outputs: Vec::new().into_iter(),
-            current_out: None,
+            output: None,
         }
     }
 
@@ -428,7 +416,6 @@ impl HashJoinIter {
             || build.next(),
             &self.env,
             0,
-            None,
             &mut self.charge,
             Some(&mut tracker),
         )?;
@@ -475,52 +462,23 @@ impl HashJoinIter {
         Ok(())
     }
 
-    /// After the probe drains: free the resident table, pair up the
-    /// partition files and join each pair in turn. Returns the per-pair
-    /// governed outputs.
-    fn run_partition_phase(&mut self) -> Result<Vec<OutputRows>> {
+    /// After the probe drains: free the resident table, then join each
+    /// spilled partition pair in turn into one output buffer.
+    fn run_partition_phase(&mut self) -> Result<OutputRows> {
         self.table = BuildTable::default();
         self.bloom = None;
         self.charge.release_all();
 
+        let mut out = OutputBuffer::with_class(&self.env.ctx, WaitClass::JoinSpill);
         let build_parts = std::mem::take(&mut self.build_parts);
         let probe_parts = std::mem::take(&mut self.probe_parts);
-        let mut pairs: Vec<(SpillReader, SpillReader)> = Vec::new();
-        for (bw, pw) in build_parts.into_iter().zip(
-            probe_parts
-                .into_iter()
-                .chain(std::iter::repeat_with(|| None)),
-        ) {
+        // `probe_parts` is empty when the build never spilled.
+        for (bw, pw) in build_parts.into_iter().zip(probe_parts) {
             if let (Some(bw), Some(pw)) = (bw, pw) {
-                pairs.push((bw.finish()?, pw.finish()?));
+                join_spilled(bw.finish()?, pw.finish()?, &self.env, 1, &mut out)?;
             }
         }
-        let cap = self.env.ctx.gov.mem_limit().map(|l| l / 2);
-        let mut outs = Vec::with_capacity(pairs.len());
-        for (b, p) in pairs {
-            let mut out = pair_output_buffer(&self.env.ctx);
-            join_spilled(b, p, &self.env, 1, cap, &mut out)?;
-            outs.push(out.into_rows()?);
-        }
-        Ok(outs)
-    }
-
-    /// Next joined row of the spilled partition pairs. Each pair's output
-    /// drops as soon as it is exhausted, so its charge and spill file
-    /// release before the next pair streams.
-    fn drain_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(out) = self.current_out.as_mut() {
-                if let Some(row) = out.next_row()? {
-                    return Ok(Some(row));
-                }
-                self.current_out = None;
-            }
-            match self.outputs.next() {
-                Some(out) => self.current_out = Some(out),
-                None => return Ok(None),
-            }
-        }
+        out.into_rows()
     }
 }
 
@@ -555,13 +513,14 @@ impl RowIterator for HashJoinIter {
                         }
                     }
                     None => {
-                        self.outputs = self.run_partition_phase()?.into_iter();
+                        self.output = Some(self.run_partition_phase()?);
                         self.state = JoinState::Drain;
                     }
                 },
                 JoinState::Drain => {
                     return if out.is_empty() {
-                        fill_batch(max, || self.drain_row())
+                        let rows = self.output.as_mut().expect("output set before Drain");
+                        fill_batch(max, || rows.next_row())
                     } else {
                         Ok(Some(RowBatch::from_rows(out)))
                     };

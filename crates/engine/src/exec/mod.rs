@@ -41,8 +41,6 @@ pub struct ExecContext {
     pub temp: Arc<TempSpace>,
     /// Degree of parallelism for eligible operators.
     pub dop: usize,
-    /// Memory budget (bytes) for blocking operators before they spill.
-    pub sort_budget: usize,
     /// Rows per [`RowBatch`] pull (`SET BATCH_SIZE`), at least 1.
     pub batch_size: usize,
     /// Per-query resource governor: cancellation, timeout, memory budget.
@@ -60,9 +58,6 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// Default memory budget for blocking operators: 64 MiB.
-    pub const DEFAULT_SORT_BUDGET: usize = 64 * 1024 * 1024;
-
     /// Default rows per batch.
     pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
@@ -346,7 +341,6 @@ pub(crate) mod testutil {
             filestream: Arc::new(FileStreamStore::open(fsdir).unwrap()),
             temp: TempSpace::open(tempdir).unwrap(),
             dop: 2,
-            sort_budget: ExecContext::DEFAULT_SORT_BUDGET,
             batch_size: ExecContext::DEFAULT_BATCH_SIZE,
             gov: QueryGovernor::unlimited(),
             stats: None,

@@ -1,16 +1,17 @@
 //! Sorting: external merge sort with spill accounting, plus Top-N.
 //!
-//! The sort operator is blocking; when its input exceeds the memory
-//! budget it sorts and spills runs to the
-//! [`TempSpace`](seqdb_storage::TempSpace) and k-way merges them. Spilled
-//! bytes are globally accounted, which is how the consensus
-//! experiment (§5.3.3) quantifies the "huge intermediate result on the
-//! temporary tablespace" of the pivot-based plan.
+//! The sort operator is blocking; when the query's memory budget declines
+//! a row it sorts and spills a run to the
+//! [`TempSpace`](seqdb_storage::TempSpace), and it k-way merges the runs
+//! in tiers of at most `MERGE_FANIN` runs. Spilled bytes are globally
+//! accounted, which is how the consensus experiment (§5.3.3) quantifies
+//! the "huge intermediate result on the temporary tablespace" of the
+//! pivot-based plan.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use seqdb_storage::tempspace::SpillReader;
+use seqdb_storage::tempspace::{SpillReader, SpillWriter};
 use seqdb_types::{Result, Row, Value};
 
 use crate::exec::rowser;
@@ -46,6 +47,12 @@ pub fn compare_keys(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
+/// Most runs one merge reads at once. Each open run holds a file and its
+/// read buffer, so a sort whose budget is held elsewhere (every row its
+/// own run) must merge in tiers: once this many runs of one level exist,
+/// they merge into one run of the next level.
+const MERGE_FANIN: usize = 64;
+
 fn eval_keys(keys: &[SortKey], row: &Row) -> Result<Vec<Value>> {
     keys.iter().map(|k| k.expr.eval(row)).collect()
 }
@@ -79,38 +86,58 @@ impl SortIter {
 
     fn execute(input: BoxedIter, keys: &[SortKey], ctx: &ExecContext) -> Result<SortState> {
         let mut input = RowCursor::new(input, ctx.batch_size);
-        let mut runs: Vec<SpillReader> = Vec::new();
+        // `levels[l]` holds fewer than MERGE_FANIN runs, each merged
+        // from MERGE_FANIN runs of level `l - 1`.
+        let mut levels: Vec<Vec<SpillReader>> = Vec::new();
         let mut buffer: Vec<(Vec<Value>, Row)> = Vec::new();
-        let mut buffered_bytes = 0usize;
         let mut charge = MemCharge::new(ctx.gov.clone());
 
         while let Some(row) = input.next()? {
-            let sz = row.size_bytes();
-            buffered_bytes += sz;
             // Buffered bytes count against the query's budget; when the
             // governor declines, degrade by spilling this buffer instead
             // of failing — the sort's graceful degradation path.
-            let over_budget = !charge.try_grow(sz) || buffered_bytes > ctx.sort_budget;
+            let over_budget = !charge.try_grow(row.size_bytes());
             let kv = eval_keys(keys, &row)?;
             buffer.push((kv, row));
             if over_budget {
-                runs.push(spill_run(ctx, keys, &mut buffer)?);
-                buffered_bytes = 0;
+                let run = spill_run(ctx, keys, &mut buffer)?;
                 charge.release_all();
+                add_run(ctx, keys, &mut levels, run)?;
             }
         }
 
-        if runs.is_empty() {
+        if levels.is_empty() {
             buffer.sort_by(|a, b| compare_keys(keys, &a.0, &b.0));
             let rows: Vec<Row> = buffer.into_iter().map(|(_, r)| r).collect();
             return Ok(SortState::InMemory(rows.into_iter(), charge));
         }
+        let mut runs: Vec<SpillReader> = levels.into_iter().flatten().collect();
         if !buffer.is_empty() {
             runs.push(spill_run(ctx, keys, &mut buffer)?);
             charge.release_all();
         }
-        MergeRuns::new(runs, keys.to_vec()).map(SortState::Merging)
+        // Merge the smallest runs until one merge can read the rest.
+        while runs.len() > MERGE_FANIN {
+            let n = MERGE_FANIN.min(runs.len() - MERGE_FANIN + 1);
+            let merged = merge_to_run(ctx, keys, runs.drain(..n).collect())?;
+            runs.push(merged);
+        }
+        MergeRuns::new(runs, keys).map(SortState::Merging)
     }
+}
+
+/// Append one sort-spill frame: the evaluated key, then the row.
+fn write_entry(
+    writer: &mut SpillWriter,
+    scratch: &mut Vec<u8>,
+    key: &[Value],
+    row: &Row,
+) -> Result<()> {
+    rowser::begin_frame(scratch);
+    rowser::write_values(scratch, key);
+    rowser::write_row(scratch, row);
+    rowser::finish_frame(scratch);
+    writer.write_all(scratch)
 }
 
 fn spill_run(
@@ -122,18 +149,55 @@ fn spill_run(
     let mut writer = ctx.create_spill()?;
     let mut scratch = Vec::new();
     for (kv, row) in buffer.drain(..) {
-        rowser::begin_frame(&mut scratch);
-        rowser::write_values(&mut scratch, &kv);
-        rowser::write_row(&mut scratch, &row);
-        rowser::finish_frame(&mut scratch);
-        writer.write_all(&scratch)?;
+        write_entry(&mut writer, &mut scratch, &kv, &row)?;
     }
     writer.finish()
 }
 
+/// File a new level-0 run, merging every level that reaches
+/// [`MERGE_FANIN`] runs into one run of the level above.
+fn add_run(
+    ctx: &ExecContext,
+    keys: &[SortKey],
+    levels: &mut Vec<Vec<SpillReader>>,
+    mut run: SpillReader,
+) -> Result<()> {
+    for level in 0.. {
+        if level == levels.len() {
+            levels.push(Vec::new());
+        }
+        levels[level].push(run);
+        if levels[level].len() < MERGE_FANIN {
+            break;
+        }
+        run = merge_to_run(ctx, keys, std::mem::take(&mut levels[level]))?;
+    }
+    Ok(())
+}
+
+/// Merge sorted runs into one new run; the inputs delete as they drop.
+fn merge_to_run(
+    ctx: &ExecContext,
+    keys: &[SortKey],
+    runs: Vec<SpillReader>,
+) -> Result<SpillReader> {
+    let mut merge = MergeRuns::new(runs, keys)?;
+    let mut writer = ctx.create_spill()?;
+    let mut scratch = Vec::new();
+    while let Some(entry) = merge.next_entry()? {
+        write_entry(&mut writer, &mut scratch, &entry.key, &entry.row)?;
+    }
+    writer.finish()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Most runs any one merge on this thread has read at once.
+    static WIDEST_MERGE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// K-way merge over spilled runs using a tournament heap.
 struct MergeRuns {
-    keys: Vec<SortKey>,
     runs: Vec<SpillReader>,
     heap: BinaryHeap<HeapEntry>,
 }
@@ -180,7 +244,9 @@ impl Ord for HeapEntry {
 }
 
 impl MergeRuns {
-    fn new(mut runs: Vec<SpillReader>, keys: Vec<SortKey>) -> Result<MergeRuns> {
+    fn new(mut runs: Vec<SpillReader>, keys: &[SortKey]) -> Result<MergeRuns> {
+        #[cfg(test)]
+        WIDEST_MERGE.with(|w| w.set(w.get().max(runs.len())));
         let desc = std::sync::Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let mut heap = BinaryHeap::new();
         for (i, run) in runs.iter_mut().enumerate() {
@@ -193,25 +259,23 @@ impl MergeRuns {
                 });
             }
         }
-        Ok(MergeRuns { keys, runs, heap })
+        Ok(MergeRuns { runs, heap })
     }
 
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// Pop the smallest entry, refilling the heap from its run.
+    fn next_entry(&mut self) -> Result<Option<HeapEntry>> {
         let Some(top) = self.heap.pop() else {
             return Ok(None);
         };
-        let run = top.run;
-        let desc = top.desc.clone();
-        if let Some((key, row)) = read_entry(&mut self.runs[run])? {
+        if let Some((key, row)) = read_entry(&mut self.runs[top.run])? {
             self.heap.push(HeapEntry {
                 key,
                 row,
-                run,
-                desc,
+                run: top.run,
+                desc: top.desc.clone(),
             });
         }
-        let _ = &self.keys; // directions are carried in the heap entries
-        Ok(Some(top.row))
+        Ok(Some(top))
     }
 }
 
@@ -244,7 +308,7 @@ impl SortIter {
                     self.state = Self::execute(input, &keys, &ctx)?;
                 }
                 SortState::InMemory(rows, _charge) => return Ok(rows.next()),
-                SortState::Merging(m) => return m.next_row(),
+                SortState::Merging(m) => return Ok(m.next_entry()?.map(|e| e.row)),
                 SortState::Done => return Ok(None),
             }
         }
@@ -348,31 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn external_sort_spills_and_merges_correctly() {
-        let mut ctx = test_context();
-        ctx.sort_budget = 4096; // force spilling
-        ctx.temp.reset_counters();
-        let rows = shuffled(5000);
-        let it = SortIter::new(
-            Box::new(ValuesIter::new(rows)),
-            vec![SortKey::asc(Expr::col(0, "id"))],
-            ctx.clone(),
-        );
-        let sorted = collect(Box::new(it), 1024).unwrap();
-        assert_eq!(sorted.len(), 5000);
-        for (i, r) in sorted.iter().enumerate() {
-            assert_eq!(r[0], Value::Int(i as i64));
-        }
-        assert!(ctx.temp.spill_count() > 1, "sort must have spilled runs");
-        assert!(ctx.temp.bytes_written() > 0);
-    }
-
-    #[test]
     fn governor_budget_degrades_sort_to_spill() {
         use crate::governor::QueryGovernor;
-        // The configured sort_budget is huge, but the per-query governor
-        // budget is tiny: the sort must degrade by spilling rather than
-        // fail with ResourceExhausted.
+        // A tiny per-query budget: the sort must degrade by spilling
+        // runs rather than fail with ResourceExhausted.
         let mut ctx = test_context();
         ctx.gov = QueryGovernor::new(None, Some(4096));
         ctx.temp.reset_counters();
@@ -388,7 +431,42 @@ mod tests {
             assert_eq!(r[0], Value::Int(i as i64));
         }
         assert!(ctx.temp.spill_count() > 1, "sort must have spilled runs");
+        assert!(ctx.temp.bytes_written() > 0);
         assert_eq!(ctx.gov.mem_used(), 0, "all sort charges released");
+    }
+
+    #[test]
+    fn a_sort_whose_budget_is_held_elsewhere_merges_in_tiers() {
+        use crate::governor::QueryGovernor;
+        // Another charge holds the whole budget, so every row becomes a
+        // run of its own: far more runs than one merge may open.
+        let mut ctx = test_context();
+        ctx.gov = QueryGovernor::new(None, Some(4096));
+        let mut hog = MemCharge::new(ctx.gov.clone());
+        hog.grow(4096).unwrap();
+        ctx.temp.reset_counters();
+        WIDEST_MERGE.with(|w| w.set(0));
+        let rows = shuffled(3000);
+        let it = SortIter::new(
+            Box::new(ValuesIter::new(rows)),
+            vec![SortKey::desc(Expr::col(0, "id"))],
+            ctx.clone(),
+        );
+        let sorted = collect(Box::new(it), 1024).unwrap();
+        let ids: Vec<i64> = sorted.iter().map(|r| r[0].as_int().unwrap()).collect();
+        assert_eq!(ids, (0..3000).rev().collect::<Vec<_>>());
+        assert!(
+            ctx.temp.spill_count() > 3000,
+            "one run per row, plus merges"
+        );
+        let widest = WIDEST_MERGE.with(|w| w.get());
+        assert!(
+            (2..=MERGE_FANIN).contains(&widest),
+            "widest merge read {widest} runs"
+        );
+        drop(hog);
+        assert_eq!(ctx.gov.mem_used(), 0, "all sort charges released");
+        assert_eq!(ctx.temp.live_files().unwrap(), 0, "every run deleted");
     }
 
     #[test]

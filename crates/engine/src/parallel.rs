@@ -10,14 +10,15 @@
 //! 2. each worker scans its pages, applies the pushed-down filter, and
 //!    builds a partial hash-aggregate (possible because every aggregate —
 //!    built-in or user-defined — implements `merge`, paper §2.3.4);
-//!    when the shared memory budget runs out, the worker degrades like
-//!    the serial operator: rows for new groups partition to
-//!    `storage::tempspace` instead of failing the query;
 //! 3. the coordinating thread merges the partial maps (the repartition +
 //!    final aggregate collapsed into one merge, valid because merge is
-//!    associative), re-aggregates each spill partition — chaining the
-//!    same partition index from every worker, merging keys that another
-//!    worker kept in memory — and emits finished groups.
+//!    associative) and emits finished groups.
+//!
+//! The operator never spills. The binder plans it only when the query
+//! has no memory budget; a budgeted GROUP BY runs as the serial hash
+//! aggregate, which has the one spill path. Should a hand-built plan run
+//! it under a budget anyway, the first group the budget rejects fails the
+//! query with a typed `ResourceExhausted`.
 //!
 //! Per-worker busy time and row counts are recorded in [`WorkerStats`],
 //! which is how the benchmark harness regenerates the utilization plot of
@@ -26,18 +27,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seqdb_types::{DbError, Result, Row};
+use seqdb_types::{DbError, Result};
 
 use crate::catalog::Table;
 use crate::exec::agg::{
-    aggregate_level, aggregate_partial_spilling, finish_group, group_cost, merge_maps, AggSpec,
-    ChainRows, GroupedStates, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
+    aggregate_partial_spilling, empty_global_row, finish_group, merge_maps, AggSpec, GroupedStates,
+    OutputBuffer, OutputRows, MAX_SPILL_DEPTH,
 };
 use crate::exec::scan::HeapScanIter;
 use crate::exec::{fill_batch, ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
-use crate::udx::{panic_payload, protect};
+use crate::udx::panic_payload;
 
 /// Pick the error a failed parallel phase should surface: the first
 /// non-`Cancelled` error is the root cause — siblings that were told to
@@ -110,13 +111,11 @@ impl ParallelAggIter {
 
     fn execute(&mut self) -> Result<()> {
         let dop = self.dop;
-        let gov = &self.ctx.gov;
-        let temp = &self.ctx.temp;
+        let ctx = &self.ctx;
         let mut partials = Vec::with_capacity(dop);
-        // Per-worker spill partitions, handed to the coordinator unread.
-        let mut spills: Vec<Vec<Option<seqdb_storage::tempspace::SpillWriter>>> = Vec::new();
         // MemCharges travel with the partial maps they account for and
-        // are dropped (releasing the budget) at the end of execute().
+        // are dropped (releasing the budget) once the merged groups are
+        // in the output buffer.
         let mut charges: Vec<MemCharge> = Vec::with_capacity(dop);
         let mut errors: Vec<DbError> = Vec::new();
 
@@ -150,58 +149,44 @@ impl ParallelAggIter {
             for w in 0..dop {
                 let table = self.table.clone();
                 let filter = self.filter.clone();
-                let gov = gov.clone();
                 let decode_mask = decode_mask.clone();
-                let group_exprs = self.group_exprs.clone();
-                let aggs = self.aggs.clone();
-                let temp = temp.clone();
-                let tallies = self.ctx.spill_tallies();
-                let batch_size = self.ctx.batch_size;
+                let group_exprs = &self.group_exprs;
+                let aggs = &self.aggs;
                 handles.push(scope.spawn(move || {
                     let start = Instant::now();
                     let mut scan = CountingIter {
                         inner: HeapScanIter::partitioned(table, filter, None, decode_mask, w, dop),
                         rows: 0,
-                        gov: gov.clone(),
+                        gov: ctx.gov.clone(),
                         ticker: Ticker::new(),
                     };
                     // Workers share the query's governor: their partial
                     // maps charge one common budget, and they stop at the
-                    // next row once a sibling cancels it. A worker whose
-                    // budget share runs out degrades exactly like the
-                    // serial hash aggregate: rows for new groups go to
-                    // its own tempspace partitions for the coordinator
-                    // to re-aggregate. Each worker is capped at its share
-                    // of *half* the budget so the final phase — which
-                    // must hold the merged worker map while re-reading
-                    // the spills — keeps the other half.
-                    let cap = gov.mem_limit().map(|l| l / 2 / dop);
-                    let mut charge = MemCharge::new(gov.clone());
+                    // next row once a sibling cancels it. They run the
+                    // serial aggregate's group loop with no repartition
+                    // pass left, so they never spill.
+                    let mut charge = MemCharge::new(ctx.gov.clone());
                     let result = aggregate_partial_spilling(
                         &mut scan,
-                        &group_exprs,
-                        &aggs,
+                        group_exprs,
+                        aggs,
                         &mut charge,
-                        &temp,
-                        &tallies,
-                        Some(&gov),
-                        cap,
-                        0,
-                        batch_size,
+                        ctx,
+                        MAX_SPILL_DEPTH,
                     );
                     if result.is_err() {
                         // Fail fast: siblings notice at their next
                         // cooperative check instead of scanning on.
-                        gov.cancel();
+                        ctx.gov.cancel();
                     }
-                    let (map, partitions) = result?;
+                    let (map, _) = result?;
                     let stats = WorkerStats {
                         worker: w,
                         rows_scanned: scan.rows,
                         groups_produced: map.len() as u64,
                         busy: start.elapsed(),
                     };
-                    Ok::<_, DbError>((map, partitions, stats, charge))
+                    Ok::<_, DbError>((map, stats, charge))
                 }));
             }
             // Join every worker before reporting anything: no handle is
@@ -209,15 +194,14 @@ impl ParallelAggIter {
             // a coordinator panic.
             for h in handles {
                 match h.join() {
-                    Ok(Ok((map, partitions, stats, charge))) => {
+                    Ok(Ok((map, stats, charge))) => {
                         self.stats.push(stats);
                         partials.push(map);
-                        spills.push(partitions);
                         charges.push(charge);
                     }
                     Ok(Err(e)) => errors.push(e),
                     Err(p) => {
-                        gov.cancel();
+                        ctx.gov.cancel();
                         errors.push(DbError::Execution(format!(
                             "parallel worker panicked: {}",
                             panic_payload(p)
@@ -226,78 +210,32 @@ impl ParallelAggIter {
                 }
             }
         });
+        self.stats.sort_by_key(|s| s.worker);
 
         if !errors.is_empty() {
             return Err(root_cause(&errors));
         }
 
-        // Final aggregation: merge the workers' in-memory partial maps
-        // into one resident map. Duplicate keys collapse, so the merged
-        // map costs no more than the sum of the worker charges: release
-        // those and re-reserve the merged cost under one fresh charge,
-        // handing the freed budget back to the spill recursion below.
-        let mut resident: GroupedStates = partials.pop().unwrap_or_default();
+        // Final aggregation: merge the workers' partial maps into one.
+        // Duplicate keys collapse, so the merged map costs no more than
+        // the sum of the worker charges, which stay held until every
+        // finished group is in the governed output buffer.
+        let mut merged: GroupedStates = partials.pop().unwrap_or_default();
         for p in partials {
-            merge_maps(&mut resident, p, &self.aggs)?;
+            merge_maps(&mut merged, p, &self.aggs)?;
         }
-        drop(charges);
-        let mut resident_charge = MemCharge::new(gov.clone());
-        let resident_cost: usize = resident
-            .keys()
-            .map(|k| group_cost(k, self.aggs.len()))
-            .sum();
-        resident_charge.grow(resident_cost)?;
-
-        // Re-aggregate the spilled rows. All workers hash with the same
-        // depth-0 salt, so partition index p holds the same key subset in
-        // every worker: chaining them gives one logical partition, and no
-        // key appears in two different partitions. A spilled key that
-        // another worker kept in memory merges into the resident map
-        // inside `aggregate_level` instead of being emitted twice.
-        let mut out = OutputBuffer::new(&self.ctx);
-        for p in 0..SPILL_PARTITIONS {
-            let mut parts = Vec::new();
-            for worker in &mut spills {
-                if let Some(writer) = worker[p].take() {
-                    parts.push(SpillRowIter::new(writer.finish()?));
-                }
-            }
-            if parts.is_empty() {
-                continue;
-            }
-            let mut chained = ChainRows::new(parts);
-            aggregate_level(
-                &mut chained,
-                &self.group_exprs,
-                &self.aggs,
-                &self.ctx,
-                1,
-                &mut resident,
-                &mut out,
-            )?;
-        }
-
-        // Emit the resident groups last — only now are they complete.
-        for (key, states) in resident.into_groups() {
+        let mut out = OutputBuffer::new(ctx);
+        for (key, states) in merged.into_groups() {
             out.push(finish_group(key, states, &self.aggs)?)?;
         }
-        drop(resident_charge);
+        drop(charges);
 
-        if out.is_empty() && self.group_exprs.is_empty() {
+        self.output = Some(if out.is_empty() && self.group_exprs.is_empty() {
             // Global aggregate over an empty table still yields one row.
-            let mut vals = Vec::new();
-            for a in &self.aggs {
-                vals.push(protect(a.factory.name(), || {
-                    let mut s = a.factory.create();
-                    s.finish()
-                })?);
-            }
-            self.stats.sort_by_key(|s| s.worker);
-            self.output = Some(OutputRows::from_vec(vec![Row::new(vals)]));
-            return Ok(());
-        }
-        self.stats.sort_by_key(|s| s.worker);
-        self.output = Some(out.into_rows()?);
+            OutputRows::from_vec(vec![empty_global_row(&self.aggs)?])
+        } else {
+            out.into_rows()?
+        });
         Ok(())
     }
 }
@@ -343,7 +281,7 @@ mod tests {
     use crate::expr::BinOp;
     use crate::udx::{AggState, Aggregate, CountAgg, SumAgg};
     use seqdb_storage::rowfmt::Compression;
-    use seqdb_types::{Column, DataType, Schema, Value};
+    use seqdb_types::{Column, DataType, Row, Schema, Value};
 
     /// Drain an iterator that is still needed afterwards (worker stats).
     fn drain(it: &mut dyn RowIterator) -> Vec<Row> {
@@ -508,47 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn worker_memory_pressure_spills_and_aggregates_exactly() {
+    fn a_budget_the_workers_exceed_fails_typed_without_spilling() {
         let (ctx, t) = setup(5000);
-        let group = vec![Expr::col(0, "id")]; // one group per row
-
-        // Serial reference with no memory pressure.
-        let serial = {
-            let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
-            let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), ctx.clone());
-            let mut rows = collect(Box::new(it), 1024).unwrap();
-            rows.sort_by_key(|r| r[0].as_int().unwrap());
-            rows
-        };
-
-        // ~64 KiB budget shared by 4 workers for ~5000 groups: every
-        // worker must spill, yet the query completes with exact results.
-        let mut tight = ctx.clone();
-        tight.gov = QueryGovernor::new(None, Some(64 * 1024));
-        let gov = tight.gov.clone();
-        tight.temp.reset_counters();
-        let mut par = ParallelAggIter::new(t, None, group, specs(), 4, tight.clone()).unwrap();
-        let mut rows = drain(&mut par);
-        rows.sort_by_key(|r| r[0].as_int().unwrap());
-        assert_eq!(rows, serial);
-        assert!(
-            tight.temp.spill_count() > 0,
-            "the budget must have forced worker-side spilling"
-        );
-        drop(par);
-        assert_eq!(gov.mem_used(), 0, "all charges released");
-        assert_eq!(tight.temp.live_files().unwrap(), 0, "no leaked spill files");
-    }
-
-    #[test]
-    fn pathological_budget_fails_typed_after_bounded_repartitioning() {
-        let (ctx, t) = setup(5000);
-        // A budget too small to admit even one group: rows re-spill at
-        // every level until MAX_SPILL_DEPTH, then fail typed — the
-        // process and the table both survive.
+        // A budget too small for even one group: the parallel aggregate
+        // has no spill path, so the first rejected group fails the query
+        // typed. Every charge is released and no spill file is written.
         let mut starved = ctx.clone();
         starved.gov = QueryGovernor::new(None, Some(64));
         let gov = starved.gov.clone();
+        starved.temp.reset_counters();
         let mut par = ParallelAggIter::new(
             t,
             None,
@@ -562,11 +468,8 @@ mod tests {
         assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
         drop(par);
         assert_eq!(gov.mem_used(), 0, "worker charges released on failure");
-        assert_eq!(
-            starved.temp.live_files().unwrap(),
-            0,
-            "no leaked spill files"
-        );
+        assert_eq!(starved.temp.live_files().unwrap(), 0, "no spill files");
+        assert_eq!(starved.temp.spill_count(), 0, "no worker spilled");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   GROUP BY columns, and input ordered through an index for an
 //!   order-sensitive aggregate — the sliding-window consensus plan;
 //! * exchange-parallel aggregation when the input is a large base-table
-//!   scan and every aggregate is order-invariant (the Figure 9 plan).
+//!   scan, every aggregate is order-invariant and the query has no memory
+//!   budget (the Figure 9 plan).
 
 use std::sync::Arc;
 
@@ -992,7 +993,12 @@ impl Binder<'_> {
             ..
         } = &plan
         {
-            if order_arg.is_none() && cfg.max_dop > 1 && table.row_count() >= cfg.parallel_threshold
+            // The parallel aggregate never spills, so a budgeted GROUP BY
+            // runs as the serial hash aggregate, which does.
+            if order_arg.is_none()
+                && cfg.query_mem_limit_kb.is_none()
+                && cfg.max_dop > 1
+                && table.row_count() >= cfg.parallel_threshold
             {
                 Plan::ParallelAggregate {
                     table: table.clone(),

@@ -70,10 +70,10 @@ fn concurrent_sessions_spill_within_budget_and_admission_bounds_excess() {
     db.set_admission_wait_ms(150);
     db.temp().reset_counters();
 
-    // Three sessions run the same memory-hungry parallel aggregate at
-    // once. Each budget is far below what 12k groups need resident, so
-    // every worker must degrade to spilling — and still produce exact
-    // results, with zero ResourceExhausted.
+    // Three sessions run the same memory-hungry aggregate at once. Each
+    // budget is far below what 12k groups need resident, so each plans
+    // the serial hash aggregate and must degrade to spilling — and still
+    // produce exact results, with zero ResourceExhausted.
     let barrier = Arc::new(Barrier::new(3));
     let mut handles = Vec::new();
     for _ in 0..3 {
@@ -99,7 +99,10 @@ fn concurrent_sessions_spill_within_budget_and_admission_bounds_excess() {
             "each id appears once"
         );
     }
-    assert!(db.temp().spill_count() > 0, "the workers must have spilled");
+    assert!(
+        db.temp().spill_count() > 0,
+        "the aggregates must have spilled"
+    );
     assert_eq!(db.temp().live_files().unwrap(), 0, "no temp files leaked");
     assert_eq!(db.admission().reserved(), 0, "pool fully released");
 

@@ -3,7 +3,7 @@
 
 use seqdb::engine::Database;
 use seqdb::sql::DatabaseSqlExt;
-use seqdb::types::{DbError, Value};
+use seqdb::types::{DbError, Row, Value};
 
 fn db() -> std::sync::Arc<Database> {
     Database::in_memory()
@@ -381,6 +381,36 @@ fn explain_of_serial_and_parallel_aggregate() {
         .explain_sql("SELECT g, COUNT(*) FROM big GROUP BY g")
         .unwrap();
     assert!(parallel.contains("Gather Streams"), "{parallel}");
+
+    // Under a memory budget the same query plans the serial hash
+    // aggregate, which spills (the parallel one never does), and returns
+    // the unbudgeted rows.
+    let rows: Vec<Row> = (2..2000i64)
+        .map(|g| Row::new(vec![Value::Int(g), Value::Int(g)]))
+        .collect();
+    db.insert_rows("big", &rows).unwrap();
+    const Q: &str = "SELECT g, COUNT(*) FROM big GROUP BY g";
+    let run = || {
+        let mut rows = db.query_sql(Q).unwrap().rows;
+        rows.sort_by_key(|r| r[0].as_int().unwrap());
+        rows
+    };
+    let unbudgeted = run();
+    assert_eq!(unbudgeted.len(), 1999);
+    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 8").unwrap();
+    let budgeted = db.explain_sql(Q).unwrap();
+    assert!(budgeted.contains("Hash Match (Aggregate)"), "{budgeted}");
+    assert!(!budgeted.contains("Gather Streams"), "{budgeted}");
+    db.temp().reset_counters();
+    assert_eq!(run(), unbudgeted);
+    assert!(db.temp().spill_count() > 0, "the budgeted aggregate spills");
+    assert_eq!(db.temp().live_files().unwrap(), 0);
+    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 0").unwrap();
+    let unbudgeted_plan = db.explain_sql(Q).unwrap();
+    assert!(
+        unbudgeted_plan.contains("Gather Streams"),
+        "{unbudgeted_plan}"
+    );
 }
 
 #[test]

@@ -351,10 +351,10 @@ pub fn import_filestream(
         .table(&format!("ShortReadFiles{suffix}"))
         .and_then(|t| {
             t.insert(&Row::new(vec![
-                Value::Guid(guid),
+                Value::guid(guid),
                 Value::Int(sample),
                 Value::Int(lane),
-                Value::Guid(guid),
+                Value::guid(guid),
             ]))
         });
     if let Err(e) = inserted {

@@ -966,10 +966,10 @@ mod tests {
             .table("ShortReadFiles")
             .unwrap()
             .insert(&Row::new(vec![
-                Value::Guid(guid),
+                Value::guid(guid),
                 Value::Int(855),
                 Value::Int(1),
-                Value::Guid(guid),
+                Value::guid(guid),
             ]))
             .unwrap();
         let r = db

@@ -238,7 +238,7 @@ impl ScalarUdf for NewIdFn {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos())
             .unwrap_or(0);
-        Ok(Value::Guid((now << 32) ^ (seq << 1) ^ 0x4242))
+        Ok(Value::guid((now << 32) ^ (seq << 1) ^ 0x4242))
     }
 }
 

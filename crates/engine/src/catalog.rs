@@ -751,8 +751,8 @@ mod tests {
                 crate::exec::scan::KeyRange::prefix(&[Value::Int(5)]),
                 None,
                 None,
-                None,
-            );
+            )
+            .unwrap();
             let rows = crate::exec::collect(Box::new(scan), 1024).unwrap();
             rows.iter().map(|r| r[0].as_int().unwrap()).collect()
         };

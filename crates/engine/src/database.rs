@@ -526,7 +526,9 @@ impl crate::udx::ScalarUdf for FsPathNameFn {
         use seqdb_types::Value;
         match args {
             [Value::Null] => Ok(Value::Null),
-            [Value::Guid(g)] => Ok(Value::text(self.store.path_name(*g)?.to_string_lossy())),
+            [g @ Value::Guid(_)] => Ok(Value::text(
+                self.store.path_name(g.as_guid()?)?.to_string_lossy(),
+            )),
             _ => Err(seqdb_types::DbError::Execution(
                 "PathName() expects a FILESTREAM column".into(),
             )),
@@ -547,7 +549,7 @@ impl crate::udx::ScalarUdf for FsDataLengthFn {
         use seqdb_types::Value;
         match args {
             [Value::Null] => Ok(Value::Null),
-            [Value::Guid(g)] => Ok(Value::Int(self.store.len(*g)? as i64)),
+            [g @ Value::Guid(_)] => Ok(Value::Int(self.store.len(g.as_guid()?)? as i64)),
             _ => Err(seqdb_types::DbError::Execution(
                 "DATALENGTH on a FILESTREAM column expects its GUID".into(),
             )),

@@ -18,7 +18,7 @@ use seqdb_storage::{SpillTally, WaitClass};
 use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, Layout, RowBatch, RowIterator};
 use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::{protect, AggState, Aggregate};
@@ -57,6 +57,14 @@ impl AggSpec {
             args,
             name: name.into(),
         }
+    }
+
+    /// This call with its arguments pointed at the input's rows.
+    pub fn remapped(&self, layout: &Layout) -> Result<AggSpec> {
+        Ok(AggSpec {
+            args: layout.remap_all(&self.args)?,
+            ..self.clone()
+        })
     }
 
     /// Fresh accumulator, with the UDA's `Init` under panic protection.

@@ -30,6 +30,7 @@ use seqdb_storage::tempspace::SpillWriter;
 use seqdb_storage::{FileStreamStore, SpillTally, TempSpace};
 
 use crate::catalog::Catalog;
+use crate::expr::Expr;
 use crate::governor::QueryGovernor;
 use crate::stats::{ExecStats, NodeStats};
 
@@ -85,6 +86,106 @@ impl ExecContext {
     pub fn create_join_spill(&self) -> Result<SpillWriter> {
         self.temp
             .create_spill_class(self.spill_tallies(), seqdb_storage::WaitClass::JoinSpill)
+    }
+}
+
+/// Where a plan node's output columns sit in the rows it emits. Rows
+/// carry only what the plan reads: a scan decodes the columns demanded of
+/// it, a join concatenates its narrow sides, and the parent rewrites its
+/// expressions through this map once, at open, instead of the rows
+/// keeping every column at its schema position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// Logical column `i` is at position `cols[i]` of each row; `None`
+    /// when no consumer asked for it and the rows do not carry it.
+    cols: Vec<Option<usize>>,
+    /// Values per row.
+    width: usize,
+}
+
+impl Layout {
+    /// Every one of `n` columns at its own position.
+    pub(crate) fn dense(n: usize) -> Layout {
+        Layout {
+            cols: (0..n).map(Some).collect(),
+            width: n,
+        }
+    }
+
+    /// The rows hold the columns `wanted` marks, in column order.
+    pub(crate) fn packed(wanted: &[bool]) -> Layout {
+        let mut width = 0;
+        let cols = wanted
+            .iter()
+            .map(|&w| {
+                w.then(|| {
+                    width += 1;
+                    width - 1
+                })
+            })
+            .collect();
+        Layout { cols, width }
+    }
+
+    /// Values per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Is every logical column at its own position, and nothing else?
+    pub(crate) fn is_dense(&self) -> bool {
+        self.width == self.cols.len() && self.cols.iter().enumerate().all(|(i, c)| *c == Some(i))
+    }
+
+    /// The same rows seen through a projection: logical column `i` is
+    /// this layout's column `proj[i]`.
+    pub(crate) fn project(&self, proj: &[usize]) -> Layout {
+        Layout {
+            cols: proj
+                .iter()
+                .map(|&c| self.cols.get(c).copied().flatten())
+                .collect(),
+            width: self.width,
+        }
+    }
+
+    /// The layout of `self`'s rows followed by `other`'s, as a join
+    /// concatenates them.
+    pub(crate) fn concat(&self, other: &Layout) -> Layout {
+        let mut cols = self.cols.clone();
+        cols.extend(other.cols.iter().map(|c| c.map(|p| p + self.width)));
+        Layout {
+            cols,
+            width: self.width + other.width,
+        }
+    }
+
+    /// `expr`, written over logical columns, rewritten onto the rows. A
+    /// column the rows do not carry fails typed with `DbError::Plan`.
+    pub(crate) fn remap(&self, expr: &Expr) -> Result<Expr> {
+        let mut e = expr.clone();
+        e.remap_columns(&self.cols)?;
+        Ok(e)
+    }
+
+    /// [`Layout::remap`] over a list.
+    pub(crate) fn remap_all(&self, exprs: &[Expr]) -> Result<Vec<Expr>> {
+        exprs.iter().map(|e| self.remap(e)).collect()
+    }
+}
+
+/// Mark every column the expressions read in `demand`. References beyond
+/// the demand's arity are left out: no row carries them, so the operator
+/// reading them fails at open when it remaps them.
+pub(crate) fn mark_read<'a>(demand: &mut [bool], exprs: impl IntoIterator<Item = &'a Expr>) {
+    let mut refs = Vec::new();
+    for e in exprs {
+        e.referenced_columns(&mut refs);
+    }
+    for i in refs {
+        if let Some(slot) = demand.get_mut(i) {
+            *slot = true;
+        }
     }
 }
 

@@ -45,7 +45,7 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Guid(g) => {
             out.push(T_GUID);
-            out.extend_from_slice(&g.to_be_bytes());
+            out.extend_from_slice(g);
         }
     }
 }
@@ -90,9 +90,7 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
         T_GUID => {
             let raw = buf.get(*pos..*pos + 16).ok_or_else(err)?;
             *pos += 16;
-            Value::Guid(u128::from_be_bytes(
-                raw.try_into().expect("slice is exactly 16 bytes"),
-            ))
+            Value::Guid(raw.try_into().expect("slice is exactly 16 bytes"))
         }
         _ => return Err(err()),
     })
@@ -150,6 +148,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn guid_bytes_are_pinned() {
+        let mut out = Vec::new();
+        write_value(
+            &mut out,
+            &Value::guid(0x0011_2233_4455_6677_8899_aabb_ccdd_eeff),
+        );
+        assert_eq!(
+            out,
+            [
+                6, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc,
+                0xdd, 0xee, 0xff,
+            ]
+        );
+        let mut pos = 0;
+        assert_eq!(
+            read_value(&out, &mut pos).unwrap().as_guid().unwrap(),
+            0x0011_2233_4455_6677_8899_aabb_ccdd_eeff
+        );
+    }
+
+    #[test]
     fn roundtrip_all_types() {
         let row = Row::new(vec![
             Value::Null,
@@ -158,7 +177,7 @@ mod tests {
             Value::Float(0.25),
             Value::text("IL4_855:1:1:954:659"),
             Value::bytes(b"\x00\xff"),
-            Value::Guid(77),
+            Value::guid(77),
         ]);
         let mut buf = Vec::new();
         write_row(&mut buf, &row);

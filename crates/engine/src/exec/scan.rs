@@ -9,67 +9,100 @@ use seqdb_storage::rowfmt::{self, Compression};
 use seqdb_types::{Result, Row, Value};
 
 use crate::catalog::{Table, TableIndex};
-use crate::exec::{RowBatch, RowIterator};
+use crate::exec::{mark_read, Layout, RowBatch, RowIterator};
 use crate::expr::{passes, Expr, Kernel};
 
-/// Sequential heap scan with an optional residual predicate and
-/// projection pushed into the scan (the paper's parallel plans push both
-/// below the exchange).
-pub struct HeapScanIter {
-    table: Arc<Table>,
-    pages: std::vec::IntoIter<PageId>,
+/// What a scan decodes and where it lands, shared by both scans: the
+/// columns its consumer reads plus those its own filter reads, in schema
+/// order, and nothing else.
+struct Narrowing {
+    /// Per table column, decoded or skipped; `None` decodes them all.
+    wanted: Option<Vec<bool>>,
+    layout: Layout,
+    /// The pushed-down filter, over the narrow rows.
     filter: Option<Expr>,
     /// Compiled form of `filter`, when it has one.
     kernel: Option<Kernel>,
-    projection: Option<Vec<usize>>,
-    /// Columns to actually decode (`None` = all): unmasked columns come
-    /// back as `Value::Null` placeholders, so the caller must guarantee
-    /// nothing downstream reads them (see [`Plan::open`]'s demand pass).
-    decode_mask: Option<Vec<bool>>,
+}
+
+impl Narrowing {
+    /// `columns` marks the table columns the consumer reads (`None` =
+    /// all of them).
+    fn new(ncols: usize, filter: Option<&Expr>, columns: Option<Vec<bool>>) -> Result<Narrowing> {
+        let wanted = columns
+            .map(|mut wanted| {
+                wanted.resize(ncols, false);
+                mark_read(&mut wanted, filter);
+                wanted
+            })
+            .filter(|wanted| !wanted.iter().all(|&w| w));
+        let layout = match &wanted {
+            Some(wanted) => Layout::packed(wanted),
+            None => Layout::dense(ncols),
+        };
+        let filter = filter.map(|f| layout.remap(f)).transpose()?;
+        Ok(Narrowing {
+            wanted,
+            layout,
+            kernel: filter.as_ref().and_then(Kernel::compile),
+            filter,
+        })
+    }
+
+    fn passes(&self, row: &Row) -> Result<bool> {
+        self.filter
+            .as_ref()
+            .map_or(Ok(true), |f| passes(f, self.kernel.as_ref(), row))
+    }
+}
+
+/// Sequential heap scan with an optional residual predicate pushed into
+/// the scan (the paper's parallel plans push it below the exchange). Its
+/// rows are narrow: see [`HeapScanIter::layout`].
+pub struct HeapScanIter {
+    table: Arc<Table>,
+    pages: std::vec::IntoIter<PageId>,
+    narrow: Narrowing,
 }
 
 impl HeapScanIter {
+    /// Scan every page, decoding the table columns `columns` marks
+    /// (`None` = all) and those `filter` reads.
     pub fn new(
         table: Arc<Table>,
-        filter: Option<Expr>,
-        projection: Option<Vec<usize>>,
-        decode_mask: Option<Vec<bool>>,
-    ) -> Self {
-        let pages = table.heap.pages_snapshot();
-        HeapScanIter {
-            table,
-            pages: pages.into_iter(),
-            kernel: filter.as_ref().and_then(Kernel::compile),
-            filter,
-            projection,
-            decode_mask,
-        }
+        filter: Option<&Expr>,
+        columns: Option<Vec<bool>>,
+    ) -> Result<Self> {
+        Self::partitioned(table, filter, columns, 0, 1)
     }
 
     /// Scan only partition `part` of `nparts` (page-range partitioning).
     pub fn partitioned(
         table: Arc<Table>,
-        filter: Option<Expr>,
-        projection: Option<Vec<usize>>,
-        decode_mask: Option<Vec<bool>>,
+        filter: Option<&Expr>,
+        columns: Option<Vec<bool>>,
         part: usize,
         nparts: usize,
-    ) -> Self {
-        let all = table.heap.pages_snapshot();
-        let pages: Vec<PageId> = all
+    ) -> Result<Self> {
+        let narrow = Narrowing::new(table.schema.len(), filter, columns)?;
+        let pages: Vec<PageId> = table
+            .heap
+            .pages_snapshot()
             .into_iter()
             .enumerate()
             .filter(|(i, _)| i % nparts == part)
             .map(|(_, p)| p)
             .collect();
-        HeapScanIter {
+        Ok(HeapScanIter {
             table,
             pages: pages.into_iter(),
-            kernel: filter.as_ref().and_then(Kernel::compile),
-            filter,
-            projection,
-            decode_mask,
-        }
+            narrow,
+        })
+    }
+
+    /// Where each table column sits in the rows this scan emits.
+    pub fn layout(&self) -> &Layout {
+        &self.narrow.layout
     }
 }
 
@@ -87,17 +120,10 @@ impl RowIterator for HeapScanIter {
             let mut rows = Vec::new();
             self.table
                 .heap
-                .page_rows_into_masked(pid, self.decode_mask.as_deref(), &mut rows)?;
+                .page_rows_into_masked(pid, self.narrow.wanted.as_deref(), &mut rows)?;
             let mut batch = RowBatch::from_rows(rows);
-            if let Some(f) = &self.filter {
-                batch.narrow(|row| passes(f, self.kernel.as_ref(), row))?;
-            }
-            if let Some(p) = &self.projection {
-                let mut out = Vec::with_capacity(batch.len());
-                for row in batch.iter() {
-                    out.push(row.project(p));
-                }
-                batch = RowBatch::from_rows(out);
+            if self.narrow.filter.is_some() {
+                batch.narrow(|row| self.narrow.passes(row))?;
             }
             if !batch.is_empty() {
                 return Ok(Some(batch));
@@ -143,17 +169,12 @@ impl KeyRange {
 }
 
 /// Ordered scan of a B+-tree index over one [`KeyRange`], decoding the
-/// rows stored in its leaves — only the columns of `decode_mask`, like
-/// [`HeapScanIter`].
+/// rows stored in its leaves into narrow rows, like [`HeapScanIter`].
 pub struct IndexScanIter {
     index: Arc<TableIndex>,
     schema: Arc<seqdb_types::Schema>,
-    filter: Option<Expr>,
-    /// Compiled form of `filter`, when it has one.
-    kernel: Option<Kernel>,
-    projection: Option<Vec<usize>>,
-    decode_mask: Option<Vec<bool>>,
-    /// Rows decoded by the last refill, filtered and projected.
+    narrow: Narrowing,
+    /// Rows decoded by the last refill, filtered.
     buffer: std::vec::IntoIter<Row>,
     /// Where the next refill starts; `None` once the range is exhausted.
     resume: Option<Bound<Vec<u8>>>,
@@ -161,26 +182,29 @@ pub struct IndexScanIter {
 }
 
 impl IndexScanIter {
-    /// Scan the rows whose index key lies in `range`, in key order.
+    /// Scan the rows whose index key lies in `range`, in key order,
+    /// decoding the table columns `columns` marks (`None` = all) and those
+    /// `filter` reads.
     pub fn new(
         table: &Arc<Table>,
         index: Arc<TableIndex>,
         range: KeyRange,
-        filter: Option<Expr>,
-        projection: Option<Vec<usize>>,
-        decode_mask: Option<Vec<bool>>,
-    ) -> Self {
-        IndexScanIter {
+        filter: Option<&Expr>,
+        columns: Option<Vec<bool>>,
+    ) -> Result<Self> {
+        Ok(IndexScanIter {
             index,
             schema: table.schema.clone(),
-            kernel: filter.as_ref().and_then(Kernel::compile),
-            filter,
-            projection,
-            decode_mask,
+            narrow: Narrowing::new(table.schema.len(), filter, columns)?,
             buffer: Vec::new().into_iter(),
             resume: Some(range.lower),
             upper: range.upper,
-        }
+        })
+    }
+
+    /// Where each table column sits in the rows this scan emits.
+    pub fn layout(&self) -> &Layout {
+        &self.narrow.layout
     }
 
     /// Decode the next run of up to 1024 entries straight from the tree's
@@ -194,7 +218,7 @@ impl IndexScanIter {
         };
         let start = start.as_ref().map(Vec::as_slice);
         let end = self.upper.as_ref().map(Vec::as_slice);
-        let mask = self.decode_mask.as_deref().unwrap_or(&[]);
+        let mask = self.narrow.wanted.as_deref().unwrap_or(&[]);
         // Grown to the rows the run yields: a point seek holds one.
         let mut rows = Vec::new();
         let mut entries = self.index.btree.range(start, end)?;
@@ -202,16 +226,8 @@ impl IndexScanIter {
         while let Some(entry) = entries.next_entry() {
             let (k, v) = entry?;
             let row = rowfmt::decode_row_masked(&self.schema, v, Compression::Row, None, mask)?;
-            let kernel = self.kernel.as_ref();
-            if self
-                .filter
-                .as_ref()
-                .map_or(Ok(true), |f| passes(f, kernel, &row))?
-            {
-                rows.push(match &self.projection {
-                    Some(p) => row.project(p),
-                    None => row,
-                });
+            if self.narrow.passes(&row)? {
+                rows.push(row);
             }
             seen += 1;
             if seen == BATCH {
@@ -254,7 +270,7 @@ impl RowIterator for IndexScanIter {
 mod tests {
     use super::*;
     use crate::exec::testutil::test_context;
-    use crate::exec::{collect, RowIterator};
+    use crate::exec::{collect, Layout, RowIterator};
     use crate::expr::{BinOp, Expr};
     use seqdb_types::{Column, DataType, Row, Schema};
 
@@ -281,15 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn full_scan_with_filter_and_projection() {
+    fn heap_scan_decodes_the_demanded_and_filter_columns_in_schema_order() {
         let (_ctx, t) = setup();
         let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(1));
-        let it = HeapScanIter::new(t, Some(filter), Some(vec![2, 0]), None);
+        // Only `seq` is demanded; `grp` rides along because the filter
+        // reads it, and `id` is skipped.
+        let it = HeapScanIter::new(t, Some(&filter), Some(vec![false, false, true])).unwrap();
+        assert_eq!(it.layout(), &Layout::packed(&[false, true, true]));
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 167); // ids 1,4,...,499
-        assert_eq!(rows[0].len(), 2);
-        assert_eq!(rows[0][0], Value::text("SEQ1"));
-        assert_eq!(rows[0][1], Value::Int(1));
+        assert!(rows.iter().all(|r| r.len() == 2));
+        assert_eq!(rows[0].values(), &[Value::Int(1), Value::text("SEQ1")]);
     }
 
     #[test]
@@ -298,7 +316,7 @@ mod tests {
         let nparts = 3;
         let mut all = Vec::new();
         for p in 0..nparts {
-            let it = HeapScanIter::partitioned(t.clone(), None, None, None, p, nparts);
+            let it = HeapScanIter::partitioned(t.clone(), None, None, p, nparts).unwrap();
             all.extend(collect(Box::new(it), 1024).unwrap());
         }
         assert_eq!(all.len(), 500);
@@ -312,10 +330,12 @@ mod tests {
     fn index_scan_is_ordered() {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let it = IndexScanIter::new(&t, idx, KeyRange::all(), None, None, None);
+        let it = IndexScanIter::new(&t, idx, KeyRange::all(), None, None).unwrap();
+        assert!(it.layout().is_dense());
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 500);
         for (i, r) in rows.iter().enumerate() {
+            assert_eq!(r.len(), 3);
             assert_eq!(r[0], Value::Int(i as i64));
         }
     }
@@ -330,23 +350,25 @@ mod tests {
             upper: Bound::Excluded(key(350)),
         };
         let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(0));
-        let mask = Some(vec![true, true, false]);
         // One row per pull crosses the 1024-entry refills of a wider range
         // the same way: a batch size of 1 is the row-mode oracle.
         for batch in [1, 7, 1024] {
+            // `id` is demanded and `grp` only filtered on: the rows are
+            // exactly those two columns wide, `seq` is never built.
             let it = IndexScanIter::new(
                 &t,
                 idx.clone(),
                 range.clone(),
-                Some(filter.clone()),
-                None,
-                mask.clone(),
-            );
+                Some(&filter),
+                Some(vec![true, false, false]),
+            )
+            .unwrap();
+            assert_eq!(it.layout(), &Layout::packed(&[true, true, false]));
             let rows = collect(Box::new(it), batch).unwrap();
             let ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
             let expect: Vec<i64> = (100..350).filter(|i| i % 3 == 0).collect();
             assert_eq!(ids, expect, "batch {batch}");
-            assert!(rows.iter().all(|r| r[2] == Value::Null), "seq was decoded");
+            assert!(rows.iter().all(|r| r.len() == 2), "seq was decoded");
         }
     }
 
@@ -369,14 +391,8 @@ mod tests {
             }
         }
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let it = IndexScanIter::new(
-            &t,
-            idx,
-            KeyRange::prefix(&[Value::Int(3)]),
-            None,
-            None,
-            None,
-        );
+        let it =
+            IndexScanIter::new(&t, idx, KeyRange::prefix(&[Value::Int(3)]), None, None).unwrap();
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(rows.iter().all(|r| r[0] == Value::Int(3)));
@@ -389,14 +405,9 @@ mod tests {
     fn empty_prefix_range_is_empty() {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
-        let mut it = IndexScanIter::new(
-            &t,
-            idx,
-            KeyRange::prefix(&[Value::Int(10_000)]),
-            None,
-            None,
-            None,
-        );
+        let mut it =
+            IndexScanIter::new(&t, idx, KeyRange::prefix(&[Value::Int(10_000)]), None, None)
+                .unwrap();
         assert!(it.next_batch(1).unwrap().is_none());
     }
 }

@@ -199,14 +199,15 @@ impl Expr {
         }
     }
 
-    /// Rewrite column indexes through a mapping (used when pushing
-    /// expressions below a projection). `map[i]` is the new index of old
-    /// column `i`; `None` entries must not be referenced.
+    /// Rewrite column indexes through a mapping (used to point an
+    /// operator's expressions at its input's narrow rows, see
+    /// [`crate::exec::Layout`]). `map[i]` is the new index of old column
+    /// `i`; a column mapped to `None`, or beyond the map, fails typed.
     pub fn remap_columns(&mut self, map: &[Option<usize>]) -> Result<()> {
         match self {
             Expr::Column { index, name } => {
                 *index = map.get(*index).copied().flatten().ok_or_else(|| {
-                    DbError::Plan(format!("column {name} unavailable after projection"))
+                    DbError::Plan(format!("column {name} is not in its input's rows"))
                 })?;
                 Ok(())
             }

@@ -35,7 +35,7 @@ use crate::exec::agg::{
     OutputBuffer, OutputRows, MAX_SPILL_DEPTH,
 };
 use crate::exec::scan::HeapScanIter;
-use crate::exec::{fill_batch, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, mark_read, ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::panic_payload;
@@ -62,8 +62,11 @@ pub struct WorkerStats {
 
 /// Parallel scan + partial/final aggregation over a base table.
 pub struct ParallelAggIter {
-    table: Arc<Table>,
-    filter: Option<Expr>,
+    /// One partitioned scan per worker, taken when execution starts. They
+    /// decode only the columns the filter, the group keys and the
+    /// aggregate arguments read, and those expressions are remapped onto
+    /// the narrow rows.
+    scans: Vec<HeapScanIter>,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
     dop: usize,
@@ -92,9 +95,30 @@ impl ParallelAggIter {
                 )));
             }
         }
+        let mut columns = vec![false; table.schema.len()];
+        mark_read(
+            &mut columns,
+            group_exprs.iter().chain(aggs.iter().flat_map(|a| &a.args)),
+        );
+        let scans = (0..dop)
+            .map(|w| {
+                HeapScanIter::partitioned(
+                    table.clone(),
+                    filter.as_ref(),
+                    Some(columns.clone()),
+                    w,
+                    dop,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let layout = scans[0].layout();
+        let group_exprs = layout.remap_all(&group_exprs)?;
+        let aggs = aggs
+            .iter()
+            .map(|a| a.remapped(layout))
+            .collect::<Result<Vec<_>>>()?;
         Ok(ParallelAggIter {
-            table,
-            filter,
+            scans,
             group_exprs,
             aggs,
             dop,
@@ -119,43 +143,23 @@ impl ParallelAggIter {
         let mut charges: Vec<MemCharge> = Vec::with_capacity(dop);
         let mut errors: Vec<DbError> = Vec::new();
 
-        // Workers only evaluate the filter, the group keys and the
-        // aggregate arguments; every other column can skip decoding.
-        let decode_mask = {
-            let mut demand = vec![false; self.table.schema.len()];
-            let mut refs = Vec::new();
-            for e in self
-                .filter
-                .iter()
-                .chain(&self.group_exprs)
-                .chain(self.aggs.iter().flat_map(|a| &a.args))
-            {
-                e.referenced_columns(&mut refs);
-            }
-            for i in refs {
-                if let Some(slot) = demand.get_mut(i) {
-                    *slot = true;
-                }
-            }
-            if demand.iter().all(|&b| b) {
-                None
-            } else {
-                Some(demand)
-            }
-        };
-
+        // The scans run once: a second pull after a failure must not
+        // aggregate nothing into a plausible empty result.
+        let scans = std::mem::take(&mut self.scans);
+        if scans.is_empty() {
+            return Err(DbError::Execution(
+                "parallel aggregate pulled again after it failed".into(),
+            ));
+        }
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(dop);
-            for w in 0..dop {
-                let table = self.table.clone();
-                let filter = self.filter.clone();
-                let decode_mask = decode_mask.clone();
+            for (w, scan) in scans.into_iter().enumerate() {
                 let group_exprs = &self.group_exprs;
                 let aggs = &self.aggs;
                 handles.push(scope.spawn(move || {
                     let start = Instant::now();
                     let mut scan = CountingIter {
-                        inner: HeapScanIter::partitioned(table, filter, None, decode_mask, w, dop),
+                        inner: scan,
                         rows: 0,
                         gov: ctx.gov.clone(),
                         ticker: Ticker::new(),
@@ -277,7 +281,7 @@ impl RowIterator for ParallelAggIter {
 mod tests {
     use super::*;
     use crate::exec::testutil::{test_context, PanicAgg};
-    use crate::exec::{collect, ValuesIter};
+    use crate::exec::{collect, Layout, ValuesIter};
     use crate::expr::BinOp;
     use crate::udx::{AggState, Aggregate, CountAgg, SumAgg};
     use seqdb_storage::rowfmt::Compression;
@@ -328,7 +332,7 @@ mod tests {
 
         // Serial reference.
         let serial = {
-            let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
+            let scan = Box::new(HeapScanIter::new(t.clone(), None, None).unwrap());
             let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), _ctx.clone());
             let mut rows = collect(Box::new(it), 1024).unwrap();
             rows.sort_by_key(|r| r[0].as_int().unwrap());
@@ -365,6 +369,35 @@ mod tests {
         let rows = drain(&mut par);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(100));
+    }
+
+    #[test]
+    fn workers_decode_only_the_filter_group_and_argument_columns() {
+        let (ctx, t) = setup(1000);
+        // `id` only filtered on, `grp` grouped on, `v` never read.
+        let filter = Expr::binary(BinOp::Lt, Expr::col(0, "id"), Expr::lit(100));
+        let open = || {
+            ParallelAggIter::new(
+                t.clone(),
+                Some(filter.clone()),
+                vec![Expr::col(1, "grp")],
+                vec![AggSpec::new(Arc::new(CountAgg), vec![], "cnt")],
+                2,
+                ctx.clone(),
+            )
+            .unwrap()
+        };
+        let mut par = open();
+        let narrow = Layout::packed(&[true, true, false]);
+        assert!(par.scans.iter().all(|s| s.layout() == &narrow));
+        let batch = par.scans[0].next_batch(1024).unwrap().unwrap();
+        assert!(batch.into_rows().iter().all(|r| r.len() == 2));
+        let mut rows = drain(&mut open());
+        rows.sort_by_key(|r| r[0].as_int().unwrap());
+        let expect: Vec<Row> = (0..10)
+            .map(|g| Row::new(vec![Value::Int(g), Value::Int(10)]))
+            .collect();
+        assert_eq!(rows, expect);
     }
 
     #[test]
@@ -421,6 +454,7 @@ mod tests {
         )
         .unwrap();
         let err = par.next_batch(1024).map(|_| ()).unwrap_err();
+        assert!(par.next_batch(1024).is_err(), "a failed run is not retried");
         // The panic is caught at the UDA boundary inside the worker and
         // surfaces as a typed UdxPanic naming the aggregate.
         match &err {
@@ -477,7 +511,7 @@ mod tests {
         // Sanity check of the stats plumbing.
         let (_ctx, t) = setup(100);
         let mut c = CountingIter {
-            inner: HeapScanIter::new(t, None, None, None),
+            inner: HeapScanIter::new(t, None, None).unwrap(),
             rows: 0,
             gov: QueryGovernor::unlimited(),
             ticker: Ticker::new(),

@@ -14,7 +14,7 @@ use crate::exec::join::{HashJoinIter, MergeJoinIter};
 use crate::exec::scan::{HeapScanIter, IndexScanIter, KeyRange};
 use crate::exec::sort::{SortIter, SortKey, TopNIter};
 use crate::exec::window::RowNumberIter;
-use crate::exec::{BoxedIter, ExecContext, ValuesIter};
+use crate::exec::{mark_read, BoxedIter, ExecContext, Layout, ValuesIter};
 use crate::expr::{Expr, Kernel};
 use crate::governor::GovernedIter;
 use crate::parallel::ParallelAggIter;
@@ -168,39 +168,54 @@ impl Plan {
     /// wrapped in a [`StatsIter`]. The slot is shared via `Arc` with the
     /// collector, so actuals survive an early pipeline drop.
     pub fn open(&self, ctx: &ExecContext) -> Result<BoxedIter> {
-        self.open_demanded(ctx, None)
+        let (iter, layout) = self.open_demanded(ctx, None)?;
+        if layout.is_dense() {
+            return Ok(iter);
+        }
+        // With nothing demanded every column is decoded, so only a scan's
+        // pushed projection can leave the rows out of order; the root's
+        // consumer gets them in schema order.
+        let schema = self.schema();
+        let columns: Vec<Expr> = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Expr::col(i, c.name.clone()))
+            .collect();
+        let columns = layout.remap_all(&columns)?;
+        Ok(Box::new(ProjectIter::new(iter, columns)))
     }
 
     /// [`Plan::open`] with a column-demand pass: `demand` marks which of
     /// this node's *output* columns its consumer will read (`None` = all
     /// of them). Demand is narrowed top-down through filters, projections,
-    /// aggregates, sorts and joins, and lands on heap and index scans as a
-    /// decode mask — columns nothing reads are skipped in the byte stream
-    /// instead of being materialized.
-    fn open_demanded(&self, ctx: &ExecContext, demand: Option<&[bool]>) -> Result<BoxedIter> {
+    /// aggregates, sorts and joins, and lands on heap and index scans,
+    /// which decode only the demanded columns (plus their own filter's)
+    /// into rows of exactly that width. Each node returns its iterator
+    /// with the [`Layout`] of the rows it emits, and its parent rewrites
+    /// its expressions through that layout once, here.
+    fn open_demanded(
+        &self,
+        ctx: &ExecContext,
+        demand: Option<&[bool]>,
+    ) -> Result<(BoxedIter, Layout)> {
         let mut local = ctx.clone();
         let slot = local.stats.as_ref().map(|s| s.register(self.label()));
         local.node = slot.clone();
         let ctx = &local;
-        let node: BoxedIter = match self {
+        // Operators that compute their rows emit them dense.
+        let dense = || Layout::dense(self.schema().len());
+        let (node, layout): (BoxedIter, Layout) = match self {
             Plan::TableScan {
                 table,
                 filter,
                 projection,
                 ..
             } => {
-                let decode_mask = scan_decode_mask(
-                    &table.schema,
-                    filter.as_ref(),
-                    projection.as_deref(),
-                    demand,
-                );
-                Box::new(HeapScanIter::new(
-                    table.clone(),
-                    filter.clone(),
-                    projection.clone(),
-                    decode_mask,
-                ))
+                let columns = table_demand(table.schema.len(), projection.as_deref(), demand);
+                let scan = HeapScanIter::new(table.clone(), filter.as_ref(), columns)?;
+                let layout = projected(scan.layout(), projection.as_deref());
+                (Box::new(scan), layout)
             }
             Plan::IndexScan {
                 table,
@@ -210,69 +225,48 @@ impl Plan {
                 projection,
                 ..
             } => {
-                let decode_mask = scan_decode_mask(
-                    &table.schema,
-                    filter.as_ref(),
-                    projection.as_deref(),
-                    demand,
-                );
-                Box::new(IndexScanIter::new(
+                let columns = table_demand(table.schema.len(), projection.as_deref(), demand);
+                let scan = IndexScanIter::new(
                     table,
                     index.clone(),
                     KeyRange::prefix(prefix),
-                    filter.clone(),
-                    projection.clone(),
-                    decode_mask,
-                ))
+                    filter.as_ref(),
+                    columns,
+                )?;
+                let layout = projected(scan.layout(), projection.as_deref());
+                (Box::new(scan), layout)
             }
-            Plan::TvfScan { tvf, args } => Box::new(TvfScanIter::open(tvf, args, ctx)?),
-            Plan::Values { rows, .. } => Box::new(ValuesIter::new(rows.clone())),
+            Plan::TvfScan { tvf, args } => (Box::new(TvfScanIter::open(tvf, args, ctx)?), dense()),
+            Plan::Values { rows, .. } => (Box::new(ValuesIter::new(rows.clone())), dense()),
             Plan::Filter { input, predicate } => {
-                let child = demand.map(|d| {
-                    let mut d = d.to_vec();
-                    demand_exprs(&mut d, std::slice::from_ref(predicate));
-                    d
-                });
-                Box::new(FilterIter::new(
-                    input.open_demanded(ctx, child.as_deref())?,
-                    predicate.clone(),
-                ))
+                let child = demand_plus(demand, std::slice::from_ref(predicate));
+                let (input, layout) = input.open_demanded(ctx, child.as_deref())?;
+                let predicate = layout.remap(predicate)?;
+                (Box::new(FilterIter::new(input, predicate)), layout)
             }
             Plan::Project { input, exprs, .. } => {
                 let mut child = vec![false; input.schema().len()];
-                demand_exprs(&mut child, exprs.iter());
-                Box::new(ProjectIter::new(
-                    input.open_demanded(ctx, Some(&child))?,
-                    exprs.clone(),
-                ))
+                mark_read(&mut child, exprs);
+                let (input, layout) = input.open_demanded(ctx, Some(&child))?;
+                let exprs = layout.remap_all(exprs)?;
+                (Box::new(ProjectIter::new(input, exprs)), dense())
             }
             Plan::Sort { input, keys } => {
-                let child = demand.map(|d| {
-                    let mut d = d.to_vec();
-                    demand_exprs(&mut d, keys.iter().map(|k| &k.expr));
-                    d
-                });
-                Box::new(SortIter::new(
-                    input.open_demanded(ctx, child.as_deref())?,
-                    keys.clone(),
-                    ctx.clone(),
-                ))
+                let child = demand_plus(demand, keys.iter().map(|k| &k.expr));
+                let (input, layout) = input.open_demanded(ctx, child.as_deref())?;
+                let keys = remap_keys(&layout, keys)?;
+                (Box::new(SortIter::new(input, keys, ctx.clone())), layout)
             }
             Plan::TopN { input, keys, n } => {
-                let child = demand.map(|d| {
-                    let mut d = d.to_vec();
-                    demand_exprs(&mut d, keys.iter().map(|k| &k.expr));
-                    d
-                });
-                Box::new(TopNIter::new(
-                    input.open_demanded(ctx, child.as_deref())?,
-                    keys.clone(),
-                    *n as usize,
-                    ctx.batch_size,
-                ))
+                let child = demand_plus(demand, keys.iter().map(|k| &k.expr));
+                let (input, layout) = input.open_demanded(ctx, child.as_deref())?;
+                let keys = remap_keys(&layout, keys)?;
+                let top = TopNIter::new(input, keys, *n as usize, ctx.batch_size);
+                (Box::new(top), layout)
             }
             Plan::Limit { input, n } => {
-                Box::new(LimitIter::new(input.open_demanded(ctx, demand)?, *n))
+                let (input, layout) = input.open_demanded(ctx, demand)?;
+                (Box::new(LimitIter::new(input, *n)), layout)
             }
             Plan::HashAggregate {
                 input,
@@ -281,12 +275,14 @@ impl Plan {
                 ..
             } => {
                 let child = aggregate_demand(&input.schema(), group_exprs, aggs);
-                Box::new(HashAggIter::new(
-                    input.open_demanded(ctx, Some(&child))?,
-                    group_exprs.clone(),
-                    aggs.clone(),
+                let (input, layout) = input.open_demanded(ctx, Some(&child))?;
+                let agg = HashAggIter::new(
+                    input,
+                    layout.remap_all(group_exprs)?,
+                    remap_aggs(&layout, aggs)?,
                     ctx.clone(),
-                ))
+                );
+                (Box::new(agg), dense())
             }
             Plan::StreamAggregate {
                 input,
@@ -295,13 +291,15 @@ impl Plan {
                 ..
             } => {
                 let child = aggregate_demand(&input.schema(), group_exprs, aggs);
-                Box::new(StreamAggIter::new(
-                    input.open_demanded(ctx, Some(&child))?,
-                    group_exprs.clone(),
-                    aggs.clone(),
+                let (input, layout) = input.open_demanded(ctx, Some(&child))?;
+                let agg = StreamAggIter::new(
+                    input,
+                    layout.remap_all(group_exprs)?,
+                    remap_aggs(&layout, aggs)?,
                     ctx.gov.clone(),
                     ctx.batch_size,
-                ))
+                );
+                (Box::new(agg), dense())
             }
             Plan::ParallelAggregate {
                 table,
@@ -310,14 +308,17 @@ impl Plan {
                 aggs,
                 dop,
                 ..
-            } => Box::new(ParallelAggIter::new(
-                table.clone(),
-                filter.clone(),
-                group_exprs.clone(),
-                aggs.clone(),
-                (*dop).max(1).min(effective_dop(ctx)),
-                ctx.clone(),
-            )?),
+            } => {
+                let agg = ParallelAggIter::new(
+                    table.clone(),
+                    filter.clone(),
+                    group_exprs.clone(),
+                    aggs.clone(),
+                    (*dop).max(1).min(effective_dop(ctx)),
+                    ctx.clone(),
+                )?;
+                (Box::new(agg), dense())
+            }
             Plan::HashJoin {
                 build,
                 probe,
@@ -331,45 +332,34 @@ impl Plan {
                 // two inputs, then add each side's join keys.
                 let build_len = build.schema().len();
                 let probe_len = probe.schema().len();
-                let first_len = if *probe_first { probe_len } else { build_len };
-                let mut build_d = vec![demand.is_none(); build_len];
-                let mut probe_d = vec![demand.is_none(); probe_len];
-                if let Some(d) = demand {
-                    for i in 0..build_len + probe_len {
-                        let wanted = d.get(i).copied().unwrap_or(true);
-                        let (side, at) = if i < first_len {
-                            (
-                                if *probe_first {
-                                    &mut probe_d
-                                } else {
-                                    &mut build_d
-                                },
-                                i,
-                            )
-                        } else {
-                            let at = i - first_len;
-                            (
-                                if *probe_first {
-                                    &mut build_d
-                                } else {
-                                    &mut probe_d
-                                },
-                                at,
-                            )
-                        };
-                        side[at] = side[at] || wanted;
-                    }
-                }
-                demand_exprs(&mut build_d, build_keys.iter());
-                demand_exprs(&mut probe_d, probe_keys.iter());
-                Box::new(HashJoinIter::new(
-                    build.open_demanded(ctx, Some(&build_d))?,
-                    probe.open_demanded(ctx, Some(&probe_d))?,
-                    build_keys.clone(),
-                    probe_keys.clone(),
+                let (left_d, right_d) = if *probe_first {
+                    split_demand(demand, probe_len, build_len)
+                } else {
+                    split_demand(demand, build_len, probe_len)
+                };
+                let (mut build_d, mut probe_d) = if *probe_first {
+                    (right_d, left_d)
+                } else {
+                    (left_d, right_d)
+                };
+                mark_read(&mut build_d, build_keys);
+                mark_read(&mut probe_d, probe_keys);
+                let (build, build_layout) = build.open_demanded(ctx, Some(&build_d))?;
+                let (probe, probe_layout) = probe.open_demanded(ctx, Some(&probe_d))?;
+                let join = HashJoinIter::new(
+                    build,
+                    probe,
+                    build_layout.remap_all(build_keys)?,
+                    probe_layout.remap_all(probe_keys)?,
                     *probe_first,
                     ctx.clone(),
-                ))
+                );
+                let layout = if *probe_first {
+                    probe_layout.concat(&build_layout)
+                } else {
+                    build_layout.concat(&probe_layout)
+                };
+                (Box::new(join), layout)
             }
             Plan::MergeJoin {
                 left,
@@ -378,67 +368,59 @@ impl Plan {
                 right_keys,
                 ..
             } => {
-                let left_len = left.schema().len();
-                let right_len = right.schema().len();
-                let mut left_d = vec![demand.is_none(); left_len];
-                let mut right_d = vec![demand.is_none(); right_len];
-                if let Some(d) = demand {
-                    for i in 0..left_len + right_len {
-                        let wanted = d.get(i).copied().unwrap_or(true);
-                        if i < left_len {
-                            left_d[i] = left_d[i] || wanted;
-                        } else {
-                            right_d[i - left_len] = right_d[i - left_len] || wanted;
-                        }
-                    }
-                }
-                demand_exprs(&mut left_d, left_keys.iter());
-                demand_exprs(&mut right_d, right_keys.iter());
-                Box::new(MergeJoinIter::new(
-                    left.open_demanded(ctx, Some(&left_d))?,
-                    right.open_demanded(ctx, Some(&right_d))?,
-                    left_keys.clone(),
-                    right_keys.clone(),
+                let (mut left_d, mut right_d) =
+                    split_demand(demand, left.schema().len(), right.schema().len());
+                mark_read(&mut left_d, left_keys);
+                mark_read(&mut right_d, right_keys);
+                let (left, left_layout) = left.open_demanded(ctx, Some(&left_d))?;
+                let (right, right_layout) = right.open_demanded(ctx, Some(&right_d))?;
+                let join = MergeJoinIter::new(
+                    left,
+                    right,
+                    left_layout.remap_all(left_keys)?,
+                    right_layout.remap_all(right_keys)?,
                     ctx.batch_size,
-                ))
+                );
+                (Box::new(join), left_layout.concat(&right_layout))
             }
             Plan::CrossApply {
                 input, tvf, args, ..
-            } => Box::new(CrossApplyIter::new(
+            } => {
                 // The apply's output interleaves input columns with the
                 // function's rows; stay conservative and decode them all.
-                input.open(ctx)?,
-                tvf.clone(),
-                args.clone(),
-                ctx.clone(),
-            )),
+                let apply =
+                    CrossApplyIter::new(input.open(ctx)?, tvf.clone(), args.clone(), ctx.clone());
+                (Box::new(apply), dense())
+            }
             Plan::RowNumber {
                 input,
                 prepend,
                 order_cols,
                 ..
             } => {
-                if order_cols.is_empty() {
-                    Box::new(RowNumberIter::new(
-                        input.open(ctx)?,
-                        *prepend,
-                        ctx.batch_size,
-                    ))
+                let input = input.open(ctx)?;
+                let rn: BoxedIter = if order_cols.is_empty() {
+                    Box::new(RowNumberIter::new(input, *prepend, ctx.batch_size))
                 } else {
                     Box::new(RowNumberIter::with_peer_frames(
-                        input.open(ctx)?,
+                        input,
                         *prepend,
                         order_cols.clone(),
                         ctx.gov.clone(),
                         ctx.batch_size,
                     ))
-                }
+                };
+                (rn, dense())
             }
         };
         let governed: BoxedIter = Box::new(GovernedIter::new(node, ctx.gov.clone()));
         Ok(match slot {
-            Some(slot) => Box::new(StatsIter::new(governed, slot, ctx.gov.clone())),
-            None => governed,
+            Some(slot) => {
+                slot.set_width(layout.width());
+                let stats = StatsIter::new(governed, slot, ctx.gov.clone());
+                (Box::new(stats), layout)
+            }
+            None => (governed, layout),
         })
     }
 
@@ -754,65 +736,80 @@ fn effective_dop(ctx: &ExecContext) -> usize {
     ctx.dop.max(1)
 }
 
-/// Mark every column the expressions reference in `demand`. References
-/// beyond the demand's arity are ignored (they cannot name a decodable
-/// column of the child).
-fn demand_exprs<'a>(demand: &mut [bool], exprs: impl IntoIterator<Item = &'a Expr>) {
-    let mut refs = Vec::new();
-    for e in exprs {
-        e.referenced_columns(&mut refs);
-    }
-    for i in refs {
-        if let Some(slot) = demand.get_mut(i) {
-            *slot = true;
-        }
-    }
+/// A pass-through operator's child demand: `demand` plus what its own
+/// expressions read (`None` stays `None`: everything is read anyway).
+fn demand_plus<'a>(
+    demand: Option<&[bool]>,
+    exprs: impl IntoIterator<Item = &'a Expr>,
+) -> Option<Vec<bool>> {
+    demand.map(|d| {
+        let mut d = d.to_vec();
+        mark_read(&mut d, exprs);
+        d
+    })
+}
+
+/// Split a join's output demand (`left ++ right`) into its two sides'
+/// (`None` = every column of both).
+fn split_demand(demand: Option<&[bool]>, left: usize, right: usize) -> (Vec<bool>, Vec<bool>) {
+    let wanted = |i: usize| demand.is_none_or(|d| d.get(i).copied().unwrap_or(true));
+    (
+        (0..left).map(wanted).collect(),
+        (left..left + right).map(wanted).collect(),
+    )
 }
 
 /// Input columns an aggregate reads: its group keys and argument
 /// expressions — nothing else, whatever the consumer above demanded.
 fn aggregate_demand(input: &Schema, group_exprs: &[Expr], aggs: &[AggSpec]) -> Vec<bool> {
     let mut d = vec![false; input.len()];
-    demand_exprs(&mut d, group_exprs.iter());
-    demand_exprs(&mut d, aggs.iter().flat_map(|a| &a.args));
+    mark_read(&mut d, group_exprs);
+    mark_read(&mut d, aggs.iter().flat_map(|a| &a.args));
     d
 }
 
-/// Columns a heap scan must actually decode: the consumer's demand over
-/// the scan's *output*, mapped back through its pushed projection, plus
-/// whatever its own residual filter reads. `None` = decode everything.
-fn scan_decode_mask(
-    schema: &Schema,
-    filter: Option<&Expr>,
+/// The table columns a scan's consumer reads: `demand` over the scan's
+/// output, mapped back through its pushed projection (`None` = all).
+fn table_demand(
+    ncols: usize,
     projection: Option<&[usize]>,
     demand: Option<&[bool]>,
 ) -> Option<Vec<bool>> {
-    let demand = demand?;
-    let mut mask = vec![false; schema.len()];
+    let Some(projection) = projection else {
+        return demand.map(<[bool]>::to_vec);
+    };
+    let mut columns = vec![false; ncols];
+    for (out, &col) in projection.iter().enumerate() {
+        if demand.is_none_or(|d| d.get(out).copied().unwrap_or(true)) {
+            if let Some(c) = columns.get_mut(col) {
+                *c = true;
+            }
+        }
+    }
+    Some(columns)
+}
+
+/// A scan's layout seen through its pushed projection, if any.
+fn projected(layout: &Layout, projection: Option<&[usize]>) -> Layout {
     match projection {
-        Some(p) => {
-            for (out_idx, &col) in p.iter().enumerate() {
-                if demand.get(out_idx).copied().unwrap_or(true) {
-                    if let Some(slot) = mask.get_mut(col) {
-                        *slot = true;
-                    }
-                }
-            }
-        }
-        None => {
-            for (i, slot) in mask.iter_mut().enumerate() {
-                *slot = demand.get(i).copied().unwrap_or(true);
-            }
-        }
+        Some(p) => layout.project(p),
+        None => layout.clone(),
     }
-    if let Some(f) = filter {
-        demand_exprs(&mut mask, std::slice::from_ref(f));
-    }
-    if mask.iter().all(|&b| b) {
-        None
-    } else {
-        Some(mask)
-    }
+}
+
+fn remap_keys(layout: &Layout, keys: &[SortKey]) -> Result<Vec<SortKey>> {
+    keys.iter()
+        .map(|k| {
+            Ok(SortKey {
+                expr: layout.remap(&k.expr)?,
+                desc: k.desc,
+            })
+        })
+        .collect()
+}
+
+fn remap_aggs(layout: &Layout, aggs: &[AggSpec]) -> Result<Vec<AggSpec>> {
+    aggs.iter().map(|a| a.remapped(layout)).collect()
 }
 
 /// EXPLAIN's mark on a WHERE that runs as a compiled [`Kernel`].
@@ -980,6 +977,130 @@ mod tests {
         assert_eq!(rows.len(), 2);
         // Groups 0,1 have 13 members (0..50 has 13 for grp 0,1; 12 for 2,3).
         assert_eq!(rows[0][1], Value::Int(13));
+    }
+
+    /// `name (k, a, b, c)`, keyed on `k`: row `i` is `(i, 10i, 20i, 30i)`.
+    fn keyed(ctx: &ExecContext, name: &str) -> Arc<Table> {
+        let schema = Schema::new(
+            ["k", "a", "b", "c"]
+                .iter()
+                .map(|n| Column::new(*n, DataType::Int).not_null())
+                .collect(),
+        );
+        let t = ctx
+            .catalog
+            .create_table(name, schema, Compression::Row, Some(vec![0]))
+            .unwrap();
+        for i in 0..50i64 {
+            let row: Row = (0..4)
+                .map(|c| Value::Int(i * 10 * c + i * (c == 0) as i64))
+                .collect();
+            t.insert(&row).unwrap();
+        }
+        t
+    }
+
+    fn ordered_scan(t: &Arc<Table>) -> Box<Plan> {
+        Box::new(Plan::IndexScan {
+            table: t.clone(),
+            index: t.index_with_prefix(&[0]).unwrap(),
+            prefix: vec![],
+            filter: None,
+            projection: None,
+            schema: t.schema.clone(),
+        })
+    }
+
+    #[test]
+    fn join_rows_are_as_wide_as_their_two_narrow_sides() {
+        let ctx = test_context();
+        let (l, r) = (keyed(&ctx, "l"), keyed(&ctx, "r"));
+        let joined = Arc::new(l.schema.concat(&r.schema));
+        let keys = || vec![Expr::col(0, "k")];
+        let joins = [
+            Plan::MergeJoin {
+                left: ordered_scan(&l),
+                right: ordered_scan(&r),
+                left_keys: keys(),
+                right_keys: keys(),
+                schema: joined.clone(),
+            },
+            Plan::HashJoin {
+                build: ordered_scan(&l),
+                probe: ordered_scan(&r),
+                build_keys: keys(),
+                probe_keys: keys(),
+                probe_first: false,
+                schema: joined.clone(),
+            },
+        ];
+        for join in joins {
+            // SELECT l.c, r.a: each side decodes its key and its one
+            // column, and the join concatenates the two pairs.
+            let plan = Plan::Project {
+                input: Box::new(join),
+                exprs: vec![Expr::col(3, "c"), Expr::col(5, "a")],
+                schema: Arc::new(Schema::new(vec![
+                    Column::new("c", DataType::Int),
+                    Column::new("a", DataType::Int),
+                ])),
+            };
+            let mut ctx = ctx.clone();
+            let stats = crate::stats::ExecStats::new();
+            ctx.stats = Some(stats.clone());
+            let rows = plan.run(&ctx).unwrap();
+            let widths: Vec<u64> = stats.nodes().iter().map(|n| n.width()).collect();
+            assert_eq!(widths, vec![2, 4, 2, 2], "{}", plan.explain());
+            assert_eq!(rows.len(), 50);
+            for row in &rows {
+                assert_eq!(row.len(), 2);
+                assert_eq!(row[0].as_int().unwrap(), 3 * row[1].as_int().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn the_root_emits_full_rows_in_schema_order() {
+        let (ctx, t) = setup();
+        // A pushed projection that reorders: the scan decodes in schema
+        // order, and the root hands its rows back in projection order.
+        let plan = Plan::TableScan {
+            table: t,
+            filter: Some(Expr::binary(BinOp::Lt, Expr::col(0, "id"), Expr::lit(3))),
+            projection: Some(vec![1, 0]),
+            schema: Arc::new(Schema::new(vec![
+                Column::new("grp", DataType::Int),
+                Column::new("id", DataType::Int),
+            ])),
+        };
+        let rows = plan.run(&ctx).unwrap();
+        let got: Vec<Vec<Value>> = rows.into_iter().map(Row::into_values).collect();
+        assert_eq!(
+            got,
+            (0..3)
+                .map(|i| vec![Value::Int(i % 4), Value::Int(i)])
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_column_no_row_carries_fails_at_open_typed() {
+        let (ctx, t) = setup();
+        let schema = t.schema.clone();
+        let plan = Plan::Filter {
+            input: Box::new(Plan::TableScan {
+                table: t,
+                filter: None,
+                projection: None,
+                schema,
+            }),
+            predicate: Expr::binary(BinOp::Gt, Expr::col(7, "ghost"), Expr::lit(5)),
+        };
+        match plan.open(&ctx) {
+            Err(DbError::Plan(msg)) => assert!(msg.contains("ghost"), "{msg}"),
+            Err(other) => panic!("expected a plan error, got {other}"),
+            Ok(_) => panic!("a plan reading an absent column opened"),
+        }
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub struct NodeStats {
     batches: AtomicU64,
     elapsed_nanos: AtomicU64,
     peak_mem: AtomicU64,
+    /// Values per row this node emits, set at open.
+    width: AtomicU64,
     /// Spill traffic attributed to this node (files + bytes).
     pub spill: Arc<SpillTally>,
 }
@@ -50,6 +52,7 @@ impl NodeStats {
             batches: AtomicU64::new(0),
             elapsed_nanos: AtomicU64::new(0),
             peak_mem: AtomicU64::new(0),
+            width: AtomicU64::new(0),
             spill: Arc::new(SpillTally::default()),
         })
     }
@@ -82,15 +85,27 @@ impl NodeStats {
         self.peak_mem.load(Ordering::Relaxed)
     }
 
+    /// Values per row this node emits: only the columns the plan above
+    /// it reads (see `exec::Layout`).
+    pub fn width(&self) -> u64 {
+        self.width.load(Ordering::Relaxed)
+    }
+
+    /// Record the node's row width (`Plan::open` does, once).
+    pub(crate) fn set_width(&self, width: usize) {
+        self.width.store(width as u64, Ordering::Relaxed);
+    }
+
     /// The `EXPLAIN ANALYZE` suffix for this node's header line.
     pub fn annotation(&self, est_rows: Option<u64>) -> String {
         let est = est_rows.map_or_else(|| "?".to_string(), |n| n.to_string());
         let ms = self.elapsed().as_secs_f64() * 1e3;
         let mut out = format!(
-            " (actual_rows={} est_rows={est} nexts={} elapsed_ms={ms:.3} peak_mem_kb={}",
+            " (actual_rows={} est_rows={est} nexts={} elapsed_ms={ms:.3} peak_mem_kb={} width={}",
             self.rows(),
             self.nexts(),
             self.peak_mem_bytes() / 1024,
+            self.width(),
         );
         if self.batches() > 0 {
             out.push_str(&format!(

@@ -276,8 +276,9 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
             out.extend_from_slice(b);
         }
         Value::Guid(g) => {
+            // Little-endian on the wire: the GUID's bytes reversed.
             out.push(6);
-            out.extend_from_slice(&g.to_le_bytes());
+            out.extend(g.iter().rev());
         }
     }
 }
@@ -294,10 +295,9 @@ fn get_value(c: &mut Cursor<'_>) -> Result<Value> {
             Value::Bytes(Arc::from(c.take(n)?))
         }
         6 => {
-            let b = c.take(16)?;
-            let mut a = [0u8; 16];
-            a.copy_from_slice(b);
-            Value::Guid(u128::from_le_bytes(a))
+            let mut g: [u8; 16] = c.take(16)?.try_into().expect("take returns 16 bytes");
+            g.reverse();
+            Value::Guid(g)
         }
         other => return Err(DbError::Protocol(format!("unknown value tag {other}"))),
     })
@@ -474,6 +474,21 @@ mod tests {
     }
 
     #[test]
+    fn guid_bytes_are_pinned_little_endian() {
+        let row = Row::new(vec![Value::guid(0x0011_2233_4455_6677_8899_aabb_ccdd_eeff)]);
+        let enc = encode_rows(std::slice::from_ref(&row));
+        // Tag, row count, width, then value tag 6 and the GUID low byte
+        // first.
+        let mut expect = vec![RESP_ROWS, 1, 0, 0, 0, 1, 0, 6];
+        expect.extend([
+            0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22,
+            0x11, 0x00,
+        ]);
+        assert_eq!(enc, expect);
+        assert_eq!(decode_rows(&enc).unwrap(), vec![row]);
+    }
+
+    #[test]
     fn values_of_every_type_roundtrip() {
         let row = Row::new(vec![
             Value::Null,
@@ -482,7 +497,7 @@ mod tests {
             Value::Float(2.5),
             Value::text("ACGT"),
             Value::Bytes(Arc::from(&b"\x00\xff"[..])),
-            Value::Guid(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef),
+            Value::guid(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef),
         ]);
         let rows = decode_rows(&encode_rows(std::slice::from_ref(&row))).unwrap();
         assert_eq!(rows.len(), 1);

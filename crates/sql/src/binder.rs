@@ -472,7 +472,7 @@ fn insert(b: &Binder<'_>, ins: &Insert, ctx: &ExecContext) -> Result<QueryResult
             if col.filestream {
                 if let Value::Bytes(b) = &full[i] {
                     let guid = db.filestream().insert(b)?;
-                    full[i] = Value::Guid(guid);
+                    full[i] = Value::guid(guid);
                 }
             }
         }

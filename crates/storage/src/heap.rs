@@ -254,9 +254,10 @@ impl HeapFile {
     }
 
     /// Like [`HeapFile::page_rows_into`], but with an optional column
-    /// mask: unmasked columns are skipped in the byte stream and left as
-    /// `Value::Null` placeholders (see [`rowfmt::decode_row_masked`]) —
-    /// the scan-level projection pushdown of the vectorized reader.
+    /// mask: each row holds only the masked columns, in schema order, and
+    /// the others are skipped in the byte stream (see
+    /// [`rowfmt::decode_row_masked`]) — the scan-level projection
+    /// pushdown of the vectorized reader.
     pub fn page_rows_into_masked(
         &self,
         pid: PageId,

@@ -60,7 +60,7 @@ fn encode_one(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Guid(g) => {
             out.push(T_GUID);
-            out.extend_from_slice(&g.to_be_bytes());
+            out.extend_from_slice(g);
         }
     }
 }
@@ -125,7 +125,7 @@ pub fn decode_key(buf: &[u8]) -> Result<Vec<Value>> {
             T_GUID => {
                 let raw = buf.get(pos..pos + 16).ok_or_else(err)?;
                 pos += 16;
-                Value::Guid(u128::from_be_bytes(raw.try_into().unwrap()))
+                Value::Guid(raw.try_into().unwrap())
             }
             _ => return Err(err()),
         };
@@ -158,6 +158,26 @@ fn unescape_bytes(buf: &[u8], mut pos: usize) -> Option<(Vec<u8>, usize)> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn guid_keys_are_pinned_big_endian_and_keep_numeric_order() {
+        let g = 0x0011_2233_4455_6677_8899_aabb_ccdd_eeffu128;
+        let enc = encode_key(&[Value::guid(g)]);
+        assert_eq!(
+            enc,
+            [
+                0x06, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc,
+                0xdd, 0xee, 0xff,
+            ]
+        );
+        assert_eq!(decode_key(&enc).unwrap(), vec![Value::guid(g)]);
+        let guids = [0xffu128, 0x100, 1 << 64, u128::MAX - 1, u128::MAX];
+        let keys: Vec<Vec<u8>> = guids
+            .iter()
+            .map(|&g| encode_key(&[Value::guid(g)]))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+    }
 
     #[test]
     fn int_order_preserved() {

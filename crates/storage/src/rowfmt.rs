@@ -75,7 +75,7 @@ fn encode_value_fixed(out: &mut Vec<u8>, v: &Value) {
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
             out.extend_from_slice(b);
         }
-        Value::Guid(g) => out.extend_from_slice(&g.to_be_bytes()),
+        Value::Guid(g) => out.extend_from_slice(g),
     }
 }
 
@@ -96,7 +96,7 @@ pub(crate) fn encode_value_row(out: &mut Vec<u8>, v: &Value) {
             varint::write_u64(out, b.len() as u64);
             out.extend_from_slice(b);
         }
-        Value::Guid(g) => out.extend_from_slice(&g.to_be_bytes()),
+        Value::Guid(g) => out.extend_from_slice(g),
     }
 }
 
@@ -136,7 +136,7 @@ fn decode_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Va
             let n = len(buf, pos)?;
             Value::Bytes(Arc::from(take(buf, pos, n)?))
         }
-        DataType::Guid => Value::Guid(u128::from_be_bytes(take_array(buf, pos)?)),
+        DataType::Guid => Value::Guid(take_array(buf, pos)?),
     })
 }
 
@@ -177,7 +177,7 @@ pub(crate) fn decode_value_row(buf: &[u8], pos: &mut usize, dtype: DataType) -> 
         DataType::Guid => {
             let end = *pos + 16;
             let b = buf.get(*pos..end).ok_or_else(trunc)?;
-            let v = Value::Guid(u128::from_be_bytes(b.try_into().unwrap()));
+            let v = Value::Guid(b.try_into().unwrap());
             *pos = end;
             v
         }
@@ -327,7 +327,7 @@ pub fn encode_row(
             match v {
                 Value::Guid(g) => {
                     out.push(0);
-                    out.extend_from_slice(&g.to_be_bytes());
+                    out.extend_from_slice(g);
                 }
                 Value::Bytes(b) => {
                     out.push(1);
@@ -359,9 +359,9 @@ pub fn decode_row(
 }
 
 /// One FILESTREAM column value: a marker byte, then the blob's GUID
-/// reference (0) or small inline bytes (1). Unwanted values are stepped
-/// over, bounds-checked all the same, and come back as `Value::Null`.
-fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Value> {
+/// reference (0) or small inline bytes (1). An unwanted value is stepped
+/// over, bounds-checked all the same, and not built.
+fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Option<Value>> {
     let trunc = || DbError::Storage("truncated record".into());
     let marker = *buf.get(*pos).ok_or_else(trunc)?;
     *pos += 1;
@@ -378,9 +378,9 @@ fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Value> 
     let raw = buf.get(*pos..end).ok_or_else(trunc)?;
     *pos = end;
     Ok(match (wanted, marker) {
-        (false, _) => Value::Null,
-        (true, 0) => Value::Guid(u128::from_be_bytes(raw.try_into().unwrap())),
-        (true, _) => Value::Bytes(Arc::from(raw)),
+        (false, _) => None,
+        (true, 0) => Some(Value::Guid(raw.try_into().unwrap())),
+        (true, _) => Some(Value::Bytes(Arc::from(raw))),
     })
 }
 
@@ -466,13 +466,13 @@ fn skip_value_page(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     }
 }
 
-/// Decode a record, materializing only the columns set in `mask` (an
-/// entry the mask lacks counts as set, so the empty mask decodes them
-/// all); the rest are *skipped* in the byte stream and left as
-/// `Value::Null` placeholders at their original positions, so downstream
-/// expressions keep their column indexes. This is the projection-pushdown
-/// entry point for the vectorized scan: callers must ensure the mask
-/// covers every column any consumer reads.
+/// Decode a record into a row of only the columns set in `mask`, in
+/// schema order (an entry the mask lacks counts as set, so the empty mask
+/// decodes them all). The other columns are *skipped* in the byte stream:
+/// the whole record is still walked and bounds-checked, but nothing is
+/// built for them and they take no place in the row. This is the
+/// projection-pushdown entry point of the scans, whose callers map column
+/// indexes onto the narrow row.
 pub fn decode_row_masked(
     schema: &Schema,
     buf: &[u8],
@@ -484,16 +484,19 @@ pub fn decode_row_masked(
     if buf.len() < nbitmap {
         return Err(DbError::Storage("record shorter than null bitmap".into()));
     }
+    let width = mask.iter().filter(|&&w| w).count() + schema.len().saturating_sub(mask.len());
     let mut pos = nbitmap;
-    let mut vals = Vec::with_capacity(schema.len());
+    let mut vals = Vec::with_capacity(width);
     for (i, col) in schema.columns().iter().enumerate() {
+        let wanted = mask.get(i).copied().unwrap_or(true);
         if buf[i / 8] & (1 << (i % 8)) != 0 {
-            vals.push(Value::Null);
+            if wanted {
+                vals.push(Value::Null);
+            }
             continue;
         }
-        let wanted = mask.get(i).copied().unwrap_or(true);
         if col.filestream {
-            vals.push(filestream_value(buf, &mut pos, wanted)?);
+            vals.extend(filestream_value(buf, &mut pos, wanted)?);
         } else if wanted {
             let v = match (comp, ctx) {
                 (Compression::None, _) => decode_value_fixed(buf, &mut pos, col.dtype)?,
@@ -513,7 +516,6 @@ pub fn decode_row_masked(
                 }
                 (Compression::Page, Some(_)) => skip_value_page(buf, &mut pos, col.dtype)?,
             }
-            vals.push(Value::Null);
         }
     }
     Ok(Row::new(vals))
@@ -542,7 +544,7 @@ mod tests {
             Value::Float(0.125),
             Value::Bool(true),
             Value::bytes(b"\x00\x01\x02"),
-            Value::Guid(0xdeadbeef),
+            Value::guid(0xdeadbeef),
         ])
     }
 
@@ -616,7 +618,7 @@ mod tests {
                 Value::Float(-0.0),
                 Value::Null,
                 Value::Null,
-                Value::Guid(u128::MAX),
+                Value::guid(u128::MAX),
             ]),
         ];
         let masks: [&[bool]; 3] = [
@@ -672,7 +674,7 @@ mod tests {
         cols.push(Column::new("blob_inline", DataType::Bytes).filestream());
         let s = Schema::new(cols);
         let mut vals = sample_row().into_values();
-        vals.push(Value::Guid(0xfeed_f00d));
+        vals.push(Value::guid(0xfeed_f00d));
         vals.push(Value::bytes(b"small inline blob"));
         let r = Row::new(vals);
         let mask = [false, true, false, true, false, false, true, false];
@@ -682,13 +684,11 @@ mod tests {
             assert_eq!(decode_row(&s, &enc, comp, None).unwrap(), r, "{comp:?}");
             for mask in [&mask[..], &flipped[..]] {
                 let dec = decode_row_masked(&s, &enc, comp, None, mask).unwrap();
-                for i in 0..s.len() {
-                    if mask[i] {
-                        assert_eq!(dec[i], r[i], "col {i} {comp:?}");
-                    } else {
-                        assert_eq!(dec[i], Value::Null, "col {i} {comp:?}");
-                    }
-                }
+                let expect: Vec<Value> = (0..s.len())
+                    .filter(|&i| mask[i])
+                    .map(|i| r[i].clone())
+                    .collect();
+                assert_eq!(dec.values(), &expect[..], "{comp:?} {mask:?}");
             }
             // A cut anywhere is an error or a shorter row, never a panic,
             // whether the FILESTREAM columns are wanted or skipped.
@@ -706,10 +706,65 @@ mod tests {
             &[false],
         )
         .unwrap();
-        assert_eq!(dec[0], Value::Null);
-        for i in 1..s.len() {
-            assert_eq!(dec[i], r[i]);
+        assert_eq!(dec.values(), &r.values()[1..]);
+        // An all-false mask walks the record and builds an empty row.
+        let none = vec![false; s.len()];
+        let enc = encode_row(&s, &r, Compression::Row, None);
+        assert!(decode_row_masked(&s, &enc, Compression::Row, None, &none)
+            .unwrap()
+            .is_empty());
+        assert!(
+            decode_row_masked(&s, &enc[..enc.len() - 1], Compression::Row, None, &none).is_err()
+        );
+    }
+
+    /// A GUID is stored as its 16 big-endian bytes in every format.
+    const GUID: u128 = 0x0011_2233_4455_6677_8899_aabb_ccdd_eeff;
+    const GUID_BE: [u8; 16] = [
+        0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee,
+        0xff,
+    ];
+
+    #[test]
+    fn guid_bytes_are_pinned_in_every_format() {
+        let s = Schema::new(vec![
+            Column::new("g", DataType::Guid),
+            Column::new("blob", DataType::Bytes).filestream(),
+        ]);
+        let r = Row::new(vec![Value::guid(GUID), Value::guid(GUID)]);
+        // Bitmap, the column, then the FILESTREAM marker and reference.
+        let mut plain = vec![0u8];
+        plain.extend(GUID_BE);
+        plain.push(0);
+        plain.extend(GUID_BE);
+        for comp in [Compression::None, Compression::Row, Compression::Page] {
+            let enc = encode_row(&s, &r, comp, None);
+            assert_eq!(enc, plain, "{comp:?}");
+            assert_eq!(decode_row(&s, &enc, comp, None).unwrap(), r, "{comp:?}");
         }
+        // PAGE against a context: inline when the dictionary lacks it,
+        // a token when it holds it, and the dictionary entry is the bytes.
+        let lone = PageContext::build(&s, &[]);
+        let mut inline = vec![0u8, TAG_INLINE];
+        inline.extend(GUID_BE);
+        inline.push(0);
+        inline.extend(GUID_BE);
+        let enc = encode_row(&s, &r, Compression::Page, Some(&lone));
+        assert_eq!(enc, inline);
+        assert_eq!(
+            decode_row(&s, &enc, Compression::Page, Some(&lone)).unwrap(),
+            r
+        );
+        let shared = PageContext::build(&s, &[r.clone(), r.clone()]);
+        assert_eq!(shared.dict_entry(0), Some(&GUID_BE[..]));
+        let mut token = vec![0u8, TAG_DICT, 0, 0];
+        token.extend(GUID_BE);
+        let enc = encode_row(&s, &r, Compression::Page, Some(&shared));
+        assert_eq!(enc, token);
+        assert_eq!(
+            decode_row(&s, &enc, Compression::Page, Some(&shared)).unwrap(),
+            r
+        );
     }
 
     #[test]

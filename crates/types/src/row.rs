@@ -50,11 +50,6 @@ impl Row {
         Row(vals)
     }
 
-    /// Project the row onto the given column positions.
-    pub fn project(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
-    }
-
     /// Approximate in-memory footprint, used for spill accounting.
     pub fn size_bytes(&self) -> usize {
         self.0.iter().map(Value::size_bytes).sum::<usize>() + 8
@@ -101,14 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_project() {
+    fn concat() {
         let a = row(&[1, 2]);
         let b = row(&[3]);
         let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c[2], Value::Int(3));
-        let p = c.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::Int(3), Value::Int(1)]);
+        assert_eq!(c.values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
     }
 
     #[test]

@@ -21,14 +21,25 @@ pub enum Value {
     Float(f64),
     Text(Arc<str>),
     Bytes(Arc<[u8]>),
-    /// 128-bit GUID, printed in the canonical 8-4-4-4-12 hex form.
-    Guid(u128),
+    /// 128-bit GUID, printed in the canonical 8-4-4-4-12 hex form. Held
+    /// as its big-endian bytes: a `u128` would raise the enum's alignment
+    /// to 16 and every `Value` to 32 bytes, while byte order keeps the
+    /// numeric order (see [`Value::guid`]).
+    Guid([u8; 16]),
 }
+
+// Rows are `Vec<Value>`: every byte here is paid once per column per row.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// Construct a text value from anything string-like.
     pub fn text(s: impl AsRef<str>) -> Value {
         Value::Text(Arc::from(s.as_ref()))
+    }
+
+    /// Construct a GUID value from its numeric form.
+    pub fn guid(g: u128) -> Value {
+        Value::Guid(g.to_be_bytes())
     }
 
     /// Construct a bytes value.
@@ -110,7 +121,7 @@ impl Value {
 
     pub fn as_guid(&self) -> Result<u128> {
         match self {
-            Value::Guid(g) => Ok(*g),
+            Value::Guid(g) => Ok(u128::from_be_bytes(*g)),
             other => Err(DbError::Execution(format!(
                 "expected UNIQUEIDENTIFIER, got {}",
                 other.type_name()
@@ -250,7 +261,7 @@ impl fmt::Display for Value {
             Value::Float(x) => write!(f, "{x}"),
             Value::Text(s) => write!(f, "{s}"),
             Value::Bytes(b) => write!(f, "0x{}", hex(b)),
-            Value::Guid(g) => write!(f, "{}", Value::guid_string(*g)),
+            Value::Guid(g) => write!(f, "{}", Value::guid_string(u128::from_be_bytes(*g))),
         }
     }
 }
@@ -344,6 +355,23 @@ mod tests {
         }
         assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
         assert_eq!(Value::Int(7), Value::Float(7.0));
+    }
+
+    #[test]
+    fn guids_order_numerically() {
+        let mut vals = [
+            Value::guid(1 << 64),
+            Value::guid(u128::MAX),
+            Value::guid(0xff),
+            Value::guid(0x100),
+        ];
+        vals.sort_by(|a, b| a.total_cmp(b));
+        let got: Vec<u128> = vals.iter().map(|v| v.as_guid().unwrap()).collect();
+        assert_eq!(got, vec![0xff, 0x100, 1 << 64, u128::MAX]);
+        assert_eq!(
+            Value::guid(0x0123).to_string(),
+            "00000000-0000-0000-0000-000000000123"
+        );
     }
 
     #[test]

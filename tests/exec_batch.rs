@@ -337,6 +337,124 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// Property: narrow rows (only the columns a plan reads) ≡ the model
+// ----------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    #[test]
+    fn narrow_rows_agree_with_the_model_at_every_batch_size(
+        rows in proptest::collection::vec((-50i64..50, "[ACGT]{0,6}", 0i64..1000), 200..400),
+        k in 0i64..1000,
+    ) {
+        let db = Database::in_memory();
+        db.execute_sql("CREATE TABLE p (id INT PRIMARY KEY, a INT, b VARCHAR(8), c INT)")
+            .unwrap();
+        db.execute_sql("CREATE TABLE q (k INT PRIMARY KEY, x INT, y VARCHAR(8))")
+            .unwrap();
+        // `b` is NULL on every 5th row; `q` holds two ids in three.
+        let p: Vec<Row> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b, c))| {
+                let b = if i % 5 == 4 { Value::Null } else { Value::text(b) };
+                Row::new(vec![Value::Int(i as i64), Value::Int(*a), b, Value::Int(*c)])
+            })
+            .collect();
+        let in_q = |id: i64| id % 3 != 1;
+        let y = |id: i64| Value::text(format!("y{id}"));
+        let q: Vec<Row> = (0..p.len() as i64)
+            .filter(|&id| in_q(id))
+            .map(|id| Row::new(vec![Value::Int(id), Value::Int(2 * id - 7), y(id)]))
+            .collect();
+        db.insert_rows("p", &p).unwrap();
+        db.insert_rows("q", &q).unwrap();
+
+        let matched: Vec<&Row> = p.iter().filter(|r| in_q(r[0].as_int().unwrap())).collect();
+        let join_one_each: Vec<Row> = matched
+            .iter()
+            .map(|r| Row::new(vec![r[1].clone(), y(r[0].as_int().unwrap())]))
+            .collect();
+        let join_count = vec![Row::new(vec![Value::Int(matched.len() as i64)])];
+        let where_dropped: Vec<Row> = p
+            .iter()
+            .filter(|r| r[3].as_int().unwrap() < k)
+            .map(|r| Row::new(vec![r[2].clone()]))
+            .collect();
+        let mut by_c: Vec<&Row> = p.iter().collect();
+        by_c.sort_by_key(|r| (r[3].as_int().unwrap(), r[0].as_int().unwrap()));
+        let order_dropped: Vec<Row> = by_c.iter().map(|r| Row::new(vec![r[0].clone()])).collect();
+        let mut cs: Vec<i64> = p.iter().map(|r| r[3].as_int().unwrap()).collect();
+        cs.sort();
+        cs.dedup();
+        let group_stats = |c: i64| {
+            let members = p.iter().filter(|r| r[3] == Value::Int(c));
+            members.fold((0, 0), |(n, sum), r| (n + 1, sum + r[1].as_int().unwrap()))
+        };
+        let group_last: Vec<Row> = cs
+            .iter()
+            .map(|&c| Row::new(vec![Value::Int(c), Value::Int(group_stats(c).0)]))
+            .collect();
+        let group_spill: Vec<Row> = cs
+            .iter()
+            .map(|&c| {
+                let (n, sum) = group_stats(c);
+                Row::new(vec![Value::Int(c), Value::Int(n), Value::Int(sum)])
+            })
+            .collect();
+        let join_spill: Vec<Row> = matched
+            .iter()
+            .map(|r| Row::new(vec![r[2].clone(), y(r[0].as_int().unwrap())]))
+            .collect();
+
+        let join_sql = "SELECT COUNT(*) FROM p JOIN q ON (p.id = q.k)";
+        let explain = |sql: &str| db.explain_sql(sql).unwrap();
+        prop_assert!(explain(join_sql).contains("Merge Join"), "{}", explain(join_sql));
+        // (strategy, budget KiB, sql, model, ordered); a budget of 0 is
+        // none, and the budgeted shapes must spill.
+        let shapes: [(i64, i64, String, Vec<Row>, bool); 9] = [
+            (0, 0, "SELECT p.a, q.y FROM p JOIN q ON (p.id = q.k)".into(), join_one_each, false),
+            (0, 0, format!("SELECT b FROM p WHERE c < {k}"), where_dropped, false),
+            (0, 0, "SELECT id FROM p ORDER BY c, id".into(), order_dropped, true),
+            (0, 0, join_sql.into(), join_count.clone(), false),
+            (1, 0, join_sql.into(), join_count, false),
+            (0, 0, "SELECT c, COUNT(*) FROM p GROUP BY c".into(), group_last, false),
+            (0, 0, "SELECT * FROM p".into(), p.clone(), false),
+            (1, 4, "SELECT p.b, q.y FROM p JOIN q ON (p.id = q.k)".into(), join_spill, false),
+            (0, 4, "SELECT c, COUNT(*), SUM(a) FROM p GROUP BY c".into(), group_spill, false),
+        ];
+        for (strategy, budget, sql, expect, ordered) in &shapes {
+            db.execute_sql(&format!("SET JOIN_STRATEGY = {strategy}")).unwrap();
+            db.execute_sql(&format!("SET QUERY_MEMORY_LIMIT_KB = {budget}")).unwrap();
+            if *strategy == 1 {
+                prop_assert!(explain(sql).contains("Hash Match (Inner Join)"), "{}", explain(sql));
+            }
+            for batch in [1usize, 7, 1024] {
+                db.execute_sql(&format!("SET BATCH_SIZE = {batch}")).unwrap();
+                db.temp().reset_counters();
+                let got = db.query_sql(sql).unwrap().rows;
+                if *ordered {
+                    prop_assert_eq!(&got, expect, "batch={} sql={}", batch, sql);
+                } else {
+                    prop_assert_eq!(
+                        sorted_rows(&got),
+                        sorted_rows(expect),
+                        "batch={} sql={}",
+                        batch,
+                        sql
+                    );
+                }
+                if *budget > 0 {
+                    prop_assert!(db.temp().spill_count() > 0, "no spill: batch={} sql={}", batch, sql);
+                }
+                prop_assert_eq!(db.temp().live_files().unwrap(), 0, "leaked spill files");
+            }
+        }
+        prop_assert_eq!(db.pool().pinned_frames(), 0, "leaked buffer pins");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Mid-batch KILL and timeout: cancellation is honored between (and
 // inside) batches, with no leaked pins or temp files
 // ----------------------------------------------------------------------

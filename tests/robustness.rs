@@ -50,10 +50,10 @@ fn deleted_blob_surfaces_as_not_found_in_sql() {
         .table("ShortReadFiles")
         .unwrap()
         .insert(&seqdb::types::Row::new(vec![
-            Value::Guid(guid),
+            Value::guid(guid),
             Value::Int(1),
             Value::Int(1),
-            Value::Guid(guid),
+            Value::guid(guid),
         ]))
         .unwrap();
     // Works before deletion...
@@ -80,10 +80,10 @@ fn malformed_blob_content_fails_cleanly() {
         .table("ShortReadFiles")
         .unwrap()
         .insert(&seqdb::types::Row::new(vec![
-            Value::Guid(guid),
+            Value::guid(guid),
             Value::Int(2),
             Value::Int(1),
-            Value::Guid(guid),
+            Value::guid(guid),
         ]))
         .unwrap();
     let err = db

@@ -132,11 +132,25 @@ pub struct Database {
     /// the same bytes again skips the write and its fsync.
     query_store_file: Mutex<Option<String>>,
     session_seq: AtomicU64,
+    /// An in-memory database's directory under the system temp dir,
+    /// removed when the database drops. Declared last: fields drop in
+    /// order, so its `TempSpace` and `FileStreamStore` go first.
+    _scratch_dir: Option<RemoveDirOnDrop>,
+}
+
+/// Removes a directory tree when dropped.
+struct RemoveDirOnDrop(PathBuf);
+
+impl Drop for RemoveDirOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl Database {
     /// Fully in-memory database (page store in RAM, FileStream and temp
-    /// space under the system temp directory).
+    /// space in a directory of its own under the system temp directory,
+    /// removed when the database drops).
     pub fn in_memory() -> Arc<Database> {
         let pool = BufferPool::with_default_capacity(Arc::new(MemPager::new()));
         let base = std::env::temp_dir().join(format!(
@@ -231,6 +245,7 @@ impl Database {
         // Touching the tracer here also installs the storage→trace hook,
         // so spill/wait events flow before any SET TRACE_EVENTS arrives.
         let _ = crate::trace::tracer();
+        let scratch_dir = root.is_none().then(|| RemoveDirOnDrop(base.to_path_buf()));
         let db = Arc::new(Database {
             pool,
             catalog,
@@ -247,6 +262,7 @@ impl Database {
             ckpt_lock: Mutex::new(()),
             query_store_file: Mutex::new(None),
             session_seq: AtomicU64::new(1),
+            _scratch_dir: scratch_dir,
         });
         // The DMV surface, each view over one of the handles above.
         for dmv in crate::dmv::all(&db) {

@@ -14,7 +14,9 @@ use crate::expr::{passes, Expr, Kernel};
 
 /// What a scan decodes and where it lands, shared by both scans: the
 /// columns its consumer reads plus those its own filter reads, in schema
-/// order, and nothing else.
+/// order, and nothing else. The filter runs inside the decode, as soon as
+/// the last column it reads is decoded: a record it refuses is never
+/// built into a row.
 struct Narrowing {
     /// Per table column, decoded or skipped; `None` decodes them all.
     wanted: Option<Vec<bool>>,
@@ -23,6 +25,9 @@ struct Narrowing {
     filter: Option<Expr>,
     /// Compiled form of `filter`, when it has one.
     kernel: Option<Kernel>,
+    /// One past the last table column `filter` reads: where the decode
+    /// checks a record.
+    check_at: usize,
 }
 
 impl Narrowing {
@@ -40,19 +45,29 @@ impl Narrowing {
             Some(wanted) => Layout::packed(wanted),
             None => Layout::dense(ncols),
         };
+        let mut read = vec![false; ncols];
+        mark_read(&mut read, filter);
+        let check_at = read.iter().rposition(|&r| r).map_or(0, |last| last + 1);
         let filter = filter.map(|f| layout.remap(f)).transpose()?;
         Ok(Narrowing {
             wanted,
             layout,
             kernel: filter.as_ref().and_then(Kernel::compile),
             filter,
+            check_at,
         })
     }
 
-    fn passes(&self, row: &Row) -> Result<bool> {
-        self.filter
-            .as_ref()
-            .map_or(Ok(true), |f| passes(f, self.kernel.as_ref(), row))
+    /// Run `decode` with the filter as its [`rowfmt::Check`] (none when
+    /// the scan has no filter). The columns before `check_at` sit at
+    /// their final positions in the narrow row, so the remapped filter
+    /// and its kernel read the decoded prefix as they would the row.
+    fn checked<T>(&self, decode: impl FnOnce(Option<rowfmt::Check<'_>>) -> T) -> T {
+        let Some(filter) = &self.filter else {
+            return decode(None);
+        };
+        let mut keep = |row: &Row| passes(filter, self.kernel.as_ref(), row);
+        decode(Some((self.check_at, &mut keep)))
     }
 }
 
@@ -107,26 +122,27 @@ impl HeapScanIter {
 }
 
 impl RowIterator for HeapScanIter {
-    /// Each decoded page becomes one batch wholesale (`max_rows` is a
+    /// Each page's kept rows become one batch wholesale (`max_rows` is a
     /// hint; a page holds at most a few hundred rows): one pin, one
-    /// decode, one return. The pushed-down residual predicate narrows the
-    /// *selection vector* instead of moving or dropping rows, so a
-    /// filtered scan does no per-row copying at all.
+    /// decode, one return. The pushed-down residual predicate is checked
+    /// inside the decode, so a record it refuses is neither built nor
+    /// walked past the filter's last column, and the batch holds only
+    /// kept rows.
     fn next_batch(&mut self, _max_rows: usize) -> Result<Option<RowBatch>> {
+        let narrow = &self.narrow;
+        let mask = narrow.wanted.as_deref();
         loop {
             let Some(pid) = self.pages.next() else {
                 return Ok(None);
             };
             let mut rows = Vec::new();
-            self.table
-                .heap
-                .page_rows_into_masked(pid, self.narrow.wanted.as_deref(), &mut rows)?;
-            let mut batch = RowBatch::from_rows(rows);
-            if self.narrow.filter.is_some() {
-                batch.narrow(|row| self.narrow.passes(row))?;
-            }
-            if !batch.is_empty() {
-                return Ok(Some(batch));
+            narrow.checked(|check| {
+                self.table
+                    .heap
+                    .page_rows_into_checked(pid, mask, check, &mut rows)
+            })?;
+            if !rows.is_empty() {
+                return Ok(Some(RowBatch::from_rows(rows)));
             }
         }
     }
@@ -221,13 +237,24 @@ impl IndexScanIter {
         let mask = self.narrow.wanted.as_deref().unwrap_or(&[]);
         // Grown to the rows the run yields: a point seek holds one.
         let mut rows = Vec::new();
+        // Refused entries reuse this row; a kept one moves out of it.
+        let mut row = Row::empty();
         let mut entries = self.index.btree.range(start, end)?;
         let mut seen = 0;
         while let Some(entry) = entries.next_entry() {
             let (k, v) = entry?;
-            let row = rowfmt::decode_row_masked(&self.schema, v, Compression::Row, None, mask)?;
-            if self.narrow.passes(&row)? {
-                rows.push(row);
+            if self.narrow.checked(|check| {
+                rowfmt::decode_row_into(
+                    &self.schema,
+                    v,
+                    Compression::Row,
+                    None,
+                    mask,
+                    check,
+                    &mut row,
+                )
+            })? {
+                rows.push(std::mem::take(&mut row));
             }
             seen += 1;
             if seen == BATCH {

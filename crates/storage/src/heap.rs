@@ -264,6 +264,22 @@ impl HeapFile {
         mask: Option<&[bool]>,
         out: &mut Vec<Row>,
     ) -> Result<()> {
+        self.page_rows_into_checked(pid, mask, None, out)
+    }
+
+    /// Like [`HeapFile::page_rows_into_masked`], with an optional
+    /// [`rowfmt::Check`] run part-way through each record (see
+    /// [`rowfmt::decode_row_into`]): only the records it keeps become
+    /// rows. A refused record builds no row, and its later columns are
+    /// not even walked. This is a heap scan's pushed-down filter, and it
+    /// runs under the page's read latch.
+    pub fn page_rows_into_checked(
+        &self,
+        pid: PageId,
+        mask: Option<&[bool]>,
+        mut check: Option<rowfmt::Check<'_>>,
+        out: &mut Vec<Row>,
+    ) -> Result<()> {
         let frame = self.pool.fetch(pid)?;
         let page = frame.page.read();
         let ctx = if page.has_flag(FLAG_COMPRESSED) {
@@ -273,14 +289,23 @@ impl HeapFile {
         };
         // An empty mask wants every column.
         let mask = mask.unwrap_or(&[]);
+        // Refused records reuse this row; a kept one moves out of it.
+        let mut row = Row::empty();
         for (_, rec) in page.iter() {
-            out.push(rowfmt::decode_row_masked(
+            // Reborrowed per record; `as _` shortens the closure's
+            // lifetime to the reborrow's.
+            let check = check.as_mut().map(|(at, keep)| (*at, &mut **keep as _));
+            if rowfmt::decode_row_into(
                 &self.schema,
                 rec,
                 self.compression,
                 ctx.as_ref(),
                 mask,
-            )?);
+                check,
+                &mut row,
+            )? {
+                out.push(std::mem::take(&mut row));
+            }
         }
         Ok(())
     }

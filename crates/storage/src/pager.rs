@@ -109,15 +109,26 @@ impl PageStore for FilePager {
     }
 }
 
-/// In-memory pager for tests and `Database::in_memory()`.
+/// In-memory pager for tests and `Database::in_memory()`. A page holds
+/// bytes only from its first write on: the buffer pool keeps a freshly
+/// allocated page in its own frame and writes it back only on eviction
+/// or flush, so an eager zeroed copy here would sit beside that frame,
+/// resident and never read.
 #[derive(Default)]
 pub struct MemPager {
-    pages: RwLock<Vec<Box<[u8]>>>,
+    /// `None` for a page allocated but never written; it reads as zeros.
+    pages: RwLock<Vec<Option<Box<[u8]>>>>,
 }
 
 impl MemPager {
     pub fn new() -> MemPager {
         MemPager::default()
+    }
+
+    /// Pages that hold bytes of their own.
+    #[cfg(test)]
+    fn materialised(&self) -> usize {
+        self.pages.read().iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -127,7 +138,10 @@ impl PageStore for MemPager {
         let page = pages
             .get(id as usize)
             .ok_or_else(|| DbError::Storage(format!("read of unallocated page {id}")))?;
-        buf.copy_from_slice(page);
+        match page {
+            Some(page) => buf.copy_from_slice(page),
+            None => buf.fill(0),
+        }
         Ok(())
     }
 
@@ -136,13 +150,16 @@ impl PageStore for MemPager {
         let page = pages
             .get_mut(id as usize)
             .ok_or_else(|| DbError::Storage(format!("write of unallocated page {id}")))?;
-        page.copy_from_slice(buf);
+        match page {
+            Some(page) => page.copy_from_slice(buf),
+            None => *page = Some(Box::from(buf)),
+        }
         Ok(())
     }
 
     fn allocate(&self) -> Result<PageId> {
         let mut pages = self.pages.write();
-        pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
+        pages.push(None);
         Ok((pages.len() - 1) as PageId)
     }
 
@@ -173,6 +190,37 @@ mod tests {
     #[test]
     fn mem_pager_basic() {
         exercise(&MemPager::new());
+    }
+
+    #[test]
+    fn mem_pager_materialises_a_page_at_its_first_write() {
+        let store = MemPager::new();
+        let a = store.allocate().unwrap();
+        let b = store.allocate().unwrap();
+        assert_eq!(store.num_pages(), 2);
+        assert_eq!(store.materialised(), 0, "allocation holds no bytes");
+        // A never-written page reads as zeros, into a dirty buffer too,
+        // and reading it materialises nothing.
+        let mut r = vec![0x5au8; PAGE_SIZE];
+        store.read_page(a, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0));
+        assert_eq!(store.materialised(), 0);
+        // The first write materialises the page; a rewrite replaces it.
+        let mut w = vec![0u8; PAGE_SIZE];
+        w[7] = 0x11;
+        store.write_page(b, &w).unwrap();
+        assert_eq!(store.materialised(), 1);
+        w[7] = 0x22;
+        store.write_page(b, &w).unwrap();
+        assert_eq!(store.materialised(), 1);
+        store.read_page(b, &mut r).unwrap();
+        assert_eq!(r, w);
+        store.read_page(a, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0), "page a is untouched");
+        // Out of range is an error either way, and allocates nothing.
+        assert!(store.read_page(2, &mut r).is_err());
+        assert!(store.write_page(2, &w).is_err());
+        assert_eq!((store.num_pages(), store.materialised()), (2, 1));
     }
 
     #[test]

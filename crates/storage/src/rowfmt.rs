@@ -466,6 +466,13 @@ fn skip_value_page(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     }
 }
 
+/// A check the masked decoder runs part-way through a record: once the
+/// table columns before `at` are walked (`at` is one past the last column
+/// it reads), `keep` sees the row decoded so far and says whether the
+/// record is kept. The row holds the masked columns in schema order, so
+/// the prefix has the positions of the finished row.
+pub type Check<'a> = (usize, &'a mut dyn FnMut(&Row) -> Result<bool>);
+
 /// Decode a record into a row of only the columns set in `mask`, in
 /// schema order (an entry the mask lacks counts as set, so the empty mask
 /// decodes them all). The other columns are *skipped* in the byte stream:
@@ -480,23 +487,59 @@ pub fn decode_row_masked(
     ctx: Option<&PageContext>,
     mask: &[bool],
 ) -> Result<Row> {
-    let nbitmap = schema.len().div_ceil(8);
+    let mut row = Row::empty();
+    decode_row_into(schema, buf, comp, ctx, mask, None, &mut row)?;
+    Ok(row)
+}
+
+/// [`decode_row_masked`] into the caller's `row` (cleared first), with an
+/// optional [`Check`]: the filter-first decode of the scans. A record the
+/// check refuses returns `Ok(false)` as soon as the check has run, with
+/// its later columns neither decoded nor walked, and `row` holding the
+/// prefix. A kept record returns `Ok(true)` and is walked and
+/// bounds-checked to its end like an unchecked one.
+pub fn decode_row_into(
+    schema: &Schema,
+    buf: &[u8],
+    comp: Compression,
+    ctx: Option<&PageContext>,
+    mask: &[bool],
+    mut check: Option<Check<'_>>,
+    row: &mut Row,
+) -> Result<bool> {
+    let ncols = schema.len();
+    let nbitmap = ncols.div_ceil(8);
     if buf.len() < nbitmap {
         return Err(DbError::Storage("record shorter than null bitmap".into()));
     }
-    let width = mask.iter().filter(|&&w| w).count() + schema.len().saturating_sub(mask.len());
+    let width = mask.iter().filter(|&&w| w).count() + ncols.saturating_sub(mask.len());
+    row.0.clear();
+    // A kept row moves out with this allocation, so it is made exact;
+    // a refused row's is reused.
+    if row.0.capacity() < width {
+        row.0 = Vec::with_capacity(width);
+    }
+    // The check runs before column `at`, or after the last one.
+    let at = check
+        .as_ref()
+        .map_or(usize::MAX, |(at, _)| (*at).min(ncols));
+    let mut keeps = |row: &Row| check.as_mut().map_or(Ok(true), |(_, keep)| keep(row));
+    // The one record walker. It is a single loop so that each value
+    // decoder below has one call site, which keeps it inlined.
     let mut pos = nbitmap;
-    let mut vals = Vec::with_capacity(width);
     for (i, col) in schema.columns().iter().enumerate() {
+        if i == at && !keeps(row)? {
+            return Ok(false);
+        }
         let wanted = mask.get(i).copied().unwrap_or(true);
         if buf[i / 8] & (1 << (i % 8)) != 0 {
             if wanted {
-                vals.push(Value::Null);
+                row.0.push(Value::Null);
             }
             continue;
         }
         if col.filestream {
-            vals.extend(filestream_value(buf, &mut pos, wanted)?);
+            row.0.extend(filestream_value(buf, &mut pos, wanted)?);
         } else if wanted {
             let v = match (comp, ctx) {
                 (Compression::None, _) => decode_value_fixed(buf, &mut pos, col.dtype)?,
@@ -507,7 +550,7 @@ pub fn decode_row_masked(
                     decode_value_page(buf, &mut pos, col.dtype, ctx, i)?
                 }
             };
-            vals.push(v);
+            row.0.push(v);
         } else {
             match (comp, ctx) {
                 (Compression::None, _) => skip_value_fixed(buf, &mut pos, col.dtype)?,
@@ -518,7 +561,7 @@ pub fn decode_row_masked(
             }
         }
     }
-    Ok(Row::new(vals))
+    Ok(at != ncols || keeps(row)?)
 }
 
 #[cfg(test)]
@@ -716,6 +759,122 @@ mod tests {
         assert!(
             decode_row_masked(&s, &enc[..enc.len() - 1], Compression::Row, None, &none).is_err()
         );
+    }
+
+    #[test]
+    fn checked_decode_stops_at_a_refusal_and_walks_a_kept_record_whole() {
+        // The check reads `flag` (column 1); `tag` repeats, so PAGE keeps
+        // it in the dictionary, and `seq` shares a long prefix.
+        let s = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("flag", DataType::Int),
+            Column::new("tag", DataType::Text),
+            Column::new("seq", DataType::Text),
+        ]);
+        let rows: Vec<Row> = (0..60i64)
+            .map(|i| {
+                let flag = if i % 4 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 2)
+                };
+                Row::new(vec![
+                    Value::Int(i),
+                    flag,
+                    Value::text(format!("TAG{}", i % 3)),
+                    Value::text(format!("CATGGAATTCTCGGGTGCC_{i}")),
+                ])
+            })
+            .collect();
+        let ctx = PageContext::build(&s, &rows);
+        assert!(ctx.dict_len() > 0 && ctx.prefix(3).len() > 2, "{ctx:?}");
+        // Keep `flag = 1`; a NULL flag is refused, as WHERE refuses it.
+        let keeps = |row: &Row| row[1] == Value::Int(1);
+        let forms = [
+            (Compression::None, None),
+            (Compression::Row, None),
+            (Compression::Page, Some(&ctx)),
+        ];
+        for (comp, ctx) in forms {
+            for mask in [&[][..], &[true, true, false, true][..]] {
+                for r in &rows {
+                    let enc = encode_row(&s, r, comp, ctx);
+                    // The same bitmap width and the same two leading
+                    // values: where the check column's bytes end.
+                    let mut head = r.clone();
+                    head.0[2] = Value::Null;
+                    head.0[3] = Value::Null;
+                    let prefix_len = encode_row(&s, &head, comp, ctx).len();
+                    let full = decode_row_masked(&s, &enc, comp, ctx, mask).unwrap();
+                    let mut calls = 0;
+                    let mut check = |row: &Row| {
+                        calls += 1;
+                        assert_eq!(row.values(), &r.values()[..2], "the check sees the prefix");
+                        Ok(keeps(row))
+                    };
+                    let mut decode = |buf: &[u8], row: &mut Row| {
+                        decode_row_into(&s, buf, comp, ctx, mask, Some((2, &mut check)), row)
+                    };
+                    let mut row = Row::new(vec![Value::Int(-1)]);
+                    if keeps(r) {
+                        assert!(decode(&enc, &mut row).unwrap());
+                        assert_eq!(row, full, "{comp:?}");
+                        // A kept record is walked to its end: every cut
+                        // fails typed, before the check or after it.
+                        for cut in 0..enc.len() {
+                            let err = decode(&enc[..cut], &mut row).unwrap_err();
+                            assert!(matches!(err, DbError::Storage(_)), "{comp:?} {cut}: {err}");
+                        }
+                    } else {
+                        assert!(!decode(&enc, &mut row).unwrap());
+                        assert_eq!(row.values(), &r.values()[..2], "{comp:?}");
+                        // A refused record stops at the check: its later
+                        // columns are neither decoded nor walked, so a cut
+                        // or garbage after the prefix goes unseen.
+                        assert!(!decode(&enc[..prefix_len], &mut row).unwrap());
+                        let mut junk = enc[..prefix_len].to_vec();
+                        junk.extend([0xff; 3]);
+                        assert!(!decode(&junk, &mut row).unwrap());
+                    }
+                    for cut in 0..prefix_len {
+                        assert!(decode(&enc[..cut], &mut row).is_err(), "{comp:?} {cut}");
+                    }
+                    // Once per decode that got past the check column: a
+                    // kept record's cuts after it fail after the check.
+                    let checked = if keeps(r) {
+                        1 + enc.len() - prefix_len
+                    } else {
+                        3
+                    };
+                    assert_eq!(calls, checked, "{comp:?}");
+                }
+            }
+        }
+        // A check reading no column runs before the first one, and one
+        // at or past the last column runs on the whole row.
+        let enc = encode_row(&s, &rows[1], Compression::Row, None);
+        let mut row = Row::empty();
+        let mut refuse = |row: &Row| {
+            assert!(row.is_empty());
+            Ok(false)
+        };
+        let refuse: Check<'_> = (0, &mut refuse);
+        assert!(!decode_row_into(
+            &s,
+            &enc[..1],
+            Compression::Row,
+            None,
+            &[],
+            Some(refuse),
+            &mut row
+        )
+        .unwrap());
+        let mut whole = |row: &Row| Ok(row.len() == 4);
+        let whole: Check<'_> = (4, &mut whole);
+        assert!(
+            decode_row_into(&s, &enc, Compression::Row, None, &[], Some(whole), &mut row).unwrap()
+        );
+        assert_eq!(row, rows[1]);
     }
 
     /// A GUID is stored as its 16 big-endian bytes in every format.

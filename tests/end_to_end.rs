@@ -179,3 +179,31 @@ fn disk_backed_database_survives_reopen_of_filestream() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn an_in_memory_database_removes_its_directory_when_dropped() {
+    // FileStream and temp space share one directory per in-memory
+    // database; dropping the database removes it, whatever it held.
+    let db = Database::in_memory();
+    let dir = db.temp().dir().parent().unwrap().to_path_buf();
+    assert_eq!(db.filestream().root().parent(), Some(dir.as_path()));
+    let guid = db.filestream().insert(&b"GATTACA".repeat(512)).unwrap();
+    assert!(db.filestream().path_name(guid).unwrap().starts_with(&dir));
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, s VARCHAR(16))")
+        .unwrap();
+    let rows: Vec<seqdb::types::Row> = (0..3000i64)
+        .map(|i| seqdb::types::Row::new(vec![Value::Int(i), Value::text(format!("S{}", i % 97))]))
+        .collect();
+    db.insert_rows("t", &rows).unwrap();
+    db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 8").unwrap();
+    db.temp().reset_counters();
+    let sorted = db.query_sql("SELECT id FROM t ORDER BY s, id").unwrap();
+    assert_eq!(sorted.rows.len(), 3000);
+    assert!(
+        db.temp().spill_count() > 0,
+        "8 KiB must force the sort to spill"
+    );
+    assert!(dir.is_dir());
+    drop(db);
+    assert!(!dir.exists(), "{} outlived its database", dir.display());
+}

@@ -610,3 +610,326 @@ fn explain_analyze_reports_batch_shape_and_zero_means_one() {
     assert!(one.contains(&"batches=600".to_string()), "{one:?}");
     assert!(wide.contains(&"batches=2".to_string()), "{wide:?}");
 }
+
+// ----------------------------------------------------------------------
+// Property: filter-first scans ≡ the model
+// ----------------------------------------------------------------------
+
+/// One generated row of the filter-first tables: `id` is its position,
+/// `blob` a FILESTREAM value (inline bytes, a GUID reference or NULL).
+#[derive(Debug)]
+struct FRow {
+    id: i64,
+    a: Option<i64>,
+    s: Option<String>,
+    b: Option<i64>,
+    blob: Value,
+    c: Option<i64>,
+}
+
+impl FRow {
+    /// The row in table order: `id, a, s, b, blob, c`.
+    fn values(&self) -> Vec<Value> {
+        vec![
+            Value::Int(self.id),
+            int_or_null(self.a),
+            text_or_null(&self.s),
+            int_or_null(self.b),
+            self.blob.clone(),
+            int_or_null(self.c),
+        ]
+    }
+}
+
+/// A random WHERE clause over the filter-first tables, with its SQL text
+/// and a three-valued model evaluation (`None` is NULL) that shares no
+/// code with the engine.
+#[derive(Debug, Clone)]
+enum Pred {
+    /// `col <op> k`, or `k <flipped op> col`; `col` is 1 (`a`), 3 (`b`)
+    /// or 5 (`c`).
+    Cmp {
+        col: usize,
+        op: &'static str,
+        k: i64,
+        literal_first: bool,
+    },
+    /// `col IS [NOT] NULL`, over any nullable column, the FILESTREAM one
+    /// included.
+    IsNull {
+        col: usize,
+        negated: bool,
+    },
+    /// `CHARINDEX('<needle>', s) <op> k`.
+    CharIndex {
+        needle: char,
+        op: &'static str,
+        k: i64,
+    },
+    /// Interpreted only: the kernel does not compile `NOT`.
+    Not(Box<Pred>),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+}
+
+const F_COLUMNS: [&str; 6] = ["id", "a", "s", "b", "blob", "c"];
+const CMP_OPS: [&str; 6] = ["<", "<=", "=", "<>", ">=", ">"];
+
+fn cmp_holds(op: &str, x: i64, k: i64) -> bool {
+    match op {
+        "<" => x < k,
+        "<=" => x <= k,
+        "=" => x == k,
+        "<>" => x != k,
+        ">=" => x >= k,
+        _ => x > k,
+    }
+}
+
+/// `op` with its operands swapped: `k <flip(op)> x` ⇔ `x <op> k`.
+fn flip(op: &'static str) -> &'static str {
+    match op {
+        "<" => ">",
+        "<=" => ">=",
+        ">=" => "<=",
+        ">" => "<",
+        same => same,
+    }
+}
+
+impl Pred {
+    /// A predicate of at most `depth` levels of `AND` / `OR` / `NOT`,
+    /// drawn from `next` (uniform below its bound).
+    fn random(next: &mut impl FnMut(u64) -> u64, depth: u32) -> Pred {
+        let pick = next(if depth == 0 { 3 } else { 6 });
+        let op = |next: &mut dyn FnMut(u64) -> u64| CMP_OPS[next(6) as usize];
+        match pick {
+            0 => Pred::Cmp {
+                col: [1, 3, 5][next(3) as usize],
+                op: op(next),
+                k: next(30) as i64 - 15,
+                literal_first: next(2) == 1,
+            },
+            1 => Pred::IsNull {
+                col: [1, 2, 3, 4, 5][next(5) as usize],
+                negated: next(2) == 1,
+            },
+            2 => Pred::CharIndex {
+                needle: ['A', 'C', 'G', 'T', 'N'][next(5) as usize],
+                op: op(next),
+                k: next(5) as i64,
+            },
+            3 => Pred::Not(Box::new(Pred::random(next, depth - 1))),
+            4 => Pred::And(
+                Box::new(Pred::random(next, depth - 1)),
+                Box::new(Pred::random(next, depth - 1)),
+            ),
+            _ => Pred::Or(
+                Box::new(Pred::random(next, depth - 1)),
+                Box::new(Pred::random(next, depth - 1)),
+            ),
+        }
+    }
+
+    fn sql(&self) -> String {
+        match self {
+            Pred::Cmp {
+                col,
+                op,
+                k,
+                literal_first: false,
+            } => format!("{} {op} {k}", F_COLUMNS[*col]),
+            Pred::Cmp { col, op, k, .. } => format!("{k} {} {}", flip(op), F_COLUMNS[*col]),
+            Pred::IsNull { col, negated } => {
+                let not = if *negated { "NOT " } else { "" };
+                format!("{} IS {not}NULL", F_COLUMNS[*col])
+            }
+            Pred::CharIndex { needle, op, k } => format!("CHARINDEX('{needle}', s) {op} {k}"),
+            Pred::Not(p) => format!("NOT ({})", p.sql()),
+            Pred::And(l, r) => format!("({}) AND ({})", l.sql(), r.sql()),
+            Pred::Or(l, r) => format!("({}) OR ({})", l.sql(), r.sql()),
+        }
+    }
+
+    /// SQL's three-valued truth of the predicate on `r`.
+    fn eval(&self, r: &FRow) -> Option<bool> {
+        match self {
+            Pred::Cmp { col, op, k, .. } => {
+                let x = [None, r.a, None, r.b, None, r.c][*col]?;
+                Some(cmp_holds(op, x, *k))
+            }
+            Pred::IsNull { col, negated } => {
+                let null = r.values()[*col] == Value::Null;
+                Some(null != *negated)
+            }
+            Pred::CharIndex { needle, op, k } => {
+                // 1-based position of the first match, 0 for none.
+                let s = r.s.as_deref()?;
+                let at = s.find(*needle).map_or(0, |i| i as i64 + 1);
+                Some(cmp_holds(op, at, *k))
+            }
+            Pred::Not(p) => p.eval(r).map(|b| !b),
+            Pred::And(l, r2) => match (l.eval(r), r2.eval(r)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Pred::Or(l, r2) => match (l.eval(r), r2.eval(r)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    #[test]
+    fn filter_first_scans_agree_with_the_model(
+        rows in proptest::collection::vec(
+            (-20i64..20, "[ACGTN]{0,6}", -20i64..20, 0i64..4, -20i64..20),
+            200..500,
+        ),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Columns a, s, b and c are each NULL on a different stride, and
+        // `blob` cycles through inline bytes, a GUID reference and NULL.
+        let t: Vec<FRow> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (a, s, b, blob, c))| FRow {
+                id: i as i64,
+                a: (i % 7 != 2).then_some(*a),
+                s: (i % 5 != 1).then(|| format!("CATG{s}")),
+                b: (i % 6 != 4).then_some(*b),
+                blob: match blob {
+                    0 => Value::Null,
+                    1 => Value::guid(i as u128 * 0x9e37_79b9),
+                    _ => Value::bytes(format!("blob{i}").as_bytes()),
+                },
+                c: (i % 9 != 0).then_some(*c),
+            })
+            .collect();
+        let t_rows: Vec<Row> = t.iter().map(|r| Row::new(r.values())).collect();
+
+        let db = Database::in_memory();
+        // Any table qualifies for the parallel aggregate.
+        db.set_config(seqdb::engine::DbConfig {
+            parallel_threshold: 0,
+            ..db.config()
+        });
+        let tables = ["f_none", "f_row", "f_page"];
+        for (name, comp) in tables.iter().zip(["NONE", "ROW", "PAGE"]) {
+            db.execute_sql(&format!(
+                "CREATE TABLE {name} (id INT NOT NULL PRIMARY KEY, a INT, s VARCHAR(12), \
+                 b INT, blob VARBINARY(MAX) FILESTREAM, c INT) WITH (DATA_COMPRESSION = {comp})"
+            ))
+            .unwrap();
+            db.insert_rows(name, &t_rows).unwrap();
+            db.execute_sql(&format!("CREATE INDEX ix_{name}_b_id ON {name} (b, id)"))
+                .unwrap();
+        }
+        db.catalog().register_aggregate(Arc::new(OrderedIds));
+
+        // Demand lists that put a filter column before, between and after
+        // the demanded ones, or leave it undemanded (`id` alone, `a`
+        // alone and `*` cover the edges).
+        let demands: [&[usize]; 5] = [&[0, 4, 5], &[1], &[2, 5], &[0], &[0, 1, 2, 3, 4, 5]];
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..6 {
+            let pred = Pred::random(&mut next, 3);
+            let p = pred.sql();
+            let kept: Vec<&FRow> = t.iter().filter(|r| pred.eval(r) == Some(true)).collect();
+            let project = |cols: &[usize]| -> Vec<Row> {
+                kept.iter()
+                    .map(|r| {
+                        let v = r.values();
+                        cols.iter().map(|&c| v[c].clone()).collect()
+                    })
+                    .collect()
+            };
+            // GROUP BY b: COUNT(*) and SUM(a) per group, NULLs skipped.
+            let mut groups: Vec<Option<i64>> = kept.iter().map(|r| r.b).collect();
+            groups.sort();
+            groups.dedup();
+            let grouped: Vec<Row> = groups
+                .iter()
+                .map(|&g| {
+                    let members = kept.iter().filter(|r| r.b == g);
+                    let (n, sum) = members.fold((0, None), |(n, sum): (i64, Option<i64>), r| {
+                        (n + 1, r.a.map_or(sum, |a| Some(sum.unwrap_or(0) + a)))
+                    });
+                    Row::new(vec![int_or_null(g), Value::Int(n), int_or_null(sum)])
+                })
+                .collect();
+            let count = vec![Row::new(vec![Value::Int(kept.len() as i64)])];
+            // ORDERED_IDS(id) GROUP BY b: each group's ids ascending, as
+            // the (b, id) index hands them over.
+            let ordered_ids: Vec<Row> = groups
+                .iter()
+                .map(|&g| {
+                    let ids: Vec<String> =
+                        kept.iter().filter(|r| r.b == g).map(|r| r.id.to_string()).collect();
+                    Row::new(vec![int_or_null(g), Value::text(ids.join(","))])
+                })
+                .collect();
+            for name in tables {
+                // (sql, model, the plan node it must run as)
+                let mut shapes: Vec<(String, Vec<Row>, &str)> = demands
+                    .iter()
+                    .map(|cols| {
+                        let list: Vec<&str> = cols.iter().map(|&c| F_COLUMNS[c]).collect();
+                        let sql = format!("SELECT {} FROM {name} WHERE {p}", list.join(", "));
+                        (sql, project(cols), "Table Scan")
+                    })
+                    .collect();
+                shapes.push((
+                    format!("SELECT b, ORDERED_IDS(id) FROM {name} WHERE {p} GROUP BY b"),
+                    ordered_ids.clone(),
+                    "Clustered Index Scan",
+                ));
+                shapes.push((
+                    format!("SELECT b, COUNT(*), SUM(a) FROM {name} WHERE {p} GROUP BY b"),
+                    grouped.clone(),
+                    "Parallelism (Gather Streams) [DOP=2]",
+                ));
+                shapes.push((
+                    format!("SELECT COUNT(*) FROM {name} WHERE {p}"),
+                    count.clone(),
+                    "Parallelism (Gather Streams) [DOP=2]",
+                ));
+                db.execute_sql("SET MAX_DOP = 2").unwrap();
+                for (sql, expect, node) in &shapes {
+                    let plan = db.explain_sql(sql).unwrap();
+                    // The WHERE is pushed into the scan itself.
+                    prop_assert!(plan.contains(node), "{}\n{}", sql, plan);
+                    prop_assert!(
+                        plan.lines().any(|l| l.contains("Scan [") && l.contains("WHERE ")),
+                        "{}\n{}", sql, plan
+                    );
+                    for batch in [1usize, 7, 1024] {
+                        db.execute_sql(&format!("SET BATCH_SIZE = {batch}")).unwrap();
+                        let got = db.query_sql(sql).unwrap().rows;
+                        prop_assert_eq!(
+                            sorted_rows(&got),
+                            sorted_rows(expect),
+                            "batch={} sql={}",
+                            batch,
+                            sql
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(db.pool().pinned_frames(), 0, "leaked buffer pins");
+    }
+}

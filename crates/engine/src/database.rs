@@ -139,7 +139,7 @@ pub struct Database {
 }
 
 /// Removes a directory tree when dropped.
-struct RemoveDirOnDrop(PathBuf);
+pub(crate) struct RemoveDirOnDrop(pub(crate) PathBuf);
 
 impl Drop for RemoveDirOnDrop {
     fn drop(&mut self) {

@@ -464,7 +464,7 @@ mod tests {
     use crate::querystore::{Disposition, StoreOutcome};
 
     fn drain(f: &dyn TableFunction) -> Vec<Row> {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let mut cursor = f.open(&[], &ctx).unwrap();
         let mut rows = Vec::new();
         while cursor.move_next().unwrap() {

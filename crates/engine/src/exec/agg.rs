@@ -15,10 +15,12 @@ use std::sync::Arc;
 
 use seqdb_storage::tempspace::{SpillReader, SpillWriter, TempSpace};
 use seqdb_storage::{SpillTally, WaitClass};
+use seqdb_types::codec::{self, Reader};
 use seqdb_types::{DbError, Result, Row, Value};
 
-use crate::exec::rowser;
-use crate::exec::{fill_batch, BoxedIter, ExecContext, Layout, RowBatch, RowIterator};
+use crate::exec::{
+    corrupt_spill, fill_batch, BoxedIter, ExecContext, Layout, RowBatch, RowIterator,
+};
 use crate::expr::{eval_into, Expr};
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::{protect, AggState, Aggregate};
@@ -280,19 +282,10 @@ pub(crate) fn partition_of(key: &[Value], depth: u32) -> usize {
     (h.finish() as usize) % SPILL_PARTITIONS
 }
 
-/// Append one rowser-framed row to a spill partition (same u32-length
-/// framing as the external sort's runs).
+/// Append one row to a spill partition, framed like the external sort's
+/// runs.
 pub(crate) fn write_spill_row(w: &mut SpillWriter, row: &Row) -> Result<()> {
-    thread_local! {
-        // One frame buffer per thread: spilling a row allocates
-        // nothing in the steady state.
-        static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    SCRATCH.with(|s| {
-        let mut buf = s.borrow_mut();
-        rowser::frame_row(&mut buf, row);
-        w.write_all(&buf)
-    })
+    w.write_frame(|b| codec::put_row(b, row.values()))
 }
 
 /// Iterate rows back out of a finished spill partition.
@@ -300,31 +293,23 @@ pub(crate) struct SpillRowIter {
     reader: SpillReader,
     /// Reused frame buffer; reading a spilled row back allocates only
     /// what the row's own values need.
-    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl SpillRowIter {
     pub(crate) fn new(reader: SpillReader) -> SpillRowIter {
         SpillRowIter {
             reader,
-            payload: Vec::new(),
+            frame: Vec::new(),
         }
     }
-}
 
-impl SpillRowIter {
     pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
-        let mut lenbuf = [0u8; 4];
-        if !self.reader.read_exact(&mut lenbuf)? {
+        if !self.reader.read_frame(&mut self.frame)? {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(lenbuf) as usize;
-        self.payload.resize(len, 0);
-        if !self.reader.read_exact(&mut self.payload)? {
-            return Err(DbError::Storage("truncated row spill".into()));
-        }
-        let mut pos = 0;
-        Ok(Some(rowser::read_row(&self.payload, &mut pos)?))
+        let vals = Reader::new(&self.frame).row().map_err(corrupt_spill)?;
+        Ok(Some(Row::new(vals)))
     }
 }
 
@@ -845,11 +830,12 @@ mod tests {
 
     #[test]
     fn hash_agg_groups_correctly() {
+        let (ctx, _dir) = test_context();
         let it = HashAggIter::new(
             Box::new(ValuesIter::new(rows())),
             vec![Expr::col(0, "g")],
             specs(),
-            test_context(),
+            ctx,
         );
         let got = normalize(collect(Box::new(it), 1024).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
@@ -897,12 +883,8 @@ mod tests {
 
     #[test]
     fn global_aggregate_without_group_by() {
-        let it = HashAggIter::new(
-            Box::new(ValuesIter::new(rows())),
-            vec![],
-            specs(),
-            test_context(),
-        );
+        let (ctx, _dir) = test_context();
+        let it = HashAggIter::new(Box::new(ValuesIter::new(rows())), vec![], specs(), ctx);
         let out = collect(Box::new(it), 1024).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Int(5));
@@ -913,9 +895,10 @@ mod tests {
     fn global_aggregate_over_empty_input_yields_one_row() {
         for blocking in [true, false] {
             let input = Box::new(ValuesIter::new(vec![]));
+            let (ctx, _dir) = test_context();
             let out = if blocking {
                 collect(
-                    Box::new(HashAggIter::new(input, vec![], specs(), test_context())),
+                    Box::new(HashAggIter::new(input, vec![], specs(), ctx)),
                     1024,
                 )
                 .unwrap()
@@ -940,11 +923,12 @@ mod tests {
 
     #[test]
     fn grouped_aggregate_over_empty_input_is_empty() {
+        let (ctx, _dir) = test_context();
         let it = HashAggIter::new(
             Box::new(ValuesIter::new(vec![])),
             vec![Expr::col(0, "g")],
             specs(),
-            test_context(),
+            ctx,
         );
         assert!(collect(Box::new(it), 1024).unwrap().is_empty());
     }
@@ -952,7 +936,7 @@ mod tests {
     #[test]
     fn partial_final_split_equals_single_pass() {
         // The invariant the parallel aggregate relies on.
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let mut charge = MemCharge::new(ctx.gov.clone());
         let all = rows();
         let (serial, _) = partial(&ctx, all.clone(), &mut charge, 0).unwrap();
@@ -969,7 +953,7 @@ mod tests {
         // Many distinct groups under a budget that fits only a handful:
         // the hybrid path must spill, recurse, and still produce exactly
         // one correct row per group.
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(2 * 1024));
         let input: Vec<Row> = (0..2000i64)
             .map(|i| Row::new(vec![Value::Int(i % 500), Value::Int(1)]))
@@ -992,7 +976,7 @@ mod tests {
 
     #[test]
     fn a_pass_at_max_spill_depth_fails_typed_instead_of_spilling() {
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(256));
         let mut charge = MemCharge::new(ctx.gov.clone());
         let input: Vec<Row> = (0..100i64)

@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn tvf_scan_streams_rows() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let tvf: Arc<dyn TableFunction> = Arc::new(Numbers);
         let it = TvfScanIter::open(&tvf, &[Value::Int(4)], &ctx).unwrap();
         let rows = collect(Box::new(it), 1024).unwrap();
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn cross_apply_reopens_per_outer_row() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let tvf: Arc<dyn TableFunction> = Arc::new(Numbers);
         let outer = int_rows(&[&[2], &[0], &[3]]);
         let it = CrossApplyIter::new(
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn bad_tvf_args_error() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let tvf: Arc<dyn TableFunction> = Arc::new(Numbers);
         assert!(TvfScanIter::open(&tvf, &[], &ctx).is_err());
     }

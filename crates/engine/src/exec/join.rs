@@ -670,17 +670,6 @@ mod tests {
     use crate::exec::testutil::{int_rows, test_context};
     use crate::exec::{collect, ValuesIter};
     use crate::governor::QueryGovernor;
-    use seqdb_storage::TempSpace;
-    use std::sync::Arc;
-
-    /// A private temp space so spill-count and leak assertions can't race
-    /// with other tests sharing the process-wide system temp dir.
-    fn isolated_temp(tag: &str) -> Arc<TempSpace> {
-        let dir =
-            std::env::temp_dir().join(format!("seqdb-join-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempSpace::open(dir).unwrap()
-    }
 
     fn kv_rows(pairs: impl Iterator<Item = (i64, i64)>) -> Vec<Row> {
         pairs
@@ -702,8 +691,9 @@ mod tests {
     fn join_all(kind: &str, left: Vec<Row>, right: Vec<Row>) -> Vec<(i64, i64)> {
         let lk = vec![Expr::col(0, "k")];
         let rk = vec![Expr::col(0, "k")];
+        let (ctx, _dir) = test_context();
         let it: BoxedIter = match kind {
-            "hash" => Box::new(hash_join(left, right, test_context())),
+            "hash" => Box::new(hash_join(left, right, ctx)),
             _ => Box::new(MergeJoinIter::new(
                 Box::new(ValuesIter::new(left)),
                 Box::new(ValuesIter::new(right)),
@@ -745,7 +735,7 @@ mod tests {
         let build = int_rows(&[&[1, 10], &[2, 20], &[1, 11], &[1, 12], &[2, 21]]);
         let probe = int_rows(&[&[2, 100], &[1, 101], &[3, 102], &[1, 103]]);
         for batch in [1, 2, 1024] {
-            let mut ctx = test_context();
+            let (mut ctx, _dir) = test_context();
             ctx.batch_size = batch;
             let it = hash_join(build.clone(), probe.clone(), ctx);
             let got: Vec<(i64, i64)> = collect(Box::new(it), batch)
@@ -802,13 +792,14 @@ mod tests {
     #[test]
     fn probe_first_restores_left_right_order() {
         // build = the plan's RIGHT side; output must still be left ++ right.
+        let (ctx, _dir) = test_context();
         let it = HashJoinIter::new(
             Box::new(ValuesIter::new(int_rows(&[&[7, 70]]))), // right (build)
             Box::new(ValuesIter::new(int_rows(&[&[7, 1]]))),  // left (probe)
             vec![Expr::col(0, "k")],
             vec![Expr::col(0, "k")],
             true,
-            test_context(),
+            ctx,
         );
         let rows = collect(Box::new(it), 1024).unwrap();
         assert_eq!(rows.len(), 1);
@@ -828,9 +819,8 @@ mod tests {
         sorted_right.sort_by_key(|r| r[0].as_int().unwrap());
         let expected = join_all("merge", sorted_left, sorted_right);
 
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(16 * 1024));
-        ctx.temp = isolated_temp("spill");
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx);
@@ -852,9 +842,8 @@ mod tests {
         // RAII must still delete every partition file and release memory.
         let left = kv_rows((0..400i64).map(|i| (i % 50, i)));
         let right = kv_rows((0..100i64).map(|i| (i % 50, i)));
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(4 * 1024));
-        ctx.temp = isolated_temp("kill");
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let mut it = hash_join(left, right, ctx);
@@ -868,9 +857,8 @@ mod tests {
     fn pathological_budget_fails_typed_after_bounded_recursion() {
         let left = kv_rows((0..100i64).map(|i| (i, i)));
         let right = int_rows(&[&[1, 1]]);
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(1));
-        ctx.temp = isolated_temp("starved");
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx);
@@ -901,9 +889,8 @@ mod tests {
         // own few KiB.
         let left = kv_rows((0..100i64).map(|i| (i, i)));
         let right = kv_rows((1000..2000i64).map(|i| (i, i)));
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(1024));
-        ctx.temp = isolated_temp("bloom");
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx);
         let rows = collect(Box::new(it), 1024).unwrap();

@@ -17,14 +17,14 @@ pub mod agg;
 pub mod apply;
 pub mod filter;
 pub mod join;
-pub mod rowser;
 pub mod scan;
 pub mod sort;
 pub mod window;
 
 use std::sync::Arc;
 
-use seqdb_types::{Result, Row};
+use seqdb_types::codec::Malformed;
+use seqdb_types::{DbError, Result, Row};
 
 use seqdb_storage::tempspace::SpillWriter;
 use seqdb_storage::{FileStreamStore, SpillTally, TempSpace};
@@ -87,6 +87,11 @@ impl ExecContext {
         self.temp
             .create_spill_class(self.spill_tallies(), seqdb_storage::WaitClass::JoinSpill)
     }
+}
+
+/// The error for a spill record the value codec could not read back.
+pub(crate) fn corrupt_spill(_: Malformed) -> DbError {
+    DbError::Storage("corrupt spill record".into())
 }
 
 /// Where a plan node's output columns sit in the rows it emits. Rows
@@ -415,38 +420,35 @@ impl RowIterator for ValuesIter {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use crate::database::RemoveDirOnDrop;
     use crate::udx::{AggState, Aggregate};
     use seqdb_storage::{BufferPool, MemPager};
     use seqdb_types::Value;
 
-    /// A throwaway context over in-memory storage. Its spill directory
-    /// is its own: opening a `TempSpace` sweeps the directory, so a
-    /// shared one loses a sibling test's live spill files.
-    pub fn test_context() -> ExecContext {
+    /// A throwaway context over in-memory storage, and the guard that
+    /// removes its directory when the test is done. The directory is its
+    /// own: opening a `TempSpace` sweeps it, so a shared one loses a
+    /// sibling test's live spill files.
+    pub fn test_context() -> (ExecContext, RemoveDirOnDrop) {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tempdir =
-            std::env::temp_dir().join(format!("seqdb-exec-test-{}-tempdb-{n}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("seqdb-exec-test-{}-{n}", std::process::id()));
         let pool = BufferPool::new(Arc::new(MemPager::new()), 1024);
         let catalog = Catalog::new(pool);
         for f in crate::builtins::all_builtins() {
             catalog.register_scalar(f);
         }
-        let fsdir = std::env::temp_dir().join(format!(
-            "seqdb-exec-test-{}-{:p}",
-            std::process::id(),
-            &catalog
-        ));
-        ExecContext {
+        let ctx = ExecContext {
             catalog,
-            filestream: Arc::new(FileStreamStore::open(fsdir).unwrap()),
-            temp: TempSpace::open(tempdir).unwrap(),
+            filestream: Arc::new(FileStreamStore::open(dir.join("filestream")).unwrap()),
+            temp: TempSpace::open(dir.join("tempdb")).unwrap(),
             dop: 2,
             batch_size: ExecContext::DEFAULT_BATCH_SIZE,
             gov: QueryGovernor::unlimited(),
             stats: None,
             node: None,
-        }
+        };
+        (ctx, RemoveDirOnDrop(dir))
     }
 
     /// A UDA that panics after a few rows, exercising the error paths

@@ -296,13 +296,14 @@ impl RowIterator for IndexScanIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::RemoveDirOnDrop;
     use crate::exec::testutil::test_context;
     use crate::exec::{collect, Layout, RowIterator};
     use crate::expr::{BinOp, Expr};
     use seqdb_types::{Column, DataType, Row, Schema};
 
-    fn setup() -> (crate::exec::ExecContext, Arc<Table>) {
-        let ctx = test_context();
+    fn setup() -> (crate::exec::ExecContext, Arc<Table>, RemoveDirOnDrop) {
+        let (ctx, dir) = test_context();
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int).not_null(),
             Column::new("grp", DataType::Int),
@@ -320,12 +321,12 @@ mod tests {
             ]))
             .unwrap();
         }
-        (ctx, t)
+        (ctx, t, dir)
     }
 
     #[test]
     fn heap_scan_decodes_the_demanded_and_filter_columns_in_schema_order() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(1));
         // Only `seq` is demanded; `grp` rides along because the filter
         // reads it, and `id` is skipped.
@@ -339,7 +340,7 @@ mod tests {
 
     #[test]
     fn partitions_cover_everything_disjointly() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let nparts = 3;
         let mut all = Vec::new();
         for p in 0..nparts {
@@ -355,7 +356,7 @@ mod tests {
 
     #[test]
     fn index_scan_is_ordered() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let it = IndexScanIter::new(&t, idx, KeyRange::all(), None, None).unwrap();
         assert!(it.layout().is_dense());
@@ -369,7 +370,7 @@ mod tests {
 
     #[test]
     fn index_scan_over_a_key_range_decodes_only_the_mask() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let key = |i: i64| seqdb_storage::keycode::encode_key(&[Value::Int(i)]);
         let range = KeyRange {
@@ -401,7 +402,7 @@ mod tests {
 
     #[test]
     fn index_scan_with_equality_prefix() {
-        let (ctx, _) = setup();
+        let (ctx, _, _dir) = setup();
         // Composite-key table: (grp, id) primary key.
         let schema = Schema::new(vec![
             Column::new("grp", DataType::Int).not_null(),
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn empty_prefix_range_is_empty() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let mut it =
             IndexScanIter::new(&t, idx, KeyRange::prefix(&[Value::Int(10_000)]), None, None)

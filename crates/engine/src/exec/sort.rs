@@ -12,10 +12,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use seqdb_storage::tempspace::{SpillReader, SpillWriter};
+use seqdb_types::codec::{self, Reader};
 use seqdb_types::{Result, Row, Value};
 
-use crate::exec::rowser;
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
+use crate::exec::{
+    corrupt_spill, fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator,
+};
 use crate::expr::Expr;
 use crate::governor::MemCharge;
 
@@ -127,17 +129,11 @@ impl SortIter {
 }
 
 /// Append one sort-spill frame: the evaluated key, then the row.
-fn write_entry(
-    writer: &mut SpillWriter,
-    scratch: &mut Vec<u8>,
-    key: &[Value],
-    row: &Row,
-) -> Result<()> {
-    rowser::begin_frame(scratch);
-    rowser::write_values(scratch, key);
-    rowser::write_row(scratch, row);
-    rowser::finish_frame(scratch);
-    writer.write_all(scratch)
+fn write_entry(writer: &mut SpillWriter, key: &[Value], row: &Row) -> Result<()> {
+    writer.write_frame(|b| {
+        codec::put_row(b, key);
+        codec::put_row(b, row.values());
+    })
 }
 
 fn spill_run(
@@ -147,9 +143,8 @@ fn spill_run(
 ) -> Result<SpillReader> {
     buffer.sort_by(|a, b| compare_keys(keys, &a.0, &b.0));
     let mut writer = ctx.create_spill()?;
-    let mut scratch = Vec::new();
     for (kv, row) in buffer.drain(..) {
-        write_entry(&mut writer, &mut scratch, &kv, &row)?;
+        write_entry(&mut writer, &kv, &row)?;
     }
     writer.finish()
 }
@@ -183,9 +178,8 @@ fn merge_to_run(
 ) -> Result<SpillReader> {
     let mut merge = MergeRuns::new(runs, keys)?;
     let mut writer = ctx.create_spill()?;
-    let mut scratch = Vec::new();
     while let Some(entry) = merge.next_entry()? {
-        write_entry(&mut writer, &mut scratch, &entry.key, &entry.row)?;
+        write_entry(&mut writer, &entry.key, &entry.row)?;
     }
     writer.finish()
 }
@@ -200,6 +194,8 @@ thread_local! {
 struct MergeRuns {
     runs: Vec<SpillReader>,
     heap: BinaryHeap<HeapEntry>,
+    /// Reused frame buffer for every run's reads.
+    frame: Vec<u8>,
 }
 
 struct HeapEntry {
@@ -249,8 +245,9 @@ impl MergeRuns {
         WIDEST_MERGE.with(|w| w.set(w.get().max(runs.len())));
         let desc = std::sync::Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let mut heap = BinaryHeap::new();
+        let mut frame = Vec::new();
         for (i, run) in runs.iter_mut().enumerate() {
-            if let Some((key, row)) = read_entry(run)? {
+            if let Some((key, row)) = read_entry(run, &mut frame)? {
                 heap.push(HeapEntry {
                     key,
                     row,
@@ -259,7 +256,7 @@ impl MergeRuns {
                 });
             }
         }
-        Ok(MergeRuns { runs, heap })
+        Ok(MergeRuns { runs, heap, frame })
     }
 
     /// Pop the smallest entry, refilling the heap from its run.
@@ -267,7 +264,7 @@ impl MergeRuns {
         let Some(top) = self.heap.pop() else {
             return Ok(None);
         };
-        if let Some((key, row)) = read_entry(&mut self.runs[top.run])? {
+        if let Some((key, row)) = read_entry(&mut self.runs[top.run], &mut self.frame)? {
             self.heap.push(HeapEntry {
                 key,
                 row,
@@ -279,19 +276,13 @@ impl MergeRuns {
     }
 }
 
-fn read_entry(run: &mut SpillReader) -> Result<Option<(Vec<Value>, Row)>> {
-    let mut lenbuf = [0u8; 4];
-    if !run.read_exact(&mut lenbuf)? {
+fn read_entry(run: &mut SpillReader, frame: &mut Vec<u8>) -> Result<Option<(Vec<Value>, Row)>> {
+    if !run.read_frame(frame)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(lenbuf) as usize;
-    let mut payload = vec![0u8; len];
-    if !run.read_exact(&mut payload)? {
-        return Err(seqdb_types::DbError::Storage("truncated sort spill".into()));
-    }
-    let mut pos = 0;
-    let key = rowser::read_row(&payload, &mut pos)?.into_values();
-    let row = rowser::read_row(&payload, &mut pos)?;
+    let mut r = Reader::new(frame);
+    let key = r.row().map_err(corrupt_spill)?;
+    let row = Row::new(r.row().map_err(corrupt_spill)?);
     Ok(Some((key, row)))
 }
 
@@ -391,7 +382,7 @@ mod tests {
 
     #[test]
     fn in_memory_sort_asc_desc() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let rows = shuffled(100);
         let it = SortIter::new(
             Box::new(ValuesIter::new(rows.clone())),
@@ -416,7 +407,7 @@ mod tests {
         use crate::governor::QueryGovernor;
         // A tiny per-query budget: the sort must degrade by spilling
         // runs rather than fail with ResourceExhausted.
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(4096));
         ctx.temp.reset_counters();
         let rows = shuffled(5000);
@@ -440,7 +431,7 @@ mod tests {
         use crate::governor::QueryGovernor;
         // Another charge holds the whole budget, so every row becomes a
         // run of its own: far more runs than one merge may open.
-        let mut ctx = test_context();
+        let (mut ctx, _dir) = test_context();
         ctx.gov = QueryGovernor::new(None, Some(4096));
         let mut hog = MemCharge::new(ctx.gov.clone());
         hog.grow(4096).unwrap();
@@ -471,7 +462,7 @@ mod tests {
 
     #[test]
     fn multi_key_sort_with_mixed_directions() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let rows = int_rows(&[&[1, 9], &[0, 5], &[1, 3], &[0, 7]]);
         let it = SortIter::new(
             Box::new(ValuesIter::new(rows)),
@@ -505,7 +496,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let it = SortIter::new(
             Box::new(ValuesIter::new(vec![])),
             vec![SortKey::asc(Expr::col(0, "x"))],

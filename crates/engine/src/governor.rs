@@ -29,6 +29,16 @@ const TIMED_OUT: u8 = 2;
 /// deadline reads. The cancel flag itself is checked on every call.
 const DEADLINE_STRIDE: u32 = 64;
 
+/// A session's check that its client is still there, run from the
+/// statement's own cooperative checks (see [`Session::with_liveness`]).
+/// It is called once per batch by every operator thread, so it must be
+/// cheap and must rate-limit and serialise itself. A hook that finds the
+/// client gone cancels the statement (for example through
+/// `StatementRegistry::kill_session`).
+///
+/// [`Session::with_liveness`]: crate::Session::with_liveness
+pub type LivenessHook = Arc<dyn Fn() + Send + Sync>;
+
 /// Shared, thread-safe per-query limits. Cloned (via `Arc`) into every
 /// operator of a plan, including parallel workers.
 pub struct QueryGovernor {
@@ -48,6 +58,8 @@ pub struct QueryGovernor {
     /// per-statement wait breakdown (the other is the spill tally's wait
     /// time).
     admission_wait_nanos: AtomicU64,
+    /// The owning session's liveness hook, if it has one.
+    liveness: Option<LivenessHook>,
 }
 
 impl QueryGovernor {
@@ -57,6 +69,15 @@ impl QueryGovernor {
     }
 
     pub fn new(timeout: Option<Duration>, mem_limit: Option<usize>) -> Arc<QueryGovernor> {
+        QueryGovernor::watched(timeout, mem_limit, None)
+    }
+
+    /// A governor that also runs `liveness` at every full check.
+    pub(crate) fn watched(
+        timeout: Option<Duration>,
+        mem_limit: Option<usize>,
+        liveness: Option<LivenessHook>,
+    ) -> Arc<QueryGovernor> {
         Arc::new(QueryGovernor {
             state: AtomicU8::new(RUNNING),
             deadline: timeout.map(|t| Instant::now() + t),
@@ -66,6 +87,7 @@ impl QueryGovernor {
             mem_peak: AtomicUsize::new(0),
             spill: Arc::new(SpillTally::default()),
             admission_wait_nanos: AtomicU64::new(0),
+            liveness,
         })
     }
 
@@ -92,9 +114,19 @@ impl QueryGovernor {
         }
     }
 
-    /// Full cooperative check: cancel flag plus wall-clock deadline.
-    /// Called every `DEADLINE_STRIDE` (64) rows to amortize `Instant::now`.
+    /// Run the session's liveness hook, if any. A hook that finds the
+    /// client gone cancels the statement, which the next check reports.
+    pub(crate) fn watch(&self) {
+        if let Some(hook) = &self.liveness {
+            hook();
+        }
+    }
+
+    /// Full cooperative check: liveness hook, cancel flag and wall-clock
+    /// deadline. Called once per batch, and every `DEADLINE_STRIDE` (64)
+    /// rows by row-at-a-time loops, to amortize `Instant::now`.
     pub fn check_deadline(&self) -> Result<()> {
+        self.watch();
         self.check()?;
         if let Some(d) = self.deadline {
             if Instant::now() >= d {

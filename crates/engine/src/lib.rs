@@ -51,7 +51,7 @@ pub use conn::{ConnState, ConnectionHandle, ConnectionInfo, ConnectionRegistry};
 pub use database::{Database, DbConfig, JoinStrategy};
 pub use exec::{BoxedIter, ExecContext, RowIterator};
 pub use expr::{BinOp, Expr};
-pub use governor::{GovernedIter, MemCharge, QueryGovernor};
+pub use governor::{GovernedIter, LivenessHook, MemCharge, QueryGovernor};
 pub use plan::{Plan, QueryResult};
 pub use querystore::{
     fingerprint, Disposition, LatencyHistogram, QueryStore, QueryStoreEntry, StoreOutcome,

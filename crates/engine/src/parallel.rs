@@ -280,6 +280,7 @@ impl RowIterator for ParallelAggIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::RemoveDirOnDrop;
     use crate::exec::testutil::{test_context, PanicAgg};
     use crate::exec::{collect, Layout, ValuesIter};
     use crate::expr::BinOp;
@@ -296,8 +297,8 @@ mod tests {
         out
     }
 
-    fn setup(nrows: i64) -> (crate::exec::ExecContext, Arc<Table>) {
-        let ctx = test_context();
+    fn setup(nrows: i64) -> (crate::exec::ExecContext, Arc<Table>, RemoveDirOnDrop) {
+        let (ctx, dir) = test_context();
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int).not_null(),
             Column::new("grp", DataType::Int),
@@ -315,7 +316,7 @@ mod tests {
             ]))
             .unwrap();
         }
-        (ctx, t)
+        (ctx, t, dir)
     }
 
     fn specs() -> Vec<AggSpec> {
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial() {
-        let (_ctx, t) = setup(5000);
+        let (_ctx, t, _dir) = setup(5000);
         let group = vec![Expr::col(1, "grp")];
 
         // Serial reference.
@@ -355,7 +356,7 @@ mod tests {
 
     #[test]
     fn filter_pushdown_in_parallel_plan() {
-        let (_ctx, t) = setup(1000);
+        let (_ctx, t, _dir) = setup(1000);
         let filter = Expr::binary(BinOp::Lt, Expr::col(0, "id"), Expr::lit(100));
         let mut par = ParallelAggIter::new(
             t,
@@ -373,7 +374,7 @@ mod tests {
 
     #[test]
     fn workers_decode_only_the_filter_group_and_argument_columns() {
-        let (ctx, t) = setup(1000);
+        let (ctx, t, _dir) = setup(1000);
         // `id` only filtered on, `grp` grouped on, `v` never read.
         let filter = Expr::binary(BinOp::Lt, Expr::col(0, "id"), Expr::lit(100));
         let open = || {
@@ -402,7 +403,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_on_empty_table() {
-        let (_ctx, t) = setup(0);
+        let (_ctx, t, _dir) = setup(0);
         let mut par = ParallelAggIter::new(
             t,
             None,
@@ -429,7 +430,7 @@ mod tests {
                 Some(0)
             }
         }
-        let (_ctx, t) = setup(1);
+        let (_ctx, t, _dir) = setup(1);
         let res = ParallelAggIter::new(
             t,
             None,
@@ -443,7 +444,7 @@ mod tests {
 
     #[test]
     fn panicking_worker_fails_only_its_query() {
-        let (_ctx, t) = setup(5000);
+        let (_ctx, t, _dir) = setup(5000);
         let mut par = ParallelAggIter::new(
             t.clone(),
             None,
@@ -481,7 +482,7 @@ mod tests {
 
     #[test]
     fn a_budget_the_workers_exceed_fails_typed_without_spilling() {
-        let (ctx, t) = setup(5000);
+        let (ctx, t, _dir) = setup(5000);
         // A budget too small for even one group: the parallel aggregate
         // has no spill path, so the first rejected group fails the query
         // typed. Every charge is released and no spill file is written.
@@ -509,7 +510,7 @@ mod tests {
     #[test]
     fn values_iter_is_unrelated_but_counting_iter_counts() {
         // Sanity check of the stats plumbing.
-        let (_ctx, t) = setup(100);
+        let (_ctx, t, _dir) = setup(100);
         let mut c = CountingIter {
             inner: HeapScanIter::new(t, None, None).unwrap(),
             rows: 0,

@@ -925,14 +925,15 @@ pub fn aggregate_schema(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::RemoveDirOnDrop;
     use crate::exec::testutil::test_context;
     use crate::expr::BinOp;
     use crate::udx::CountAgg;
     use seqdb_storage::rowfmt::Compression;
     use seqdb_types::{Column, DataType};
 
-    fn setup() -> (ExecContext, Arc<Table>) {
-        let ctx = test_context();
+    fn setup() -> (ExecContext, Arc<Table>, RemoveDirOnDrop) {
+        let (ctx, dir) = test_context();
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int).not_null(),
             Column::new("grp", DataType::Int),
@@ -945,12 +946,12 @@ mod tests {
             t.insert(&Row::new(vec![Value::Int(i), Value::Int(i % 4)]))
                 .unwrap();
         }
-        (ctx, t)
+        (ctx, t, dir)
     }
 
     #[test]
     fn composed_plan_runs() {
-        let (ctx, t) = setup();
+        let (ctx, t, _dir) = setup();
         let scan_schema = t.schema.clone();
         let plan = Plan::TopN {
             input: Box::new(Plan::HashAggregate {
@@ -1013,7 +1014,7 @@ mod tests {
 
     #[test]
     fn join_rows_are_as_wide_as_their_two_narrow_sides() {
-        let ctx = test_context();
+        let (ctx, _dir) = test_context();
         let (l, r) = (keyed(&ctx, "l"), keyed(&ctx, "r"));
         let joined = Arc::new(l.schema.concat(&r.schema));
         let keys = || vec![Expr::col(0, "k")];
@@ -1061,7 +1062,7 @@ mod tests {
 
     #[test]
     fn the_root_emits_full_rows_in_schema_order() {
-        let (ctx, t) = setup();
+        let (ctx, t, _dir) = setup();
         // A pushed projection that reorders: the scan decodes in schema
         // order, and the root hands its rows back in projection order.
         let plan = Plan::TableScan {
@@ -1085,7 +1086,7 @@ mod tests {
 
     #[test]
     fn a_column_no_row_carries_fails_at_open_typed() {
-        let (ctx, t) = setup();
+        let (ctx, t, _dir) = setup();
         let schema = t.schema.clone();
         let plan = Plan::Filter {
             input: Box::new(Plan::TableScan {
@@ -1105,7 +1106,7 @@ mod tests {
 
     #[test]
     fn explain_renders_parallel_aggregate_like_figure9() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let schema = t.schema.clone();
         let plan = Plan::ParallelAggregate {
             table: t,
@@ -1124,7 +1125,7 @@ mod tests {
 
     #[test]
     fn explain_nests_children() {
-        let (_ctx, t) = setup();
+        let (_ctx, t, _dir) = setup();
         let schema = t.schema.clone();
         let plan = Plan::Filter {
             input: Box::new(Plan::TableScan {

@@ -35,7 +35,7 @@ use seqdb_types::{DbError, Result};
 
 use crate::database::{Database, DbConfig};
 use crate::exec::ExecContext;
-use crate::governor::QueryGovernor;
+use crate::governor::{LivenessHook, QueryGovernor};
 use crate::querystore::{QueryStore, StoreOutcome};
 use crate::trace::{self, TraceClass};
 
@@ -68,6 +68,8 @@ pub struct Session {
     /// `None` is the server scope: there is no overlay, so the five
     /// overlay-able `SET`s write the server defaults themselves.
     settings: Option<Mutex<SessionSettings>>,
+    /// Handed to every statement's governor; see [`Session::with_liveness`].
+    liveness: Option<LivenessHook>,
 }
 
 impl Session {
@@ -76,6 +78,7 @@ impl Session {
             db,
             id,
             settings: Some(Mutex::new(SessionSettings::default())),
+            liveness: None,
         }
     }
 
@@ -85,7 +88,18 @@ impl Session {
             db,
             id: 0,
             settings: None,
+            liveness: None,
         }
+    }
+
+    /// Give every statement of this session a liveness hook: the wire
+    /// server's check that the client is still connected. The statement
+    /// runs it at each full cooperative check and while it waits at the
+    /// admission gate, so a vanished client's statement is cancelled
+    /// from within, on whatever thread runs it.
+    pub fn with_liveness(mut self, hook: LivenessHook) -> Session {
+        self.liveness = Some(hook);
+        self
     }
 
     pub fn id(&self) -> u64 {
@@ -172,7 +186,11 @@ impl Session {
     pub fn begin_statement(&self, sql: &str) -> Result<(ExecContext, StatementGuard)> {
         let cfg = self.effective_config();
         let budget = cfg.query_mem_limit_kb.map(|kb| kb as usize * 1024);
-        let gov = QueryGovernor::new(cfg.query_timeout_ms.map(Duration::from_millis), budget);
+        let gov = QueryGovernor::watched(
+            cfg.query_timeout_ms.map(Duration::from_millis),
+            budget,
+            self.liveness.clone(),
+        );
         let registry = self.db.statements().clone();
         // Register *before* admission: a statement waiting at the gate is
         // already visible in DM_EXEC_REQUESTS() with wait_state 'queued',
@@ -572,9 +590,10 @@ impl AdmissionController {
     /// query) or `pool_limit == None` (admission off) admit immediately.
     ///
     /// With `queue_slots > 0` the wait is FIFO-ordered (see the type
-    /// docs). A `gov`, if given, is polled while blocked so `KILL` (or
-    /// a client disconnect) evicts a statement still waiting at the
-    /// gate instead of letting it run after its session died.
+    /// docs). A `gov`, if given, is polled while blocked, its liveness
+    /// hook included, so `KILL` (or a client disconnect) evicts a
+    /// statement still waiting at the gate instead of letting it run
+    /// after its session died.
     pub fn admit(
         self: &Arc<Self>,
         bytes: usize,
@@ -623,6 +642,7 @@ impl AdmissionController {
                 break Ok(());
             }
             if let Some(g) = gov {
+                g.watch();
                 if let Err(e) = g.check() {
                     break Err(e);
                 }
@@ -657,7 +677,8 @@ impl AdmissionController {
                     .fetch_add(1, Ordering::Relaxed);
             }
             // With a governor to poll, wake at least every 10ms so a
-            // queued statement notices KILL promptly; otherwise sleep
+            // queued statement notices KILL or a vanished client
+            // promptly; otherwise sleep
             // until the deadline (wakeups still arrive via `freed`).
             let mut interval = deadline - now;
             if gov.is_some() {

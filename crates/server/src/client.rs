@@ -14,6 +14,7 @@
 //! server closed the socket after the refusal frame. Off by default:
 //! statement-level errors must stay visible to code that wants them.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -32,7 +33,9 @@ const RETRY_CAP: Duration = Duration::from_millis(500);
 
 /// A connection to a seqdb wire server.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a buffer so a response's frames cost one
+    /// or two `read`s; writes go to the socket itself.
+    conn: BufReader<TcpStream>,
     /// Peer address, kept so a retry can reconnect after the server
     /// refused-then-closed.
     peer: Option<SocketAddr>,
@@ -49,10 +52,9 @@ impl Client {
     /// [`Server::addr`](crate::Server::addr)).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
         let peer = stream.peer_addr().ok();
         Ok(Client {
-            stream,
+            conn: buffered(stream),
             peer,
             retry_attempts: 0,
             retries_performed: 0,
@@ -62,9 +64,8 @@ impl Client {
     /// Connect with a bound on the TCP handshake itself.
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Client> {
         let stream = TcpStream::connect_timeout(addr, timeout)?;
-        let _ = stream.set_nodelay(true);
         Ok(Client {
-            stream,
+            conn: buffered(stream),
             peer: Some(*addr),
             retry_attempts: 0,
             retries_performed: 0,
@@ -74,7 +75,7 @@ impl Client {
     /// Bound how long [`Client::query`] may block reading the response
     /// (`None` = forever).
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
+        self.stream().set_read_timeout(timeout)?;
         Ok(())
     }
 
@@ -93,7 +94,7 @@ impl Client {
     /// The underlying stream (tests use this to shut the socket down
     /// abruptly, simulating a vanished client).
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        self.conn.get_ref()
     }
 
     /// Execute one statement and collect the whole result. A typed
@@ -112,12 +113,12 @@ impl Client {
         loop {
             // A send failure is always safe to retry: the request never
             // reached the server, so nothing executed. It happens when a
-            // refused-then-closed socket RSTs before our write lands —
-            // EPIPE/ECONNRESET at write time, often between the frame's
-            // length prefix and its payload. The refusal frame the server
-            // wrote before closing is still buffered, and it is the
-            // answer. Response errors retry only on the typed refusals;
-            // an I/O error mid-response may follow a statement that ran.
+            // refused-then-closed socket RSTs before our one-write frame
+            // lands (EPIPE/ECONNRESET at write time). The refusal frame
+            // the server wrote before closing is still buffered, and it
+            // is the answer. Response errors retry only on the typed
+            // refusals; an I/O error mid-response may follow a statement
+            // that ran.
             let retriable = match self.send_query(sql) {
                 Ok(()) => match self.read_response() {
                     Ok(r) => return Ok(r),
@@ -148,19 +149,19 @@ impl Client {
     }
 
     fn send_query(&mut self, sql: &str) -> Result<()> {
-        write_frame(&mut self.stream, &encode_query(sql))
+        write_frame(self.conn.get_mut(), &encode_query(sql))
     }
 
     /// After a failed send: the typed refusal the server wrote before it
     /// closed the socket, if one is buffered. Read without blocking — a
     /// socket whose send failed has nothing more coming.
     fn buffered_refusal(&mut self) -> Option<DbError> {
-        self.stream.set_nonblocking(true).ok()?;
+        self.stream().set_nonblocking(true).ok()?;
         let found = match self.read_response() {
             Err(e) if is_refusal(&e) => Some(e),
             _ => None,
         };
-        let _ = self.stream.set_nonblocking(false);
+        let _ = self.stream().set_nonblocking(false);
         found
     }
 
@@ -168,7 +169,7 @@ impl Client {
         let mut schema: Option<Schema> = None;
         let mut rows: Vec<Row> = Vec::new();
         loop {
-            let payload = match read_frame(&mut self.stream)? {
+            let payload = match read_frame(&mut self.conn)? {
                 Some(p) => p,
                 None => {
                     return Err(DbError::Io(
@@ -206,19 +207,24 @@ impl Client {
             // A zero-byte peek distinguishes "closed" (Ok(0)) from
             // "open, nothing buffered" (WouldBlock under a nonblocking
             // probe).
-            let _ = self.stream.set_nonblocking(true);
+            let stream = self.stream();
+            let _ = stream.set_nonblocking(true);
             let mut probe = [0u8; 1];
-            let r = self.stream.peek(&mut probe);
-            let _ = self.stream.set_nonblocking(false);
+            let r = stream.peek(&mut probe);
+            let _ = stream.set_nonblocking(false);
             matches!(r, Ok(0)) || matches!(&r, Err(e) if e.kind() != std::io::ErrorKind::WouldBlock)
         };
         if closed {
             if let Ok(stream) = TcpStream::connect(peer) {
-                let _ = stream.set_nodelay(true);
-                self.stream = stream;
+                self.conn = buffered(stream);
             }
         }
     }
+}
+
+fn buffered(stream: TcpStream) -> BufReader<TcpStream> {
+    let _ = stream.set_nodelay(true);
+    BufReader::new(stream)
 }
 
 /// The typed admission refusals a retry may absorb.

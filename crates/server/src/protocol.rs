@@ -4,8 +4,16 @@
 //! payload; payload byte 0 is the frame tag. A request is one
 //! [`REQ_QUERY`] frame carrying SQL text. A response is either a single
 //! [`RESP_ERR`] frame, or a [`RESP_SCHEMA`] frame, zero or more
-//! [`RESP_ROWS`] frames (so a big result streams in bounded chunks
-//! instead of one giant allocation), and a terminating [`RESP_DONE`].
+//! [`RESP_ROWS`] frames (so a big result streams in bounded chunks of
+//! at most [`ROWS_PER_FRAME`] rows instead of one giant allocation), and
+//! a terminating [`RESP_DONE`]. Values travel in the tagged encoding of
+//! [`seqdb_types::codec`].
+//!
+//! A frame leaves in one `write` call, length prefix and payload
+//! together. [`write_result`] packs the schema, row and done frames into
+//! one reused buffer and sends it when it holds a full chunk and at the
+//! end, so a one-row answer is one send, and the sender never holds more
+//! than one chunk beyond the result itself.
 //!
 //! Frames are capped at [`MAX_FRAME`] bytes: an oversized length prefix
 //! is a typed [`DbError::Protocol`] error, not an allocation. Errors
@@ -16,10 +24,10 @@
 //! `ServerBusy`, and so on, with the connection surviving all of them.
 
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 use seqdb_engine::QueryResult;
-use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
+use seqdb_types::codec::{self, Malformed, Reader};
+use seqdb_types::{Column, DataType, DbError, Result, Row, Schema};
 
 /// Hard cap on one frame's payload. Bigger results are chunked by the
 /// sender; a bigger *claimed* length is a protocol violation.
@@ -43,18 +51,31 @@ pub const RESP_ERR: u8 = 0xE1;
 // Frame I/O
 // -------------------------------------------------------------------
 
-/// Write one frame (length prefix + payload). `Write::write_all` loops
-/// over partial writes, so injected short writes only slow this down.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
+/// Append one frame to `buf`: reserve the length prefix, let `fill`
+/// append the payload, then fill the prefix in. A payload over
+/// [`MAX_FRAME`] is refused and leaves `buf` as it was.
+fn push_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    fill(buf);
+    let len = buf.len() - at - 4;
+    if len > MAX_FRAME {
+        buf.truncate(at);
         return Err(DbError::Protocol(format!(
-            "outgoing frame of {} bytes exceeds the {} byte cap",
-            payload.len(),
-            MAX_FRAME
+            "outgoing frame of {len} bytes exceeds the {MAX_FRAME} byte cap"
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Write one frame (length prefix + payload) in one `write_all`, which
+/// loops over partial writes, so injected short writes only slow this
+/// down.
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<()> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut buf, |b| b.extend_from_slice(payload))?;
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -119,62 +140,12 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome> {
 // Payload encoding
 // -------------------------------------------------------------------
 
-/// Little-endian reader over a received payload with typed truncation
-/// errors.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+/// What a payload decoder returns before its caller maps a
+/// [`Malformed`] input to [`DbError::Protocol`].
+type Decoded<T> = std::result::Result<T, Malformed>;
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(DbError::Protocol(format!(
-                "truncated payload: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn str(&mut self) -> Result<&'a str> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map_err(|_| DbError::Protocol("string payload is not UTF-8".into()))
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn wire(m: Malformed) -> DbError {
+    DbError::Protocol(m.0)
 }
 
 /// Expect `tag` as payload byte 0 and return the rest.
@@ -211,7 +182,7 @@ fn dtype_code(d: DataType) -> u8 {
     }
 }
 
-fn dtype_from(code: u8) -> Result<DataType> {
+fn dtype_from(code: u8) -> Decoded<DataType> {
     Ok(match code {
         0 => DataType::Bool,
         1 => DataType::Int,
@@ -219,23 +190,26 @@ fn dtype_from(code: u8) -> Result<DataType> {
         3 => DataType::Text,
         4 => DataType::Bytes,
         5 => DataType::Guid,
-        other => return Err(DbError::Protocol(format!("unknown data type code {other}"))),
+        other => return Err(Malformed(format!("unknown data type code {other}"))),
     })
 }
 
-pub fn encode_schema(schema: &Schema) -> Vec<u8> {
-    let mut out = vec![RESP_SCHEMA];
+fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
+    out.push(RESP_SCHEMA);
     out.extend_from_slice(&(schema.columns().len() as u16).to_le_bytes());
     for c in schema.columns() {
-        put_str(&mut out, &c.name);
+        codec::put_str(out, &c.name);
         out.push(dtype_code(c.dtype));
         out.push(c.nullable as u8);
     }
-    out
 }
 
 pub fn decode_schema(payload: &[u8]) -> Result<Schema> {
-    let mut c = Cursor::new(expect_tag(payload, RESP_SCHEMA, "schema")?);
+    let mut c = Reader::new(expect_tag(payload, RESP_SCHEMA, "schema")?);
+    read_schema(&mut c).map_err(wire)
+}
+
+fn read_schema(c: &mut Reader<'_>) -> Decoded<Schema> {
     let n = c.u16()? as usize;
     let mut cols = Vec::with_capacity(n);
     for _ in 0..n {
@@ -251,97 +225,46 @@ pub fn decode_schema(payload: &[u8]) -> Result<Schema> {
     Ok(Schema::new(cols))
 }
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Text(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Value::Bytes(b) => {
-            out.push(5);
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        Value::Guid(g) => {
-            // Little-endian on the wire: the GUID's bytes reversed.
-            out.push(6);
-            out.extend(g.iter().rev());
-        }
+fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
+    out.push(RESP_ROWS);
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        codec::put_row(out, row.values());
     }
-}
-
-fn get_value(c: &mut Cursor<'_>) -> Result<Value> {
-    Ok(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(c.u8()? != 0),
-        2 => Value::Int(c.u64()? as i64),
-        3 => Value::Float(f64::from_bits(c.u64()?)),
-        4 => Value::text(c.str()?),
-        5 => {
-            let n = c.u32()? as usize;
-            Value::Bytes(Arc::from(c.take(n)?))
-        }
-        6 => {
-            let mut g: [u8; 16] = c.take(16)?.try_into().expect("take returns 16 bytes");
-            g.reverse();
-            Value::Guid(g)
-        }
-        other => return Err(DbError::Protocol(format!("unknown value tag {other}"))),
-    })
 }
 
 pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
-    let mut out = vec![RESP_ROWS];
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        out.extend_from_slice(&(row.len() as u16).to_le_bytes());
-        for v in row.values() {
-            put_value(&mut out, v);
-        }
-    }
+    let mut out = Vec::new();
+    put_rows(&mut out, rows);
     out
 }
 
 pub fn decode_rows(payload: &[u8]) -> Result<Vec<Row>> {
-    let mut c = Cursor::new(expect_tag(payload, RESP_ROWS, "rows")?);
-    let n = c.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(MAX_FRAME / 2));
-    for _ in 0..n {
-        let w = c.u16()? as usize;
-        let mut vals = Vec::with_capacity(w);
-        for _ in 0..w {
-            vals.push(get_value(&mut c)?);
-        }
-        rows.push(Row::new(vals));
-    }
+    let mut c = Reader::new(expect_tag(payload, RESP_ROWS, "rows")?);
+    let rows = read_rows(&mut c).map_err(wire)?;
     if !c.done() {
         return Err(DbError::Protocol("trailing bytes after last row".into()));
     }
     Ok(rows)
 }
 
-pub fn encode_done(affected: u64) -> Vec<u8> {
-    let mut out = vec![RESP_DONE];
+fn read_rows(c: &mut Reader<'_>) -> Decoded<Vec<Row>> {
+    let n = c.u32()? as usize;
+    let mut rows = Vec::with_capacity(n.min(MAX_FRAME / 2));
+    for _ in 0..n {
+        rows.push(Row::new(c.row()?));
+    }
+    Ok(rows)
+}
+
+fn put_done(out: &mut Vec<u8>, affected: u64) {
+    out.push(RESP_DONE);
     out.extend_from_slice(&affected.to_le_bytes());
-    out
 }
 
 pub fn decode_done(payload: &[u8]) -> Result<u64> {
-    let mut c = Cursor::new(expect_tag(payload, RESP_DONE, "done")?);
-    c.u64()
+    let mut c = Reader::new(expect_tag(payload, RESP_DONE, "done")?);
+    c.u64().map_err(wire)
 }
 
 /// Stable kind codes for every [`DbError`] variant, so a typed error
@@ -387,10 +310,10 @@ pub fn encode_error(e: &DbError) -> Vec<u8> {
 /// carries (returned as `Ok` — the *caller* decides it is an error).
 pub fn decode_error(payload: &[u8]) -> Result<DbError> {
     let body = expect_tag(payload, RESP_ERR, "error")?;
-    let mut c = Cursor::new(body);
-    let code = c.u8()?;
-    let aux = c.u64()? as i64;
-    let msg = std::str::from_utf8(c.take(body.len() - 9)?)
+    let mut c = Reader::new(body);
+    let code = c.u8().map_err(wire)?;
+    let aux = c.u64().map_err(wire)? as i64;
+    let msg = std::str::from_utf8(&body[9..])
         .map_err(|_| DbError::Protocol("error message is not UTF-8".into()))?
         .to_string();
     Ok(match code {
@@ -435,21 +358,30 @@ pub fn decode_error(payload: &[u8]) -> Result<DbError> {
 }
 
 /// Write a whole successful result: schema, row chunks of
-/// [`ROWS_PER_FRAME`], done. Chunking bounds both the peak frame size
-/// and how much a slow reader can force the server to buffer beyond
-/// the result the governor already admitted.
+/// [`ROWS_PER_FRAME`], done. The frames gather in one buffer, sent
+/// whenever it holds a full chunk and once at the end: a small answer is
+/// one send, and a slow reader can force the server to buffer at most
+/// one chunk beyond the result the governor already admitted.
 pub fn write_result<W: Write + ?Sized>(w: &mut W, res: &QueryResult) -> Result<()> {
-    write_frame(w, &encode_schema(&res.schema))?;
+    let mut buf = Vec::new();
+    push_frame(&mut buf, |b| put_schema(b, &res.schema))?;
     for chunk in res.rows.chunks(ROWS_PER_FRAME) {
-        write_frame(w, &encode_rows(chunk))?;
+        push_frame(&mut buf, |b| put_rows(b, chunk))?;
+        if chunk.len() == ROWS_PER_FRAME {
+            w.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    write_frame(w, &encode_done(res.affected))?;
+    push_frame(&mut buf, |b| put_done(b, res.affected))?;
+    w.write_all(&buf)?;
+    w.flush()?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqdb_types::Value;
 
     #[test]
     fn frame_roundtrip_and_eof_forms() {
@@ -489,29 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn values_of_every_type_roundtrip() {
-        let row = Row::new(vec![
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Float(2.5),
-            Value::text("ACGT"),
-            Value::Bytes(Arc::from(&b"\x00\xff"[..])),
-            Value::guid(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef),
-        ]);
-        let rows = decode_rows(&encode_rows(std::slice::from_ref(&row))).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0], row);
-    }
-
-    #[test]
     fn schema_roundtrips_names_types_nullability() {
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int).not_null(),
             Column::new("seq", DataType::Text),
             Column::new("blob", DataType::Guid),
         ]);
-        let back = decode_schema(&encode_schema(&schema)).unwrap();
+        let mut enc = Vec::new();
+        put_schema(&mut enc, &schema);
+        let back = decode_schema(&enc).unwrap();
         assert_eq!(back.columns().len(), 3);
         assert_eq!(back.columns()[0].name, "id");
         assert!(!back.columns()[0].nullable);
@@ -519,31 +437,115 @@ mod tests {
         assert_eq!(back.columns()[2].dtype, DataType::Guid);
     }
 
+    /// The codes DESIGN.md's "Stable error codes" table promises to
+    /// scripts: every variant, its number, and its round trip.
     #[test]
-    fn typed_errors_survive_the_wire() {
-        for e in [
-            DbError::NoSuchStatement(99),
-            DbError::ServerBusy("queue full".into()),
-            DbError::ServerDraining("bye".into()),
-            DbError::Cancelled("killed".into()),
-            DbError::AdmissionTimeout("pool".into()),
-            DbError::Protocol("bad tag".into()),
-            DbError::UdxPanic {
-                name: "F".into(),
-                payload: "boom".into(),
-            },
-            DbError::Quarantined {
-                object: "reads".into(),
-                page: 42,
-            },
-            DbError::DiskFull("no space left on device".into()),
-            DbError::BackupCorrupt {
-                object: "page 17".into(),
-            },
-        ] {
-            let back = decode_error(&encode_error(&e)).unwrap();
-            assert_eq!(back, e);
+    fn every_error_code_is_pinned_and_roundtrips() {
+        let m = || "msg".to_string();
+        let pinned = [
+            (1, DbError::Io(m())),
+            (2, DbError::Parse(m())),
+            (3, DbError::Schema(m())),
+            (4, DbError::Plan(m())),
+            (5, DbError::Execution(m())),
+            (6, DbError::Storage(m())),
+            (7, DbError::Corruption(m())),
+            (8, DbError::Constraint(m())),
+            (9, DbError::NotFound(m())),
+            (10, DbError::Unsupported(m())),
+            (11, DbError::InvalidData(m())),
+            (12, DbError::ResourceExhausted(m())),
+            (13, DbError::Timeout(m())),
+            (14, DbError::Cancelled(m())),
+            (15, DbError::AdmissionTimeout(m())),
+            (
+                16,
+                DbError::UdxPanic {
+                    name: "F".into(),
+                    payload: "boom".into(),
+                },
+            ),
+            (17, DbError::NoSuchStatement(99)),
+            (18, DbError::ServerBusy(m())),
+            (19, DbError::ServerDraining(m())),
+            (20, DbError::Protocol(m())),
+            (
+                21,
+                DbError::Quarantined {
+                    object: "reads".into(),
+                    page: 42,
+                },
+            ),
+            (22, DbError::DiskFull(m())),
+            (
+                23,
+                DbError::BackupCorrupt {
+                    object: "page 17".into(),
+                },
+            ),
+        ];
+        for (code, e) in pinned {
+            let enc = encode_error(&e);
+            assert_eq!(enc[1], code, "{e:?}");
+            assert_eq!(decode_error(&enc).unwrap(), e);
         }
+        // UdxPanic's message is `name\0payload`.
+        let enc = encode_error(&DbError::UdxPanic {
+            name: "F".into(),
+            payload: "boom".into(),
+        });
+        assert_eq!(&enc[10..], b"F\0boom");
+    }
+
+    /// Counts `write` calls: one per send on a socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn int_result(n: i64) -> QueryResult {
+        QueryResult {
+            schema: std::sync::Arc::new(Schema::new(vec![Column::new("n", DataType::Int)])),
+            rows: (0..n).map(|i| Row::new(vec![Value::Int(i)])).collect(),
+            affected: 0,
+        }
+    }
+
+    #[test]
+    fn an_answer_leaves_in_one_send_per_full_chunk() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"\x01hello").unwrap();
+        assert_eq!(w.writes, 1, "a frame is one write");
+
+        let mut w = CountingWriter::default();
+        write_result(&mut w, &int_result(1)).unwrap();
+        assert_eq!(w.writes, 1, "a one-row answer is one write");
+
+        // 1 025 rows: two full chunks and one row, so three writes, and
+        // every frame still carries at most ROWS_PER_FRAME rows.
+        let mut w = CountingWriter::default();
+        write_result(&mut w, &int_result(1025)).unwrap();
+        assert_eq!(w.writes, 3);
+        let mut r = &w.bytes[..];
+        let mut chunks = Vec::new();
+        while let Some(frame) = read_frame(&mut r).unwrap() {
+            if frame[0] == RESP_ROWS {
+                chunks.push(decode_rows(&frame).unwrap().len());
+            }
+        }
+        assert_eq!(chunks, [ROWS_PER_FRAME, ROWS_PER_FRAME, 1]);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   idle connections notice drain and their idle deadline), and writes
 //!   carry `write_timeout` — a reader that stops draining its response
 //!   stalls into a typed close instead of growing a server-side buffer.
-//! * **Disconnect mid-statement = KILL.** Statements run on a worker
-//!   thread while the connection thread watches the socket; EOF or a
-//!   reset cancels every statement of that session via
-//!   [`StatementRegistry::kill_session`], then *waits for the worker to
-//!   unwind* so pins, temp files and the admission reservation are all
-//!   released before the connection deregisters.
+//! * **Disconnect mid-statement = KILL.** A statement runs on its
+//!   connection's thread. The session carries a liveness hook that the
+//!   statement itself runs at every cooperative check and while it waits
+//!   at the admission gate, at most once per `poll_interval`: it peeks
+//!   the socket, and on EOF or a reset cancels every statement of that
+//!   session via [`StatementRegistry::kill_session`]. The statement
+//!   unwinds on the same thread, so pins, temp files and the admission
+//!   reservation are all released before the connection deregisters.
 //! * **Graceful drain.** [`Server::drain`] stops accepting, gives
 //!   in-flight statements until the deadline, `KILL`s stragglers, joins
 //!   every connection thread and finishes with a `CHECKPOINT`.
@@ -30,14 +32,13 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use seqdb_engine::{ConnState, Database, Session, TraceClass};
+use seqdb_engine::{ConnState, Database, StatementRegistry, TraceClass};
 use seqdb_sql::SessionSqlExt;
 use seqdb_storage::{FaultClock, FaultInjectingStream};
 use seqdb_types::{DbError, Result};
@@ -54,7 +55,8 @@ pub struct ServerConfig {
     /// with a typed [`DbError::ServerBusy`] frame.
     pub max_connections: usize,
     /// How often blocked socket reads wake to check the idle deadline
-    /// and the drain flag.
+    /// and the drain flag. A running statement checks at most this often
+    /// that its client is still connected.
     pub poll_interval: Duration,
     /// A connection with no complete request for this long is closed.
     pub idle_timeout: Duration,
@@ -405,22 +407,33 @@ fn handle_accept(stream: TcpStream, peer: SocketAddr, shared: &Arc<Shared>) {
 /// `Session`/statement guards have already released engine resources.
 fn connection_main(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    // `ctrl` shares the socket: used for liveness polling while a
+    // `ctrl` shares the socket: used for the liveness peek while a
     // statement runs and for socket timeouts (SO_RCVTIMEO/SO_SNDTIMEO
     // apply to every clone). The fault wrapper sits only on the framed
     // data path, so injected faults never corrupt the liveness poll.
     let Ok(ctrl) = stream.try_clone() else { return };
+    let _ = ctrl.set_write_timeout(Some(shared.cfg.write_timeout));
+    let _ = ctrl.set_read_timeout(Some(shared.cfg.poll_interval));
     let mut io: Box<dyn ReadWriteSend> = match &shared.cfg.fault {
         Some(clock) => Box::new(FaultInjectingStream::new(stream, clock.clone())),
         None => Box::new(stream),
     };
-    let session = Arc::new(shared.db.create_session());
+    let session = shared.db.create_session();
+    let watch = Arc::new(PeerWatch {
+        ctrl,
+        fault: shared.cfg.fault.clone(),
+        statements: shared.db.statements().clone(),
+        session_id: session.id(),
+        interval: shared.cfg.poll_interval,
+        last_poll: Mutex::new(Instant::now()),
+        gone: AtomicBool::new(false),
+    });
+    let hook = watch.clone();
+    let session = session.with_liveness(Arc::new(move || hook.poll()));
     let conn = shared
         .db
         .connections()
         .register(&peer.to_string(), session.id());
-    let _ = ctrl.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = ctrl.set_read_timeout(Some(shared.cfg.poll_interval));
 
     let mut last_request = Instant::now();
     loop {
@@ -476,12 +489,12 @@ fn connection_main(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         }
 
         conn.set_state(ConnState::Executing);
-        let result = execute_watched(&session, &sql, &ctrl, &shared);
-        let Some(result) = result else {
-            // Client vanished mid-statement; the statement was killed
-            // and fully unwound. Nothing to write to.
+        let result = session.execute_sql(&sql);
+        if watch.gone.load(Ordering::SeqCst) {
+            // The client vanished mid-statement; the statement was
+            // killed and has unwound. Nothing to write to.
             return;
-        };
+        }
         conn.touch();
         let written = match &result {
             Ok(res) => write_result(&mut *io, res),
@@ -495,62 +508,42 @@ fn connection_main(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     }
 }
 
-/// Run one statement on a worker thread while watching the socket for a
-/// client disconnect. Returns `None` if the client vanished (statement
-/// killed and unwound); `Some(result)` otherwise.
-fn execute_watched(
-    session: &Arc<Session>,
-    sql: &str,
-    ctrl: &TcpStream,
-    shared: &Arc<Shared>,
-) -> Option<Result<seqdb_engine::QueryResult>> {
-    let (tx, rx) = mpsc::channel();
-    let worker_session = session.clone();
-    let worker_sql = sql.to_string();
-    let spawned = std::thread::Builder::new()
-        .name("seqdb-stmt".into())
-        .spawn(move || {
-            let _ = tx.send(worker_session.execute_sql(&worker_sql));
-        });
-    let worker = match spawned {
-        Ok(w) => w,
-        Err(e) => return Some(Err(DbError::io(e))),
-    };
-    // A fault schedule whose reset point has passed means the simulated
-    // peer is gone even though the real test socket is still open.
-    let doomed = || {
-        shared
-            .cfg
-            .fault
-            .as_ref()
-            .is_some_and(|c| c.net_reset_pending())
-    };
-    let mut peer_gone = false;
-    let result = loop {
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(res) => break res,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !peer_gone && (doomed() || !peer_alive(ctrl)) {
-                    peer_gone = true;
-                    // The client is gone: cancel everything this
-                    // session has in flight, then keep waiting for the
-                    // worker so cleanup (pins, temp files, admission
-                    // budget) completes before the connection closes.
-                    shared.db.statements().kill_session(session.id());
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(DbError::Execution(
-                    "statement worker vanished without a result".into(),
-                ));
-            }
+/// A connection's liveness hook: the running statement calls
+/// [`PeerWatch::poll`] at each cooperative check, from whichever thread
+/// runs that part of the plan.
+struct PeerWatch {
+    ctrl: TcpStream,
+    fault: Option<Arc<FaultClock>>,
+    statements: Arc<StatementRegistry>,
+    session_id: u64,
+    interval: Duration,
+    /// When the peer was last peeked. Held while peeking, so parallel
+    /// workers never peek at once: one that finds it held moves on.
+    last_poll: Mutex<Instant>,
+    /// The peer was found gone and the session's statements killed.
+    gone: AtomicBool,
+}
+
+impl PeerWatch {
+    fn poll(&self) {
+        let Some(mut last_poll) = self.last_poll.try_lock() else {
+            return;
+        };
+        if last_poll.elapsed() < self.interval || self.gone.load(Ordering::SeqCst) {
+            return;
         }
-    };
-    let _ = worker.join();
-    if peer_gone {
-        None
-    } else {
-        Some(result)
+        *last_poll = Instant::now();
+        // A fault schedule whose reset point has passed means the
+        // simulated peer is gone even though the real test socket is
+        // still open.
+        let doomed = self.fault.as_ref().is_some_and(|c| c.net_reset_pending());
+        if doomed || !peer_alive(&self.ctrl) {
+            self.gone.store(true, Ordering::SeqCst);
+            // Cancel everything this session has in flight; it unwinds
+            // on its own thread, releasing pins, temp files and its
+            // admission budget before the connection closes.
+            self.statements.kill_session(self.session_id);
+        }
     }
 }
 
@@ -558,9 +551,8 @@ fn execute_watched(
 /// and `WouldBlock` when the peer is alive but quiet. Pipelined bytes
 /// stay in the socket buffer. The socket is non-blocking for the probe
 /// only — a blocking `peek` would sleep the whole read-poll timeout
-/// (SO_RCVTIMEO) while the statement's finished result waits in the
-/// channel. Flipping the shared socket is safe because the connection
-/// thread, the only reader, is the caller.
+/// (SO_RCVTIMEO) inside the statement. Flipping the shared socket is
+/// safe because nothing reads or writes it while a statement runs.
 fn peer_alive(ctrl: &TcpStream) -> bool {
     if ctrl.set_nonblocking(true).is_err() {
         return false;

@@ -63,12 +63,6 @@ impl TempSpace {
         }))
     }
 
-    /// A temp space in the system temp directory, namespaced per process.
-    pub fn system() -> Result<Arc<TempSpace>> {
-        let dir = std::env::temp_dir().join(format!("seqdb-tmp-{}", std::process::id()));
-        Self::open(dir)
-    }
-
     /// Share a [`FaultClock`] so spill-file I/O participates in the same
     /// seeded fault schedule as the data file and WAL (spill writes are raw
     /// file I/O that bypasses the pager, like the FileStream store).
@@ -133,6 +127,7 @@ impl TempSpace {
             writer: Some(BufWriter::new(file)),
             tallies,
             class,
+            frame: Vec::new(),
         })
     }
 
@@ -174,10 +169,28 @@ pub struct SpillWriter {
     writer: Option<BufWriter<File>>,
     tallies: Vec<Arc<SpillTally>>,
     class: WaitClass,
+    /// Reused by [`SpillWriter::write_frame`], so the steady state
+    /// allocates nothing per record.
+    frame: Vec<u8>,
 }
 
 impl SpillWriter {
-    pub fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+    /// Append one record as a frame: a `u32` little-endian length, then
+    /// the bytes `fill` appends. [`SpillReader::read_frame`] reads it
+    /// back.
+    pub fn write_frame(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.extend_from_slice(&[0; 4]);
+        fill(&mut frame);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        let res = self.write_all(&frame);
+        self.frame = frame;
+        res
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
         self.space.inject_write()?;
         let start = Instant::now();
         self.writer
@@ -237,7 +250,22 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<bool> {
+    /// Read the next frame written by [`SpillWriter::write_frame`] into
+    /// `buf`, replacing its contents. `false` at the end of the file; a
+    /// frame cut short is a [`DbError::Storage`] error.
+    pub fn read_frame(&mut self, buf: &mut Vec<u8>) -> Result<bool> {
+        let mut len = [0u8; 4];
+        if !self.read_exact(&mut len)? {
+            return Ok(false);
+        }
+        buf.resize(u32::from_le_bytes(len) as usize, 0);
+        if !self.read_exact(buf)? {
+            return Err(DbError::Storage("truncated spill frame".into()));
+        }
+        Ok(true)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<bool> {
         let start = Instant::now();
         let res = match self.reader.read_exact(buf) {
             Ok(()) => Ok(true),
@@ -246,14 +274,6 @@ impl SpillReader {
         };
         waits().record(self.class, start.elapsed());
         res
-    }
-
-    pub fn read_to_end(&mut self) -> Result<Vec<u8>> {
-        let start = Instant::now();
-        let mut out = Vec::new();
-        self.reader.read_to_end(&mut out)?;
-        waits().record(self.class, start.elapsed());
-        Ok(out)
     }
 }
 
@@ -267,17 +287,41 @@ impl Drop for SpillReader {
 mod tests {
     use super::*;
 
+    /// A temp space in a directory of its own, removed when it drops.
+    struct Scratch(Arc<TempSpace>);
+
+    impl std::ops::Deref for Scratch {
+        type Target = Arc<TempSpace>;
+        fn deref(&self) -> &Arc<TempSpace> {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("seqdb-ts-{name}-{}", std::process::id()));
+        Scratch(TempSpace::open(dir).unwrap())
+    }
+
     #[test]
     fn spill_roundtrip_and_accounting() {
-        let ts = TempSpace::system().unwrap();
-        ts.reset_counters();
+        let ts = scratch("roundtrip");
         let mut w = ts.create_spill().unwrap();
-        w.write_all(b"hello ").unwrap();
-        w.write_all(b"spill").unwrap();
-        assert_eq!(ts.bytes_written(), 11);
+        w.write_frame(|b| b.extend_from_slice(b"hello ")).unwrap();
+        w.write_frame(|b| b.extend_from_slice(b"spill")).unwrap();
+        assert_eq!(ts.bytes_written(), 4 + 6 + 4 + 5);
         assert_eq!(ts.spill_count(), 1);
         let mut r = w.finish().unwrap();
-        assert_eq!(r.read_to_end().unwrap(), b"hello spill");
+        let mut buf = Vec::new();
+        for rec in [&b"hello "[..], b"spill"] {
+            assert!(r.read_frame(&mut buf).unwrap());
+            assert_eq!(buf, rec);
+        }
     }
 
     #[test]
@@ -303,7 +347,7 @@ mod tests {
 
     #[test]
     fn tallied_spills_attribute_files_and_bytes() {
-        let ts = TempSpace::system().unwrap();
+        let ts = scratch("tally");
         let per_query = Arc::new(SpillTally::default());
         let per_node = Arc::new(SpillTally::default());
         let mut w = ts
@@ -321,7 +365,7 @@ mod tests {
 
     #[test]
     fn join_class_spills_bump_join_gauges_and_wait_class() {
-        let ts = TempSpace::system().unwrap();
+        let ts = scratch("join");
         let files_before = storage_counters().join_spill_files.load(Ordering::Relaxed);
         let bytes_before = storage_counters().join_spill_bytes.load(Ordering::Relaxed);
         let waited_before = waits().count(WaitClass::JoinSpill);
@@ -387,13 +431,24 @@ mod tests {
     }
 
     #[test]
-    fn read_exact_reports_eof() {
-        let ts = TempSpace::system().unwrap();
+    fn frames_roundtrip_and_a_cut_frame_is_an_error() {
+        let ts = scratch("frames");
         let mut w = ts.create_spill().unwrap();
-        w.write_all(&[1, 2, 3, 4]).unwrap();
+        for rec in [&b"first"[..], b"", b"third record"] {
+            w.write_frame(|b| b.extend_from_slice(rec)).unwrap();
+        }
+        w.write_all(&[9, 0, 0, 0, 1]).unwrap(); // claims 9 bytes, holds 1
         let mut r = w.finish().unwrap();
-        let mut buf = [0u8; 4];
-        assert!(r.read_exact(&mut buf).unwrap());
-        assert!(!r.read_exact(&mut buf).unwrap());
+        let mut buf = Vec::new();
+        for rec in [&b"first"[..], b"", b"third record"] {
+            assert!(r.read_frame(&mut buf).unwrap());
+            assert_eq!(buf, rec);
+        }
+        assert!(matches!(r.read_frame(&mut buf), Err(DbError::Storage(_))));
+        let mut w = ts.create_spill().unwrap();
+        w.write_frame(|b| b.push(7)).unwrap();
+        let mut r = w.finish().unwrap();
+        assert!(r.read_frame(&mut buf).unwrap());
+        assert!(!r.read_frame(&mut buf).unwrap(), "clean end of file");
     }
 }

@@ -7,6 +7,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod codec;
 mod datatype;
 mod error;
 mod row;

@@ -68,6 +68,34 @@ impl TableFunction for Sleep {
     }
 }
 
+/// `THREAD_NAME()` emits one row: the name of the thread that opened it.
+struct ThreadName;
+
+impl TableFunction for ThreadName {
+    fn name(&self) -> &str {
+        "THREAD_NAME"
+    }
+    fn schema(&self) -> Arc<Schema> {
+        Arc::new(Schema::new(vec![Column::new("name", DataType::Text)]))
+    }
+    fn open(&self, _args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
+        let name = std::thread::current().name().unwrap_or("").to_string();
+        Ok(Box::new(OneRow(Some(Row::new(vec![Value::text(name)])))))
+    }
+}
+
+/// A cursor over one row, until `fill_row` takes it.
+struct OneRow(Option<Row>);
+
+impl TvfCursor for OneRow {
+    fn move_next(&mut self) -> Result<bool> {
+        Ok(self.0.is_some())
+    }
+    fn fill_row(&mut self) -> Result<Row> {
+        Ok(self.0.take().expect("fill_row follows a true move_next"))
+    }
+}
+
 /// 12k distinct ids: over the parallel threshold, and far more groups
 /// than a tight budget holds resident, so tiny budgets must spill.
 fn setup_db() -> Arc<Database> {
@@ -203,6 +231,22 @@ fn finished_result_does_not_wait_for_the_liveness_poll() {
         best < exec + poll_interval / 2,
         "round trip {best:?} for a {exec:?} statement"
     );
+    server.drain().unwrap();
+}
+
+/// A wire statement runs on its connection's own thread: no thread is
+/// spawned per statement.
+#[test]
+fn a_wire_statement_runs_on_its_connection_thread() {
+    let db = Database::in_memory();
+    db.catalog().register_table_fn(Arc::new(ThreadName));
+    let server = start(&db, quick_cfg());
+    let mut c = Client::connect(server.addr()).unwrap();
+    for _ in 0..3 {
+        let r = c.query("SELECT name FROM THREAD_NAME()").unwrap();
+        let name = r.rows[0][0].as_text().unwrap().to_string();
+        assert!(name.starts_with("seqdb-conn-"), "ran on thread {name:?}");
+    }
     server.drain().unwrap();
 }
 
@@ -833,6 +877,72 @@ fn queued_admission_holds_a_wire_statement_then_runs_it() {
     let r = queued.join().unwrap().expect("queued statement must run");
     assert_eq!(r.rows.len(), 12_000);
     assert_eq!(db.admission().queue_depth(), 0);
+    server.drain().unwrap();
+}
+
+/// A wire client that vanishes while its statement waits at the
+/// admission gate: the statement's own liveness check, run from the
+/// gate's wait, evicts it while the pool is still held. It leaves the
+/// registry and the queue, is not recorded as run, and leaks nothing.
+#[test]
+fn a_client_that_vanishes_while_queued_at_the_gate_is_evicted() {
+    const SQL: &str = "SELECT id, COUNT(*) FROM t GROUP BY id";
+    let db = setup_db();
+    db.set_admission_pool_kb(Some(64));
+    db.set_admission_wait_ms(60_000);
+    db.set_admission_queue_slots(4);
+    let pins_before = db.pool().pinned_frames();
+    let server = start(&db, quick_cfg());
+
+    let holder = db.create_session();
+    holder.set_query_memory_limit_kb(Some(64));
+    let guard = holder.begin_statement("hold the pool").unwrap();
+
+    let mut victim = Client::connect(server.addr()).unwrap();
+    victim
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    victim.query("SET QUERY_MEMORY_LIMIT_KB = 64").unwrap();
+    let sock = victim.stream().try_clone().unwrap();
+    let runner = std::thread::spawn(move || victim.query(SQL));
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let queued = loop {
+        assert!(Instant::now() < deadline, "statement never queued");
+        let queued = db.statements().snapshot().into_iter().find(|s| s.queued);
+        if let (Some(s), 1) = (queued, db.admission().queue_depth()) {
+            break s.statement_id;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    sock.shutdown(std::net::Shutdown::Both).unwrap();
+    assert!(runner.join().unwrap().is_err(), "no result after the cut");
+
+    // All of this while the holder still holds the whole pool.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while db
+        .statements()
+        .snapshot()
+        .iter()
+        .any(|s| s.statement_id == queued)
+    {
+        assert!(Instant::now() < deadline, "queued statement never left");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(db.admission().queue_depth(), 0);
+    assert_eq!(db.admission().reserved(), 64 * 1024, "only the holder's");
+    let ran = db
+        .query_store()
+        .snapshot()
+        .into_iter()
+        .any(|e| e.text == fingerprint(SQL).1);
+    assert!(!ran, "an evicted statement never ran");
+    assert_eq!(db.temp().live_files().unwrap(), 0, "leaked spill files");
+    assert_eq!(db.pool().pinned_frames(), pins_before, "leaked pins");
+
+    drop(guard);
+    assert_eq!(db.admission().reserved(), 0, "leaked admission");
     server.drain().unwrap();
 }
 

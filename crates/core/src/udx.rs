@@ -29,7 +29,7 @@ use seqdb_bio::quality::{Phred, QualityEncoding};
 use seqdb_engine::udx::downcast_state;
 use seqdb_engine::{AggState, Aggregate, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb_storage::FileStreamReader;
-use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
+use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value, ValueRef};
 
 /// The quality-string encoding used inside the database.
 pub const DB_QUAL_ENCODING: QualityEncoding = QualityEncoding::Sanger;
@@ -500,6 +500,17 @@ fn vote<'a>(
 
 impl AggState for AssembleConsensusState {
     fn update(&mut self, args: &[Value]) -> Result<()> {
+        match args {
+            [pos, seq, quals] => self.update_ref(&[pos.view(), seq.view(), quals.view()]),
+            [pos, seq, quals, strand] => {
+                self.update_ref(&[pos.view(), seq.view(), quals.view(), strand.view()])
+            }
+            _ => self.update_ref(&[]),
+        }
+    }
+
+    /// The read votes straight from the text bytes of its column batch.
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
         let (pos, seq, quals, strand) = match args {
             [pos, seq, quals] => (pos, seq, quals, "+"),
             [pos, seq, quals, strand] => (pos, seq, quals, strand.as_text()?),

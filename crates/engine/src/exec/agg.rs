@@ -9,19 +9,19 @@
 //! chromosome (and alignment position within it), each group finishes as
 //! soon as its last row has been consumed.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use seqdb_storage::tempspace::{SpillReader, SpillWriter, TempSpace};
 use seqdb_storage::{SpillTally, WaitClass};
 use seqdb_types::codec::{self, Reader};
-use seqdb_types::{DbError, Result, Row, Value};
+use seqdb_types::{DbError, Result, Row, Value, ValueRef};
 
+use crate::exec::batch::{operand_columns, Column, Operand};
 use crate::exec::{
     corrupt_spill, fill_batch, BoxedIter, ExecContext, Layout, RowBatch, RowIterator,
 };
-use crate::expr::{eval_into, Expr};
+use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor, Ticker};
 use crate::udx::{protect, AggState, Aggregate};
 
@@ -74,17 +74,19 @@ impl AggSpec {
         protect(self.factory.name(), || Ok(self.factory.create()))
     }
 
-    /// Fold a batch into its groups under one panic guard, so a panic
-    /// still names this aggregate: the `i`-th selected row of `batch`
-    /// updates aggregate `agg` of group `states[slots[i]]`, a row slotted
-    /// [`SPILLED`] nothing. The one fold of both the hash and the stream
-    /// aggregate. An argument-free aggregate (`COUNT(*)`) takes each run
-    /// of rows of one group as a single `update_n`, so a global aggregate
-    /// costs one call per batch.
+    /// Fold a compacted batch into its groups under one panic guard, so
+    /// a panic still names this aggregate: row `i` of `batch` updates
+    /// aggregate `agg` of group `slots[i]`, whose states start at
+    /// `states[slots[i] * naggs]`; a row slotted [`SPILLED`] updates
+    /// nothing. The one fold of both the hash and the stream aggregate.
+    /// An argument-free aggregate (`COUNT(*)`) takes each run of rows of
+    /// one group as a single `update_n`, so a global aggregate costs one
+    /// call per batch; any other reads its arguments' cells borrowed.
     fn update_batch(
         &self,
         agg: usize,
-        states: &mut [Vec<Box<dyn AggState>>],
+        naggs: usize,
+        states: &mut [Box<dyn AggState>],
         batch: &RowBatch,
         slots: &[usize],
     ) -> Result<()> {
@@ -92,51 +94,55 @@ impl AggSpec {
             if self.args.is_empty() {
                 for run in slots.chunk_by(|a, b| a == b) {
                     if run[0] != SPILLED {
-                        states[run[0]][agg].update_n(&[], run.len() as u64)?;
+                        states[run[0] * naggs + agg].update_n(&[], run.len() as u64)?;
                     }
                 }
                 return Ok(());
             }
-            // Allocated only if some row needs a non-column argument.
-            let mut vals: Vec<Value> = Vec::new();
-            for (row, &slot) in batch.iter().zip(slots) {
+            let args = Operand::eval_all(&self.args, batch)?;
+            let cols = operand_columns(&args, batch);
+            let mut cells: Vec<ValueRef<'_>> = Vec::with_capacity(cols.len());
+            for (i, &slot) in slots.iter().enumerate() {
                 if slot == SPILLED {
                     continue;
                 }
-                let state = &mut states[slot][agg];
-                // A single bare-column argument feeds the stored value
-                // straight to the accumulator: no dispatch, no clone.
-                if let [Expr::Column { index, name }] = self.args.as_slice() {
-                    let v = row.get(*index).ok_or_else(|| {
-                        DbError::Execution(format!(
-                            "column {name} (#{index}) out of range for row of {} values",
-                            row.len()
-                        ))
-                    })?;
-                    state.update(std::slice::from_ref(v))?;
-                } else {
-                    eval_into(&self.args, row, &mut vals)?;
-                    state.update(&vals)?;
-                }
+                cells.clear();
+                cells.extend(cols.iter().map(|c| c.get(i)));
+                states[slot * naggs + agg].update_ref(&cells)?;
             }
             Ok(())
         })
     }
 }
 
-/// Fresh states for every aggregate in the list.
-fn create_states(aggs: &[AggSpec]) -> Result<Vec<Box<dyn AggState>>> {
-    aggs.iter().map(|a| a.create_state()).collect()
-}
-
-/// Rough bytes held by a group key.
-fn key_bytes(key: &[Value]) -> usize {
-    key.iter().map(|v| v.size_bytes()).sum()
+/// Fresh states for every aggregate in the list, appended to `states`.
+fn push_states(aggs: &[AggSpec], states: &mut Vec<Box<dyn AggState>>) -> Result<()> {
+    for a in aggs {
+        states.push(a.create_state()?);
+    }
+    Ok(())
 }
 
 /// Memory cost charged for admitting one new group.
-fn group_cost(key: &[Value], naggs: usize) -> usize {
-    key_bytes(key) + naggs * STATE_OVERHEAD + GROUP_OVERHEAD
+fn group_cost<'a>(key: impl Iterator<Item = ValueRef<'a>>, naggs: usize) -> usize {
+    key.map(|v| v.size_bytes()).sum::<usize>() + naggs * STATE_OVERHEAD + GROUP_OVERHEAD
+}
+
+/// Row `i` of key columns `cols`.
+#[inline]
+pub(crate) fn key_cells<'a>(
+    cols: &'a [&'a Column],
+    i: usize,
+) -> impl Iterator<Item = ValueRef<'a>> + 'a {
+    cols.iter().map(move |c| c.get(i))
+}
+
+/// Whether an owned key equals row `i` of key columns `cols`.
+#[inline]
+fn key_equals(key: &[Value], cols: &[&Column], i: usize) -> bool {
+    key.iter()
+        .zip(cols)
+        .all(|(k, c)| k.view().total_cmp(&c.get(i)).is_eq())
 }
 
 /// Multiply-rotate hasher (the well-known Fx scheme) for the executor's
@@ -211,44 +217,153 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
+/// The executor's hash of a key, cell by cell: a cell hashes as the
+/// owned [`Value`] it equals, so a typed column and a `Value` column of
+/// the same values agree.
+#[inline]
+pub(crate) fn hash_cells<'a>(cells: impl Iterator<Item = ValueRef<'a>>) -> u64 {
+    let mut h = FxHasher::default();
+    for c in cells {
+        c.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Open-addressing index from key hashes to dense entry numbers, for the
+/// group tables and the join's build table. It stores only each entry's
+/// hash; the caller keeps the keys and decides equality, so a lookup
+/// compares a batch's cells against them in place and builds nothing.
+#[derive(Default)]
+pub(crate) struct HashIndex {
+    /// Entry number + 1 per slot, 0 when empty; a power of two long.
+    slots: Vec<u32>,
+    hashes: Vec<u64>,
+}
+
+impl HashIndex {
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The hash entry `e` was inserted with.
+    pub(crate) fn hash(&self, e: usize) -> u64 {
+        self.hashes[e]
+    }
+
+    /// The entry with hash `h` for which `eq` holds.
+    #[inline]
+    pub(crate) fn find(&self, h: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = h as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                s => {
+                    let e = s as usize - 1;
+                    if self.hashes[e] == h && eq(e) {
+                        return Some(e);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Add an entry the caller found absent; returns its number.
+    pub(crate) fn insert(&mut self, h: u64) -> usize {
+        if 2 * (self.hashes.len() + 1) > self.slots.len() {
+            let n = (2 * self.slots.len()).max(16);
+            self.slots = vec![0; n];
+            for e in 0..self.hashes.len() {
+                self.place(self.hashes[e], e);
+            }
+        }
+        let e = self.hashes.len();
+        self.hashes.push(h);
+        self.place(h, e);
+        e
+    }
+
+    fn place(&mut self, h: u64, e: usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = h as usize & mask;
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = e as u32 + 1;
+    }
+}
 
 /// Slot of a row whose group went to a spill partition.
 const SPILLED: usize = usize::MAX;
 
-/// Grouped aggregation state: each group key owns a slot holding one
-/// state per aggregate. The batch loop looks a row's slot up once and then
-/// folds each aggregate over the batch by slot.
-#[derive(Default)]
+/// Grouped aggregation state: each group owns its key and one state per
+/// aggregate, held flat. The batch loop looks a row's group up once,
+/// hashing and comparing its key cells where they lie, and then folds
+/// each aggregate over the batch by group.
 pub(crate) struct GroupedStates {
-    slots: HashMap<Vec<Value>, usize, FxBuild>,
-    states: Vec<Vec<Box<dyn AggState>>>,
+    index: HashIndex,
+    nkeys: usize,
+    /// Group `g`'s key is `keys[g * nkeys..][..nkeys]`.
+    keys: Vec<Value>,
+    /// Group `g`'s state of aggregate `a` is `states[g * naggs + a]`.
+    states: Vec<Box<dyn AggState>>,
 }
 
 impl GroupedStates {
+    pub(crate) fn new(nkeys: usize) -> GroupedStates {
+        GroupedStates {
+            index: HashIndex::default(),
+            nkeys,
+            keys: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
-    fn get_mut(&mut self, key: &[Value]) -> Option<&mut Vec<Box<dyn AggState>>> {
-        let slot = *self.slots.get(key)?;
-        Some(&mut self.states[slot])
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.nkeys..][..self.nkeys]
     }
 
-    /// Add a group whose key is not present yet; returns its slot.
-    fn insert(&mut self, key: Vec<Value>, states: Vec<Box<dyn AggState>>) -> usize {
-        let slot = self.states.len();
-        self.slots.insert(key, slot);
-        self.states.push(states);
-        slot
+    /// The group whose key is row `i` of `cols`, which hashes to `h`.
+    #[inline]
+    fn find(&self, h: u64, cols: &[&Column], i: usize) -> Option<usize> {
+        self.index.find(h, |g| key_equals(self.key(g), cols, i))
     }
 
-    /// Every group with its states, in no particular order.
-    pub(crate) fn into_groups(self) -> impl Iterator<Item = (Vec<Value>, Vec<Box<dyn AggState>>)> {
-        let mut states = self.states;
-        self.slots
-            .into_iter()
-            .map(move |(key, slot)| (key, std::mem::take(&mut states[slot])))
+    /// Add a group whose key is not present yet, with fresh states;
+    /// returns its number.
+    fn insert(
+        &mut self,
+        h: u64,
+        key: impl Iterator<Item = Value>,
+        aggs: &[AggSpec],
+    ) -> Result<usize> {
+        push_states(aggs, &mut self.states)?;
+        self.keys.extend(key);
+        Ok(self.index.insert(h))
+    }
+
+    /// Finish every group into an output row (UDA `Terminate` under
+    /// panic protection), in the order the groups arrived.
+    pub(crate) fn finish(
+        self,
+        aggs: &[AggSpec],
+        mut emit: impl FnMut(Row) -> Result<()>,
+    ) -> Result<()> {
+        let mut keys = self.keys.into_iter();
+        let mut states = self.states.into_iter();
+        for _ in 0..self.index.len() {
+            let key: Vec<Value> = keys.by_ref().take(self.nkeys).collect();
+            emit(finish_group(key, states.by_ref().take(aggs.len()), aggs)?)?;
+        }
+        Ok(())
     }
 }
 
@@ -260,11 +375,23 @@ pub(crate) fn merge_maps(
     from: GroupedStates,
     aggs: &[AggSpec],
 ) -> Result<()> {
-    for (key, states) in from.into_groups() {
-        match into.get_mut(&key) {
-            Some(acc) => merge_group(acc, states, aggs)?,
+    let mut states = from.states.into_iter();
+    for g in 0..from.index.len() {
+        let h = from.index.hash(g);
+        let key = &from.keys[g * from.nkeys..][..from.nkeys];
+        let found = into.index.find(h, |t| into.key(t) == key);
+        match found {
+            Some(t) => {
+                for (a, spec) in aggs.iter().enumerate() {
+                    let partial = states.next().expect("one state per aggregate");
+                    let acc = &mut into.states[t * aggs.len() + a];
+                    protect(spec.factory.name(), || acc.merge(partial))?;
+                }
+            }
             None => {
-                into.insert(key, states);
+                into.keys.extend_from_slice(key);
+                into.states.extend(states.by_ref().take(aggs.len()));
+                into.index.insert(h);
             }
         }
     }
@@ -275,10 +402,12 @@ pub(crate) fn merge_maps(
 /// each repartition pass splits differently from the one that overflowed.
 /// Shared with the hybrid hash join, which partitions on the same salted
 /// hash so both spill paths recurse identically.
-pub(crate) fn partition_of(key: &[Value], depth: u32) -> usize {
+pub(crate) fn partition_of<'a>(key: impl Iterator<Item = ValueRef<'a>>, depth: u32) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     depth.hash(&mut h);
-    key.hash(&mut h);
+    for c in key {
+        c.hash(&mut h);
+    }
     (h.finish() as usize) % SPILL_PARTITIONS
 }
 
@@ -321,7 +450,7 @@ impl RowIterator for SpillRowIter {
 
 /// Rough bytes held by one buffered output row.
 fn row_cost(row: &Row) -> usize {
-    key_bytes(row.values()) + ROW_OVERHEAD
+    row.values().iter().map(Value::size_bytes).sum::<usize>() + ROW_OVERHEAD
 }
 
 /// Governed buffer for a blocking operator's finished rows. Buffered
@@ -485,9 +614,7 @@ fn aggregate_level(
     let mut charge = MemCharge::new(ctx.gov.clone());
     let (groups, partitions) =
         aggregate_partial_spilling(input, group_exprs, aggs, &mut charge, ctx, depth)?;
-    for (key, states) in groups.into_groups() {
-        out.push(finish_group(key, states, aggs)?)?;
-    }
+    groups.finish(aggs, |row| out.push(row))?;
     charge.release_all();
 
     for writer in partitions.into_iter().flatten() {
@@ -513,41 +640,39 @@ pub(crate) fn aggregate_partial_spilling(
     depth: u32,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
     let mut ticker = Ticker::new();
-    let mut groups = GroupedStates::default();
+    let mut groups = GroupedStates::new(group_exprs.len());
     // Once the budget rejects one group, *all* further new groups go to
     // the spill. Without this the budget could free up mid-stream and
     // admit a key whose earlier rows were already spilled, emitting that
     // group twice.
     let mut spilling = false;
     let mut partitions: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
-    // Reused across rows and batches: a row's evaluated group key, and
-    // each selected row's group slot in the current batch.
-    let mut key: Vec<Value> = Vec::with_capacity(group_exprs.len());
+    // Reused across batches: each row's group slot in the current batch.
     let mut slots: Vec<usize> = Vec::new();
 
     while let Some(batch) = input.next_batch(ctx.batch_size)? {
         // One governor tick per batch instead of per row.
         ticker.tick_batch(&ctx.gov)?;
-        // The batch is read through its selection vector, so
-        // filtered-out rows are never compacted or moved.
+        let batch = batch.compact();
         slots.clear();
         if group_exprs.is_empty() && groups.len() == 1 {
             // No GROUP BY and the one global group is resident.
             slots.resize(batch.len(), 0);
         } else {
-            for row in batch.iter() {
-                eval_into(group_exprs, row, &mut key)?;
-                if let Some(&slot) = groups.slots.get(key.as_slice()) {
-                    slots.push(slot);
+            let keys = Operand::eval_all(group_exprs, &batch)?;
+            let cols = operand_columns(&keys, &batch);
+            for i in 0..batch.len() {
+                let h = hash_cells(key_cells(&cols, i));
+                if let Some(g) = groups.find(h, &cols, i) {
+                    slots.push(g);
                     continue;
                 }
-                let cost = group_cost(&key, aggs.len());
+                let cost = group_cost(key_cells(&cols, i), aggs.len());
                 if !spilling && charge.try_grow(cost) {
                     // Room for the results too: the key becomes the
                     // group's output row.
-                    let mut owned = Vec::with_capacity(key.len() + aggs.len());
-                    owned.extend_from_slice(&key);
-                    slots.push(groups.insert(owned, create_states(aggs)?));
+                    let key = cols.iter().map(|c| c.value(i));
+                    slots.push(groups.insert(h, key, aggs)?);
                     continue;
                 }
                 if depth >= MAX_SPILL_DEPTH {
@@ -557,45 +682,33 @@ pub(crate) fn aggregate_partial_spilling(
                     )));
                 }
                 spilling = true;
-                let p = partition_of(&key, depth);
+                let p = partition_of(key_cells(&cols, i), depth);
                 if partitions[p].is_none() {
                     partitions[p] = Some(ctx.create_spill()?);
                 }
                 if let Some(writer) = partitions[p].as_mut() {
-                    write_spill_row(writer, row)?;
+                    write_spill_row(writer, &batch.row(i).to_row())?;
                 }
                 slots.push(SPILLED);
             }
         }
         for (agg, spec) in aggs.iter().enumerate() {
-            spec.update_batch(agg, &mut groups.states, &batch, &slots)?;
+            spec.update_batch(agg, aggs.len(), &mut groups.states, &batch, &slots)?;
         }
     }
     Ok((groups, partitions))
-}
-
-/// Merge one group's partial states into an accumulator's states (UDA
-/// `Merge` under panic protection).
-fn merge_group(
-    acc: &mut [Box<dyn AggState>],
-    partial: Vec<Box<dyn AggState>>,
-    aggs: &[AggSpec],
-) -> Result<()> {
-    for ((a, p), spec) in acc.iter_mut().zip(partial).zip(aggs) {
-        protect(spec.factory.name(), || a.merge(p))?;
-    }
-    Ok(())
 }
 
 /// Finish one group into an output row (UDA `Terminate` under panic
 /// protection).
 pub(crate) fn finish_group(
     key: Vec<Value>,
-    states: Vec<Box<dyn AggState>>,
+    states: impl Iterator<Item = Box<dyn AggState>>,
     aggs: &[AggSpec],
 ) -> Result<Row> {
     let mut vals = key;
-    for (mut s, spec) in states.into_iter().zip(aggs) {
+    vals.reserve(aggs.len());
+    for (mut s, spec) in states.zip(aggs) {
         vals.push(protect(spec.factory.name(), || s.finish())?);
     }
     Ok(Row::new(vals))
@@ -604,7 +717,9 @@ pub(crate) fn finish_group(
 /// What a global aggregate (no GROUP BY) over empty input still yields:
 /// one row of fresh states' results.
 pub(crate) fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
-    finish_group(Vec::new(), create_states(aggs)?, aggs)
+    let mut states = Vec::new();
+    push_states(aggs, &mut states)?;
+    finish_group(Vec::new(), states.into_iter(), aggs)
 }
 
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
@@ -663,22 +778,22 @@ impl RowIterator for HashAggIter {
 /// changes, holding only one group's state.
 ///
 /// It folds whole input batches, allocating nothing per row: each row's
-/// key is evaluated into one reused buffer, each run of equal keys gets
-/// one slot, and every aggregate folds the batch by slot through the hash
-/// aggregate's fold, `AggSpec::update_batch`.
+/// key cells are compared with the in-flight group's key where they lie,
+/// each run of equal keys gets one slot, and every aggregate folds the
+/// batch by slot through the hash aggregate's fold,
+/// `AggSpec::update_batch`.
 pub struct StreamAggIter {
     input: BoxedIter,
     batch_size: usize,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
-    /// Keys and states of the groups the current batch touches, in input
-    /// order. Between batches it holds only the in-flight group, which
-    /// the next batch's first run continues.
+    /// Keys and states (flat, as in the hash aggregate's table) of the
+    /// groups the current batch touches, in input order. Between batches
+    /// it holds only the in-flight group, which the next batch's first
+    /// run continues.
     keys: Vec<Vec<Value>>,
-    states: Vec<Vec<Box<dyn AggState>>>,
-    /// Reused across rows and batches: a row's evaluated group key, and
-    /// each selected row's slot in `keys` / `states`.
-    key: Vec<Value>,
+    states: Vec<Box<dyn AggState>>,
+    /// Reused across batches: each row's slot in `keys`.
     slots: Vec<usize>,
     /// Accounts the single in-flight group; re-charged at each boundary.
     charge: MemCharge,
@@ -701,7 +816,6 @@ impl StreamAggIter {
             aggs,
             keys: Vec::new(),
             states: Vec::new(),
-            key: Vec::new(),
             slots: Vec::new(),
             charge: MemCharge::new(gov),
             done: false,
@@ -711,31 +825,31 @@ impl StreamAggIter {
 
     /// Fold one input batch, then finish into `out` every group the batch
     /// completed: all but the last, which stays in flight.
-    fn fold_batch(&mut self, batch: &RowBatch, out: &mut Vec<Row>) -> Result<()> {
+    fn fold_batch(&mut self, batch: RowBatch, out: &mut Vec<Row>) -> Result<()> {
+        let batch = batch.compact();
+        let keys = Operand::eval_all(&self.group_exprs, &batch)?;
+        let cols = operand_columns(&keys, &batch);
+        let naggs = self.aggs.len();
         self.slots.clear();
-        for row in batch.iter() {
-            eval_into(&self.group_exprs, row, &mut self.key)?;
-            if self.keys.last() != Some(&self.key) {
+        for i in 0..batch.len() {
+            if !self.keys.last().is_some_and(|k| key_equals(k, &cols, i)) {
                 // Group boundary (or very first group): the new group's
                 // charge replaces the finished one's — one group at a
                 // time keeps the operator near-constant-space.
                 self.charge.release_all();
-                self.charge.grow(group_cost(&self.key, self.aggs.len()))?;
-                self.states.push(create_states(&self.aggs)?);
-                self.keys.push(self.key.clone());
+                self.charge.grow(group_cost(key_cells(&cols, i), naggs))?;
+                push_states(&self.aggs, &mut self.states)?;
+                self.keys.push(cols.iter().map(|c| c.value(i)).collect());
             }
             self.slots.push(self.keys.len() - 1);
         }
         for (agg, spec) in self.aggs.iter().enumerate() {
-            spec.update_batch(agg, &mut self.states, batch, &self.slots)?;
+            spec.update_batch(agg, naggs, &mut self.states, &batch, &self.slots)?;
         }
         let finished = self.keys.len().saturating_sub(1);
-        for (key, states) in self
-            .keys
-            .drain(..finished)
-            .zip(self.states.drain(..finished))
-        {
-            out.push(finish_group(key, states, &self.aggs)?);
+        let mut states = self.states.drain(..finished * naggs);
+        for key in self.keys.drain(..finished) {
+            out.push(finish_group(key, states.by_ref().take(naggs), &self.aggs)?);
         }
         Ok(())
     }
@@ -750,13 +864,14 @@ impl RowIterator for StreamAggIter {
             match self.input.next_batch(self.batch_size)? {
                 Some(batch) => {
                     self.saw_rows = true;
-                    self.fold_batch(&batch, &mut out)?;
+                    self.fold_batch(batch, &mut out)?;
                 }
                 None => {
                     self.done = true;
                     self.charge.release_all();
-                    if let (Some(key), Some(states)) = (self.keys.pop(), self.states.pop()) {
-                        out.push(finish_group(key, states, &self.aggs)?);
+                    if let Some(key) = self.keys.pop() {
+                        let states = std::mem::take(&mut self.states);
+                        out.push(finish_group(key, states.into_iter(), &self.aggs)?);
                     } else if !self.saw_rows && self.group_exprs.is_empty() {
                         out.push(empty_global_row(&self.aggs)?);
                     }
@@ -807,10 +922,14 @@ mod tests {
     }
 
     fn finish(groups: GroupedStates) -> Vec<Row> {
+        let mut rows = Vec::new();
         groups
-            .into_groups()
-            .map(|(key, states)| finish_group(key, states, &specs()).unwrap())
-            .collect()
+            .finish(&specs(), |row| {
+                rows.push(row);
+                Ok(())
+            })
+            .unwrap();
+        rows
     }
 
     fn normalize(mut rows: Vec<Row>) -> Vec<(i64, i64, i64)> {

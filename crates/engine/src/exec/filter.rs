@@ -1,15 +1,16 @@
 //! Filter, projection and limit operators: the filter narrows a batch's
 //! selection vector in place (dropped rows are never moved or copied),
-//! the projection rewrites batches with recycled value buffers (no
-//! per-row allocation, no `Value` clones for single-use columns), and the
-//! limit truncates a batch's selection.
+//! the projection builds a batch of new columns (a single-use bare column
+//! moves over whole, a computed one is evaluated row by row in place),
+//! and the limit truncates a batch's selection.
 
 use std::sync::Arc;
 
-use seqdb_types::{Result, Row, Schema, Value};
+use seqdb_types::{Result, Schema};
 
+use crate::exec::batch::eval_column;
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
-use crate::expr::{eval_project_into, passes, take_plan, Expr, Kernel};
+use crate::expr::{passes, take_plan, Expr, Kernel};
 
 /// WHERE: passes rows whose predicate evaluates to TRUE (NULL = drop).
 pub struct FilterIter {
@@ -38,7 +39,7 @@ impl RowIterator for FilterIter {
             let Some(mut batch) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
-            batch.narrow(|row| passes(&self.predicate, self.kernel.as_ref(), row))?;
+            batch.narrow(|row| passes(&self.predicate, self.kernel.as_ref(), &row))?;
             // A fully-filtered batch is not end-of-stream: pull the next
             // one rather than returning an empty batch.
             if !batch.is_empty() {
@@ -52,64 +53,38 @@ impl RowIterator for FilterIter {
 pub struct ProjectIter {
     input: BoxedIter,
     exprs: Vec<Expr>,
-    /// Projection entries allowed to move their value out of the input
-    /// row instead of cloning (see [`take_plan`]).
+    /// Projection entries allowed to move their column out of the input
+    /// batch instead of copying it (see [`take_plan`]).
     take: Vec<bool>,
-    /// Recycled value buffer: each projected row swaps its freshly built
-    /// values out of here and donates its input row's storage back, so
-    /// the steady state allocates nothing per row.
-    scratch: Vec<Value>,
 }
 
 impl ProjectIter {
     pub fn new(input: BoxedIter, exprs: Vec<Expr>) -> Self {
         let take = take_plan(&exprs);
-        ProjectIter {
-            input,
-            exprs,
-            take,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Project one row, recycling buffers: the output row takes the
-    /// scratch buffer, the input row's storage becomes the next scratch.
-    fn project_one(&mut self, row: &mut Row) -> Result<Row> {
-        eval_project_into(&self.exprs, &self.take, row, &mut self.scratch)?;
-        let recycled = std::mem::take(&mut row.0);
-        let vals = std::mem::replace(&mut self.scratch, recycled);
-        self.scratch.clear();
-        Ok(Row::new(vals))
+        ProjectIter { input, exprs, take }
     }
 }
 
 impl RowIterator for ProjectIter {
-    /// Evaluate the projection over every *selected* row (rows a filter
-    /// dropped upstream are skipped without ever being touched) and
-    /// compact the result into a fresh batch.
+    /// Evaluate the projection over the *selected* rows (rows a filter
+    /// dropped upstream are skipped without ever being touched) into a
+    /// batch of new columns.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let Some(mut batch) = self.input.next_batch(max_rows)? else {
             return Ok(None);
         };
-        let mut out = Vec::with_capacity(batch.len());
-        let (rows, sel) = batch.parts_mut();
-        match sel {
-            Some(sel) => {
-                // The selection is copied out so `rows` can be borrowed
-                // mutably; it is small (u32 per live row) and this is the
-                // point where the selection is consumed anyway.
-                let sel: Vec<u32> = sel.to_vec();
-                for i in sel {
-                    out.push(self.project_one(&mut rows[i as usize])?);
+        let mut cols = Vec::with_capacity(self.exprs.len());
+        for (e, &take) in self.exprs.iter().zip(&self.take) {
+            cols.push(match e {
+                Expr::Column { index, .. }
+                    if take && batch.is_compact() && *index < batch.width() =>
+                {
+                    batch.take_column(*index)
                 }
-            }
-            None => {
-                for row in rows.iter_mut() {
-                    out.push(self.project_one(row)?);
-                }
-            }
+                _ => eval_column(e, &batch)?,
+            });
         }
-        Ok(Some(RowBatch::from_rows(out)))
+        Ok(Some(RowBatch::from_columns(cols, batch.len())))
     }
 }
 

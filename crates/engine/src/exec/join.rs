@@ -1,5 +1,8 @@
 //! Join operators: hybrid Grace hash join (unordered inputs) and merge
 //! join (inputs ordered on the join keys, e.g. via clustered index scans).
+//! Both find (left, right) row index pairs by comparing key cells where
+//! they lie and gather the output columns by those pairs: no joined row
+//! is concatenated value by value.
 //!
 //! The paper's consensus query (§5.3.3) joins `Alignment` with `Read` via
 //! a *parallel merge join* enabled by clustered indexes — "about 1.6
@@ -22,48 +25,34 @@
 //! no I/O for probe rows that would never find a partner.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use seqdb_storage::tempspace::{SpillReader, SpillWriter};
 use seqdb_storage::WaitClass;
-use seqdb_types::{DbError, Result, Row, Value};
+use seqdb_types::{DbError, Result, Value, ValueRef};
 
 use crate::exec::agg::{
-    partition_of, write_spill_row, FxBuild, OutputBuffer, OutputRows, SpillRowIter,
-    SPILL_PARTITIONS,
+    hash_cells, key_cells, partition_of, write_spill_row, HashIndex, OutputBuffer, OutputRows,
+    SpillRowIter, SPILL_PARTITIONS,
 };
-
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
-use crate::expr::{eval_into, Expr};
+use crate::exec::batch::{operand_columns, Column, Operand};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::expr::Expr;
 use crate::governor::{MemCharge, Ticker};
 
-fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let o = x.total_cmp(y);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Keys containing NULL never match (SQL equi-join semantics).
-fn key_joinable(k: &[Value]) -> bool {
-    !k.iter().any(Value::is_null)
+fn key_joinable(key: &[&Column], i: usize) -> bool {
+    key.iter().all(|c| !c.get(i).is_null())
 }
 
 /// Recursion bound for join repartitioning, mirroring the hash
 /// aggregate's: beyond this the budget is simply too small for the data
 /// and the query fails with `ResourceExhausted`.
 const MAX_JOIN_SPILL_DEPTH: u32 = 6;
-/// Heap held per resident build row beyond its values: its `Row` header
-/// in the arena and its `next` link, plus one map entry (key `Vec`
-/// header and first/last indices). Only a row that opens a new key adds
-/// a map entry, so duplicate keys are charged conservatively.
-const JOIN_ENTRY_OVERHEAD: usize = std::mem::size_of::<Row>()
-    + std::mem::size_of::<usize>()
-    + std::mem::size_of::<(Vec<Value>, (usize, usize))>();
+/// Bytes charged per resident build row beyond its cells: its `next`
+/// link, validity and offsets, and a share of the key index. Kept at
+/// what a row-per-`Vec` arena cost, so a budget spills where it did.
+const JOIN_ENTRY_OVERHEAD: usize = 72;
 /// Above this many spilled build rows the Bloom filter is abandoned:
 /// it must stay conservative (no false negatives), and an unbounded
 /// hash list would defeat the point of spilling.
@@ -72,16 +61,21 @@ const BLOOM_MAX_KEYS: usize = 1 << 20;
 /// hashes (a `u32` depth can never equal this).
 const BLOOM_SALT: u64 = 0xb100_f117_e25a_17ed;
 
-/// Memory cost charged for one resident build row.
-fn join_entry_cost(key: &[Value], row: &Row) -> usize {
-    let key_bytes: usize = key.iter().map(|v| v.size_bytes()).sum();
-    key_bytes + row.size_bytes() + JOIN_ENTRY_OVERHEAD
+/// Memory cost charged for resident build row `i` of `batch`.
+fn join_entry_cost(key: &[&Column], batch: &RowBatch, i: usize) -> usize {
+    let key_bytes: usize = key_cells(key, i).map(|v| v.size_bytes()).sum();
+    let row_bytes: usize = (0..batch.width())
+        .map(|j| batch.column(j).get(i).size_bytes())
+        .sum();
+    key_bytes + row_bytes + 8 + JOIN_ENTRY_OVERHEAD
 }
 
-fn bloom_hash(key: &[Value]) -> u64 {
+fn bloom_hash<'a>(key: impl Iterator<Item = ValueRef<'a>>) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     BLOOM_SALT.hash(&mut h);
-    key.hash(&mut h);
+    for c in key {
+        c.hash(&mut h);
+    }
     h.finish()
 }
 
@@ -149,16 +143,17 @@ impl BloomTracker {
         self.hashes.push(h);
     }
 
-    fn build<'a>(self, resident: impl ExactSizeIterator<Item = &'a Vec<Value>>) -> Option<Bloom> {
+    fn build(self, resident: &BuildTable) -> Option<Bloom> {
         if self.disabled {
             return None;
         }
-        let mut bloom = Bloom::with_capacity(self.hashes.len() + resident.len());
+        let mut bloom = Bloom::with_capacity(self.hashes.len() + resident.heads.len());
         for h in &self.hashes {
             bloom.insert(*h);
         }
-        for key in resident {
-            bloom.insert(bloom_hash(key));
+        let keys: Vec<&Column> = resident.keys.iter().collect();
+        for &(first, _) in &resident.heads {
+            bloom.insert(bloom_hash(key_cells(&keys, first)));
         }
         Some(bloom)
     }
@@ -167,47 +162,89 @@ impl BloomTracker {
 /// End of a [`BuildTable`] key chain.
 const CHAIN_END: usize = usize::MAX;
 
-/// The resident build side as an arena: every row in one `Vec`, in
-/// build-input order, and per join key the arena indices of its first
-/// and last row. `next` chains each row to the following row of its key,
-/// so a key's matches come back in build-input order without a `Vec`
-/// per key or an allocation per row. The resident join, the spilled
-/// partition pairs and the Bloom filter's key pass all use it.
+/// The resident build side as columns: every build row's cells, in
+/// build-input order, its join key's cells, and per distinct key the
+/// indices of its first and last row. `next` chains each row to the
+/// following row of its key, so a key's matches come back in build-input
+/// order without a `Vec` per key or an allocation per row. The resident
+/// join, the spilled partition pairs and the Bloom filter's key pass all
+/// use it.
 #[derive(Default)]
 struct BuildTable {
-    rows: Vec<Row>,
+    cols: Vec<Column>,
+    keys: Vec<Column>,
+    rows: usize,
     next: Vec<usize>,
-    heads: HashMap<Vec<Value>, (usize, usize), FxBuild>,
+    /// Distinct keys; entry `e`'s chain runs from `heads[e].0` to
+    /// `heads[e].1`.
+    index: HashIndex,
+    heads: Vec<(usize, usize)>,
 }
 
 impl BuildTable {
-    fn insert(&mut self, key: &[Value], row: Row) {
-        let idx = self.rows.len();
-        self.rows.push(row);
+    /// Whether build row `r`'s key equals row `i` of key columns `key`.
+    #[inline]
+    fn key_equals(&self, r: usize, key: &[&Column], i: usize) -> bool {
+        self.keys
+            .iter()
+            .zip(key)
+            .all(|(b, p)| b.get(r).total_cmp(&p.get(i)).is_eq())
+    }
+
+    /// Append row `i` of `batch`, whose key is row `i` of `key` and
+    /// hashes to `h`.
+    fn insert(&mut self, h: u64, key: &[&Column], batch: &RowBatch, i: usize) {
+        if self.rows == 0 {
+            self.cols = (0..batch.width())
+                .map(|j| batch.column(j).like(0))
+                .collect();
+            self.keys = key.iter().map(|c| c.like(0)).collect();
+        }
+        let idx = self.rows;
+        for (j, dst) in self.cols.iter_mut().enumerate() {
+            dst.push_from(batch.column(j), i);
+        }
+        for (dst, src) in self.keys.iter_mut().zip(key) {
+            dst.push_from(src, i);
+        }
+        self.rows += 1;
         self.next.push(CHAIN_END);
-        // get_mut-first: duplicate keys (the common case in fact tables)
-        // skip the owned-key clone entirely.
-        if let Some((_, last)) = self.heads.get_mut(key) {
-            self.next[*last] = idx;
-            *last = idx;
-        } else {
-            self.heads.insert(key.to_vec(), (idx, idx));
+        match self
+            .index
+            .find(h, |e| self.key_equals(self.heads[e].0, key, i))
+        {
+            Some(e) => {
+                let last = self.heads[e].1;
+                self.next[last] = idx;
+                self.heads[e].1 = idx;
+            }
+            None => {
+                self.index.insert(h);
+                self.heads.push((idx, idx));
+            }
         }
     }
 
-    /// The build rows with join key `key`, in build-input order.
-    fn matches(&self, key: &[Value]) -> impl Iterator<Item = &Row> + '_ {
-        let mut at = self.heads.get(key).map_or(CHAIN_END, |&(first, _)| first);
+    /// The build rows whose key equals row `i` of `key` (hashing to
+    /// `h`), in build-input order.
+    fn matches<'a>(&'a self, h: u64, key: &[&Column], i: usize) -> impl Iterator<Item = usize> + 'a {
+        let mut at = self
+            .index
+            .find(h, |e| self.key_equals(self.heads[e].0, key, i))
+            .map_or(CHAIN_END, |e| self.heads[e].0);
         std::iter::from_fn(move || {
-            let row = self.rows.get(at)?;
+            let row = (at != CHAIN_END).then_some(at)?;
             at = self.next[at];
             Some(row)
         })
     }
+}
 
-    fn keys(&self) -> impl ExactSizeIterator<Item = &Vec<Value>> {
-        self.heads.keys()
-    }
+/// (build, probe) row index pairs of a join's matches.
+#[derive(Default)]
+struct Pairs {
+    build: Vec<u32>,
+    probe: Vec<u32>,
 }
 
 /// Everything the recursive partition phase needs. The context is the
@@ -221,27 +258,87 @@ struct JoinEnv {
 }
 
 impl JoinEnv {
-    /// Output row for one (build, probe) match. `probe_first` restores
-    /// the plan's `left ++ right` column order when the binder swapped
-    /// the smaller right side onto the build.
-    fn emit(&self, build: &Row, probe: &Row) -> Row {
-        if self.probe_first {
-            probe.concat(build)
+    /// The joined rows of pairs `from..to`: the build and probe columns
+    /// gathered by the pairs' indices. `probe_first` restores the plan's
+    /// `left ++ right` column order when the binder swapped the smaller
+    /// right side onto the build.
+    fn gather(
+        &self,
+        table: &BuildTable,
+        probe: &RowBatch,
+        pairs: &Pairs,
+        from: usize,
+        to: usize,
+    ) -> RowBatch {
+        let (b, p) = (&pairs.build[from..to], &pairs.probe[from..to]);
+        let build = table.cols.iter().map(|c| c.gather(b));
+        let probe_cols = (0..probe.width()).map(|j| probe.column(j).gather(p));
+        let cols = if self.probe_first {
+            probe_cols.chain(build).collect()
         } else {
-            build.concat(probe)
+            build.chain(probe_cols).collect()
+        };
+        RowBatch::from_columns(cols, to - from)
+    }
+
+    /// Probe `table` with every row of a compacted batch: a row whose
+    /// partition the build side spilled to is also written to that
+    /// partition's probe file, and each resident match adds a pair.
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &self,
+        table: &BuildTable,
+        batch: &RowBatch,
+        depth: u32,
+        bloom: Option<&Bloom>,
+        build_parts: &[Option<SpillWriter>],
+        probe_parts: &mut [Option<SpillWriter>],
+        pairs: &mut Pairs,
+    ) -> Result<()> {
+        let keys = Operand::eval_all(&self.probe_keys, batch)?;
+        let key = operand_columns(&keys, batch);
+        for i in 0..batch.len() {
+            if !key_joinable(&key, i) {
+                continue;
+            }
+            if let Some(bloom) = bloom {
+                if !bloom.contains(bloom_hash(key_cells(&key, i))) {
+                    // Provably no partner anywhere: skip lookup and I/O.
+                    continue;
+                }
+            }
+            // Route before matching: once spilling started, a key's build
+            // rows may be split between the resident table and a
+            // partition, and the probe row must meet both halves.
+            if !build_parts.is_empty() {
+                let p = partition_of(key_cells(&key, i), depth);
+                if build_parts[p].is_some() {
+                    if probe_parts[p].is_none() {
+                        probe_parts[p] = Some(self.ctx.create_join_spill()?);
+                    }
+                    if let Some(writer) = probe_parts[p].as_mut() {
+                        write_spill_row(writer, &batch.row(i).to_row())?;
+                    }
+                }
+            }
+            for b in table.matches(hash_cells(key_cells(&key, i)), &key, i) {
+                pairs.build.push(b as u32);
+                pairs.probe.push(i as u32);
+            }
         }
+        Ok(())
     }
 }
 
-/// Consume `next_row` into a resident [`BuildTable`], degrading to salted
+/// Consume `input` into a resident [`BuildTable`], degrading to salted
 /// hash partitions once `charge` rejects a row. Spill mode is sticky *per
 /// row*, not per key: unlike the hash aggregate, every build row costs
 /// memory, so after the first rejection all further rows spill — a key's
-/// rows may therefore be split between the resident map and one
+/// rows may therefore be split between the resident table and one
 /// partition. Correct because each build row lives in exactly one place
 /// and probe rows visit both.
 fn build_table(
-    mut next_row: impl FnMut() -> Result<Option<Row>>,
+    input: &mut dyn RowIterator,
     env: &JoinEnv,
     depth: u32,
     charge: &mut MemCharge,
@@ -251,17 +348,19 @@ fn build_table(
     let mut table = BuildTable::default();
     let mut spilling = false;
     let mut parts: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
-    let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = next_row()? {
-        ticker.tick(&env.ctx.gov)?;
-        eval_into(&env.build_keys, &row, &mut key)?;
-        if !key_joinable(&key) {
-            continue;
-        }
-        let cost = join_entry_cost(&key, &row);
-        if !spilling && charge.try_grow(cost) {
-            table.insert(&key, row);
-        } else {
+    while let Some(batch) = input.next_batch(env.ctx.batch_size)? {
+        ticker.tick_batch(&env.ctx.gov)?;
+        let batch = batch.compact();
+        let keys = Operand::eval_all(&env.build_keys, &batch)?;
+        let key = operand_columns(&keys, &batch);
+        for i in 0..batch.len() {
+            if !key_joinable(&key, i) {
+                continue;
+            }
+            if !spilling && charge.try_grow(join_entry_cost(&key, &batch, i)) {
+                table.insert(hash_cells(key_cells(&key, i)), &key, &batch, i);
+                continue;
+            }
             if depth >= MAX_JOIN_SPILL_DEPTH {
                 return Err(DbError::ResourceExhausted(format!(
                     "hash join build side exceeded its memory budget even after \
@@ -270,14 +369,14 @@ fn build_table(
             }
             spilling = true;
             if let Some(tracker) = bloom.as_deref_mut() {
-                tracker.note(bloom_hash(&key));
+                tracker.note(bloom_hash(key_cells(&key, i)));
             }
-            let p = partition_of(&key, depth);
+            let p = partition_of(key_cells(&key, i), depth);
             if parts[p].is_none() {
                 parts[p] = Some(env.ctx.create_join_spill()?);
             }
             if let Some(writer) = parts[p].as_mut() {
-                write_spill_row(writer, &row)?;
+                write_spill_row(writer, &batch.row(i).to_row())?;
             }
         }
     }
@@ -298,30 +397,21 @@ fn join_spilled(
     let gov = env.ctx.gov.clone();
     let mut charge = MemCharge::new(gov.clone());
     let mut build_rows = SpillRowIter::new(build);
-    let (table, sub_build) = build_table(|| build_rows.next_row(), env, depth, &mut charge, None)?;
+    let (table, sub_build) = build_table(&mut build_rows, env, depth, &mut charge, None)?;
     drop(build_rows); // done with the build partition file; delete it
 
     let mut sub_probe: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut probe_rows = SpillRowIter::new(probe);
     let mut ticker = Ticker::new();
-    let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = probe_rows.next_row()? {
-        ticker.tick(&gov)?;
-        eval_into(&env.probe_keys, &row, &mut key)?;
-        if !key_joinable(&key) {
-            continue;
-        }
-        for b in table.matches(&key) {
-            out.push(env.emit(b, &row))?;
-        }
-        let p = partition_of(&key, depth);
-        if sub_build[p].is_some() {
-            if sub_probe[p].is_none() {
-                sub_probe[p] = Some(env.ctx.create_join_spill()?);
-            }
-            if let Some(writer) = sub_probe[p].as_mut() {
-                write_spill_row(writer, &row)?;
-            }
+    let mut pairs = Pairs::default();
+    while let Some(batch) = probe_rows.next_batch(env.ctx.batch_size)? {
+        ticker.tick_batch(&gov)?;
+        pairs.build.clear();
+        pairs.probe.clear();
+        env.probe(&table, &batch, depth, None, &sub_build, &mut sub_probe, &mut pairs)?;
+        let joined = env.gather(&table, &batch, &pairs, 0, pairs.build.len());
+        for row in joined.into_rows() {
+            out.push(row)?;
         }
     }
     drop(probe_rows);
@@ -341,7 +431,8 @@ fn join_spilled(
 enum JoinState {
     /// Consuming the build input.
     Build,
-    /// Streaming probe rows against the resident table, routing overflow.
+    /// Streaming probe batches against the resident table, routing
+    /// overflow.
     Probe,
     /// Draining the partition phase's joined output.
     Drain,
@@ -357,7 +448,7 @@ enum JoinState {
 /// charges release and all partition files delete on drop, including
 /// mid-stream cancellation.
 pub struct HashJoinIter {
-    build: Option<RowCursor>,
+    build: Option<BoxedIter>,
     probe: BoxedIter,
     env: JoinEnv,
     state: JoinState,
@@ -366,11 +457,11 @@ pub struct HashJoinIter {
     bloom: Option<Bloom>,
     build_parts: Vec<Option<SpillWriter>>,
     probe_parts: Vec<Option<SpillWriter>>,
-    /// Output rows already joined for consumed probe rows. A reused ring
-    /// buffer: steady-state probing allocates nothing but the rows.
-    ready: VecDeque<Row>,
-    /// Reused probe-key buffer (one evaluation per probe row, no alloc).
-    key_scratch: Vec<Value>,
+    /// The probe batch being joined, its match pairs, and how many of
+    /// them were handed out already.
+    probed: Option<RowBatch>,
+    pairs: Pairs,
+    emitted: usize,
     /// Every spilled pair's joined rows, in one governed stream.
     output: Option<OutputRows>,
 }
@@ -386,7 +477,7 @@ impl HashJoinIter {
     ) -> HashJoinIter {
         let charge = MemCharge::new(ctx.gov.clone());
         HashJoinIter {
-            build: Some(RowCursor::new(build, ctx.batch_size)),
+            build: Some(build),
             probe,
             env: JoinEnv {
                 build_keys,
@@ -400,8 +491,9 @@ impl HashJoinIter {
             bloom: None,
             build_parts: Vec::new(),
             probe_parts: Vec::new(),
-            ready: VecDeque::new(),
-            key_scratch: Vec::new(),
+            probed: None,
+            pairs: Pairs::default(),
+            emitted: 0,
             output: None,
         }
     }
@@ -413,52 +505,18 @@ impl HashJoinIter {
             .expect("build input present in Build state");
         let mut tracker = BloomTracker::new();
         let (table, parts) = build_table(
-            || build.next(),
+            build.as_mut(),
             &self.env,
             0,
             &mut self.charge,
             Some(&mut tracker),
         )?;
         if parts.iter().any(Option::is_some) {
-            self.bloom = tracker.build(table.keys());
+            self.bloom = tracker.build(&table);
             self.probe_parts = (0..SPILL_PARTITIONS).map(|_| None).collect();
         }
         self.table = table;
         self.build_parts = parts;
-        Ok(())
-    }
-
-    /// One probe row: route to its spill partition if the build side
-    /// spilled there, then join its resident matches into `ready`.
-    fn probe_row(&mut self, row: Row) -> Result<()> {
-        eval_into(&self.env.probe_keys, &row, &mut self.key_scratch)?;
-        let key = &self.key_scratch;
-        if !key_joinable(key) {
-            return Ok(());
-        }
-        if let Some(bloom) = &self.bloom {
-            if !bloom.contains(bloom_hash(key)) {
-                // Provably no partner anywhere: skip lookup and I/O.
-                return Ok(());
-            }
-        }
-        // Route before matching: once spilling started, a key's build
-        // rows may be split between the resident table and a partition,
-        // and the probe row must meet both halves.
-        if !self.build_parts.is_empty() {
-            let p = partition_of(key, 0);
-            if self.build_parts[p].is_some() {
-                if self.probe_parts[p].is_none() {
-                    self.probe_parts[p] = Some(self.env.ctx.create_join_spill()?);
-                }
-                if let Some(writer) = self.probe_parts[p].as_mut() {
-                    write_spill_row(writer, &row)?;
-                }
-            }
-        }
-        for b in self.table.matches(key) {
-            self.ready.push_back(self.env.emit(b, &row));
-        }
         Ok(())
     }
 
@@ -483,47 +541,54 @@ impl HashJoinIter {
 }
 
 impl RowIterator for HashJoinIter {
-    /// Pull probe *batches*, run each selected row through the per-row
-    /// probe (Bloom pre-screen, spill routing, resident lookup), and hand
-    /// the joined rows on as a batch; once the probe side is exhausted,
-    /// stream the spilled partition pairs' output.
+    /// Pull a probe batch, probe the resident table with each of its rows
+    /// (Bloom pre-screen, spill routing, lookup) into match pairs, and
+    /// hand the pairs on `max_rows` at a time as gathered batches; once
+    /// the probe side is exhausted, stream the spilled partition pairs'
+    /// output.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if matches!(self.state, JoinState::Build) {
             self.run_build()?;
             self.state = JoinState::Probe;
         }
         let max = max_rows.max(1);
-        let mut out: Vec<Row> =
-            Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
         loop {
-            while out.len() < max {
-                match self.ready.pop_front() {
-                    Some(row) => out.push(row),
-                    None => break,
+            if let Some(probed) = &self.probed {
+                if self.emitted < self.pairs.build.len() {
+                    let from = self.emitted;
+                    let to = (from + max).min(self.pairs.build.len());
+                    self.emitted = to;
+                    let joined = self.env.gather(&self.table, probed, &self.pairs, from, to);
+                    return Ok(Some(joined));
                 }
-            }
-            if out.len() >= max {
-                return Ok(Some(RowBatch::from_rows(out)));
             }
             match self.state {
                 JoinState::Probe => match self.probe.next_batch(max)? {
                     Some(batch) => {
-                        for row in batch.into_rows() {
-                            self.probe_row(row)?;
-                        }
+                        let batch = batch.compact();
+                        self.pairs.build.clear();
+                        self.pairs.probe.clear();
+                        self.emitted = 0;
+                        self.env.probe(
+                            &self.table,
+                            &batch,
+                            0,
+                            self.bloom.as_ref(),
+                            &self.build_parts,
+                            &mut self.probe_parts,
+                            &mut self.pairs,
+                        )?;
+                        self.probed = Some(batch);
                     }
                     None => {
+                        self.probed = None;
                         self.output = Some(self.run_partition_phase()?);
                         self.state = JoinState::Drain;
                     }
                 },
                 JoinState::Drain => {
-                    return if out.is_empty() {
-                        let rows = self.output.as_mut().expect("output set before Drain");
-                        fill_batch(max, || rows.next_row())
-                    } else {
-                        Ok(Some(RowBatch::from_rows(out)))
-                    };
+                    let rows = self.output.as_mut().expect("output set before Drain");
+                    return fill_batch(max, || rows.next_row());
                 }
                 JoinState::Build => unreachable!("build ran before the loop"),
             }
@@ -531,25 +596,92 @@ impl RowIterator for HashJoinIter {
     }
 }
 
+/// One input of a merge join: its current batch (compacted), the cells
+/// of its join key in that batch, and the current row.
+struct MergeSide {
+    input: BoxedIter,
+    key_exprs: Vec<Expr>,
+    batch_size: usize,
+    batch: Option<RowBatch>,
+    key: Vec<Operand>,
+    pos: usize,
+    done: bool,
+}
+
+impl MergeSide {
+    fn new(input: BoxedIter, key_exprs: Vec<Expr>, batch_size: usize) -> MergeSide {
+        MergeSide {
+            input,
+            key_exprs,
+            batch_size,
+            batch: None,
+            key: Vec::new(),
+            pos: 0,
+            done: false,
+        }
+    }
+
+    /// Has the current batch no row left (or is there none)?
+    fn exhausted(&self) -> bool {
+        self.batch.as_ref().is_none_or(|b| self.pos >= b.len())
+    }
+
+    /// Make sure there is a current row, pulling the next batch when the
+    /// current one is used up; `false` at the end of the input.
+    fn ready(&mut self) -> Result<bool> {
+        while self.exhausted() {
+            if self.done {
+                return Ok(false);
+            }
+            match self.input.next_batch(self.batch_size)? {
+                Some(b) => {
+                    let b = b.compact();
+                    self.key = Operand::eval_all(&self.key_exprs, &b)?;
+                    self.batch = Some(b);
+                    self.pos = 0;
+                }
+                None => {
+                    self.done = true;
+                    self.batch = None;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    fn batch(&self) -> &RowBatch {
+        self.batch.as_ref().expect("a current row")
+    }
+
+    /// Key cell `k` of the current row.
+    #[inline]
+    fn key_cell(&self, k: usize) -> ValueRef<'_> {
+        self.key[k].column(self.batch()).get(self.pos)
+    }
+
+    fn joinable(&self) -> bool {
+        (0..self.key.len()).all(|k| !self.key_cell(k).is_null())
+    }
+}
+
 /// Inner merge join over inputs sorted ascending on their join keys.
-/// Handles duplicate keys on both sides by buffering the right-side group.
-/// Each side's current key is evaluated into a buffer reused row after
-/// row, and right rows move into the group rather than being copied.
+/// Keys are compared where they lie in the two sides' batches; the right
+/// rows of one key are copied into a small column buffer (a group may
+/// straddle right batches), and each output batch is gathered from the
+/// current left batch and that buffer by index pairs.
 pub struct MergeJoinIter {
-    left: RowCursor,
-    right: RowCursor,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    /// The current row of each side (`None` at its end) and its key.
-    left_row: Option<Row>,
-    left_key: Vec<Value>,
-    right_row: Option<Row>,
-    right_key: Vec<Value>,
-    /// Buffered right rows sharing the current key (for left dups).
-    right_group: Vec<Row>,
-    right_group_key: Vec<Value>,
-    emit_idx: usize,
-    started: bool,
+    left: MergeSide,
+    right: MergeSide,
+    /// Right rows of the groups the output being built touches; the
+    /// current group is `right_buf[group.0..group.1]`.
+    right_buf: Vec<Column>,
+    right_rows: usize,
+    group: Option<(usize, usize)>,
+    group_key: Vec<Value>,
+    /// Does the current left row match the current group, and how many
+    /// of the group's rows has it been paired with?
+    matched: bool,
+    emit: usize,
 }
 
 impl MergeJoinIter {
@@ -561,106 +693,149 @@ impl MergeJoinIter {
         batch_size: usize,
     ) -> MergeJoinIter {
         MergeJoinIter {
-            left: RowCursor::new(left, batch_size),
-            right: RowCursor::new(right, batch_size),
-            left_keys,
-            right_keys,
-            left_row: None,
-            left_key: Vec::new(),
-            right_row: None,
-            right_key: Vec::new(),
-            right_group: Vec::new(),
-            right_group_key: Vec::new(),
-            emit_idx: 0,
-            started: false,
+            left: MergeSide::new(left, left_keys, batch_size),
+            right: MergeSide::new(right, right_keys, batch_size),
+            right_buf: Vec::new(),
+            right_rows: 0,
+            group: None,
+            group_key: Vec::new(),
+            matched: false,
+            emit: 0,
         }
     }
 
-    fn advance_left(&mut self) -> Result<()> {
-        self.left_row = self.left.next()?;
-        if let Some(row) = &self.left_row {
-            eval_into(&self.left_keys, row, &mut self.left_key)?;
+    fn cmp_current(&self) -> Ordering {
+        for k in 0..self.left.key.len() {
+            let o = self.left.key_cell(k).total_cmp(&self.right.key_cell(k));
+            if o != Ordering::Equal {
+                return o;
+            }
         }
-        Ok(())
+        Ordering::Equal
     }
 
-    fn advance_right(&mut self) -> Result<()> {
-        self.right_row = self.right.next()?;
-        if let Some(row) = &self.right_row {
-            eval_into(&self.right_keys, row, &mut self.right_key)?;
-        }
-        Ok(())
+    fn left_in_group(&self) -> bool {
+        self.group_key
+            .iter()
+            .enumerate()
+            .all(|(k, v)| v.view().total_cmp(&self.left.key_cell(k)).is_eq())
     }
 
-    /// Move into `right_group` every right row whose key equals the
-    /// current one (the right cursor is positioned at the first such row).
+    /// Copy every right row whose key equals the current right row's into
+    /// `right_buf` as the new group (the right side is positioned at the
+    /// first such row).
     fn gather_right_group(&mut self) -> Result<()> {
-        self.right_group.clear();
-        self.right_group_key.clone_from(&self.right_key);
-        while self.right_row.is_some()
-            && cmp_keys(&self.right_key, &self.right_group_key) == Ordering::Equal
-        {
-            self.right_group.extend(self.right_row.take());
-            self.advance_right()?;
+        self.group_key.clear();
+        for k in 0..self.right.key.len() {
+            self.group_key.push(self.right.key_cell(k).to_value());
         }
+        let start = self.right_rows;
+        while self.right.ready()? {
+            let key_equal = self
+                .group_key
+                .iter()
+                .enumerate()
+                .all(|(k, v)| v.view().total_cmp(&self.right.key_cell(k)).is_eq());
+            if !key_equal {
+                break;
+            }
+            let batch = self.right.batch();
+            if self.right_buf.len() != batch.width() {
+                self.right_buf = (0..batch.width())
+                    .map(|j| batch.column(j).like(0))
+                    .collect();
+            }
+            for (j, dst) in self.right_buf.iter_mut().enumerate() {
+                dst.push_from(batch.column(j), self.right.pos);
+            }
+            self.right_rows += 1;
+            self.right.pos += 1;
+        }
+        self.group = Some((start, self.right_rows));
         Ok(())
-    }
-
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            self.advance_left()?;
-            self.advance_right()?;
-        }
-        loop {
-            // Emit pending cross-products of the current left row with
-            // the buffered right group.
-            if self.emit_idx < self.right_group.len() {
-                let lrow = self.left_row.as_ref().expect("left row during emit");
-                let out = lrow.concat(&self.right_group[self.emit_idx]);
-                self.emit_idx += 1;
-                return Ok(Some(out));
-            }
-            // Finished the group for this left row: advance left and see
-            // if it matches the same buffered group.
-            if !self.right_group.is_empty() {
-                self.advance_left()?;
-                if self.left_row.is_some()
-                    && key_joinable(&self.left_key)
-                    && cmp_keys(&self.left_key, &self.right_group_key) == Ordering::Equal
-                {
-                    self.emit_idx = 0;
-                    continue;
-                }
-                self.right_group.clear();
-                self.emit_idx = 0;
-            }
-            if self.left_row.is_none() || self.right_row.is_none() {
-                return Ok(None);
-            }
-            if !key_joinable(&self.left_key) {
-                self.advance_left()?;
-                continue;
-            }
-            if !key_joinable(&self.right_key) {
-                self.advance_right()?;
-                continue;
-            }
-            match cmp_keys(&self.left_key, &self.right_key) {
-                Ordering::Less => self.advance_left()?,
-                Ordering::Greater => self.advance_right()?,
-                Ordering::Equal => {
-                    self.gather_right_group()?;
-                    self.emit_idx = 0;
-                }
-            }
-        }
     }
 }
 
 impl RowIterator for MergeJoinIter {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        fill_batch(max_rows, || self.next_row())
+        let max = max_rows.max(1);
+        let (mut li, mut ri): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        loop {
+            // Output pairs index the current left batch: hand them on
+            // before it is replaced.
+            if li.len() >= max || (!li.is_empty() && self.left.exhausted()) {
+                break;
+            }
+            if let Some((start, end)) = self.group {
+                if self.matched {
+                    while self.emit < end - start && li.len() < max {
+                        li.push(self.left.pos as u32);
+                        ri.push((start + self.emit) as u32);
+                        self.emit += 1;
+                    }
+                    if self.emit == end - start {
+                        // Done with this left row: the next one may
+                        // match the same group.
+                        self.left.pos += 1;
+                        self.emit = 0;
+                        self.matched = false;
+                    }
+                    continue;
+                }
+                if self.left.ready()? && self.left.joinable() && self.left_in_group() {
+                    self.matched = true;
+                    continue;
+                }
+                self.group = None;
+            }
+            if !self.left.ready()? || !self.right.ready()? {
+                break;
+            }
+            if !self.left.joinable() {
+                self.left.pos += 1;
+                continue;
+            }
+            if !self.right.joinable() {
+                self.right.pos += 1;
+                continue;
+            }
+            match self.cmp_current() {
+                Ordering::Less => self.left.pos += 1,
+                Ordering::Greater => self.right.pos += 1,
+                Ordering::Equal => {
+                    self.gather_right_group()?;
+                    self.matched = true;
+                    self.emit = 0;
+                }
+            }
+        }
+        if li.is_empty() {
+            return Ok(None);
+        }
+        let left = self.left.batch();
+        let mut cols: Vec<Column> = (0..left.width())
+            .map(|j| left.column(j).gather(&li))
+            .collect();
+        cols.extend(self.right_buf.iter().map(|c| c.gather(&ri)));
+        let out = RowBatch::from_columns(cols, li.len());
+        // Keep only the group still in flight.
+        match self.group {
+            Some((start, end)) => {
+                let idx: Vec<u32> = (start as u32..end as u32).collect();
+                for c in &mut self.right_buf {
+                    *c = c.gather(&idx);
+                }
+                self.right_rows = end - start;
+                self.group = Some((0, end - start));
+            }
+            None => {
+                for c in &mut self.right_buf {
+                    c.truncate(0);
+                }
+                self.right_rows = 0;
+            }
+        }
+        Ok(Some(out))
     }
 }
 
@@ -670,6 +845,7 @@ mod tests {
     use crate::exec::testutil::{int_rows, test_context};
     use crate::exec::{collect, ValuesIter};
     use crate::governor::QueryGovernor;
+    use seqdb_types::Row;
 
     fn kv_rows(pairs: impl Iterator<Item = (i64, i64)>) -> Vec<Row> {
         pairs

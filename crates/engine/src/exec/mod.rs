@@ -2,12 +2,22 @@
 //!
 //! Every operator implements [`RowIterator`], whose only method is
 //! `next_batch`: the consumer pulls a [`RowBatch`] of up to `BATCH_SIZE`
-//! rows at a time. Operators whose logic is inherently row-at-a-time fit
-//! the contract from both sides without a second protocol: they *consume*
-//! a child through a [`RowCursor`] (buffer one batch, pop one row) and
-//! *produce* through [`fill_batch`] (loop an inherent `next_row` until the
-//! batch is full). `SET BATCH_SIZE = 1` is therefore row mode — the same
-//! code, a smaller batch.
+//! rows at a time. A batch is columns (see [`batch`]): one typed vector
+//! per value position plus a selection vector. Scans decode each kept
+//! record straight into the columns; filters, projections, the hash,
+//! parallel and stream aggregates and both joins read and write columns,
+//! so a row that crosses them is never a `Vec` and a text cell never an
+//! `Arc`.
+//!
+//! Operators whose logic is inherently row-at-a-time (sort, top-N, row
+//! number, cross apply, TVF scans, literal rows, the spill readers) fit
+//! the contract from both sides without a second protocol: they
+//! *consume* a child through a [`RowCursor`] (buffer one batch, pop one
+//! row) and *produce* through [`fill_batch`] (loop an inherent `next_row`
+//! until the batch is full). These two are the only conversions between
+//! rows and columns, besides the root, which builds the result's rows.
+//! `SET BATCH_SIZE = 1` is therefore row mode — the same code, a smaller
+//! batch.
 //!
 //! The paper's Figure 5 `MoveNext`/`FillRow` contract between the query
 //! processor and CLR table-valued functions (§4.1) lives only at the
@@ -15,6 +25,7 @@
 
 pub mod agg;
 pub mod apply;
+pub mod batch;
 pub mod filter;
 pub mod join;
 pub mod scan;
@@ -33,6 +44,8 @@ use crate::catalog::Catalog;
 use crate::expr::Expr;
 use crate::governor::QueryGovernor;
 use crate::stats::{ExecStats, NodeStats};
+
+pub use batch::{BatchRow, Column, RowBatch, RowView};
 
 /// Everything an operator needs at run time.
 #[derive(Clone)]
@@ -194,122 +207,6 @@ pub(crate) fn mark_read<'a>(demand: &mut [bool], exprs: impl IntoIterator<Item =
     }
 }
 
-/// A batch of rows moving between operators.
-///
-/// The batch owns its rows plus an optional *selection vector*: indices
-/// of the rows still live. A filter narrows the selection in place
-/// instead of moving or dropping rows; whoever materializes the batch
-/// (projection, join probe, a [`RowCursor`], the root drain) compacts it
-/// then.
-pub struct RowBatch {
-    rows: Vec<Row>,
-    /// Live row indices, ascending. `None` means every row is live.
-    sel: Option<Vec<u32>>,
-    /// Origin tag, read only by the `batch_rows` / `batch_fallback_rows`
-    /// counters: true when [`fill_batch`] assembled the batch from a
-    /// row-at-a-time producer rather than a native batch producer.
-    fallback: bool,
-}
-
-impl RowBatch {
-    pub fn from_rows(rows: Vec<Row>) -> RowBatch {
-        RowBatch {
-            rows,
-            sel: None,
-            fallback: false,
-        }
-    }
-
-    /// Was this batch assembled by [`fill_batch`]?
-    pub fn is_fallback(&self) -> bool {
-        self.fallback
-    }
-
-    /// Number of *selected* rows.
-    pub fn len(&self) -> usize {
-        match &self.sel {
-            Some(sel) => sel.len(),
-            None => self.rows.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate the selected rows in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        let sel = self.sel.as_deref();
-        (0..self.len()).map(move |i| match sel {
-            Some(s) => &self.rows[s[i] as usize],
-            None => &self.rows[i],
-        })
-    }
-
-    /// Underlying storage and selection, for operators that rewrite rows
-    /// in place (projection takes values out of selected rows).
-    pub fn parts_mut(&mut self) -> (&mut [Row], Option<&[u32]>) {
-        (&mut self.rows, self.sel.as_deref())
-    }
-
-    /// Narrow the selection to rows where `keep` returns true, without
-    /// moving or dropping any row.
-    pub fn narrow(&mut self, mut keep: impl FnMut(&Row) -> Result<bool>) -> Result<()> {
-        let mut next = Vec::with_capacity(self.len());
-        match self.sel.take() {
-            Some(sel) => {
-                for i in sel {
-                    if keep(&self.rows[i as usize])? {
-                        next.push(i);
-                    }
-                }
-            }
-            None => {
-                for (i, row) in self.rows.iter().enumerate() {
-                    if keep(row)? {
-                        next.push(i as u32);
-                    }
-                }
-            }
-        }
-        self.sel = Some(next);
-        Ok(())
-    }
-
-    /// Keep only the first `n` selected rows (LIMIT).
-    pub fn truncate(&mut self, n: usize) {
-        if n >= self.len() {
-            return;
-        }
-        match &mut self.sel {
-            Some(sel) => sel.truncate(n),
-            None => {
-                self.sel = Some((0..n as u32).collect());
-            }
-        }
-    }
-
-    /// Compact into a plain row vector, consuming the batch. Rows outside
-    /// the selection are dropped here and only here.
-    pub fn into_rows(mut self) -> Vec<Row> {
-        match self.sel.take() {
-            None => std::mem::take(&mut self.rows),
-            Some(sel) => {
-                let mut out = Vec::with_capacity(sel.len());
-                let mut want = sel.into_iter();
-                let mut target = want.next();
-                for (i, row) in std::mem::take(&mut self.rows).into_iter().enumerate() {
-                    if Some(i as u32) == target {
-                        out.push(row);
-                        target = want.next();
-                    }
-                }
-                out
-            }
-        }
-    }
-}
-
 /// A pull-based stream of row batches: the one operator contract.
 pub trait RowIterator: Send {
     /// Produce the next batch of up to `max_rows` rows (a hint, not a
@@ -343,10 +240,7 @@ pub fn fill_batch(
     if rows.is_empty() {
         Ok(None)
     } else {
-        Ok(Some(RowBatch {
-            fallback: true,
-            ..RowBatch::from_rows(rows)
-        }))
+        Ok(Some(RowBatch::from_rows(rows).mark_fallback()))
     }
 }
 

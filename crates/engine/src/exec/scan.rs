@@ -5,21 +5,24 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use seqdb_storage::page::PageId;
-use seqdb_storage::rowfmt::{self, Compression};
-use seqdb_types::{Result, Row, Value};
+use seqdb_storage::rowfmt::{self, Compression, RecordSink};
+use seqdb_types::{DataType, Result, Schema, Value, ValueRef};
 
 use crate::catalog::{Table, TableIndex};
+use crate::exec::batch::BatchBuilder;
 use crate::exec::{mark_read, Layout, RowBatch, RowIterator};
 use crate::expr::{passes, Expr, Kernel};
 
 /// What a scan decodes and where it lands, shared by both scans: the
 /// columns its consumer reads plus those its own filter reads, in schema
 /// order, and nothing else. The filter runs inside the decode, as soon as
-/// the last column it reads is decoded: a record it refuses is never
-/// built into a row.
+/// the last column it reads is decoded: a record it refuses never reaches
+/// its batch, and a kept one is appended to the batch's columns.
 struct Narrowing {
     /// Per table column, decoded or skipped; `None` decodes them all.
     wanted: Option<Vec<bool>>,
+    /// The type of each column the scan emits.
+    types: Vec<DataType>,
     layout: Layout,
     /// The pushed-down filter, over the narrow rows.
     filter: Option<Expr>,
@@ -33,7 +36,8 @@ struct Narrowing {
 impl Narrowing {
     /// `columns` marks the table columns the consumer reads (`None` =
     /// all of them).
-    fn new(ncols: usize, filter: Option<&Expr>, columns: Option<Vec<bool>>) -> Result<Narrowing> {
+    fn new(schema: &Schema, filter: Option<&Expr>, columns: Option<Vec<bool>>) -> Result<Narrowing> {
+        let ncols = schema.len();
         let wanted = columns
             .map(|mut wanted| {
                 wanted.resize(ncols, false);
@@ -49,8 +53,16 @@ impl Narrowing {
         mark_read(&mut read, filter);
         let check_at = read.iter().rposition(|&r| r).map_or(0, |last| last + 1);
         let filter = filter.map(|f| layout.remap(f)).transpose()?;
+        let types = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| wanted.as_ref().is_none_or(|w| w[*i]))
+            .map(|(_, c)| c.dtype)
+            .collect();
         Ok(Narrowing {
             wanted,
+            types,
             layout,
             kernel: filter.as_ref().and_then(Kernel::compile),
             filter,
@@ -58,16 +70,22 @@ impl Narrowing {
         })
     }
 
-    /// Run `decode` with the filter as its [`rowfmt::Check`] (none when
-    /// the scan has no filter). The columns before `check_at` sit at
-    /// their final positions in the narrow row, so the remapped filter
-    /// and its kernel read the decoded prefix as they would the row.
-    fn checked<T>(&self, decode: impl FnOnce(Option<rowfmt::Check<'_>>) -> T) -> T {
+    /// Run `decode` with the filter as its [`rowfmt::CellCheck`] (none
+    /// when the scan has no filter). The columns before `check_at` are
+    /// the first cells of the narrow row, so the remapped filter and its
+    /// kernel read the decoded prefix of the record as it lies, borrowed.
+    fn checked<T>(&self, decode: impl FnOnce(Option<rowfmt::CellCheck<'_>>) -> T) -> T {
         let Some(filter) = &self.filter else {
             return decode(None);
         };
-        let mut keep = |row: &Row| passes(filter, self.kernel.as_ref(), row);
+        let mut keep = |cells: &[ValueRef<'_>]| passes(filter, self.kernel.as_ref(), cells);
         decode(Some((self.check_at, &mut keep)))
+    }
+
+    /// An empty batch of the scan's columns, with room for `cap` rows and
+    /// `text_cap` bytes per text column.
+    fn builder(&self, cap: usize, text_cap: usize) -> BatchBuilder {
+        BatchBuilder::new(&self.types, cap, text_cap)
     }
 }
 
@@ -78,6 +96,13 @@ pub struct HeapScanIter {
     table: Arc<Table>,
     pages: std::vec::IntoIter<PageId>,
     narrow: Narrowing,
+    /// The columns the next page decodes into; a page that keeps nothing
+    /// leaves them empty for the next one.
+    builder: Option<BatchBuilder>,
+    /// Most rows, and most bytes of one text column, a page has kept so
+    /// far: the next batch's capacity.
+    cap: usize,
+    text_cap: usize,
 }
 
 impl HeapScanIter {
@@ -99,7 +124,7 @@ impl HeapScanIter {
         part: usize,
         nparts: usize,
     ) -> Result<Self> {
-        let narrow = Narrowing::new(table.schema.len(), filter, columns)?;
+        let narrow = Narrowing::new(&table.schema, filter, columns)?;
         let pages: Vec<PageId> = table
             .heap
             .pages_snapshot()
@@ -112,6 +137,9 @@ impl HeapScanIter {
             table,
             pages: pages.into_iter(),
             narrow,
+            builder: None,
+            cap: 64,
+            text_cap: 0,
         })
     }
 
@@ -125,9 +153,8 @@ impl RowIterator for HeapScanIter {
     /// Each page's kept rows become one batch wholesale (`max_rows` is a
     /// hint; a page holds at most a few hundred rows): one pin, one
     /// decode, one return. The pushed-down residual predicate is checked
-    /// inside the decode, so a record it refuses is neither built nor
-    /// walked past the filter's last column, and the batch holds only
-    /// kept rows.
+    /// inside the decode, so a record it refuses is not walked past the
+    /// filter's last column, and the batch holds only kept rows.
     fn next_batch(&mut self, _max_rows: usize) -> Result<Option<RowBatch>> {
         let narrow = &self.narrow;
         let mask = narrow.wanted.as_deref();
@@ -135,15 +162,21 @@ impl RowIterator for HeapScanIter {
             let Some(pid) = self.pages.next() else {
                 return Ok(None);
             };
-            let mut rows = Vec::new();
+            let mut builder = match self.builder.take() {
+                Some(b) => b,
+                None => narrow.builder(self.cap, self.text_cap),
+            };
             narrow.checked(|check| {
                 self.table
                     .heap
-                    .page_rows_into_checked(pid, mask, check, &mut rows)
+                    .page_records_into(pid, mask, check, &mut builder)
             })?;
-            if !rows.is_empty() {
-                return Ok(Some(RowBatch::from_rows(rows)));
+            if builder.rows() > 0 {
+                self.cap = self.cap.max(builder.rows());
+                self.text_cap = self.text_cap.max(builder.text_bytes());
+                return Ok(Some(builder.finish()));
             }
+            self.builder = Some(builder);
         }
     }
 }
@@ -185,14 +218,12 @@ impl KeyRange {
 }
 
 /// Ordered scan of a B+-tree index over one [`KeyRange`], decoding the
-/// rows stored in its leaves into narrow rows, like [`HeapScanIter`].
+/// rows stored in its leaves into columns, like [`HeapScanIter`].
 pub struct IndexScanIter {
     index: Arc<TableIndex>,
     schema: Arc<seqdb_types::Schema>,
     narrow: Narrowing,
-    /// Rows decoded by the last refill, filtered.
-    buffer: std::vec::IntoIter<Row>,
-    /// Where the next refill starts; `None` once the range is exhausted.
+    /// Where the next visit starts; `None` once the range is exhausted.
     resume: Option<Bound<Vec<u8>>>,
     upper: Bound<Vec<u8>>,
 }
@@ -211,8 +242,7 @@ impl IndexScanIter {
         Ok(IndexScanIter {
             index,
             schema: table.schema.clone(),
-            narrow: Narrowing::new(table.schema.len(), filter, columns)?,
-            buffer: Vec::new().into_iter(),
+            narrow: Narrowing::new(&table.schema, filter, columns)?,
             resume: Some(range.lower),
             upper: range.upper,
         })
@@ -223,73 +253,57 @@ impl IndexScanIter {
         &self.narrow.layout
     }
 
-    /// Decode the next run of up to 1024 entries straight from the tree's
-    /// leaf into `buffer`. The range is re-opened from just after the last
-    /// key seen, which keeps the borrow on the tree short-lived and the
-    /// iterator `Send`.
-    fn refill(&mut self) -> Result<()> {
-        const BATCH: usize = 1024;
+    /// Decode entries straight from the tree's leaves into `builder`
+    /// until it holds `max` rows or 1024 entries were seen. The range is
+    /// re-opened from just after the last key seen, which keeps the
+    /// borrow on the tree short-lived and the iterator `Send`.
+    fn visit(&mut self, max: usize, builder: &mut BatchBuilder) -> Result<()> {
+        const ENTRIES: usize = 1024;
         let Some(start) = self.resume.take() else {
             return Ok(());
         };
         let start = start.as_ref().map(Vec::as_slice);
         let end = self.upper.as_ref().map(Vec::as_slice);
         let mask = self.narrow.wanted.as_deref().unwrap_or(&[]);
-        // Grown to the rows the run yields: a point seek holds one.
-        let mut rows = Vec::new();
-        // Refused entries reuse this row; a kept one moves out of it.
-        let mut row = Row::empty();
         let mut entries = self.index.btree.range(start, end)?;
         let mut seen = 0;
         while let Some(entry) = entries.next_entry() {
             let (k, v) = entry?;
             if self.narrow.checked(|check| {
-                rowfmt::decode_row_into(
+                rowfmt::decode_record(
                     &self.schema,
                     v,
                     Compression::Row,
                     None,
                     mask,
                     check,
-                    &mut row,
+                    builder,
                 )
             })? {
-                rows.push(std::mem::take(&mut row));
+                builder.end_record();
             }
             seen += 1;
-            if seen == BATCH {
-                // Only a full run is followed by another refill, and only
+            if seen == ENTRIES || builder.rows() == max {
+                // Only a visit cut short is followed by another, and only
                 // then is the key it ended on needed.
                 self.resume = Some(Bound::Excluded(k.to_vec()));
                 break;
             }
         }
-        self.buffer = rows.into_iter();
         Ok(())
     }
 }
 
 impl RowIterator for IndexScanIter {
-    /// Up to `max_rows` rows of the buffered run, refilling it (one tree
-    /// visit per 1024 entries) as it empties.
+    /// Up to `max_rows` rows, one tree visit per 1024 entries at most.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let max = max_rows.max(1);
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            if self.buffer.len() == 0 {
-                if self.resume.is_none() {
-                    break;
-                }
-                self.refill()?;
-                continue;
-            }
-            rows.extend((&mut self.buffer).take(max - rows.len()));
+        // Grown to the rows the visit keeps: a point seek holds one.
+        let mut builder = self.narrow.builder(0, 0);
+        while builder.rows() == 0 && self.resume.is_some() {
+            self.visit(max, &mut builder)?;
         }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::from_rows(rows)))
-        }
+        Ok((builder.rows() > 0).then(|| builder.finish()))
     }
 }
 

@@ -2,14 +2,18 @@
 //!
 //! Expressions are fully resolved at plan time: column references are
 //! positional, function calls hold an `Arc` to the resolved
-//! [`ScalarUdf`]. Evaluation is row-at-a-time, matching the iterator
-//! model of the rest of the engine.
+//! [`ScalarUdf`]. The interpreter evaluates one row at a time through a
+//! [`RowView`]: a [`Row`](seqdb_types::Row), or a row of a column batch read in place. A
+//! WHERE clause of the common shapes compiles to a [`Kernel`] that reads
+//! the cells borrowed and builds no `Value`.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use seqdb_types::{DbError, Result, Row, Value};
+use seqdb_types::{DbError, Result, Value, ValueRef};
+
+use crate::exec::RowView;
 
 use crate::udx::ScalarUdf;
 
@@ -60,7 +64,7 @@ impl BinOp {
 
     /// Whether comparison `self` holds between two values that compare
     /// as `ord`.
-    #[inline]
+    #[inline(always)]
     fn holds(self, ord: Ordering) -> bool {
         match self {
             BinOp::Eq => ord == Ordering::Equal,
@@ -136,12 +140,12 @@ impl Expr {
     }
 
     /// Evaluate against a row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    pub fn eval<R: RowView + ?Sized>(&self, row: &R) -> Result<Value> {
         match self {
-            Expr::Column { index, name } => row.get(*index).cloned().ok_or_else(|| {
+            Expr::Column { index, name } => row.value(*index).ok_or_else(|| {
                 DbError::Execution(format!(
                     "column {name} (#{index}) out of range for row of {} values",
-                    row.len()
+                    row.width()
                 ))
             }),
             Expr::Literal(v) => Ok(v.clone()),
@@ -173,7 +177,7 @@ impl Expr {
     }
 
     /// Evaluate as a predicate: NULL counts as false (SQL WHERE semantics).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
+    pub fn eval_predicate<R: RowView + ?Sized>(&self, row: &R) -> Result<bool> {
         match self.eval(row)? {
             Value::Null => Ok(false),
             v => v.as_bool(),
@@ -226,17 +230,6 @@ impl Expr {
             }
         }
     }
-}
-
-/// Evaluate `exprs` over one row into a reused buffer (cleared first).
-/// Join probes and aggregate argument loops run once per input row and
-/// must not allocate a fresh vector each time.
-pub fn eval_into(exprs: &[Expr], row: &Row, out: &mut Vec<Value>) -> Result<()> {
-    out.clear();
-    for e in exprs {
-        out.push(e.eval(row)?);
-    }
-    Ok(())
 }
 
 /// A WHERE clause compiled once per operator instead of walked per row.
@@ -341,14 +334,14 @@ impl Kernel {
     /// through [`Expr::eval_predicate`], so results and errors are the
     /// interpreter's.
     #[inline]
-    pub(crate) fn eval(&self, row: &Row) -> Option<bool> {
+    pub(crate) fn eval<R: RowView + ?Sized>(&self, row: &R) -> Option<bool> {
         Some(self.truth(row)? == Some(true))
     }
 
     /// Visits the leaves the interpreter would, in its order and with its
     /// short-circuits (an `AND` stops at FALSE, an `OR` at TRUE, NULL
     /// stops neither), so every leaf it would fail on is a leaf seen here.
-    fn truth(&self, row: &Row) -> Option<Truth> {
+    fn truth<R: RowView + ?Sized>(&self, row: &R) -> Option<Truth> {
         match self {
             Kernel::And(parts) | Kernel::Or(parts) => {
                 // The value that decides the whole: FALSE for AND, TRUE for OR.
@@ -370,17 +363,17 @@ impl Kernel {
     /// A leaf evaluated in place (inlined into the `AND` / `OR` loops);
     /// a nested `AND` / `OR` recurses.
     #[inline(always)]
-    fn node_truth(&self, row: &Row) -> Option<Truth> {
+    fn node_truth<R: RowView + ?Sized>(&self, row: &R) -> Option<Truth> {
         Some(match self {
-            Kernel::IntCmp { col, op, k } => match row.get(*col)? {
-                Value::Int(v) => Some(op.holds(v.cmp(k))),
-                Value::Null => None,
+            Kernel::IntCmp { col, op, k } => match row.cell(*col)? {
+                ValueRef::Int(v) => Some(op.holds(v.cmp(k))),
+                ValueRef::Null => None,
                 _ => return None,
             },
-            Kernel::IsNull { col, negated } => Some(row.get(*col)?.is_null() != *negated),
-            Kernel::CharIndex { col, needle, op, k } => match row.get(*col)? {
-                Value::Text(s) => Some(op.holds(crate::builtins::charindex(needle, s).cmp(k))),
-                Value::Null => None,
+            Kernel::IsNull { col, negated } => Some(row.cell(*col)?.is_null() != *negated),
+            Kernel::CharIndex { col, needle, op, k } => match row.cell(*col)? {
+                ValueRef::Text(s) => Some(op.holds(crate::builtins::charindex(needle, s).cmp(k))),
+                ValueRef::Null => None,
                 _ => return None,
             },
             Kernel::And(_) | Kernel::Or(_) => return self.truth(row),
@@ -391,18 +384,22 @@ impl Kernel {
 /// Evaluate a WHERE predicate on one row through its compiled kernel,
 /// re-running the rows the kernel declines through the interpreter.
 #[inline]
-pub(crate) fn passes(pred: &Expr, kernel: Option<&Kernel>, row: &Row) -> Result<bool> {
+pub(crate) fn passes<R: RowView + ?Sized>(
+    pred: &Expr,
+    kernel: Option<&Kernel>,
+    row: &R,
+) -> Result<bool> {
     match kernel.and_then(|k| k.eval(row)) {
         Some(pass) => Ok(pass),
         None => pred.eval_predicate(row),
     }
 }
 
-/// Which expressions of a projection list may *move* their value out of
-/// the input row instead of cloning it: bare column references whose
-/// column no other expression in the list touches. Safe because the
-/// input row is dropped right after the projection, and a column taken
-/// here is by construction read by nothing else.
+/// Which expressions of a projection list may *move* their column out
+/// of the input batch instead of copying it: bare column references
+/// whose column no other expression in the list touches. Safe because
+/// the input batch is dropped right after the projection, and a column
+/// taken here is by construction read by nothing else.
 pub fn take_plan(exprs: &[Expr]) -> Vec<bool> {
     let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     let mut refs = Vec::new();
@@ -419,34 +416,7 @@ pub fn take_plan(exprs: &[Expr]) -> Vec<bool> {
         .collect()
 }
 
-/// Evaluate a projection list over one row into `out` (cleared first).
-/// Where `take` (from [`take_plan`]) allows, the value is moved out of
-/// the row, leaving `Value::Null` behind — the batch projection path
-/// uses this to avoid the per-row `Value` clones (and for `Text`
-/// columns, the string copies) that `Expr::eval` pays.
-pub fn eval_project_into(
-    exprs: &[Expr],
-    take: &[bool],
-    row: &mut Row,
-    out: &mut Vec<Value>,
-) -> Result<()> {
-    out.clear();
-    out.reserve(exprs.len());
-    for (i, e) in exprs.iter().enumerate() {
-        if take.get(i).copied().unwrap_or(false) {
-            if let Expr::Column { index, .. } = e {
-                if let Some(slot) = row.0.get_mut(*index) {
-                    out.push(std::mem::replace(slot, Value::Null));
-                    continue;
-                }
-            }
-        }
-        out.push(e.eval(row)?);
-    }
-    Ok(())
-}
-
-fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value> {
+fn eval_binary<R: RowView + ?Sized>(op: BinOp, left: &Expr, right: &Expr, row: &R) -> Result<Value> {
     // AND/OR need SQL three-valued logic with short-circuiting.
     if matches!(op, BinOp::And | BinOp::Or) {
         let l = left.eval(row)?;
@@ -593,6 +563,7 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use seqdb_types::Row;
     use rand::{Rng, SeedableRng};
 
     fn row() -> Row {

@@ -31,8 +31,8 @@ use seqdb_types::{DbError, Result};
 
 use crate::catalog::Table;
 use crate::exec::agg::{
-    aggregate_partial_spilling, empty_global_row, finish_group, merge_maps, AggSpec, GroupedStates,
-    OutputBuffer, OutputRows, MAX_SPILL_DEPTH,
+    aggregate_partial_spilling, empty_global_row, merge_maps, AggSpec, GroupedStates, OutputBuffer,
+    OutputRows, MAX_SPILL_DEPTH,
 };
 use crate::exec::scan::HeapScanIter;
 use crate::exec::{fill_batch, mark_read, ExecContext, RowBatch, RowIterator};
@@ -224,14 +224,14 @@ impl ParallelAggIter {
         // Duplicate keys collapse, so the merged map costs no more than
         // the sum of the worker charges, which stay held until every
         // finished group is in the governed output buffer.
-        let mut merged: GroupedStates = partials.pop().unwrap_or_default();
+        let mut merged = partials
+            .pop()
+            .unwrap_or_else(|| GroupedStates::new(self.group_exprs.len()));
         for p in partials {
             merge_maps(&mut merged, p, &self.aggs)?;
         }
         let mut out = OutputBuffer::new(ctx);
-        for (key, states) in merged.into_groups() {
-            out.push(finish_group(key, states, &self.aggs)?)?;
-        }
+        merged.finish(&self.aggs, |row| out.push(row))?;
         drop(charges);
 
         self.output = Some(if out.is_empty() && self.group_exprs.is_empty() {

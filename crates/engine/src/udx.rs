@@ -20,7 +20,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use seqdb_types::{DbError, Result, Row, Schema, Value};
+use seqdb_types::{DbError, Result, Row, Schema, Value, ValueRef};
 
 use crate::exec::ExecContext;
 
@@ -89,6 +89,15 @@ pub trait AggState: Send {
             self.update(args)?;
         }
         Ok(())
+    }
+    /// [`AggState::update`] with the arguments borrowed from the column
+    /// batch they lie in: the path the engine's aggregates call. The
+    /// default builds the `Value`s and calls `update`, so user aggregates
+    /// keep exact semantics; one that reads its arguments in place
+    /// overrides it and builds nothing per row.
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
+        let vals: Vec<Value> = args.iter().map(|a| a.to_value()).collect();
+        self.update(&vals)
     }
     /// `Merge(other)`: fold another partial state of the same aggregate
     /// into `self`. `other` is guaranteed to come from the same
@@ -202,6 +211,12 @@ impl AggState for CountState {
         }
         Ok(())
     }
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
+        if args.first().is_none_or(|v| !v.is_null()) {
+            self.n += 1;
+        }
+        Ok(())
+    }
     fn merge(&mut self, other: Box<dyn AggState>) -> Result<()> {
         self.n += downcast_state::<CountState>(other, "COUNT")?.n;
         Ok(())
@@ -225,17 +240,20 @@ pub struct SumState {
 
 impl AggState for SumState {
     fn update(&mut self, args: &[Value]) -> Result<()> {
+        self.update_ref(args.first().map(Value::view).as_slice())
+    }
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
         match args.first() {
-            Some(Value::Int(i)) => {
+            Some(ValueRef::Int(i)) => {
                 self.int_sum = self.int_sum.wrapping_add(*i);
                 self.saw_any = true;
             }
-            Some(Value::Float(f)) => {
+            Some(ValueRef::Float(f)) => {
                 self.float_sum += f;
                 self.saw_float = true;
                 self.saw_any = true;
             }
-            Some(Value::Null) | None => {}
+            Some(ValueRef::Null) | None => {}
             Some(other) => {
                 return Err(DbError::Execution(format!(
                     "SUM over non-numeric {}",
@@ -286,6 +304,18 @@ impl AggState for MinState {
         }
         Ok(())
     }
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
+        if let Some(v) = args.first() {
+            if v.is_null() {
+                return Ok(());
+            }
+            match &self.current {
+                Some(c) if c.view().total_cmp(v).is_le() => {}
+                _ => self.current = Some(v.to_value()),
+            }
+        }
+        Ok(())
+    }
     fn merge(&mut self, other: Box<dyn AggState>) -> Result<()> {
         if let Some(v) = downcast_state::<MinState>(other, "MIN")?.current {
             self.update(&[v])?;
@@ -319,6 +349,18 @@ impl AggState for MaxState {
         }
         Ok(())
     }
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
+        if let Some(v) = args.first() {
+            if v.is_null() {
+                return Ok(());
+            }
+            match &self.current {
+                Some(c) if c.view().total_cmp(v).is_ge() => {}
+                _ => self.current = Some(v.to_value()),
+            }
+        }
+        Ok(())
+    }
     fn merge(&mut self, other: Box<dyn AggState>) -> Result<()> {
         if let Some(v) = downcast_state::<MaxState>(other, "MAX")?.current {
             self.update(&[v])?;
@@ -342,16 +384,19 @@ pub struct AvgState {
 
 impl AggState for AvgState {
     fn update(&mut self, args: &[Value]) -> Result<()> {
+        self.update_ref(args.first().map(Value::view).as_slice())
+    }
+    fn update_ref(&mut self, args: &[ValueRef<'_>]) -> Result<()> {
         match args.first() {
-            Some(Value::Int(i)) => {
+            Some(ValueRef::Int(i)) => {
                 self.sum += *i as f64;
                 self.n += 1;
             }
-            Some(Value::Float(f)) => {
+            Some(ValueRef::Float(f)) => {
                 self.sum += f;
                 self.n += 1;
             }
-            Some(Value::Null) | None => {}
+            Some(ValueRef::Null) | None => {}
             Some(other) => {
                 return Err(DbError::Execution(format!(
                     "AVG over non-numeric {}",

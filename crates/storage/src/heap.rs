@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use seqdb_types::{DbError, Result, Row, Schema};
+use seqdb_types::{DbError, Result, Row, Schema, ValueRef};
 
 use crate::buffer::BufferPool;
 use crate::page::{PageId, PageType, FLAG_COMPRESSED, FLAG_RECOMPRESSED, NO_PAGE, PAGE_SIZE};
 use crate::pagec::PageContext;
-use crate::rowfmt::{self, decode_row, encode_row, Compression};
+use crate::rowfmt::{self, decode_row, encode_row, Compression, RecordSink};
 
 /// Physical address of a record: page + slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -264,21 +264,40 @@ impl HeapFile {
         mask: Option<&[bool]>,
         out: &mut Vec<Row>,
     ) -> Result<()> {
-        self.page_rows_into_checked(pid, mask, None, out)
+        /// Each record becomes a row of `out`.
+        struct Rows<'a> {
+            out: &'a mut Vec<Row>,
+            row: Row,
+        }
+        impl RecordSink for Rows<'_> {
+            fn push(&mut self, v: ValueRef<'_>) {
+                self.row.push(v.to_value());
+            }
+            fn end_record(&mut self) {
+                let width = self.row.len();
+                let row = std::mem::replace(&mut self.row, Row(Vec::with_capacity(width)));
+                self.out.push(row);
+            }
+        }
+        let mut rows = Rows {
+            out,
+            row: Row::empty(),
+        };
+        self.page_records_into(pid, mask, None, &mut rows)
     }
 
-    /// Like [`HeapFile::page_rows_into_masked`], with an optional
-    /// [`rowfmt::Check`] run part-way through each record (see
-    /// [`rowfmt::decode_row_into`]): only the records it keeps become
-    /// rows. A refused record builds no row, and its later columns are
-    /// not even walked. This is a heap scan's pushed-down filter, and it
-    /// runs under the page's read latch.
-    pub fn page_rows_into_checked(
+    /// Decode one page's live records into `sink` (see
+    /// [`rowfmt::decode_record`]), with an optional [`rowfmt::CellCheck`]
+    /// run part-way through each, and end each kept record in the sink.
+    /// A refused record reaches the sink not at all, and its later
+    /// columns are not even walked. This is a heap scan's pushed-down
+    /// filter, and it runs under the page's read latch.
+    pub fn page_records_into<S: RecordSink>(
         &self,
         pid: PageId,
         mask: Option<&[bool]>,
-        mut check: Option<rowfmt::Check<'_>>,
-        out: &mut Vec<Row>,
+        mut check: Option<rowfmt::CellCheck<'_>>,
+        sink: &mut S,
     ) -> Result<()> {
         let frame = self.pool.fetch(pid)?;
         let page = frame.page.read();
@@ -289,22 +308,20 @@ impl HeapFile {
         };
         // An empty mask wants every column.
         let mask = mask.unwrap_or(&[]);
-        // Refused records reuse this row; a kept one moves out of it.
-        let mut row = Row::empty();
         for (_, rec) in page.iter() {
             // Reborrowed per record; `as _` shortens the closure's
             // lifetime to the reborrow's.
             let check = check.as_mut().map(|(at, keep)| (*at, &mut **keep as _));
-            if rowfmt::decode_row_into(
+            if rowfmt::decode_record(
                 &self.schema,
                 rec,
                 self.compression,
                 ctx.as_ref(),
                 mask,
                 check,
-                &mut row,
+                sink,
             )? {
-                out.push(std::mem::take(&mut row));
+                sink.end_record();
             }
         }
         Ok(())

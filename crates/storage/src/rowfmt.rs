@@ -10,9 +10,7 @@
 //! The record layout is: null bitmap (`ceil(ncols/8)` bytes, bit set =
 //! NULL) followed by each non-null column value.
 
-use std::sync::Arc;
-
-use seqdb_types::{DataType, DbError, Result, Row, Schema, Value};
+use seqdb_types::{DataType, DbError, Result, Row, Schema, Value, ValueRef};
 
 use crate::pagec::PageContext;
 use crate::varint;
@@ -101,8 +99,10 @@ pub(crate) fn encode_value_row(out: &mut Vec<u8>, v: &Value) {
 }
 
 /// Decode one fixed-format value, borrowing its bytes from `buf`: a
-/// number is read in place and a string copied once, into its `Arc`.
-fn decode_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Value> {
+/// number is read in place and a string is validated, not copied.
+#[inline(always)]
+fn decode_value_fixed<'a>(buf: &'a [u8], pos: &mut usize, dtype: DataType) -> Result<ValueRef<'a>> {
+    #[inline(always)]
     fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
         let trunc = || DbError::Storage("truncated record".into());
         let end = pos.checked_add(n).ok_or_else(trunc)?;
@@ -110,77 +110,79 @@ fn decode_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Va
         *pos = end;
         Ok(s)
     }
-    fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    #[inline(always)]
+    fn take_array<'a, const N: usize>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8; N]> {
         Ok(take(buf, pos, N)?.try_into().expect("take returns N bytes"))
     }
     let len = |buf: &[u8], pos: &mut usize| -> Result<usize> {
-        Ok(u32::from_le_bytes(take_array(buf, pos)?) as usize)
+        Ok(u32::from_le_bytes(*take_array(buf, pos)?) as usize)
     };
     Ok(match dtype {
-        DataType::Bool => Value::Bool(take(buf, pos, 1)?[0] != 0),
+        DataType::Bool => ValueRef::Bool(take(buf, pos, 1)?[0] != 0),
         DataType::Int => {
             if take(buf, pos, 1)?[0] == 0 {
-                Value::Int(i32::from_le_bytes(take_array(buf, pos)?) as i64)
+                ValueRef::Int(i32::from_le_bytes(*take_array(buf, pos)?) as i64)
             } else {
-                Value::Int(i64::from_le_bytes(take_array(buf, pos)?))
+                ValueRef::Int(i64::from_le_bytes(*take_array(buf, pos)?))
             }
         }
-        DataType::Float => Value::Float(f64::from_le_bytes(take_array(buf, pos)?)),
+        DataType::Float => ValueRef::Float(f64::from_le_bytes(*take_array(buf, pos)?)),
         DataType::Text => {
             let n = len(buf, pos)?;
-            let s = std::str::from_utf8(take(buf, pos, n)?)
-                .map_err(|_| DbError::Storage("non-utf8 text in record".into()))?;
-            Value::Text(Arc::from(s))
+            ValueRef::Text(utf8(take(buf, pos, n)?)?)
         }
         DataType::Bytes => {
             let n = len(buf, pos)?;
-            Value::Bytes(Arc::from(take(buf, pos, n)?))
+            ValueRef::Bytes(take(buf, pos, n)?)
         }
-        DataType::Guid => Value::Guid(take_array(buf, pos)?),
+        DataType::Guid => ValueRef::Guid(take_array(buf, pos)?),
     })
 }
 
-pub(crate) fn decode_value_row(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Value> {
+/// A fixed-format `INT`: a width byte, then 4 or 8 little-endian bytes.
+#[inline(always)]
+fn decode_int_fixed(buf: &[u8], pos: &mut usize) -> Result<i64> {
     let trunc = || DbError::Storage("truncated record".into());
+    let (&w, rest) = buf.get(*pos..).and_then(<[u8]>::split_first).ok_or_else(trunc)?;
+    let v = if w == 0 {
+        i32::from_le_bytes(*rest.first_chunk().ok_or_else(trunc)?) as i64
+    } else {
+        i64::from_le_bytes(*rest.first_chunk().ok_or_else(trunc)?)
+    };
+    *pos += if w == 0 { 5 } else { 9 };
+    Ok(v)
+}
+
+/// A stored text payload, which must be UTF-8.
+fn utf8(b: &[u8]) -> Result<&str> {
+    std::str::from_utf8(b).map_err(|_| DbError::Storage("non-utf8 text in record".into()))
+}
+
+#[inline(always)]
+fn decode_value_row<'a>(buf: &'a [u8], pos: &mut usize, dtype: DataType) -> Result<ValueRef<'a>> {
+    let trunc = || DbError::Storage("truncated record".into());
+    let mut take = |n: usize| -> Result<&'a [u8]> {
+        let end = pos.checked_add(n).ok_or_else(trunc)?;
+        let b = buf.get(*pos..end).ok_or_else(trunc)?;
+        *pos = end;
+        Ok(b)
+    };
     Ok(match dtype {
-        DataType::Bool => {
-            let b = *buf.get(*pos).ok_or_else(trunc)?;
-            *pos += 1;
-            Value::Bool(b != 0)
-        }
-        DataType::Int => Value::Int(varint::read_i64(buf, pos).ok_or_else(trunc)?),
-        DataType::Float => {
-            let end = *pos + 8;
-            let b = buf.get(*pos..end).ok_or_else(trunc)?;
-            let v = f64::from_le_bytes(b.try_into().unwrap());
-            *pos = end;
-            Value::Float(v)
-        }
-        DataType::Text => {
+        DataType::Bool => ValueRef::Bool(take(1)?[0] != 0),
+        DataType::Int => ValueRef::Int(varint::read_i64(buf, pos).ok_or_else(trunc)?),
+        DataType::Float => ValueRef::Float(f64::from_le_bytes(take(8)?.try_into().unwrap())),
+        DataType::Text | DataType::Bytes => {
             let n = varint::read_u64(buf, pos).ok_or_else(trunc)? as usize;
             let end = pos.checked_add(n).ok_or_else(trunc)?;
             let b = buf.get(*pos..end).ok_or_else(trunc)?;
-            let s = std::str::from_utf8(b)
-                .map_err(|_| DbError::Storage("non-utf8 text in record".into()))?;
-            let v = Value::Text(Arc::from(s));
             *pos = end;
-            v
+            if dtype == DataType::Text {
+                ValueRef::Text(utf8(b)?)
+            } else {
+                ValueRef::Bytes(b)
+            }
         }
-        DataType::Bytes => {
-            let n = varint::read_u64(buf, pos).ok_or_else(trunc)? as usize;
-            let end = pos.checked_add(n).ok_or_else(trunc)?;
-            let b = buf.get(*pos..end).ok_or_else(trunc)?;
-            let v = Value::Bytes(Arc::from(b));
-            *pos = end;
-            v
-        }
-        DataType::Guid => {
-            let end = *pos + 16;
-            let b = buf.get(*pos..end).ok_or_else(trunc)?;
-            let v = Value::Guid(b.try_into().unwrap());
-            *pos = end;
-            v
-        }
+        DataType::Guid => ValueRef::Guid(take(16)?.try_into().unwrap()),
     })
 }
 
@@ -244,25 +246,26 @@ fn encode_value_page(out: &mut Vec<u8>, v: &Value, col: usize, ctx: &PageContext
     }
 }
 
-fn decode_value_page(
-    buf: &[u8],
+/// Decode one page-compressed value: a dictionary token borrows its
+/// entry, a prefix reference assembles the payload into an owned value.
+fn decode_value_page<'a>(
+    buf: &'a [u8],
     pos: &mut usize,
     dtype: DataType,
-    ctx: &PageContext,
+    ctx: &'a PageContext,
     col: usize,
-) -> Result<Value> {
+) -> Result<Cell<'a>> {
     let trunc = || DbError::Storage("truncated record".into());
     let tag = *buf.get(*pos).ok_or_else(trunc)?;
     *pos += 1;
     match tag {
-        TAG_INLINE => decode_value_row(buf, pos, dtype),
+        TAG_INLINE => Ok(Cell::Ref(decode_value_row(buf, pos, dtype)?)),
         TAG_DICT => {
             let id = varint::read_u64(buf, pos).ok_or_else(trunc)? as usize;
             let canon = ctx
                 .dict_entry(id)
                 .ok_or_else(|| DbError::Storage(format!("dangling dictionary id {id}")))?;
-            let mut p = 0;
-            decode_value_row(canon, &mut p, dtype)
+            Ok(Cell::Ref(decode_value_row(canon, &mut 0, dtype)?))
         }
         TAG_PREFIX => {
             let use_len = varint::read_u64(buf, pos).ok_or_else(trunc)? as usize;
@@ -278,12 +281,8 @@ fn decode_value_page(
             payload.extend_from_slice(suffix);
             *pos = end;
             match dtype {
-                DataType::Text => {
-                    let s = String::from_utf8(payload)
-                        .map_err(|_| DbError::Storage("non-utf8 text in record".into()))?;
-                    Ok(Value::Text(Arc::from(s.as_str())))
-                }
-                DataType::Bytes => Ok(Value::Bytes(Arc::from(payload.as_slice()))),
+                DataType::Text => Ok(Cell::Owned(Value::text(utf8(&payload)?))),
+                DataType::Bytes => Ok(Cell::Owned(Value::Bytes(payload.into()))),
                 other => Err(DbError::Storage(format!(
                     "prefix encoding on non-string column of type {other}"
                 ))),
@@ -361,7 +360,7 @@ pub fn decode_row(
 /// One FILESTREAM column value: a marker byte, then the blob's GUID
 /// reference (0) or small inline bytes (1). An unwanted value is stepped
 /// over, bounds-checked all the same, and not built.
-fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Option<Value>> {
+fn filestream_value<'a>(buf: &'a [u8], pos: &mut usize, wanted: bool) -> Result<Option<ValueRef<'a>>> {
     let trunc = || DbError::Storage("truncated record".into());
     let marker = *buf.get(*pos).ok_or_else(trunc)?;
     *pos += 1;
@@ -379,12 +378,13 @@ fn filestream_value(buf: &[u8], pos: &mut usize, wanted: bool) -> Result<Option<
     *pos = end;
     Ok(match (wanted, marker) {
         (false, _) => None,
-        (true, 0) => Some(Value::Guid(raw.try_into().unwrap())),
-        (true, _) => Some(Value::Bytes(Arc::from(raw))),
+        (true, 0) => Some(ValueRef::Guid(raw.try_into().unwrap())),
+        (true, _) => Some(ValueRef::Bytes(raw)),
     })
 }
 
 /// Advance `pos` past one encoded fixed-format value without building it.
+#[inline(always)]
 fn skip_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     let trunc = || DbError::Storage("truncated record".into());
     let advance = |pos: &mut usize, n: usize| -> Result<()> {
@@ -415,6 +415,7 @@ fn skip_value_fixed(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> 
 }
 
 /// Advance `pos` past one encoded row-format value without building it.
+#[inline(always)]
 fn skip_value_row(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     let trunc = || DbError::Storage("truncated record".into());
     let advance = |pos: &mut usize, n: usize| -> Result<()> {
@@ -466,11 +467,59 @@ fn skip_value_page(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<()> {
     }
 }
 
+/// Where a record decode puts the values it builds: a [`Row`], or a
+/// column batch that appends each cell to its column. Values arrive in
+/// schema order, one per wanted column, borrowed from the record; a
+/// record its check refuses sends none.
+pub trait RecordSink {
+    fn push(&mut self, v: ValueRef<'_>);
+    /// [`RecordSink::push`] of an `INT` cell, which a typed sink takes
+    /// without matching on the value.
+    #[inline(always)]
+    fn push_int(&mut self, v: i64) {
+        self.push(ValueRef::Int(v));
+    }
+    /// The record just walked is kept and complete. Called by the page
+    /// visit ([`crate::HeapFile::page_records_into`]); a single-record
+    /// decode leaves it to its caller.
+    fn end_record(&mut self) {}
+}
+
+impl RecordSink for Row {
+    #[inline]
+    fn push(&mut self, v: ValueRef<'_>) {
+        self.0.push(v.to_value());
+    }
+}
+
+/// One decoded cell of a record: borrowed from the record or its page,
+/// or, for a page-compressed string stored as a shared prefix plus a
+/// suffix, assembled into an owned value.
+#[derive(Debug, Clone)]
+pub enum Cell<'a> {
+    Ref(ValueRef<'a>),
+    Owned(Value),
+}
+
+impl Cell<'_> {
+    #[inline(always)]
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Cell::Ref(v) => *v,
+            Cell::Owned(v) => v.view(),
+        }
+    }
+}
+
 /// A check the masked decoder runs part-way through a record: once the
 /// table columns before `at` are walked (`at` is one past the last column
-/// it reads), `keep` sees the row decoded so far and says whether the
-/// record is kept. The row holds the masked columns in schema order, so
-/// the prefix has the positions of the finished row.
+/// it reads), `keep` sees the cells decoded so far — the masked columns
+/// in schema order, so the prefix has the positions of the finished row —
+/// and says whether the record is kept. The cells reach the sink only
+/// after the check keeps the record.
+pub type CellCheck<'a> = (usize, &'a mut dyn FnMut(&[ValueRef<'_>]) -> Result<bool>);
+
+/// [`CellCheck`] of [`decode_row_into`], which sees the prefix as a row.
 pub type Check<'a> = (usize, &'a mut dyn FnMut(&Row) -> Result<bool>);
 
 /// Decode a record into a row of only the columns set in `mask`, in
@@ -493,25 +542,18 @@ pub fn decode_row_masked(
 }
 
 /// [`decode_row_masked`] into the caller's `row` (cleared first), with an
-/// optional [`Check`]: the filter-first decode of the scans. A record the
-/// check refuses returns `Ok(false)` as soon as the check has run, with
-/// its later columns neither decoded nor walked, and `row` holding the
-/// prefix. A kept record returns `Ok(true)` and is walked and
-/// bounds-checked to its end like an unchecked one.
+/// optional [`Check`]: [`decode_record`] into a row. A refused record
+/// leaves the prefix its check saw in `row`.
 pub fn decode_row_into(
     schema: &Schema,
     buf: &[u8],
     comp: Compression,
     ctx: Option<&PageContext>,
     mask: &[bool],
-    mut check: Option<Check<'_>>,
+    check: Option<Check<'_>>,
     row: &mut Row,
 ) -> Result<bool> {
     let ncols = schema.len();
-    let nbitmap = ncols.div_ceil(8);
-    if buf.len() < nbitmap {
-        return Err(DbError::Storage("record shorter than null bitmap".into()));
-    }
     let width = mask.iter().filter(|&&w| w).count() + ncols.saturating_sub(mask.len());
     row.0.clear();
     // A kept row moves out with this allocation, so it is made exact;
@@ -519,38 +561,180 @@ pub fn decode_row_into(
     if row.0.capacity() < width {
         row.0 = Vec::with_capacity(width);
     }
-    // The check runs before column `at`, or after the last one.
-    let at = check
-        .as_ref()
-        .map_or(usize::MAX, |(at, _)| (*at).min(ncols));
-    let mut keeps = |row: &Row| check.as_mut().map_or(Ok(true), |(_, keep)| keep(row));
-    // The one record walker. It is a single loop so that each value
-    // decoder below has one call site, which keeps it inlined.
+    let Some((at, keep)) = check else {
+        return decode_record(schema, buf, comp, ctx, mask, None, row);
+    };
+    let mut refused = None;
+    let mut on_cells = |cells: &[ValueRef<'_>]| {
+        let prefix: Row = cells.iter().map(|c| c.to_value()).collect();
+        let kept = keep(&prefix)?;
+        if !kept {
+            refused = Some(prefix);
+        }
+        Ok(kept)
+    };
+    let kept = decode_record(schema, buf, comp, ctx, mask, Some((at, &mut on_cells)), row)?;
+    if let Some(prefix) = refused {
+        *row = prefix;
+    }
+    Ok(kept)
+}
+
+/// Where a record's cells wait for its check: in place, or — once one
+/// had to be assembled, or there are many — owned.
+trait Held<'a> {
+    /// Hold one more cell; `false` when this store cannot.
+    fn hold(&mut self, cell: Cell<'a>) -> bool;
+    /// Run the check on the cells held.
+    fn check(&self, keep: &mut dyn FnMut(&[ValueRef<'_>]) -> Result<bool>) -> Result<bool>;
+    /// Send the cells held on to the sink.
+    fn flush<S: RecordSink + ?Sized>(&self, sink: &mut S);
+}
+
+/// Most prefix cells held in place.
+const INLINE_PREFIX: usize = 8;
+
+/// The common store: borrowed cells in a fixed array.
+struct Inline<'a> {
+    refs: [ValueRef<'a>; INLINE_PREFIX],
+    n: usize,
+}
+
+impl<'a> Held<'a> for Inline<'a> {
+    #[inline(always)]
+    fn hold(&mut self, cell: Cell<'a>) -> bool {
+        match cell {
+            Cell::Ref(v) if self.n < INLINE_PREFIX => {
+                self.refs[self.n] = v;
+                self.n += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+    #[inline(always)]
+    fn check(&self, keep: &mut dyn FnMut(&[ValueRef<'_>]) -> Result<bool>) -> Result<bool> {
+        keep(&self.refs[..self.n])
+    }
+    #[inline(always)]
+    fn flush<S: RecordSink + ?Sized>(&self, sink: &mut S) {
+        self.refs[..self.n].iter().for_each(|&v| sink.push(v));
+    }
+}
+
+/// The rare store: owned cells.
+struct Spilled<'a>(Vec<Cell<'a>>);
+
+impl<'a> Held<'a> for Spilled<'a> {
+    fn hold(&mut self, cell: Cell<'a>) -> bool {
+        self.0.push(cell);
+        true
+    }
+    fn check(&self, keep: &mut dyn FnMut(&[ValueRef<'_>]) -> Result<bool>) -> Result<bool> {
+        let refs: Vec<ValueRef<'_>> = self.0.iter().map(Cell::view).collect();
+        keep(&refs)
+    }
+    fn flush<S: RecordSink + ?Sized>(&self, sink: &mut S) {
+        self.0.iter().for_each(|c| sink.push(c.view()));
+    }
+}
+
+/// The one record walker, the filter-first decode of the scans: push the
+/// `mask`ed columns of a record into `sink`, running the optional
+/// [`CellCheck`] part-way. A record the check refuses returns `Ok(false)`
+/// as soon as the check has run, with its later columns neither decoded
+/// nor walked and nothing sent to `sink`. A kept record returns
+/// `Ok(true)` and is walked and bounds-checked to its end like an
+/// unchecked one.
+pub fn decode_record<S: RecordSink + ?Sized>(
+    schema: &Schema,
+    buf: &[u8],
+    comp: Compression,
+    ctx: Option<&PageContext>,
+    mask: &[bool],
+    mut check: Option<CellCheck<'_>>,
+    sink: &mut S,
+) -> Result<bool> {
+    let inline = Inline {
+        refs: [ValueRef::Null; INLINE_PREFIX],
+        n: 0,
+    };
+    let walked = walk(schema, buf, comp, ctx, mask, check.as_mut(), inline, sink)?;
+    match walked {
+        Some(kept) => Ok(kept),
+        // The prefix outgrew the array before the check: walk again with
+        // owned cells (nothing reached the sink yet).
+        None => walk(schema, buf, comp, ctx, mask, check.as_mut(), Spilled(Vec::new()), sink)
+            .map(|kept| kept.unwrap_or(false)),
+    }
+}
+
+/// [`decode_record`] with the prefix in `held`; `None` when `held`
+/// could not take a cell.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk<'a, S: RecordSink + ?Sized, H: Held<'a>>(
+    schema: &Schema,
+    buf: &'a [u8],
+    comp: Compression,
+    ctx: Option<&'a PageContext>,
+    mask: &[bool],
+    check: Option<&mut CellCheck<'_>>,
+    mut held: H,
+    sink: &mut S,
+) -> Result<Option<bool>> {
+    let ncols = schema.len();
+    let nbitmap = ncols.div_ceil(8);
+    if buf.len() < nbitmap {
+        return Err(DbError::Storage("record shorter than null bitmap".into()));
+    }
+    // The check runs before column `at`, or after the last one; with no
+    // check, `at` is 0 and every record is kept there. The cells before
+    // it wait in `held`, and reach the sink once it keeps the record.
+    let (at, keep) = match check {
+        Some((at, keep)) => ((*at).min(ncols), Some(keep)),
+        None => (0, None),
+    };
+    let mut keep = keep;
+    let mut keeps = |held: &H| match keep.as_mut() {
+        Some(keep) => held.check(&mut **keep),
+        None => Ok(true),
+    };
+    // A single loop, so that each value decoder below has one call site,
+    // which keeps it inlined.
     let mut pos = nbitmap;
     for (i, col) in schema.columns().iter().enumerate() {
-        if i == at && !keeps(row)? {
-            return Ok(false);
+        if i == at {
+            if !keeps(&held)? {
+                return Ok(Some(false));
+            }
+            held.flush(sink);
         }
         let wanted = mask.get(i).copied().unwrap_or(true);
-        if buf[i / 8] & (1 << (i % 8)) != 0 {
-            if wanted {
-                row.0.push(Value::Null);
+        let cell = if buf[i / 8] & (1 << (i % 8)) != 0 {
+            if !wanted {
+                continue;
             }
-            continue;
-        }
-        if col.filestream {
-            row.0.extend(filestream_value(buf, &mut pos, wanted)?);
+            Cell::Ref(ValueRef::Null)
+        } else if col.filestream {
+            match filestream_value(buf, &mut pos, wanted)? {
+                Some(v) => Cell::Ref(v),
+                None => continue,
+            }
         } else if wanted {
-            let v = match (comp, ctx) {
-                (Compression::None, _) => decode_value_fixed(buf, &mut pos, col.dtype)?,
+            match (comp, ctx) {
+                (Compression::None, _) if col.dtype == DataType::Int && i >= at => {
+                    sink.push_int(decode_int_fixed(buf, &mut pos)?);
+                    continue;
+                }
+                (Compression::None, _) => Cell::Ref(decode_value_fixed(buf, &mut pos, col.dtype)?),
                 (Compression::Row, _) | (Compression::Page, None) => {
-                    decode_value_row(buf, &mut pos, col.dtype)?
+                    Cell::Ref(decode_value_row(buf, &mut pos, col.dtype)?)
                 }
                 (Compression::Page, Some(ctx)) => {
                     decode_value_page(buf, &mut pos, col.dtype, ctx, i)?
                 }
-            };
-            row.0.push(v);
+            }
         } else {
             match (comp, ctx) {
                 (Compression::None, _) => skip_value_fixed(buf, &mut pos, col.dtype)?,
@@ -559,9 +743,27 @@ pub fn decode_row_into(
                 }
                 (Compression::Page, Some(_)) => skip_value_page(buf, &mut pos, col.dtype)?,
             }
+            continue;
+        };
+        if i < at {
+            if !held.hold(cell) {
+                return Ok(None);
+            }
+        } else {
+            match cell {
+                Cell::Ref(ValueRef::Int(v)) => sink.push_int(v),
+                Cell::Ref(v) => sink.push(v),
+                Cell::Owned(v) => sink.push(v.view()),
+            }
         }
     }
-    Ok(at != ncols || keeps(row)?)
+    if at == ncols {
+        if !keeps(&held)? {
+            return Ok(Some(false));
+        }
+        held.flush(sink);
+    }
+    Ok(Some(true))
 }
 
 #[cfg(test)]

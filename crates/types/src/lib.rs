@@ -18,4 +18,4 @@ pub use datatype::DataType;
 pub use error::{DbError, Result};
 pub use row::Row;
 pub use schema::{Column, Schema, SchemaRef};
-pub use value::Value;
+pub use value::{Value, ValueRef};

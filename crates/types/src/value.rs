@@ -150,42 +150,27 @@ impl Value {
     /// Approximate in-memory footprint in bytes, used by the planner's
     /// memory-grant accounting and the spill bookkeeping of external sort.
     pub fn size_bytes(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Text(s) => s.len() + 4,
-            Value::Bytes(b) => b.len() + 4,
-            Value::Guid(_) => 16,
-        }
+        self.view().size_bytes()
     }
 
     /// Total ordering used by ORDER BY, merge join and B+-tree keys:
     /// NULL < Bool < Int/Float (numeric order, mixed) < Text < Bytes < Guid.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Text(_) => 3,
-                Bytes(_) => 4,
-                Guid(_) => 5,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Text(a), Text(b)) => a.as_bytes().cmp(b.as_bytes()),
-            (Bytes(a), Bytes(b)) => a.cmp(b),
-            (Guid(a), Guid(b)) => a.cmp(b),
-            (a, b) => rank(a).cmp(&rank(b)),
+        self.view().total_cmp(&other.view())
+    }
+
+    /// This value borrowed: what column batches hand out instead of
+    /// building a `Value`.
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+            Value::Guid(g) => ValueRef::Guid(g),
         }
     }
 
@@ -220,31 +205,149 @@ impl Eq for Value {}
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state)
+    }
+}
+
+/// A borrowed [`Value`]: the same variants with the text and bytes
+/// payloads borrowed. Record decode, column batches and the borrowed
+/// aggregate path pass these so that reading a cell allocates nothing;
+/// [`ValueRef::to_value`] builds the owned value where one is kept.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Bytes(&'a [u8]),
+    Guid(&'a [u8; 16]),
+}
+
+impl ValueRef<'_> {
+    /// The owned value: a text or bytes payload is copied into its `Arc`.
+    pub fn to_value(self) -> Value {
         match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Text(s) => Value::Text(Arc::from(s)),
+            ValueRef::Bytes(b) => Value::Bytes(Arc::from(b)),
+            ValueRef::Guid(g) => Value::Guid(*g),
+        }
+    }
+
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// The value's type name, as [`Value::type_name`].
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            ValueRef::Null => "NULL",
+            ValueRef::Bool(_) => DataType::Bool.sql_name(),
+            ValueRef::Int(_) => DataType::Int.sql_name(),
+            ValueRef::Float(_) => DataType::Float.sql_name(),
+            ValueRef::Text(_) => DataType::Text.sql_name(),
+            ValueRef::Bytes(_) => DataType::Bytes.sql_name(),
+            ValueRef::Guid(_) => DataType::Guid.sql_name(),
+        }
+    }
+
+    /// As [`Value::as_int`].
+    pub fn as_int(&self) -> Result<i64> {
+        match self {
+            ValueRef::Int(i) => Ok(*i),
+            ValueRef::Bool(b) => Ok(*b as i64),
+            other => Err(DbError::Execution(format!(
+                "expected BIGINT, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// As [`Value::as_text`].
+    pub fn as_text(&self) -> Result<&str> {
+        match self {
+            ValueRef::Text(s) => Ok(s),
+            other => Err(DbError::Execution(format!(
+                "expected VARCHAR, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// As [`Value::size_bytes`].
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            ValueRef::Null | ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 8,
+            ValueRef::Text(s) => s.len() + 4,
+            ValueRef::Bytes(b) => b.len() + 4,
+            ValueRef::Guid(_) => 16,
+        }
+    }
+
+    /// As [`Value::total_cmp`].
+    #[inline]
+    pub fn total_cmp(&self, other: &ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        fn rank(v: &ValueRef<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Bool(_) => 1,
+                Int(_) | Float(_) => 2,
+                Text(_) => 3,
+                Bytes(_) => 4,
+                Guid(_) => 5,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
+            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Text(a), Text(b)) => a.as_bytes().cmp(b.as_bytes()),
+            (Bytes(a), Bytes(b)) => a.cmp(b),
+            (Guid(a), Guid(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+/// Hashes exactly as the owned [`Value`] does, so a borrowed cell and
+/// the key it equals land in one bucket.
+impl Hash for ValueRef<'_> {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            ValueRef::Null => 0u8.hash(state),
+            ValueRef::Bool(b) => {
                 1u8.hash(state);
                 b.hash(state);
             }
             // Int and Float must hash identically when numerically equal,
             // because total_cmp treats them as one numeric domain.
-            Value::Int(i) => {
+            ValueRef::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 2u8.hash(state);
                 f.to_bits().hash(state);
             }
-            Value::Text(s) => {
+            ValueRef::Text(s) => {
                 3u8.hash(state);
                 s.hash(state);
             }
-            Value::Bytes(b) => {
+            ValueRef::Bytes(b) => {
                 4u8.hash(state);
                 b.hash(state);
             }
-            Value::Guid(g) => {
+            ValueRef::Guid(g) => {
                 5u8.hash(state);
                 g.hash(state);
             }

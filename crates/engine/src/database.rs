@@ -131,6 +131,10 @@ pub struct Database {
     /// handle (`None`: not known to exist): a checkpoint that would write
     /// the same bytes again skips the write and its fsync.
     query_store_file: Mutex<Option<String>>,
+    /// What `catalog.seqdb` holds, as last written or loaded by this
+    /// handle (`None`: not known): a checkpoint with no DDL and no index
+    /// root change since skips rewriting the snapshot and its fsyncs.
+    catalog_file: Mutex<Option<String>>,
     session_seq: AtomicU64,
     /// An in-memory database's directory under the system temp dir,
     /// removed when the database drops. Declared last: fields drop in
@@ -187,6 +191,7 @@ impl Database {
         if snapshot.exists() {
             let text = std::fs::read_to_string(&snapshot)?;
             let (_, unreadable) = db.catalog.load_tables(&text)?;
+            *db.catalog_file.lock() = Some(text);
             // A table whose chain rotted since the snapshot must not
             // brick the reopen: it comes up fenced (typed `Quarantined`
             // on access) while the rest of the database works.
@@ -261,6 +266,7 @@ impl Database {
             root,
             ckpt_lock: Mutex::new(()),
             query_store_file: Mutex::new(None),
+            catalog_file: Mutex::new(None),
             session_seq: AtomicU64::new(1),
             _scratch_dir: scratch_dir,
         });
@@ -497,17 +503,24 @@ impl Database {
     /// [`durable_replace`]. No WAL stands behind the snapshot: it is
     /// written after the checkpoint truncated the log, and it names the
     /// index roots the checkpointed pages hang from. No-op for in-memory
-    /// databases. `pub(crate)` because the backup path runs it directly
-    /// while already holding the checkpoint lock.
+    /// databases, and when the snapshot would be the text this handle
+    /// last loaded or wrote. `pub(crate)` because the backup path runs it
+    /// directly while already holding the checkpoint lock.
     pub(crate) fn persist_catalog(&self) -> Result<()> {
         let Some(root) = &self.root else {
             return Ok(());
         };
-        durable_replace(
-            root,
-            "catalog.seqdb",
-            self.catalog.serialize_tables().as_bytes(),
-        )
+        let data = self.catalog.serialize_tables();
+        let mut on_disk = self.catalog_file.lock();
+        if on_disk.as_deref() == Some(data.as_str()) {
+            return Ok(());
+        }
+        // A failed replace leaves the old file or the new one: either way
+        // the next checkpoint writes again.
+        *on_disk = None;
+        durable_replace(root, "catalog.seqdb", data.as_bytes())?;
+        *on_disk = Some(data);
+        Ok(())
     }
 }
 
@@ -673,6 +686,10 @@ mod tests {
             t.insert(&Row::new(vec![Value::Int(i), Value::Int(i)]))
                 .unwrap();
         }
+        // DDL, so the checkpoint has a new snapshot to write: one with
+        // only DML since the last skips the write.
+        db.create_table("u", schema(), Compression::Row, None)
+            .unwrap();
         std::fs::create_dir(dir.join("catalog.seqdb.tmp")).unwrap();
         let err = db.checkpoint().unwrap_err();
         assert!(matches!(err, seqdb_types::DbError::Io(_)), "{err:?}");
@@ -681,6 +698,73 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let t = db.catalog().table("t").unwrap();
         assert_eq!(t.indexes.read()[0].btree.len(), 20);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    fn snapshot_inode(dir: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(dir.join("catalog.seqdb")).unwrap().ino()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_checkpoint_after_only_dml_leaves_the_snapshot_alone() {
+        let dir = scratch_dir("snapshot-skip");
+        let db = table_db(&dir, 10, true);
+        let before = snapshot_inode(&dir);
+        let t = db.catalog().table("t").unwrap();
+        t.insert(&Row::new(vec![Value::Int(10), Value::Int(10)]))
+            .unwrap();
+        db.checkpoint().unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(snapshot_inode(&dir), before, "unchanged snapshot rewritten");
+        drop((t, db));
+        // A reopen loads the text it would write: still nothing to do.
+        let db = Database::open(&dir).unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(snapshot_inode(&dir), before);
+        assert_eq!(db.catalog().table("t").unwrap().row_count(), 11);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn ddl_and_a_root_split_each_rewrite_the_snapshot() {
+        let dir = scratch_dir("snapshot-ddl");
+        let db = table_db(&dir, 10, true);
+        let mut inode = snapshot_inode(&dir);
+        let mut rewritten = |db: &Database, what: &str| {
+            db.checkpoint().unwrap();
+            let now = snapshot_inode(&dir);
+            assert_ne!(now, inode, "{what} left the snapshot as it was");
+            inode = now;
+        };
+        db.create_table("u", schema(), Compression::Row, None)
+            .unwrap();
+        rewritten(&db, "CREATE TABLE");
+        let t = db.catalog().table("t").unwrap();
+        db.catalog()
+            .create_index("t", "ix_t_x", vec![1], false)
+            .unwrap();
+        rewritten(&db, "CREATE INDEX");
+        let root = t.indexes.read()[0].btree.root_page();
+        let mut i = 10;
+        while t.indexes.read()[0].btree.root_page() == root {
+            t.insert(&Row::new(vec![Value::Int(i), Value::Int(i)]))
+                .unwrap();
+            i += 1;
+        }
+        rewritten(&db, "a root split");
+        drop((t, db));
+        let db = Database::open(&dir).unwrap();
+        assert!(db.catalog().table("u").is_ok());
+        let t = db.catalog().table("t").unwrap();
+        assert_eq!(t.indexes.read().len(), 2);
+        assert_eq!(t.indexes.read()[0].btree.len(), i as u64);
+        assert_eq!(t.indexes.read()[1].btree.len(), i as u64);
+        drop((t, db));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

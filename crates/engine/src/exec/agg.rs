@@ -293,7 +293,7 @@ impl HashIndex {
         while self.slots[at] != 0 {
             at = (at + 1) & mask;
         }
-        self.slots[at] = e as u32 + 1;
+        self.slots[at] = u32::try_from(e + 1).expect("fewer than 2^32 entries");
     }
 }
 

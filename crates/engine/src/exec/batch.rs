@@ -228,7 +228,9 @@ impl Column {
                     idx.iter().map(|&i| valid[i as usize]).collect()
                 },
             },
-            Column::Values(v) => Column::Values(idx.iter().map(|&i| v[i as usize].clone()).collect()),
+            Column::Values(v) => {
+                Column::Values(idx.iter().map(|&i| v[i as usize].clone()).collect())
+            }
             text => {
                 let mut out = text.like(idx.len());
                 for &i in idx {

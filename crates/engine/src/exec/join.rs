@@ -227,7 +227,12 @@ impl BuildTable {
 
     /// The build rows whose key equals row `i` of `key` (hashing to
     /// `h`), in build-input order.
-    fn matches<'a>(&'a self, h: u64, key: &[&Column], i: usize) -> impl Iterator<Item = usize> + 'a {
+    fn matches<'a>(
+        &'a self,
+        h: u64,
+        key: &[&Column],
+        i: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
         let mut at = self
             .index
             .find(h, |e| self.key_equals(self.heads[e].0, key, i))
@@ -408,7 +413,15 @@ fn join_spilled(
         ticker.tick_batch(&gov)?;
         pairs.build.clear();
         pairs.probe.clear();
-        env.probe(&table, &batch, depth, None, &sub_build, &mut sub_probe, &mut pairs)?;
+        env.probe(
+            &table,
+            &batch,
+            depth,
+            None,
+            &sub_build,
+            &mut sub_probe,
+            &mut pairs,
+        )?;
         let joined = env.gather(&table, &batch, &pairs, 0, pairs.build.len());
         for row in joined.into_rows() {
             out.push(row)?;

@@ -36,7 +36,11 @@ struct Narrowing {
 impl Narrowing {
     /// `columns` marks the table columns the consumer reads (`None` =
     /// all of them).
-    fn new(schema: &Schema, filter: Option<&Expr>, columns: Option<Vec<bool>>) -> Result<Narrowing> {
+    fn new(
+        schema: &Schema,
+        filter: Option<&Expr>,
+        columns: Option<Vec<bool>>,
+    ) -> Result<Narrowing> {
         let ncols = schema.len();
         let wanted = columns
             .map(|mut wanted| {

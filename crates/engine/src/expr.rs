@@ -416,7 +416,12 @@ pub fn take_plan(exprs: &[Expr]) -> Vec<bool> {
         .collect()
 }
 
-fn eval_binary<R: RowView + ?Sized>(op: BinOp, left: &Expr, right: &Expr, row: &R) -> Result<Value> {
+fn eval_binary<R: RowView + ?Sized>(
+    op: BinOp,
+    left: &Expr,
+    right: &Expr,
+    row: &R,
+) -> Result<Value> {
     // AND/OR need SQL three-valued logic with short-circuiting.
     if matches!(op, BinOp::And | BinOp::Or) {
         let l = left.eval(row)?;
@@ -563,8 +568,8 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use seqdb_types::Row;
     use rand::{Rng, SeedableRng};
+    use seqdb_types::Row;
 
     fn row() -> Row {
         Row::new(vec![Value::Int(10), Value::text("ACGTN"), Value::Null])

@@ -230,7 +230,7 @@ impl FileStreamStore {
     fn write_atomic(
         &self,
         guid: u128,
-        mut fill: impl FnMut(&mut File) -> Result<()>,
+        mut fill: impl FnMut(&mut HashingWriter) -> Result<()>,
     ) -> Result<()> {
         let tmp = self.root.join(format!("{}.tmp", Value::guid_string(guid)));
         let path = self.path(guid);
@@ -273,29 +273,41 @@ impl FileStreamStore {
         tmp: &Path,
         path: &Path,
         fault: &Option<Arc<FaultClock>>,
-        fill: &mut impl FnMut(&mut File) -> Result<()>,
+        fill: &mut impl FnMut(&mut HashingWriter) -> Result<()>,
     ) -> Result<()> {
         if let Some(clock) = fault {
             clock.inject_write()?;
         }
-        let mut f = OpenOptions::new()
+        let file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(tmp)
             .map_err(DbError::io_write)?;
-        let written = fill(&mut f).and_then(|()| {
+        // A fresh hasher per attempt: a retry refills the file from the
+        // start, and the digest covers exactly the bytes of this attempt.
+        let mut w = HashingWriter {
+            file,
+            hasher: Sha256::new(),
+            bytes: 0,
+        };
+        let written = fill(&mut w).and_then(|()| {
             if let Some(clock) = fault {
                 clock.inject_write()?;
             }
-            f.sync_data()?;
+            w.file.sync_data()?;
             Ok(())
         });
-        drop(f);
+        let HashingWriter {
+            file,
+            hasher,
+            bytes,
+        } = w;
+        drop(file);
         written?;
         // Record the content hash before the blob becomes visible, so a
         // complete blob always carries its import-time digest. (A crash
         // here leaves an orphan sidecar, swept on reopen.)
-        let digest = hash_file(tmp)?;
+        let digest = hasher.finalize();
         let stem = tmp.file_stem().and_then(|s| s.to_str()).unwrap_or("blob");
         fs::write(
             self.root.join(format!("{stem}.sha256")),
@@ -306,7 +318,7 @@ impl FileStreamStore {
         sync_dir(&self.root)?;
         storage_counters()
             .filestream_bytes_written
-            .fetch_add(fs::metadata(path)?.len(), Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
@@ -599,6 +611,27 @@ impl FileStreamReader {
     }
 }
 
+/// A blob's temp file being filled: every byte written also feeds the
+/// content hash, so the sidecar digest needs no second read of the file.
+struct HashingWriter {
+    file: File,
+    hasher: Sha256,
+    bytes: u64,
+}
+
+impl Write for HashingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.hasher.update(&buf[..n]);
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
 /// SHA-256 of a file's contents, streamed in 64 KiB chunks.
 fn hash_file(path: &Path) -> Result<[u8; 32]> {
     let mut f = File::open(path)?;
@@ -784,6 +817,44 @@ mod tests {
             })
             .count();
         assert_eq!(temps, 0);
+        fs::remove_dir_all(s.root()).unwrap();
+    }
+
+    #[test]
+    fn the_sidecar_digest_is_the_blob_hash_even_after_a_write_retry() {
+        use crate::fault::{FaultClock, FaultPlan};
+        let s = store("digest");
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let source = s.root().join("source.bin");
+        fs::write(&source, &data).unwrap();
+        let sidecar_matches = |guid: u128| {
+            let recorded = fs::read_to_string(s.sidecar(guid)).unwrap();
+            assert_eq!(recorded, sha256::to_hex(&hash_file(&s.path(guid)).unwrap()));
+            assert_eq!(recorded, sha256::to_hex(&sha256::sha256(&data)));
+        };
+        sidecar_matches(s.insert(&data).unwrap());
+        sidecar_matches(s.insert_from_file(&source).unwrap());
+        // Every 4th operation fails. An attempt counts two, at submission
+        // and after the temp file is full: two ops in, the first attempt
+        // fails full, and the retry refills the file and its hash.
+        for insert_from_file in [false, true] {
+            let clock = FaultClock::new(FaultPlan {
+                io_error_every: Some(4),
+                ..FaultPlan::none()
+            });
+            clock.inject_op().unwrap();
+            clock.inject_op().unwrap();
+            s.set_fault_clock(Some(clock));
+            let retries = s.write_retries();
+            let guid = if insert_from_file {
+                s.insert_from_file(&source).unwrap()
+            } else {
+                s.insert(&data).unwrap()
+            };
+            s.set_fault_clock(None);
+            assert_eq!(s.write_retries(), retries + 1, "one retry");
+            sidecar_matches(guid);
+        }
         fs::remove_dir_all(s.root()).unwrap();
     }
 

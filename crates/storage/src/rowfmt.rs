@@ -143,7 +143,10 @@ fn decode_value_fixed<'a>(buf: &'a [u8], pos: &mut usize, dtype: DataType) -> Re
 #[inline(always)]
 fn decode_int_fixed(buf: &[u8], pos: &mut usize) -> Result<i64> {
     let trunc = || DbError::Storage("truncated record".into());
-    let (&w, rest) = buf.get(*pos..).and_then(<[u8]>::split_first).ok_or_else(trunc)?;
+    let (&w, rest) = buf
+        .get(*pos..)
+        .and_then(<[u8]>::split_first)
+        .ok_or_else(trunc)?;
     let v = if w == 0 {
         i32::from_le_bytes(*rest.first_chunk().ok_or_else(trunc)?) as i64
     } else {
@@ -170,7 +173,9 @@ fn decode_value_row<'a>(buf: &'a [u8], pos: &mut usize, dtype: DataType) -> Resu
     Ok(match dtype {
         DataType::Bool => ValueRef::Bool(take(1)?[0] != 0),
         DataType::Int => ValueRef::Int(varint::read_i64(buf, pos).ok_or_else(trunc)?),
-        DataType::Float => ValueRef::Float(f64::from_le_bytes(take(8)?.try_into().unwrap())),
+        DataType::Float => ValueRef::Float(f64::from_le_bytes(
+            take(8)?.try_into().expect("take returns 8 bytes"),
+        )),
         DataType::Text | DataType::Bytes => {
             let n = varint::read_u64(buf, pos).ok_or_else(trunc)? as usize;
             let end = pos.checked_add(n).ok_or_else(trunc)?;
@@ -182,7 +187,7 @@ fn decode_value_row<'a>(buf: &'a [u8], pos: &mut usize, dtype: DataType) -> Resu
                 ValueRef::Bytes(b)
             }
         }
-        DataType::Guid => ValueRef::Guid(take(16)?.try_into().unwrap()),
+        DataType::Guid => ValueRef::Guid(take(16)?.try_into().expect("take returns 16 bytes")),
     })
 }
 
@@ -360,7 +365,11 @@ pub fn decode_row(
 /// One FILESTREAM column value: a marker byte, then the blob's GUID
 /// reference (0) or small inline bytes (1). An unwanted value is stepped
 /// over, bounds-checked all the same, and not built.
-fn filestream_value<'a>(buf: &'a [u8], pos: &mut usize, wanted: bool) -> Result<Option<ValueRef<'a>>> {
+fn filestream_value<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    wanted: bool,
+) -> Result<Option<ValueRef<'a>>> {
     let trunc = || DbError::Storage("truncated record".into());
     let marker = *buf.get(*pos).ok_or_else(trunc)?;
     *pos += 1;
@@ -664,8 +673,17 @@ pub fn decode_record<S: RecordSink + ?Sized>(
         Some(kept) => Ok(kept),
         // The prefix outgrew the array before the check: walk again with
         // owned cells (nothing reached the sink yet).
-        None => walk(schema, buf, comp, ctx, mask, check.as_mut(), Spilled(Vec::new()), sink)
-            .map(|kept| kept.unwrap_or(false)),
+        None => walk(
+            schema,
+            buf,
+            comp,
+            ctx,
+            mask,
+            check.as_mut(),
+            Spilled(Vec::new()),
+            sink,
+        )
+        .map(|kept| kept.unwrap_or(false)),
     }
 }
 

@@ -933,3 +933,307 @@ proptest! {
         prop_assert_eq!(db.pool().pinned_frames(), 0, "leaked buffer pins");
     }
 }
+
+// ----------------------------------------------------------------------
+// Column edge cases through every native operator ≡ the model
+// ----------------------------------------------------------------------
+
+/// One generated row of the edge-case table `e`.
+struct ERow {
+    id: i64,
+    k: Option<i64>,
+    v: Option<i64>,
+    s: Option<&'static str>,
+    f: Option<f64>,
+}
+
+const EDGE_INTS: [Option<i64>; 7] = [
+    None,
+    Some(0),
+    Some(1),
+    Some(3),
+    Some(-4),
+    Some(i64::MIN),
+    Some(i64::MAX),
+];
+const EDGE_TEXTS: [Option<&str>; 7] = [
+    None,
+    Some(""),
+    Some("é"),
+    Some("ACGTN"),
+    Some("ACGT"),
+    Some("Nßé"),
+    Some("ééé"),
+];
+const EDGE_FLOATS: [Option<f64>; 4] = [None, Some(-1.5), Some(0.0), Some(2.25)];
+
+fn float_or_null(f: Option<f64>) -> Value {
+    f.map_or(Value::Null, Value::Float)
+}
+
+/// MIN or MAX over the non-NULL values, NULL when there are none.
+fn extreme<T: Clone>(vals: impl Iterator<Item = T>, pick: impl Fn(&T, &T) -> bool) -> Option<T> {
+    vals.fold(None, |acc, v| match acc {
+        Some(a) if !pick(&v, &a) => Some(a),
+        _ => Some(v),
+    })
+}
+
+/// Each edge query with what the model says it returns.
+fn edge_queries(e: &[ERow], d: &[(Option<i64>, i64)]) -> Vec<(&'static str, Vec<Row>)> {
+    let ids = |keep: &dyn Fn(&ERow) -> bool, cols: &dyn Fn(&ERow) -> Vec<Value>| -> Vec<Row> {
+        e.iter()
+            .filter(|r| keep(r))
+            .map(|r| Row::new(cols(r)))
+            .collect()
+    };
+    let text = |s: Option<&str>| s.map_or(Value::Null, Value::text);
+    let mut keys: Vec<Option<i64>> = e.iter().map(|r| r.k).collect();
+    keys.sort();
+    keys.dedup();
+    let by_k = keys
+        .iter()
+        .map(|&k| {
+            let g: Vec<&ERow> = e.iter().filter(|r| r.k == k).collect();
+            let v = || g.iter().filter_map(|r| r.v);
+            let s = || g.iter().filter_map(|r| r.s);
+            let f = || g.iter().filter_map(|r| r.f);
+            Row::new(vec![
+                int_or_null(k),
+                Value::Int(g.len() as i64),
+                Value::Int(s().count() as i64),
+                int_or_null(extreme(v(), |a, b| a < b)),
+                int_or_null(extreme(v(), |a, b| a > b)),
+                text(extreme(s(), |a, b| a.as_bytes() < b.as_bytes())),
+                text(extreme(s(), |a, b| a.as_bytes() > b.as_bytes())),
+                float_or_null(extreme(f(), |a, b| a < b)),
+                float_or_null(extreme(f(), |a, b| a > b)),
+            ])
+        })
+        .collect();
+    let mut texts: Vec<Option<&str>> = e.iter().map(|r| r.s).collect();
+    texts.sort();
+    texts.dedup();
+    let by_s = texts
+        .iter()
+        .map(|&s| {
+            let g: Vec<&ERow> = e.iter().filter(|r| r.s == s).collect();
+            Row::new(vec![
+                text(s),
+                Value::Int(g.len() as i64),
+                Value::Int(g[0].id),
+            ])
+        })
+        .collect();
+    let ordered = keys
+        .iter()
+        .map(|&k| {
+            let ids: Vec<String> = e
+                .iter()
+                .filter(|r| r.k == k)
+                .map(|r| r.id.to_string())
+                .collect();
+            Row::new(vec![int_or_null(k), Value::text(ids.join(","))])
+        })
+        .collect();
+    let joined = |keep: &dyn Fn(&ERow, i64) -> bool| -> Vec<Row> {
+        e.iter()
+            .flat_map(|r| {
+                d.iter()
+                    .filter(move |(k, w)| r.k.is_some() && *k == r.k && keep(r, *w))
+                    .map(move |(_, w)| Row::new(vec![Value::Int(r.id), Value::Int(*w)]))
+            })
+            .collect()
+    };
+    let text_join = e
+        .iter()
+        .flat_map(|a| {
+            e.iter()
+                .filter(move |b| a.s.is_some() && a.s == b.s)
+                .map(move |b| Row::new(vec![Value::Int(a.id), Value::Int(b.id)]))
+        })
+        .collect();
+    let mut d_keys: Vec<Option<i64>> = d.iter().map(|(k, _)| *k).collect();
+    d_keys.sort();
+    d_keys.dedup();
+    let d_sums = d_keys
+        .iter()
+        .map(|&k| {
+            let ws: Vec<i64> = d
+                .iter()
+                .filter(|(dk, _)| *dk == k)
+                .map(|(_, w)| *w)
+                .collect();
+            Row::new(vec![
+                int_or_null(k),
+                Value::Int(ws.len() as i64),
+                Value::Int(ws.iter().sum()),
+            ])
+        })
+        .collect();
+    vec![
+        (
+            "SELECT id, k, s FROM e WHERE v > 0",
+            ids(&|r| r.v.is_some_and(|v| v > 0), &|r| {
+                vec![Value::Int(r.id), int_or_null(r.k), text(r.s)]
+            }),
+        ),
+        (
+            "SELECT id, s FROM e WHERE CHARINDEX('N', s) = 0",
+            ids(&|r| r.s.is_some_and(|s| !s.contains('N')), &|r| {
+                vec![Value::Int(r.id), text(r.s)]
+            }),
+        ),
+        (
+            "SELECT id, v, f FROM e WHERE NOT (v < 0)",
+            ids(&|r| r.v.is_some_and(|v| v >= 0), &|r| {
+                vec![Value::Int(r.id), int_or_null(r.v), float_or_null(r.f)]
+            }),
+        ),
+        (
+            "SELECT k, COUNT(*), COUNT(s), MIN(v), MAX(v), MIN(s), MAX(s), MIN(f), MAX(f) \
+             FROM e GROUP BY k",
+            by_k,
+        ),
+        ("SELECT s, COUNT(*), MIN(id) FROM e GROUP BY s", by_s),
+        ("SELECT k, ORDERED_IDS(id) FROM e GROUP BY k", ordered),
+        ("SELECT k, COUNT(*), SUM(w) FROM d GROUP BY k", d_sums),
+        (
+            "SELECT e.id, d.w FROM e JOIN d ON (e.k = d.k)",
+            joined(&|_, _| true),
+        ),
+        (
+            "SELECT e.id, d.w FROM e JOIN d ON (e.k = d.k) WHERE e.v > d.w",
+            joined(&|r, w| r.v.is_some_and(|v| v > w)),
+        ),
+        (
+            "SELECT a.id, b.id FROM e a JOIN e b ON (a.s = b.s)",
+            text_join,
+        ),
+    ]
+}
+
+/// Every setting a column batch must not change the answer under:
+/// `BATCH_SIZE` (1 is row mode; 7 splits duplicate keys across batches),
+/// `MAX_DOP` and `JOIN_STRATEGY` (1 = hash, 2 = merge).
+fn each_setting(db: &Arc<Database>, mut run: impl FnMut(&str)) {
+    for batch in [1, 7, 1024] {
+        for dop in [1, 2] {
+            for strategy in [1, 2] {
+                for set in [
+                    format!("SET BATCH_SIZE = {batch}"),
+                    format!("SET MAX_DOP = {dop}"),
+                    format!("SET JOIN_STRATEGY = {strategy}"),
+                ] {
+                    db.execute_sql(&set).unwrap();
+                }
+                run(&format!("batch={batch} dop={dop} join={strategy}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn column_edge_cases_agree_with_the_model_through_every_native_operator() {
+    for seed in 1..=3u64 {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let e: Vec<ERow> = (0..60)
+            .map(|id| ERow {
+                id,
+                k: EDGE_INTS[next(EDGE_INTS.len())],
+                v: EDGE_INTS[next(EDGE_INTS.len())],
+                s: EDGE_TEXTS[next(EDGE_TEXTS.len())],
+                f: EDGE_FLOATS[next(EDGE_FLOATS.len())],
+            })
+            .collect();
+        // Up to 11 rows per key, so a key's rows straddle 7-row batches.
+        let mut d: Vec<(Option<i64>, i64)> = Vec::new();
+        for k in EDGE_INTS {
+            for _ in 0..next(12) {
+                d.push((k, d.len() as i64));
+            }
+        }
+
+        let db = Database::in_memory();
+        db.set_config(seqdb::engine::DbConfig {
+            parallel_threshold: 0,
+            ..db.config()
+        });
+        db.catalog().register_aggregate(Arc::new(OrderedIds));
+        db.execute_sql(
+            "CREATE TABLE e (id INT NOT NULL PRIMARY KEY, k INT, v INT, s VARCHAR(16), f FLOAT)",
+        )
+        .unwrap();
+        db.execute_sql("CREATE TABLE d (k INT, w INT NOT NULL)")
+            .unwrap();
+        let e_rows: Vec<Row> = e
+            .iter()
+            .map(|r| {
+                Row::new(vec![
+                    Value::Int(r.id),
+                    int_or_null(r.k),
+                    int_or_null(r.v),
+                    r.s.map_or(Value::Null, Value::text),
+                    float_or_null(r.f),
+                ])
+            })
+            .collect();
+        db.insert_rows("e", &e_rows).unwrap();
+        let d_rows: Vec<Row> = d
+            .iter()
+            .map(|(k, w)| Row::new(vec![int_or_null(*k), Value::Int(*w)]))
+            .collect();
+        db.insert_rows("d", &d_rows).unwrap();
+
+        let queries = edge_queries(&e, &d);
+        each_setting(&db, |setting| {
+            for (sql, expect) in &queries {
+                let got = db
+                    .query_sql(sql)
+                    .unwrap_or_else(|err| panic!("repro: seed={seed} {setting} `{sql}`: {err}"))
+                    .rows;
+                assert_eq!(
+                    sorted_rows(&got),
+                    sorted_rows(expect),
+                    "repro: seed={seed} {setting} `{sql}`"
+                );
+            }
+        });
+        assert_eq!(db.pool().pinned_frames(), 0, "leaked buffer pins");
+    }
+}
+
+#[test]
+fn assemble_consensus_agrees_with_the_pivot_plan_under_every_setting() {
+    use seqdb::core::dataset::{ResequencingDataset, Scale};
+    use seqdb::core::{import, queries, udx};
+    let dir = std::env::temp_dir().join(format!("seqdb-edge-reseq-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let scale = Scale {
+        genome_bp: 20_000,
+        n_chromosomes: 2,
+        n_reads: 400,
+        seed: 11,
+    };
+    let reseq = ResequencingDataset::generate(&dir, &scale).unwrap();
+    let db = Database::in_memory();
+    udx::register_udx(&db, None);
+    import::import_reseq_normalized(&db, "", seqdb::storage::Compression::None, &reseq).unwrap();
+    let pivot = queries::run_query3_pivot(&db, "").unwrap();
+    assert!(!pivot.is_empty());
+    each_setting(&db, |setting| {
+        let sliding = queries::run_query3_sliding(&db, "")
+            .unwrap_or_else(|err| panic!("repro: {setting}: {err}"));
+        assert_eq!(sliding, pivot, "repro: {setting}");
+    });
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

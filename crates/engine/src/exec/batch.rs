@@ -127,6 +127,15 @@ impl Column {
         }
     }
 
+    /// Cell `i`, owned: a `Value` cell is moved out, leaving NULL.
+    #[inline]
+    fn take(&mut self, i: usize) -> Value {
+        match self {
+            Column::Values(v) => std::mem::replace(&mut v[i], Value::Null),
+            typed => typed.get(i).to_value(),
+        }
+    }
+
     /// Append a cell. A typed column given a cell of another type turns
     /// into a `Value` column first, so any cell fits any column.
     #[inline(always)]
@@ -279,13 +288,13 @@ impl RowBatch {
     pub fn from_rows(rows: Vec<Row>) -> RowBatch {
         let n = rows.len();
         let width = rows.first().map_or(0, Row::len);
-        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
-        for row in rows {
-            for (col, v) in cols.iter_mut().zip(row.into_values()) {
-                col.push(v);
-            }
-        }
-        let cols = cols.into_iter().map(Column::Values).collect();
+        let mut rows: Vec<_> = rows.into_iter().map(|r| r.0.into_iter()).collect();
+        let cols = (0..width)
+            .map(|_| {
+                let cells = rows.iter_mut().map(|r| r.next().unwrap_or(Value::Null));
+                Column::Values(cells.collect())
+            })
+            .collect();
         RowBatch::from_columns(cols, n)
     }
 
@@ -388,25 +397,10 @@ impl RowBatch {
     /// moves into its row; a typed one is built.
     pub fn into_rows(mut self) -> Vec<Row> {
         let live: Vec<usize> = self.selected().collect();
-        let mut rows: Vec<Vec<Value>> = live
-            .iter()
-            .map(|_| Vec::with_capacity(self.cols.len()))
-            .collect();
-        for col in &mut self.cols {
-            match col {
-                Column::Values(vals) => {
-                    for (row, &i) in rows.iter_mut().zip(&live) {
-                        row.push(std::mem::replace(&mut vals[i], Value::Null));
-                    }
-                }
-                typed => {
-                    for (row, &i) in rows.iter_mut().zip(&live) {
-                        row.push(typed.get(i).to_value());
-                    }
-                }
-            }
-        }
-        rows.into_iter().map(Row::new).collect()
+        let cols = &mut self.cols;
+        live.into_iter()
+            .map(|i| cols.iter_mut().map(|c| c.take(i)).collect())
+            .collect()
     }
 }
 

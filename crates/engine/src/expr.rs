@@ -4,7 +4,7 @@
 //! positional, function calls hold an `Arc` to the resolved
 //! [`ScalarUdf`]. The interpreter evaluates one row at a time through a
 //! [`RowView`]: a [`Row`](seqdb_types::Row), or a row of a column batch read in place. A
-//! WHERE clause of the common shapes compiles to a [`Kernel`] that reads
+//! WHERE clause of the common shapes compiles to a `Kernel` that reads
 //! the cells borrowed and builds no `Value`.
 
 use std::cmp::Ordering;

@@ -505,14 +505,14 @@ impl RecordSink for Row {
 /// or, for a page-compressed string stored as a shared prefix plus a
 /// suffix, assembled into an owned value.
 #[derive(Debug, Clone)]
-pub enum Cell<'a> {
+enum Cell<'a> {
     Ref(ValueRef<'a>),
     Owned(Value),
 }
 
 impl Cell<'_> {
     #[inline(always)]
-    pub fn view(&self) -> ValueRef<'_> {
+    fn view(&self) -> ValueRef<'_> {
         match self {
             Cell::Ref(v) => *v,
             Cell::Owned(v) => v.view(),

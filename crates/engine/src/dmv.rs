@@ -190,6 +190,7 @@ fn performance_counters(
             ("bufferpool_misses", s.misses.load(Relaxed)),
             ("bufferpool_evictions", s.evictions.load(Relaxed)),
             ("bufferpool_writebacks", s.writebacks.load(Relaxed)),
+            ("bufferpool_cold_reads", s.cold_reads.load(Relaxed)),
             ("bufferpool_pinned_frames", pool.pinned_frames() as u64),
             ("bufferpool_cached_frames", pool.cached_frames() as u64),
             ("tempspace_live_files", temp.live_files()? as u64),

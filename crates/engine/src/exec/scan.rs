@@ -301,6 +301,9 @@ impl IndexScanIter {
 impl RowIterator for IndexScanIter {
     /// Up to `max_rows` rows, one tree visit per 1024 entries at most.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        if self.resume.is_none() {
+            return Ok(None);
+        }
         let max = max_rows.max(1);
         // Grown to the rows the visit keeps: a point seek holds one.
         let mut builder = self.narrow.builder(0, 0);

@@ -9,6 +9,12 @@
 //! of its victim). Hit/miss counters support the "warm buffer pool"
 //! measurements of the paper's §5.3.3 (the 7-second warm merge join).
 //!
+//! A page read by [`BufferPool::fetch_cold`] goes in at the least
+//! recently used end, so the next miss evicts it first: a scan of a heap
+//! larger than the pool cycles through a frame or two instead of pushing
+//! every other page out (see [`crate::HeapFile::page_records_into`]). A
+//! hit moves a frame to the most recent end however it was fetched.
+//!
 //! When the pool is built with a [`WriteAheadLog`]
 //! ([`BufferPool::with_wal`]), every in-place page write follows the
 //! WAL-before-data rule: the sealed page image is logged and the log
@@ -55,6 +61,9 @@ pub struct PoolStats {
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
     pub writebacks: AtomicU64,
+    /// Misses of [`BufferPool::fetch_cold`]: pages read in at the least
+    /// recently used end.
+    pub cold_reads: AtomicU64,
 }
 
 /// An LRU buffer pool. `capacity` is in frames (8 KiB each).
@@ -115,14 +124,22 @@ impl FrameTable {
         self.slots[0].prev = slot;
     }
 
+    fn link_least_recent(&mut self, slot: usize) {
+        let head = self.slots[0].next;
+        (self.slots[slot].prev, self.slots[slot].next) = (0, head);
+        self.slots[head].prev = slot;
+        self.slots[0].next = slot;
+    }
+
     /// Mark `slot` most recently used.
     fn touch(&mut self, slot: usize) {
         self.unlink(slot);
         self.link_most_recent(slot);
     }
 
-    /// Cache `frame`, whose page must not be cached, as most recently used.
-    fn push(&mut self, frame: Arc<Frame>) -> usize {
+    /// Cache `frame`, whose page must not be cached, as most recently
+    /// used, or as least recently used when `cold`.
+    fn push(&mut self, frame: Arc<Frame>, cold: bool) -> usize {
         let mut slot = self.free;
         if slot == 0 {
             slot = self.slots.len();
@@ -132,7 +149,11 @@ impl FrameTable {
         }
         self.map.insert(frame.id, slot);
         self.slots[slot].frame = Some(frame);
-        self.link_most_recent(slot);
+        if cold {
+            self.link_least_recent(slot);
+        } else {
+            self.link_most_recent(slot);
+        }
         slot
     }
 
@@ -196,8 +217,24 @@ impl BufferPool {
         self.wal.as_ref()
     }
 
+    /// Frames the pool keeps before it evicts.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Fetch a page frame, reading it from the store on a miss.
     pub fn fetch(&self, id: PageId) -> Result<Arc<Frame>> {
+        self.fetch_as(id, false)
+    }
+
+    /// Like [`BufferPool::fetch`], but a miss caches the page as least
+    /// recently used, so it is the next victim unless a hit moves it up
+    /// first: the read of a scan too large to keep.
+    pub fn fetch_cold(&self, id: PageId) -> Result<Arc<Frame>> {
+        self.fetch_as(id, true)
+    }
+
+    fn fetch_as(&self, id: PageId, cold: bool) -> Result<Arc<Frame>> {
         {
             let mut t = self.frames.lock();
             if let Some(&slot) = t.map.get(&id) {
@@ -219,7 +256,7 @@ impl BufferPool {
             page: RwLock::new(page),
             dirty: AtomicBool::new(false),
         });
-        self.insert_frame(id, frame)
+        self.insert_frame(id, frame, cold)
     }
 
     /// Allocate a fresh page of the given type and return its frame
@@ -231,11 +268,11 @@ impl BufferPool {
             page: RwLock::new(Page::new(ptype)),
             dirty: AtomicBool::new(true),
         });
-        let frame = self.insert_frame(id, frame)?;
+        let frame = self.insert_frame(id, frame, false)?;
         Ok((id, frame))
     }
 
-    fn insert_frame(&self, id: PageId, frame: Arc<Frame>) -> Result<Arc<Frame>> {
+    fn insert_frame(&self, id: PageId, frame: Arc<Frame>, cold: bool) -> Result<Arc<Frame>> {
         let mut evict: Vec<Arc<Frame>> = Vec::new();
         let out;
         {
@@ -246,10 +283,16 @@ impl BufferPool {
                     t.touch(slot);
                     slot
                 }
-                None => t.push(frame),
+                None => {
+                    if cold {
+                        self.stats.cold_reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                    t.push(frame, cold)
+                }
             };
             out = t.frame(slot).clone();
-            // Evict LRU frames that nobody references.
+            // Evict LRU frames that nobody references; `out` pins the
+            // frame just cached, so a cold one outlives its own insert.
             while t.map.len() > self.capacity {
                 let Some(victim) = t.lru().find(|&s| !t.pinned(s)) else {
                     break; // everything pinned
@@ -271,7 +314,7 @@ impl BufferPool {
                     if let Some(&stale) = t.map.get(&vf.id) {
                         t.remove(stale);
                     }
-                    t.push(vf.clone());
+                    t.push(vf.clone(), false);
                 }
                 return Err(e);
             }
@@ -606,9 +649,45 @@ mod tests {
         assert_eq!(pool.stats.hits.load(Ordering::Relaxed), 1);
     }
 
+    #[test]
+    fn cold_reads_are_the_next_victims_until_a_hit() {
+        let pool = pool(8);
+        let ids: Vec<PageId> = (0..12)
+            .map(|_| pool.allocate(PageType::Heap).unwrap().0)
+            .collect();
+        pool.clear_cache().unwrap();
+        let cached = |id: PageId| pool.frames.lock().map.contains_key(&id);
+        for &id in &ids[..8] {
+            pool.fetch(id).unwrap();
+        }
+        // A cold miss into a full pool evicts the least recent page...
+        pool.fetch_cold(ids[8]).unwrap();
+        assert!(!cached(ids[0]) && cached(ids[8]));
+        // ...and is itself the next victim, of a cold miss or a plain one.
+        pool.fetch_cold(ids[9]).unwrap();
+        assert!(!cached(ids[8]) && cached(ids[1]));
+        pool.fetch(ids[10]).unwrap();
+        assert!(!cached(ids[9]) && cached(ids[1]));
+        // A hit, cold or not, moves a cold frame to the most recent end.
+        pool.fetch_cold(ids[11]).unwrap();
+        pool.fetch_cold(ids[11]).unwrap();
+        pool.fetch(ids[0]).unwrap();
+        assert!(cached(ids[11]) && !cached(ids[2]));
+        // A pinned cold frame is never a victim.
+        let pinned = pool.fetch_cold(ids[1]).unwrap();
+        for &id in &ids[2..9] {
+            pool.fetch_cold(id).unwrap();
+            assert!(pool.cached_frames() <= 8);
+        }
+        assert!(Arc::ptr_eq(&pinned, &pool.fetch(ids[1]).unwrap()));
+        // Cold misses: 8, 9, 11, 1, 2, 3, 4 and 8 again (5 to 7 hit).
+        assert_eq!(pool.stats.cold_reads.load(Ordering::Relaxed), 8);
+    }
+
     /// The replacement policy as the `Vec` it used to be, kept as the
     /// model the slab list is held to: linear search to touch, first
-    /// unpinned entry from the front to evict.
+    /// unpinned entry from the front to evict, and a cold miss cached at
+    /// the front.
     #[derive(Default)]
     struct VecLru {
         order: Vec<PageId>,
@@ -616,11 +695,23 @@ mod tests {
     }
 
     impl VecLru {
-        /// Cache or touch `id`, then evict down to `capacity`; returns the
-        /// dirty victims in eviction order (the pool writes those back).
-        fn admit(&mut self, id: PageId, capacity: usize, pinned: &[PageId]) -> Vec<PageId> {
+        /// Cache or touch `id` (a miss goes to the front when `cold`),
+        /// then evict down to `capacity`; returns the dirty victims in
+        /// eviction order (the pool writes those back).
+        fn admit(
+            &mut self,
+            id: PageId,
+            capacity: usize,
+            pinned: &[PageId],
+            cold: bool,
+        ) -> Vec<PageId> {
+            let hit = self.order.contains(&id);
             self.order.retain(|&p| p != id);
-            self.order.push(id);
+            if cold && !hit {
+                self.order.insert(0, id);
+            } else {
+                self.order.push(id);
+            }
             let mut written = Vec::new();
             while self.order.len() > capacity {
                 let evictable = |p: &PageId| *p != id && !pinned.contains(p);
@@ -662,7 +753,10 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn evicts_what_the_vec_lru_evicted_in_the_same_order(
-            trace in proptest::collection::vec((0..10u8, proptest::strategy::any::<usize>()), 1..400)
+            trace in proptest::collection::vec(
+                (0..10u8, proptest::strategy::any::<bool>(), proptest::strategy::any::<usize>()),
+                1..400,
+            )
         ) {
             const CAPACITY: usize = 8;
             let store = Arc::new(RecordingStore::default());
@@ -670,7 +764,10 @@ mod tests {
             let mut model = VecLru::default();
             let mut pins: Vec<Arc<Frame>> = Vec::new();
             let image = Page::new(PageType::Heap).to_bytes();
-            for (kind, pick) in trace {
+            // Most frames the pool may hold: its capacity, or more while
+            // pins leave nothing to evict.
+            let mut bound = CAPACITY;
+            for (kind, cold, pick) in trace {
                 let pages = store.num_pages();
                 let pinned: Vec<PageId> = pins.iter().map(|f| f.id).collect();
                 let id = pick as u64 % pages.max(1);
@@ -680,14 +777,29 @@ mod tests {
                     0..=5 => {
                         let frame = if pages < 4 || (kind == 0 && pages < 40) {
                             let (id, frame) = pool.allocate(PageType::Heap).unwrap();
-                            expect_written = model.admit(id, CAPACITY, &pinned);
+                            expect_written = model.admit(id, CAPACITY, &pinned, false);
                             model.dirty.insert(id);
+                            frame
+                        } else if cold {
+                            let miss = !model.order.contains(&id);
+                            let frame = pool.fetch_cold(id).unwrap();
+                            expect_written = model.admit(id, CAPACITY, &pinned, true);
+                            // A cold miss is the next victim; a cold hit is
+                            // the most recent frame.
+                            let t = pool.frames.lock();
+                            let end = if miss { t.slots[0].next } else { t.slots[0].prev };
+                            proptest::prop_assert_eq!(t.frame(end).id, id);
+                            drop(t);
                             frame
                         } else {
                             let frame = pool.fetch(id).unwrap();
-                            expect_written = model.admit(id, CAPACITY, &pinned);
+                            expect_written = model.admit(id, CAPACITY, &pinned, false);
                             frame
                         };
+                        let mut distinct = pinned.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        bound = CAPACITY.max(distinct.len() + 1);
                         match kind {
                             1 => {
                                 frame.mark_dirty();
@@ -717,6 +829,7 @@ mod tests {
                 let order: Vec<PageId> = t.lru().map(|slot| t.frame(slot).id).collect();
                 proptest::prop_assert_eq!(&order, &model.order);
                 proptest::prop_assert_eq!(t.map.len(), order.len());
+                proptest::prop_assert!(order.len() <= bound, "{} frames cached", order.len());
                 proptest::prop_assert_eq!(std::mem::take(&mut *store.written.lock()), expect_written);
                 drop(t);
                 proptest::prop_assert_eq!(pool.pinned_frames(), pins.iter().map(|f| f.id).collect::<std::collections::HashSet<_>>().len());

@@ -7,6 +7,10 @@
 //! Server, which compresses a page when it becomes full). Rows inserted
 //! into an already-compressed page are encoded against that page's
 //! existing context.
+//!
+//! A heap of more than a quarter of the buffer pool is read cold by its
+//! scans ([`HeapFile::page_records_into`]), so one pass over a large
+//! table does not evict the pages that point reads keep coming back to.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +19,7 @@ use parking_lot::Mutex;
 
 use seqdb_types::{DbError, Result, Row, Schema, ValueRef};
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, Frame};
 use crate::page::{PageId, PageType, FLAG_COMPRESSED, FLAG_RECOMPRESSED, NO_PAGE, PAGE_SIZE};
 use crate::pagec::PageContext;
 use crate::rowfmt::{self, decode_row, encode_row, Compression, RecordSink};
@@ -34,6 +38,9 @@ pub struct HeapFile {
     compression: Compression,
     state: Mutex<HeapState>,
     row_count: AtomicU64,
+    /// `state.pages.len()`, readable without the lock an insert holds
+    /// across its page I/O.
+    page_count: AtomicU64,
 }
 
 struct HeapState {
@@ -56,6 +63,7 @@ impl HeapFile {
             compression,
             state: Mutex::new(HeapState { pages: vec![first] }),
             row_count: AtomicU64::new(0),
+            page_count: AtomicU64::new(1),
         })
     }
 
@@ -80,6 +88,7 @@ impl HeapFile {
             pool,
             schema,
             compression,
+            page_count: AtomicU64::new(pages.len() as u64),
             state: Mutex::new(HeapState { pages }),
             row_count: AtomicU64::new(rows),
         })
@@ -104,7 +113,7 @@ impl HeapFile {
     /// Number of allocated pages (the unit SQL Server's `sp_spaceused`
     /// reports, used for Tables 1 and 2).
     pub fn page_count(&self) -> u64 {
-        self.state.lock().pages.len() as u64
+        self.page_count.load(Ordering::Relaxed)
     }
 
     /// Allocated bytes = pages × 8 KiB.
@@ -188,6 +197,7 @@ impl HeapFile {
         };
         new_frame.mark_dirty();
         state.pages.push(new_id);
+        self.page_count.fetch_add(1, Ordering::Relaxed);
         self.row_count.fetch_add(1, Ordering::Relaxed);
         Ok(RecordId { page: new_id, slot })
     }
@@ -292,6 +302,9 @@ impl HeapFile {
     /// A refused record reaches the sink not at all, and its later
     /// columns are not even walked. This is a heap scan's pushed-down
     /// filter, and it runs under the page's read latch.
+    ///
+    /// This is the page visit of every heap scan: a heap of more than a
+    /// quarter of the pool is read here with [`BufferPool::fetch_cold`].
     pub fn page_records_into<S: RecordSink>(
         &self,
         pid: PageId,
@@ -299,7 +312,7 @@ impl HeapFile {
         mut check: Option<rowfmt::CellCheck<'_>>,
         sink: &mut S,
     ) -> Result<()> {
-        let frame = self.pool.fetch(pid)?;
+        let frame = self.scan_fetch(pid)?;
         let page = frame.page.read();
         let ctx = if page.has_flag(FLAG_COMPRESSED) {
             Some(PageContext::deserialize(page.ci_area())?)
@@ -327,9 +340,23 @@ impl HeapFile {
         Ok(())
     }
 
+    /// Pin page `pid` for a visit of the whole heap. The misses of a heap
+    /// of more than a quarter of the pool go in at the pool's cold end
+    /// ([`BufferPool::fetch_cold`]): a scan of it reads each page once
+    /// and would otherwise push out the pages that lookups keep reusing,
+    /// as PostgreSQL's bulk-read ring does. Smaller heaps stay plain LRU,
+    /// so a table that fits is cached by its first scan.
+    fn scan_fetch(&self, pid: PageId) -> Result<Arc<Frame>> {
+        if self.page_count() > (self.pool.capacity() / 4) as u64 {
+            self.pool.fetch_cold(pid)
+        } else {
+            self.pool.fetch(pid)
+        }
+    }
+
     /// Decode every live row of one page (with its compression context).
     fn page_rows(&self, pid: PageId) -> Result<Vec<(RecordId, Row)>> {
-        let frame = self.pool.fetch(pid)?;
+        let frame = self.scan_fetch(pid)?;
         let page = frame.page.read();
         let ctx = if page.has_flag(FLAG_COMPRESSED) {
             Some(PageContext::deserialize(page.ci_area())?)
@@ -349,6 +376,7 @@ impl HeapFile {
         let mut state = self.state.lock();
         let (first, _) = self.pool.allocate(PageType::Heap)?;
         state.pages = vec![first];
+        self.page_count.store(1, Ordering::Relaxed);
         self.row_count.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -489,6 +517,44 @@ mod tests {
         // And it accepts inserts again.
         h.insert(&tag_row(1, "Y")).unwrap();
         assert_eq!(h.scan().count(), 1);
+    }
+
+    #[test]
+    fn a_heap_over_a_quarter_of_the_pool_is_scanned_cold() {
+        let pool = BufferPool::new(Arc::new(MemPager::new()), 64);
+        let small = HeapFile::create(pool.clone(), schema(), Compression::None).unwrap();
+        let large = HeapFile::create(pool.clone(), schema(), Compression::None).unwrap();
+        let tag = "T".repeat(1000);
+        for i in 0..40 {
+            small.insert(&tag_row(i, &tag)).unwrap();
+        }
+        for i in 0..800 {
+            large.insert(&tag_row(i, &tag)).unwrap();
+        }
+        assert!(small.page_count() <= 16 && large.page_count() > 64);
+        pool.clear_cache().unwrap();
+        let stat = |s: &AtomicU64| s.load(Ordering::Relaxed);
+        let misses = || stat(&pool.stats.misses);
+
+        // Under the threshold: the first scan caches the heap.
+        assert_eq!(small.scan().count(), 40);
+        let before = misses();
+        assert_eq!(small.scan().count(), 40);
+        assert_eq!(misses(), before);
+        assert_eq!(stat(&pool.stats.cold_reads), 0);
+
+        // Over it: every pass reads every page, its misses cold, and
+        // the small heap stays cached.
+        for _ in 0..3 {
+            let fetched = stat(&pool.stats.hits) + misses();
+            assert_eq!(large.scan().count(), 800);
+            let fetched = stat(&pool.stats.hits) + misses() - fetched;
+            assert_eq!(fetched, large.page_count());
+        }
+        assert!(stat(&pool.stats.cold_reads) >= large.page_count());
+        let before = misses();
+        assert_eq!(small.scan().count(), 40);
+        assert_eq!(misses(), before);
     }
 
     #[test]

@@ -453,6 +453,7 @@ const COUNTER_NAMES: &[&str] = &[
     "bufferpool_misses",
     "bufferpool_evictions",
     "bufferpool_writebacks",
+    "bufferpool_cold_reads",
     "bufferpool_pinned_frames",
     "bufferpool_cached_frames",
     "tempspace_live_files",

@@ -190,6 +190,8 @@ fn performance_counters(
             ("bufferpool_misses", s.misses.load(Relaxed)),
             ("bufferpool_evictions", s.evictions.load(Relaxed)),
             ("bufferpool_writebacks", s.writebacks.load(Relaxed)),
+            // Pages a large heap scan read into its own buffer, uncached
+            // (also counted in bufferpool_misses).
             ("bufferpool_cold_reads", s.cold_reads.load(Relaxed)),
             ("bufferpool_pinned_frames", pool.pinned_frames() as u64),
             ("bufferpool_cached_frames", pool.cached_frames() as u64),

@@ -4,6 +4,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
+use seqdb_storage::buffer::ReadBuf;
 use seqdb_storage::page::PageId;
 use seqdb_storage::rowfmt::{self, Compression, RecordSink};
 use seqdb_types::{DataType, Result, Schema, Value, ValueRef};
@@ -107,6 +108,9 @@ pub struct HeapScanIter {
     /// far: the next batch's capacity.
     cap: usize,
     text_cap: usize,
+    /// Where a page that is not cached is read, when the heap is large
+    /// enough to be read through (see [`seqdb_storage::HeapFile::page_records_into`]).
+    buf: ReadBuf,
 }
 
 impl HeapScanIter {
@@ -144,6 +148,7 @@ impl HeapScanIter {
             builder: None,
             cap: 64,
             text_cap: 0,
+            buf: ReadBuf::default(),
         })
     }
 
@@ -173,7 +178,7 @@ impl RowIterator for HeapScanIter {
             narrow.checked(|check| {
                 self.table
                     .heap
-                    .page_records_into(pid, mask, check, &mut builder)
+                    .page_records_into(pid, &mut self.buf, mask, check, &mut builder)
             })?;
             if builder.rows() > 0 {
                 self.cap = self.cap.max(builder.rows());

@@ -9,11 +9,16 @@
 //! of its victim). Hit/miss counters support the "warm buffer pool"
 //! measurements of the paper's §5.3.3 (the 7-second warm merge join).
 //!
-//! A page read by [`BufferPool::fetch_cold`] goes in at the least
-//! recently used end, so the next miss evicts it first: a scan of a heap
-//! larger than the pool cycles through a frame or two instead of pushing
-//! every other page out (see [`crate::HeapFile::page_records_into`]). A
-//! hit moves a frame to the most recent end however it was fetched.
+//! A dirty victim stays findable until its write-back lands: it leaves
+//! the LRU list under the mutex and is written back after, and a fetch
+//! that asks for it meanwhile takes the frame back as a hit instead of
+//! reading the store's older image. A checkpoint writes it too.
+//!
+//! [`BufferPool::read_through`] is the read of a scan too large to keep
+//! (see [`crate::HeapFile::page_records_into`]): a cached page is a hit
+//! like any other, but a miss is read into a buffer the scan owns,
+//! verified there and never cached, so the scan evicts nothing, allocates
+//! nothing and leaves the frame table alone.
 //!
 //! When the pool is built with a [`WriteAheadLog`]
 //! ([`BufferPool::with_wal`]), every in-place page write follows the
@@ -61,9 +66,25 @@ pub struct PoolStats {
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
     pub writebacks: AtomicU64,
-    /// Misses of [`BufferPool::fetch_cold`]: pages read in at the least
-    /// recently used end.
+    /// Misses of [`BufferPool::read_through`]: pages a scan read into its
+    /// own buffer without caching them. Each is counted in `misses` too.
     pub cold_reads: AtomicU64,
+}
+
+/// A scan's own page buffer: where [`BufferPool::read_through`] puts a
+/// page that is not cached. Its 8 KiB are allocated by the first such
+/// read and reused by every later one.
+#[derive(Default)]
+pub struct ReadBuf {
+    page: Option<Page>,
+}
+
+impl ReadBuf {
+    /// The page the last read-through miss verified into this buffer
+    /// (`None` before the first one, or after a read that failed).
+    pub fn page(&self) -> Option<&Page> {
+        self.page.as_ref()
+    }
 }
 
 /// An LRU buffer pool. `capacity` is in frames (8 KiB each).
@@ -92,6 +113,9 @@ struct FrameTable {
     map: HashMap<PageId, usize>,
     slots: Vec<Slot>,
     free: usize,
+    /// Dirty victims whose write-back has not landed yet: newer than the
+    /// store's image, so a fetch of one takes it back from here.
+    writing: Vec<Arc<Frame>>,
 }
 
 impl FrameTable {
@@ -124,13 +148,6 @@ impl FrameTable {
         self.slots[0].prev = slot;
     }
 
-    fn link_least_recent(&mut self, slot: usize) {
-        let head = self.slots[0].next;
-        (self.slots[slot].prev, self.slots[slot].next) = (0, head);
-        self.slots[head].prev = slot;
-        self.slots[0].next = slot;
-    }
-
     /// Mark `slot` most recently used.
     fn touch(&mut self, slot: usize) {
         self.unlink(slot);
@@ -138,8 +155,8 @@ impl FrameTable {
     }
 
     /// Cache `frame`, whose page must not be cached, as most recently
-    /// used, or as least recently used when `cold`.
-    fn push(&mut self, frame: Arc<Frame>, cold: bool) -> usize {
+    /// used.
+    fn push(&mut self, frame: Arc<Frame>) -> usize {
         let mut slot = self.free;
         if slot == 0 {
             slot = self.slots.len();
@@ -149,11 +166,7 @@ impl FrameTable {
         }
         self.map.insert(frame.id, slot);
         self.slots[slot].frame = Some(frame);
-        if cold {
-            self.link_least_recent(slot);
-        } else {
-            self.link_most_recent(slot);
-        }
+        self.link_most_recent(slot);
         slot
     }
 
@@ -165,6 +178,19 @@ impl FrameTable {
         self.slots[slot].next = std::mem::replace(&mut self.free, slot);
         self.map.remove(&frame.id);
         frame
+    }
+
+    /// Page `id`'s frame as a hit: a cached one moves to the most recent
+    /// end, one being written back is cached again.
+    fn hit(&mut self, id: PageId) -> Option<Arc<Frame>> {
+        if let Some(&slot) = self.map.get(&id) {
+            self.touch(slot);
+            return Some(self.frame(slot).clone());
+        }
+        let at = self.writing.iter().position(|f| f.id == id)?;
+        let frame = self.writing.swap_remove(at);
+        self.push(frame.clone());
+        Some(frame)
     }
 }
 
@@ -199,6 +225,7 @@ impl BufferPool {
                 map: HashMap::new(),
                 slots: vec![Slot::default()],
                 free: 0,
+                writing: Vec::new(),
             }),
             capacity: capacity.max(8),
             stats: PoolStats::default(),
@@ -222,41 +249,57 @@ impl BufferPool {
         self.capacity
     }
 
+    /// Page `id`'s frame if the pool holds it, counted as a hit.
+    fn lookup(&self, id: PageId) -> Option<Arc<Frame>> {
+        let frame = self.frames.lock().hit(id)?;
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        Some(frame)
+    }
+
+    /// Read page `id` from the store into `buf`: a miss, timed as buffer
+    /// I/O.
+    fn read_miss(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let start = std::time::Instant::now();
+        self.store.read_page(id, buf)?;
+        crate::counters::waits().record(crate::counters::WaitClass::BufferIo, start.elapsed());
+        Ok(())
+    }
+
     /// Fetch a page frame, reading it from the store on a miss.
     pub fn fetch(&self, id: PageId) -> Result<Arc<Frame>> {
-        self.fetch_as(id, false)
-    }
-
-    /// Like [`BufferPool::fetch`], but a miss caches the page as least
-    /// recently used, so it is the next victim unless a hit moves it up
-    /// first: the read of a scan too large to keep.
-    pub fn fetch_cold(&self, id: PageId) -> Result<Arc<Frame>> {
-        self.fetch_as(id, true)
-    }
-
-    fn fetch_as(&self, id: PageId, cold: bool) -> Result<Arc<Frame>> {
-        {
-            let mut t = self.frames.lock();
-            if let Some(&slot) = t.map.get(&id) {
-                t.touch(slot);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(t.frame(slot).clone());
-            }
+        if let Some(frame) = self.lookup(id) {
+            return Ok(frame);
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // Read outside the table lock; a racing fetch of the same page may
         // duplicate the read, but the table insert below deduplicates.
         let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        let start = std::time::Instant::now();
-        self.store.read_page(id, &mut buf)?;
-        crate::counters::waits().record(crate::counters::WaitClass::BufferIo, start.elapsed());
-        let page = Page::from_bytes(buf)?;
+        self.read_miss(id, &mut buf)?;
         let frame = Arc::new(Frame {
             id,
-            page: RwLock::new(page),
+            page: RwLock::new(Page::from_bytes(buf)?),
             dirty: AtomicBool::new(false),
         });
-        self.insert_frame(id, frame, cold)
+        self.insert_frame(frame)
+    }
+
+    /// Read page `id` for a scan that visits it once. A cached page (a
+    /// dirty one always is) comes back as its frame, a hit like any
+    /// [`BufferPool::fetch`]. Any other is read into `buf`, checked like
+    /// every page read (checksum, magic, type) and returned as `None`:
+    /// it never becomes a frame, so the read evicts nothing.
+    pub fn read_through(&self, id: PageId, buf: &mut ReadBuf) -> Result<Option<Arc<Frame>>> {
+        if let Some(frame) = self.lookup(id) {
+            return Ok(Some(frame));
+        }
+        self.stats.cold_reads.fetch_add(1, Ordering::Relaxed);
+        let mut bytes = match buf.page.take() {
+            Some(page) => page.into_bytes(),
+            None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
+        };
+        self.read_miss(id, &mut bytes)?;
+        buf.page = Some(Page::from_bytes(bytes)?);
+        Ok(None)
     }
 
     /// Allocate a fresh page of the given type and return its frame
@@ -268,58 +311,64 @@ impl BufferPool {
             page: RwLock::new(Page::new(ptype)),
             dirty: AtomicBool::new(true),
         });
-        let frame = self.insert_frame(id, frame, false)?;
+        let frame = self.insert_frame(frame)?;
         Ok((id, frame))
     }
 
-    fn insert_frame(&self, id: PageId, frame: Arc<Frame>, cold: bool) -> Result<Arc<Frame>> {
+    /// Cache `frame` as most recently used, unless a racing fetch cached
+    /// its page first, then evict down to capacity and write the dirty
+    /// victims back.
+    fn insert_frame(&self, frame: Arc<Frame>) -> Result<Arc<Frame>> {
         let mut evict: Vec<Arc<Frame>> = Vec::new();
-        let out;
-        {
+        let out = {
             let mut t = self.frames.lock();
-            // A racing fetch of the same page may have cached it first.
-            let slot = match t.map.get(&id) {
-                Some(&slot) => {
-                    t.touch(slot);
-                    slot
-                }
+            let out = match t.hit(frame.id) {
+                Some(cached) => cached,
                 None => {
-                    if cold {
-                        self.stats.cold_reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    t.push(frame, cold)
+                    let slot = t.push(frame);
+                    t.frame(slot).clone()
                 }
             };
-            out = t.frame(slot).clone();
             // Evict LRU frames that nobody references; `out` pins the
-            // frame just cached, so a cold one outlives its own insert.
+            // frame just cached.
             while t.map.len() > self.capacity {
                 let Some(victim) = t.lru().find(|&s| !t.pinned(s)) else {
                     break; // everything pinned
                 };
-                evict.push(t.remove(victim));
+                let victim = t.remove(victim);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        for (i, vf) in evict.iter().enumerate() {
-            if let Err(e) = self.writeback(vf) {
-                // A victim whose dirty image cannot be written back must
-                // not be dropped — that would silently lose the page.
-                // Reinsert it (and any not-yet-processed victims) and
-                // surface the error.
-                let mut t = self.frames.lock();
-                for vf in &evict[i..] {
-                    // The victim's image is the newest: it replaces a copy
-                    // a racing fetch may have read back meanwhile.
-                    if let Some(&stale) = t.map.get(&vf.id) {
-                        t.remove(stale);
-                    }
-                    t.push(vf.clone(), false);
+                if victim.is_dirty() {
+                    t.writing.push(victim.clone());
+                    evict.push(victim);
                 }
-                return Err(e);
+            }
+            out
+        };
+        if evict.is_empty() {
+            return Ok(out);
+        }
+        let (mut landed, mut result) = (0, Ok(()));
+        for vf in &evict {
+            result = self.writeback(vf);
+            if result.is_err() {
+                break;
+            }
+            landed += 1;
+        }
+        let mut t = self.frames.lock();
+        for (i, vf) in evict.iter().enumerate() {
+            // A fetch may have taken the victim back meanwhile.
+            let Some(at) = t.writing.iter().position(|f| Arc::ptr_eq(f, vf)) else {
+                continue;
+            };
+            let vf = t.writing.swap_remove(at);
+            // A victim whose dirty image could not be written back must
+            // not be dropped: that would silently lose the page.
+            if i >= landed {
+                t.push(vf);
             }
         }
-        Ok(out)
+        result.map(|()| out)
     }
 
     /// Write one frame's dirty image in place (eviction path). With a WAL
@@ -349,9 +398,12 @@ impl BufferPool {
     /// the store is synced and the log truncated. Without a WAL it
     /// degrades to write-back-and-sync.
     pub fn checkpoint(&self) -> Result<()> {
+        // Victims still being written back count too: the checkpoint must
+        // not return before their images are in the store.
         let frames: Vec<Arc<Frame>> = {
             let t = self.frames.lock();
-            t.lru().map(|s| t.frame(s).clone()).collect()
+            let cached = t.lru().map(|s| t.frame(s).clone());
+            cached.chain(t.writing.iter().cloned()).collect()
         };
         let Some(wal) = &self.wal else {
             for f in frames {
@@ -649,45 +701,183 @@ mod tests {
         assert_eq!(pool.stats.hits.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn cold_reads_are_the_next_victims_until_a_hit() {
+    /// A pool of 8 frames holding the first 8 of 12 pages, in order,
+    /// and the 12 ids: page `i` holds the one record `[i]`.
+    fn full_pool() -> (Arc<BufferPool>, Vec<PageId>) {
         let pool = pool(8);
-        let ids: Vec<PageId> = (0..12)
-            .map(|_| pool.allocate(PageType::Heap).unwrap().0)
+        let ids: Vec<PageId> = (0..12u8)
+            .map(|i| {
+                let (id, frame) = pool.allocate(PageType::Heap).unwrap();
+                frame.page.write().insert(&[i]).unwrap();
+                id
+            })
             .collect();
         pool.clear_cache().unwrap();
-        let cached = |id: PageId| pool.frames.lock().map.contains_key(&id);
         for &id in &ids[..8] {
             pool.fetch(id).unwrap();
         }
-        // A cold miss into a full pool evicts the least recent page...
-        pool.fetch_cold(ids[8]).unwrap();
-        assert!(!cached(ids[0]) && cached(ids[8]));
-        // ...and is itself the next victim, of a cold miss or a plain one.
-        pool.fetch_cold(ids[9]).unwrap();
-        assert!(!cached(ids[8]) && cached(ids[1]));
-        pool.fetch(ids[10]).unwrap();
-        assert!(!cached(ids[9]) && cached(ids[1]));
-        // A hit, cold or not, moves a cold frame to the most recent end.
-        pool.fetch_cold(ids[11]).unwrap();
-        pool.fetch_cold(ids[11]).unwrap();
-        pool.fetch(ids[0]).unwrap();
-        assert!(cached(ids[11]) && !cached(ids[2]));
-        // A pinned cold frame is never a victim.
-        let pinned = pool.fetch_cold(ids[1]).unwrap();
-        for &id in &ids[2..9] {
-            pool.fetch_cold(id).unwrap();
-            assert!(pool.cached_frames() <= 8);
+        (pool, ids)
+    }
+
+    /// The cached pages, least recently used first.
+    fn lru_order(pool: &BufferPool) -> Vec<PageId> {
+        let t = pool.frames.lock();
+        t.lru().map(|slot| t.frame(slot).id).collect()
+    }
+
+    #[test]
+    fn read_through_misses_leave_the_pool_as_it_was() {
+        let (pool, ids) = full_pool();
+        let stat = |s: &AtomicU64| s.load(Ordering::Relaxed);
+        let order = lru_order(&pool);
+        let (misses, evictions) = (stat(&pool.stats.misses), stat(&pool.stats.evictions));
+        let mut buf = ReadBuf::default();
+        for (i, &id) in ids.iter().enumerate().skip(8) {
+            assert!(pool.read_through(id, &mut buf).unwrap().is_none());
+            let page = buf.page().expect("a miss fills the buffer");
+            assert_eq!(page.get(0), Some(&[i as u8][..]));
         }
-        assert!(Arc::ptr_eq(&pinned, &pool.fetch(ids[1]).unwrap()));
-        // Cold misses: 8, 9, 11, 1, 2, 3, 4 and 8 again (5 to 7 hit).
-        assert_eq!(pool.stats.cold_reads.load(Ordering::Relaxed), 8);
+        assert_eq!(lru_order(&pool), order);
+        assert_eq!(pool.cached_frames(), 8);
+        assert_eq!(stat(&pool.stats.evictions), evictions);
+        assert_eq!(stat(&pool.stats.misses), misses + 4);
+        assert_eq!(stat(&pool.stats.cold_reads), 4);
+    }
+
+    #[test]
+    fn a_read_through_hit_moves_the_frame_to_the_most_recent_end() {
+        let (pool, ids) = full_pool();
+        let hits = pool.stats.hits.load(Ordering::Relaxed);
+        let mut buf = ReadBuf::default();
+        let frame = pool.read_through(ids[0], &mut buf).unwrap();
+        assert!(Arc::ptr_eq(&frame.unwrap(), &pool.fetch(ids[0]).unwrap()));
+        let mut order = ids[1..8].to_vec();
+        order.push(ids[0]);
+        assert_eq!(lru_order(&pool), order);
+        assert_eq!(pool.stats.hits.load(Ordering::Relaxed), hits + 2);
+        assert_eq!(pool.stats.cold_reads.load(Ordering::Relaxed), 0);
+        assert!(buf.page().is_none(), "a hit leaves the buffer alone");
+    }
+
+    #[test]
+    fn a_dirty_cached_page_is_read_from_its_frame() {
+        let (pool, ids) = full_pool();
+        let frame = pool.fetch(ids[3]).unwrap();
+        frame.page.write().insert(b"newer").unwrap();
+        frame.mark_dirty();
+        drop(frame);
+        let mut buf = ReadBuf::default();
+        let frame = pool
+            .read_through(ids[3], &mut buf)
+            .unwrap()
+            .expect("cached");
+        assert_eq!(frame.page.read().get(1), Some(&b"newer"[..]));
+        assert_eq!(pool.stats.cold_reads.load(Ordering::Relaxed), 0);
+    }
+
+    /// A store whose first write of the gated page waits at a gate,
+    /// telling the test that it has started.
+    struct GatedStore {
+        inner: MemPager,
+        gated: Mutex<Option<PageId>>,
+        started: Mutex<std::sync::mpsc::Sender<PageId>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl PageStore for GatedStore {
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            let gated = self.gated.lock().take_if(|g| *g == id).is_some();
+            if gated {
+                self.started.lock().send(id).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+    }
+
+    /// Write two records into a page whose store image holds the first
+    /// only, let a filler thread evict it, and `read` it while its
+    /// write-back waits at the gate: the read must see both records.
+    fn read_during_writeback(read: impl Fn(&BufferPool, PageId) -> Vec<Vec<u8>>) {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let store = Arc::new(GatedStore {
+            inner: MemPager::new(),
+            gated: Mutex::new(None),
+            started: Mutex::new(started_tx),
+            release: Mutex::new(release_rx),
+        });
+        let pool = BufferPool::new(store.clone(), 8);
+        let (id, frame) = pool.allocate(PageType::Heap).unwrap();
+        frame.page.write().insert(b"one").unwrap();
+        pool.flush_all().unwrap();
+        frame.page.write().insert(b"two").unwrap();
+        frame.mark_dirty();
+        drop(frame);
+        *store.gated.lock() = Some(id);
+        let filler = std::thread::spawn({
+            let pool = pool.clone();
+            move || {
+                for _ in 0..8 {
+                    pool.allocate(PageType::Heap).unwrap();
+                }
+            }
+        });
+        // The page is the least recent frame, so the filler's eighth
+        // page evicts it, and its write-back stops at the gate.
+        assert_eq!(started.recv().unwrap(), id);
+        let during = read(&pool, id);
+        release.send(()).unwrap();
+        filler.join().unwrap();
+        let both = vec![b"one".to_vec(), b"two".to_vec()];
+        assert_eq!(during, both, "read while its write-back was in flight");
+        assert_eq!(read(&pool, id), both);
+        pool.clear_cache().unwrap();
+        assert_eq!(read(&pool, id), both, "read back from the store");
+    }
+
+    fn records(page: &Page) -> Vec<Vec<u8>> {
+        page.iter().map(|(_, rec)| rec.to_vec()).collect()
+    }
+
+    #[test]
+    fn a_fetch_during_a_dirty_victims_writeback_takes_the_frame_back() {
+        read_during_writeback(|pool, id| records(&pool.fetch(id).unwrap().page.read()));
+    }
+
+    #[test]
+    fn a_read_through_during_a_dirty_victims_writeback_reads_the_frame() {
+        read_during_writeback(|pool, id| {
+            let mut buf = ReadBuf::default();
+            match pool.read_through(id, &mut buf).unwrap() {
+                Some(frame) => records(&frame.page.read()),
+                None => records(buf.page().unwrap()),
+            }
+        });
+    }
+
+    #[test]
+    fn a_checkpoint_during_a_dirty_victims_writeback_writes_it() {
+        read_during_writeback(|pool, id| {
+            pool.checkpoint().unwrap();
+            let mut image = vec![0u8; PAGE_SIZE];
+            pool.store().read_page(id, &mut image).unwrap();
+            records(&Page::from_bytes(image.into_boxed_slice()).unwrap())
+        });
     }
 
     /// The replacement policy as the `Vec` it used to be, kept as the
     /// model the slab list is held to: linear search to touch, first
-    /// unpinned entry from the front to evict, and a cold miss cached at
-    /// the front.
+    /// unpinned entry from the front to evict.
     #[derive(Default)]
     struct VecLru {
         order: Vec<PageId>,
@@ -695,24 +885,25 @@ mod tests {
     }
 
     impl VecLru {
-        /// Cache or touch `id` (a miss goes to the front when `cold`),
-        /// then evict down to `capacity`; returns the dirty victims in
-        /// eviction order (the pool writes those back).
-        fn admit(
-            &mut self,
-            id: PageId,
-            capacity: usize,
-            pinned: &[PageId],
-            cold: bool,
-        ) -> Vec<PageId> {
-            let hit = self.order.contains(&id);
-            self.order.retain(|&p| p != id);
-            if cold && !hit {
-                self.order.insert(0, id);
-            } else {
-                self.order.push(id);
-            }
+        /// Move `id` to the back if it is cached; whether it was.
+        fn touch(&mut self, id: PageId) -> bool {
+            let Some(at) = self.order.iter().position(|&p| p == id) else {
+                return false;
+            };
+            self.order.remove(at);
+            self.order.push(id);
+            true
+        }
+
+        /// Touch `id`, or cache it and evict down to `capacity`; returns
+        /// the dirty victims in eviction order (the pool writes those
+        /// back).
+        fn admit(&mut self, id: PageId, capacity: usize, pinned: &[PageId]) -> Vec<PageId> {
             let mut written = Vec::new();
+            if self.touch(id) {
+                return written;
+            }
+            self.order.push(id);
             while self.order.len() > capacity {
                 let evictable = |p: &PageId| *p != id && !pinned.contains(p);
                 let Some(pos) = self.order.iter().position(evictable) else {
@@ -767,45 +958,44 @@ mod tests {
             // Most frames the pool may hold: its capacity, or more while
             // pins leave nothing to evict.
             let mut bound = CAPACITY;
-            for (kind, cold, pick) in trace {
+            let mut buf = ReadBuf::default();
+            for (kind, through, pick) in trace {
                 let pages = store.num_pages();
                 let pinned: Vec<PageId> = pins.iter().map(|f| f.id).collect();
                 let id = pick as u64 % pages.max(1);
                 let mut expect_written = Vec::new();
                 match kind {
-                    // Allocate while there are few pages, fetch otherwise.
+                    // Allocate while there are few pages, read otherwise.
                     0..=5 => {
                         let frame = if pages < 4 || (kind == 0 && pages < 40) {
                             let (id, frame) = pool.allocate(PageType::Heap).unwrap();
-                            expect_written = model.admit(id, CAPACITY, &pinned, false);
+                            expect_written = model.admit(id, CAPACITY, &pinned);
                             model.dirty.insert(id);
-                            frame
-                        } else if cold {
-                            let miss = !model.order.contains(&id);
-                            let frame = pool.fetch_cold(id).unwrap();
-                            expect_written = model.admit(id, CAPACITY, &pinned, true);
-                            // A cold miss is the next victim; a cold hit is
-                            // the most recent frame.
-                            let t = pool.frames.lock();
-                            let end = if miss { t.slots[0].next } else { t.slots[0].prev };
-                            proptest::prop_assert_eq!(t.frame(end).id, id);
-                            drop(t);
+                            Some(frame)
+                        } else if through {
+                            // A hit touches, a miss leaves the order alone.
+                            let hit = model.touch(id);
+                            let frame = pool.read_through(id, &mut buf).unwrap();
+                            proptest::prop_assert_eq!(frame.is_some(), hit);
+                            if frame.is_none() {
+                                proptest::prop_assert_eq!(buf.page().map(|p| p.page_type()), Some(PageType::Heap));
+                            }
                             frame
                         } else {
                             let frame = pool.fetch(id).unwrap();
-                            expect_written = model.admit(id, CAPACITY, &pinned, false);
-                            frame
+                            expect_written = model.admit(id, CAPACITY, &pinned);
+                            Some(frame)
                         };
                         let mut distinct = pinned.clone();
                         distinct.sort_unstable();
                         distinct.dedup();
                         bound = CAPACITY.max(distinct.len() + 1);
-                        match kind {
-                            1 => {
+                        match (kind, frame) {
+                            (1, Some(frame)) => {
                                 frame.mark_dirty();
                                 model.dirty.insert(frame.id);
                             }
-                            2 => pins.push(frame),
+                            (2, Some(frame)) => pins.push(frame),
                             _ => {}
                         }
                     }
@@ -828,6 +1018,7 @@ mod tests {
                 let t = pool.frames.lock();
                 let order: Vec<PageId> = t.lru().map(|slot| t.frame(slot).id).collect();
                 proptest::prop_assert_eq!(&order, &model.order);
+                proptest::prop_assert!(t.writing.is_empty(), "every write-back landed");
                 proptest::prop_assert_eq!(t.map.len(), order.len());
                 proptest::prop_assert!(order.len() <= bound, "{} frames cached", order.len());
                 proptest::prop_assert_eq!(std::mem::take(&mut *store.written.lock()), expect_written);

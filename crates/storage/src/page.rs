@@ -172,6 +172,11 @@ impl Page {
         &self.buf
     }
 
+    /// The page's buffer, as is (unsealed), for reuse by the next read.
+    pub fn into_bytes(self) -> Box<[u8]> {
+        self.buf
+    }
+
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.buf
     }

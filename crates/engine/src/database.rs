@@ -9,7 +9,8 @@ use parking_lot::{Mutex, RwLock};
 
 use seqdb_storage::rowfmt::Compression;
 use seqdb_storage::{
-    BufferPool, FilePager, FileStreamStore, MemPager, Quarantine, TempSpace, WriteAheadLog,
+    durable_replace, BufferPool, FilePager, FileStreamStore, MemPager, Quarantine, TempSpace,
+    WriteAheadLog,
 };
 use seqdb_types::{Result, Row, Schema};
 
@@ -197,7 +198,7 @@ impl Database {
             // on access) while the rest of the database works.
             for (name, first_page) in unreadable {
                 let key = name.to_ascii_lowercase();
-                db.quarantine().add(&key, first_page);
+                db.quarantine().add(&key, first_page)?;
                 crate::trace::emit(
                     crate::trace::TraceClass::Quarantine,
                     "quarantine_add",
@@ -494,7 +495,7 @@ impl Database {
         if on_disk.as_deref() == Some(data.as_str()) {
             return Ok(());
         }
-        durable_replace(root, "querystore.seqdb", data.as_bytes())?;
+        durable_replace(&root.join("querystore.seqdb"), data.as_bytes())?;
         *on_disk = Some(data);
         Ok(())
     }
@@ -518,28 +519,10 @@ impl Database {
         // A failed replace leaves the old file or the new one: either way
         // the next checkpoint writes again.
         *on_disk = None;
-        durable_replace(root, "catalog.seqdb", data.as_bytes())?;
+        durable_replace(&root.join("catalog.seqdb"), data.as_bytes())?;
         *on_disk = Some(data);
         Ok(())
     }
-}
-
-/// Replace `dir/name` with `data` so that a crash leaves the old file or
-/// the new one, whole, and a return means the new one is on disk: write
-/// `name.tmp`, fsync it, rename it over `name`, fsync `dir` so the rename
-/// itself is durable.
-fn durable_replace(dir: &Path, name: &str, data: &[u8]) -> Result<()> {
-    use seqdb_types::DbError;
-    use std::io::Write;
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = std::fs::File::create(&tmp).map_err(DbError::io_write)?;
-    f.write_all(data).map_err(DbError::io_write)?;
-    f.sync_all().map_err(DbError::io_write)?;
-    drop(f);
-    std::fs::rename(&tmp, dir.join(name)).map_err(DbError::io_write)?;
-    std::fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(DbError::io_write)
 }
 
 /// `column.PathName()` on a FILESTREAM column: the blob's filesystem path.

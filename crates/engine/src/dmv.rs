@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn scrub_status_renders_summary_then_quarantine_rows() {
         let q = seqdb_storage::Quarantine::in_memory();
-        q.add("reads", 9);
+        q.add("reads", 9).unwrap();
         let state = ScrubState::new(q);
         let rows = drain(&scrub_status(state));
         assert_eq!(rows.len(), 2);

@@ -1,6 +1,13 @@
 //! Aggregation operators: hash aggregate (unordered input) and stream
 //! aggregate (input sorted by the group columns).
 //!
+//! The hash aggregate hands its groups out straight from the table it
+//! built them in, a batch at a time, and keeps the table's memory charge
+//! until the last group is out. When the budget runs out it spills the
+//! rows of new groups to hash partitions and aggregates those one at a
+//! time afterwards, from a worklist, so no finished group is ever copied
+//! into a buffer of its own.
+//!
 //! Both work off [`AggSpec`]s that pair an [`Aggregate`] factory with its
 //! argument expressions — built-in and user-defined aggregates are
 //! indistinguishable here, which is the extensibility claim of §2.3.4.
@@ -12,8 +19,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use seqdb_storage::tempspace::{SpillReader, SpillWriter, TempSpace};
-use seqdb_storage::{SpillTally, WaitClass};
+use seqdb_storage::tempspace::{SpillReader, SpillWriter};
 use seqdb_types::codec::{self, Reader};
 use seqdb_types::{DbError, Result, Row, Value, ValueRef};
 
@@ -22,7 +28,7 @@ use crate::exec::{
     corrupt_spill, fill_batch, BoxedIter, ExecContext, Layout, RowBatch, RowIterator,
 };
 use crate::expr::Expr;
-use crate::governor::{MemCharge, QueryGovernor, Ticker};
+use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::{protect, AggState, Aggregate};
 
 /// Estimated heap overhead per aggregate state (box + accumulator).
@@ -31,12 +37,11 @@ const STATE_OVERHEAD: usize = 64;
 const GROUP_OVERHEAD: usize = 48;
 /// Fan-out of one hash-agg spill pass.
 pub(crate) const SPILL_PARTITIONS: usize = 4;
-/// Recursion bound for repartitioning; beyond this the budget is simply
-/// too small for the data and the query fails with `ResourceExhausted`.
-/// The parallel workers, which have no spill path, run at this depth.
+/// Repartitioning bound of the hash aggregate and the hash join; beyond
+/// this the budget is simply too small for the data and the query fails
+/// with `ResourceExhausted`. The parallel workers, which have no spill
+/// path, run at this depth.
 pub(crate) const MAX_SPILL_DEPTH: u32 = 6;
-/// Estimated heap overhead per buffered output row (Vec + Row headers).
-const ROW_OVERHEAD: usize = 32;
 
 /// One aggregate call in a GROUP BY query.
 #[derive(Clone)]
@@ -148,8 +153,8 @@ fn key_equals(key: &[Value], cols: &[&Column], i: usize) -> bool {
 /// Multiply-rotate hasher (the well-known Fx scheme) for the executor's
 /// per-query hash tables — the join's build map and [`GroupedStates`]:
 /// far cheaper than SipHash on `Value` keys. Not DoS-resistant, which is
-/// fine for a table that dies with its operator. Spill partitioning and
-/// the join's Bloom filter stay on `DefaultHasher`.
+/// fine for a table that dies with its operator. Spill partitioning stays
+/// on `DefaultHasher`.
 #[derive(Default)]
 pub(crate) struct FxHasher(u64);
 
@@ -350,20 +355,54 @@ impl GroupedStates {
         Ok(self.index.insert(h))
     }
 
-    /// Finish every group into an output row (UDA `Terminate` under
-    /// panic protection), in the order the groups arrived.
-    pub(crate) fn finish(
-        self,
-        aggs: &[AggSpec],
-        mut emit: impl FnMut(Row) -> Result<()>,
-    ) -> Result<()> {
-        let mut keys = self.keys.into_iter();
-        let mut states = self.states.into_iter();
-        for _ in 0..self.index.len() {
-            let key: Vec<Value> = keys.by_ref().take(self.nkeys).collect();
-            emit(finish_group(key, states.by_ref().take(aggs.len()), aggs)?)?;
+    /// Give a global aggregate (no GROUP BY) that saw no rows its one
+    /// group of fresh states: it still yields one row.
+    pub(crate) fn ensure_global_group(&mut self, aggs: &[AggSpec]) -> Result<()> {
+        if self.nkeys == 0 && self.len() == 0 {
+            self.insert(0, std::iter::empty(), aggs)?;
         }
         Ok(())
+    }
+
+    /// The groups on their way out, in the order they arrived.
+    pub(crate) fn into_drain(self) -> GroupDrain {
+        GroupDrain {
+            nkeys: self.nkeys,
+            left: self.index.len(),
+            keys: self.keys.into_iter(),
+            states: self.states.into_iter(),
+        }
+    }
+}
+
+/// A group table handing out its finished groups.
+pub(crate) struct GroupDrain {
+    nkeys: usize,
+    left: usize,
+    keys: std::vec::IntoIter<Value>,
+    states: std::vec::IntoIter<Box<dyn AggState>>,
+}
+
+impl GroupDrain {
+    /// The next `max_rows` groups (at least one), finished into a batch.
+    /// `None` once every group is out.
+    pub(crate) fn next_batch(
+        &mut self,
+        aggs: &[AggSpec],
+        max_rows: usize,
+    ) -> Result<Option<RowBatch>> {
+        let n = self.left.min(max_rows.max(1));
+        if n == 0 {
+            return Ok(None);
+        }
+        self.left -= n;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = self.keys.by_ref().take(self.nkeys).collect();
+            let states = self.states.by_ref().take(aggs.len());
+            rows.push(finish_group(key, states, aggs)?);
+        }
+        Ok(Some(RowBatch::from_rows(rows)))
     }
 }
 
@@ -417,24 +456,34 @@ pub(crate) fn write_spill_row(w: &mut SpillWriter, row: &Row) -> Result<()> {
     w.write_frame(|b| codec::put_row(b, row.values()))
 }
 
-/// Iterate rows back out of a finished spill partition.
+/// The rows of a spill partition, read back. The partition turns into a
+/// reader at the first pull, so one waiting in a worklist holds no read
+/// buffer. Dropping it deletes the file either way.
 pub(crate) struct SpillRowIter {
-    reader: SpillReader,
+    writer: Option<SpillWriter>,
+    reader: Option<SpillReader>,
     /// Reused frame buffer; reading a spilled row back allocates only
     /// what the row's own values need.
     frame: Vec<u8>,
 }
 
 impl SpillRowIter {
-    pub(crate) fn new(reader: SpillReader) -> SpillRowIter {
+    pub(crate) fn new(writer: SpillWriter) -> SpillRowIter {
         SpillRowIter {
-            reader,
+            writer: Some(writer),
+            reader: None,
             frame: Vec::new(),
         }
     }
 
-    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
-        if !self.reader.read_frame(&mut self.frame)? {
+    fn next_row(&mut self) -> Result<Option<Row>> {
+        if let Some(writer) = self.writer.take() {
+            self.reader = Some(writer.finish()?);
+        }
+        let Some(reader) = self.reader.as_mut() else {
+            return Ok(None);
+        };
+        if !reader.read_frame(&mut self.frame)? {
             return Ok(None);
         }
         let vals = Reader::new(&self.frame).row().map_err(corrupt_spill)?;
@@ -448,185 +497,9 @@ impl RowIterator for SpillRowIter {
     }
 }
 
-/// Rough bytes held by one buffered output row.
-fn row_cost(row: &Row) -> usize {
-    row.values().iter().map(Value::size_bytes).sum::<usize>() + ROW_OVERHEAD
-}
-
-/// Governed buffer for a blocking operator's finished rows. Buffered
-/// rows are charged against the query budget (the ROADMAP gap: a query
-/// with millions of tiny groups could overshoot *after* spilling its
-/// hash table correctly, because the finished `Vec<Row>` was free).
-/// When the budget rejects a row the buffer degrades like everything
-/// else: overflow rows go to one tempspace spill file and stream back
-/// out on iteration. Sticky, for the same reason the hash table's spill
-/// mode is: flapping between memory and disk would reorder nothing here,
-/// but one file and one mode keep the accounting honest.
-pub(crate) struct OutputBuffer {
-    rows: Vec<Row>,
-    charge: MemCharge,
-    temp: Arc<TempSpace>,
-    /// Spill attribution sinks of the owning context (query + operator).
-    tallies: Vec<Arc<SpillTally>>,
-    spill: Option<SpillWriter>,
-    total: usize,
-    /// The buffer takes at most a quarter of the query budget, so it
-    /// never starves the hash tables of the repartition passes that still
-    /// have rows to aggregate or join (which would turn a spillable query
-    /// into a depth-exhaustion failure).
-    cap: Option<usize>,
-    /// Wait class for overflow spill I/O (`SpillIo` for aggregates,
-    /// `JoinSpill` when buffering joined rows).
-    class: WaitClass,
-}
-
-impl OutputBuffer {
-    pub(crate) fn new(ctx: &ExecContext) -> OutputBuffer {
-        OutputBuffer::with_class(ctx, WaitClass::SpillIo)
-    }
-
-    pub(crate) fn with_class(ctx: &ExecContext, class: WaitClass) -> OutputBuffer {
-        OutputBuffer {
-            rows: Vec::new(),
-            charge: MemCharge::new(ctx.gov.clone()),
-            temp: ctx.temp.clone(),
-            tallies: ctx.spill_tallies(),
-            spill: None,
-            total: 0,
-            cap: ctx.gov.mem_limit().map(|l| l / 4),
-            class,
-        }
-    }
-
-    pub(crate) fn push(&mut self, row: Row) -> Result<()> {
-        self.total += 1;
-        let cost = row_cost(&row);
-        if self.spill.is_none()
-            && self.cap.is_none_or(|c| self.charge.bytes() + cost <= c)
-            && self.charge.try_grow(cost)
-        {
-            self.rows.push(row);
-            return Ok(());
-        }
-        if self.spill.is_none() {
-            self.spill = Some(
-                self.temp
-                    .create_spill_class(self.tallies.clone(), self.class)?,
-            );
-        }
-        match self.spill.as_mut() {
-            Some(writer) => write_spill_row(writer, &row),
-            None => Err(DbError::Execution("output spill writer missing".into())),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    pub(crate) fn into_rows(self) -> Result<OutputRows> {
-        let spilled = match self.spill {
-            Some(writer) => Some(SpillRowIter::new(writer.finish()?)),
-            None => None,
-        };
-        Ok(OutputRows {
-            in_mem: self.rows.into_iter(),
-            _charge: Some(self.charge),
-            spilled,
-            total: self.total,
-        })
-    }
-}
-
-/// Streams an [`OutputBuffer`]'s rows back out: the in-memory prefix
-/// first, then any spilled overflow. Holds the buffer's memory charge
-/// until dropped (the spill file deletes itself with its reader).
-pub(crate) struct OutputRows {
-    in_mem: std::vec::IntoIter<Row>,
-    _charge: Option<MemCharge>,
-    spilled: Option<SpillRowIter>,
-    total: usize,
-}
-
-impl OutputRows {
-    /// A purely in-memory, uncharged row stream (for synthesized rows
-    /// like the empty-input global aggregate).
-    pub(crate) fn from_vec(rows: Vec<Row>) -> OutputRows {
-        let total = rows.len();
-        OutputRows {
-            in_mem: rows.into_iter(),
-            _charge: None,
-            spilled: None,
-            total,
-        }
-    }
-
-    /// Whether the stream was built from no rows at all; rows already
-    /// yielded still count.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.in_mem.next() {
-            return Ok(Some(row));
-        }
-        match self.spilled.as_mut() {
-            Some(s) => s.next_row(),
-            None => Ok(None),
-        }
-    }
-}
-
-/// Governed hash aggregation with graceful degradation: when the memory
-/// budget runs out, rows for groups already in memory keep aggregating in
-/// place, while rows for *new* groups are spilled to hash partitions in
-/// `storage::tempspace` (raw input rows — `Box<dyn AggState>` has no
-/// serialized form). After the input drains, in-memory groups are
-/// emitted, their memory released, and each partition is aggregated
-/// recursively with a re-salted hash. This is the hybrid-hash analogue
-/// of SQL Server's Hash Match spilling to tempdb. The finished rows stay
-/// inside their governed [`OutputRows`] stream: the in-memory prefix
-/// stays charged against the budget and the overflow streams from its
-/// spill file.
-pub(crate) fn aggregate_governed_rows(
-    input: &mut dyn RowIterator,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-) -> Result<OutputRows> {
-    let mut out = OutputBuffer::new(ctx);
-    aggregate_level(input, group_exprs, aggs, ctx, 0, &mut out)?;
-    out.into_rows()
-}
-
-/// One pass of the hybrid hash aggregation. Groups that fit the budget
-/// aggregate in memory; overflow rows partition to tempspace and recurse
-/// with a re-salted hash.
-fn aggregate_level(
-    input: &mut dyn RowIterator,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-    depth: u32,
-    out: &mut OutputBuffer,
-) -> Result<()> {
-    let mut charge = MemCharge::new(ctx.gov.clone());
-    let (groups, partitions) =
-        aggregate_partial_spilling(input, group_exprs, aggs, &mut charge, ctx, depth)?;
-    groups.finish(aggs, |row| out.push(row))?;
-    charge.release_all();
-
-    for writer in partitions.into_iter().flatten() {
-        let mut part = SpillRowIter::new(writer.finish()?);
-        aggregate_level(&mut part, group_exprs, aggs, ctx, depth + 1, out)?;
-    }
-    Ok(())
-}
-
 /// Hash-aggregate an input into a map, spilling rows for new groups to
 /// hash partitions once the budget is exhausted instead of failing. The
-/// one group loop of both [`aggregate_level`] and the parallel workers.
+/// one group loop of both [`HashAggIter`] and the parallel workers.
 /// At [`MAX_SPILL_DEPTH`] there is no pass left, so the first group the
 /// budget rejects fails the query typed; the workers run at that depth
 /// because a parallel aggregate never spills. The caller keeps `charge`
@@ -639,7 +512,6 @@ pub(crate) fn aggregate_partial_spilling(
     ctx: &ExecContext,
     depth: u32,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
-    let mut ticker = Ticker::new();
     let mut groups = GroupedStates::new(group_exprs.len());
     // Once the budget rejects one group, *all* further new groups go to
     // the spill. Without this the budget could free up mid-stream and
@@ -651,8 +523,8 @@ pub(crate) fn aggregate_partial_spilling(
     let mut slots: Vec<usize> = Vec::new();
 
     while let Some(batch) = input.next_batch(ctx.batch_size)? {
-        // One governor tick per batch instead of per row.
-        ticker.tick_batch(&ctx.gov)?;
+        // One cooperative check per batch instead of per row.
+        ctx.gov.check_deadline()?;
         let batch = batch.compact();
         slots.clear();
         if group_exprs.is_empty() && groups.len() == 1 {
@@ -701,7 +573,7 @@ pub(crate) fn aggregate_partial_spilling(
 
 /// Finish one group into an output row (UDA `Terminate` under panic
 /// protection).
-pub(crate) fn finish_group(
+fn finish_group(
     key: Vec<Value>,
     states: impl Iterator<Item = Box<dyn AggState>>,
     aggs: &[AggSpec],
@@ -716,21 +588,35 @@ pub(crate) fn finish_group(
 
 /// What a global aggregate (no GROUP BY) over empty input still yields:
 /// one row of fresh states' results.
-pub(crate) fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
+fn empty_global_row(aggs: &[AggSpec]) -> Result<Row> {
     let mut states = Vec::new();
     push_states(aggs, &mut states)?;
     finish_group(Vec::new(), states.into_iter(), aggs)
 }
 
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
-/// Governed: over-budget runs degrade by spilling to tempspace (see
-/// `aggregate_governed_rows`).
+/// Governed, the hybrid-hash analogue of SQL Server's Hash Match spilling
+/// to tempdb: once the budget rejects a group, rows of groups already in
+/// the table keep aggregating in place, while rows of new groups spill to
+/// hash partitions as raw input rows (an aggregate state has no
+/// serialized form). Each partition is aggregated in turn, with a
+/// re-salted hash, once the groups before it are out.
 pub struct HashAggIter {
-    input: Option<BoxedIter>,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
     ctx: ExecContext,
-    output: Option<OutputRows>,
+    /// Inputs still to aggregate, the next one last, each with its spill
+    /// depth: the operator's own input at depth 0, then the partitions
+    /// each level spilled, which go before the partitions of the levels
+    /// above it.
+    work: Vec<(BoxedIter, u32)>,
+    /// The level being handed out. `charge` holds its groups' memory
+    /// until the last one is out.
+    level: Option<GroupDrain>,
+    charge: MemCharge,
+    /// Whether any level had a group: a global aggregate (no GROUP BY)
+    /// over no rows still yields one row.
+    any_group: bool,
 }
 
 impl HashAggIter {
@@ -741,35 +627,50 @@ impl HashAggIter {
         ctx: ExecContext,
     ) -> HashAggIter {
         HashAggIter {
-            input: Some(input),
             group_exprs,
             aggs,
+            charge: MemCharge::new(ctx.gov.clone()),
             ctx,
-            output: None,
-        }
-    }
-
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if let Some(mut input) = self.input.take() {
-            let rows =
-                aggregate_governed_rows(input.as_mut(), &self.group_exprs, &self.aggs, &self.ctx)?;
-            if rows.is_empty() && self.group_exprs.is_empty() {
-                let row = empty_global_row(&self.aggs)?;
-                self.output = Some(OutputRows::from_vec(vec![row]));
-            } else {
-                self.output = Some(rows);
-            }
-        }
-        match self.output.as_mut() {
-            Some(rows) => rows.next_row(),
-            None => Ok(None),
+            work: vec![(input, 0)],
+            level: None,
+            any_group: false,
         }
     }
 }
 
 impl RowIterator for HashAggIter {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        fill_batch(max_rows, || self.next_row())
+        loop {
+            if let Some(level) = self.level.as_mut() {
+                if let Some(batch) = level.next_batch(&self.aggs, max_rows)? {
+                    return Ok(Some(batch));
+                }
+            }
+            self.level = None;
+            self.charge.release_all();
+            let Some((mut input, depth)) = self.work.pop() else {
+                return Ok(None);
+            };
+            let (mut groups, parts) = aggregate_partial_spilling(
+                input.as_mut(),
+                &self.group_exprs,
+                &self.aggs,
+                &mut self.charge,
+                &self.ctx,
+                depth,
+            )?;
+            // Reversed, so partition 0 (and whatever it spills) comes out
+            // before partition 1.
+            for part in parts.into_iter().rev().flatten() {
+                let part: BoxedIter = Box::new(SpillRowIter::new(part));
+                self.work.push((part, depth + 1));
+            }
+            self.any_group |= groups.len() > 0;
+            if !self.any_group && self.work.is_empty() {
+                groups.ensure_global_group(&self.aggs)?;
+            }
+            self.level = Some(groups.into_drain());
+        }
     }
 }
 
@@ -922,13 +823,11 @@ mod tests {
     }
 
     fn finish(groups: GroupedStates) -> Vec<Row> {
+        let mut drain = groups.into_drain();
         let mut rows = Vec::new();
-        groups
-            .finish(&specs(), |row| {
-                rows.push(row);
-                Ok(())
-            })
-            .unwrap();
+        while let Some(batch) = drain.next_batch(&specs(), 2).unwrap() {
+            rows.extend(batch.into_rows());
+        }
         rows
     }
 
@@ -1091,6 +990,36 @@ mod tests {
             assert_eq!(total, 4);
         }
         assert_eq!(ctx.gov.mem_used(), 0, "all charges released");
+    }
+
+    #[test]
+    fn dropping_a_spilled_aggregate_mid_drain_leaves_no_file_and_no_charge() {
+        // Abandon a spilled aggregate after its first batch (the KILL
+        // path), while partitions still wait in its worklist: dropping it
+        // must delete them and release the level's charge.
+        let (mut ctx, _dir) = test_context();
+        ctx.gov = QueryGovernor::new(None, Some(2 * 1024));
+        let gov = ctx.gov.clone();
+        let temp = ctx.temp.clone();
+        let input: Vec<Row> = (0..2000i64)
+            .map(|i| Row::new(vec![Value::Int(i % 500), Value::Int(1)]))
+            .collect();
+        let mut it = HashAggIter::new(
+            Box::new(ValuesIter::new(input)),
+            vec![Expr::col(0, "g")],
+            specs(),
+            ctx,
+        );
+        assert!(it.next_batch(4).unwrap().is_some());
+        assert!(!it.work.is_empty(), "partitions must still be queued");
+        assert!(temp.live_files().unwrap() > 0);
+        assert!(
+            gov.mem_used() > 0,
+            "the level being drained holds its charge"
+        );
+        drop(it);
+        assert_eq!(gov.mem_used(), 0, "charges released on drop");
+        assert_eq!(temp.live_files().unwrap(), 0, "no leaked spill files");
     }
 
     #[test]

@@ -16,50 +16,34 @@
 //! [`MemCharge`], further build rows partition to `storage::tempspace`
 //! with the salted hash of `exec::agg::partition_of`. Probe rows
 //! stream against the resident table and are routed to the matching spill
-//! partition; partition pairs then join one after another, recursively
-//! with a re-salted hash. A join that never spills emits its rows in
-//! probe order, which the planner relies on for order-sensitive
-//! aggregates. A compact
-//! Bloom filter over every build key lets probe rows that cannot match
-//! skip both the lookup and the partition write, so a spilling join does
-//! no I/O for probe rows that would never find a partner.
+//! partition; the partition pairs then go on a worklist and run through
+//! the same build and probe loop one after another, with a re-salted
+//! hash. A join that never spills emits its rows in probe order, which
+//! the planner relies on for order-sensitive aggregates.
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
 
-use seqdb_storage::tempspace::{SpillReader, SpillWriter};
-use seqdb_storage::WaitClass;
+use seqdb_storage::tempspace::SpillWriter;
 use seqdb_types::{DbError, Result, Value, ValueRef};
 
 use crate::exec::agg::{
-    hash_cells, key_cells, partition_of, write_spill_row, HashIndex, OutputBuffer, OutputRows,
-    SpillRowIter, SPILL_PARTITIONS,
+    hash_cells, key_cells, partition_of, write_spill_row, HashIndex, SpillRowIter, MAX_SPILL_DEPTH,
+    SPILL_PARTITIONS,
 };
 use crate::exec::batch::{operand_columns, Column, Operand};
-use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{BoxedIter, ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
-use crate::governor::{MemCharge, Ticker};
+use crate::governor::MemCharge;
 
 /// Keys containing NULL never match (SQL equi-join semantics).
 fn key_joinable(key: &[&Column], i: usize) -> bool {
     key.iter().all(|c| !c.get(i).is_null())
 }
 
-/// Recursion bound for join repartitioning, mirroring the hash
-/// aggregate's: beyond this the budget is simply too small for the data
-/// and the query fails with `ResourceExhausted`.
-const MAX_JOIN_SPILL_DEPTH: u32 = 6;
 /// Bytes charged per resident build row beyond its cells: its `next`
 /// link, validity and offsets, and a share of the key index. Kept at
 /// what a row-per-`Vec` arena cost, so a budget spills where it did.
 const JOIN_ENTRY_OVERHEAD: usize = 72;
-/// Above this many spilled build rows the Bloom filter is abandoned:
-/// it must stay conservative (no false negatives), and an unbounded
-/// hash list would defeat the point of spilling.
-const BLOOM_MAX_KEYS: usize = 1 << 20;
-/// Salt distinguishing Bloom hashes from the depth-salted partition
-/// hashes (a `u32` depth can never equal this).
-const BLOOM_SALT: u64 = 0xb100_f117_e25a_17ed;
 
 /// Memory cost charged for resident build row `i` of `batch`.
 fn join_entry_cost(key: &[&Column], batch: &RowBatch, i: usize) -> usize {
@@ -70,95 +54,6 @@ fn join_entry_cost(key: &[&Column], batch: &RowBatch, i: usize) -> usize {
     key_bytes + row_bytes + 8 + JOIN_ENTRY_OVERHEAD
 }
 
-fn bloom_hash<'a>(key: impl Iterator<Item = ValueRef<'a>>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    BLOOM_SALT.hash(&mut h);
-    for c in key {
-        c.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Blocked two-probe Bloom filter over build-key hashes. Conservative by
-/// construction: every build key is inserted, so `contains == false`
-/// proves the probe key has no partner.
-struct Bloom {
-    bits: Vec<u64>,
-    mask: u64,
-}
-
-impl Bloom {
-    fn with_capacity(nkeys: usize) -> Bloom {
-        let nbits = nkeys.saturating_mul(10).next_power_of_two().max(64);
-        Bloom {
-            bits: vec![0u64; nbits / 64],
-            mask: (nbits - 1) as u64,
-        }
-    }
-
-    fn positions(&self, h: u64) -> [u64; 2] {
-        let h1 = h & 0xffff_ffff;
-        let h2 = h >> 32;
-        [h1 & self.mask, h1.wrapping_add(h2) & self.mask]
-    }
-
-    fn insert(&mut self, h: u64) {
-        for p in self.positions(h) {
-            self.bits[(p / 64) as usize] |= 1 << (p % 64);
-        }
-    }
-
-    fn contains(&self, h: u64) -> bool {
-        self.positions(h)
-            .iter()
-            .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
-    }
-}
-
-/// Collects spilled build-key hashes during the build phase; turned into
-/// a [`Bloom`] (together with the resident keys) only if spilling
-/// actually happened, so resident-only joins pay nothing.
-struct BloomTracker {
-    hashes: Vec<u64>,
-    disabled: bool,
-}
-
-impl BloomTracker {
-    fn new() -> BloomTracker {
-        BloomTracker {
-            hashes: Vec::new(),
-            disabled: false,
-        }
-    }
-
-    fn note(&mut self, h: u64) {
-        if self.disabled {
-            return;
-        }
-        if self.hashes.len() >= BLOOM_MAX_KEYS {
-            self.disabled = true;
-            self.hashes = Vec::new();
-            return;
-        }
-        self.hashes.push(h);
-    }
-
-    fn build(self, resident: &BuildTable) -> Option<Bloom> {
-        if self.disabled {
-            return None;
-        }
-        let mut bloom = Bloom::with_capacity(self.hashes.len() + resident.heads.len());
-        for h in &self.hashes {
-            bloom.insert(*h);
-        }
-        let keys: Vec<&Column> = resident.keys.iter().collect();
-        for &(first, _) in &resident.heads {
-            bloom.insert(bloom_hash(key_cells(&keys, first)));
-        }
-        Some(bloom)
-    }
-}
-
 /// End of a [`BuildTable`] key chain.
 const CHAIN_END: usize = usize::MAX;
 
@@ -166,9 +61,8 @@ const CHAIN_END: usize = usize::MAX;
 /// build-input order, its join key's cells, and per distinct key the
 /// indices of its first and last row. `next` chains each row to the
 /// following row of its key, so a key's matches come back in build-input
-/// order without a `Vec` per key or an allocation per row. The resident
-/// join, the spilled partition pairs and the Bloom filter's key pass all
-/// use it.
+/// order without a `Vec` per key or an allocation per row. The join's own
+/// inputs and its spilled partition pairs all build one.
 #[derive(Default)]
 struct BuildTable {
     cols: Vec<Column>,
@@ -180,7 +74,6 @@ struct BuildTable {
     index: HashIndex,
     heads: Vec<(usize, usize)>,
 }
-
 impl BuildTable {
     /// Whether build row `r`'s key equals row `i` of key columns `key`.
     #[inline]
@@ -252,9 +145,40 @@ struct Pairs {
     probe: Vec<u32>,
 }
 
-/// Everything the recursive partition phase needs. The context is the
-/// one the join node was opened with, so its spills attribute to the
-/// join's stats slot.
+/// One pair of inputs being joined, at its spill depth: the resident
+/// table built from its build side, the build partitions that overflowed
+/// it (none while nothing spilled), and the probe rows routed after them.
+struct Level {
+    probe: BoxedIter,
+    depth: u32,
+    table: BuildTable,
+    build_parts: Vec<Option<SpillWriter>>,
+    probe_parts: Vec<Option<SpillWriter>>,
+}
+
+impl Level {
+    /// The partition pairs this level spilled, each to be joined one
+    /// depth further down. A partition only one side wrote to has no
+    /// partner, and its file goes with it.
+    fn spilled_pairs(self) -> impl DoubleEndedIterator<Item = (BoxedIter, BoxedIter, u32)> {
+        let depth = self.depth + 1;
+        self.build_parts
+            .into_iter()
+            .zip(self.probe_parts)
+            .filter_map(move |parts| match parts {
+                (Some(build), Some(probe)) => Some((
+                    Box::new(SpillRowIter::new(build)) as BoxedIter,
+                    Box::new(SpillRowIter::new(probe)) as BoxedIter,
+                    depth,
+                )),
+                _ => None,
+            })
+    }
+}
+
+/// The join's keys and output column order. The context is the one the
+/// join node was opened with, so its spills attribute to the join's
+/// stats slot.
 struct JoinEnv {
     build_keys: Vec<Expr>,
     probe_keys: Vec<Expr>,
@@ -286,47 +210,30 @@ impl JoinEnv {
         RowBatch::from_columns(cols, to - from)
     }
 
-    /// Probe `table` with every row of a compacted batch: a row whose
-    /// partition the build side spilled to is also written to that
+    /// Probe `level`'s table with every row of a compacted batch: a row
+    /// whose partition the build side spilled to is also written to that
     /// partition's probe file, and each resident match adds a pair.
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        table: &BuildTable,
-        batch: &RowBatch,
-        depth: u32,
-        bloom: Option<&Bloom>,
-        build_parts: &[Option<SpillWriter>],
-        probe_parts: &mut [Option<SpillWriter>],
-        pairs: &mut Pairs,
-    ) -> Result<()> {
+    fn probe(&self, level: &mut Level, batch: &RowBatch, pairs: &mut Pairs) -> Result<()> {
         let keys = Operand::eval_all(&self.probe_keys, batch)?;
         let key = operand_columns(&keys, batch);
         for i in 0..batch.len() {
             if !key_joinable(&key, i) {
                 continue;
             }
-            if let Some(bloom) = bloom {
-                if !bloom.contains(bloom_hash(key_cells(&key, i))) {
-                    // Provably no partner anywhere: skip lookup and I/O.
-                    continue;
-                }
-            }
             // Route before matching: once spilling started, a key's build
             // rows may be split between the resident table and a
             // partition, and the probe row must meet both halves.
-            if !build_parts.is_empty() {
-                let p = partition_of(key_cells(&key, i), depth);
-                if build_parts[p].is_some() {
-                    if probe_parts[p].is_none() {
-                        probe_parts[p] = Some(self.ctx.create_join_spill()?);
-                    }
-                    if let Some(writer) = probe_parts[p].as_mut() {
-                        write_spill_row(writer, &batch.row(i).to_row())?;
-                    }
+            if !level.build_parts.is_empty() {
+                let p = partition_of(key_cells(&key, i), level.depth);
+                if level.build_parts[p].is_some() {
+                    let writer = match &mut level.probe_parts[p] {
+                        Some(writer) => writer,
+                        slot => slot.insert(self.ctx.create_spill()?),
+                    };
+                    write_spill_row(writer, &batch.row(i).to_row())?;
                 }
             }
-            for b in table.matches(hash_cells(key_cells(&key, i)), &key, i) {
+            for b in level.table.matches(hash_cells(key_cells(&key, i)), &key, i) {
                 pairs.build.push(b as u32);
                 pairs.probe.push(i as u32);
             }
@@ -336,25 +243,22 @@ impl JoinEnv {
 }
 
 /// Consume `input` into a resident [`BuildTable`], degrading to salted
-/// hash partitions once `charge` rejects a row. Spill mode is sticky *per
-/// row*, not per key: unlike the hash aggregate, every build row costs
-/// memory, so after the first rejection all further rows spill — a key's
-/// rows may therefore be split between the resident table and one
-/// partition. Correct because each build row lives in exactly one place
-/// and probe rows visit both.
+/// hash partitions once `charge` rejects a row; the partitions are empty
+/// when nothing spilled. Spill mode is sticky *per row*, not per key:
+/// unlike the hash aggregate, every build row costs memory, so after the
+/// first rejection all further rows spill — a key's rows may therefore be
+/// split between the resident table and one partition. Correct because
+/// each build row lives in exactly one place and probe rows visit both.
 fn build_table(
     input: &mut dyn RowIterator,
     env: &JoinEnv,
     depth: u32,
     charge: &mut MemCharge,
-    mut bloom: Option<&mut BloomTracker>,
 ) -> Result<(BuildTable, Vec<Option<SpillWriter>>)> {
-    let mut ticker = Ticker::new();
     let mut table = BuildTable::default();
-    let mut spilling = false;
-    let mut parts: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
+    let mut parts: Vec<Option<SpillWriter>> = Vec::new();
     while let Some(batch) = input.next_batch(env.ctx.batch_size)? {
-        ticker.tick_batch(&env.ctx.gov)?;
+        env.ctx.gov.check_deadline()?;
         let batch = batch.compact();
         let keys = Operand::eval_all(&env.build_keys, &batch)?;
         let key = operand_columns(&keys, &batch);
@@ -362,93 +266,25 @@ fn build_table(
             if !key_joinable(&key, i) {
                 continue;
             }
-            if !spilling && charge.try_grow(join_entry_cost(&key, &batch, i)) {
+            if parts.is_empty() && charge.try_grow(join_entry_cost(&key, &batch, i)) {
                 table.insert(hash_cells(key_cells(&key, i)), &key, &batch, i);
                 continue;
             }
-            if depth >= MAX_JOIN_SPILL_DEPTH {
+            if depth >= MAX_SPILL_DEPTH {
                 return Err(DbError::ResourceExhausted(format!(
                     "hash join build side exceeded its memory budget even after \
-                     {MAX_JOIN_SPILL_DEPTH} repartition passes"
+                     {MAX_SPILL_DEPTH} repartition passes"
                 )));
             }
-            spilling = true;
-            if let Some(tracker) = bloom.as_deref_mut() {
-                tracker.note(bloom_hash(key_cells(&key, i)));
-            }
-            let p = partition_of(key_cells(&key, i), depth);
-            if parts[p].is_none() {
-                parts[p] = Some(env.ctx.create_join_spill()?);
-            }
-            if let Some(writer) = parts[p].as_mut() {
-                write_spill_row(writer, &batch.row(i).to_row())?;
-            }
+            parts.resize_with(SPILL_PARTITIONS, || None);
+            let writer = match &mut parts[partition_of(key_cells(&key, i), depth)] {
+                Some(writer) => writer,
+                slot => slot.insert(env.ctx.create_spill()?),
+            };
+            write_spill_row(writer, &batch.row(i).to_row())?;
         }
     }
     Ok((table, parts))
-}
-
-/// Join one spilled partition pair, recursing on sub-partitions when the
-/// build side still doesn't fit. The build takes whatever the governor
-/// has left; matches push into `out`, which spills its own overflow once
-/// it holds a quarter of the query budget.
-fn join_spilled(
-    build: SpillReader,
-    probe: SpillReader,
-    env: &JoinEnv,
-    depth: u32,
-    out: &mut OutputBuffer,
-) -> Result<()> {
-    let gov = env.ctx.gov.clone();
-    let mut charge = MemCharge::new(gov.clone());
-    let mut build_rows = SpillRowIter::new(build);
-    let (table, sub_build) = build_table(&mut build_rows, env, depth, &mut charge, None)?;
-    drop(build_rows); // done with the build partition file; delete it
-
-    let mut sub_probe: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
-    let mut probe_rows = SpillRowIter::new(probe);
-    let mut ticker = Ticker::new();
-    let mut pairs = Pairs::default();
-    while let Some(batch) = probe_rows.next_batch(env.ctx.batch_size)? {
-        ticker.tick_batch(&gov)?;
-        pairs.build.clear();
-        pairs.probe.clear();
-        env.probe(
-            &table,
-            &batch,
-            depth,
-            None,
-            &sub_build,
-            &mut sub_probe,
-            &mut pairs,
-        )?;
-        let joined = env.gather(&table, &batch, &pairs, 0, pairs.build.len());
-        for row in joined.into_rows() {
-            out.push(row)?;
-        }
-    }
-    drop(probe_rows);
-    drop(table);
-    charge.release_all();
-
-    for (bw, pw) in sub_build.into_iter().zip(sub_probe) {
-        if let (Some(bw), Some(pw)) = (bw, pw) {
-            join_spilled(bw.finish()?, pw.finish()?, env, depth + 1, out)?;
-        }
-        // An unpaired build partition has no probe rows hashing into it
-        // (or vice versa): dropping the writer deletes the file.
-    }
-    Ok(())
-}
-
-enum JoinState {
-    /// Consuming the build input.
-    Build,
-    /// Streaming probe batches against the resident table, routing
-    /// overflow.
-    Probe,
-    /// Draining the partition phase's joined output.
-    Drain,
 }
 
 /// Inner equi hash join: hybrid Grace. Builds on the `build` input,
@@ -457,26 +293,24 @@ enum JoinState {
 ///
 /// The resident build table is charged byte-for-byte against the query's
 /// memory budget; on exhaustion the operator degrades to spilled
-/// partition pairs joined recursively after the probe drains. All
+/// partition pairs, joined one after another once the probe drains. All
 /// charges release and all partition files delete on drop, including
 /// mid-stream cancellation.
 pub struct HashJoinIter {
-    build: Option<BoxedIter>,
-    probe: BoxedIter,
     env: JoinEnv,
-    state: JoinState,
-    table: BuildTable,
+    /// Pairs of inputs still to join, the next one last, each with its
+    /// spill depth: the operator's own inputs at depth 0, then the
+    /// partition pairs each level spilled, which go before the pairs of
+    /// the levels above it.
+    work: Vec<(BoxedIter, BoxedIter, u32)>,
+    /// The pair being joined; `charge` holds its table's memory.
+    level: Option<Level>,
     charge: MemCharge,
-    bloom: Option<Bloom>,
-    build_parts: Vec<Option<SpillWriter>>,
-    probe_parts: Vec<Option<SpillWriter>>,
     /// The probe batch being joined, its match pairs, and how many of
     /// them were handed out already.
     probed: Option<RowBatch>,
     pairs: Pairs,
     emitted: usize,
-    /// Every spilled pair's joined rows, in one governed stream.
-    output: Option<OutputRows>,
 }
 
 impl HashJoinIter {
@@ -488,122 +322,74 @@ impl HashJoinIter {
         probe_first: bool,
         ctx: ExecContext,
     ) -> HashJoinIter {
-        let charge = MemCharge::new(ctx.gov.clone());
         HashJoinIter {
-            build: Some(build),
-            probe,
+            charge: MemCharge::new(ctx.gov.clone()),
             env: JoinEnv {
                 build_keys,
                 probe_keys,
                 probe_first,
                 ctx,
             },
-            state: JoinState::Build,
-            table: BuildTable::default(),
-            charge,
-            bloom: None,
-            build_parts: Vec::new(),
-            probe_parts: Vec::new(),
+            work: vec![(build, probe, 0)],
+            level: None,
             probed: None,
             pairs: Pairs::default(),
             emitted: 0,
-            output: None,
         }
-    }
-
-    fn run_build(&mut self) -> Result<()> {
-        let mut build = self
-            .build
-            .take()
-            .expect("build input present in Build state");
-        let mut tracker = BloomTracker::new();
-        let (table, parts) = build_table(
-            build.as_mut(),
-            &self.env,
-            0,
-            &mut self.charge,
-            Some(&mut tracker),
-        )?;
-        if parts.iter().any(Option::is_some) {
-            self.bloom = tracker.build(&table);
-            self.probe_parts = (0..SPILL_PARTITIONS).map(|_| None).collect();
-        }
-        self.table = table;
-        self.build_parts = parts;
-        Ok(())
-    }
-
-    /// After the probe drains: free the resident table, then join each
-    /// spilled partition pair in turn into one output buffer.
-    fn run_partition_phase(&mut self) -> Result<OutputRows> {
-        self.table = BuildTable::default();
-        self.bloom = None;
-        self.charge.release_all();
-
-        let mut out = OutputBuffer::with_class(&self.env.ctx, WaitClass::JoinSpill);
-        let build_parts = std::mem::take(&mut self.build_parts);
-        let probe_parts = std::mem::take(&mut self.probe_parts);
-        // `probe_parts` is empty when the build never spilled.
-        for (bw, pw) in build_parts.into_iter().zip(probe_parts) {
-            if let (Some(bw), Some(pw)) = (bw, pw) {
-                join_spilled(bw.finish()?, pw.finish()?, &self.env, 1, &mut out)?;
-            }
-        }
-        out.into_rows()
     }
 }
 
 impl RowIterator for HashJoinIter {
-    /// Pull a probe batch, probe the resident table with each of its rows
-    /// (Bloom pre-screen, spill routing, lookup) into match pairs, and
-    /// hand the pairs on `max_rows` at a time as gathered batches; once
-    /// the probe side is exhausted, stream the spilled partition pairs'
-    /// output.
+    /// Build the next pair's table, then pull its probe batches, probe
+    /// the table with each of their rows (spill routing, lookup) into
+    /// match pairs, and hand the pairs on `max_rows` at a time as
+    /// gathered batches.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        if matches!(self.state, JoinState::Build) {
-            self.run_build()?;
-            self.state = JoinState::Probe;
-        }
         let max = max_rows.max(1);
         loop {
-            if let Some(probed) = &self.probed {
+            if let (Some(level), Some(probed)) = (&self.level, &self.probed) {
                 if self.emitted < self.pairs.build.len() {
                     let from = self.emitted;
                     let to = (from + max).min(self.pairs.build.len());
                     self.emitted = to;
-                    let joined = self.env.gather(&self.table, probed, &self.pairs, from, to);
+                    let joined = self.env.gather(&level.table, probed, &self.pairs, from, to);
                     return Ok(Some(joined));
                 }
             }
-            match self.state {
-                JoinState::Probe => match self.probe.next_batch(max)? {
-                    Some(batch) => {
-                        let batch = batch.compact();
-                        self.pairs.build.clear();
-                        self.pairs.probe.clear();
-                        self.emitted = 0;
-                        self.env.probe(
-                            &self.table,
-                            &batch,
-                            0,
-                            self.bloom.as_ref(),
-                            &self.build_parts,
-                            &mut self.probe_parts,
-                            &mut self.pairs,
-                        )?;
-                        self.probed = Some(batch);
-                    }
-                    None => {
-                        self.probed = None;
-                        self.output = Some(self.run_partition_phase()?);
-                        self.state = JoinState::Drain;
-                    }
-                },
-                JoinState::Drain => {
-                    let rows = self.output.as_mut().expect("output set before Drain");
-                    return fill_batch(max, || rows.next_row());
+            self.probed = None;
+            let Some(level) = self.level.as_mut() else {
+                let Some((mut build, probe, depth)) = self.work.pop() else {
+                    return Ok(None);
+                };
+                let (table, build_parts) =
+                    build_table(build.as_mut(), &self.env, depth, &mut self.charge)?;
+                let probe_parts = build_parts.iter().map(|_| None).collect();
+                self.level = Some(Level {
+                    probe,
+                    depth,
+                    table,
+                    build_parts,
+                    probe_parts,
+                });
+                continue;
+            };
+            self.env.ctx.gov.check_deadline()?;
+            match level.probe.next_batch(max)? {
+                Some(batch) => {
+                    let batch = batch.compact();
+                    self.pairs.build.clear();
+                    self.pairs.probe.clear();
+                    self.emitted = 0;
+                    self.env.probe(level, &batch, &mut self.pairs)?;
+                    self.probed = Some(batch);
                 }
-                JoinState::Build => unreachable!("build ran before the loop"),
+                None => {
+                    let level = self.level.take().expect("level being probed");
+                    // Reversed, so pair 0 (and whatever it spills) joins
+                    // before pair 1.
+                    self.work.extend(level.spilled_pairs().rev());
+                    self.charge.release_all();
+                }
             }
         }
     }
@@ -1066,30 +852,5 @@ mod tests {
         let left = int_rows(&[&[5, 1], &[5, 2], &[5, 3]]);
         let right = int_rows(&[&[5, 10], &[5, 11], &[5, 12], &[5, 13]]);
         assert_eq!(join_all("merge", left, right).len(), 12);
-    }
-
-    #[test]
-    fn bloom_filter_skips_probe_io_for_unmatched_keys() {
-        // Build keys 0..100 under a tight budget (so the join spills and
-        // the bloom is built); probe keys 1000..2000 can never match.
-        // Without the filter every probe row would be written to its
-        // partition (~20 KiB of probe I/O); with it only the rare false
-        // positives are, so total spill I/O stays near the build side's
-        // own few KiB.
-        let left = kv_rows((0..100i64).map(|i| (i, i)));
-        let right = kv_rows((1000..2000i64).map(|i| (i, i)));
-        let (mut ctx, _dir) = test_context();
-        ctx.gov = QueryGovernor::new(None, Some(1024));
-        let temp = ctx.temp.clone();
-        let it = hash_join(left, right, ctx);
-        let rows = collect(Box::new(it), 1024).unwrap();
-        assert!(rows.is_empty());
-        assert!(temp.spill_count() > 0, "build side must have spilled");
-        assert!(
-            temp.bytes_written() < 8 * 1024,
-            "bloom filter must suppress probe-side partition writes, wrote {} bytes",
-            temp.bytes_written()
-        );
-        assert_eq!(temp.live_files().unwrap(), 0);
     }
 }

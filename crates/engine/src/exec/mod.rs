@@ -92,14 +92,6 @@ impl ExecContext {
     pub fn create_spill(&self) -> Result<SpillWriter> {
         self.temp.create_spill_tallied(self.spill_tallies())
     }
-
-    /// Create a hash-join partition file: same attribution as
-    /// [`ExecContext::create_spill`], but waits land in the `JOIN_SPILL`
-    /// class and the dedicated join spill gauges.
-    pub fn create_join_spill(&self) -> Result<SpillWriter> {
-        self.temp
-            .create_spill_class(self.spill_tallies(), seqdb_storage::WaitClass::JoinSpill)
-    }
 }
 
 /// The error for a spill record the value codec could not read back.

@@ -7,8 +7,8 @@
 //! process. Every statement gets one [`QueryGovernor`] (created by
 //! `Session::begin_statement`); operators check it cooperatively between
 //! rows and charge it for buffered bytes. Operators that can degrade
-//! (sort, hash aggregate) spill to `storage::tempspace` when the budget
-//! runs out; the rest fail the query with
+//! (sort, hash aggregate, hash join) spill to `storage::tempspace` when
+//! the budget runs out; the rest fail the query with
 //! [`DbError::ResourceExhausted`].
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -24,10 +24,6 @@ use crate::exec::{BoxedIter, RowBatch, RowIterator};
 const RUNNING: u8 = 0;
 const CANCELLED: u8 = 1;
 const TIMED_OUT: u8 = 2;
-
-/// How many cooperative checks between (comparatively expensive)
-/// deadline reads. The cancel flag itself is checked on every call.
-const DEADLINE_STRIDE: u32 = 64;
 
 /// A session's check that its client is still there, run from the
 /// statement's own cooperative checks (see [`Session::with_liveness`]).
@@ -123,8 +119,9 @@ impl QueryGovernor {
     }
 
     /// Full cooperative check: liveness hook, cancel flag and wall-clock
-    /// deadline. Called once per batch, and every `DEADLINE_STRIDE` (64)
-    /// rows by row-at-a-time loops, to amortize `Instant::now`.
+    /// deadline. Called once per batch, which amortizes `Instant::now`
+    /// over the batch's rows and keeps KILL and timeout latency at batch
+    /// granularity.
     pub fn check_deadline(&self) -> Result<()> {
         self.watch();
         self.check()?;
@@ -274,45 +271,6 @@ impl Drop for MemCharge {
     }
 }
 
-/// Stride counter for cooperative checks: cancel flag every call, the
-/// deadline every `DEADLINE_STRIDE` calls (the first call included, so
-/// an already-expired query fails before producing a row).
-pub struct Ticker {
-    n: u32,
-}
-
-impl Ticker {
-    pub fn new() -> Ticker {
-        Ticker { n: 0 }
-    }
-
-    pub fn tick(&mut self, gov: &QueryGovernor) -> Result<()> {
-        let full = self.n.is_multiple_of(DEADLINE_STRIDE);
-        self.n = self.n.wrapping_add(1);
-        if full {
-            gov.check_deadline()
-        } else {
-            gov.check()
-        }
-    }
-
-    /// One cooperative check per *batch*: always the full check. A batch
-    /// already amortizes ~a thousand rows, so the deadline read costs
-    /// nothing per row — and checking it every batch keeps KILL and
-    /// timeout latency at batch granularity instead of
-    /// `DEADLINE_STRIDE × batch` rows.
-    pub fn tick_batch(&mut self, gov: &QueryGovernor) -> Result<()> {
-        self.n = self.n.wrapping_add(1);
-        gov.check_deadline()
-    }
-}
-
-impl Default for Ticker {
-    fn default() -> Self {
-        Ticker::new()
-    }
-}
-
 /// Wraps any operator with cooperative cancellation/timeout checks.
 /// `Plan::open` wraps every node it builds, so blocking operators that
 /// drain a child (sort, hash agg, hash join build) hit a check on every
@@ -320,23 +278,18 @@ impl Default for Ticker {
 pub struct GovernedIter {
     inner: BoxedIter,
     gov: Arc<QueryGovernor>,
-    ticker: Ticker,
 }
 
 impl GovernedIter {
     pub fn new(inner: BoxedIter, gov: Arc<QueryGovernor>) -> GovernedIter {
-        GovernedIter {
-            inner,
-            gov,
-            ticker: Ticker::new(),
-        }
+        GovernedIter { inner, gov }
     }
 }
 
 impl RowIterator for GovernedIter {
     /// One full cooperative check per batch, then delegate.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        self.ticker.tick_batch(&self.gov)?;
+        self.gov.check_deadline()?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
             let counters = storage_counters();

@@ -12,7 +12,8 @@
 //!    built-in or user-defined — implements `merge`, paper §2.3.4);
 //! 3. the coordinating thread merges the partial maps (the repartition +
 //!    final aggregate collapsed into one merge, valid because merge is
-//!    associative) and emits finished groups.
+//!    associative) and hands the finished groups out of the merged map,
+//!    keeping the workers' charges until the last one is out.
 //!
 //! The operator never spills. The binder plans it only when the query
 //! has no memory budget; a budgeted GROUP BY runs as the serial hash
@@ -31,13 +32,12 @@ use seqdb_types::{DbError, Result};
 
 use crate::catalog::Table;
 use crate::exec::agg::{
-    aggregate_partial_spilling, empty_global_row, merge_maps, AggSpec, GroupedStates, OutputBuffer,
-    OutputRows, MAX_SPILL_DEPTH,
+    aggregate_partial_spilling, merge_maps, AggSpec, GroupDrain, GroupedStates, MAX_SPILL_DEPTH,
 };
 use crate::exec::scan::HeapScanIter;
-use crate::exec::{fill_batch, mark_read, ExecContext, RowBatch, RowIterator};
+use crate::exec::{mark_read, ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
-use crate::governor::{MemCharge, QueryGovernor, Ticker};
+use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::panic_payload;
 
 /// Pick the error a failed parallel phase should surface: the first
@@ -71,7 +71,10 @@ pub struct ParallelAggIter {
     aggs: Vec<AggSpec>,
     dop: usize,
     ctx: ExecContext,
-    output: Option<OutputRows>,
+    /// The merged groups being handed out, and the workers' charges for
+    /// them, held until the last group is out.
+    output: Option<GroupDrain>,
+    charges: Vec<MemCharge>,
     stats: Vec<WorkerStats>,
 }
 
@@ -124,6 +127,7 @@ impl ParallelAggIter {
             dop,
             ctx,
             output: None,
+            charges: Vec::new(),
             stats: Vec::new(),
         })
     }
@@ -137,9 +141,7 @@ impl ParallelAggIter {
         let dop = self.dop;
         let ctx = &self.ctx;
         let mut partials = Vec::with_capacity(dop);
-        // MemCharges travel with the partial maps they account for and
-        // are dropped (releasing the budget) once the merged groups are
-        // in the output buffer.
+        // MemCharges travel with the partial maps they account for.
         let mut charges: Vec<MemCharge> = Vec::with_capacity(dop);
         let mut errors: Vec<DbError> = Vec::new();
 
@@ -162,7 +164,6 @@ impl ParallelAggIter {
                         inner: scan,
                         rows: 0,
                         gov: ctx.gov.clone(),
-                        ticker: Ticker::new(),
                     };
                     // Workers share the query's governor: their partial
                     // maps charge one common budget, and they stop at the
@@ -223,23 +224,16 @@ impl ParallelAggIter {
         // Final aggregation: merge the workers' partial maps into one.
         // Duplicate keys collapse, so the merged map costs no more than
         // the sum of the worker charges, which stay held until every
-        // finished group is in the governed output buffer.
+        // finished group is out.
         let mut merged = partials
             .pop()
             .unwrap_or_else(|| GroupedStates::new(self.group_exprs.len()));
         for p in partials {
             merge_maps(&mut merged, p, &self.aggs)?;
         }
-        let mut out = OutputBuffer::new(ctx);
-        merged.finish(&self.aggs, |row| out.push(row))?;
-        drop(charges);
-
-        self.output = Some(if out.is_empty() && self.group_exprs.is_empty() {
-            // Global aggregate over an empty table still yields one row.
-            OutputRows::from_vec(vec![empty_global_row(&self.aggs)?])
-        } else {
-            out.into_rows()?
-        });
+        merged.ensure_global_group(&self.aggs)?;
+        self.output = Some(merged.into_drain());
+        self.charges = charges;
         Ok(())
     }
 }
@@ -248,7 +242,6 @@ struct CountingIter {
     inner: HeapScanIter,
     rows: u64,
     gov: Arc<QueryGovernor>,
-    ticker: Ticker,
 }
 
 impl RowIterator for CountingIter {
@@ -256,7 +249,7 @@ impl RowIterator for CountingIter {
     /// cooperative check lives here: one per page-sized batch from the
     /// partitioned heap scan.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        self.ticker.tick_batch(&self.gov)?;
+        self.gov.check_deadline()?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
             self.rows += b.len() as u64;
@@ -270,10 +263,12 @@ impl RowIterator for ParallelAggIter {
         if self.output.is_none() {
             self.execute()?;
         }
-        match self.output.as_mut() {
-            Some(rows) => fill_batch(max_rows, || rows.next_row()),
-            None => Ok(None),
+        let output = self.output.as_mut().expect("execute sets the output");
+        let batch = output.next_batch(&self.aggs, max_rows)?;
+        if batch.is_none() {
+            self.charges.clear();
         }
+        Ok(batch)
     }
 }
 
@@ -515,7 +510,6 @@ mod tests {
             inner: HeapScanIter::new(t, None, None).unwrap(),
             rows: 0,
             gov: QueryGovernor::unlimited(),
-            ticker: Ticker::new(),
         };
         drain(&mut c);
         assert_eq!(c.rows, 100);

@@ -272,7 +272,7 @@ impl Database {
                 if fenced.contains(&page) {
                     // A prior pass fenced this page and it has since been
                     // rewritten clean (repair or re-import): un-fence it.
-                    quarantine.clear(&key, page);
+                    quarantine.clear(&key, page)?;
                     report.findings.push(ScrubFinding {
                         object: key.clone(),
                         page: Some(page),
@@ -297,7 +297,7 @@ impl Database {
             }
             if repair_page(self.pool(), wal_images, page)? {
                 state.pages_repaired.fetch_add(1, Ordering::Relaxed);
-                quarantine.clear(&key, page);
+                quarantine.clear(&key, page)?;
                 report.findings.push(ScrubFinding {
                     object: key.clone(),
                     page: Some(page),
@@ -305,7 +305,7 @@ impl Database {
                     detail: "rewritten from the buffer pool or WAL and re-verified".into(),
                 });
             } else {
-                quarantine.add(&key, page);
+                quarantine.add(&key, page)?;
                 crate::trace::emit(
                     crate::trace::TraceClass::Quarantine,
                     "quarantine_add",
@@ -335,7 +335,7 @@ impl Database {
                 if quarantine.check(&key).is_err() {
                     // Clean re-hash of a fenced blob (re-imported in
                     // place): un-fence it.
-                    quarantine.clear_object(&key);
+                    quarantine.clear_object(&key)?;
                     report.findings.push(ScrubFinding {
                         object: key,
                         page: None,
@@ -361,7 +361,7 @@ impl Database {
                 if repair {
                     // Blobs have no redundant copy (no WAL images): the
                     // only remedy is fencing until a re-import.
-                    quarantine.add(&key, 0);
+                    quarantine.add(&key, 0)?;
                     crate::trace::emit(
                         crate::trace::TraceClass::Quarantine,
                         "quarantine_add",

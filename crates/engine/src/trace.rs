@@ -383,10 +383,8 @@ fn storage_hook(event: &StorageEvent) {
                 format!("class={} wait_us={}", class.name(), nanos / 1000)
             });
         }
-        StorageEvent::SpillFile { class } => {
-            t.emit(TraceClass::Spill, "spill_file", 0, 0, || {
-                format!("class={}", class.name())
-            });
+        StorageEvent::SpillFile => {
+            t.emit(TraceClass::Spill, "spill_file", 0, 0, String::new);
         }
     }
 }

@@ -186,7 +186,7 @@ pub fn execute_statement_on(
             db.catalog().drop_table(name)?;
             // The object is gone; a later table of the same name must not
             // inherit its fence.
-            db.quarantine().clear_object(&name.to_ascii_lowercase());
+            db.quarantine().clear_object(&name.to_ascii_lowercase())?;
             Ok(QueryResult::empty())
         }
         Statement::Checkpoint => {

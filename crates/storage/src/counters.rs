@@ -38,7 +38,7 @@ pub enum StorageEvent {
     /// [`WaitStats::record`] at the end of the blocked interval.
     Wait { class: WaitClass, nanos: u64 },
     /// One spill file created in a temp space.
-    SpillFile { class: WaitClass },
+    SpillFile,
 }
 
 static TRACE_HOOK: OnceLock<fn(&StorageEvent)> = OnceLock::new();
@@ -72,29 +72,24 @@ pub enum WaitClass {
     SpillIo = 2,
     /// Backoff sleeps between FileStream transient-error retries.
     FileStreamRetry = 3,
-    /// Writing or reading hash-join partition files in the temp space.
-    /// Kept separate from [`WaitClass::SpillIo`] so join spills are
-    /// distinguishable from sort/aggregate spills in `DM_OS_WAIT_STATS()`.
-    JoinSpill = 4,
     /// Page reads and blob re-hashing performed by the integrity scrubber
     /// (`CHECK TABLE` / `CHECK DATABASE` / the background scrub thread).
     /// Separate from [`WaitClass::BufferIo`] so scrub overhead is
     /// attributable independently of query-driven page reads.
-    ScrubIo = 5,
+    ScrubIo = 4,
     /// Page and blob copying performed by the online backup path
     /// (`BACKUP DATABASE` / the background backup thread). Separate from
     /// [`WaitClass::ScrubIo`] so backup overhead is attributable
     /// independently of integrity scrubbing.
-    BackupIo = 6,
+    BackupIo = 5,
 }
 
 /// All wait classes, in rendering order for `DM_OS_WAIT_STATS()`.
-pub const WAIT_CLASSES: [WaitClass; 7] = [
+pub const WAIT_CLASSES: [WaitClass; 6] = [
     WaitClass::Admission,
     WaitClass::BufferIo,
     WaitClass::SpillIo,
     WaitClass::FileStreamRetry,
-    WaitClass::JoinSpill,
     WaitClass::ScrubIo,
     WaitClass::BackupIo,
 ];
@@ -107,7 +102,6 @@ impl WaitClass {
             WaitClass::BufferIo => "BUFFER_IO",
             WaitClass::SpillIo => "SPILL_IO",
             WaitClass::FileStreamRetry => "FILESTREAM_RETRY",
-            WaitClass::JoinSpill => "JOIN_SPILL",
             WaitClass::ScrubIo => "SCRUB_IO",
             WaitClass::BackupIo => "BACKUP_IO",
         }
@@ -195,7 +189,6 @@ macro_rules! zero_counters {
             AtomicU64::new(0),
             AtomicU64::new(0),
             AtomicU64::new(0),
-            AtomicU64::new(0),
         ]
     };
 }
@@ -232,11 +225,6 @@ pub struct StorageCounters {
     pub spill_files: AtomicU64,
     /// Bytes written to spill files in any temp space.
     pub spill_bytes: AtomicU64,
-    /// Hash-join partition files created in any temp space (subset of
-    /// `spill_files`, attributed to the JOIN_SPILL wait class).
-    pub join_spill_files: AtomicU64,
-    /// Bytes written to hash-join partition files (subset of `spill_bytes`).
-    pub join_spill_bytes: AtomicU64,
     /// Table/index pages verified by the integrity scrubber.
     pub scrub_pages_checked: AtomicU64,
     /// FileStream blobs re-hashed by the integrity scrubber.
@@ -297,8 +285,6 @@ impl StorageCounters {
             ),
             ("spill_files", ld(&self.spill_files)),
             ("spill_bytes", ld(&self.spill_bytes)),
-            ("join_spill_files", ld(&self.join_spill_files)),
-            ("join_spill_bytes", ld(&self.join_spill_bytes)),
             ("scrub_pages_checked", ld(&self.scrub_pages_checked)),
             ("scrub_blobs_checked", ld(&self.scrub_blobs_checked)),
             ("corruptions_found", ld(&self.corruptions_found)),
@@ -327,8 +313,6 @@ static STORAGE: StorageCounters = StorageCounters {
     filestream_write_retries: AtomicU64::new(0),
     spill_files: AtomicU64::new(0),
     spill_bytes: AtomicU64::new(0),
-    join_spill_files: AtomicU64::new(0),
-    join_spill_bytes: AtomicU64::new(0),
     scrub_pages_checked: AtomicU64::new(0),
     scrub_blobs_checked: AtomicU64::new(0),
     corruptions_found: AtomicU64::new(0),
@@ -445,19 +429,14 @@ mod tests {
         use std::sync::atomic::AtomicU64 as A;
         static SEEN: A = A::new(0);
         fn hook(e: &StorageEvent) {
-            if matches!(
-                e,
-                StorageEvent::Wait { .. } | StorageEvent::SpillFile { .. }
-            ) {
+            if matches!(e, StorageEvent::Wait { .. } | StorageEvent::SpillFile) {
                 SEEN.fetch_add(1, Ordering::Relaxed);
             }
         }
         install_trace_hook(hook);
         let before = SEEN.load(Ordering::Relaxed);
         waits().record(WaitClass::BackupIo, Duration::from_nanos(5));
-        emit_storage_event(StorageEvent::SpillFile {
-            class: WaitClass::SpillIo,
-        });
+        emit_storage_event(StorageEvent::SpillFile);
         // At least our two events arrived (other tests may add more; the
         // hook slot is process-global and first-install-wins).
         assert!(SEEN.load(Ordering::Relaxed) >= before + 2);

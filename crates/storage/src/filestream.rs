@@ -407,7 +407,7 @@ impl FileStreamStore {
         fs::remove_file(p)?;
         let _ = fs::remove_file(self.sidecar(guid));
         if let Some(q) = self.quarantine.lock().as_ref() {
-            q.clear_object(&Self::object_key(guid));
+            q.clear_object(&Self::object_key(guid))?;
         }
         Ok(())
     }
@@ -1071,7 +1071,7 @@ mod tests {
         let q = crate::scrub::Quarantine::in_memory();
         s.set_quarantine(Some(q.clone()));
         let key = FileStreamStore::object_key(guid);
-        q.add(&key, 0);
+        q.add(&key, 0).unwrap();
         for result in [
             s.path_name(guid).map(|_| ()),
             s.len(guid).map(|_| ()),

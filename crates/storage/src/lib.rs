@@ -23,6 +23,7 @@ pub mod btree;
 pub mod buffer;
 pub mod counters;
 pub mod crc32c;
+pub mod durable;
 pub mod fault;
 pub mod filestream;
 pub mod heap;
@@ -43,6 +44,7 @@ pub use counters::{
     emit_storage_event, install_trace_hook, storage_counters, waits, SpillTally, StorageCounters,
     StorageEvent, WaitClass, WaitSnapshot, WaitStats,
 };
+pub use durable::durable_replace;
 pub use fault::{
     rot_file, FaultClock, FaultInjectingPageStore, FaultInjectingStream, FaultPlan, NetFate,
     PageRot,

@@ -37,6 +37,7 @@ use seqdb_types::{DbError, Result};
 
 use crate::buffer::BufferPool;
 use crate::counters::{storage_counters, waits, WaitClass};
+use crate::durable::durable_replace;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::PageStore;
 use crate::wal::WriteAheadLog;
@@ -45,9 +46,11 @@ use crate::wal::WriteAheadLog;
 ///
 /// Keys are lowercase table names, or `filestream:<guid-string>` for
 /// blobs (which use page 0). Entries survive restarts via a text file of
-/// `object<TAB>page` lines rewritten atomically (tmp + rename) on every
-/// mutation; an in-memory database passes no path and keeps the list in
-/// memory only.
+/// `object<TAB>page` lines rewritten with [`durable_replace`] on every
+/// mutation, so a return means the list is on disk; an in-memory database
+/// passes no path and keeps the list in memory only. A mutation changes
+/// the in-memory list first, so the fence holds for this process even
+/// when the write fails, and the write's error is returned.
 pub struct Quarantine {
     path: Option<PathBuf>,
     entries: Mutex<BTreeMap<String, BTreeSet<u64>>>,
@@ -100,19 +103,16 @@ impl Quarantine {
         }))
     }
 
-    /// Fence `page` of `object`. Idempotent. Persistence is best-effort:
-    /// failing to write the list (the disk may be the very thing that is
-    /// dying) must not stop the scrub — the in-memory fence still holds
-    /// for this process's lifetime.
-    pub fn add(&self, object: &str, page: u64) {
+    /// Fence `page` of `object`. Idempotent.
+    pub fn add(&self, object: &str, page: u64) -> Result<()> {
         let mut entries = self.entries.lock();
         entries.entry(object.to_string()).or_default().insert(page);
-        self.persist(&entries);
+        self.persist(&entries)
     }
 
     /// Un-fence one page of `object` (after a successful repair). The
     /// object becomes reachable again once its last page is cleared.
-    pub fn clear(&self, object: &str, page: u64) {
+    pub fn clear(&self, object: &str, page: u64) -> Result<()> {
         let mut entries = self.entries.lock();
         if let Some(pages) = entries.get_mut(object) {
             pages.remove(&page);
@@ -120,14 +120,14 @@ impl Quarantine {
                 entries.remove(object);
             }
         }
-        self.persist(&entries);
+        self.persist(&entries)
     }
 
     /// Un-fence `object` entirely (after a re-import or drop).
-    pub fn clear_object(&self, object: &str) {
+    pub fn clear_object(&self, object: &str) -> Result<()> {
         let mut entries = self.entries.lock();
         entries.remove(object);
-        self.persist(&entries);
+        self.persist(&entries)
     }
 
     /// Fail with the typed [`DbError::Quarantined`] if `object` is fenced.
@@ -162,9 +162,9 @@ impl Quarantine {
         self.entries.lock().is_empty()
     }
 
-    fn persist(&self, entries: &BTreeMap<String, BTreeSet<u64>>) {
+    fn persist(&self, entries: &BTreeMap<String, BTreeSet<u64>>) -> Result<()> {
         let Some(path) = &self.path else {
-            return;
+            return Ok(());
         };
         let mut text = String::new();
         for (object, pages) in entries {
@@ -175,10 +175,7 @@ impl Quarantine {
                 text.push('\n');
             }
         }
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        }
+        durable_replace(path, text.as_bytes())
     }
 }
 
@@ -265,8 +262,8 @@ mod tests {
     fn quarantine_checks_and_clears() {
         let q = Quarantine::in_memory();
         assert!(q.check("reads").is_ok());
-        q.add("reads", 7);
-        q.add("reads", 3);
+        q.add("reads", 7).unwrap();
+        q.add("reads", 3).unwrap();
         let err = q.check("reads").unwrap_err();
         assert_eq!(
             err,
@@ -277,12 +274,12 @@ mod tests {
             "check reports the first quarantined page"
         );
         assert!(q.check("other").is_ok(), "only the fenced object fails");
-        q.clear("reads", 3);
+        q.clear("reads", 3).unwrap();
         assert!(matches!(
             q.check("reads"),
             Err(DbError::Quarantined { page: 7, .. })
         ));
-        q.clear("reads", 7);
+        q.clear("reads", 7).unwrap();
         assert!(q.check("reads").is_ok());
         assert!(q.is_empty());
     }
@@ -294,19 +291,32 @@ mod tests {
         let path = dir.join("quarantine.list");
         {
             let q = Quarantine::open(&path).unwrap();
-            q.add("reads", 12);
-            q.add("filestream:abc-def", 0);
+            q.add("reads", 12).unwrap();
+            q.add("filestream:abc-def", 0).unwrap();
         }
         let q = Quarantine::open(&path).unwrap();
         assert_eq!(q.len(), 2);
         assert!(q.check("reads").is_err());
         assert!(q.check("filestream:abc-def").is_err());
-        q.clear_object("reads");
+        q.clear_object("reads").unwrap();
         // A third open sees the clear too.
         let q = Quarantine::open(&path).unwrap();
         assert!(q.check("reads").is_ok());
         assert!(q.check("filestream:abc-def").is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_quarantine_write_is_returned_and_the_fence_holds() {
+        let dir = std::env::temp_dir().join(format!("seqdb-quar-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let q = Quarantine::open(dir.join("quarantine.list")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(q.add("reads", 5), Err(DbError::Io(_))));
+        assert!(matches!(
+            q.check("reads"),
+            Err(DbError::Quarantined { page: 5, .. })
+        ));
     }
 
     #[test]

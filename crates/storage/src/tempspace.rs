@@ -4,9 +4,12 @@
 //! consensus plan "produce\[s\] a huge intermediate result on the temporary
 //! tablespace ... and large amounts of disk writes for the intermediate
 //! results. Hence it is not practical." To *measure* that claim rather
-//! than assert it, every blocking operator in seqdb (external sort, spool)
-//! writes its spills through a [`TempSpace`], which counts bytes. The
-//! consensus benchmark reports the counter for both plans.
+//! than assert it, every blocking operator in seqdb (external sort, hash
+//! aggregate, hash join) writes its spills through a [`TempSpace`], which
+//! counts bytes. The consensus benchmark reports the counter for both
+//! plans. Every spill is the same kind of file: its waits are `SPILL_IO`,
+//! and the tallies it is created with say which query and operator
+//! wrote it.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -93,17 +96,6 @@ impl TempSpace {
         self: &Arc<Self>,
         tallies: Vec<Arc<SpillTally>>,
     ) -> Result<SpillWriter> {
-        self.create_spill_class(tallies, WaitClass::SpillIo)
-    }
-
-    /// Create a new spill file whose waits are recorded under `class`
-    /// (`SpillIo` for sort/aggregate spills, `JoinSpill` for hash-join
-    /// partition files, which also bump the dedicated join gauges).
-    pub fn create_spill_class(
-        self: &Arc<Self>,
-        tallies: Vec<Arc<SpillTally>>,
-        class: WaitClass,
-    ) -> Result<SpillWriter> {
         self.inject_write()?;
         let n = self.seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("spill-{n}.tmp"));
@@ -112,21 +104,15 @@ impl TempSpace {
         storage_counters()
             .spill_files
             .fetch_add(1, Ordering::Relaxed);
-        if class == WaitClass::JoinSpill {
-            storage_counters()
-                .join_spill_files
-                .fetch_add(1, Ordering::Relaxed);
-        }
         for tally in &tallies {
             tally.add_file();
         }
-        emit_storage_event(StorageEvent::SpillFile { class });
+        emit_storage_event(StorageEvent::SpillFile);
         Ok(SpillWriter {
             space: Arc::clone(self),
             path,
             writer: Some(BufWriter::new(file)),
             tallies,
-            class,
             frame: Vec::new(),
         })
     }
@@ -168,7 +154,6 @@ pub struct SpillWriter {
     path: PathBuf,
     writer: Option<BufWriter<File>>,
     tallies: Vec<Arc<SpillTally>>,
-    class: WaitClass,
     /// Reused by [`SpillWriter::write_frame`], so the steady state
     /// allocates nothing per record.
     frame: Vec<u8>,
@@ -199,7 +184,7 @@ impl SpillWriter {
             .write_all(buf)
             .map_err(DbError::io_write)?;
         let waited = start.elapsed();
-        waits().record(self.class, waited);
+        waits().record(WaitClass::SpillIo, waited);
         for tally in &self.tallies {
             tally.add_wait_nanos(waited.as_nanos() as u64);
         }
@@ -209,11 +194,6 @@ impl SpillWriter {
         storage_counters()
             .spill_bytes
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if self.class == WaitClass::JoinSpill {
-            storage_counters()
-                .join_spill_bytes
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
         for tally in &self.tallies {
             tally.add_bytes(buf.len() as u64);
         }
@@ -229,7 +209,6 @@ impl SpillWriter {
         Ok(SpillReader {
             path: std::mem::take(&mut self.path),
             reader: BufReader::with_capacity(64 * 1024, file),
-            class: self.class,
         })
     }
 }
@@ -246,7 +225,6 @@ impl Drop for SpillWriter {
 pub struct SpillReader {
     path: PathBuf,
     reader: BufReader<File>,
-    class: WaitClass,
 }
 
 impl SpillReader {
@@ -272,7 +250,7 @@ impl SpillReader {
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
             Err(e) => Err(e.into()),
         };
-        waits().record(self.class, start.elapsed());
+        waits().record(WaitClass::SpillIo, start.elapsed());
         res
     }
 }
@@ -361,33 +339,6 @@ mod tests {
         }
         let waited = waits().count(WaitClass::SpillIo);
         assert!(waited >= 2, "spill writes must record SPILL_IO waits");
-    }
-
-    #[test]
-    fn join_class_spills_bump_join_gauges_and_wait_class() {
-        let ts = scratch("join");
-        let files_before = storage_counters().join_spill_files.load(Ordering::Relaxed);
-        let bytes_before = storage_counters().join_spill_bytes.load(Ordering::Relaxed);
-        let waited_before = waits().count(WaitClass::JoinSpill);
-        let mut w = ts
-            .create_spill_class(Vec::new(), WaitClass::JoinSpill)
-            .unwrap();
-        w.write_all(&[9u8; 64]).unwrap();
-        let mut r = w.finish().unwrap();
-        let mut buf = [0u8; 64];
-        assert!(r.read_exact(&mut buf).unwrap());
-        assert_eq!(
-            storage_counters().join_spill_files.load(Ordering::Relaxed),
-            files_before + 1
-        );
-        assert_eq!(
-            storage_counters().join_spill_bytes.load(Ordering::Relaxed),
-            bytes_before + 64
-        );
-        assert!(
-            waits().count(WaitClass::JoinSpill) >= waited_before + 2,
-            "join spill I/O must record JOIN_SPILL waits"
-        );
     }
 
     #[test]

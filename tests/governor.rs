@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seqdb::engine::{
-    AggState, Aggregate, Database, ExecContext, ScalarUdf, TableFunction, TvfCursor,
+    AggState, Aggregate, Database, ExecContext, JoinStrategy, ScalarUdf, TableFunction, TvfCursor,
 };
 use seqdb::sql::DatabaseSqlExt;
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
@@ -219,6 +219,81 @@ fn memory_limited_hash_join_spills_and_completes() {
         .query_sql("SELECT COUNT(*) FROM t a JOIN t b ON (a.id = b.id)")
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Int(3000));
+}
+
+/// Run `sql` as one statement under the database's memory budget and
+/// return its rows, after checking that the statement left no byte
+/// charged to its governor and no spill file behind.
+fn run_leak_free(db: &Arc<Database>, sql: &str) -> Vec<Row> {
+    let plan = seqdb::sql::binder::plan_query(db, sql).unwrap();
+    let (ctx, _guard) = db.server_session().begin_statement(sql).unwrap();
+    let rows = plan.run(&ctx).unwrap();
+    assert_eq!(ctx.gov.mem_used(), 0, "{sql}: budget bytes left charged");
+    assert_eq!(
+        db.temp().live_files().unwrap(),
+        0,
+        "{sql}: spill files left"
+    );
+    rows
+}
+
+/// Assert that `EXPLAIN ANALYZE sql` reports spill files on the first
+/// plan line naming each of `ops`.
+fn assert_each_spills(db: &Arc<Database>, sql: &str, ops: &[&str]) {
+    let plan = db.query_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r.to_string()).collect();
+    for op in ops {
+        let line = plan
+            .iter()
+            .find(|l| l.contains(op))
+            .unwrap_or_else(|| panic!("no {op}: {plan:#?}"));
+        let files: u64 = line
+            .split("spill_files=")
+            .nth(1)
+            .and_then(|f| f.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|f| f.parse().ok())
+            .unwrap_or(0);
+        assert!(files > 0, "{op} did not spill: {plan:#?}");
+    }
+}
+
+#[test]
+fn a_spilled_aggregate_and_the_sort_above_it_share_one_budget() {
+    // The hash aggregate hands its groups out of its own table while the
+    // sort above buffers them, so both charge the one 8 KiB budget: the
+    // aggregate spills its groups, the sort its runs, and the answer is
+    // the unbudgeted one.
+    let db = setup_db();
+    let sql = "SELECT id, COUNT(*), SUM(v) FROM t GROUP BY id ORDER BY id";
+    let expect = run_leak_free(&db, sql);
+    assert_eq!(expect.len(), 3000);
+    db.set_query_memory_limit_kb(Some(8));
+    assert_each_spills(&db, sql, &["Sort", "Hash Match (Aggregate)"]);
+    assert_eq!(run_leak_free(&db, sql), expect);
+}
+
+#[test]
+fn a_spilled_join_and_the_aggregate_above_it_share_one_budget() {
+    // The hash join hands out each spilled pair's rows while the pair's
+    // table is still charged, and the aggregate above grows its groups
+    // from the same 8 KiB: both spill, and the answer is the unbudgeted
+    // one.
+    let db = setup_db();
+    let sql = "SELECT a.id, COUNT(*), SUM(b.v) FROM t a JOIN t b ON (a.id = b.id) GROUP BY a.id";
+    let by_id = |mut rows: Vec<Row>| {
+        rows.sort_by_key(|r| r[0].as_int().unwrap());
+        rows
+    };
+    let expect = by_id(run_leak_free(&db, sql));
+    assert_eq!(expect.len(), 3000);
+    db.set_query_memory_limit_kb(Some(8));
+    db.set_join_strategy(JoinStrategy::Hash);
+    assert_each_spills(
+        &db,
+        sql,
+        &["Hash Match (Aggregate)", "Hash Match (Inner Join)"],
+    );
+    assert_eq!(by_id(run_leak_free(&db, sql)), expect);
 }
 
 // ----------------------------------------------------------------------

@@ -187,19 +187,16 @@ fn spilled_join_is_exact_and_attributes_spill_to_the_join_node() {
         .unwrap();
     assert!(files > 0, "{p}");
 
-    // The waits surface under the dedicated JOIN_SPILL class.
+    // The waits surface under the SPILL_IO class, like every spill's.
     let r = db
         .query_sql("SELECT wait_class, wait_count, total_wait_ms FROM DM_OS_WAIT_STATS()")
         .unwrap();
     let waits = r
         .rows
         .iter()
-        .find(|row| row[0].as_text().unwrap() == "JOIN_SPILL")
-        .expect("JOIN_SPILL wait class missing");
-    assert!(
-        waits[1].as_int().unwrap() > 0,
-        "no JOIN_SPILL waits recorded"
-    );
+        .find(|row| row[0].as_text().unwrap() == "SPILL_IO")
+        .expect("SPILL_IO wait class missing");
+    assert!(waits[1].as_int().unwrap() > 0, "no SPILL_IO waits recorded");
 }
 
 // ----------------------------------------------------------------------

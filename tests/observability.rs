@@ -472,8 +472,6 @@ const COUNTER_NAMES: &[&str] = &[
     "filestream_write_retries",
     "spill_files",
     "spill_bytes",
-    "join_spill_files",
-    "join_spill_bytes",
     "scrub_pages_checked",
     "scrub_blobs_checked",
     "corruptions_found",
